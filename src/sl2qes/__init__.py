@@ -19,11 +19,8 @@ from .algebra import (
 )
 from .catalog import (
     CatalogEntry,
-    closed_form_energy,
-    closed_form_wavefunction,
     list_families,
     make_entry,
-    sector_count,
 )
 from .errors import (
     BranchError,
@@ -56,7 +53,6 @@ from .mapping import (
     build_gauge,
     build_mapping,
     evaluate_potential,
-    gauge_factor,
     half_line_sqrt,
     identity_shift,
     potential_from_operator,

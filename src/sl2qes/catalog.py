@@ -1,17 +1,35 @@
 """Named potential families: five fully solvable, eight quasi-solvable.
 
-Each entry bundles the coefficient data of the generating operator, the
-coordinate branch, the closed-form potential / energies / wavefunctions,
-parameter validation, and the defaults used by the numeric cross-check.
+One ``Family`` record per family holds its parameter names, their validity
+predicates with the text ``list-families`` prints, whether it takes a sign
+branch, and its class.  ``make_entry`` validates against the record and
+builds an ``EsEntry`` (fully solvable, ES) or a ``QesEntry``
+(quasi-solvable, QES): the operator coefficient data, the coordinate
+branch, the closed-form potential / energies / wavefunctions, and the
+defaults used by the numeric cross-check.
 
-Conventions.  For the fully solvable (ES) entries the level index j selects
-the representation: level j is produced with n = j, the shift d evaluated at
-that n, and the closed-form energy E_j; the resulting potential is the same
-for every j, which the tests assert.  For the quasi-solvable (QES) entries n
-is fixed, d_j comes out of the algebraic-sector solve, and E_j = offset +
-d_j.  The sign branch of periodic/hyperbolic families 1 and 2 selects the
-wavefunction's trigonometric factor (plus branch: cos- resp. sinh-type); for
-families 3 and 4 it is the sign that appears in the wavefunction exponent.
+ES: the level index j selects the representation: level j is produced with
+n = j, the shift d evaluated at that n, and the closed-form energy E_j; the
+resulting potential is the same for every j, which the tests assert.
+
+QES: n is fixed, d_j comes out of the algebraic-sector solve, and E_j =
+offset + d_j.  All eight families follow one rule in (shape, sigma, dq).
+sigma is the sign of the wavefunction exponent: -1, +1, s, s for periodic
+v1-v4 and +1, -1, s, s for hyperbolic v1-v4, with s the sign branch.
+q = n + dq with dq = 1, 1, 2, 0 (periodic) and 1, 1, 0, 2 (hyperbolic);
+m = (2n + 1 + dq)/2 is the sector coefficient (``sector_count`` is 2m);
+[dq=1] is 1 for dq = 1, else 0.
+- periodic, xi = cos beta(x-a): c+ = sigma alpha, c0 = -q beta^2,
+  c- = -sigma alpha + [dq=1] s beta^2; cos beta(x-a) coefficient
+  sigma alpha m; offset ((q^2-1)/4) beta^2 - alpha^2/(8 beta^2)
+  + [dq=1] sigma s alpha/2.
+- hyperbolic, xi = cosh 2gamma(x-a): c+ = 2 sigma gamma^2 eta,
+  c0 = 4 q gamma^2, c- = -2 sigma gamma^2 eta + [dq=1] 4 s gamma^2;
+  cosh 2gamma(x-a) coefficient 2 sigma eta gamma^2 m; offset
+  -(q^2 + [dq=1] sigma s eta) gamma^2; normalizable iff sigma eta < 0.
+- the gauge exponent carries sigma.  The prefactor follows from dq: for
+  dq = 1 the sign picks cos/sin resp. sinh/cosh at the half angle, for
+  dq = 2 it is sin resp. sinh at the full angle, for dq = 0 there is none.
 """
 
 from __future__ import annotations
@@ -19,6 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,25 +58,60 @@ from .spectral import SpectralResult, compose_energies, solve_algebraic_sector
 
 __all__ = [
     "CatalogEntry",
+    "EsEntry",
+    "QesEntry",
     "make_entry",
-    "closed_form_energy",
-    "closed_form_wavefunction",
-    "sector_count",
     "list_families",
     "FAMILY_NAMES",
 ]
 
-ES_NAMES = ("harmonic", "morse", "poschl-teller", "scarf-ii", "coulomb")
-QES_PERIODIC = ("periodic-v1", "periodic-v2", "periodic-v3", "periodic-v4")
-QES_HYPERBOLIC = ("hyperbolic-v1", "hyperbolic-v2", "hyperbolic-v3",
-                  "hyperbolic-v4")
-FAMILY_NAMES = ES_NAMES + QES_PERIODIC + QES_HYPERBOLIC
+
+class Param(NamedTuple):
+    """Validity predicate of one parameter, as documented and as checked."""
+
+    doc: str
+    holds: Callable | None = None   # (exact value, sigma) -> bool
+    message: str = ""
+    whole: bool = False             # a non-negative int, not a Fraction
+
+
+@dataclass(frozen=True)
+class Family:
+    """One catalog family: what make_entry validates and list_families
+    prints, plus its builder."""
+
+    name: str
+    kind: str                  # "es" | "qes-periodic" | "qes-hyperbolic"
+    params: dict               # parameter name -> Param, in report order
+    domain: str
+    build: Callable            # (family, exact params, sign, n) -> entry
+    energies: str = ""         # ES: the documented closed-form spectrum
+    sigma: int | None = None   # QES exponent sign; None: the sign branch s
+    dq: int = 0                # QES: q = n + dq
+
+    @property
+    def needs_sign(self) -> bool:
+        return self.kind != "es"
+
+    def validate(self, params: dict, sigma: int | None) -> dict:
+        missing = [k for k in self.params if k not in params]
+        if missing:
+            raise InvalidParameterError(
+                f"missing parameters: {', '.join(missing)}")
+        out = {}
+        for k, rule in self.params.items():
+            out[k] = (_whole(params[k], rule.message) if rule.whole
+                      else as_fraction(params[k]))
+            if rule.holds is not None and not rule.holds(out[k], sigma):
+                raise InvalidParameterError(rule.message)
+        return out
 
 
 @dataclass
 class CatalogEntry:
-    name: str
-    kind: str                      # "es" | "qes-periodic" | "qes-hyperbolic"
+    """What both kinds share; ``EsEntry`` and ``QesEntry`` add the rest."""
+
+    family: Family
     params: dict
     sign: int | None
     n: int
@@ -64,45 +119,82 @@ class CatalogEntry:
     bp: BPolynomials
     mapping: Mapping
     potential: PotentialModel
-    domain: tuple[float, float]
-    period: float | None
-    prefactor: PrefactorTag
-    gauge_log: object | None       # log of the closed-form gauge factor
     fd_defaults: dict
     plot_range: tuple[float, float]
     gauge_x0: float
-    energy_offset: float | None = None       # QES
-    sector_coefficient: Fraction | None = None
-    max_j: int | None = None                 # ES bound-state cap (None: all j)
-    _energy_fn: object | None = None         # ES closed-form E(j)
-    _psi_fn: object | None = None            # ES closed-form psi builder
-    _algebra_at: object | None = None        # ES: j -> AlgebraCoefficients
-    _spectral: SpectralResult | None = field(default=None, repr=False)
+    _spectral: SpectralResult | None = field(default=None, init=False,
+                                             repr=False)
 
-    # -- spectra ---------------------------------------------------------
+    name = property(lambda self: self.family.name)
+    kind = property(lambda self: self.family.kind)
+    domain = property(lambda self: self.potential.domain)
+    period = property(lambda self: self.potential.period)
 
     def spectral(self) -> SpectralResult:
         """Algebraic-sector levels with energies composed (QES only)."""
-        if self.kind == "es":
-            raise NotApplicableError(
-                "fully solvable entries take their spectra from closed forms"
-            )
         if self._spectral is None:
-            raw = solve_algebraic_sector(self.algebra)
-            self._spectral = compose_energies(raw, self.energy_offset)
+            self._spectral = self._solve_sector()
         return self._spectral
 
+
+@dataclass(kw_only=True)
+class EsEntry(CatalogEntry):
+    _energy_fn: Callable           # closed-form E(j)
+    _psi_fn: Callable              # closed-form psi(j, x)
+    _algebra_at: Callable          # j -> AlgebraCoefficients
+    max_j: int | None = None       # bound-state cap (None: all j)
+
+    def _solve_sector(self):
+        raise NotApplicableError(
+            "fully solvable entries take their spectra from closed forms"
+        )
+
     def closed_form_energy(self, j: int) -> float:
-        if j < 0 or int(j) != j:
-            raise NoBoundStateError("level index must be a non-negative integer")
-        j = int(j)
-        if self.kind == "es":
-            if self.max_j is not None and j > self.max_j:
-                raise NoBoundStateError(
-                    f"{self.name}: no bound state with index {j} "
-                    f"(highest is {self.max_j})"
-                )
-            return float(self._energy_fn(j))
+        j = _level_index(j)
+        if self.max_j is not None and j > self.max_j:
+            raise NoBoundStateError(
+                f"{self.name}: no bound state with index {j} "
+                f"(highest is {self.max_j})"
+            )
+        return float(self._energy_fn(j))
+
+    def closed_form_wavefunction(self, j: int):
+        """Unnormalized psi_j as a vectorized callable."""
+        self.closed_form_energy(j)  # reuse the bound-state check
+        return partial(self._psi_fn, int(j))
+
+    def sector_count(self) -> int:
+        raise NotApplicableError(
+            "the algebraic-sector count applies to quasi-solvable entries"
+        )
+
+    def operator_potential_data(self, j: int):
+        """(bp, d, E, mapping) for the operator-route potential at level j."""
+        alg = self._algebra_at(int(j))
+        return (b_polynomials(alg), float(alg.d),
+                self.closed_form_energy(j), self.mapping)
+
+    def verification_levels(self, j_max: int | None = None):
+        """(index, energy) pairs the numeric oracle should reproduce."""
+        top = 3 if j_max is None else j_max
+        if self.max_j is not None:
+            top = min(top, self.max_j)
+        return [(j, self.closed_form_energy(j)) for j in range(top + 1)]
+
+
+@dataclass(kw_only=True)
+class QesEntry(CatalogEntry):
+    energy_offset: float
+    sector_coefficient: Fraction   # m; sector_count() is 2m
+    prefactor: PrefactorTag
+    gauge_log: Callable            # log of the closed-form gauge factor
+
+    def _solve_sector(self):
+        return compose_energies(solve_algebraic_sector(self.algebra),
+                                self.energy_offset)
+
+    def closed_form_energy(self, j: int) -> float:
+        j = _level_index(j)
         if j > self.n:
             raise NoBoundStateError(
                 f"algebraic sector holds {self.n + 1} levels; index {j} is out"
@@ -111,66 +203,47 @@ class CatalogEntry:
 
     def closed_form_wavefunction(self, j: int):
         """Unnormalized psi_j as a vectorized callable."""
-        if self.kind == "es":
-            self.closed_form_energy(j)  # reuse the bound-state check
-            return self._psi_fn(int(j))
         self.closed_form_energy(j)
-        b = self.spectral().levels[int(j)].b
-        rev = np.asarray(b, float)[::-1]
-        pref = self.prefactor
-        glog = self.gauge_log
-        mapping = self.mapping
+        rev = np.asarray(self.spectral().levels[int(j)].b, float)[::-1]
+        pref, glog, mapping = self.prefactor, self.gauge_log, self.mapping
 
         def psi(x):
             xi = mapping.xi_of_x(x)
-            out = scaled_exp(glog(x), pref(x) * np.polyval(rev, xi))
-            return out
+            return scaled_exp(glog(x), pref(x) * np.polyval(rev, xi))
 
         return psi
 
     def sector_count(self) -> int:
-        if self.kind == "es":
-            raise NotApplicableError(
-                "the algebraic-sector count applies to quasi-solvable entries"
-            )
         return int(2 * abs(self.sector_coefficient))
 
     def operator_potential_data(self, j: int):
         """(bp, d, E, mapping) for the operator-route potential at level j."""
-        if self.kind == "es":
-            alg = self._algebra_at(int(j))
-            return (b_polynomials(alg), float(alg.d),
-                    self.closed_form_energy(j), self.mapping)
         lv = self.spectral().levels[int(j)]
         return (self.bp, lv.d, lv.E, self.mapping)
 
     def verification_levels(self, j_max: int | None = None):
         """(index, energy) pairs the numeric oracle should reproduce."""
-        if self.kind == "es":
-            top = 3 if j_max is None else j_max
-            if self.max_j is not None:
-                top = min(top, self.max_j)
-            return [(j, self.closed_form_energy(j)) for j in range(top + 1)]
         return [(j, lv.E) for j, lv in enumerate(self.spectral().levels)]
 
 
 # ---------------------------------------------------------------------------
 # validation helpers
 
-def _require(cond: bool, message: str):
-    if not cond:
+def _whole(value, message: str) -> int:
+    """value as a non-negative int; bools and non-integral values fail."""
+    try:
+        q = None if isinstance(value, bool) else Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        q = None
+    if q is None or q.denominator != 1 or q < 0:
         raise InvalidParameterError(message)
+    return int(q)
 
 
-def _frac_params(params: dict, names: tuple[str, ...]) -> dict:
-    missing = [k for k in names if k not in params]
-    if missing:
-        raise InvalidParameterError(f"missing parameters: {', '.join(missing)}")
-    out = {}
-    for k in names:
-        v = params[k]
-        out[k] = int(v) if k == "l" else as_fraction(v)
-    return out
+def _level_index(j) -> int:
+    if j < 0 or int(j) != j:
+        raise NoBoundStateError("level index must be a non-negative integer")
+    return int(j)
 
 
 def _norm_sign(sign) -> int:
@@ -181,53 +254,60 @@ def _norm_sign(sign) -> int:
     raise InvalidParameterError(f"sign branch must be '+' or '-', got {sign!r}")
 
 
+def _positive(k: str, why: str = "") -> Param:
+    return Param(f"{k} > 0", lambda v, sigma: v > 0,
+                 f"{k} must be positive{why}")
+
+
+def _nonzero(k: str) -> Param:
+    return Param(f"{k} != 0", lambda v, sigma: v != 0, f"{k} must be nonzero")
+
+
+_REAL = Param("real")
+
+
+def _bound_states_below(x: float) -> int:
+    """Highest j with j < x (-1 if none): the ES bound-state cap."""
+    return int(math.ceil(x - 1e-12)) - 1 if x > 0 else -1
+
+
+def _entry(cls, fam, p, s, n, alg, branch, transform, **fields):
+    bp = b_polynomials(alg)
+    return cls(family=fam, params=p, sign=s, n=n, algebra=alg, bp=bp,
+               mapping=build_mapping(bp, branch, transform), **fields)
+
+
 # ---------------------------------------------------------------------------
 # fully solvable entries
 
-def _build_harmonic(params, sign, n):
-    p = _frac_params(params, ("omega",))
+def _harmonic(fam, p, s, n):
     w = p["omega"]
-    _require(w > 0, "omega must be positive")
     wf = float(w)
 
     def algebra_at(j):
         return AlgebraCoefficients(c_mm=1, c_0=-w, d=Fraction(j) * w / 2, n=j)
 
-    alg = algebra_at(n)
-    bp = b_polynomials(alg)
-    mapping = build_mapping(bp, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
-                            identity_shift(0.0))
-    pot = PotentialModel(lambda x: 0.25 * wf ** 2 * np.asarray(x, float) ** 2,
-                         domain=(-np.inf, np.inf))
-
-    def psi_fn(j):
-        def psi(x):
-            x = np.asarray(x, float)
-            return np.exp(-0.25 * wf * x ** 2) * hermite(j, math.sqrt(wf / 2.0) * x)
-        return psi
+    def psi(j, x):
+        x = np.asarray(x, float)
+        return np.exp(-0.25 * wf * x ** 2) * hermite(j, math.sqrt(wf / 2.0) * x)
 
     half = max(10.0, math.sqrt(4.0 * (2 * 3 + 1) / wf + 100.0 / wf))
-    return CatalogEntry(
-        name="harmonic", kind="es", params=p, sign=None, n=n,
-        algebra=alg, bp=bp, mapping=mapping, potential=pot,
-        domain=(-np.inf, np.inf), period=None,
-        prefactor=PrefactorTag("none"),
-        gauge_log=lambda x: -0.25 * wf * np.asarray(x, float) ** 2,
+    return _entry(
+        EsEntry, fam, p, None, n, algebra_at(n),
+        Branch(-np.inf, np.inf, sign=1, xi0=0.0), identity_shift(0.0),
+        potential=PotentialModel(
+            lambda x: 0.25 * wf ** 2 * np.asarray(x, float) ** 2,
+            domain=(-np.inf, np.inf)),
         fd_defaults={"x_min": -half, "x_max": half, "points": 2001,
                      "bc": "dirichlet", "base_tol": 1e-3},
         plot_range=(-5.0, 5.0), gauge_x0=0.0,
-        max_j=None,
-        _energy_fn=lambda j: (j + 0.5) * wf,
-        _psi_fn=psi_fn,
+        _energy_fn=lambda j: (j + 0.5) * wf, _psi_fn=psi,
         _algebra_at=algebra_at,
     )
 
 
-def _build_morse(params, sign, n):
-    p = _frac_params(params, ("alpha", "A", "B"))
+def _morse(fam, p, s, n):
     al, A, B = p["alpha"], p["A"], p["B"]
-    _require(al > 0, "alpha must be positive")
-    _require(B > 0, "B must be positive for a normalizable ground state")
     alf, Af, Bf = float(al), float(A), float(B)
 
     def algebra_at(j):
@@ -239,51 +319,31 @@ def _build_morse(params, sign, n):
             n=j,
         )
 
-    alg = algebra_at(n)
-    bp = b_polynomials(alg)
-    mapping = build_mapping(bp, Branch(0.0, np.inf, sign=1, xi0=1.0),
-                            identity_shift(0.0))
-    pot = PotentialModel(
-        lambda x: Bf ** 2 * np.exp(-2 * alf * np.asarray(x, float))
-        - Bf * (2 * Af + alf) * np.exp(-alf * np.asarray(x, float)),
-        domain=(-np.inf, np.inf),
-    )
-    max_j = None
-    if Af / alf > 0:
-        max_j = int(math.ceil(Af / alf - 1e-12)) - 1
-    else:
-        max_j = -1
+    def psi(j, x):
+        x = np.asarray(x, float)
+        t = np.exp(-alf * x)
+        expo = (j * alf - Af) * x - (Bf / alf) * t
+        lag = genlaguerre(j, 2 * Af / alf - 2 * j, (2 * Bf / alf) * t)
+        return scaled_exp(expo, lag)
 
-    def psi_fn(j):
-        def psi(x):
-            x = np.asarray(x, float)
-            t = np.exp(-alf * x)
-            expo = (j * alf - Af) * x - (Bf / alf) * t
-            lag = genlaguerre(j, 2 * Af / alf - 2 * j, (2 * Bf / alf) * t)
-            return scaled_exp(expo, lag)
-        return psi
-
-    return CatalogEntry(
-        name="morse", kind="es", params=p, sign=None, n=n,
-        algebra=alg, bp=bp, mapping=mapping, potential=pot,
-        domain=(-np.inf, np.inf), period=None,
-        prefactor=PrefactorTag("none"),
-        gauge_log=lambda x: -Af * np.asarray(x, float)
-        - (Bf / alf) * np.exp(-alf * np.asarray(x, float)),
+    return _entry(
+        EsEntry, fam, p, None, n, algebra_at(n),
+        Branch(0.0, np.inf, sign=1, xi0=1.0), identity_shift(0.0),
+        potential=PotentialModel(
+            lambda x: Bf ** 2 * np.exp(-2 * alf * np.asarray(x, float))
+            - Bf * (2 * Af + alf) * np.exp(-alf * np.asarray(x, float)),
+            domain=(-np.inf, np.inf)),
         fd_defaults={"x_min": -2.8, "x_max": 22.0, "points": 4001,
                      "bc": "dirichlet", "base_tol": 1e-3},
         plot_range=(-2.5, 8.0), gauge_x0=0.0,
-        max_j=max_j,
-        _energy_fn=lambda j: -(Af - j * alf) ** 2,
-        _psi_fn=psi_fn,
+        max_j=_bound_states_below(Af / alf),
+        _energy_fn=lambda j: -(Af - j * alf) ** 2, _psi_fn=psi,
         _algebra_at=algebra_at,
     )
 
 
-def _build_poschl_teller(params, sign, n):
-    p = _frac_params(params, ("alpha", "A", "B"))
+def _poschl_teller(fam, p, s, n):
     al, A, B = p["alpha"], p["A"], p["B"]
-    _require(al > 0, "alpha must be positive")
     alf, Af, Bf = float(al), float(A), float(B)
 
     def algebra_at(j):
@@ -297,56 +357,38 @@ def _build_poschl_teller(params, sign, n):
             n=j,
         )
 
-    alg = algebra_at(n)
-    bp = b_polynomials(alg)
-    mapping = build_mapping(bp, Branch(1.0, np.inf, sign=1, xi0=1.0),
-                            identity_shift(0.0))
-
     def v(x):
         x = np.asarray(x, float)
         sh = np.sinh(alf * x)
         ch = np.cosh(alf * x)
         return Bf * (Bf - alf) / sh ** 2 - Af * (Af + alf) / ch ** 2
 
-    # bound states need A - B - 2 j alpha > 0
-    if (Af - Bf) / (2 * alf) > 0:
-        max_j = int(math.ceil((Af - Bf) / (2 * alf) - 1e-12)) - 1
-    else:
-        max_j = -1
+    def psi(j, x):
+        x = np.asarray(x, float)
+        sh = np.sinh(alf * x)
+        ch = np.cosh(alf * x)
+        jac = jacobi(j, Bf / alf - 0.5, -Af / alf - 0.5, np.cosh(2 * alf * x))
+        return sh ** (Bf / alf) * ch ** (-Af / alf) * jac
 
-    def psi_fn(j):
-        def psi(x):
-            x = np.asarray(x, float)
-            sh = np.sinh(alf * x)
-            ch = np.cosh(alf * x)
-            jac = jacobi(j, Bf / alf - 0.5, -Af / alf - 0.5, np.cosh(2 * alf * x))
-            return sh ** (Bf / alf) * ch ** (-Af / alf) * jac
-        return psi
-
-    return CatalogEntry(
-        name="poschl-teller", kind="es", params=p, sign=None, n=n,
-        algebra=alg, bp=bp, mapping=mapping,
+    return _entry(
+        EsEntry, fam, p, None, n, algebra_at(n),
+        Branch(1.0, np.inf, sign=1, xi0=1.0), identity_shift(0.0),
         potential=PotentialModel(v, domain=(0.0, np.inf)),
-        domain=(0.0, np.inf), period=None,
-        prefactor=PrefactorTag("none"),
-        gauge_log=None,
         # Dirichlet at eps shifts levels by ~ eps * |psi'(0)|^2 / ||psi||^2
         # when B = alpha (no repulsive wall), so eps must sit well below the
         # 1e-3 energy tolerance.
         fd_defaults={"x_min": 1e-5, "x_max": 12.0, "points": 2401,
                      "bc": "dirichlet", "base_tol": 1e-3},
         plot_range=(0.02, 8.0), gauge_x0=1.0,
-        max_j=max_j,
-        _energy_fn=lambda j: -(Af - Bf - 2 * j * alf) ** 2,
-        _psi_fn=psi_fn,
+        # bound states need A - B - 2 j alpha > 0
+        max_j=_bound_states_below((Af - Bf) / (2 * alf)),
+        _energy_fn=lambda j: -(Af - Bf - 2 * j * alf) ** 2, _psi_fn=psi,
         _algebra_at=algebra_at,
     )
 
 
-def _build_scarf_ii(params, sign, n):
-    p = _frac_params(params, ("alpha", "A", "B"))
+def _scarf_ii(fam, p, s, n):
     al, A, B = p["alpha"], p["A"], p["B"]
-    _require(al > 0, "alpha must be positive")
     alf, Af, Bf = float(al), float(A), float(B)
 
     def algebra_at(j):
@@ -360,64 +402,44 @@ def _build_scarf_ii(params, sign, n):
             n=j,
         )
 
-    alg = algebra_at(n)
-    bp = b_polynomials(alg)
-    mapping = build_mapping(bp, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
-                            identity_shift(0.0))
-
     def v(x):
         x = np.asarray(x, float)
         sech = 1.0 / np.cosh(alf * x)
         return ((Bf ** 2 - Af * (Af + alf)) * sech ** 2
                 + Bf * (2 * Af + alf) * sech * np.tanh(alf * x))
 
-    if Af / alf > 0:
-        max_j = int(math.ceil(Af / alf - 1e-12)) - 1
-    else:
-        max_j = -1
+    a_par = -1j * Bf / alf - Af / alf - 0.5
+    b_par = +1j * Bf / alf - Af / alf - 0.5
 
-    def psi_fn(j):
-        a_par = -1j * Bf / alf - Af / alf - 0.5
-        b_par = +1j * Bf / alf - Af / alf - 0.5
-        phase = (1j) ** (-j)
+    def psi(j, x):
+        x = np.asarray(x, float)
+        sh = np.sinh(alf * x)
+        jac = (1j) ** (-j) * jacobi(j, a_par, b_par, 1j * sh)
+        jac = np.asarray(jac)
+        tol = 1e-10 * (1.0 + np.max(np.abs(jac.real)))
+        if np.max(np.abs(jac.imag)) > tol:
+            raise ArithmeticError(
+                "complex Jacobi composition failed to produce a real value"
+            )
+        real = jac.real
+        return (np.cosh(alf * x) ** (-Af / alf)
+                * np.exp(-(Bf / alf) * np.arctan(sh)) * real)
 
-        def psi(x):
-            x = np.asarray(x, float)
-            sh = np.sinh(alf * x)
-            jac = phase * jacobi(j, a_par, b_par, 1j * sh)
-            jac = np.asarray(jac)
-            tol = 1e-10 * (1.0 + np.max(np.abs(jac.real)))
-            if np.max(np.abs(jac.imag)) > tol:
-                raise ArithmeticError(
-                    "complex Jacobi composition failed to produce a real value"
-                )
-            real = jac.real
-            return (np.cosh(alf * x) ** (-Af / alf)
-                    * np.exp(-(Bf / alf) * np.arctan(sh)) * real)
-        return psi
-
-    return CatalogEntry(
-        name="scarf-ii", kind="es", params=p, sign=None, n=n,
-        algebra=alg, bp=bp, mapping=mapping,
+    return _entry(
+        EsEntry, fam, p, None, n, algebra_at(n),
+        Branch(-np.inf, np.inf, sign=1, xi0=0.0), identity_shift(0.0),
         potential=PotentialModel(v, domain=(-np.inf, np.inf)),
-        domain=(-np.inf, np.inf), period=None,
-        prefactor=PrefactorTag("none"),
-        gauge_log=None,
         fd_defaults={"x_min": -16.0, "x_max": 16.0, "points": 3201,
                      "bc": "dirichlet", "base_tol": 1e-3},
         plot_range=(-8.0, 8.0), gauge_x0=0.0,
-        max_j=max_j,
-        _energy_fn=lambda j: -(Af - j * alf) ** 2,
-        _psi_fn=psi_fn,
+        max_j=_bound_states_below(Af / alf),
+        _energy_fn=lambda j: -(Af - j * alf) ** 2, _psi_fn=psi,
         _algebra_at=algebra_at,
     )
 
 
-def _build_coulomb(params, sign, n):
-    p = _frac_params(params, ("e2", "l"))
+def _coulomb(fam, p, s, n):
     e2, l = p["e2"], p["l"]
-    _require(e2 > 0, "e2 must be positive")
-    _require(isinstance(l, int) and l >= 0, "l must be a non-negative integer")
     e2f = float(e2)
 
     def algebra_at(j):
@@ -429,68 +451,56 @@ def _build_coulomb(params, sign, n):
             n=j,
         )
 
-    alg = algebra_at(n)
-    bp = b_polynomials(alg)
-    mapping = build_mapping(bp, Branch(0.0, np.inf, sign=1, xi0=0.0),
-                            half_line_sqrt())
-
     def v(x):
         x = np.asarray(x, float)
         return -e2f / x + l * (l + 1) / x ** 2
 
-    def psi_fn(j):
+    def psi(j, x):
         # radial solution: the polynomial index follows the level index
         kappa = e2f / (2.0 * (j + l + 1))
+        x = np.asarray(x, float)
+        return (x ** (l + 1) * np.exp(-kappa * x)
+                * genlaguerre(j, 2 * l + 1, 2.0 * kappa * x))
 
-        def psi(x):
-            x = np.asarray(x, float)
-            return (x ** (l + 1) * np.exp(-kappa * x)
-                    * genlaguerre(j, 2 * l + 1, 2.0 * kappa * x))
-        return psi
-
-    return CatalogEntry(
-        name="coulomb", kind="es", params=p, sign=None, n=n,
-        algebra=alg, bp=bp, mapping=mapping,
+    return _entry(
+        EsEntry, fam, p, None, n, algebra_at(n),
+        Branch(0.0, np.inf, sign=1, xi0=0.0), half_line_sqrt(),
         potential=PotentialModel(v, domain=(0.0, np.inf)),
-        domain=(0.0, np.inf), period=None,
-        prefactor=PrefactorTag("none"),
-        gauge_log=None,
         fd_defaults={"x_min": 1e-3, "x_max": 200.0, "points": 20001,
                      "bc": "dirichlet", "base_tol": 5e-3},
         plot_range=(0.05, 40.0), gauge_x0=1.0,
-        max_j=None,
         _energy_fn=lambda j: -e2f ** 2 / (4.0 * (j + l + 1) ** 2),
-        _psi_fn=psi_fn,
-        _algebra_at=algebra_at,
+        _psi_fn=psi, _algebra_at=algebra_at,
     )
 
 
 # ---------------------------------------------------------------------------
-# quasi-solvable periodic entries
-#
-# Shared structure: B4 = beta^2 (1 - xi^2), xi = cos(beta (x - a)), and the
-# potential -(alpha^2 / 8 beta^2) cos 2beta(x-a) + cc * cos beta(x-a)
-# - beta^2/4 with a family-specific cosine coefficient cc.
+# quasi-solvable entries: one construction path per shape, driven by the
+# family's (sigma, dq) row as in the module docstring
 
-def _periodic_common(p, n):
-    al, be, a = p["alpha"], p["beta"], p["a"]
-    _require(al != 0, "alpha must be nonzero")
-    _require(be != 0, "beta must be nonzero")
-    return al, be, a, float(al), float(be), float(a)
+def _qes_row(fam, s, n):
+    """(sigma, dq, q, m) of the family at sign branch s and index n."""
+    return fam.sigma or s, fam.dq, n + fam.dq, Fraction(2 * n + 1 + fam.dq, 2)
 
 
-def _periodic_entry(name, p, s, n, c_p, c_0, c_m, cc, offset, prefactor,
-                    exp_sign, m_coeff):
-    al, be, a = p["alpha"], p["beta"], p["a"]
-    alf, bef, af = float(al), float(be), float(a)
-    alg = AlgebraCoefficients(
-        c_00=-be * be, c_mm=be * be,
-        c_p=c_p, c_0=c_0, c_m=c_m, d=None, n=n,
-    )
-    bp = b_polynomials(alg)
-    mapping = build_mapping(bp, Branch(-1.0, 1.0, sign=-1, xi0=1.0),
-                            identity_shift(af))
+def _prefactor(dq, s, half, full, angle, center) -> PrefactorTag:
+    """half[s] at the half angle for dq = 1, full at the full angle for
+    dq = 2, none for dq = 0."""
+    if dq == 0:
+        return PrefactorTag("none")
+    return PrefactorTag(half[s] if dq == 1 else full, freq=angle * dq / 2.0,
+                        center=center)
+
+
+def _periodic(fam, p, s, n):
+    sigma, dq, q, m = _qes_row(fam, s, n)
+    al, be = p["alpha"], p["beta"]
+    alf, bef, af = float(al), float(be), float(p["a"])
     period = 2.0 * math.pi / abs(bef)
+    cc = sigma * alf * float(m)
+    offset = ((q * q - 1) / 4.0) * bef ** 2 - alf ** 2 / (8.0 * bef ** 2)
+    if dq == 1:
+        offset += sigma * s * alf / 2.0
 
     def v(x):
         u = np.asarray(x, float) - af
@@ -499,98 +509,31 @@ def _periodic_entry(name, p, s, n, c_p, c_0, c_m, cc, offset, prefactor,
 
     def glog(x):
         u = np.asarray(x, float) - af
-        return exp_sign * (alf / bef ** 2) * np.sin(bef * u / 2.0) ** 2
+        return float(sigma) * (alf / bef ** 2) * np.sin(bef * u / 2.0) ** 2
 
-    return CatalogEntry(
-        name=name, kind="qes-periodic", params=p, sign=s, n=n,
-        algebra=alg, bp=bp, mapping=mapping,
+    alg = AlgebraCoefficients(
+        c_00=-be * be, c_mm=be * be, c_p=sigma * al, c_0=-q * be * be,
+        c_m=-sigma * al + (s * be * be if dq == 1 else 0), d=None, n=n,
+    )
+    return _entry(
+        QesEntry, fam, p, s, n, alg, Branch(-1.0, 1.0, sign=-1, xi0=1.0),
+        identity_shift(af),
         potential=PotentialModel(v, domain=(-np.inf, np.inf), period=period),
-        domain=(-np.inf, np.inf), period=period,
-        prefactor=prefactor, gauge_log=glog,
         fd_defaults={"x_min": af, "x_max": af + period, "points": 801,
                      "bc": "bands", "base_tol": 1e-3},
         plot_range=(af, af + period), gauge_x0=af + period / 4.0,
-        energy_offset=offset, sector_coefficient=m_coeff,
+        energy_offset=offset, sector_coefficient=m,
+        prefactor=_prefactor(dq, s, {1: "cos", -1: "sin"}, "sin", bef, af),
+        gauge_log=glog,
     )
 
 
-def _build_periodic_v1(params, sign, n):
-    p = _frac_params(params, ("alpha", "beta", "a"))
-    s = _norm_sign(sign)
-    al, be, a, alf, bef, af = _periodic_common(p, n)
-    pref = PrefactorTag("cos" if s > 0 else "sin", freq=bef / 2.0, center=af)
-    return _periodic_entry(
-        "periodic-v1", p, s, n,
-        c_p=-al, c_0=-(n + 1) * be * be, c_m=s * be * be + al,
-        cc=-alf * (n + 1),
-        offset=(n * (n + 2) / 4.0) * bef ** 2 - alf ** 2 / (8.0 * bef ** 2)
-        - s * alf / 2.0,
-        prefactor=pref, exp_sign=-1.0, m_coeff=Fraction(n + 1),
-    )
-
-
-def _build_periodic_v2(params, sign, n):
-    p = _frac_params(params, ("alpha", "beta", "a"))
-    s = _norm_sign(sign)
-    al, be, a, alf, bef, af = _periodic_common(p, n)
-    pref = PrefactorTag("cos" if s > 0 else "sin", freq=bef / 2.0, center=af)
-    return _periodic_entry(
-        "periodic-v2", p, s, n,
-        c_p=al, c_0=-(n + 1) * be * be, c_m=s * be * be - al,
-        cc=alf * (n + 1),
-        offset=(n * (n + 2) / 4.0) * bef ** 2 - alf ** 2 / (8.0 * bef ** 2)
-        + s * alf / 2.0,
-        prefactor=pref, exp_sign=+1.0, m_coeff=Fraction(n + 1),
-    )
-
-
-def _build_periodic_v3(params, sign, n):
-    p = _frac_params(params, ("alpha", "beta", "a"))
-    s = _norm_sign(sign)
-    al, be, a, alf, bef, af = _periodic_common(p, n)
-    pref = PrefactorTag("sin", freq=bef, center=af)
-    return _periodic_entry(
-        "periodic-v3", p, s, n,
-        c_p=s * al, c_0=-(n + 2) * be * be, c_m=-s * al,
-        cc=s * alf * (n + 1.5),
-        offset=((n * (n + 4) + 3) / 4.0) * bef ** 2
-        - alf ** 2 / (8.0 * bef ** 2),
-        prefactor=pref, exp_sign=float(s), m_coeff=Fraction(2 * n + 3, 2),
-    )
-
-
-def _build_periodic_v4(params, sign, n):
-    p = _frac_params(params, ("alpha", "beta", "a"))
-    s = _norm_sign(sign)
-    al, be, a, alf, bef, af = _periodic_common(p, n)
-    return _periodic_entry(
-        "periodic-v4", p, s, n,
-        c_p=s * al, c_0=-n * be * be, c_m=-s * al,
-        cc=s * alf * (n + 0.5),
-        offset=((n * n - 1) / 4.0) * bef ** 2 - alf ** 2 / (8.0 * bef ** 2),
-        prefactor=PrefactorTag("none"), exp_sign=float(s),
-        m_coeff=Fraction(2 * n + 1, 2),
-    )
-
-
-# ---------------------------------------------------------------------------
-# quasi-solvable hyperbolic (double-well) entries
-#
-# Shared structure: B4 = 4 gamma^2 (xi^2 - 1), xi = cosh(2 gamma (x - a)),
-# potential (gamma^2 eta^2 / 8) cosh 4g(x-a) + hc * cosh 2g(x-a)
-# - gamma^2 eta^2 / 8.
-
-def _hyperbolic_entry(name, p, s, n, c_p, c_0, c_m, hc, offset, prefactor,
-                      exp_sign, t_coeff):
-    ga, eta, a = p["gamma"], p["eta"], p["a"]
-    gaf, etf, af = float(ga), float(eta), float(a)
-    alg = AlgebraCoefficients(
-        c_00=4 * ga * ga, c_mm=-4 * ga * ga,
-        c_p=c_p, c_0=c_0, c_m=c_m, d=None, n=n,
-    )
-    bp = b_polynomials(alg)
-    mapping = build_mapping(bp, Branch(1.0, np.inf, sign=1, xi0=1.0),
-                            identity_shift(af))
+def _hyperbolic(fam, p, s, n):
+    sigma, dq, q, m = _qes_row(fam, s, n)
+    ga, eta = p["gamma"], p["eta"]
+    gaf, etf, af = float(ga), float(eta), float(p["a"])
+    hc = sigma * 2.0 * etf * gaf ** 2 * float(m)
+    offset = -(q * q + (sigma * s * etf if dq == 1 else 0)) * gaf ** 2
 
     def v(x):
         u = np.asarray(x, float) - af
@@ -599,237 +542,122 @@ def _hyperbolic_entry(name, p, s, n, c_p, c_0, c_m, hc, offset, prefactor,
 
     def glog(x):
         u = np.asarray(x, float) - af
-        return exp_sign * (etf / 4.0) * np.cosh(2.0 * gaf * u)
+        return float(sigma) * (etf / 4.0) * np.cosh(2.0 * gaf * u)
 
-    return CatalogEntry(
-        name=name, kind="qes-hyperbolic", params=p, sign=s, n=n,
-        algebra=alg, bp=bp, mapping=mapping,
+    alg = AlgebraCoefficients(
+        c_00=4 * ga * ga, c_mm=-4 * ga * ga, c_p=sigma * 2 * ga * ga * eta,
+        c_0=4 * q * ga * ga,
+        c_m=-sigma * 2 * ga * ga * eta + (4 * s * ga * ga if dq == 1 else 0),
+        d=None, n=n,
+    )
+    return _entry(
+        QesEntry, fam, p, s, n, alg, Branch(1.0, np.inf, sign=1, xi0=1.0),
+        identity_shift(af),
         potential=PotentialModel(v, domain=(-np.inf, np.inf)),
-        domain=(-np.inf, np.inf), period=None,
-        prefactor=prefactor, gauge_log=glog,
         fd_defaults={"x_min": af - 8.0, "x_max": af + 8.0, "points": 3201,
                      "bc": "dirichlet", "base_tol": 1e-3, "v_cap": 1e8},
         plot_range=(af - 3.0, af + 3.0), gauge_x0=af + 1.0,
-        energy_offset=offset, sector_coefficient=t_coeff,
-    )
-
-
-def _hyperbolic_common(params):
-    p = _frac_params(params, ("gamma", "eta", "a"))
-    _require(p["gamma"] != 0, "gamma must be nonzero")
-    _require(p["eta"] != 0, "eta must be nonzero")
-    return p
-
-
-def _build_hyperbolic_v1(params, sign, n):
-    p = _hyperbolic_common(params)
-    s = _norm_sign(sign)
-    ga, eta = p["gamma"], p["eta"]
-    _require(eta < 0, "eta must be negative for a decaying wavefunction")
-    gaf, etf = float(ga), float(eta)
-    pref = PrefactorTag("sinh" if s > 0 else "cosh", freq=gaf,
-                        center=float(p["a"]))
-    return _hyperbolic_entry(
-        "hyperbolic-v1", p, s, n,
-        c_p=2 * ga * ga * eta, c_0=4 * ga * ga * (n + 1),
-        c_m=2 * ga * ga * (2 * s - eta),
-        hc=2.0 * etf * gaf ** 2 * (n + 1),
-        offset=-((n + 1) ** 2 + s * etf) * gaf ** 2,
-        prefactor=pref, exp_sign=+1.0, t_coeff=Fraction(n + 1),
-    )
-
-
-def _build_hyperbolic_v2(params, sign, n):
-    p = _hyperbolic_common(params)
-    s = _norm_sign(sign)
-    ga, eta = p["gamma"], p["eta"]
-    _require(eta > 0, "eta must be positive for a decaying wavefunction")
-    gaf, etf = float(ga), float(eta)
-    pref = PrefactorTag("sinh" if s > 0 else "cosh", freq=gaf,
-                        center=float(p["a"]))
-    return _hyperbolic_entry(
-        "hyperbolic-v2", p, s, n,
-        c_p=-2 * ga * ga * eta, c_0=4 * ga * ga * (n + 1),
-        c_m=2 * ga * ga * (eta + 2 * s),
-        hc=-2.0 * etf * gaf ** 2 * (n + 1),
-        offset=-((n + 1) ** 2 - s * etf) * gaf ** 2,
-        prefactor=pref, exp_sign=-1.0, t_coeff=Fraction(n + 1),
-    )
-
-
-def _build_hyperbolic_v3(params, sign, n):
-    p = _hyperbolic_common(params)
-    s = _norm_sign(sign)  # the sign that appears in the wavefunction exponent
-    ga, eta = p["gamma"], p["eta"]
-    _require(s * float(eta) < 0,
-             "the exponent sign times eta must be negative for normalizability")
-    gaf, etf = float(ga), float(eta)
-    return _hyperbolic_entry(
-        "hyperbolic-v3", p, s, n,
-        c_p=s * 2 * ga * ga * eta, c_0=4 * n * ga * ga,
-        c_m=-s * 2 * ga * ga * eta,
-        hc=s * 2.0 * etf * gaf ** 2 * (n + 0.5),
-        offset=-(n ** 2) * gaf ** 2,
-        prefactor=PrefactorTag("none"), exp_sign=float(s),
-        t_coeff=Fraction(2 * n + 1, 2),
-    )
-
-
-def _build_hyperbolic_v4(params, sign, n):
-    p = _hyperbolic_common(params)
-    s = _norm_sign(sign)  # exponent-sign convention, as in family 3
-    ga, eta = p["gamma"], p["eta"]
-    _require(s * float(eta) < 0,
-             "the exponent sign times eta must be negative for normalizability")
-    gaf, etf = float(ga), float(eta)
-    pref = PrefactorTag("sinh", freq=2.0 * gaf, center=float(p["a"]))
-    return _hyperbolic_entry(
-        "hyperbolic-v4", p, s, n,
-        c_p=s * 2 * ga * ga * eta, c_0=4 * ga * ga * (n + 2),
-        c_m=-s * 2 * ga * ga * eta,
-        hc=s * 2.0 * etf * gaf ** 2 * (n + 1.5),
-        offset=-((n + 2) ** 2) * gaf ** 2,
-        prefactor=pref, exp_sign=float(s),
-        t_coeff=Fraction(2 * n + 3, 2),
+        energy_offset=offset, sector_coefficient=m,
+        prefactor=_prefactor(dq, s, {1: "sinh", -1: "cosh"}, "sinh",
+                             2.0 * gaf, af),
+        gauge_log=glog,
     )
 
 
 # ---------------------------------------------------------------------------
+# the catalog
 
-_BUILDERS = {
-    "harmonic": (_build_harmonic, ("omega",), False),
-    "morse": (_build_morse, ("alpha", "A", "B"), False),
-    "poschl-teller": (_build_poschl_teller, ("alpha", "A", "B"), False),
-    "scarf-ii": (_build_scarf_ii, ("alpha", "A", "B"), False),
-    "coulomb": (_build_coulomb, ("e2", "l"), False),
-    "periodic-v1": (_build_periodic_v1, ("alpha", "beta", "a"), True),
-    "periodic-v2": (_build_periodic_v2, ("alpha", "beta", "a"), True),
-    "periodic-v3": (_build_periodic_v3, ("alpha", "beta", "a"), True),
-    "periodic-v4": (_build_periodic_v4, ("alpha", "beta", "a"), True),
-    "hyperbolic-v1": (_build_hyperbolic_v1, ("gamma", "eta", "a"), True),
-    "hyperbolic-v2": (_build_hyperbolic_v2, ("gamma", "eta", "a"), True),
-    "hyperbolic-v3": (_build_hyperbolic_v3, ("gamma", "eta", "a"), True),
-    "hyperbolic-v4": (_build_hyperbolic_v4, ("gamma", "eta", "a"), True),
-}
+_ALPHA_A_B = {"alpha": _positive("alpha"), "A": _REAL, "B": _REAL}
+_PERIODIC = {"alpha": _nonzero("alpha"), "beta": _nonzero("beta"), "a": _REAL}
+_PERIODIC_DOMAIN = "(-inf, inf), period 2 pi / |beta|"
+
+
+def _hyperbolic_params(eta_doc: str) -> dict:
+    """gamma, eta, a; every family needs sigma * eta < 0 (eta_doc)."""
+    eta = Param(eta_doc, lambda v, sigma: sigma * v < 0,
+                f"{eta_doc} is needed for a normalizable wavefunction")
+    return {"gamma": _nonzero("gamma"), "eta": eta, "a": _REAL}
+
+
+_FAMILIES = {fam.name: fam for fam in (
+    Family("harmonic", "es", {"omega": _positive("omega")}, "(-inf, inf)",
+           _harmonic, energies="E_j = (j + 1/2) omega for every j >= 0"),
+    Family("morse", "es",
+           {"alpha": _positive("alpha"), "A": _REAL,
+            "B": _positive("B", " for a normalizable ground state")},
+           "(-inf, inf)", _morse,
+           energies="E_j = -(A - j alpha)^2 for j < A/alpha"),
+    Family("poschl-teller", "es", _ALPHA_A_B, "(0, inf)", _poschl_teller,
+           energies="E_j = -(A - B - 2 j alpha)^2 for j < (A-B)/(2 alpha)"),
+    Family("scarf-ii", "es", _ALPHA_A_B, "(-inf, inf)", _scarf_ii,
+           energies="E_j = -(A - j alpha)^2 for j < A/alpha"),
+    Family("coulomb", "es",
+           {"e2": _positive("e2"),
+            "l": Param("integer l >= 0", whole=True,
+                       message="l must be a non-negative integer")},
+           "(0, inf)", _coulomb,
+           energies="E_j = -e2^2 / (4 (j + l + 1)^2) for every j >= 0"),
+    Family("periodic-v1", "qes-periodic", _PERIODIC, _PERIODIC_DOMAIN,
+           _periodic, sigma=-1, dq=1),
+    Family("periodic-v2", "qes-periodic", _PERIODIC, _PERIODIC_DOMAIN,
+           _periodic, sigma=+1, dq=1),
+    Family("periodic-v3", "qes-periodic", _PERIODIC, _PERIODIC_DOMAIN,
+           _periodic, dq=2),
+    Family("periodic-v4", "qes-periodic", _PERIODIC, _PERIODIC_DOMAIN,
+           _periodic, dq=0),
+    Family("hyperbolic-v1", "qes-hyperbolic", _hyperbolic_params("eta < 0"),
+           "(-inf, inf)", _hyperbolic, sigma=+1, dq=1),
+    Family("hyperbolic-v2", "qes-hyperbolic", _hyperbolic_params("eta > 0"),
+           "(-inf, inf)", _hyperbolic, sigma=-1, dq=1),
+    Family("hyperbolic-v3", "qes-hyperbolic",
+           _hyperbolic_params("sign * eta < 0"), "(-inf, inf)", _hyperbolic,
+           dq=0),
+    Family("hyperbolic-v4", "qes-hyperbolic",
+           _hyperbolic_params("sign * eta < 0"), "(-inf, inf)", _hyperbolic,
+           dq=2),
+)}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def make_entry(name: str, params: dict, sign=None, n: int = 0) -> CatalogEntry:
     """Construct a named family entry; rejects invalid parameters with the
     failing predicate spelled out."""
-    key = name.lower().replace("_", "-")
-    if key not in _BUILDERS:
+    fam = _FAMILIES.get(name.lower().replace("_", "-"))
+    if fam is None:
         raise InvalidParameterError(
             f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}"
         )
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParameterError("n must be a non-negative integer")
-    builder, names, needs_sign = _BUILDERS[key]
-    if needs_sign and sign is None:
-        raise InvalidParameterError(f"{key} needs a sign branch ('+' or '-')")
-    return builder(params, sign, n)
+    n = _whole(n, "n must be a non-negative integer")
+    s = None
+    if fam.needs_sign:
+        if sign is None:
+            raise InvalidParameterError(
+                f"{fam.name} needs a sign branch ('+' or '-')")
+        s = _norm_sign(sign)
+    return fam.build(fam, fam.validate(params, fam.sigma or s), s, n)
 
 
-def closed_form_energy(entry: CatalogEntry, j: int) -> float:
-    return entry.closed_form_energy(j)
-
-
-def closed_form_wavefunction(entry: CatalogEntry, j: int, x):
-    return entry.closed_form_wavefunction(j)(x)
-
-
-def sector_count(entry: CatalogEntry) -> int:
-    return entry.sector_count()
-
-
-_FAMILY_DOC = {
-    "harmonic": {
-        "params": {"omega": "omega > 0"},
-        "domain": "(-inf, inf)",
-        "energies": "E_j = (j + 1/2) omega for every j >= 0",
-    },
-    "morse": {
-        "params": {"alpha": "alpha > 0", "A": "real", "B": "B > 0"},
-        "domain": "(-inf, inf)",
-        "energies": "E_j = -(A - j alpha)^2 for j < A/alpha",
-    },
-    "poschl-teller": {
-        "params": {"alpha": "alpha > 0", "A": "real", "B": "real"},
-        "domain": "(0, inf)",
-        "energies": "E_j = -(A - B - 2 j alpha)^2 for j < (A-B)/(2 alpha)",
-    },
-    "scarf-ii": {
-        "params": {"alpha": "alpha > 0", "A": "real", "B": "real"},
-        "domain": "(-inf, inf)",
-        "energies": "E_j = -(A - j alpha)^2 for j < A/alpha",
-    },
-    "coulomb": {
-        "params": {"e2": "e2 > 0", "l": "integer l >= 0"},
-        "domain": "(0, inf)",
-        "energies": "E_j = -e2^2 / (4 (j + l + 1)^2) for every j >= 0",
-    },
-    "periodic-v1": {
-        "params": {"alpha": "alpha != 0", "beta": "beta != 0", "a": "real"},
-        "domain": "(-inf, inf), period 2 pi / |beta|",
-        "sector_count": "2(n+1)",
-    },
-    "periodic-v2": {
-        "params": {"alpha": "alpha != 0", "beta": "beta != 0", "a": "real"},
-        "domain": "(-inf, inf), period 2 pi / |beta|",
-        "sector_count": "2(n+1)",
-    },
-    "periodic-v3": {
-        "params": {"alpha": "alpha != 0", "beta": "beta != 0", "a": "real"},
-        "domain": "(-inf, inf), period 2 pi / |beta|",
-        "sector_count": "2n+3",
-    },
-    "periodic-v4": {
-        "params": {"alpha": "alpha != 0", "beta": "beta != 0", "a": "real"},
-        "domain": "(-inf, inf), period 2 pi / |beta|",
-        "sector_count": "2n+1",
-    },
-    "hyperbolic-v1": {
-        "params": {"gamma": "gamma != 0", "eta": "eta < 0", "a": "real"},
-        "domain": "(-inf, inf)",
-        "sector_count": "2(n+1)",
-    },
-    "hyperbolic-v2": {
-        "params": {"gamma": "gamma != 0", "eta": "eta > 0", "a": "real"},
-        "domain": "(-inf, inf)",
-        "sector_count": "2(n+1)",
-    },
-    "hyperbolic-v3": {
-        "params": {"gamma": "gamma != 0", "eta": "sign * eta < 0", "a": "real"},
-        "domain": "(-inf, inf)",
-        "sector_count": "2n+1",
-    },
-    "hyperbolic-v4": {
-        "params": {"gamma": "gamma != 0", "eta": "sign * eta < 0", "a": "real"},
-        "domain": "(-inf, inf)",
-        "sector_count": "2n+3",
-    },
-}
+_CLASS = {"es": "exactly-solvable", "qes-periodic": "quasi-solvable-periodic",
+          "qes-hyperbolic": "quasi-solvable-hyperbolic"}
+_SECTOR_COUNT = {0: "2n+1", 1: "2(n+1)", 2: "2n+3"}   # 2m by dq
 
 
 def list_families() -> list[dict]:
     """Machine-readable catalog description (also the list-families output)."""
     out = []
-    for name in FAMILY_NAMES:
-        _, param_names, needs_sign = _BUILDERS[name]
-        doc = _FAMILY_DOC[name]
+    for fam in _FAMILIES.values():
         item = {
-            "name": name,
-            "class": ("exactly-solvable" if name in ES_NAMES
-                      else "quasi-solvable-periodic" if name in QES_PERIODIC
-                      else "quasi-solvable-hyperbolic"),
-            "params": {k: doc["params"][k] for k in param_names},
-            "sign_branches": ["+", "-"] if needs_sign else [],
-            "domain": doc["domain"],
+            "name": fam.name,
+            "class": _CLASS[fam.kind],
+            "params": {k: rule.doc for k, rule in fam.params.items()},
+            "sign_branches": ["+", "-"] if fam.needs_sign else [],
+            "domain": fam.domain,
         }
-        if "period" in doc.get("domain", ""):
-            item["period"] = "2*pi/|beta|"
-        if name in ES_NAMES:
-            item["energies"] = doc["energies"]
+        if fam.kind == "es":
+            item["energies"] = fam.energies
         else:
-            item["sector_count"] = doc["sector_count"]
+            if fam.kind == "qes-periodic":
+                item["period"] = "2*pi/|beta|"
+            item["sector_count"] = _SECTOR_COUNT[fam.dq]
         out.append(item)
     return out

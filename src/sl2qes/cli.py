@@ -20,6 +20,7 @@ from .algebra import AlgebraCoefficients, b_polynomials
 from .errors import Sl2QesError
 from .mapping import (
     Branch,
+    _real_roots,
     assemble_wavefunction,
     build_gauge,
     build_mapping,
@@ -94,22 +95,14 @@ def _entry_from_options(opts: dict) -> catalog.CatalogEntry:
     return catalog.make_entry(family, params, sign=sign, n=n)
 
 
-def _j_values(entry: catalog.CatalogEntry, j_max: int) -> list[int]:
-    if entry.kind == "es":
-        top = j_max
-        if entry.max_j is not None:
-            top = min(top, entry.max_j)
-        return list(range(top + 1))
-    return list(range(entry.n + 1))
-
-
 def _write_build_artifacts(entry, opts, extra_warnings=None):
     out_dir = str(opts.get("out_dir", "out"))
     samples = _coerce(opts, "samples", int, 401)
-    j_vals = _j_values(entry, _coerce(opts, "j_max", int, 3))
     x, v = pipeline.sample_potential(entry, samples)
     pipeline.write_csv_atomic(os.path.join(out_dir, "potential.csv"),
                               ["x", "V"], [x, v])
+    j_vals = [j for j, _ in entry.verification_levels(
+        _coerce(opts, "j_max", int, 3))]
     doc = pipeline.spectrum_document(entry, j_vals, extra_warnings)
     pipeline.write_json_atomic(os.path.join(out_dir, "spectrum.json"), doc)
     psi_cols = pipeline.sample_wavefunctions(entry, x, j_vals)
@@ -174,6 +167,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _inside(lo: float, hi: float) -> float:
+    """A point of (lo, hi): the midpoint if bounded, else one unit in from
+    the finite end, else 0."""
+    if np.isfinite(lo) and np.isfinite(hi):
+        return 0.5 * (lo + hi)
+    if np.isfinite(hi):
+        return hi - 1.0
+    return lo + 1.0 if np.isfinite(lo) else 0.0
+
+
 def _general_branch(bp, opts):
     b4 = bp.b4
     xi_min = _coerce(opts, "xi_min", float, None)
@@ -182,19 +185,9 @@ def _general_branch(bp, opts):
         lo, hi = xi_min, xi_max
     else:
         desc = b4.float_coeffs()[::-1]
-        roots = sorted(set(
-            float(r.real) for r in np.roots(desc)
-            if abs(r.imag) <= 1e-9 * (1.0 + abs(r))
-        )) if b4.degree >= 1 else []
-        candidates = []
-        bounds = [-np.inf] + roots + [np.inf]
-        for left, right in zip(bounds[:-1], bounds[1:]):
-            mid = (0.5 * (left + right) if np.isfinite(left) and np.isfinite(right)
-                   else (right - 1.0 if np.isfinite(right) else left + 1.0))
-            if not np.isfinite(mid):
-                mid = 0.0
-            if np.polyval(desc, mid) > 0:
-                candidates.append((left, right))
+        bounds = [-np.inf] + sorted(set(_real_roots(b4))) + [np.inf]
+        candidates = [(left, right) for left, right in zip(bounds, bounds[1:])
+                      if np.polyval(desc, _inside(left, right)) > 0]
         if not candidates:
             raise Sl2QesError("B4 is not positive anywhere: no usable branch")
         # prefer a bounded positive interval, else the right-most one
@@ -203,14 +196,7 @@ def _general_branch(bp, opts):
         lo, hi = bounded[0] if bounded else candidates[-1]
     xi0 = _coerce(opts, "xi0", float, None)
     if xi0 is None:
-        if np.isfinite(lo) and np.isfinite(hi):
-            xi0 = 0.5 * (lo + hi)
-        elif np.isfinite(lo):
-            xi0 = lo + 1.0
-        elif np.isfinite(hi):
-            xi0 = hi - 1.0
-        else:
-            xi0 = 0.0
+        xi0 = _inside(lo, hi)
     return Branch(lo, hi, sign=1, xi0=float(xi0))
 
 

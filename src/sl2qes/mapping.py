@@ -31,7 +31,6 @@ __all__ = [
     "potential_from_operator",
     "GaugeFactor",
     "build_gauge",
-    "gauge_factor",
     "PrefactorTag",
     "WaveFunction",
     "assemble_wavefunction",
@@ -521,12 +520,6 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float,
         return g
 
     return GaugeFactor(x0=float(x0), _fn=fn)
-
-
-def gauge_factor(bp: BPolynomials, mapping: Mapping, x0: float, x,
-                 epsrel: float = 1e-10):
-    """Value form of :func:`build_gauge`."""
-    return build_gauge(bp, mapping, x0, epsrel)(x)
 
 
 _PREFACTOR_FUNCS = {

@@ -53,6 +53,16 @@ def _match_levels(levels, numeric, estimates, base_tol, fixed_tol):
     return rows, all_pass
 
 
+def _header(entry: CatalogEntry) -> dict:
+    """The fields that identify an entry in every report."""
+    return {
+        "family": entry.name,
+        "params": {key: float(v) for key, v in entry.params.items()},
+        "n": entry.n,
+        "sign": None if entry.sign is None else ("+" if entry.sign > 0 else "-"),
+    }
+
+
 def verification_report(entry: CatalogEntry, j_max: int | None = None,
                         points: int | None = None,
                         tolerance: float | None = None) -> dict:
@@ -93,15 +103,8 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
 
     rows, all_pass = _match_levels(levels, numeric, estimates, base_tol,
                                    tolerance)
-    return {
-        "family": entry.name,
-        "params": {key: float(v) for key, v in entry.params.items()},
-        "n": entry.n,
-        "sign": None if entry.sign is None else ("+" if entry.sign > 0 else "-"),
-        "grid": grid_meta,
-        "levels": rows,
-        "all_pass": all_pass,
-    }
+    return {**_header(entry), "grid": grid_meta, "levels": rows,
+            "all_pass": all_pass}
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +153,7 @@ def sample_wavefunctions(entry: CatalogEntry, x: np.ndarray,
 
 def spectrum_document(entry: CatalogEntry, j_values: list[int],
                       warnings_list: list[str] | None = None) -> dict:
-    doc = {
-        "family": entry.name,
-        "params": {key: float(v) for key, v in entry.params.items()},
-        "n": entry.n,
-        "sign": None if entry.sign is None else ("+" if entry.sign > 0 else "-"),
-        "class": entry.kind,
-    }
+    doc = {**_header(entry), "class": entry.kind}
     levels = []
     if entry.kind == "es":
         for j in j_values:

@@ -62,14 +62,6 @@ class SpectralResult:
         return cls(n=int(data["n"]),
                    levels=[Level.from_json_dict(lv) for lv in data["levels"]])
 
-    @property
-    def d_values(self) -> np.ndarray:
-        return np.array([lv.d for lv in self.levels])
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([lv.E for lv in self.levels], dtype=float)
-
 
 def _normalize_vector(b: np.ndarray) -> np.ndarray:
     m = np.max(np.abs(b))

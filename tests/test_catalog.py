@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from sl2qes.algebra import Polynomial, b_polynomials
-from sl2qes.catalog import (
-    list_families,
-    make_entry,
-    sector_count,
-)
+from sl2qes.catalog import list_families, make_entry
 from sl2qes.errors import (
     InvalidParameterError,
     NoBoundStateError,
@@ -220,6 +216,20 @@ def test_scarf_wavefunction_is_real():
     ("hyperbolic-v2", {"gamma": 1, "eta": 1, "a": 0}, "+", 1, (-2.5, 2.5)),
     ("hyperbolic-v3", {"gamma": 1, "eta": 2, "a": 0}, "-", 1, (-2.5, 2.5)),
     ("hyperbolic-v4", {"gamma": 1, "eta": 2, "a": 0}, "-", 1, (-2.5, 2.5)),
+    # the other sign branch of every quasi-solvable family, so each
+    # (sigma, s) cell of the catalog rule is checked
+    ("periodic-v1", {"alpha": 1, "beta": 1, "a": 0}, "-", 1,
+     (0.02, 2 * math.pi - 0.02)),
+    ("periodic-v2", {"alpha": 1, "beta": 1, "a": 0}, "+", 1,
+     (0.02, 2 * math.pi - 0.02)),
+    ("periodic-v3", {"alpha": 1, "beta": 1, "a": 0}, "-", 1,
+     (0.02, 2 * math.pi - 0.02)),
+    ("periodic-v4", {"alpha": 1, "beta": 1, "a": 0}, "-", 0,
+     (0.02, 2 * math.pi - 0.02)),
+    ("hyperbolic-v1", {"gamma": 1, "eta": -1, "a": 0}, "+", 1, (-2.5, 2.5)),
+    ("hyperbolic-v2", {"gamma": 1, "eta": 1, "a": 0}, "-", 1, (-2.5, 2.5)),
+    ("hyperbolic-v3", {"gamma": 1, "eta": -2, "a": 0}, "+", 1, (-2.5, 2.5)),
+    ("hyperbolic-v4", {"gamma": 1, "eta": -2, "a": 0}, "+", 1, (-2.5, 2.5)),
 ])
 def test_closed_form_states_satisfy_schroedinger(name, params, sign, n,
                                                  window):
@@ -276,20 +286,16 @@ def test_spectral_states_match_assembled_wavefunctions():
 # ----------------------------------------------------------- sector counts
 
 def test_sector_counts():
-    assert sector_count(make_entry("periodic-v1",
-                                   {"alpha": 1, "beta": 1, "a": 0},
-                                   "+", 1)) == 4
-    assert sector_count(make_entry("periodic-v4",
-                                   {"alpha": 1, "beta": 1, "a": 0},
-                                   "+", 2)) == 5
-    assert sector_count(make_entry("hyperbolic-v3",
-                                   {"gamma": 1, "eta": 2, "a": 0},
-                                   "-", 0)) == 1
-    assert sector_count(make_entry("hyperbolic-v4",
-                                   {"gamma": 1, "eta": 2, "a": 0},
-                                   "-", 1)) == 5
+    assert make_entry("periodic-v1", {"alpha": 1, "beta": 1, "a": 0},
+                      "+", 1).sector_count() == 4
+    assert make_entry("periodic-v4", {"alpha": 1, "beta": 1, "a": 0},
+                      "+", 2).sector_count() == 5
+    assert make_entry("hyperbolic-v3", {"gamma": 1, "eta": 2, "a": 0},
+                      "-", 0).sector_count() == 1
+    assert make_entry("hyperbolic-v4", {"gamma": 1, "eta": 2, "a": 0},
+                      "-", 1).sector_count() == 5
     with pytest.raises(NotApplicableError):
-        sector_count(make_entry("harmonic", {"omega": 1}, n=2))
+        make_entry("harmonic", {"omega": 1}, n=2).sector_count()
 
 
 # -------------------------------------------------------------- validation
@@ -311,6 +317,14 @@ def test_parameter_validation_messages():
         make_entry("rosen-morse", {"alpha": 1})
     with pytest.raises(InvalidParameterError, match="integer"):
         make_entry("coulomb", {"e2": 2, "l": 0}, n=-1)
+    with pytest.raises(InvalidParameterError, match="integer"):
+        make_entry("coulomb", {"e2": 2, "l": 1.5})
+    with pytest.raises(InvalidParameterError, match="integer"):
+        make_entry("coulomb", {"e2": 2, "l": True})
+    with pytest.raises(InvalidParameterError, match="integer"):
+        make_entry("coulomb", {"e2": 2, "l": 0}, n=True)
+    with pytest.raises(InvalidParameterError, match="integer"):
+        make_entry("coulomb", {"e2": 2, "l": 0}, n=1.5)
 
 
 def test_list_families_shape():

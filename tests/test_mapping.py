@@ -14,7 +14,6 @@ from sl2qes.mapping import (
     build_gauge,
     build_mapping,
     evaluate_potential,
-    gauge_factor,
     half_line_sqrt,
 )
 
@@ -210,8 +209,9 @@ def test_trivial_gauge_is_unity():
     # B3 identically zero and B4 constant: integrand vanishes, u' = 1
     bp = bp_of(c_mm=1, n=2)
     m = build_mapping(bp, Branch(-np.inf, np.inf, sign=1, xi0=0.0))
-    assert gauge_factor(bp, m, 0.0, 1.7) == pytest.approx(1.0, abs=1e-14)
-    assert gauge_factor(bp, m, 0.0, -2.4) == pytest.approx(1.0, abs=1e-14)
+    g = build_gauge(bp, m, 0.0)
+    assert g(1.7) == pytest.approx(1.0, abs=1e-14)
+    assert g(-2.4) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_morse_gauge_matches_closed_form():
