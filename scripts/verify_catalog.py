@@ -35,8 +35,9 @@ def main() -> int:
     print(f"{'family':<16} {'sign':<4} {'n':>2} {'levels':>6} "
           f"{'worst diff':>12} {'status':>8}")
     failures = 0
+    sweep_start = time.perf_counter()
     for name, params, sign, n in CASES:
-        start = time.time()
+        start = time.perf_counter()
         entry = make_entry(name, params, sign=sign, n=n)
         report = verification_report(entry, j_max=n)
         worst = max(row["abs_diff"] for row in report["levels"])
@@ -44,7 +45,9 @@ def main() -> int:
         failures += 0 if ok else 1
         print(f"{name:<16} {sign or '-':<4} {n:>2} "
               f"{len(report['levels']):>6} {worst:>12.3e} "
-              f"{'ok' if ok else 'FAIL':>8}  [{time.time() - start:.1f}s]")
+              f"{'ok' if ok else 'FAIL':>8}  "
+              f"[{(time.perf_counter() - start) * 1e3:.1f} ms]")
+    print(f"sweep took {time.perf_counter() - sweep_start:.2f} s")
     if failures:
         print(f"{failures} families failed", file=sys.stderr)
         return 1

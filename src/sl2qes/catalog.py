@@ -101,7 +101,7 @@ class Family:
         out = {}
         for k, rule in self.params.items():
             out[k] = (_whole(params[k], rule.message) if rule.whole
-                      else as_fraction(params[k]))
+                      else _rational(k, params[k]))
             if rule.holds is not None and not rule.holds(out[k], sigma):
                 raise InvalidParameterError(rule.message)
         return out
@@ -238,6 +238,15 @@ def _whole(value, message: str) -> int:
     if q is None or q.denominator != 1 or q < 0:
         raise InvalidParameterError(message)
     return int(q)
+
+
+def _rational(name: str, value) -> Fraction:
+    """value as an exact Fraction; non-numeric and non-finite values fail."""
+    try:
+        return as_fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(
+            f"{name} must be a finite real number, got {value!r}") from None
 
 
 def _level_index(j) -> int:

@@ -89,7 +89,8 @@ def _entry_from_options(opts: dict) -> catalog.CatalogEntry:
     for name in _PARAM_FLAGS:
         if opts.get(name) is not None:
             value = opts[name]
-            params[name] = int(value) if name == "l" else float(value)
+            # the catalog checks l is a non-negative integer
+            params[name] = value if name == "l" else float(value)
     sign = opts.get("sign")
     n = _coerce(opts, "n", int, 0)
     return catalog.make_entry(family, params, sign=sign, n=n)

@@ -5,6 +5,12 @@ periodic, or antiperiodic boundary conditions; band edges of a periodic
 potential are the merged eigenvalues of the periodic and antiperiodic
 problems over one period.  Nothing in here knows about the algebraic
 construction, so agreement between the two routes is meaningful.
+
+Dirichlet problems are symmetric tridiagonal and go to LAPACK's
+tridiagonal solver.  The periodic and antiperiodic matrices are tridiagonal
+plus two corner entries; they are stored sparse and solved by ARPACK in
+shift-invert mode with a shift below min V, so no dense matrix is formed.
+The Richardson refine pass asks for eigenvalues only.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
+from scipy import sparse
+from scipy.sparse import linalg as spla
 
 from .errors import GridError
 
@@ -71,7 +79,10 @@ def _potential_values(potential, x, v_cap=None):
     return v
 
 
-def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap):
+def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap,
+                vectors: bool = True):
+    """Lowest k eigenvalues on the grid, plus their max-norm eigenvectors on
+    grid.nodes when `vectors` (else None)."""
     h = grid.h
     inv_h2 = 1.0 / h ** 2
     if bc == "dirichlet":
@@ -81,25 +92,38 @@ def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap):
         v = _potential_values(potential, x, v_cap)
         diag = 2.0 * inv_h2 + v
         off = -inv_h2 * np.ones(len(x) - 1)
-        w, vecs = sla.eigh_tridiagonal(diag, off, select="i",
-                                       select_range=(0, k - 1))
+        result = sla.eigh_tridiagonal(diag, off, eigvals_only=not vectors,
+                                      select="i", select_range=(0, k - 1))
+        if not vectors:
+            return np.asarray(result, float), None
+        w, vecs = result
         full = np.zeros((grid.points, k))
         full[1:-1, :] = vecs
     else:
         x = grid.nodes[:-1]  # right endpoint identified with the left
-        if k > len(x):
-            raise GridError(f"k={k} exceeds the {len(x)} cell nodes")
-        v = _potential_values(potential, x, v_cap)
         m = len(x)
-        ham = np.zeros((m, m))
-        idx = np.arange(m)
-        ham[idx, idx] = 2.0 * inv_h2 + v
-        ham[idx[:-1], idx[:-1] + 1] = -inv_h2
-        ham[idx[:-1] + 1, idx[:-1]] = -inv_h2
-        corner = -inv_h2 if bc == "periodic" else inv_h2
-        ham[0, m - 1] += corner
-        ham[m - 1, 0] += corner
-        w, vecs = sla.eigh(ham, subset_by_index=(0, k - 1))
+        if k >= m:
+            raise GridError(f"k={k} must be at most {m - 1}, one below the "
+                            f"{m} cell nodes")
+        v = _potential_values(potential, x, v_cap)
+        off = np.full(m - 1, -inv_h2)
+        corner = [-inv_h2 if bc == "periodic" else inv_h2]
+        ham = sparse.diags([corner, off, 2.0 * inv_h2 + v, off, corner],
+                           [1 - m, -1, 0, 1, m - 1], format="csc")
+        # H - min(V) is positive semidefinite, so the k eigenvalues nearest
+        # a shift below min(V) are the lowest k.  The start vector is fixed,
+        # so reruns are bit-identical, and generic: a constant vector is the
+        # free-particle ground state and even under reflection, so odd states
+        # of a symmetric potential would enter its Krylov space only through
+        # rounding.
+        v0 = np.random.default_rng(0).standard_normal(m)
+        result = spla.eigsh(ham, k, sigma=float(np.min(v)) - 1.0, which="LM",
+                            v0=v0, tol=0, return_eigenvectors=vectors)
+        if not vectors:
+            return np.sort(result), None
+        w, vecs = result
+        order = np.argsort(w)
+        w, vecs = w[order], vecs[:, order]
         closure = vecs[0, :] if bc == "periodic" else -vecs[0, :]
         full = np.vstack([vecs, closure])
     scale = np.max(np.abs(full), axis=0)
@@ -112,18 +136,21 @@ def fd_eigensolve(potential, grid: Grid, bc: str = "dirichlet", k: int = 6,
                   refine: bool = True, v_cap: float | None = None) -> FdSpectrum:
     """Lowest k eigenpairs of -d^2/dx^2 + V on the grid.
 
-    With refine=True the same problem is re-solved at half the spacing and
-    the per-eigenvalue Richardson difference (an error estimate for the
-    values reported on the requested grid) is stored.  v_cap, when given,
-    clips the potential from above; use it for steeply confining walls whose
-    untruncated height would dominate the matrix norm.
+    With refine=True the same problem is re-solved, eigenvalues only, at
+    half the spacing and the per-eigenvalue Richardson difference (an error
+    estimate for the values reported on the requested grid) is stored.
+    v_cap, when given, clips the potential from above; use it for steeply
+    confining walls whose untruncated height would dominate the matrix norm.
+    The periodic and antiperiodic problems need k below the number of cell
+    nodes, points - 1.
     """
     if bc not in _BCS:
         raise GridError(f"unknown boundary condition {bc!r}")
     w, vecs = _solve_once(potential, grid, bc, k, v_cap)
     est = np.zeros(k)
     if refine:
-        w_fine, _ = _solve_once(potential, grid.refined(), bc, k, v_cap)
+        w_fine, _ = _solve_once(potential, grid.refined(), bc, k, v_cap,
+                                vectors=False)
         est = np.abs(w - w_fine) * (4.0 / 3.0)
     return FdSpectrum(eigenvalues=w, eigenvectors=vecs, bc=bc, grid=grid,
                       convergence_estimate=est)

@@ -325,6 +325,9 @@ def test_parameter_validation_messages():
         make_entry("coulomb", {"e2": 2, "l": 0}, n=True)
     with pytest.raises(InvalidParameterError, match="integer"):
         make_entry("coulomb", {"e2": 2, "l": 0}, n=1.5)
+    for bad in (True, None, "abc", float("nan")):
+        with pytest.raises(InvalidParameterError, match="omega"):
+            make_entry("harmonic", {"omega": bad})
 
 
 def test_list_families_shape():

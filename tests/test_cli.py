@@ -153,3 +153,11 @@ def test_config_file_precedence(tmp_path):
                 "--out-dir", str(out2)]) == 0
     doc2 = json.loads((out2 / "spectrum.json").read_text())
     assert doc2["levels"][0]["E"] == 1.0         # flag wins over the config
+
+
+def test_config_file_non_integral_l(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = coulomb\ne2 = 2\nl = 1.5\n")
+    assert run(["build", "--config", str(cfg),
+                "--out-dir", str(tmp_path / "out")]) == 2
+    assert "l must be a non-negative integer" in capsys.readouterr().err

@@ -169,3 +169,107 @@ def test_wall_clipping_changes_nothing_physical():
     tighter = fd_eigensolve(entry.potential, Grid(-6, 6, 1201), k=2,
                             refine=False, v_cap=1e8)
     assert np.allclose(capped.eigenvalues, tighter.eigenvalues, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# periodic and antiperiodic solves against a dense reference built here
+
+def _dense_cyclic(potential, grid, bc):
+    """The cyclic FD matrix as a dense array; small grids only."""
+    x = grid.nodes[:-1]
+    m = len(x)
+    inv_h2 = 1.0 / grid.h ** 2
+    ham = (np.diag(2.0 * inv_h2 + potential(x))
+           - inv_h2 * (np.eye(m, k=1) + np.eye(m, k=-1)))
+    corner = -inv_h2 if bc == "periodic" else inv_h2
+    ham[0, m - 1] += corner
+    ham[m - 1, 0] += corner
+    return ham
+
+
+_PERIODIC_ENTRIES = [
+    make_entry(name, {"alpha": 1, "beta": 1, "a": 0}, sign=sign, n=1)
+    for name in ("periodic-v1", "periodic-v2", "periodic-v3", "periodic-v4")
+    for sign in "+-"
+]
+
+
+@pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
+@pytest.mark.parametrize(
+    "potential,x0,period",
+    [(flat, 0.0, 2 * math.pi)]
+    + [(e.potential, e.fd_defaults["x_min"], e.period)
+       for e in _PERIODIC_ENTRIES],
+    ids=["flat"] + [f"{e.name}{'+' if e.sign > 0 else '-'}"
+                    for e in _PERIODIC_ENTRIES])
+def test_cyclic_solve_matches_dense_reference(potential, x0, period, bc):
+    k = 8
+    grid = Grid(x0, x0 + period, 201)   # refine grid: 400 cell nodes
+    spec = fd_eigensolve(potential, grid, bc=bc, k=k)
+    dense = _dense_cyclic(potential, grid, bc)
+    w = np.linalg.eigvalsh(dense)[:k]
+    w_fine = np.linalg.eigvalsh(_dense_cyclic(potential, grid.refined(),
+                                              bc))[:k]
+    assert np.max(np.abs(spec.eigenvalues - w)) <= 1e-9
+    assert np.max(np.abs(spec.convergence_estimate
+                         - np.abs(w - w_fine) * (4.0 / 3.0))) <= 4e-9
+    # eigenvectors: columns on the cell nodes, closed by the boundary sign
+    vecs = spec.eigenvectors
+    sign = 1.0 if bc == "periodic" else -1.0
+    assert np.array_equal(vecs[-1], sign * vecs[0])
+    assert np.allclose(np.max(np.abs(vecs), axis=0), 1.0)
+    scale = np.max(np.abs(dense))
+    res = dense @ vecs[:-1] - vecs[:-1] * spec.eigenvalues
+    assert np.max(np.abs(res)) <= 1e-9 * scale
+
+
+def test_free_particle_degenerate_pairs():
+    # periodic: 0, then cos/sin pairs at j^2; antiperiodic: pairs at
+    # (j + 1/2)^2; the FD values are (4/h^2) sin^2(theta h / 2) exactly
+    count = 7
+    points = 801
+    h = 2 * math.pi / (points - 1)
+    edges = band_edges(flat, 2 * math.pi, count=count, points=points,
+                       refine=False)
+    thetas = [(0.0, "periodic")]
+    for j in range(1, 4):
+        thetas += [(j - 0.5, "antiperiodic")] * 2 + [(j, "periodic")] * 2
+    thetas += [(3.5, "antiperiodic")]
+    fd = [4.0 / h ** 2 * math.sin(t * h / 2) ** 2 for t, _ in thetas]
+    assert len(edges) == 2 * count == len(thetas)
+    for edge, exact, (_, parity) in zip(edges, fd, thetas):
+        assert edge.energy == pytest.approx(exact, abs=1e-8)
+        assert edge.parity == parity
+
+
+def test_band_edges_are_deterministic():
+    entry = _PERIODIC_ENTRIES[0]
+    first = band_edges(entry.potential, entry.period, count=6, points=401)
+    fd_eigensolve(flat, Grid(0.0, 3.0, 301), bc="antiperiodic", k=5)
+    second = band_edges(entry.potential, entry.period, count=6, points=401)
+    assert first == second
+
+
+def test_free_particle_band_edges_large_grid():
+    # a dense matrix of this size would take about 0.5 GB
+    points = 8001
+    h = 2 * math.pi / (points - 1)
+    edges = band_edges(flat, 2 * math.pi, count=5, points=points)
+    periodic = [e.energy for e in edges if e.parity == "periodic"]
+    antiperiodic = [e.energy for e in edges if e.parity == "antiperiodic"]
+    for values, thetas in ((periodic, [0, 1, 1, 2, 2]),
+                           (antiperiodic, [0.5, 0.5, 1.5, 1.5, 2.5])):
+        for energy, t in zip(values, thetas):
+            # FD error t^2 - (4/h^2) sin^2(t h / 2) lies in [0, t^4 h^2 / 12]
+            error = t ** 2 - energy
+            assert -1e-8 <= error <= t ** 4 * h ** 2 / 12 + 1e-8
+
+
+@pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
+def test_cyclic_k_limit(bc):
+    grid = Grid(0.0, 1.0, 16)            # 15 cell nodes
+    spec = fd_eigensolve(flat, grid, bc=bc, k=14)
+    assert len(spec.eigenvalues) == 14
+    assert np.all(np.diff(spec.eigenvalues) >= 0)
+    with pytest.raises(GridError, match="k=15 must be at most 14"):
+        fd_eigensolve(flat, grid, bc=bc, k=15)
