@@ -2,8 +2,9 @@
 
 Subcommands: list-families, build, verify, general.  Flags override config
 file entries, which override defaults; the config file is flat key=value
-text.  Exit codes: 0 success, 1 verification failure, 2 usage or parameter
-error.
+text whose keys are flag names, and its values are converted and checked
+like the flags they name.  Exit codes: 0 success, 1 verification failure,
+2 usage or parameter error.
 """
 
 from __future__ import annotations
@@ -33,17 +34,6 @@ from .spectral import solve_algebraic_sector
 _PARAM_FLAGS = ("omega", "alpha", "beta", "a", "gamma", "eta", "A", "B",
                 "e2", "l")
 
-_DEFAULTS = {
-    "build": {"n": 0, "sign": None, "j_max": 3, "samples": 401,
-              "out_dir": "out"},
-    "verify": {"n": 0, "sign": None, "j_max": 3, "samples": 401,
-               "out_dir": "out", "points": None, "tolerance": None},
-    "general": {"e_convention": 0.0, "samples": 401, "out_dir": "out",
-                "u_transform": "identity", "u_a": 0.0,
-                "x_min": None, "x_max": None,
-                "xi_min": None, "xi_max": None, "xi0": None},
-}
-
 
 def _read_config(path: str) -> dict:
     out = {}
@@ -59,103 +49,98 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _merged_options(args: argparse.Namespace, command: str) -> dict:
-    opts = dict(_DEFAULTS.get(command, {}))
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        opts.update(_read_config(cfg_path))
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
+def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
+    """The config values that name a flag of ``parser``, as its defaults.
+    argparse runs the flag's ``type`` on them; switches and choices, which
+    argparse does not check on defaults, are checked here."""
+    out = {}
+    for action in parser._actions:
+        if action.dest not in config:
             continue
-        if value is not None:
-            opts[key] = value
-    return opts
+        value = config[action.dest]
+        flag = "/".join(action.option_strings)
+        if action.nargs == 0:   # a switch: --json-samples
+            if value not in ("true", "false"):
+                parser.error(f"argument {flag}: expected true or false, "
+                             f"got {value!r}")
+            value = value == "true"
+        elif action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            parser.error(f"argument {flag}: invalid choice: {value!r} "
+                         f"(choose from {choices})")
+        out[action.dest] = value
+    return out
 
 
-def _coerce(opts: dict, key: str, cast, default=None):
-    value = opts.get(key, default)
-    if value is None:
-        return default
-    if isinstance(value, str) and cast is not str:
-        return cast(value)
-    return cast(value) if cast is not None else value
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+    def convert(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {text}")
+        return int(text)
+
+    convert.__name__ = "int"    # argparse's "invalid int value: 'abc'"
+    return convert
 
 
-def _entry_from_options(opts: dict) -> catalog.CatalogEntry:
-    family = opts.get("family")
-    if not family:
-        raise Sl2QesError("--family is required")
-    params = {}
-    for name in _PARAM_FLAGS:
-        if opts.get(name) is not None:
-            value = opts[name]
-            # the catalog checks l is a non-negative integer
-            params[name] = value if name == "l" else float(value)
-    sign = opts.get("sign")
-    n = _coerce(opts, "n", int, 0)
-    return catalog.make_entry(family, params, sign=sign, n=n)
-
-
-def _write_build_artifacts(entry, opts, extra_warnings=None):
-    out_dir = str(opts.get("out_dir", "out"))
-    samples = _coerce(opts, "samples", int, 401)
-    x, v = pipeline.sample_potential(entry, samples)
+def _write_artifacts(out_dir: str, x, v, doc: dict, psi_cols: list,
+                     json_samples: bool = False):
+    """potential.csv, spectrum.json and wavefunctions.csv (psi_j in column
+    j), and with ``json_samples`` the samples as JSON arrays too."""
+    labels = [f"psi_{j}" for j in range(len(psi_cols))]
     pipeline.write_csv_atomic(os.path.join(out_dir, "potential.csv"),
                               ["x", "V"], [x, v])
-    j_vals = [j for j, _ in entry.verification_levels(
-        _coerce(opts, "j_max", int, 3))]
-    doc = pipeline.spectrum_document(entry, j_vals, extra_warnings)
     pipeline.write_json_atomic(os.path.join(out_dir, "spectrum.json"), doc)
-    psi_cols = pipeline.sample_wavefunctions(entry, x, j_vals)
-    pipeline.write_csv_atomic(
-        os.path.join(out_dir, "wavefunctions.csv"),
-        ["x"] + [f"psi_{j}" for j in j_vals],
-        [x] + psi_cols,
-    )
-    if opts.get("json_samples"):
-        pipeline.write_json_atomic(
-            os.path.join(out_dir, "potential.json"),
-            {"x": [float(t) for t in x], "V": [float(t) for t in v]},
-        )
+    pipeline.write_csv_atomic(os.path.join(out_dir, "wavefunctions.csv"),
+                              ["x"] + labels, [x] + psi_cols)
+    if json_samples:
+        pipeline.write_json_atomic(os.path.join(out_dir, "potential.json"),
+                                   {"x": x.tolist(), "V": v.tolist()})
         pipeline.write_json_atomic(
             os.path.join(out_dir, "wavefunctions.json"),
-            {"x": [float(t) for t in x],
-             "psi": {str(j): [float(t) for t in col]
-                     for j, col in zip(j_vals, psi_cols)}},
-        )
-    return out_dir
+            {"x": x.tolist(),
+             "psi": {str(j): col.tolist() for j, col in enumerate(psi_cols)}})
+
+
+def _build(args) -> catalog.CatalogEntry:
+    """The catalog entry the flags name, with its artifacts written."""
+    if not args.family:
+        raise Sl2QesError("--family is required")
+    params = {name: getattr(args, name) for name in _PARAM_FLAGS
+              if getattr(args, name) is not None}
+    entry = catalog.make_entry(args.family, params, sign=args.sign, n=args.n)
+    x, v = pipeline.sample_potential(entry, args.samples)
+    j_vals = [j for j, _ in entry.verification_levels(args.j_max)]
+    _write_artifacts(args.out_dir, x, v,
+                     pipeline.spectrum_document(entry, j_vals),
+                     pipeline.sample_wavefunctions(entry, x, j_vals),
+                     args.json_samples)
+    return entry
 
 
 def _cmd_list_families(args) -> int:
     doc = catalog.list_families()
-    text = json.dumps(doc, indent=2)
-    if getattr(args, "json_out", None):
+    if args.json_out:
         pipeline.write_json_atomic(args.json_out, doc)
     else:
-        print(text)
+        print(json.dumps(doc, indent=2))
     return 0
 
 
 def _cmd_build(args) -> int:
-    opts = _merged_options(args, "build")
-    entry = _entry_from_options(opts)
-    out_dir = _write_build_artifacts(entry, opts)
-    print(f"wrote potential.csv, spectrum.json, wavefunctions.csv to {out_dir}")
+    _build(args)
+    print("wrote potential.csv, spectrum.json, wavefunctions.csv to "
+          f"{args.out_dir}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    opts = _merged_options(args, "verify")
-    entry = _entry_from_options(opts)
-    out_dir = _write_build_artifacts(entry, opts)
+    entry = _build(args)
     report = pipeline.verification_report(
-        entry,
-        j_max=_coerce(opts, "j_max", int, 3),
-        points=_coerce(opts, "points", int, None),
-        tolerance=_coerce(opts, "tolerance", float, None),
-    )
-    pipeline.write_json_atomic(os.path.join(out_dir, "verification.json"),
-                               report)
+        entry, j_max=args.j_max, points=args.points, tolerance=args.tolerance)
+    pipeline.write_json_atomic(
+        os.path.join(args.out_dir, "verification.json"), report)
     for row in report["levels"]:
         status = "ok" if row["pass"] else "FAIL"
         print(f"level {row['level']}: algebraic {row['algebraic_E']:.9g} "
@@ -178,12 +163,10 @@ def _inside(lo: float, hi: float) -> float:
     return lo + 1.0 if np.isfinite(lo) else 0.0
 
 
-def _general_branch(bp, opts):
+def _general_branch(bp, args):
     b4 = bp.b4
-    xi_min = _coerce(opts, "xi_min", float, None)
-    xi_max = _coerce(opts, "xi_max", float, None)
-    if xi_min is not None and xi_max is not None:
-        lo, hi = xi_min, xi_max
+    if args.xi_min is not None and args.xi_max is not None:
+        lo, hi = args.xi_min, args.xi_max
     else:
         desc = b4.float_coeffs()[::-1]
         bounds = [-np.inf] + sorted(set(_real_roots(b4))) + [np.inf]
@@ -195,53 +178,39 @@ def _general_branch(bp, opts):
         bounded = [c for c in candidates
                    if np.isfinite(c[0]) and np.isfinite(c[1])]
         lo, hi = bounded[0] if bounded else candidates[-1]
-    xi0 = _coerce(opts, "xi0", float, None)
-    if xi0 is None:
-        xi0 = _inside(lo, hi)
+    xi0 = _inside(lo, hi) if args.xi0 is None else args.xi0
     return Branch(lo, hi, sign=1, xi0=float(xi0))
 
 
 def _cmd_general(args) -> int:
-    opts = _merged_options(args, "general")
-    path = opts.get("algebra")
-    if not path:
+    if not args.algebra:
         raise Sl2QesError("--algebra JSON path is required")
-    with open(path) as handle:
+    with open(args.algebra) as handle:
         coeffs = AlgebraCoefficients.from_json_dict(json.load(handle))
     bp = b_polynomials(coeffs)
 
-    if opts.get("u_transform", "identity") == "two-sqrt":
-        transform = half_line_sqrt()
-        x_lo = _coerce(opts, "x_min", float, 0.05)
-        x_hi = _coerce(opts, "x_max", float, 10.0)
-        if x_lo <= 0:
-            raise Sl2QesError("two-sqrt transform needs x > 0")
-    else:
-        transform = identity_shift(_coerce(opts, "u_a", float, 0.0))
-        x_lo = _coerce(opts, "x_min", float, -3.0)
-        x_hi = _coerce(opts, "x_max", float, 3.0)
+    # the default x range follows the transform: the half line for two-sqrt
+    two_sqrt = args.u_transform == "two-sqrt"
+    transform = half_line_sqrt() if two_sqrt else identity_shift(args.u_a)
+    x_lo = (0.05 if two_sqrt else -3.0) if args.x_min is None else args.x_min
+    x_hi = (10.0 if two_sqrt else 3.0) if args.x_max is None else args.x_max
+    if two_sqrt and x_lo <= 0:
+        raise Sl2QesError("two-sqrt transform needs x > 0")
 
-    branch = _general_branch(bp, opts)
-    samples = _coerce(opts, "samples", int, 401)
-    x = np.linspace(x_lo, x_hi, samples)
+    branch = _general_branch(bp, args)
+    x = np.linspace(x_lo, x_hi, args.samples)
     u = transform.u(x)
     mapping = build_mapping(bp, branch, transform,
                             u_range=(float(np.min(u)), float(np.max(u))))
 
     solved = solve_algebraic_sector(coeffs.with_free_d())
     d_value = float(coeffs.d) if coeffs.d is not None else solved.levels[0].d
-    e_conv = _coerce(opts, "e_convention", float, 0.0)
-    pot = potential_from_operator(bp, d_value, mapping, e_conv,
+    pot = potential_from_operator(bp, d_value, mapping, args.e_convention,
                                   domain=(x_lo, x_hi))
 
     banner = ("general mode: normalizability of the reported levels is "
               "not validated")
     print(banner, file=sys.stderr)
-
-    out_dir = str(opts.get("out_dir", "out"))
-    v = np.asarray(pot(x), float)
-    pipeline.write_csv_atomic(os.path.join(out_dir, "potential.csv"),
-                              ["x", "V"], [x, v])
 
     doc = {
         "mode": "general",
@@ -249,42 +218,37 @@ def _cmd_general(args) -> int:
         "branch": {"xi_min": branch.lo, "xi_max": branch.hi,
                    "sign": branch.sign, "xi0": branch.xi0},
         "d_used": d_value,
-        "e_convention": e_conv,
+        "e_convention": args.e_convention,
         "levels": [lv.to_json_dict() for lv in solved.levels],
         "warnings": [banner],
     }
-    pipeline.write_json_atomic(os.path.join(out_dir, "spectrum.json"), doc)
-
-    x0 = float(x[len(x) // 2])
-    gauge = build_gauge(bp, mapping, x0)
-    cols = []
-    for lv in solved.levels:
-        psi = assemble_wavefunction(gauge, lv.b, mapping)
-        cols.append(np.asarray(psi(x), float))
-    pipeline.write_csv_atomic(
-        os.path.join(out_dir, "wavefunctions.csv"),
-        ["x"] + [f"psi_{j}" for j in range(len(cols))],
-        [x] + cols,
-    )
-    print(f"wrote general-mode artifacts to {out_dir}")
+    gauge = build_gauge(bp, mapping, float(x[len(x) // 2]))
+    cols = [np.asarray(assemble_wavefunction(gauge, lv.b, mapping)(x), float)
+            for lv in solved.levels]
+    _write_artifacts(args.out_dir, x, np.asarray(pot(x), float), doc, cols)
+    print(f"wrote general-mode artifacts to {args.out_dir}")
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser):
+def _run_parser(sub, name: str, help_text: str, handler):
+    """A subcommand that reads --config and writes to --out-dir."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.set_defaults(handler=handler, subparser=parser)
     parser.add_argument("--config", help="flat key=value config file")
+    parser.add_argument("--samples", type=_int_at_least(1), default=401)
+    parser.add_argument("--out-dir", default="out")
+    return parser
+
+
+def _add_catalog_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--family", help="catalog family name")
     for name in _PARAM_FLAGS:
-        if name == "l":
-            parser.add_argument("--l", type=int)
-        else:
-            parser.add_argument(f"--{name}", type=float)
-    parser.add_argument("--n", type=int)
+        # l stays a string: the catalog checks it is a non-negative integer
+        parser.add_argument(f"--{name}", type=None if name == "l" else float)
+    parser.add_argument("--n", type=int, default=0)
     parser.add_argument("--sign", choices=["+", "-"])
-    parser.add_argument("--j-max", dest="j_max", type=int)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--json-samples", dest="json_samples",
-                        action="store_const", const=True,
+    parser.add_argument("--j-max", type=_int_at_least(0), default=3)
+    parser.add_argument("--json-samples", action="store_true",
                         help="also write the samples as JSON arrays")
 
 
@@ -297,49 +261,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list-families", help="describe the catalog")
-    p_list.add_argument("--json-out", dest="json_out")
+    p_list.set_defaults(handler=_cmd_list_families)
+    p_list.add_argument("--json-out")
 
-    p_build = sub.add_parser("build", help="emit potential, spectrum, "
-                                           "wavefunction artifacts")
-    _add_common_flags(p_build)
+    _add_catalog_flags(_run_parser(sub, "build", "emit potential, spectrum, "
+                                   "wavefunction artifacts", _cmd_build))
 
-    p_verify = sub.add_parser("verify", help="build and check against the "
-                                             "finite-difference oracle")
-    _add_common_flags(p_verify)
+    p_verify = _run_parser(sub, "verify", "build and check against the "
+                           "finite-difference oracle", _cmd_verify)
+    _add_catalog_flags(p_verify)
     p_verify.add_argument("--points", type=int, help="override grid points")
     p_verify.add_argument("--tolerance", type=float)
 
-    p_general = sub.add_parser("general", help="run raw coefficient data "
-                                               "through the full pipeline")
-    p_general.add_argument("--config", help="flat key=value config file")
+    p_general = _run_parser(sub, "general", "run raw coefficient data "
+                            "through the full pipeline", _cmd_general)
     p_general.add_argument("--algebra", help="coefficient JSON path")
-    p_general.add_argument("--u-transform", dest="u_transform",
-                           choices=["identity", "two-sqrt"])
-    p_general.add_argument("--u-a", dest="u_a", type=float)
-    p_general.add_argument("--xi-min", dest="xi_min", type=float)
-    p_general.add_argument("--xi-max", dest="xi_max", type=float)
-    p_general.add_argument("--xi0", type=float)
-    p_general.add_argument("--e-convention", dest="e_convention", type=float)
-    p_general.add_argument("--x-min", dest="x_min", type=float)
-    p_general.add_argument("--x-max", dest="x_max", type=float)
-    p_general.add_argument("--samples", type=int)
-    p_general.add_argument("--out-dir", dest="out_dir")
+    p_general.add_argument("--u-transform", choices=["identity", "two-sqrt"],
+                           default="identity")
+    p_general.add_argument("--u-a", type=float, default=0.0)
+    for name in ("--xi-min", "--xi-max", "--xi0"):
+        p_general.add_argument(name, type=float)
+    p_general.add_argument("--e-convention", type=float, default=0.0)
+    p_general.add_argument("--x-min", type=float)
+    p_general.add_argument("--x-max", type=float)
     return parser
-
-
-_COMMANDS = {
-    "list-families": _cmd_list_families,
-    "build": _cmd_build,
-    "verify": _cmd_verify,
-    "general": _cmd_general,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's values become the subcommand's defaults: argparse
+            # converts and checks them like flags, and flags still win
+            sub = args.subparser
+            sub.set_defaults(**_config_defaults(sub, _read_config(args.config)))
+            args = parser.parse_args(argv)
+        return args.handler(args)
+    except SystemExit as exc:   # a usage error, already printed by argparse
+        return exc.code
     except (Sl2QesError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

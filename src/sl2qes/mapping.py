@@ -428,13 +428,11 @@ def evaluate_potential(bp: BPolynomials, d_value: float, mapping: Mapping,
 
 @dataclass
 class PotentialModel:
-    """Callable potential with its domain, optional period, and the additive
-    constant convention used when it was produced."""
+    """Callable potential with its domain and optional period."""
 
     fn: object
     domain: tuple[float, float]
     period: float | None = None
-    additive_constant: float = 0.0
 
     def __call__(self, x):
         return self.fn(x)
@@ -448,7 +446,6 @@ def potential_from_operator(bp: BPolynomials, d_value: float, mapping: Mapping,
         fn=lambda x: evaluate_potential(bp, d_value, mapping, e_convention, x),
         domain=domain,
         period=period,
-        additive_constant=float(e_convention),
     )
 
 

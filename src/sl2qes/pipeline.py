@@ -18,6 +18,7 @@ import tempfile
 import numpy as np
 
 from .catalog import CatalogEntry
+from .errors import NoBoundStateError
 from .fdsolve import Grid, band_edges, fd_eigensolve
 
 __all__ = [
@@ -66,12 +67,17 @@ def _header(entry: CatalogEntry) -> dict:
 def verification_report(entry: CatalogEntry, j_max: int | None = None,
                         points: int | None = None,
                         tolerance: float | None = None) -> dict:
-    """Compare every analytically known level against the numeric oracle."""
+    """Compare every analytically known level against the numeric oracle;
+    raises NoBoundStateError when there is no level to compare."""
     fd = dict(entry.fd_defaults)
     if points is not None:
         fd["points"] = int(points)
     base_tol = fd.get("base_tol", 1e-3)
     levels = entry.verification_levels(j_max)
+    if not levels:
+        raise NoBoundStateError(
+            f"{entry.name}: no bound state to verify"
+            + ("" if j_max is None else f" up to j_max={j_max}"))
     k = len(levels) + 6
     v_cap = fd.get("v_cap")
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sl2qes.cli import main
 
 
@@ -58,6 +60,10 @@ def test_bad_parameters_exit_code(tmp_path):
                 "--out-dir", str(tmp_path)]) == 2
     assert run(["build", "--family", "periodic-v1", "--alpha", "1",
                 "--beta", "1", "--a", "0", "--out-dir", str(tmp_path)]) == 2
+    # no bound state: nothing to verify is not a pass
+    assert run(["verify", "--family", "morse", "--alpha", "1", "--A", "-1",
+                "--B", "1", "--out-dir", str(tmp_path / "m")]) == 2
+    assert not (tmp_path / "m" / "verification.json").exists()
 
 
 def test_general_mode(tmp_path):
@@ -160,4 +166,83 @@ def test_config_file_non_integral_l(tmp_path, capsys):
     cfg.write_text("family = coulomb\ne2 = 2\nl = 1.5\n")
     assert run(["build", "--config", str(cfg),
                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "l must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("omega", "abc"),
+    ("samples", "0"),
+    ("samples", "-5"),
+    ("j-max", "-1"),
+    ("sign", "x"),
+])
+def test_bad_value_names_its_flag_from_either_source(tmp_path, capsys, flag,
+                                                     value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    base = ["build", "--family", "harmonic", "--out-dir", str(tmp_path / "o")]
+    assert run(base + [f"--{flag}", value]) == 2
+    from_flag = capsys.readouterr().err.splitlines()[-1]
+    assert run(base + ["--config", str(cfg)]) == 2
+    from_config = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument --{flag}: " in from_flag
+    assert from_config == from_flag
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_json_samples_switch(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    base = ["build", "--family", "harmonic", "--omega", "2", "--config",
+            str(cfg)]
+    for value, written in (("false", False), ("true", True)):
+        cfg.write_text(f"json-samples = {value}\n")
+        out = tmp_path / value
+        assert run(base + ["--out-dir", str(out)]) == 0
+        assert (out / "potential.json").exists() is written
+        assert (out / "wavefunctions.json").exists() is written
+    cfg.write_text("json-samples = no\n")
+    assert run(base + ["--out-dir", str(tmp_path / "no")]) == 2
+    assert "argument --json-samples: expected true or false" in \
+        capsys.readouterr().err
+
+
+def test_general_config_range_and_flag_override(tmp_path):
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({
+        "C++": "0", "C+0": "0", "C00": "0", "C0-": "0", "C--": "1",
+        "C+": "0", "C0": "-2", "C-": "0", "d": "free", "n": 1,
+    }))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"algebra = {alg}\nx-min = -1\nx-max = 1\nsamples = 21\n")
+
+    def x_column(out):
+        rows = (out / "potential.csv").read_text().splitlines()[1:]
+        return [float(row.split(",")[0]) for row in rows]
+
+    out1 = tmp_path / "c1"
+    assert run(["general", "--config", str(cfg), "--out-dir", str(out1)]) == 0
+    x = x_column(out1)
+    assert (len(x), x[0], x[-1]) == (21, -1.0, 1.0)
+
+    out2 = tmp_path / "c2"
+    assert run(["general", "--config", str(cfg), "--x-max", "2",
+                "--samples", "11", "--out-dir", str(out2)]) == 0
+    x = x_column(out2)
+    assert (len(x), x[0], x[-1]) == (11, -1.0, 2.0)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_l_from_flag_or_config(tmp_path, capsys, source):
+    def build(l_value, out):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"l = {l_value}\n")
+        extra = (["--l", l_value] if source == "flag"
+                 else ["--config", str(cfg)])
+        return run(["build", "--family", "coulomb", "--e2", "2", *extra,
+                    "--out-dir", str(tmp_path / out)])
+
+    assert build("2.0", "whole") == 0
+    doc = json.loads((tmp_path / "whole" / "spectrum.json").read_text())
+    assert doc["params"]["l"] == 2.0
+    assert build("1.5", "half") == 2
     assert "l must be a non-negative integer" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sl2qes.catalog import make_entry
+from sl2qes.errors import NoBoundStateError
 from sl2qes.pipeline import verification_report
 
 ES_CASES = [
@@ -67,3 +68,14 @@ def test_wavefunction_norms_are_finite():
     psi = assemble_wavefunction(gauge, lv.b, entry.mapping)
     norm = psi.l2_norm(np.linspace(-4.0, 4.0, 2001))
     assert np.isfinite(norm) and norm > 0
+
+
+@pytest.mark.parametrize("name, params, j_max", [
+    ("morse", {"alpha": 1, "A": -1, "B": 1}, None),
+    ("poschl-teller", {"alpha": 1, "A": 1, "B": 2}, None),
+    ("harmonic", {"omega": 2}, -1),
+])
+def test_no_level_to_verify_is_an_error(name, params, j_max):
+    entry = make_entry(name, params)
+    with pytest.raises(NoBoundStateError, match=f"^{name}: no bound state"):
+        verification_report(entry, j_max=j_max)

@@ -2,11 +2,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+import sl2qes.cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name,
+                                                  directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -22,3 +26,38 @@ def test_band_structure_script_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["band_structure.py"])
     assert _load("band_structure").main() == 0
     assert "algebraic sector" in capsys.readouterr().out
+
+
+def test_benchmark_tracer_wraps_and_restores(tmp_path):
+    """perfbench/tracing.py wraps package functions by name; a rename must
+    fail here rather than silently break a traced benchmark run."""
+    tracing = _load("tracing", ROOT / "perfbench")
+    functions = {(mod, attr): getattr(sys.modules[f"sl2qes.{mod}"], attr)
+                 for mod, attr, _ in tracing.FUNCTIONS}
+    methods = {(mod, cls, name): getattr(sys.modules[f"sl2qes.{mod}"],
+                                         cls).__dict__[name]
+               for mod, cls, name, _ in tracing.METHODS}
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (mod, attr), original in functions.items():
+            wrapped = getattr(sys.modules[f"sl2qes.{mod}"], attr)
+            assert wrapped.__wrapped__ is original, f"{mod}.{attr}"
+        for (mod, cls, name), original in methods.items():
+            owner = getattr(sys.modules[f"sl2qes.{mod}"], cls)
+            assert owner.__dict__[name].__wrapped__ is original
+        tracer.open_case("list")
+        assert sl2qes.cli.main(["list-families", "--json-out",
+                                str(tmp_path / "families.json")]) == 0
+        tracer.close_case()
+    finally:
+        tracer.uninstall()
+
+    assert {"cli.main", "pipeline.write_json_atomic"} <= {
+        span[3] for span in tracer.spans}
+    for (mod, attr), original in functions.items():
+        assert getattr(sys.modules[f"sl2qes.{mod}"], attr) is original
+    for (mod, cls, name), original in methods.items():
+        owner = getattr(sys.modules[f"sl2qes.{mod}"], cls)
+        assert owner.__dict__[name] is original
