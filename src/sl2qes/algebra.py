@@ -6,6 +6,9 @@ The degree-n representation acts on polynomials in xi of degree at most n:
     T0 xi^r = (r - n/2) xi^r
     T- xi^r = r xi^(r-1)
 
+Each generator sends a monomial to one monomial, so both matrix routes
+below work one monomial at a time and the Hamiltonian matrix is banded.
+
 A Hamiltonian is a quadratic combination of the generators with constant
 coefficients plus a constant shift d.  On P_n it acts as the differential
 operator -(B4 D^2 + B3 D + B2) whose polynomial coefficients are assembled
@@ -16,6 +19,7 @@ introduce floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -209,6 +213,20 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return x.monic()
 
 
+def _monomial_image(g: Generator, r: int, n: int):
+    """T^g xi^r as (power, factor), or None when it vanishes: the only place
+    where the three rules of the degree-n representation are written."""
+    if g is Generator.PLUS:
+        power, factor = r + 1, r - n   # (r - n) kills xi^n: P_n is invariant
+    elif g is Generator.ZERO:
+        power, factor = r, Fraction(2 * r - n, 2)
+    elif g is Generator.MINUS:
+        power, factor = r - 1, r
+    else:
+        raise TypeError(f"unknown generator {g!r}")
+    return None if factor == 0 else (power, factor)
+
+
 def apply_generator(g: Generator, p: Polynomial, n: int) -> Polynomial:
     """Apply one sl(2) generator to p inside the degree-n representation."""
     if n < 0:
@@ -217,22 +235,12 @@ def apply_generator(g: Generator, p: Polynomial, n: int) -> Polynomial:
         raise RepresentationError(
             f"degree {p.degree} polynomial lies outside P_{n}"
         )
-    if g is Generator.MINUS:
-        return Polynomial._make(
-            [r * p.coefficient(r) for r in range(1, n + 1)]
-        )
-    if g is Generator.ZERO:
-        half_n = Fraction(n, 2)
-        return Polynomial._make(
-            [(r - half_n) * p.coefficient(r) for r in range(n + 1)]
-        )
-    if g is Generator.PLUS:
-        out = [Fraction(0)] * (n + 2)
-        for r in range(min(p.degree, n) + 1):
-            out[r + 1] = (r - n) * p.coefficient(r)
-        # (r - n) kills the top monomial, so the result stays inside P_n
-        return Polynomial._make(out)
-    raise TypeError(f"unknown generator {g!r}")
+    out = [Fraction(0)] * (n + 1)
+    for r, coeff in enumerate(p.coeffs):
+        image = _monomial_image(g, r, n)
+        if image is not None:
+            out[image[0]] += image[1] * coeff
+    return Polynomial._make(out)
 
 
 def commutator(g1: Generator, g2: Generator, p: Polynomial, n: int) -> Polynomial:
@@ -355,68 +363,84 @@ def apply_operator(bp: BPolynomials, d, p: Polynomial) -> Polynomial:
     return -out
 
 
-_QUADRATIC_TERMS = (
-    (Generator.PLUS, Generator.PLUS, "c_pp"),
-    (Generator.PLUS, Generator.ZERO, "c_p0"),
-    (Generator.ZERO, Generator.PLUS, "c_p0"),
-    (Generator.ZERO, Generator.ZERO, "c_00"),
-    (Generator.ZERO, Generator.MINUS, "c_0m"),
-    (Generator.MINUS, Generator.ZERO, "c_0m"),
-    (Generator.MINUS, Generator.MINUS, "c_mm"),
+# (word, coefficient): the word's generators act right to left on xi^r.
+_TERMS = (
+    ((Generator.PLUS, Generator.PLUS), "c_pp"),
+    ((Generator.PLUS, Generator.ZERO), "c_p0"),
+    ((Generator.ZERO, Generator.PLUS), "c_p0"),
+    ((Generator.ZERO, Generator.ZERO), "c_00"),
+    ((Generator.ZERO, Generator.MINUS), "c_0m"),
+    ((Generator.MINUS, Generator.ZERO), "c_0m"),
+    ((Generator.MINUS, Generator.MINUS), "c_mm"),
+    ((Generator.PLUS,), "c_p"),
+    ((Generator.ZERO,), "c_0"),
+    ((Generator.MINUS,), "c_m"),
 )
 
-_LINEAR_TERMS = (
-    (Generator.PLUS, "c_p"),
-    (Generator.ZERO, "c_0"),
-    (Generator.MINUS, "c_m"),
-)
 
-
-def _hamiltonian_image(c: AlgebraCoefficients, p: Polynomial) -> Polynomial:
-    acc = Polynomial.zero()
-    for g1, g2, attr in _QUADRATIC_TERMS:
-        coeff = getattr(c, attr)
-        if coeff != 0:
-            acc = acc + coeff * apply_generator(g1, apply_generator(g2, p, c.n), c.n)
-    for g, attr in _LINEAR_TERMS:
-        coeff = getattr(c, attr)
-        if coeff != 0:
-            acc = acc + coeff * apply_generator(g, p, c.n)
-    return -acc - c.d_or_zero * p
+def _word_image(word, r: int, n: int):
+    """The word of generators applied to xi^r, as (power, factor) or None."""
+    power, factor = r, 1
+    for g in reversed(word):
+        image = _monomial_image(g, power, n)
+        if image is None:
+            return None
+        power, factor = image[0], factor * image[1]
+    return power, factor
 
 
 def hamiltonian_matrix(c: AlgebraCoefficients) -> list[list[Fraction]]:
     """(n+1) x (n+1) matrix of the Hamiltonian on the monomial basis.
 
     Built by composing generator applications; column r holds the image of
-    xi^r, basis ordered by ascending power.  A free d is treated as zero.
+    xi^r, basis ordered by ascending power.  Each word sends a monomial to
+    one monomial, so a column has at most 5 nonzeros and the assembly costs
+    O(n) Fraction operations.  A free d is treated as zero.
     """
-    k = c.n + 1
-    mat = [[Fraction(0)] * k for _ in range(k)]
-    for r in range(k):
-        img = _hamiltonian_image(c, Polynomial.monomial(r))
-        if img.degree > c.n:
-            raise RepresentationError("generator composition left P_n")
-        for i in range(k):
-            mat[i][r] = img.coefficient(i)
+    n = c.n
+    terms = [(word, getattr(c, attr)) for word, attr in _TERMS
+             if getattr(c, attr) != 0]
+    mat = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for r in range(n + 1):
+        mat[r][r] -= c.d_or_zero
+        for word, coeff in terms:
+            image = _word_image(word, r, n)
+            if image is None:
+                continue
+            power, factor = image
+            if power > n:
+                raise RepresentationError("generator composition left P_n")
+            mat[power][r] -= coeff * factor
     return mat
 
 
 def hamiltonian_matrix_from_b(bp: BPolynomials, d, n: int) -> list[list[Fraction]]:
     """Same matrix, assembled through the differential-operator route.
 
-    Independent of :func:`hamiltonian_matrix`; the two constructions must
-    agree exactly, which the test suite checks on random inputs.
+    Column r is -(B4 D^2 + B3 D + B2_base + d) xi^r, summed as the products
+    of each B polynomial with the monomial D^k xi^r.  Independent of
+    :func:`hamiltonian_matrix`; the two constructions must agree exactly,
+    which the test suite checks on random inputs.
     """
     k = n + 1
+    terms = ((bp.b4, 2), (bp.b3, 1), (bp.b2(d), 0))   # (B, derivative order)
     mat = [[Fraction(0)] * k for _ in range(k)]
     for r in range(k):
-        img = apply_operator(bp, d, Polynomial.monomial(r))
-        if img.degree > n:
+        image: dict[int, Fraction] = {}
+        for poly, order in terms:
+            factor = math.perm(r, order)   # D^order xi^r = factor xi^(r-order)
+            if factor == 0:
+                continue
+            for i, b in enumerate(poly.coeffs):
+                power = r - order + i
+                image[power] = image.get(power, Fraction(0)) - factor * b
+        leaked = [p for p, v in image.items() if p > n and v != 0]
+        if leaked:
             raise RepresentationError(
                 "operator does not preserve P_n; coefficient leakage at "
-                f"degree {img.degree}"
+                f"degree {max(leaked)}"
             )
-        for i in range(k):
-            mat[i][r] = img.coefficient(i)
+        for i, value in image.items():
+            if i <= n:
+                mat[i][r] = value
     return mat

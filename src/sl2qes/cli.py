@@ -103,20 +103,23 @@ def _write_artifacts(out_dir: str, x, v, doc: dict, psi_cols: list,
              "psi": {str(j): col.tolist() for j, col in enumerate(psi_cols)}})
 
 
-def _build(args) -> catalog.CatalogEntry:
-    """The catalog entry the flags name, with its artifacts written."""
+def _entry(args) -> catalog.CatalogEntry:
+    """The catalog entry the flags name."""
     if not args.family:
         raise Sl2QesError("--family is required")
     params = {name: getattr(args, name) for name in _PARAM_FLAGS
               if getattr(args, name) is not None}
-    entry = catalog.make_entry(args.family, params, sign=args.sign, n=args.n)
+    return catalog.make_entry(args.family, params, sign=args.sign, n=args.n)
+
+
+def _build(args, entry: catalog.CatalogEntry):
+    """Write the entry's potential, spectrum and wavefunction artifacts."""
     x, v = pipeline.sample_potential(entry, args.samples)
     j_vals = [j for j, _ in entry.verification_levels(args.j_max)]
     _write_artifacts(args.out_dir, x, v,
                      pipeline.spectrum_document(entry, j_vals),
                      pipeline.sample_wavefunctions(entry, x, j_vals),
                      args.json_samples)
-    return entry
 
 
 def _cmd_list_families(args) -> int:
@@ -129,16 +132,18 @@ def _cmd_list_families(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    _build(args)
+    _build(args, _entry(args))
     print("wrote potential.csv, spectrum.json, wavefunctions.csv to "
           f"{args.out_dir}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    entry = _build(args)
+    entry = _entry(args)
+    # the report comes first: a run with no level to check writes nothing
     report = pipeline.verification_report(
         entry, j_max=args.j_max, points=args.points, tolerance=args.tolerance)
+    _build(args, entry)
     pipeline.write_json_atomic(
         os.path.join(args.out_dir, "verification.json"), report)
     for row in report["levels"]:
@@ -243,9 +248,10 @@ def _run_parser(sub, name: str, help_text: str, handler):
 def _add_catalog_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--family", help="catalog family name")
     for name in _PARAM_FLAGS:
-        # l stays a string: the catalog checks it is a non-negative integer
+        # l and n stay strings: the catalog checks they are non-negative
+        # integers, so "2.0" is accepted and "1.5" named
         parser.add_argument(f"--{name}", type=None if name == "l" else float)
-    parser.add_argument("--n", type=int, default=0)
+    parser.add_argument("--n", default=0)
     parser.add_argument("--sign", choices=["+", "-"])
     parser.add_argument("--j-max", type=_int_at_least(0), default=3)
     parser.add_argument("--json-samples", action="store_true",

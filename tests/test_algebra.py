@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sl2qes.algebra import (
     AlgebraCoefficients,
+    BPolynomials,
     Generator,
     Polynomial,
     apply_generator,
@@ -17,6 +18,7 @@ from sl2qes.algebra import (
     hamiltonian_matrix_from_b,
     poly_gcd,
 )
+from sl2qes.catalog import make_entry
 from sl2qes.errors import InvalidParameterError, RepresentationError
 
 from oracles import random_algebra
@@ -130,6 +132,94 @@ def test_dual_construction_equality_random():
         m1 = hamiltonian_matrix(c)
         m2 = hamiltonian_matrix_from_b(b_polynomials(c), c.d, c.n)
         assert m1 == m2
+
+
+def _composed_matrix(c):
+    """The Hamiltonian matrix from dense generator compositions: column r is
+    minus the quadratic and linear combination applied to xi^r, minus d."""
+    n = c.n
+    words = ((P, P, c.c_pp), (P, Z, c.c_p0), (Z, P, c.c_p0), (Z, Z, c.c_00),
+             (Z, M, c.c_0m), (M, Z, c.c_0m), (M, M, c.c_mm),
+             (P, c.c_p), (Z, c.c_0), (M, c.c_m))
+    cols = []
+    for r in range(n + 1):
+        acc = Polynomial.zero()
+        for *gens, coeff in words:
+            img = mono(r)
+            for g in reversed(gens):
+                img = apply_generator(g, img, n)
+            acc = acc + coeff * img
+        img = -acc - c.d_or_zero * mono(r)
+        assert img.degree <= n
+        cols.append([img.coefficient(i) for i in range(n + 1)])
+    return [list(row) for row in zip(*cols)] if cols else []
+
+
+@given(rationals, rationals, rationals, rationals, rationals, rationals,
+       rationals, rationals, st.one_of(st.none(), rationals),
+       st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_matrix_matches_dense_composition(pp, p0, c00, c0m, mm, cp, c0, cm,
+                                          d, n):
+    if not any((pp, p0, c00, c0m, mm)):
+        mm = Q(1)
+    c = AlgebraCoefficients(c_pp=pp, c_p0=p0, c_00=c00, c_0m=c0m, c_mm=mm,
+                            c_p=cp, c_0=c0, c_m=cm, d=d, n=n)
+    reference = _composed_matrix(c)
+    assert hamiltonian_matrix(c) == reference
+    assert hamiltonian_matrix_from_b(b_polynomials(c), c.d_or_zero, n) == \
+        reference
+
+
+def _qes_algebra(name, sign, n):
+    if name.startswith("periodic"):
+        params = {"alpha": Q(3, 2), "beta": 1, "a": Q(1, 3)}
+    else:   # eta of the sign that every hyperbolic family's predicate needs
+        sigma = {"hyperbolic-v1": 1, "hyperbolic-v2": -1}.get(
+            name, 1 if sign == "+" else -1)
+        params = {"gamma": Q(1, 2), "eta": -2 * sigma, "a": 0}
+    return make_entry(name, params, sign=sign, n=n).algebra
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("name", [f"{shape}-v{i}" for shape in
+                                  ("periodic", "hyperbolic")
+                                  for i in range(1, 5)])
+def test_dual_construction_qes_families_n160(name, sign):
+    c = _qes_algebra(name, sign, 160)
+    m = hamiltonian_matrix(c)
+    assert m == hamiltonian_matrix_from_b(b_polynomials(c), 0, 160)
+    # banded in the monomial basis: one diagonal below, two above
+    assert all(m[i][r] == 0 for r in range(161) for i in range(161)
+               if not -2 <= i - r <= 1)
+
+
+@pytest.mark.parametrize("name, sign", [("periodic-v1", "+"),
+                                        ("hyperbolic-v3", "-")])
+def test_dual_construction_n1000(name, sign):
+    c = _qes_algebra(name, sign, 1000)
+    assert hamiltonian_matrix(c) == \
+        hamiltonian_matrix_from_b(b_polynomials(c), 0, 1000)
+
+
+def test_b_route_rejects_leakage_above_degree_n():
+    bp = b_polynomials(AlgebraCoefficients(c_mm=1, n=2))
+    leaky = BPolynomials(b4=Polynomial.of(0, 0, 0, 1), b3=bp.b3,
+                         b2_base=bp.b2_base, a2=bp.a2)
+    with pytest.raises(RepresentationError, match="leakage at degree 3"):
+        hamiltonian_matrix_from_b(leaky, 0, 2)
+
+
+def test_composition_route_rejects_leaving_p_n(monkeypatch):
+    from sl2qes import algebra
+
+    def no_kill(g, r, n):   # T+ without the (r - n) factor that kills xi^n
+        return (r + 1, 1) if g is P else monomial_image(g, r, n)
+
+    monomial_image = algebra._monomial_image
+    monkeypatch.setattr(algebra, "_monomial_image", no_kill)
+    with pytest.raises(RepresentationError, match="left P_n"):
+        hamiltonian_matrix(AlgebraCoefficients(c_pp=1, n=2))
 
 
 @given(st.integers(0, 6), st.data())

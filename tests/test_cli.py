@@ -246,3 +246,23 @@ def test_l_from_flag_or_config(tmp_path, capsys, source):
     assert doc["params"]["l"] == 2.0
     assert build("1.5", "half") == 2
     assert "l must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_n_from_flag_or_config(tmp_path, capsys, source):
+    def build(n_value, out):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = {n_value}\n")
+        extra = (["--n", n_value] if source == "flag"
+                 else ["--config", str(cfg)])
+        return run(["build", "--family", "harmonic", "--omega", "2", *extra,
+                    "--out-dir", str(tmp_path / out)])
+
+    assert build("2.0", "whole") == 0
+    doc = json.loads((tmp_path / "whole" / "spectrum.json").read_text())
+    assert doc["n"] == 2
+    for value in ("1.5", "abc"):
+        assert build(value, value) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "error: n must be a non-negative integer"
+        assert not (tmp_path / value).exists()

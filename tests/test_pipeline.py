@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sl2qes.catalog import make_entry
+from sl2qes.cli import main
 from sl2qes.errors import NoBoundStateError
 from sl2qes.pipeline import verification_report
 
@@ -75,7 +76,20 @@ def test_wavefunction_norms_are_finite():
     ("poschl-teller", {"alpha": 1, "A": 1, "B": 2}, None),
     ("harmonic", {"omega": 2}, -1),
 ])
-def test_no_level_to_verify_is_an_error(name, params, j_max):
+def test_no_level_to_verify_is_an_error(tmp_path, capsys, name, params,
+                                       j_max):
     entry = make_entry(name, params)
     with pytest.raises(NoBoundStateError, match=f"^{name}: no bound state"):
         verification_report(entry, j_max=j_max)
+
+    # the verify subcommand fails the same way before it writes anything
+    out = tmp_path / "out"
+    argv = ["verify", "--family", name, "--out-dir", str(out)]
+    for key, value in params.items():
+        argv += [f"--{key}", str(value)]
+    if j_max is not None:
+        argv += ["--j-max", str(j_max)]
+    assert main(argv) == 2
+    if j_max is None:
+        assert f"error: {name}: no bound state" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())

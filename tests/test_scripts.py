@@ -51,11 +51,21 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
         assert sl2qes.cli.main(["list-families", "--json-out",
                                 str(tmp_path / "families.json")]) == 0
         tracer.close_case()
+        # the counters read the wrapped functions' arguments by name
+        tracer.open_case("build")
+        assert sl2qes.cli.main(["build", "--family", "periodic-v1",
+                                "--alpha", "1", "--beta", "1", "--a", "0",
+                                "--sign", "+", "--n", "3",
+                                "--out-dir", str(tmp_path / "build")]) == 0
+        tracer.close_case()
     finally:
         tracer.uninstall()
 
     assert {"cli.main", "pipeline.write_json_atomic"} <= {
-        span[3] for span in tracer.spans}
+        span[3] for span in tracer.spans if span[0] == "list"}
+    assert "algebra.hamiltonian_matrix" in {
+        span[3] for span in tracer.spans if span[0] == "build"}
+    assert tracer.counts["build"]["algebra.entries"] == 16
     for (mod, attr), original in functions.items():
         assert getattr(sys.modules[f"sl2qes.{mod}"], attr) is original
     for (mod, cls, name), original in methods.items():
