@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidParameterError, RepresentationError
 
@@ -172,16 +173,21 @@ class Polynomial:
         return self * (1 / self.coeffs[-1])
 
     def __call__(self, x):
-        """Horner evaluation. Exact for Fraction/int arguments, float otherwise."""
+        """Horner evaluation. Exact for Fraction/int arguments, float otherwise
+        (on coefficients converted to floats once per polynomial)."""
         if isinstance(x, (Fraction, int)):
             acc = Fraction(0)
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
         acc = 0.0 * x  # works for float and numpy arrays alike
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in self._float_desc:
+            acc = acc * x + c
         return acc
+
+    @cached_property
+    def _float_desc(self) -> tuple[float, ...]:   # highest power first
+        return tuple(float(c) for c in reversed(self.coeffs))
 
     def float_coeffs(self) -> list[float]:
         return [float(c) for c in self.coeffs]

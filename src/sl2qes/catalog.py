@@ -175,10 +175,13 @@ class EsEntry(CatalogEntry):
                 self.closed_form_energy(j), self.mapping)
 
     def verification_levels(self, j_max: int | None = None):
-        """(index, energy) pairs the numeric oracle should reproduce."""
-        top = 3 if j_max is None else j_max
-        if self.max_j is not None:
-            top = min(top, self.max_j)
+        """(index, energy) pairs the numeric oracle should reproduce;
+        raises NoBoundStateError when there is none."""
+        asked = 3 if j_max is None else j_max
+        top = asked if self.max_j is None else min(asked, self.max_j)
+        if top < 0:
+            raise NoBoundStateError(
+                f"{self.name}: no bound state up to j_max={asked}")
         return [(j, self.closed_form_energy(j)) for j in range(top + 1)]
 
 

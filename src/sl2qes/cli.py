@@ -113,9 +113,10 @@ def _entry(args) -> catalog.CatalogEntry:
 
 
 def _build(args, entry: catalog.CatalogEntry):
-    """Write the entry's potential, spectrum and wavefunction artifacts."""
-    x, v = pipeline.sample_potential(entry, args.samples)
+    """Write the entry's potential, spectrum and wavefunction artifacts;
+    an entry with no bound state up to --j-max writes nothing."""
     j_vals = [j for j, _ in entry.verification_levels(args.j_max)]
+    x, v = pipeline.sample_potential(entry, args.samples)
     _write_artifacts(args.out_dir, x, v,
                      pipeline.spectrum_document(entry, j_vals),
                      pipeline.sample_wavefunctions(entry, x, j_vals),
@@ -170,13 +171,14 @@ def _inside(lo: float, hi: float) -> float:
 
 def _general_branch(bp, args):
     b4 = bp.b4
-    if args.xi_min is not None and args.xi_max is not None:
+    if (args.xi_min is None) != (args.xi_max is None):
+        raise Sl2QesError("--xi-min and --xi-max must be given together")
+    if args.xi_min is not None:
         lo, hi = args.xi_min, args.xi_max
     else:
-        desc = b4.float_coeffs()[::-1]
         bounds = [-np.inf] + sorted(set(_real_roots(b4))) + [np.inf]
         candidates = [(left, right) for left, right in zip(bounds, bounds[1:])
-                      if np.polyval(desc, _inside(left, right)) > 0]
+                      if b4(_inside(left, right)) > 0]
         if not candidates:
             raise Sl2QesError("B4 is not positive anywhere: no usable branch")
         # prefer a bounded positive interval, else the right-most one
@@ -199,6 +201,9 @@ def _cmd_general(args) -> int:
     transform = half_line_sqrt() if two_sqrt else identity_shift(args.u_a)
     x_lo = (0.05 if two_sqrt else -3.0) if args.x_min is None else args.x_min
     x_hi = (10.0 if two_sqrt else 3.0) if args.x_max is None else args.x_max
+    if not x_lo < x_hi:
+        raise Sl2QesError(f"--x-min must be below --x-max, got {x_lo!r} and "
+                          f"{x_hi!r}")
     if two_sqrt and x_lo <= 0:
         raise Sl2QesError("two-sqrt transform needs x > 0")
 
@@ -228,7 +233,8 @@ def _cmd_general(args) -> int:
         "warnings": [banner],
     }
     gauge = build_gauge(bp, mapping, float(x[len(x) // 2]))
-    cols = [np.asarray(assemble_wavefunction(gauge, lv.b, mapping)(x), float)
+    g = gauge(x)   # a gauge call integrates all of x: one for all levels
+    cols = [assemble_wavefunction(gauge, lv.b, mapping)(x, g)
             for lv in solved.levels]
     _write_artifacts(args.out_dir, x, np.asarray(pot(x), float), doc, cols)
     print(f"wrote general-mode artifacts to {args.out_dir}")

@@ -233,7 +233,9 @@ def _closed_form_inverse(tag: str, c: float, k: float, branch: Branch):
 
 def _integrate_inv_sqrt(b4_fn, a: float, b: float, roots: list[float]) -> float:
     """integral of B4^(-1/2) from a to b, with substitution near simple-root
-    endpoints so the inverse-square-root singularity is removed."""
+    endpoints so the inverse-square-root singularity is removed.  Raises
+    BranchError where B4 is not positive in floats: next to a root, rounding
+    ends the branch there."""
     if a == b:
         return 0.0
     sign = 1.0
@@ -242,8 +244,14 @@ def _integrate_inv_sqrt(b4_fn, a: float, b: float, roots: list[float]) -> float:
         sign = -1.0
     near = 1e-12 * (1.0 + abs(a) + abs(b))
 
+    def b4_pos(t):
+        value = b4_fn(t)
+        if not value > 0:
+            raise BranchError(f"B4 is not positive at xi={t!r} in floats")
+        return value
+
     def plain(lo, hi):
-        val, _ = quad(lambda t: b4_fn(t) ** -0.5, lo, hi, epsabs=1e-14,
+        val, _ = quad(lambda t: b4_pos(t) ** -0.5, lo, hi, epsabs=1e-14,
                       epsrel=1e-11, limit=200)
         return val
 
@@ -253,14 +261,14 @@ def _integrate_inv_sqrt(b4_fn, a: float, b: float, roots: list[float]) -> float:
     for r in roots:
         if abs(lo - r) <= near:
             w = min(0.1 * (hi - lo), 1.0)
-            val, _ = quad(lambda t: 2.0 * t / b4_fn(r + t * t) ** 0.5,
+            val, _ = quad(lambda t: 2.0 * t / b4_pos(r + t * t) ** 0.5,
                           0.0, math.sqrt(w), epsabs=1e-14, epsrel=1e-11,
                           limit=200)
             total += val
             lo = r + w
         if abs(hi - r) <= near:
             w = min(0.1 * (hi - lo), 1.0)
-            val, _ = quad(lambda t: 2.0 * t / b4_fn(r - t * t) ** 0.5,
+            val, _ = quad(lambda t: 2.0 * t / b4_pos(r - t * t) ** 0.5,
                           0.0, math.sqrt(w), epsabs=1e-14, epsrel=1e-11,
                           limit=200)
             total += val
@@ -272,15 +280,8 @@ def _integrate_inv_sqrt(b4_fn, a: float, b: float, roots: list[float]) -> float:
 
 def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
     """Quadrature table for u(xi) plus a monotone Hermite inverse for xi(u)."""
-    desc = b4.float_coeffs()[::-1]
-
-    def b4f(t):
-        return np.polyval(desc, t)
-
     if not (branch.lo < branch.xi0 < branch.hi):
         raise BranchError("numeric mapping needs an interior anchor")
-    if b4f(branch.xi0) <= 0:
-        raise BranchError("B4 is not positive at the anchor")
 
     roots = _real_roots(b4)
     s = float(branch.sign)
@@ -295,7 +296,7 @@ def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
         target = (u_hi if s * direction > 0 else u_lo)
         while (us[-1] * s * direction) < abs(target) + 2.0 * du_step:
             x_cur = xs[-1]
-            step = direction * du_step * math.sqrt(max(b4f(x_cur), 1e-300))
+            step = direction * du_step * math.sqrt(max(b4(x_cur), 1e-300))
             x_next = x_cur + step
             if direction > 0 and x_next >= limit:
                 x_next = x_cur + 0.5 * (limit - x_cur)
@@ -303,7 +304,10 @@ def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
                 x_next = x_cur + 0.5 * (limit - x_cur)
             if abs(x_next - x_cur) < 1e-14 * (1.0 + abs(x_cur)):
                 break
-            du = _integrate_inv_sqrt(b4f, x_cur, x_next, roots)
+            try:
+                du = _integrate_inv_sqrt(b4, x_cur, x_next, roots)
+            except BranchError:   # the rounding zone of a root of B4
+                break
             xs.append(x_next)
             us.append(us[-1] + s * du)
             if len(xs) > 20000:
@@ -325,7 +329,7 @@ def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
             "requested u range is unreachable on this branch "
             f"(covered [{us[0]:.6g}, {us[-1]:.6g}])"
         )
-    slopes = s * np.sqrt(np.maximum(np.polyval(desc, xs), 0.0))
+    slopes = s * np.sqrt(np.maximum(b4(xs), 0.0))
     spline = CubicHermiteSpline(us, xs, slopes)
     dspline = spline.derivative()
 
@@ -337,7 +341,7 @@ def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
 
     def u_of_xi(xi):
         xi = np.atleast_1d(np.asarray(xi, float))
-        out = np.array([s * _integrate_inv_sqrt(b4f, branch.xi0, t, roots)
+        out = np.array([s * _integrate_inv_sqrt(b4, branch.xi0, t, roots)
                         for t in xi])
         return out if out.size > 1 else float(out[0])
 
@@ -482,7 +486,9 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float,
     is how it is computed here (adaptive quadrature).  Common polynomial
     factors of numerator and denominator are cancelled exactly first, so
     only genuine poles of the integrand count as singular.  The returned
-    factor satisfies g(x0) = 1.
+    factor satisfies g(x0) = 1.  Each call integrates from x0 across every
+    requested point, so sample it once per grid and hand the samples to
+    each level's ``WaveFunction.__call__``.
     """
     b4 = mapping.b4
     numer = 2 * bp.b3 - b4.derivative()
@@ -554,10 +560,12 @@ class WaveFunction:
     mapping: Mapping
     prefactor: PrefactorTag
 
-    def __call__(self, x):
+    def __call__(self, x, gauge_samples=None):
+        """psi at x; pass the gauge already sampled on x to skip its pass."""
         xi = self.mapping.xi_of_x(x)
         poly = np.polyval(self.coeffs[::-1], xi)
-        out = self.prefactor(x) * self.gauge(x) * poly
+        g = self.gauge(x) if gauge_samples is None else gauge_samples
+        out = self.prefactor(x) * g * poly
         if np.ndim(x) == 0:
             return float(np.asarray(out))
         return out

@@ -18,7 +18,6 @@ import tempfile
 import numpy as np
 
 from .catalog import CatalogEntry
-from .errors import NoBoundStateError
 from .fdsolve import Grid, _solve_once, band_edges, fd_eigensolve
 
 __all__ = [
@@ -74,10 +73,6 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
         fd["points"] = int(points)
     base_tol = fd.get("base_tol", 1e-3)
     levels = entry.verification_levels(j_max)
-    if not levels:
-        raise NoBoundStateError(
-            f"{entry.name}: no bound state to verify"
-            + ("" if j_max is None else f" up to j_max={j_max}"))
     k = len(levels) + 6
     v_cap = fd.get("v_cap")
 

@@ -1,4 +1,4 @@
-"""Independent oracles for the test suite.
+"""Independent oracles for the test suite, and inputs shared by its modules.
 
 The characteristic polynomial is computed in exact rational arithmetic
 (Faddeev-LeVerrier) and solved with mpmath at high precision, so it shares
@@ -11,6 +11,11 @@ import random
 import mpmath
 
 from sl2qes.algebra import AlgebraCoefficients
+
+# general-mode coefficients whose B4 = 5/2 + xi/2 - xi^2 has a linear term, so
+# the map is the numeric march; its branch reaches u = +-pi/2 only
+MARCH_SET = {"C++": "0", "C+0": "0", "C00": "-1", "C0-": "1/4", "C--": "5/2",
+             "C+": "0", "C0": "1/2", "C-": "1/2", "d": "free", "n": 8}
 
 
 def char_poly_exact(matrix):

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2qes.algebra import (
@@ -254,6 +255,27 @@ def test_json_round_trip():
 def test_coefficients_require_a_quadratic_term():
     with pytest.raises(InvalidParameterError):
         AlgebraCoefficients(c_p=1, n=2)
+
+
+@given(st.lists(rationals, min_size=1, max_size=9),
+       st.lists(st.floats(-20, 20), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_float_evaluation_matches_polyval_bits(coeffs, points):
+    """The float Horner pass keeps np.polyval's operation order, so every
+    value has the same bits; the zero polynomial is left out, because
+    0.0 * x keeps the sign of a negative x where np.polyval starts at +0."""
+    p = Polynomial.of(*coeffs)
+    assume(not p.is_zero)
+    desc = p.float_coeffs()[::-1]
+
+    def bits(value):
+        return np.asarray(value, np.float64).tobytes()
+
+    for t in points + [0.0, -0.0, -1.5]:
+        assert bits(p(t)) == bits(np.polyval(desc, t))
+        assert bits(p(np.float64(t))) == bits(np.polyval(desc, np.float64(t)))
+    xs = np.array(points)
+    assert bits(p(xs)) == bits(np.polyval(desc, xs))
 
 
 def test_polynomial_division_and_gcd():

@@ -1,8 +1,21 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
 
+from sl2qes.algebra import AlgebraCoefficients, b_polynomials
 from sl2qes.cli import main
+from sl2qes.mapping import (
+    Branch,
+    assemble_wavefunction,
+    build_gauge,
+    build_mapping,
+    identity_shift,
+)
+from sl2qes.spectral import solve_algebraic_sector
+
+from oracles import MARCH_SET
 
 
 def run(args):
@@ -266,3 +279,96 @@ def test_n_from_flag_or_config(tmp_path, capsys, source):
         err = capsys.readouterr().err.splitlines()[-1]
         assert err == "error: n must be a non-negative integer"
         assert not (tmp_path / value).exists()
+
+
+@pytest.mark.parametrize("family, params", [
+    ("morse", ["--alpha", "1", "--A", "-1", "--B", "1"]),
+    ("poschl-teller", ["--alpha", "1", "--A", "1", "--B", "2"]),
+])
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_no_bound_state_is_an_error(tmp_path, capsys, command, family,
+                                    params):
+    out = tmp_path / "out"
+    assert run([command, "--family", family, *params,
+                "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"error: {family}: no bound state up to j_max=3"
+    assert not out.exists()
+
+
+def _read_columns(path):
+    rows = path.read_text().splitlines()
+    return rows[0].split(","), np.array(
+        [[float(v) for v in row.split(",")] for row in rows[1:]])
+
+
+def test_general_columns_match_per_level_assembly(tmp_path):
+    """Every column written from the one gauge pass equals the level's own
+    gauge-times-polynomial evaluation, bit for bit."""
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(dict(MARCH_SET, n=3)))
+    out = tmp_path / "run"
+    assert run(["general", "--algebra", str(alg), "--x-min", "-1",
+                "--x-max", "1", "--samples", "101", "--out-dir",
+                str(out)]) == 0
+    header, table = _read_columns(out / "wavefunctions.csv")
+    assert header == ["x", "psi_0", "psi_1", "psi_2", "psi_3"]
+
+    coeffs = AlgebraCoefficients.from_json_dict(dict(MARCH_SET, n=3))
+    bp = b_polynomials(coeffs)
+    branch = json.loads((out / "spectrum.json").read_text())["branch"]
+    x = np.linspace(-1.0, 1.0, 101)
+    mapping = build_mapping(
+        bp, Branch(branch["xi_min"], branch["xi_max"], branch["sign"],
+                   branch["xi0"]),
+        identity_shift(0.0), u_range=(-1.0, 1.0))
+    assert mapping.closed_form is None
+    x0 = float(x[len(x) // 2])
+    levels = solve_algebraic_sector(coeffs.with_free_d()).levels
+    assert np.array_equal(table[:, 0], x)
+    for j, lv in enumerate(levels):
+        psi = assemble_wavefunction(build_gauge(bp, mapping, x0), lv.b,
+                                    mapping)(x)
+        assert np.array_equal(table[:, j + 1], psi), f"psi_{j}"
+
+
+def test_general_unreachable_range_is_a_branch_error(tmp_path, capsys):
+    """x = +-5 lies beyond the branch: the march stops where B4 rounds to
+    zero next to its root instead of integrating NaN."""
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(MARCH_SET))
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["general", "--algebra", str(alg), "--x-min", "-5",
+                    "--x-max", "5", "--out-dir", str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == ("error: requested u range is unreachable on this branch "
+                   "(covered [-1.57079, 1.57079])")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("xi-min", "-1"), "--xi-min and --xi-max must be given together"),
+    (("xi-max", "1"), "--xi-min and --xi-max must be given together"),
+    (("x-min", "1", "x-max", "-1"),
+     "--x-min must be below --x-max, got 1.0 and -1.0"),
+    (("x-min", "0.5", "x-max", "0.5"),
+     "--x-min must be below --x-max, got 0.5 and 0.5"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_general_range_flags_are_checked(tmp_path, capsys, source, flags,
+                                         message):
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(dict(MARCH_SET, n=1)))
+    pairs = list(zip(flags[::2], flags[1::2]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in pairs))
+    extra = ([arg for key, value in pairs for arg in (f"--{key}", value)]
+             if source == "flag" else ["--config", str(cfg)])
+    out = tmp_path / "run"
+    assert run(["general", "--algebra", str(alg), *extra,
+                "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()

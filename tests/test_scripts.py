@@ -1,8 +1,12 @@
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
 import sl2qes.cli
+
+from oracles import MARCH_SET
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -58,6 +62,16 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
                                 "--sign", "+", "--n", "3",
                                 "--out-dir", str(tmp_path / "build")]) == 0
         tracer.close_case()
+        # general mode: one gauge pass per run, whatever the level count
+        for n in (2, 8):
+            alg = tmp_path / f"general-{n}.json"
+            alg.write_text(json.dumps(dict(MARCH_SET, n=n)))
+            tracer.open_case(f"general-{n}")
+            assert sl2qes.cli.main(["general", "--algebra", str(alg),
+                                    "--x-min", "-1", "--x-max", "1",
+                                    "--out-dir",
+                                    str(tmp_path / f"general-{n}")]) == 0
+            tracer.close_case()
     finally:
         tracer.uninstall()
 
@@ -66,8 +80,37 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
     assert "algebra.hamiltonian_matrix" in {
         span[3] for span in tracer.spans if span[0] == "build"}
     assert tracer.counts["build"]["algebra.entries"] == 16
+    for n in (2, 8):
+        names = [span[3] for span in tracer.spans if span[0] == f"general-{n}"]
+        assert names.count("mapping.GaugeFactor.__call__") == 1
+        assert names.count("mapping.WaveFunction.__call__") == n + 1
+    quads = [tracer.counts[f"general-{n}"]["mapping.quad_calls"]
+             for n in (2, 8)]
+    assert quads[0] == quads[1] > 0
     for (mod, attr), original in functions.items():
         assert getattr(sys.modules[f"sl2qes.{mod}"], attr) is original
     for (mod, cls, name), original in methods.items():
         owner = getattr(sys.modules[f"sl2qes.{mod}"], cls)
         assert owner.__dict__[name] is original
+
+
+def test_artifact_digest_repeats(monkeypatch, tmp_path):
+    """Two digests of the same cases agree line for line, and each line
+    names the case, its exit code and a sha256 per output."""
+    monkeypatch.chdir(tmp_path)
+    digest = _load("artifact_digest")
+    workloads = digest._load_workloads()
+    cases = [("catalog-verify", workloads.catalog_verify(1)[0]),
+             ("general-numeric", workloads.general_numeric(1)[0])]
+    first = [digest.case_line(name, case) for name, case in cases]
+    second = [digest.case_line(name, case) for name, case in cases]
+    assert first == second
+    sha = "[0-9a-f]{64}"
+    assert re.fullmatch(
+        f"catalog-verify default-00-harmonic exit=0 stdout={sha} "
+        f"potential.csv={sha} spectrum.json={sha} verification.json={sha} "
+        f"wavefunctions.csv={sha}", first[0])
+    assert re.fullmatch(
+        f"general-numeric set\\d-n2 exit=0 stdout={sha} potential.csv={sha} "
+        f"spectrum.json={sha} wavefunctions.csv={sha}", first[1])
+    assert list(tmp_path.iterdir()) == []   # every case ran in its own dir
