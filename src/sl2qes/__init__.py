@@ -44,9 +44,9 @@ from .fdsolve import (
 from .mapping import (
     Branch,
     GaugeFactor,
+    GaugeSamples,
     Mapping,
     PotentialModel,
-    PrefactorTag,
     UTransform,
     WaveFunction,
     assemble_wavefunction,

@@ -27,9 +27,13 @@ m = (2n + 1 + dq)/2 is the sector coefficient (``sector_count`` is 2m);
   c0 = 4 q gamma^2, c- = -2 sigma gamma^2 eta + [dq=1] 4 s gamma^2;
   cosh 2gamma(x-a) coefficient 2 sigma eta gamma^2 m; offset
   -(q^2 + [dq=1] sigma s eta) gamma^2; normalizable iff sigma eta < 0.
-- the gauge exponent carries sigma.  The prefactor follows from dq: for
-  dq = 1 the sign picks cos/sin resp. sinh/cosh at the half angle, for
-  dq = 2 it is sin resp. sinh at the full angle, for dq = 0 there is none.
+- the gauge is not written per family: ``mapping.build_gauge`` derives it
+  from B4 and B3.  Its exponent carries sigma, and its prefactor follows
+  from B4's roots +-1 and the residues of (2 B3 - B4')/(2 B4) there: each
+  root with residue 1 gives the map's half-angle factor, cos/sin resp.
+  cosh/sinh (theta/2) for xi = cos resp. cosh theta.  dq = 1 has one such
+  root, picked by the sign; dq = 2 has both, whose product is sin resp.
+  sinh at the full angle; dq = 0 has none.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,9 +50,12 @@ from .algebra import AlgebraCoefficients, BPolynomials, as_fraction, b_polynomia
 from .errors import InvalidParameterError, NoBoundStateError, NotApplicableError
 from .mapping import (
     Branch,
+    GaugeFactor,
     Mapping,
     PotentialModel,
-    PrefactorTag,
+    WaveFunction,
+    assemble_wavefunction,
+    build_gauge,
     build_mapping,
     half_line_sqrt,
     identity_shift,
@@ -189,8 +196,6 @@ class EsEntry(CatalogEntry):
 class QesEntry(CatalogEntry):
     energy_offset: float
     sector_coefficient: Fraction   # m; sector_count() is 2m
-    prefactor: PrefactorTag
-    gauge_log: Callable            # log of the closed-form gauge factor
 
     def _solve_sector(self):
         return compose_energies(solve_algebraic_sector(self.algebra),
@@ -204,17 +209,17 @@ class QesEntry(CatalogEntry):
             )
         return float(self.spectral().levels[j].E)
 
-    def closed_form_wavefunction(self, j: int):
-        """Unnormalized psi_j as a vectorized callable."""
+    @cached_property
+    def gauge(self) -> GaugeFactor:
+        """The gauge factor B4 and B3 determine, 1 at gauge_x0."""
+        return build_gauge(self.bp, self.mapping, self.gauge_x0)
+
+    def closed_form_wavefunction(self, j: int) -> WaveFunction:
+        """Unnormalized psi_j: the gauge times the level's polynomial."""
         self.closed_form_energy(j)
-        rev = np.asarray(self.spectral().levels[int(j)].b, float)[::-1]
-        pref, glog, mapping = self.prefactor, self.gauge_log, self.mapping
-
-        def psi(x):
-            xi = mapping.xi_of_x(x)
-            return scaled_exp(glog(x), pref(x) * np.polyval(rev, xi))
-
-        return psi
+        return assemble_wavefunction(self.gauge,
+                                     self.spectral().levels[int(j)].b,
+                                     self.mapping)
 
     def sector_count(self) -> int:
         return int(2 * abs(self.sector_coefficient))
@@ -495,15 +500,6 @@ def _qes_row(fam, s, n):
     return fam.sigma or s, fam.dq, n + fam.dq, Fraction(2 * n + 1 + fam.dq, 2)
 
 
-def _prefactor(dq, s, half, full, angle, center) -> PrefactorTag:
-    """half[s] at the half angle for dq = 1, full at the full angle for
-    dq = 2, none for dq = 0."""
-    if dq == 0:
-        return PrefactorTag("none")
-    return PrefactorTag(half[s] if dq == 1 else full, freq=angle * dq / 2.0,
-                        center=center)
-
-
 def _periodic(fam, p, s, n):
     sigma, dq, q, m = _qes_row(fam, s, n)
     al, be = p["alpha"], p["beta"]
@@ -519,10 +515,6 @@ def _periodic(fam, p, s, n):
         return (-(alf ** 2 / (8.0 * bef ** 2)) * np.cos(2.0 * bef * u)
                 + cc * np.cos(bef * u) - bef ** 2 / 4.0)
 
-    def glog(x):
-        u = np.asarray(x, float) - af
-        return float(sigma) * (alf / bef ** 2) * np.sin(bef * u / 2.0) ** 2
-
     alg = AlgebraCoefficients(
         c_00=-be * be, c_mm=be * be, c_p=sigma * al, c_0=-q * be * be,
         c_m=-sigma * al + (s * be * be if dq == 1 else 0), d=None, n=n,
@@ -535,8 +527,6 @@ def _periodic(fam, p, s, n):
                      "bc": "bands", "base_tol": 1e-3},
         plot_range=(af, af + period), gauge_x0=af + period / 4.0,
         energy_offset=offset, sector_coefficient=m,
-        prefactor=_prefactor(dq, s, {1: "cos", -1: "sin"}, "sin", bef, af),
-        gauge_log=glog,
     )
 
 
@@ -552,10 +542,6 @@ def _hyperbolic(fam, p, s, n):
         return ((gaf ** 2 * etf ** 2 / 8.0) * np.cosh(4.0 * gaf * u)
                 + hc * np.cosh(2.0 * gaf * u) - gaf ** 2 * etf ** 2 / 8.0)
 
-    def glog(x):
-        u = np.asarray(x, float) - af
-        return float(sigma) * (etf / 4.0) * np.cosh(2.0 * gaf * u)
-
     alg = AlgebraCoefficients(
         c_00=4 * ga * ga, c_mm=-4 * ga * ga, c_p=sigma * 2 * ga * ga * eta,
         c_0=4 * q * ga * ga,
@@ -570,9 +556,6 @@ def _hyperbolic(fam, p, s, n):
                      "bc": "dirichlet", "base_tol": 1e-3, "v_cap": 1e8},
         plot_range=(af - 3.0, af + 3.0), gauge_x0=af + 1.0,
         energy_offset=offset, sector_coefficient=m,
-        prefactor=_prefactor(dq, s, {1: "sinh", -1: "cosh"}, "sinh",
-                             2.0 * gaf, af),
-        gauge_log=glog,
     )
 
 

@@ -233,7 +233,7 @@ def _cmd_general(args) -> int:
         "warnings": [banner],
     }
     gauge = build_gauge(bp, mapping, float(x[len(x) // 2]))
-    g = gauge(x)   # a gauge call integrates all of x: one for all levels
+    g = gauge(x)   # one gauge pass over x for all levels
     cols = [assemble_wavefunction(gauge, lv.b, mapping)(x, g)
             for lv in solved.levels]
     _write_artifacts(args.out_dir, x, np.asarray(pot(x), float), doc, cols)

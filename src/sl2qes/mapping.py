@@ -18,6 +18,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .algebra import BPolynomials, Polynomial, poly_gcd
 from .errors import BranchError, SingularPointError
+from .specfun import scaled_exp
 
 __all__ = [
     "UTransform",
@@ -29,9 +30,9 @@ __all__ = [
     "evaluate_potential",
     "PotentialModel",
     "potential_from_operator",
+    "GaugeSamples",
     "GaugeFactor",
     "build_gauge",
-    "PrefactorTag",
     "WaveFunction",
     "assemble_wavefunction",
 ]
@@ -108,17 +109,22 @@ def _real_roots(poly: Polynomial) -> list[float]:
 
 
 class Mapping:
-    """Evaluator for xi(u(x)) on one branch of (dxi/du)^2 = B4(xi)."""
+    """Evaluator for xi(u(x)) on one branch of (dxi/du)^2 = B4(xi).
+
+    ``root_factors`` maps each root r of B4 that a closed-form map reaches
+    at a turning point to a function of u proportional to |xi - r|^(1/2),
+    signed so that it stays analytic through the turning point.
+    """
 
     def __init__(self, b4: Polynomial, branch: Branch, transform: UTransform,
-                 xi_fn, dxi_fn, closed_form: str | None, u_of_xi_fn=None):
+                 xi_fn, dxi_fn, closed_form: str | None, root_factors=None):
         self.b4 = b4
         self.branch = branch
         self.transform = transform
         self._xi_fn = xi_fn
         self._dxi_fn = dxi_fn
         self.closed_form = closed_form
-        self._u_of_xi_fn = u_of_xi_fn
+        self.root_factors = root_factors or {}
 
     def xi_of_u(self, u):
         return self._xi_fn(np.asarray(u, float))
@@ -128,12 +134,6 @@ class Mapping:
 
     def xi_of_x(self, x):
         return self.xi_of_u(self.transform.u(x))
-
-    def u_of_xi(self, xi):
-        """Inverse map (where defined); numeric mode integrates the weight."""
-        if self._u_of_xi_fn is None:
-            raise BranchError("this mapping does not expose an inverse")
-        return self._u_of_xi_fn(np.asarray(xi, float))
 
 
 def _recognize_shape(b4: Polynomial):
@@ -166,83 +166,71 @@ def _recognize_shape(b4: Polynomial):
 
 
 def _closed_form_maps(tag: str, c: float, k: float, branch: Branch):
-    """xi(u) and dxi/du for a recognized shape, pinned at xi(0) = xi0."""
+    """xi(u), dxi/du and the root factors (see ``Mapping``) for a recognized
+    shape, pinned at xi(0) = xi0."""
     s = float(branch.sign)
     rc = math.sqrt(c)
     xi0 = branch.xi0
 
     if tag == "affine":
         return (lambda u: xi0 + s * rc * u,
-                lambda u: s * rc * np.ones_like(u))
+                lambda u: s * rc * np.ones_like(u), {})
     if tag == "sqrt":
         # xi >= 0 branch; xi0 = 0 gives the even map xi = c u^2 / 4
         r0 = math.sqrt(max(xi0, 0.0))
         return (lambda u: (r0 + s * rc * u / 2.0) ** 2,
-                lambda u: (r0 + s * rc * u / 2.0) * s * rc)
+                lambda u: (r0 + s * rc * u / 2.0) * s * rc,
+                {0.0: lambda u: r0 + s * rc * u / 2.0})
     if tag == "exp":
         if xi0 == 0:
             raise BranchError("exponential map needs a nonzero anchor")
         sg = 1.0 if xi0 > 0 else -1.0
         return (lambda u: xi0 * np.exp(s * sg * rc * u),
-                lambda u: xi0 * s * sg * rc * np.exp(s * sg * rc * u))
+                lambda u: xi0 * s * sg * rc * np.exp(s * sg * rc * u), {})
+    if tag == "sinh":
+        t0 = math.asinh(xi0 / k)
+        return (lambda u: k * np.sinh(t0 + s * rc * u),
+                lambda u: k * rc * s * np.cosh(t0 + s * rc * u), {})
+    # xi = sg k cos(theta) resp. sg k cosh(theta) with theta = t0 + dth u;
+    # anchored at a turning point (t0 = 0) the map is even in u and the
+    # recorded sign applies on the u > 0 side
     if tag == "cosh":
         if abs(xi0) < k:
             raise BranchError("anchor must satisfy |xi0| >= k on a cosh branch")
         sg = 1.0 if xi0 > 0 else -1.0
         t0 = math.acosh(abs(xi0) / k)
-        if t0 == 0.0:
-            # even map anchored at the turning point; recorded sign applies
-            # on the u > 0 side
-            return (lambda u: sg * k * np.cosh(rc * u),
-                    lambda u: sg * k * rc * np.sinh(rc * u))
-        return (lambda u: sg * k * np.cosh(t0 + s * sg * rc * u),
-                lambda u: sg * k * rc * s * sg * np.sinh(t0 + s * sg * rc * u))
-    if tag == "sinh":
-        t0 = math.asinh(xi0 / k)
-        return (lambda u: k * np.sinh(t0 + s * rc * u),
-                lambda u: k * rc * s * np.cosh(t0 + s * rc * u))
+        dth = rc if t0 == 0.0 else s * sg * rc
+        # xi - sg k = 2 sg k sinh^2(theta/2), xi + sg k = 2 sg k cosh^2(theta/2)
+        return (lambda u: sg * k * np.cosh(t0 + dth * u),
+                lambda u: sg * k * dth * np.sinh(t0 + dth * u),
+                {sg * k: lambda u: np.sinh((t0 + dth * u) / 2.0),
+                 -sg * k: lambda u: np.cosh((t0 + dth * u) / 2.0)})
     if tag == "cos":
         if abs(xi0) > k:
             raise BranchError("anchor must satisfy |xi0| <= k on a cos branch")
-        if xi0 == k:
-            return (lambda u: k * np.cos(rc * u),
-                    lambda u: -k * rc * np.sin(rc * u))
-        if xi0 == -k:
-            return (lambda u: -k * np.cos(rc * u),
-                    lambda u: k * rc * np.sin(rc * u))
-        t0 = math.acos(xi0 / k)
-        return (lambda u: k * np.cos(t0 - s * rc * u),
-                lambda u: k * rc * s * np.sin(t0 - s * rc * u))
+        if abs(xi0) == k:
+            sg, t0, dth = (1.0 if xi0 > 0 else -1.0), 0.0, rc
+        else:
+            sg, t0, dth = 1.0, math.acos(xi0 / k), -s * rc
+        # xi - sg k = -2 sg k sin^2(theta/2), xi + sg k = 2 sg k cos^2(theta/2)
+        return (lambda u: sg * k * np.cos(t0 + dth * u),
+                lambda u: -sg * k * dth * np.sin(t0 + dth * u),
+                {sg * k: lambda u: np.sin((t0 + dth * u) / 2.0),
+                 -sg * k: lambda u: np.cos((t0 + dth * u) / 2.0)})
     raise ValueError(f"unknown shape {tag}")
 
 
-def _closed_form_inverse(tag: str, c: float, k: float, branch: Branch):
-    s = float(branch.sign)
-    rc = math.sqrt(c)
-    xi0 = branch.xi0
-    if tag == "affine":
-        return lambda xi: (xi - xi0) / (s * rc)
-    if tag == "sqrt":
-        r0 = math.sqrt(max(xi0, 0.0))
-        return lambda xi: (np.sqrt(xi) - r0) * 2.0 / (s * rc)
-    if tag == "exp":
-        sg = 1.0 if xi0 > 0 else -1.0
-        return lambda xi: np.log(np.asarray(xi, float) / xi0) / (s * sg * rc)
-    return None  # even maps are not globally invertible
-
-
-def _integrate_inv_sqrt(b4_fn, a: float, b: float, roots: list[float]) -> float:
-    """integral of B4^(-1/2) from a to b, with substitution near simple-root
-    endpoints so the inverse-square-root singularity is removed.  Raises
-    BranchError where B4 is not positive in floats: next to a root, rounding
-    ends the branch there."""
+def _integrate_inv_sqrt(b4_fn, a: float, b: float) -> float:
+    """integral of B4^(-1/2) from a to b.  Raises BranchError where B4 is
+    not positive in floats.  Next to a root of B4 its rounding bounds the
+    integrand's accuracy, and quad reaches 1e-14 to 1e-12 absolute there,
+    hence epsabs 1e-12: a tighter request only warns."""
     if a == b:
         return 0.0
     sign = 1.0
     if b < a:
         a, b = b, a
         sign = -1.0
-    near = 1e-12 * (1.0 + abs(a) + abs(b))
 
     def b4_pos(t):
         value = b4_fn(t)
@@ -250,32 +238,9 @@ def _integrate_inv_sqrt(b4_fn, a: float, b: float, roots: list[float]) -> float:
             raise BranchError(f"B4 is not positive at xi={t!r} in floats")
         return value
 
-    def plain(lo, hi):
-        val, _ = quad(lambda t: b4_pos(t) ** -0.5, lo, hi, epsabs=1e-14,
-                      epsrel=1e-11, limit=200)
-        return val
-
-    total = 0.0
-    lo, hi = a, b
-    # split off endpoint neighborhoods that sit on a root of B4
-    for r in roots:
-        if abs(lo - r) <= near:
-            w = min(0.1 * (hi - lo), 1.0)
-            val, _ = quad(lambda t: 2.0 * t / b4_pos(r + t * t) ** 0.5,
-                          0.0, math.sqrt(w), epsabs=1e-14, epsrel=1e-11,
-                          limit=200)
-            total += val
-            lo = r + w
-        if abs(hi - r) <= near:
-            w = min(0.1 * (hi - lo), 1.0)
-            val, _ = quad(lambda t: 2.0 * t / b4_pos(r - t * t) ** 0.5,
-                          0.0, math.sqrt(w), epsabs=1e-14, epsrel=1e-11,
-                          limit=200)
-            total += val
-            hi = r - w
-    if lo < hi:
-        total += plain(lo, hi)
-    return sign * total
+    val, _ = quad(lambda t: b4_pos(t) ** -0.5, a, b, epsabs=1e-12,
+                  epsrel=1e-11, limit=200)
+    return sign * val
 
 
 def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
@@ -283,7 +248,6 @@ def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
     if not (branch.lo < branch.xi0 < branch.hi):
         raise BranchError("numeric mapping needs an interior anchor")
 
-    roots = _real_roots(b4)
     s = float(branch.sign)
     u_lo, u_hi = min(u_range), max(u_range)
     span = max(u_hi - u_lo, abs(u_lo), abs(u_hi), 1e-6)
@@ -304,9 +268,13 @@ def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
                 x_next = x_cur + 0.5 * (limit - x_cur)
             if abs(x_next - x_cur) < 1e-14 * (1.0 + abs(x_cur)):
                 break
+            # halving toward the branch end stops at its rounding zone,
+            # where B4 (zero at a root) is not resolved in floats
+            if abs(limit - x_next) <= 1e-12 * (1.0 + abs(x_cur) + abs(x_next)):
+                break
             try:
-                du = _integrate_inv_sqrt(b4, x_cur, x_next, roots)
-            except BranchError:   # the rounding zone of a root of B4
+                du = _integrate_inv_sqrt(b4, x_cur, x_next)
+            except BranchError:   # B4 rounds to zero before the branch end
                 break
             xs.append(x_next)
             us.append(us[-1] + s * du)
@@ -339,13 +307,7 @@ def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
             raise BranchError("u outside the tabulated range")
         return spline(u)
 
-    def u_of_xi(xi):
-        xi = np.atleast_1d(np.asarray(xi, float))
-        out = np.array([s * _integrate_inv_sqrt(b4, branch.xi0, t, roots)
-                        for t in xi])
-        return out if out.size > 1 else float(out[0])
-
-    return xi_fn, (lambda u: dspline(np.asarray(u, float))), u_of_xi
+    return xi_fn, (lambda u: dspline(np.asarray(u, float)))
 
 
 def build_mapping(bp: BPolynomials, branch: Branch,
@@ -353,7 +315,7 @@ def build_mapping(bp: BPolynomials, branch: Branch,
                   u_range: tuple[float, float] = (-10.0, 10.0)) -> Mapping:
     """Construct the xi(u(x)) evaluator for one branch.
 
-    Recognizes the closed-form shapes of B4 and installs the exact inverse;
+    Recognizes the closed-form shapes of B4 and installs the exact map;
     anything else falls back to numeric quadrature of u(xi) inverted through
     a monotone table.  Raises BranchError when B4 is not positive on the
     branch interior.
@@ -379,12 +341,11 @@ def build_mapping(bp: BPolynomials, branch: Branch,
     shape = _recognize_shape(b4)
     if shape is not None:
         tag, c, k = shape
-        xi_fn, dxi_fn = _closed_form_maps(tag, c, k, branch)
-        inv = _closed_form_inverse(tag, c, k, branch)
-        return Mapping(b4, branch, transform, xi_fn, dxi_fn, tag, inv)
+        xi_fn, dxi_fn, factors = _closed_form_maps(tag, c, k, branch)
+        return Mapping(b4, branch, transform, xi_fn, dxi_fn, tag, factors)
 
-    xi_fn, dxi_fn, u_of_xi = _numeric_maps(b4, branch, u_range)
-    return Mapping(b4, branch, transform, xi_fn, dxi_fn, None, u_of_xi)
+    xi_fn, dxi_fn = _numeric_maps(b4, branch, u_range)
+    return Mapping(b4, branch, transform, xi_fn, dxi_fn, None)
 
 
 def evaluate_potential(bp: BPolynomials, d_value: float, mapping: Mapping,
@@ -453,22 +414,67 @@ def potential_from_operator(bp: BPolynomials, d_value: float, mapping: Mapping,
     )
 
 
-def _cumulative_quad(fn, base: float, targets: np.ndarray, epsrel: float) -> np.ndarray:
-    """Integrals of fn from base to each target, reusing shared segments."""
-    pts = np.unique(np.concatenate([[base], targets]))
-    seg = np.zeros(len(pts))
-    for i in range(1, len(pts)):
-        val, _ = quad(fn, pts[i - 1], pts[i], epsabs=0.0, epsrel=epsrel, limit=200)
-        seg[i] = val
-    cum = np.cumsum(seg)
-    cum -= cum[np.searchsorted(pts, base)]
-    return cum[np.searchsorted(pts, targets)]
+def _solve_exact(rows, rhs) -> list:
+    """x with rows @ x = rhs for a square nonsingular Fraction system
+    (Gauss-Jordan)."""
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(len(aug)):
+        pivot = next(r for r in range(col, len(aug)) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r, row in enumerate(aug):
+            if r != col and row[col] != 0:
+                aug[r] = [a - row[col] * b for a, b in zip(row, aug[col])]
+    return [row[-1] for row in aug]
+
+
+def _split_integral(numer: Polynomial, denom: Polynomial):
+    """(P, A, D1, C, D2) with the integral of numer/denom equal to
+    P + A/D1 + the integral of C/D2, D2 squarefree, exactly.
+
+    P integrates the quotient, with P(0) = 0; the Horowitz-Ostrogradsky
+    ansatz with D1 = gcd(D, D') and D2 = D/D1 takes the rational part A/D1
+    off the proper fraction, so C/D2 has only simple poles.
+    """
+    quot, rem = divmod(numer, denom)
+    d1 = poly_gcd(denom, denom.derivative())
+    d2, _ = divmod(denom, d1)
+    # rem = A' D2 - A H + C D1 with H = D2 D1' / D1, for deg A < deg D1
+    # and deg C < deg D2: one column per unknown coefficient
+    h, _ = divmod(d2 * d1.derivative(), d1)
+    m, size = d1.degree, denom.degree
+    cols = [Polynomial.monomial(i).derivative() * d2 - Polynomial.monomial(i) * h
+            for i in range(m)]
+    cols += [Polynomial.monomial(i) * d1 for i in range(size - m)]
+    sol = _solve_exact([[col.coefficient(r) for col in cols]
+                        for r in range(size)],
+                       [rem.coefficient(r) for r in range(size)])
+    poly = Polynomial._make([0] + [c / (i + 1)
+                                   for i, c in enumerate(quot.coeffs)])
+    return poly, Polynomial._make(sol[:m]), d1, Polynomial._make(sol[m:]), d2
+
+
+@dataclass(frozen=True, eq=False)
+class GaugeSamples:
+    """Samples of a gauge factor g = exp(exponent) * factor.
+
+    The parts stay apart so that a wavefunction can fold its polynomial
+    into ``factor`` and exponentiate once (``scaled_exp``): psi stays finite
+    where exp(exponent) alone would overflow or underflow.  numpy reads the
+    samples as the array of g.
+    """
+
+    exponent: np.ndarray
+    factor: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(scaled_exp(self.exponent, self.factor), dtype)
 
 
 @dataclass
 class GaugeFactor:
     """Multiplicative non-polynomial factor of the wavefunction, normalized
-    to 1 at the reference point x0."""
+    to 1 at the reference point x0; a call returns ``GaugeSamples``."""
 
     x0: float
     _fn: object
@@ -477,95 +483,109 @@ class GaugeFactor:
         return self._fn(x)
 
 
-def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float,
-                epsrel: float = 1e-10) -> GaugeFactor:
+def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float) -> GaugeFactor:
     """Gauge factor g(x) = (u')^(-1/2) exp[(1/2) Int (2 B3 - B4')/(2 sqrt(B4)) du].
 
-    On a fixed branch the u-integral reduces to the xi-integral of
-    (2 B3 - B4')/(2 B4), independent of the recorded square-root sign, which
-    is how it is computed here (adaptive quadrature).  Common polynomial
-    factors of numerator and denominator are cancelled exactly first, so
-    only genuine poles of the integrand count as singular.  The returned
-    factor satisfies g(x0) = 1.  Each call integrates from x0 across every
-    requested point, so sample it once per grid and hand the samples to
-    each level's ``WaveFunction.__call__``.
+    On a fixed branch the u-integral is the xi-integral of the rational
+    function (2 B3 - B4')/(2 B4), independent of the recorded square-root
+    sign.  Its common polynomial factors are cancelled exactly, and the
+    antiderivative is taken in closed form (``_split_integral``): a
+    polynomial, a rational part for repeated roots, and c_k log(xi - r_k)
+    over the simple roots r_k, with real part taken for complex pairs.  A
+    simple root with a positive-integer residue c_k that the map reaches at
+    a turning point contributes the map's signed root factor to the power
+    c_k (see ``Mapping``), so the wavefunction continues through the turning
+    point; any other pole on the path raises SingularPointError.
+
+    g(x0) = 1, except that a root factor vanishing at x0 is kept as it
+    is.  A call returns ``GaugeSamples`` and evaluates every requested
+    point, so sample once per grid and hand the samples to each level's
+    ``WaveFunction.__call__``.
     """
     b4 = mapping.b4
     numer = 2 * bp.b3 - b4.derivative()
     denom = 2 * b4
     common = poly_gcd(numer, denom)
-    if common.degree >= 1:
-        numer, _ = divmod(numer, common)
-        denom, _ = divmod(denom, common)
-    roots = _real_roots(denom)
-
-    def integrand(t):
-        return numer(t) / denom(t)
+    numer, _ = divmod(numer, common)
+    denom, _ = divmod(denom, common)
+    poly, rat, rat_den, log_num, log_den = _split_integral(numer, denom)
+    roots = np.roots(log_den.float_coeffs()[::-1])
+    residues = log_num(roots) / log_den.derivative()(roots)
 
     t0 = mapping.transform
     base_xi = float(np.asarray(mapping.xi_of_x(x0)))
+    base_u = float(np.asarray(t0.u(x0)))
     base_du = float(np.asarray(t0.du(x0)))
+    poles = _real_roots(rat_den)
+    logs, factors = [], []
+    for r, c in zip(roots, residues):
+        if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
+            logs.append((r, c))
+            continue
+        r, c, power = r.real, c.real, round(c.real)
+        fn = next((f for root, f in mapping.root_factors.items()
+                   if abs(root - r) <= 1e-12 * (1.0 + abs(r))), None)
+        if fn is not None and power >= 1 and abs(c - power) <= 1e-9 * power:
+            factors.append((r, fn, power))
+        else:
+            logs.append((r, c))
+            poles.append(r)
+
+    def exponent(xi):
+        out = poly(xi) + rat(xi) / rat_den(xi)
+        for r, c in logs:
+            out = out + (c * np.log(xi - r + 0j)).real
+        return 0.5 * out
+
+    # the exponent takes the normalization, the factor only its sign;
+    # root factors that vanish at x0 are left out of both
+    base_exp, base_sign = exponent(base_xi), 1.0
+    for r, f, power in factors:
+        if abs(base_xi - r) > 1e-12 * (1.0 + abs(r)):
+            value = float(f(base_u)) ** power
+            base_exp += math.log(abs(value))
+            base_sign *= math.copysign(1.0, value)
 
     def fn(x):
-        xs = np.atleast_1d(np.asarray(x, float))
-        xi = np.atleast_1d(mapping.xi_of_x(xs))
+        xs = np.asarray(x, float)
+        xi = np.asarray(mapping.xi_of_x(xs))
         lo = min(float(xi.min()), base_xi)
         hi = max(float(xi.max()), base_xi)
-        for r in roots:
+        for r in poles:
             if lo - 1e-12 <= r <= hi + 1e-12:
                 raise SingularPointError(
                     f"gauge integration path crosses a pole at xi={r:g}"
                 )
-        expo = 0.5 * _cumulative_quad(integrand, base_xi, xi, epsrel)
-        g = np.sqrt(base_du / t0.du(xs)) * np.exp(expo)
-        if np.ndim(x) == 0:
-            return float(g[0])
-        return g
+        u = t0.u(xs)
+        factor = base_sign * np.sqrt(base_du / t0.du(xs))
+        for _, f, power in factors:
+            factor = factor * f(u) ** power
+        return GaugeSamples(exponent(xi) - base_exp, factor)
 
     return GaugeFactor(x0=float(x0), _fn=fn)
 
 
-_PREFACTOR_FUNCS = {
-    "none": lambda arg: np.ones_like(arg),
-    "cos": np.cos,
-    "sin": np.sin,
-    "cosh": np.cosh,
-    "sinh": np.sinh,
-}
-
-
-@dataclass(frozen=True)
-class PrefactorTag:
-    """Closed-form multiplicative factor trig(freq * (x - center))."""
-
-    kind: str = "none"
-    freq: float = 0.0
-    center: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _PREFACTOR_FUNCS:
-            raise ValueError(f"unknown prefactor kind {self.kind!r}")
-
-    def __call__(self, x):
-        arg = self.freq * (np.asarray(x, float) - self.center)
-        return _PREFACTOR_FUNCS[self.kind](arg)
-
-
 @dataclass
 class WaveFunction:
-    """psi(x) = prefactor(x) * g(x) * sum_r b_r xi(u(x))^r (unnormalized)."""
+    """psi(x) = g(x) * chi(xi(u(x))), chi = sum_r b_r xi^r (unnormalized).
+
+    With ``GaugeSamples`` the product is exp(exponent) * (factor * chi),
+    exponentiated once by ``scaled_exp``.
+    """
 
     gauge: object
     coeffs: tuple[float, ...]
     mapping: Mapping
-    prefactor: PrefactorTag
 
     def __call__(self, x, gauge_samples=None):
         """psi at x; pass the gauge already sampled on x to skip its pass."""
         xi = self.mapping.xi_of_x(x)
-        poly = np.polyval(self.coeffs[::-1], xi)
+        chi = np.polyval(self.coeffs[::-1], xi)
         g = self.gauge(x) if gauge_samples is None else gauge_samples
-        out = self.prefactor(x) * g * poly
+        if isinstance(g, GaugeSamples):
+            out = scaled_exp(g.exponent, g.factor * chi)
+        else:
+            out = g * chi
         if np.ndim(x) == 0:
             return float(np.asarray(out))
         return out
@@ -575,11 +595,9 @@ class WaveFunction:
         return float(np.sqrt(np.trapezoid(vals ** 2, grid)))
 
 
-def assemble_wavefunction(gauge, coeffs, mapping: Mapping,
-                          prefactor: PrefactorTag | None = None) -> WaveFunction:
-    """Compose gauge, polynomial coefficients, mapping, and optional
-    closed-form prefactor into an evaluator."""
-    if prefactor is None:
-        prefactor = PrefactorTag("none")
-    return WaveFunction(gauge=gauge, coeffs=tuple(float(c) for c in coeffs),
-                        mapping=mapping, prefactor=prefactor)
+def assemble_wavefunction(gauge, coeffs, mapping: Mapping) -> WaveFunction:
+    """Compose gauge, polynomial coefficients and mapping into an
+    evaluator."""
+    return WaveFunction(gauge=gauge,
+                        coeffs=tuple(np.asarray(coeffs, float).tolist()),
+                        mapping=mapping)

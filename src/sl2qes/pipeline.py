@@ -144,29 +144,22 @@ def sample_potential(entry: CatalogEntry, samples: int,
 
 def sample_wavefunctions(entry: CatalogEntry, x: np.ndarray,
                          j_values: list[int]):
-    cols = []
-    for j in j_values:
-        psi = entry.closed_form_wavefunction(j)
-        cols.append(np.asarray(psi(x), float))
-    return cols
+    """psi_j on x for each j; a QES entry samples its gauge once for all."""
+    psis = [entry.closed_form_wavefunction(j) for j in j_values]
+    if entry.kind == "es":
+        return [np.asarray(psi(x), float) for psi in psis]
+    g = entry.gauge(x)
+    return [np.asarray(psi(x, g), float) for psi in psis]
 
 
 def spectrum_document(entry: CatalogEntry, j_values: list[int],
                       warnings_list: list[str] | None = None) -> dict:
     doc = {**_header(entry), "class": entry.kind}
-    levels = []
     if entry.kind == "es":
-        for j in j_values:
-            levels.append({"j": j, "E": entry.closed_form_energy(j)})
+        levels = [{"j": j, "E": entry.closed_form_energy(j)} for j in j_values]
     else:
-        for j, lv in enumerate(entry.spectral().levels):
-            levels.append({
-                "j": j,
-                "d": lv.d,
-                "E": lv.E,
-                "b": [float(v) for v in lv.b],
-                "imag_residual": lv.imag_residual,
-            })
+        levels = [{"j": j, **lv.to_json_dict()}
+                  for j, lv in enumerate(entry.spectral().levels)]
     doc["levels"] = levels
     doc["warnings"] = warnings_list or []
     return doc

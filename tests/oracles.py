@@ -2,15 +2,22 @@
 
 The characteristic polynomial is computed in exact rational arithmetic
 (Faddeev-LeVerrier) and solved with mpmath at high precision, so it shares
-no code with the floating-point eigensolver it is used to check.
+no code with the floating-point eigensolver it is used to check.  The gauge
+oracles are the two rules that ``mapping.build_gauge`` replaced: adaptive
+quadrature of the gauge integrand, and the exponent and prefactor written
+out by hand for each quasi-solvable shape.
 """
 
 from fractions import Fraction
 import random
 
 import mpmath
+import numpy as np
+from scipy.integrate import quad
 
-from sl2qes.algebra import AlgebraCoefficients
+from sl2qes.algebra import AlgebraCoefficients, poly_gcd
+from sl2qes.errors import SingularPointError
+from sl2qes.specfun import scaled_exp
 
 # general-mode coefficients whose B4 = 5/2 + xi/2 - xi^2 has a linear term, so
 # the map is the numeric march; its branch reaches u = +-pi/2 only
@@ -64,3 +71,65 @@ def random_algebra(rng: random.Random, n_max: int = 8) -> AlgebraCoefficients:
         if any(vals[k] != 0 for k in ("c_pp", "c_p0", "c_00", "c_0m", "c_mm")):
             break
     return AlgebraCoefficients(**vals, d=q(), n=rng.randint(0, n_max))
+
+
+def quadrature_gauge(bp, mapping, x0, epsrel=1e-13):
+    """g(x) = (u')^(-1/2) exp[(1/2) Int (2 B3 - B4')/(2 B4) dxi], 1 at x0,
+    by adaptive quadrature of the gcd-reduced integrand from xi(x0) across
+    every requested point; a pole on that path raises SingularPointError."""
+    b4 = mapping.b4
+    numer = 2 * bp.b3 - b4.derivative()
+    denom = 2 * b4
+    common = poly_gcd(numer, denom)
+    numer, _ = divmod(numer, common)
+    denom, _ = divmod(denom, common)
+    t0 = mapping.transform
+    base_xi = float(np.asarray(mapping.xi_of_x(x0)))
+    base_du = float(np.asarray(t0.du(x0)))
+
+    def gauge(x):
+        xs = np.atleast_1d(np.asarray(x, float))
+        xi = np.atleast_1d(mapping.xi_of_x(xs))
+        lo = min(float(xi.min()), base_xi)
+        hi = max(float(xi.max()), base_xi)
+        for r in np.roots(denom.float_coeffs()[::-1]):
+            if abs(r.imag) < 1e-9 and lo - 1e-12 <= r.real <= hi + 1e-12:
+                raise SingularPointError(f"path crosses a pole at xi={r:g}")
+        pts = np.unique(np.concatenate([[base_xi], xi]))
+        seg = [0.0] + [quad(lambda t: numer(t) / denom(t), a, b, epsabs=1e-15,
+                            epsrel=epsrel, limit=200)[0]
+                       for a, b in zip(pts[:-1], pts[1:])]
+        cum = np.cumsum(seg)
+        cum -= cum[np.searchsorted(pts, base_xi)]
+        expo = 0.5 * cum[np.searchsorted(pts, xi)]
+        return np.sqrt(base_du / t0.du(xs)) * np.exp(expo)
+
+    return gauge
+
+
+def hand_written_psi(entry, j):
+    """psi_j of a quasi-solvable entry from the per-shape rule: exponent
+    glog(x) and a trigonometric prefactor picked by (dq, sign) at the half
+    angle (dq = 1) or the full angle (dq = 2), none for dq = 0."""
+    sigma, dq, s = entry.family.sigma or entry.sign, entry.family.dq, entry.sign
+    p = {k: float(v) for k, v in entry.params.items()}
+    a = p["a"]
+    if entry.kind == "qes-periodic":
+        def glog(u):
+            return sigma * (p["alpha"] / p["beta"] ** 2) * np.sin(
+                p["beta"] * u / 2.0) ** 2
+        half, full, angle = {1: np.cos, -1: np.sin}, np.sin, p["beta"]
+    else:
+        def glog(u):
+            return sigma * (p["eta"] / 4.0) * np.cosh(2.0 * p["gamma"] * u)
+        half, full, angle = {1: np.sinh, -1: np.cosh}, np.sinh, 2 * p["gamma"]
+    rev = np.asarray(entry.spectral().levels[j].b, float)[::-1]
+
+    def psi(x):
+        u = np.asarray(x, float) - a
+        pref = 1.0 if dq == 0 else (half[s] if dq == 1 else full)(
+            angle * dq / 2.0 * u)
+        xi = entry.mapping.xi_of_x(x)
+        return scaled_exp(glog(u), pref * np.polyval(rev, xi))
+
+    return psi

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sl2qes.algebra import AlgebraCoefficients, b_polynomials
+from sl2qes.catalog import make_entry
 from sl2qes.cli import main
 from sl2qes.mapping import (
     Branch,
@@ -332,17 +333,41 @@ def test_general_columns_match_per_level_assembly(tmp_path):
         assert np.array_equal(table[:, j + 1], psi), f"psi_{j}"
 
 
+def test_general_gauge_through_turning_point(tmp_path):
+    """periodic-v1's coefficient data in general mode, anchored at xi = 1:
+    x = pi reaches the root xi = -1 of B4, where the gauge continues as
+    cos(x/2).  Every column equals the catalog build's up to one constant."""
+    entry = make_entry("periodic-v1", {"alpha": 1, "beta": 1, "a": 0}, "+", 1)
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(entry.algebra.to_json_dict()))
+    assert run(["general", "--algebra", str(alg), "--xi0", "1",
+                "--x-min", "0", "--x-max", repr(2 * np.pi),
+                "--out-dir", str(tmp_path / "general")]) == 0
+    assert run(["build", "--family", "periodic-v1", "--alpha", "1",
+                "--beta", "1", "--a", "0", "--sign", "+", "--n", "1",
+                "--out-dir", str(tmp_path / "build")]) == 0
+    header, general = _read_columns(tmp_path / "general" / "wavefunctions.csv")
+    assert header == ["x", "psi_0", "psi_1"]
+    build = _read_columns(tmp_path / "build" / "wavefunctions.csv")[1]
+    assert np.array_equal(general[:, 0], build[:, 0])
+    for col in (1, 2):
+        k = int(np.argmax(np.abs(build[:, col])))
+        scale = general[k, col] / build[k, col]
+        assert np.max(np.abs(general[:, col] - scale * build[:, col])) <= \
+            1e-12 * np.max(np.abs(general[:, col]))
+
+
 def test_general_unreachable_range_is_a_branch_error(tmp_path, capsys):
-    """x = +-5 lies beyond the branch: the march stops where B4 rounds to
-    zero next to its root instead of integrating NaN."""
+    """x = +-5 lies beyond the branch: the march stops at the rounding zone
+    of B4's root, with no warning from numpy or from the quadrature, instead
+    of integrating NaN."""
     alg = tmp_path / "alg.json"
     alg.write_text(json.dumps(MARCH_SET))
     out = tmp_path / "run"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert run(["general", "--algebra", str(alg), "--x-min", "-5",
                     "--x-max", "5", "--out-dir", str(out)]) == 2
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err.splitlines()[-1]
     assert err == ("error: requested u range is unreachable on this branch "
                    "(covered [-1.57079, 1.57079])")

@@ -3,19 +3,21 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2qes.algebra import AlgebraCoefficients, b_polynomials
-from sl2qes.catalog import make_entry
+from sl2qes.catalog import FAMILY_NAMES, make_entry
 from sl2qes.errors import BranchError, SingularPointError
 from sl2qes.mapping import (
     Branch,
-    PrefactorTag,
     assemble_wavefunction,
     build_gauge,
     build_mapping,
     evaluate_potential,
     half_line_sqrt,
 )
+
+from oracles import hand_written_psi, quadrature_gauge
 
 
 def bp_of(**kw):
@@ -112,15 +114,6 @@ def test_numeric_mapping_matches_exact_solution():
     assert m.closed_form is None
     u = np.linspace(-1.2, 1.2, 41)
     assert np.max(np.abs(m.xi_of_u(u) - (0.5 + 1.5 * np.sin(u)))) < 1e-10
-
-
-def test_numeric_mapping_inverse_consistency():
-    bp = numeric_case()
-    m = build_mapping(bp, Branch(-1.0, 2.0, sign=1, xi0=0.5),
-                      u_range=(-1.3, 1.3))
-    u = np.linspace(-1.25, 1.25, 11)
-    back = m.u_of_xi(m.xi_of_u(u))
-    assert np.max(np.abs(back - u)) < 1e-10
 
 
 def test_negative_weight_rejected():
@@ -226,10 +219,93 @@ def test_morse_gauge_matches_closed_form():
 def test_gauge_rejects_path_through_pole():
     entry = make_entry("periodic-v1", {"alpha": 1, "beta": 1, "a": 0},
                        sign="+", n=1)
+    # x = pi maps to xi = -1, a residue-1 pole of the reduced integrand: the
+    # cos map reaches it at a turning point, and the gauge continues as
+    # exp(cos(x)/2) cos(x/2) through x = pi; it is +1 at x0 on either side
+    xs = np.array([0.5, 2.0, math.pi, 4.0, 6.0])
+    for x0 in (entry.gauge_x0, 4.0):
+        g = build_gauge(entry.bp, entry.mapping, x0)
+        want = np.exp(0.5 * (np.cos(xs) - math.cos(x0))) * np.cos(xs / 2.0)
+        want /= math.cos(x0 / 2.0)
+        assert np.max(np.abs(np.asarray(g(xs)) - want)) < 1e-14
+    # short of the turning point the quadrature oracle agrees
     g = build_gauge(entry.bp, entry.mapping, entry.gauge_x0)
+    quad_g = quadrature_gauge(entry.bp, entry.mapping, entry.gauge_x0)
+    assert np.allclose(np.asarray(g(xs[:2])), quad_g(xs[:2]), rtol=1e-10,
+                       atol=0)
+
+    # residue 1/2 at xi = -1 (B4 = 1 - xi^2, A2 = 1 + xi): |xi + 1|^(1/4)
+    # has no continuation through the turning point
+    bp = bp_of(c_00=-1, c_mm=1, c_0=1, c_m=1, n=0)
+    m = build_mapping(bp, Branch(-1.0, 1.0, sign=1, xi0=0.0))
+    g = build_gauge(bp, m, 0.0)
+    g(np.array([0.5, 1.5]))
     with pytest.raises(SingularPointError):
-        # x = pi maps to xi = -1, a genuine pole of the reduced integrand
-        g(np.array([0.5, math.pi]))
+        g(np.array([0.5, math.pi / 2]))     # xi = -1
+
+
+# B4 shapes with their branch and a safe x range, and what the reduced
+# integrand's denominator holds there
+GAUGE_SHAPES = [
+    # 1 - xi^2 with the turning points out of range: simple real roots
+    (dict(c_00=-1, c_mm=1), Branch(-1.0, 1.0, sign=-1, xi0=0.2), (-1.0, 1.0)),
+    # xi^2 - 1 on xi > 1, away from the turning point: simple real roots
+    (dict(c_00=1, c_mm=-1), Branch(1.0, np.inf, sign=1, xi0=1.5), (0.0, 1.5)),
+    # xi^2 + 1: a complex pair
+    (dict(c_00=1, c_mm=1), Branch(-np.inf, np.inf, sign=1, xi0=0.3),
+     (-1.5, 1.5)),
+    # 2 xi^2: a double root at 0
+    (dict(c_00=2), Branch(0.0, np.inf, sign=1, xi0=1.0), (-1.0, 1.0)),
+    # 2 + xi - xi^2: simple real roots under the numeric march
+    (dict(c_00=-1, c_0m=Q(1, 2), c_mm=2), Branch(-1.0, 2.0, sign=1, xi0=0.5),
+     (-1.0, 1.0)),
+]
+_RATIONAL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(GAUGE_SHAPES), c_p=_RATIONAL, c_0=_RATIONAL,
+       c_m=_RATIONAL, n=st.integers(0, 4))
+def test_gauge_matches_quadrature_oracle(shape, c_p, c_0, c_m, n):
+    """The closed-form antiderivative against adaptive quadrature of the
+    same integrand, to 1e-10 relative."""
+    quadratic, branch, (lo, hi) = shape
+    bp = bp_of(**quadratic, c_p=c_p, c_0=c_0, c_m=c_m, n=n)
+    mapping = build_mapping(bp, branch, u_range=(lo, hi))
+    xs = np.linspace(lo, hi, 13)
+    x0 = 0.5 * (lo + hi) + 0.1
+    want = quadrature_gauge(bp, mapping, x0)(xs)
+    got = np.asarray(build_gauge(bp, mapping, x0)(xs))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
+def _family_params(name, sign, negative):
+    """Parameters of a QES family; negative flips alpha, beta resp. gamma."""
+    flip = -1 if negative else 1
+    if name.startswith("periodic"):
+        return {"alpha": flip * 0.7, "beta": flip * 1.2, "a": 0.3}
+    sigma = {"hyperbolic-v1": 1, "hyperbolic-v2": -1}.get(
+        name, 1 if sign == "+" else -1)
+    return {"gamma": flip * 0.9, "eta": -sigma * 1.5, "a": -0.2}
+
+
+@pytest.mark.parametrize("negative", [False, True])
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("name", [f for f in FAMILY_NAMES
+                                  if f.startswith(("periodic", "hyperbolic"))])
+def test_qes_gauge_matches_hand_written_rule(name, sign, negative):
+    """Every column over the whole plot range, turning points included,
+    equals the per-shape exponent-and-prefactor rule up to one constant."""
+    entry = make_entry(name, _family_params(name, sign, negative), sign, 4)
+    x = np.linspace(*entry.plot_range, 401)
+    g = entry.gauge(x)
+    for j in range(entry.n + 1):
+        got = entry.closed_form_wavefunction(j)(x, g)
+        want = hand_written_psi(entry, j)(x)
+        k = int(np.argmax(np.abs(want)))
+        scale = got[k] / want[k]
+        assert np.max(np.abs(got - scale * want)) <= \
+            1e-12 * np.max(np.abs(got)), f"psi_{j}"
 
 
 # ------------------------------------------------------------ wavefunctions
@@ -248,7 +324,10 @@ def test_assemble_periodic_family_four_ground_state():
                        sign="+", n=0)
     psi = entry.closed_form_wavefunction(0)
     xs = np.linspace(-2.0, 2.0, 9)
-    assert np.allclose(psi(xs), np.exp(np.sin(xs / 2.0) ** 2), rtol=1e-12)
+    # the gauge is 1 at gauge_x0
+    x0 = entry.gauge_x0
+    assert np.allclose(psi(xs), np.exp(np.sin(xs / 2.0) ** 2
+                                       - math.sin(x0 / 2.0) ** 2), rtol=1e-12)
 
 
 def test_assemble_hyperbolic_family_three():
@@ -257,14 +336,7 @@ def test_assemble_hyperbolic_family_three():
     lv = entry.spectral().levels[0]
     psi = entry.closed_form_wavefunction(0)
     xs = np.linspace(-1.5, 1.5, 9)
-    expected = (np.exp(-0.5 * np.cosh(2 * xs))
+    # the gauge is 1 at gauge_x0
+    expected = (np.exp(-0.5 * (np.cosh(2 * xs) - math.cosh(2 * entry.gauge_x0)))
                 * (lv.b[0] + lv.b[1] * np.cosh(2 * xs)))
     assert np.allclose(psi(xs), expected, rtol=1e-12)
-
-
-def test_prefactor_tags():
-    tag = PrefactorTag("cos", freq=0.5, center=0.0)
-    assert tag(0.0) == pytest.approx(1.0)
-    assert PrefactorTag("none")(3.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        PrefactorTag("tan")

@@ -77,13 +77,17 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
 
     assert {"cli.main", "pipeline.write_json_atomic"} <= {
         span[3] for span in tracer.spans if span[0] == "list"}
-    assert "algebra.hamiltonian_matrix" in {
-        span[3] for span in tracer.spans if span[0] == "build"}
+    build = [span[3] for span in tracer.spans if span[0] == "build"]
+    assert "algebra.hamiltonian_matrix" in build
     assert tracer.counts["build"]["algebra.entries"] == 16
+    # build and general share one gauge rule: one gauge pass per grid
+    assert build.count("mapping.GaugeFactor.__call__") == 1
+    assert build.count("mapping.WaveFunction.__call__") == 4
     for n in (2, 8):
         names = [span[3] for span in tracer.spans if span[0] == f"general-{n}"]
         assert names.count("mapping.GaugeFactor.__call__") == 1
         assert names.count("mapping.WaveFunction.__call__") == n + 1
+    # the gauge makes no quad call: the numeric march makes them all
     quads = [tracer.counts[f"general-{n}"]["mapping.quad_calls"]
              for n in (2, 8)]
     assert quads[0] == quads[1] > 0
