@@ -128,7 +128,6 @@ class CatalogEntry:
     potential: PotentialModel
     fd_defaults: dict
     plot_range: tuple[float, float]
-    gauge_x0: float
     _spectral: SpectralResult | None = field(default=None, init=False,
                                              repr=False)
 
@@ -194,6 +193,7 @@ class EsEntry(CatalogEntry):
 
 @dataclass(kw_only=True)
 class QesEntry(CatalogEntry):
+    gauge_x0: float                # the gauge is 1 here
     energy_offset: float
     sector_coefficient: Fraction   # m; sector_count() is 2m
 
@@ -317,7 +317,7 @@ def _harmonic(fam, p, s, n):
             domain=(-np.inf, np.inf)),
         fd_defaults={"x_min": -half, "x_max": half, "points": 2001,
                      "bc": "dirichlet", "base_tol": 1e-3},
-        plot_range=(-5.0, 5.0), gauge_x0=0.0,
+        plot_range=(-5.0, 5.0),
         _energy_fn=lambda j: (j + 0.5) * wf, _psi_fn=psi,
         _algebra_at=algebra_at,
     )
@@ -352,7 +352,7 @@ def _morse(fam, p, s, n):
             domain=(-np.inf, np.inf)),
         fd_defaults={"x_min": -2.8, "x_max": 22.0, "points": 4001,
                      "bc": "dirichlet", "base_tol": 1e-3},
-        plot_range=(-2.5, 8.0), gauge_x0=0.0,
+        plot_range=(-2.5, 8.0),
         max_j=_bound_states_below(Af / alf),
         _energy_fn=lambda j: -(Af - j * alf) ** 2, _psi_fn=psi,
         _algebra_at=algebra_at,
@@ -396,7 +396,7 @@ def _poschl_teller(fam, p, s, n):
         # 1e-3 energy tolerance.
         fd_defaults={"x_min": 1e-5, "x_max": 12.0, "points": 2401,
                      "bc": "dirichlet", "base_tol": 1e-3},
-        plot_range=(0.02, 8.0), gauge_x0=1.0,
+        plot_range=(0.02, 8.0),
         # bound states need A - B - 2 j alpha > 0
         max_j=_bound_states_below((Af - Bf) / (2 * alf)),
         _energy_fn=lambda j: -(Af - Bf - 2 * j * alf) ** 2, _psi_fn=psi,
@@ -448,7 +448,7 @@ def _scarf_ii(fam, p, s, n):
         potential=PotentialModel(v, domain=(-np.inf, np.inf)),
         fd_defaults={"x_min": -16.0, "x_max": 16.0, "points": 3201,
                      "bc": "dirichlet", "base_tol": 1e-3},
-        plot_range=(-8.0, 8.0), gauge_x0=0.0,
+        plot_range=(-8.0, 8.0),
         max_j=_bound_states_below(Af / alf),
         _energy_fn=lambda j: -(Af - j * alf) ** 2, _psi_fn=psi,
         _algebra_at=algebra_at,
@@ -485,7 +485,7 @@ def _coulomb(fam, p, s, n):
         potential=PotentialModel(v, domain=(0.0, np.inf)),
         fd_defaults={"x_min": 1e-3, "x_max": 200.0, "points": 20001,
                      "bc": "dirichlet", "base_tol": 5e-3},
-        plot_range=(0.05, 40.0), gauge_x0=1.0,
+        plot_range=(0.05, 40.0),
         _energy_fn=lambda j: -e2f ** 2 / (4.0 * (j + l + 1) ** 2),
         _psi_fn=psi, _algebra_at=algebra_at,
     )

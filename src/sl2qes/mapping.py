@@ -10,7 +10,7 @@ the operator polynomials B4, B3, B2 evaluated along xi(u(x)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -100,6 +100,11 @@ class Branch:
 
 
 def _real_roots(poly: Polynomial) -> list[float]:
+    """Real roots; repeated roots are divided out exactly first, since
+    floats split a double root into two about 1e-8 apart."""
+    common = poly_gcd(poly, poly.derivative())
+    if common.degree > 0:
+        poly, _ = divmod(poly, common)
     coeffs = poly.float_coeffs()[::-1]  # descending for numpy
     if len(coeffs) <= 1:
         return []
@@ -108,6 +113,7 @@ def _real_roots(poly: Polynomial) -> list[float]:
     return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-9 * scale)
 
 
+@dataclass(eq=False)
 class Mapping:
     """Evaluator for xi(u(x)) on one branch of (dxi/du)^2 = B4(xi).
 
@@ -116,108 +122,97 @@ class Mapping:
     signed so that it stays analytic through the turning point.
     """
 
-    def __init__(self, b4: Polynomial, branch: Branch, transform: UTransform,
-                 xi_fn, dxi_fn, closed_form: str | None, root_factors=None):
-        self.b4 = b4
-        self.branch = branch
-        self.transform = transform
-        self._xi_fn = xi_fn
-        self._dxi_fn = dxi_fn
-        self.closed_form = closed_form
-        self.root_factors = root_factors or {}
+    b4: Polynomial
+    branch: Branch
+    transform: UTransform
+    _xi_fn: object
+    closed_form: str | None
+    root_factors: dict = field(default_factory=dict)
 
     def xi_of_u(self, u):
         return self._xi_fn(np.asarray(u, float))
-
-    def dxi_du(self, u):
-        return self._dxi_fn(np.asarray(u, float))
 
     def xi_of_x(self, x):
         return self.xi_of_u(self.transform.u(x))
 
 
 def _recognize_shape(b4: Polynomial):
-    """Match B4 against the closed-form shapes; returns (tag, c, k) or None.
+    """The closed-form shape (tag, c, k, h) of a B4 of degree <= 2; raises
+    BranchError where B4 is nowhere positive.
 
-    Shapes, with c > 0: constant c; c*xi; c*xi^2; c*(xi^2 - k^2);
-    c*(xi^2 + k^2); c*(k^2 - xi^2).
+    Completing the square in exact arithmetic, B4 = p (xi - h)^2 + q with
+    q = B4(h), so in eta = xi - h the signs of p and q pick the shape, with
+    c > 0: c (affine); c*eta^2 (exp); c*(eta^2 - k^2) (cosh);
+    c*(eta^2 + k^2) (sinh); c*(k^2 - eta^2) (cos).  A linear B4 is c*eta
+    about its root h, for c of either sign (sqrt).
     """
-    if b4.degree == 0:
-        c = b4.coefficient(0)
-        if c > 0:
-            return ("affine", float(c), 0.0)
-        return None
+    if b4.degree == 0 and b4.coefficient(0) > 0:
+        return ("affine", float(b4.coefficient(0)), 0.0, 0.0)
     if b4.degree == 1:
-        if b4.coefficient(0) == 0 and b4.coefficient(1) > 0:
-            return ("sqrt", float(b4.coefficient(1)), 0.0)
-        return None
-    if b4.degree == 2 and b4.coefficient(1) == 0:
+        c = b4.coefficient(1)
+        return ("sqrt", float(c), 0.0, float(-b4.coefficient(0) / c))
+    if b4.degree == 2:
         p = b4.coefficient(2)
-        q = b4.coefficient(0)
-        if p > 0 and q == 0:
-            return ("exp", float(p), 0.0)
-        if p > 0 and q < 0:
-            return ("cosh", float(p), math.sqrt(float(-q / p)))
-        if p > 0 and q > 0:
-            return ("sinh", float(p), math.sqrt(float(q / p)))
-        if p < 0 and q > 0:
-            return ("cos", float(-p), math.sqrt(float(-q / p)))
-    return None
+        h = -b4.coefficient(1) / (2 * p)
+        q = b4(h)
+        k = math.sqrt(float(abs(q / p)))
+        if p > 0:
+            tag = "exp" if q == 0 else ("cosh" if q < 0 else "sinh")
+            return (tag, float(p), k, float(h))
+        if q > 0:
+            return ("cos", float(-p), k, float(h))
+    raise BranchError("B4 is not positive anywhere")
 
 
-def _closed_form_maps(tag: str, c: float, k: float, branch: Branch):
-    """xi(u), dxi/du and the root factors (see ``Mapping``) for a recognized
-    shape, pinned at xi(0) = xi0."""
+def _closed_form_maps(tag: str, c: float, k: float, h: float, branch: Branch):
+    """xi(u) and the root factors (see ``Mapping``) for a recognized shape,
+    pinned at xi(0) = xi0.  The shape's map is solved for eta = xi - h, and
+    h is added back once."""
     s = float(branch.sign)
-    rc = math.sqrt(c)
-    xi0 = branch.xi0
+    rc = math.sqrt(abs(c))
+    e0 = branch.xi0 - h
 
     if tag == "affine":
-        return (lambda u: xi0 + s * rc * u,
-                lambda u: s * rc * np.ones_like(u), {})
-    if tag == "sqrt":
-        # xi >= 0 branch; xi0 = 0 gives the even map xi = c u^2 / 4
-        r0 = math.sqrt(max(xi0, 0.0))
-        return (lambda u: (r0 + s * rc * u / 2.0) ** 2,
-                lambda u: (r0 + s * rc * u / 2.0) * s * rc,
-                {0.0: lambda u: r0 + s * rc * u / 2.0})
-    if tag == "exp":
-        if xi0 == 0:
-            raise BranchError("exponential map needs a nonzero anchor")
-        sg = 1.0 if xi0 > 0 else -1.0
-        return (lambda u: xi0 * np.exp(s * sg * rc * u),
-                lambda u: xi0 * s * sg * rc * np.exp(s * sg * rc * u), {})
-    if tag == "sinh":
-        t0 = math.asinh(xi0 / k)
-        return (lambda u: k * np.sinh(t0 + s * rc * u),
-                lambda u: k * rc * s * np.cosh(t0 + s * rc * u), {})
-    # xi = sg k cos(theta) resp. sg k cosh(theta) with theta = t0 + dth u;
+        eta, factors = (lambda u: e0 + s * rc * u), {}
+    elif tag == "sqrt":
+        # c eta >= 0 on the branch; e0 = 0 gives the even map eta = c u^2 / 4
+        sg = math.copysign(1.0, c)
+        r0 = math.sqrt(max(sg * e0, 0.0))
+        root = (lambda u: r0 + sg * s * rc * u / 2.0)
+        eta, factors = (lambda u: sg * root(u) ** 2), {0.0: root}
+    elif tag == "exp":
+        if e0 == 0:
+            raise BranchError("exp branch needs xi0 off the double root")
+        sg = 1.0 if e0 > 0 else -1.0
+        eta, factors = (lambda u: e0 * np.exp(s * sg * rc * u)), {}
+    elif tag == "sinh":
+        t0 = math.asinh(e0 / k)
+        eta, factors = (lambda u: k * np.sinh(t0 + s * rc * u)), {}
+    # eta = sg k cos(theta) resp. sg k cosh(theta) with theta = t0 + dth u;
     # anchored at a turning point (t0 = 0) the map is even in u and the
     # recorded sign applies on the u > 0 side
-    if tag == "cosh":
-        if abs(xi0) < k:
-            raise BranchError("anchor must satisfy |xi0| >= k on a cosh branch")
-        sg = 1.0 if xi0 > 0 else -1.0
-        t0 = math.acosh(abs(xi0) / k)
+    elif tag == "cosh":
+        if abs(e0) < k:
+            raise BranchError("cosh branch needs |xi0 - h| >= k")
+        sg = 1.0 if e0 > 0 else -1.0
+        t0 = math.acosh(abs(e0) / k)
         dth = rc if t0 == 0.0 else s * sg * rc
-        # xi - sg k = 2 sg k sinh^2(theta/2), xi + sg k = 2 sg k cosh^2(theta/2)
-        return (lambda u: sg * k * np.cosh(t0 + dth * u),
-                lambda u: sg * k * dth * np.sinh(t0 + dth * u),
-                {sg * k: lambda u: np.sinh((t0 + dth * u) / 2.0),
-                 -sg * k: lambda u: np.cosh((t0 + dth * u) / 2.0)})
-    if tag == "cos":
-        if abs(xi0) > k:
-            raise BranchError("anchor must satisfy |xi0| <= k on a cos branch")
-        if abs(xi0) == k:
-            sg, t0, dth = (1.0 if xi0 > 0 else -1.0), 0.0, rc
+        # eta - sg k = 2 sg k sinh^2(theta/2), eta + sg k = 2 sg k cosh^2(theta/2)
+        eta = (lambda u: sg * k * np.cosh(t0 + dth * u))
+        factors = {sg * k: lambda u: np.sinh((t0 + dth * u) / 2.0),
+                   -sg * k: lambda u: np.cosh((t0 + dth * u) / 2.0)}
+    else:  # cos
+        if abs(e0) > k:
+            raise BranchError("cos branch needs |xi0 - h| <= k")
+        if abs(e0) == k:
+            sg, t0, dth = (1.0 if e0 > 0 else -1.0), 0.0, rc
         else:
-            sg, t0, dth = 1.0, math.acos(xi0 / k), -s * rc
-        # xi - sg k = -2 sg k sin^2(theta/2), xi + sg k = 2 sg k cos^2(theta/2)
-        return (lambda u: sg * k * np.cos(t0 + dth * u),
-                lambda u: -sg * k * dth * np.sin(t0 + dth * u),
-                {sg * k: lambda u: np.sin((t0 + dth * u) / 2.0),
-                 -sg * k: lambda u: np.cos((t0 + dth * u) / 2.0)})
-    raise ValueError(f"unknown shape {tag}")
+            sg, t0, dth = 1.0, math.acos(e0 / k), -s * rc
+        # eta - sg k = -2 sg k sin^2(theta/2), eta + sg k = 2 sg k cos^2(theta/2)
+        eta = (lambda u: sg * k * np.cos(t0 + dth * u))
+        factors = {sg * k: lambda u: np.sin((t0 + dth * u) / 2.0),
+                   -sg * k: lambda u: np.cos((t0 + dth * u) / 2.0)}
+    return (lambda u: h + eta(u)), {h + r: f for r, f in factors.items()}
 
 
 def _integrate_inv_sqrt(b4_fn, a: float, b: float) -> float:
@@ -299,7 +294,6 @@ def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
         )
     slopes = s * np.sqrt(np.maximum(b4(xs), 0.0))
     spline = CubicHermiteSpline(us, xs, slopes)
-    dspline = spline.derivative()
 
     def xi_fn(u):
         u = np.asarray(u, float)
@@ -307,7 +301,7 @@ def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
             raise BranchError("u outside the tabulated range")
         return spline(u)
 
-    return xi_fn, (lambda u: dspline(np.asarray(u, float)))
+    return xi_fn
 
 
 def build_mapping(bp: BPolynomials, branch: Branch,
@@ -315,9 +309,10 @@ def build_mapping(bp: BPolynomials, branch: Branch,
                   u_range: tuple[float, float] = (-10.0, 10.0)) -> Mapping:
     """Construct the xi(u(x)) evaluator for one branch.
 
-    Recognizes the closed-form shapes of B4 and installs the exact map;
-    anything else falls back to numeric quadrature of u(xi) inverted through
-    a monotone table.  Raises BranchError when B4 is not positive on the
+    Every B4 of degree <= 2 gets the exact map of its completed-square
+    shape (``_recognize_shape``); a cubic or quartic B4 is mapped by
+    numeric quadrature of u(xi), inverted through a monotone table that
+    covers ``u_range``.  Raises BranchError when B4 is not positive on the
     branch interior.
     """
     if transform is None:
@@ -338,14 +333,12 @@ def build_mapping(bp: BPolynomials, branch: Branch,
     if probe is not None and probe <= 0:
         raise BranchError("B4 is not positive on the branch interior")
 
-    shape = _recognize_shape(b4)
-    if shape is not None:
-        tag, c, k = shape
-        xi_fn, dxi_fn, factors = _closed_form_maps(tag, c, k, branch)
-        return Mapping(b4, branch, transform, xi_fn, dxi_fn, tag, factors)
-
-    xi_fn, dxi_fn = _numeric_maps(b4, branch, u_range)
-    return Mapping(b4, branch, transform, xi_fn, dxi_fn, None)
+    if b4.degree > 2:
+        return Mapping(b4, branch, transform,
+                       _numeric_maps(b4, branch, u_range), None)
+    tag, c, k, h = _recognize_shape(b4)
+    xi_fn, factors = _closed_form_maps(tag, c, k, h, branch)
+    return Mapping(b4, branch, transform, xi_fn, tag, factors)
 
 
 def evaluate_potential(bp: BPolynomials, d_value: float, mapping: Mapping,
@@ -495,7 +488,10 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float) -> GaugeFactor:
     simple root with a positive-integer residue c_k that the map reaches at
     a turning point contributes the map's signed root factor to the power
     c_k (see ``Mapping``), so the wavefunction continues through the turning
-    point; any other pole on the path raises SingularPointError.
+    point; any other pole on the path raises SingularPointError.  A path
+    that passes such a pole at a turning point and comes back shows as a
+    sign change of its root factor over x0 and the samples (a pole passed
+    twice between two adjacent samples does not).
 
     g(x0) = 1, except that a root factor vanishing at x0 is kept as it
     is.  A call returns ``GaugeSamples`` and evaluates every requested
@@ -517,7 +513,7 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float) -> GaugeFactor:
     base_u = float(np.asarray(t0.u(x0)))
     base_du = float(np.asarray(t0.du(x0)))
     poles = _real_roots(rat_den)
-    logs, factors = [], []
+    logs, factors, turning = [], [], []
     for r, c in zip(roots, residues):
         if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
             logs.append((r, c))
@@ -530,6 +526,8 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float) -> GaugeFactor:
         else:
             logs.append((r, c))
             poles.append(r)
+            if fn is not None:
+                turning.append((r, fn))
 
     def exponent(xi):
         out = poly(xi) + rat(xi) / rat_den(xi)
@@ -551,12 +549,15 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float) -> GaugeFactor:
         xi = np.asarray(mapping.xi_of_x(xs))
         lo = min(float(xi.min()), base_xi)
         hi = max(float(xi.max()), base_xi)
-        for r in poles:
-            if lo - 1e-12 <= r <= hi + 1e-12:
-                raise SingularPointError(
-                    f"gauge integration path crosses a pole at xi={r:g}"
-                )
         u = t0.u(xs)
+        path = np.append(u, base_u)
+        crossed = [r for r in poles if lo - 1e-12 <= r <= hi + 1e-12]
+        crossed += [r for r, f in turning
+                    if abs(np.sign(f(path)).sum()) < path.size]
+        if crossed:
+            raise SingularPointError(
+                f"gauge integration path crosses a pole at xi={crossed[0]:g}"
+            )
         factor = base_sign * np.sqrt(base_du / t0.du(xs))
         for _, f, power in factors:
             factor = factor * f(u) ** power
@@ -589,10 +590,6 @@ class WaveFunction:
         if np.ndim(x) == 0:
             return float(np.asarray(out))
         return out
-
-    def l2_norm(self, grid: np.ndarray) -> float:
-        vals = self(grid)
-        return float(np.sqrt(np.trapezoid(vals ** 2, grid)))
 
 
 def assemble_wavefunction(gauge, coeffs, mapping: Mapping) -> WaveFunction:

@@ -54,7 +54,8 @@ def jacobi(j: int, a, b, z):
 
 def scaled_exp(exponent, factor=1.0):
     """factor * exp(exponent), computed through log magnitude when the
-    exponent is large enough to overflow or underflow double precision."""
+    exponent is large enough to overflow or underflow double precision.
+    A value beyond the float range comes out as +-inf, one below it as 0."""
     exponent = np.asarray(exponent, dtype=float)
     factor = np.asarray(factor, dtype=float)
     exponent, factor = np.broadcast_arrays(exponent, factor)
@@ -65,9 +66,7 @@ def scaled_exp(exponent, factor=1.0):
         big = ~small
         if np.any(big):
             mag = np.where(factor[big] != 0.0, np.log(np.abs(factor[big])), -np.inf)
-            logval = exponent[big] + mag
-            val = np.where(logval < -745.0, 0.0, np.exp(np.clip(logval, -745.0, 709.0)))
-            out[big] = np.sign(factor[big]) * val
+            out[big] = np.sign(factor[big]) * np.exp(exponent[big] + mag)
     if out.ndim == 0:
         return float(out)
     return out

@@ -19,9 +19,9 @@ from sl2qes.algebra import AlgebraCoefficients, poly_gcd
 from sl2qes.errors import SingularPointError
 from sl2qes.specfun import scaled_exp
 
-# general-mode coefficients whose B4 = 5/2 + xi/2 - xi^2 has a linear term, so
-# the map is the numeric march; its branch reaches u = +-pi/2 only
-MARCH_SET = {"C++": "0", "C+0": "0", "C00": "-1", "C0-": "1/4", "C--": "5/2",
+# general-mode coefficients whose B4 = (1 - xi^2)(2 + xi) is cubic, so the map
+# is the numeric march; its branch (-1, 1) reaches u in [-1.37, 0.97] only
+MARCH_SET = {"C++": "0", "C+0": "-1/2", "C00": "-2", "C0-": "1/2", "C--": "2",
              "C+": "0", "C0": "1/2", "C-": "1/2", "d": "free", "n": 8}
 
 

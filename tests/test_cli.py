@@ -309,8 +309,8 @@ def test_general_columns_match_per_level_assembly(tmp_path):
     alg = tmp_path / "alg.json"
     alg.write_text(json.dumps(dict(MARCH_SET, n=3)))
     out = tmp_path / "run"
-    assert run(["general", "--algebra", str(alg), "--x-min", "-1",
-                "--x-max", "1", "--samples", "101", "--out-dir",
+    assert run(["general", "--algebra", str(alg), "--x-min", "-0.5",
+                "--x-max", "0.5", "--samples", "101", "--out-dir",
                 str(out)]) == 0
     header, table = _read_columns(out / "wavefunctions.csv")
     assert header == ["x", "psi_0", "psi_1", "psi_2", "psi_3"]
@@ -318,11 +318,11 @@ def test_general_columns_match_per_level_assembly(tmp_path):
     coeffs = AlgebraCoefficients.from_json_dict(dict(MARCH_SET, n=3))
     bp = b_polynomials(coeffs)
     branch = json.loads((out / "spectrum.json").read_text())["branch"]
-    x = np.linspace(-1.0, 1.0, 101)
+    x = np.linspace(-0.5, 0.5, 101)
     mapping = build_mapping(
         bp, Branch(branch["xi_min"], branch["xi_max"], branch["sign"],
                    branch["xi0"]),
-        identity_shift(0.0), u_range=(-1.0, 1.0))
+        identity_shift(0.0), u_range=(-0.5, 0.5))
     assert mapping.closed_form is None
     x0 = float(x[len(x) // 2])
     levels = solve_algebraic_sector(coeffs.with_free_d()).levels
@@ -370,7 +370,23 @@ def test_general_unreachable_range_is_a_branch_error(tmp_path, capsys):
                     "--x-max", "5", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()[-1]
     assert err == ("error: requested u range is unreachable on this branch "
-                   "(covered [-1.57079, 1.57079])")
+                   "(covered [-1.37017, 0.972667])")
+    assert not out.exists()
+
+
+def test_general_pole_beyond_turning_point_is_an_error(tmp_path, capsys):
+    """B4 = 5/2 - xi^2, whose roots +-sqrt(5/2) are gauge poles with
+    residues that are not positive integers: x = +-5 lies beyond the turning
+    points, where the cos map has turned back into the branch, so no sample
+    lands on a pole; the path from x0 still passes one."""
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"C00": "-1", "C--": "5/2", "C0": "1/2",
+                               "C-": "1/2", "d": "free", "n": 8}))
+    out = tmp_path / "run"
+    assert run(["general", "--algebra", str(alg), "--x-min", "-5",
+                "--x-max", "5", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == "error: gauge integration path crosses a pole at xi=1.58114"
     assert not out.exists()
 
 

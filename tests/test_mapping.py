@@ -3,15 +3,18 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.integrate import quad
 
 from sl2qes.algebra import AlgebraCoefficients, b_polynomials
 from sl2qes.catalog import FAMILY_NAMES, make_entry
 from sl2qes.errors import BranchError, SingularPointError
+from sl2qes.specfun import scaled_exp
 from sl2qes.mapping import (
     Branch,
     assemble_wavefunction,
     build_gauge,
+    _numeric_maps,
     build_mapping,
     evaluate_potential,
     half_line_sqrt,
@@ -22,6 +25,9 @@ from oracles import hand_written_psi, quadrature_gauge
 
 def bp_of(**kw):
     return b_polynomials(AlgebraCoefficients(**kw))
+
+
+_RATIONAL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 
 
 # ------------------------------------------------------------ closed shapes
@@ -89,31 +95,123 @@ def test_chain_rule_against_weight(name, params, sign, n):
     else:
         u = np.linspace(0.01, 1.5, 100)
     xi = m.xi_of_u(u)
-    lhs = m.dxi_du(u)
     rhs = m.branch.sign * np.sqrt(np.asarray(m.b4(xi), float))
-    assert np.max(np.abs(lhs - rhs)) < 1e-8
-    # cross-check with a central difference
     h = 1e-6
     num = (m.xi_of_u(u + h) - m.xi_of_u(u - h)) / (2 * h)
     assert np.max(np.abs(num - rhs)) < 1e-7
 
 
+def test_shifted_weight_matches_exact_solution():
+    # B4 = 2 + xi - xi^2 = 9/4 - (xi - 1/2)^2 is the cos shape about h = 1/2;
+    # the exact solution of the flow is xi = 1/2 + (3/2) sin(u) from
+    # xi0 = 1/2, through both turning points
+    bp = bp_of(c_00=-1, c_0m=Q(1, 2), c_mm=2, n=1)
+    m = build_mapping(bp, Branch(-1.0, 2.0, sign=1, xi0=0.5))
+    assert m.closed_form == "cos"
+    assert sorted(m.root_factors) == [-1.0, 2.0]
+    u = np.linspace(-4.0, 4.0, 41)
+    assert np.max(np.abs(m.xi_of_u(u) - (0.5 + 1.5 * np.sin(u)))) < 1e-14
+
+
+def test_negative_slope_linear_weight():
+    bp = bp_of(c_0m=-1, c_mm=3, n=0)   # B4 = 3 - 2 xi, positive for xi < 3/2
+    m = build_mapping(bp, Branch(-np.inf, 1.5, sign=1, xi0=1.0))
+    assert m.closed_form == "sqrt"
+    assert list(m.root_factors) == [1.5]
+    # xi = 3/2 - (sqrt(1/2) - u/sqrt(2))^2 reaches the root at u = 1
+    u = np.linspace(-2.0, 3.0, 11)
+    want = 1.5 - (math.sqrt(0.5) - u / math.sqrt(2.0)) ** 2
+    assert np.max(np.abs(m.xi_of_u(u) - want)) < 1e-14
+
+
+def _positive_branches(p, q, r):
+    """Intervals where B4 = p xi^2 + q xi + r > 0, between its real roots
+    (found from the exact discriminant, so a double root stays one root)."""
+    disc = q * q - 4 * p * r
+    if p == 0:
+        roots = [] if q == 0 else [float(-r / q)]
+    elif disc == 0:
+        roots = [float(-q / (2 * p))]
+    elif disc > 0:
+        roots = sorted((-float(q) + s * math.sqrt(disc)) / float(2 * p)
+                       for s in (-1, 1))
+    else:
+        roots = []
+    bounds = [-np.inf] + roots + [np.inf]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:])
+            if p * _inside(lo, hi) ** 2 + q * _inside(lo, hi) + r > 0]
+
+
+def _inside(lo, hi, frac=0.5):
+    if np.isfinite(lo) and np.isfinite(hi):
+        return lo + frac * (hi - lo)
+    if np.isfinite(hi):
+        return hi - 2.0 * frac
+    return lo + 2.0 * frac if np.isfinite(lo) else 4.0 * frac - 2.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(p=_RATIONAL, q=_RATIONAL, r=_RATIONAL, pick=st.integers(0, 2),
+       frac=st.floats(0.1, 0.9), sign=st.sampled_from([1, -1]))
+# a double root at -7/6, which float root finding splits into two
+@example(p=Q(1, 4), q=Q(7, 12), r=Q(49, 144), pick=1, frac=0.5, sign=1)
+@example(p=Q(1, 4), q=Q(7, 12), r=Q(49, 144), pick=0, frac=0.3, sign=-1)
+@example(p=Q(0), q=Q(-1), r=Q(1), pick=0, frac=0.5, sign=-1)
+@example(p=Q(0), q=Q(0), r=Q(2), pick=0, frac=0.5, sign=1)
+def test_quadratic_weight_has_closed_form(p, q, r, pick, frac, sign):
+    """Every B4 of degree <= 2 that is positive on its branch is mapped in
+    closed form: xi(0) = xi0, a central difference of xi(u) is
+    sign * sqrt(B4), and the numeric march agrees to 1e-9."""
+    branches = _positive_branches(p, q, r)
+    assume(branches)
+    lo, hi = branches[pick % len(branches)]
+    xi0 = _inside(lo, hi, frac)
+    branch = Branch(lo, hi, sign=sign, xi0=xi0)
+    bp = bp_of(c_00=p, c_0m=q / 2, c_mm=r, n=0)
+    b4 = bp.b4
+
+    def reach(end):
+        """u from xi0 to a branch end: finite at a simple root only."""
+        if not np.isfinite(end) or (p != 0 and q * q == 4 * p * r):
+            return np.inf
+        return abs(quad(lambda t: float(b4(t)) ** -0.5, xi0, end)[0])
+
+    down, up = (reach(lo), reach(hi))[::sign]
+    u_lo, u_hi = max(-1.0, -0.7 * down), min(1.0, 0.7 * up)
+
+    m = build_mapping(bp, branch)
+    assert m.closed_form is not None
+    assert m.xi_of_u(0.0) == pytest.approx(xi0, rel=1e-12, abs=1e-12)
+    u = np.linspace(u_lo, u_hi, 21)
+    xi = m.xi_of_u(u)
+    h = 1e-6
+    num = (m.xi_of_u(u + h) - m.xi_of_u(u - h)) / (2 * h)
+    want = sign * np.sqrt(b4(xi))
+    assert np.max(np.abs(num - want)) < 1e-7
+    march = _numeric_maps(b4, branch, (u_lo, u_hi))
+    assert np.max(np.abs(march(u) - xi)) < 1e-9 * max(1.0, np.max(np.abs(xi)))
+
+
 # ------------------------------------------------------------- numeric mode
 
-def numeric_case():
-    # B4 = 2 + xi - xi^2 has a linear term, so no closed shape applies;
-    # exact solution of the flow is xi = 1/2 + (3/2) sin(u) from xi0 = 1/2
-    c = AlgebraCoefficients(c_00=-1, c_0m=Q(1, 2), c_mm=2, d=None, n=1)
-    return b_polynomials(c)
+def cubic_case():
+    # B4 = (1 - xi^2)(2 + xi) is cubic: no closed shape, the numeric march
+    return bp_of(c_p0=Q(-1, 2), c_00=-2, c_0m=Q(1, 2), c_mm=2, n=1)
 
 
-def test_numeric_mapping_matches_exact_solution():
-    bp = numeric_case()
-    m = build_mapping(bp, Branch(-1.0, 2.0, sign=1, xi0=0.5),
-                      u_range=(-1.3, 1.3))
+def test_cubic_weight_is_marched():
+    bp = cubic_case()
+    m = build_mapping(bp, Branch(-1.0, 1.0, sign=1, xi0=0.0),
+                      u_range=(-1.3, 0.9))
     assert m.closed_form is None
-    u = np.linspace(-1.2, 1.2, 41)
-    assert np.max(np.abs(m.xi_of_u(u) - (0.5 + 1.5 * np.sin(u)))) < 1e-10
+    assert m.root_factors == {}
+    u = np.linspace(-1.3, 0.9, 41)
+    h = 1e-6
+    num = (m.xi_of_u(u + h) - m.xi_of_u(u - h)) / (2 * h)
+    assert np.max(np.abs(num - np.sqrt(bp.b4(m.xi_of_u(u))))) < 1e-7
+    with pytest.raises(BranchError, match="unreachable"):
+        build_mapping(bp, Branch(-1.0, 1.0, sign=1, xi0=0.0),
+                      u_range=(-1.0, 1.0))
 
 
 def test_negative_weight_rejected():
@@ -234,14 +332,16 @@ def test_gauge_rejects_path_through_pole():
     assert np.allclose(np.asarray(g(xs[:2])), quad_g(xs[:2]), rtol=1e-10,
                        atol=0)
 
-    # residue 1/2 at xi = -1 (B4 = 1 - xi^2, A2 = 1 + xi): |xi + 1|^(1/4)
-    # has no continuation through the turning point
+    # residue -1 at xi = 1 (B4 = 1 - xi^2, A2 = 1 + xi): |xi - 1|^(-1/2)
+    # has no continuation through the turning point at u = pi/2, where the
+    # map xi = sin(u) turns back; no sample beyond it lands on the pole
     bp = bp_of(c_00=-1, c_mm=1, c_0=1, c_m=1, n=0)
     m = build_mapping(bp, Branch(-1.0, 1.0, sign=1, xi0=0.0))
     g = build_gauge(bp, m, 0.0)
     g(np.array([0.5, 1.5]))
-    with pytest.raises(SingularPointError):
-        g(np.array([0.5, math.pi / 2]))     # xi = -1
+    for xs in ([0.5, math.pi / 2], [0.5, 2.0], [3.0]):
+        with pytest.raises(SingularPointError):
+            g(np.array(xs))
 
 
 # B4 shapes with their branch and a safe x range, and what the reduced
@@ -256,11 +356,13 @@ GAUGE_SHAPES = [
      (-1.5, 1.5)),
     # 2 xi^2: a double root at 0
     (dict(c_00=2), Branch(0.0, np.inf, sign=1, xi0=1.0), (-1.0, 1.0)),
-    # 2 + xi - xi^2: simple real roots under the numeric march
+    # 2 + xi - xi^2, the cos shape about 1/2: simple real roots
     (dict(c_00=-1, c_0m=Q(1, 2), c_mm=2), Branch(-1.0, 2.0, sign=1, xi0=0.5),
      (-1.0, 1.0)),
+    # (1 - xi^2)(2 + xi): simple real roots under the numeric march
+    (dict(c_p0=Q(-1, 2), c_00=-2, c_0m=Q(1, 2), c_mm=2),
+     Branch(-1.0, 1.0, sign=1, xi0=0.0), (-0.8, 0.8)),
 ]
-_RATIONAL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -309,6 +411,14 @@ def test_qes_gauge_matches_hand_written_rule(name, sign, negative):
 
 
 # ------------------------------------------------------------ wavefunctions
+
+def test_scaled_exp_overflows_to_inf():
+    """Just inside the float range the value is exact; past it, +-inf
+    rather than a clipped +-exp(709); below it, 0."""
+    assert scaled_exp(709.5, 1.0) == math.exp(709.5)
+    assert scaled_exp(800.0, -1.0) == -math.inf
+    assert scaled_exp(-800.0, 1.0) == 0.0
+
 
 def test_assemble_constant_polynomial():
     bp = bp_of(c_00=-1, c_mm=1, c_p=-1, c_0=-2, c_m=2, n=0)

@@ -62,15 +62,19 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
                                 "--sign", "+", "--n", "3",
                                 "--out-dir", str(tmp_path / "build")]) == 0
         tracer.close_case()
-        # general mode: one gauge pass per run, whatever the level count
-        for n in (2, 8):
-            alg = tmp_path / f"general-{n}.json"
-            alg.write_text(json.dumps(dict(MARCH_SET, n=n)))
-            tracer.open_case(f"general-{n}")
+        # general mode: one gauge pass per run, whatever the level count;
+        # the cubic B4 is marched, the quadratic 5/2 + xi/2 - xi^2 is not
+        quadratic = dict(MARCH_SET, **{"C+0": "0", "C00": "-1",
+                                       "C0-": "1/4", "C--": "5/2"})
+        for case, data in (("general-2", dict(MARCH_SET, n=2)),
+                           ("general-8", MARCH_SET),
+                           ("quadratic", quadratic)):
+            alg = tmp_path / f"{case}.json"
+            alg.write_text(json.dumps(data))
+            tracer.open_case(case)
             assert sl2qes.cli.main(["general", "--algebra", str(alg),
-                                    "--x-min", "-1", "--x-max", "1",
-                                    "--out-dir",
-                                    str(tmp_path / f"general-{n}")]) == 0
+                                    "--x-min", "-0.5", "--x-max", "0.5",
+                                    "--out-dir", str(tmp_path / case)]) == 0
             tracer.close_case()
     finally:
         tracer.uninstall()
@@ -87,10 +91,14 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
         names = [span[3] for span in tracer.spans if span[0] == f"general-{n}"]
         assert names.count("mapping.GaugeFactor.__call__") == 1
         assert names.count("mapping.WaveFunction.__call__") == n + 1
-    # the gauge makes no quad call: the numeric march makes them all
+    # the gauge makes no quad call: the numeric march makes them all, and
+    # only a cubic or quartic B4 is marched
     quads = [tracer.counts[f"general-{n}"]["mapping.quad_calls"]
              for n in (2, 8)]
     assert quads[0] == quads[1] > 0
+    assert tracer.counts["general-8"]["mapping.numeric_maps"] == 1
+    assert tracer.counts["quadratic"]["mapping.quad_calls"] == 0
+    assert tracer.counts["quadratic"]["mapping.numeric_maps"] == 0
     for (mod, attr), original in functions.items():
         assert getattr(sys.modules[f"sl2qes.{mod}"], attr) is original
     for (mod, cls, name), original in methods.items():
