@@ -86,10 +86,6 @@ class Polynomial:
         return cls(())
 
     @classmethod
-    def one(cls) -> "Polynomial":
-        return cls.of(1)
-
-    @classmethod
     def monomial(cls, power: int, coeff=1) -> "Polynomial":
         c = as_fraction(coeff)
         if power < 0:
@@ -191,21 +187,6 @@ class Polynomial:
 
     def float_coeffs(self) -> list[float]:
         return [float(c) for c in self.coeffs]
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for r, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if r == 0:
-                parts.append(str(c))
-            elif r == 1:
-                parts.append(f"{c}*xi")
-            else:
-                parts.append(f"{c}*xi^{r}")
-        return " + ".join(parts)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -21,7 +21,7 @@ from .algebra import AlgebraCoefficients, b_polynomials
 from .errors import Sl2QesError
 from .mapping import (
     Branch,
-    _real_roots,
+    _roots,
     assemble_wavefunction,
     build_gauge,
     build_mapping,
@@ -176,7 +176,7 @@ def _general_branch(bp, args):
     if args.xi_min is not None:
         lo, hi = args.xi_min, args.xi_max
     else:
-        bounds = [-np.inf] + sorted(set(_real_roots(b4))) + [np.inf]
+        bounds = [-np.inf] + sorted(set(_roots(b4)[0])) + [np.inf]
         candidates = [(left, right) for left, right in zip(bounds, bounds[1:])
                       if b4(_inside(left, right)) > 0]
         if not candidates:
@@ -209,9 +209,7 @@ def _cmd_general(args) -> int:
 
     branch = _general_branch(bp, args)
     x = np.linspace(x_lo, x_hi, args.samples)
-    u = transform.u(x)
-    mapping = build_mapping(bp, branch, transform,
-                            u_range=(float(np.min(u)), float(np.max(u))))
+    mapping = build_mapping(bp, branch, transform)
 
     solved = solve_algebraic_sector(coeffs.with_free_d())
     d_value = float(coeffs.d) if coeffs.d is not None else solved.levels[0].d

@@ -14,7 +14,8 @@ class InvalidParameterError(Sl2QesError, ValueError):
 
 
 class BranchError(Sl2QesError, ValueError):
-    """No usable branch: the quartic weight is not positive, or the map is not monotone."""
+    """No usable branch: the quartic weight is not positive, or a requested
+    u lies beyond the branch's reach."""
 
 
 class SingularPointError(Sl2QesError, ValueError):

@@ -5,16 +5,21 @@ B4 > 0; composing with a fixed u(x) (either a shift u = x - a or the
 half-line map u = 2*sqrt(x)) produces a Schroedinger problem in x.  The
 potential and the gauge factor of the wavefunction are both determined by
 the operator polynomials B4, B3, B2 evaluated along xi(u(x)).
+
+Every map is exact: elementary for a B4 of degree <= 2, and for a cubic
+or quartic B4 an elliptic u(xi) inverted by safeguarded Newton steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
+# unused here: kept only because perfbench's tracer wraps mapping.quad
 from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline
+from scipy.special import elliprf
 
 from .algebra import BPolynomials, Polynomial, poly_gcd
 from .errors import BranchError, SingularPointError
@@ -65,12 +70,6 @@ class UTransform:
             return np.zeros_like(np.asarray(x, float))
         return 0.75 * np.asarray(x, float) ** -2.5
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        if self.kind == "shift":
-            return (-np.inf, np.inf)
-        return (0.0, np.inf)
-
 
 def identity_shift(a: float = 0.0) -> UTransform:
     return UTransform("shift", float(a))
@@ -99,24 +98,45 @@ class Branch:
             raise BranchError("anchor xi0 lies outside the branch interval")
 
 
-def _real_roots(poly: Polynomial) -> list[float]:
-    """Real roots; repeated roots are divided out exactly first, since
-    floats split a double root into two about 1e-8 apart."""
-    common = poly_gcd(poly, poly.derivative())
-    if common.degree > 0:
-        poly, _ = divmod(poly, common)
-    coeffs = poly.float_coeffs()[::-1]  # descending for numpy
-    if len(coeffs) <= 1:
-        return []
-    roots = np.roots(coeffs)
-    scale = 1.0 + max(abs(r) for r in roots) if len(roots) else 1.0
-    return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-9 * scale)
+def _polish(poly: Polynomial, z: complex) -> complex:
+    """z after a Newton step on poly with the residual evaluated exactly."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    vals = []
+    for p in (poly, poly.derivative()):
+        re = im = Fraction(0)
+        for c in reversed(p.coeffs):
+            re, im = re * x - im * y + c, re * y + im * x
+        vals.append(complex(float(re), float(im)))
+    return z - vals[0] / vals[1]
+
+
+def _roots(poly: Polynomial) -> tuple[list[float], list[complex]]:
+    """(real roots, upper members of the complex pairs), repeated by
+    multiplicity.  An exact squarefree split keeps a repeated root one
+    float (np.roots splits a double root about 1e-8 apart), and the roots of
+    a factor of degree > 2 are polished, as np.roots loses digits on
+    clustered roots (1e-13 seen)."""
+    parts = []   # parts[k] holds each root of multiplicity > k once
+    while poly.degree > 0:
+        common = poly_gcd(poly, poly.derivative())
+        parts.append(divmod(poly, common)[0])
+        poly = common
+    roots = []
+    for mult, part in enumerate(parts, 1):
+        part = divmod(part, parts[mult])[0] if mult < len(parts) else part
+        found = [complex(z) for z in np.roots(part.float_coeffs()[::-1])]
+        roots += [_polish(part, z) if part.degree > 2 else z
+                  for z in found] * mult
+    scale = 1.0 + max((abs(r) for r in roots), default=0.0)
+    return ([r.real for r in roots if abs(r.imag) <= 1e-9 * scale],
+            [r for r in roots if r.imag > 1e-9 * scale])
 
 
 @dataclass(eq=False)
 class Mapping:
     """Evaluator for xi(u(x)) on one branch of (dxi/du)^2 = B4(xi).
 
+    ``closed_form`` is a tag of ``_recognize_shape`` or "elliptic".
     ``root_factors`` maps each root r of B4 that a closed-form map reaches
     at a turning point to a function of u proportional to |xi - r|^(1/2),
     signed so that it stays analytic through the turning point.
@@ -126,7 +146,7 @@ class Mapping:
     branch: Branch
     transform: UTransform
     _xi_fn: object
-    closed_form: str | None
+    closed_form: str
     root_factors: dict = field(default_factory=dict)
 
     def xi_of_u(self, u):
@@ -215,105 +235,103 @@ def _closed_form_maps(tag: str, c: float, k: float, h: float, branch: Branch):
     return (lambda u: h + eta(u)), {h + r: f for r, f in factors.items()}
 
 
-def _integrate_inv_sqrt(b4_fn, a: float, b: float) -> float:
-    """integral of B4^(-1/2) from a to b.  Raises BranchError where B4 is
-    not positive in floats.  Next to a root of B4 its rounding bounds the
-    integrand's accuracy, and quad reaches 1e-14 to 1e-12 absolute there,
-    hence epsabs 1e-12: a tighter request only warns."""
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
+def _elliptic_maps(b4: Polynomial, branch: Branch):
+    """xi(u) for a cubic or quartic B4: u(xi) = s Int_xi0^xi B4^(-1/2) in
+    closed form, inverted by Newton steps kept inside a bracket.
 
-    def b4_pos(t):
-        value = b4_fn(t)
-        if not value > 0:
-            raise BranchError(f"B4 is not positive at xi={t!r} in floats")
-        return value
+    With a real root, Carlson's Int_y^x = 2 R_F(U12^2, U13^2, U14^2) (DLMF
+    19.29.4) runs over the square roots of the linear factors of B4 / |lead|,
+    conjugate pairs first and 1 as a cubic's fourth; a real root's factor is
+    signed by the side of xi0 it lies on and clamped at 0 at the ends.  Two
+    complex pairs p_k +- i q_k, where that formula wraps, go to Legendre's F
+    by xi = p1 + q1 tan(theta).  An infinite end is evaluated at +-1e150
+    (tail below 1e-75).  A u outside [u(lo), u(hi)] raises BranchError.
+    """
+    lo, hi, xi0, s = branch.lo, branch.hi, branch.xi0, float(branch.sign)
+    if not lo < xi0 < hi:
+        raise BranchError("elliptic mapping needs an interior anchor")
+    real, pairs = _roots(b4)
+    sides = [1.0 if r < xi0 else -1.0 for r in real]
+    rlead = math.sqrt(abs(float(b4.coefficient(b4.degree))))
 
-    val, _ = quad(lambda t: b4_pos(t) ** -0.5, a, b, epsabs=1e-12,
-                  epsrel=1e-11, limit=200)
-    return sign * val
+    def factors(x):
+        out = [np.sqrt(x - w) for z in pairs for w in (z, z.conjugate())]
+        out += [np.sqrt(np.maximum(e * (x - r), 0.0))
+                for e, r in zip(sides, real)]
+        return out + [1.0] * (4 - len(out))
 
+    if real:
+        ys = factors(xi0)
 
-def _numeric_maps(b4: Polynomial, branch: Branch, u_range: tuple[float, float]):
-    """Quadrature table for u(xi) plus a monotone Hermite inverse for xi(u)."""
-    if not (branch.lo < branch.xi0 < branch.hi):
-        raise BranchError("numeric mapping needs an interior anchor")
+        def integral(x):
+            x = np.clip(x, -1e150, 1e150)
+            xs, d = factors(x), np.where(x == xi0, 1.0, x - xi0)
+            us = [((xs[0] * xs[k] * ys[i] * ys[j]
+                    + ys[0] * ys[k] * xs[i] * xs[j]) / d) ** 2
+                  for k, i, j in ((1, 2, 3), (2, 1, 3), (3, 1, 2))]
+            return (x != xi0) * np.sign(d) * 2 * np.real(elliprf(*us)) / rlead
+    else:
+        # |xi - z2|^2 cos^2(theta) = lam (cos^2 + ratio sin^2)(theta - phi);
+        # ratio is formed without cancellation: it nears 0 for a narrow pair
+        (p1, q1), (p2, q2) = [(z.real, z.imag) for z in pairs]
+        a, b, c = (p1 - p2) ** 2 + q2 ** 2, (p1 - p2) * q1, q1 ** 2
+        lam = (a + c) / 2 + math.hypot((a - c) / 2, b)
+        ratio, phi = (q1 * q2 / lam) ** 2, 0.5 * math.atan2(b, (a - c) / 2)
 
-    s = float(branch.sign)
-    u_lo, u_hi = min(u_range), max(u_range)
-    span = max(u_hi - u_lo, abs(u_lo), abs(u_hi), 1e-6)
-    du_step = span / 900.0
+        def legendre(x):   # F(psi | 1 - ratio), continued past +-pi/2
+            psi = np.arctan((x - p1) / q1) - phi
+            n = np.round(psi / np.pi)
+            sin, cos = np.sin(psi - n * np.pi), np.cos(psi - n * np.pi)
+            return (sin * elliprf(cos * cos, cos * cos + ratio * sin * sin, 1)
+                    + 2 * n * elliprf(0, ratio, 1)) / (rlead * math.sqrt(lam))
+        integral = (lambda x: legendre(x) - legendre(xi0))
 
-    def march(direction):
-        # direction +1 marches xi upward; u moves by s*direction
-        xs, us = [branch.xi0], [0.0]
-        limit = branch.hi if direction > 0 else branch.lo
-        target = (u_hi if s * direction > 0 else u_lo)
-        while (us[-1] * s * direction) < abs(target) + 2.0 * du_step:
-            x_cur = xs[-1]
-            step = direction * du_step * math.sqrt(max(b4(x_cur), 1e-300))
-            x_next = x_cur + step
-            if direction > 0 and x_next >= limit:
-                x_next = x_cur + 0.5 * (limit - x_cur)
-            if direction < 0 and x_next <= limit:
-                x_next = x_cur + 0.5 * (limit - x_cur)
-            if abs(x_next - x_cur) < 1e-14 * (1.0 + abs(x_cur)):
-                break
-            # halving toward the branch end stops at its rounding zone,
-            # where B4 (zero at a root) is not resolved in floats
-            if abs(limit - x_next) <= 1e-12 * (1.0 + abs(x_cur) + abs(x_next)):
-                break
-            try:
-                du = _integrate_inv_sqrt(b4, x_cur, x_next)
-            except BranchError:   # B4 rounds to zero before the branch end
-                break
-            xs.append(x_next)
-            us.append(us[-1] + s * du)
-            if len(xs) > 20000:
-                break
-        return xs[1:], us[1:]
-
-    xs_up, us_up = march(+1)
-    xs_dn, us_dn = march(-1)
-    xs = list(reversed(xs_dn)) + [branch.xi0] + xs_up
-    us = list(reversed(us_dn)) + [0.0] + us_up
-    xs = np.asarray(xs)
-    us = np.asarray(us)
-    order = np.argsort(us)
-    us, xs = us[order], xs[order]
-    if np.any(np.diff(us) <= 0):
-        raise BranchError("u(xi) is not monotone on this branch")
-    if us[0] > u_lo + 1e-9 or us[-1] < u_hi - 1e-9:
-        raise BranchError(
-            "requested u range is unreachable on this branch "
-            f"(covered [{us[0]:.6g}, {us[-1]:.6g}])"
-        )
-    slopes = s * np.sqrt(np.maximum(b4(xs), 0.0))
-    spline = CubicHermiteSpline(us, xs, slopes)
+    # bisection runs in t = arctan((xi - xi0) / w), which compactifies an
+    # infinite end; a 33-point table in t gives the first guess
+    w = 1.0 + abs(xi0)
+    ts = np.linspace(np.arctan((lo - xi0) / w), np.arctan((hi - xi0) / w), 33)
+    table = integral(np.concatenate([[lo], xi0 + w * np.tan(ts[1:-1]), [hi]]))
+    reach = sorted((s * table[0], s * table[-1]))
 
     def xi_fn(u):
-        u = np.asarray(u, float)
-        if np.any(u < us[0] - 1e-9) or np.any(u > us[-1] + 1e-9):
-            raise BranchError("u outside the tabulated range")
-        return spline(u)
+        if np.any(u < reach[0]) or np.any(u > reach[1]):
+            raise BranchError("requested u range is unreachable on this branch"
+                              f" (covered [{reach[0]:.6g}, {reach[1]:.6g}])")
+        f = s * u.ravel()
+        # an end is its own inverse; a nan u stays nan
+        xi = np.where(f <= table[0], lo, np.where(f >= table[-1], hi, np.nan))
+        inner = np.flatnonzero((table[0] < f) & (f < table[-1]))
+        f, xa, xb = f[inner], np.full(inner.size, lo), np.full(inner.size, hi)
+        x = xi0 + w * np.tan(np.interp(f, table[1:-1], ts[1:-1]))
+        prev = np.full_like(x, np.nan)
+        for _ in range(64):
+            xs, r = factors(x), integral(x) - f
+            step = r * rlead * np.abs(xs[0] * xs[1] * xs[2] * xs[3])
+            xa, xb = np.where(r < 0, x, xa), np.where(r > 0, x, xb)
+            newton = (step != 0) & (xa <= x - step) & (x - step <= xb)
+            mid = np.arctan((xa - xi0) / w) + np.arctan((xb - xi0) / w)
+            nxt = np.where(newton, x - step,
+                           np.clip(xi0 + w * np.tan(mid / 2), xa, xb))
+            # converged, or hopping between two floats at the rounding floor
+            done = (r == 0) | (nxt == prev) | newton & (
+                np.abs(step) <= 2.0 ** -50 * (1.0 + np.abs(x)))
+            xi[inner[done]] = np.where(r == 0, x, nxt)[done]
+            inner, f, xa, xb, x, prev = (
+                v[~done] for v in (inner, f, xa, xb, nxt, x))
+            if not inner.size:
+                break
+        xi[inner] = x
+        return xi.reshape(np.shape(u))
 
     return xi_fn
 
 
 def build_mapping(bp: BPolynomials, branch: Branch,
-                  transform: UTransform | None = None,
-                  u_range: tuple[float, float] = (-10.0, 10.0)) -> Mapping:
-    """Construct the xi(u(x)) evaluator for one branch.
-
-    Every B4 of degree <= 2 gets the exact map of its completed-square
-    shape (``_recognize_shape``); a cubic or quartic B4 is mapped by
-    numeric quadrature of u(xi), inverted through a monotone table that
-    covers ``u_range``.  Raises BranchError when B4 is not positive on the
-    branch interior.
+                  transform: UTransform | None = None) -> Mapping:
+    """Construct the xi(u(x)) evaluator for one branch: the exact map of
+    a B4 of degree <= 2 (``_recognize_shape``), or the elliptic map of a
+    cubic or quartic B4 (``_elliptic_maps``).  Raises BranchError when B4
+    is not positive on the branch interior.
     """
     if transform is None:
         transform = identity_shift(0.0)
@@ -321,8 +339,8 @@ def build_mapping(bp: BPolynomials, branch: Branch,
     if b4.is_zero:
         raise BranchError("B4 vanishes identically")
 
-    interior = [r for r in _real_roots(b4)
-                if branch.lo + 1e-12 < r < branch.hi - 1e-12]
+    interior = sorted({r for r in _roots(b4)[0]
+                       if branch.lo + 1e-12 < r < branch.hi - 1e-12})
     if interior:
         raise BranchError(f"B4 has zeros inside the branch interval: {interior}")
     mid = branch.xi0 if branch.lo < branch.xi0 < branch.hi else \
@@ -334,8 +352,8 @@ def build_mapping(bp: BPolynomials, branch: Branch,
         raise BranchError("B4 is not positive on the branch interior")
 
     if b4.degree > 2:
-        return Mapping(b4, branch, transform,
-                       _numeric_maps(b4, branch, u_range), None)
+        return Mapping(b4, branch, transform, _elliptic_maps(b4, branch),
+                       "elliptic")
     tag, c, k, h = _recognize_shape(b4)
     xi_fn, factors = _closed_form_maps(tag, c, k, h, branch)
     return Mapping(b4, branch, transform, xi_fn, tag, factors)
@@ -512,7 +530,7 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float) -> GaugeFactor:
     base_xi = float(np.asarray(mapping.xi_of_x(x0)))
     base_u = float(np.asarray(t0.u(x0)))
     base_du = float(np.asarray(t0.du(x0)))
-    poles = _real_roots(rat_den)
+    poles = _roots(rat_den)[0]
     logs, factors, turning = [], [], []
     for r, c in zip(roots, residues):
         if abs(r.imag) > 1e-9 * (1.0 + abs(r)):

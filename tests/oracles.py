@@ -5,22 +5,26 @@ The characteristic polynomial is computed in exact rational arithmetic
 no code with the floating-point eigensolver it is used to check.  The gauge
 oracles are the two rules that ``mapping.build_gauge`` replaced: adaptive
 quadrature of the gauge integrand, and the exponent and prefactor written
-out by hand for each quasi-solvable shape.
+out by hand for each quasi-solvable shape.  The map oracle is the numeric
+march that the elliptic map replaced: quadrature of u(xi) step by step and
+a monotone Hermite inverse.
 """
 
 from fractions import Fraction
+import math
 import random
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline
 
 from sl2qes.algebra import AlgebraCoefficients, poly_gcd
-from sl2qes.errors import SingularPointError
+from sl2qes.errors import BranchError, SingularPointError
 from sl2qes.specfun import scaled_exp
 
 # general-mode coefficients whose B4 = (1 - xi^2)(2 + xi) is cubic, so the map
-# is the numeric march; its branch (-1, 1) reaches u in [-1.37, 0.97] only
+# is elliptic; its branch (-1, 1) reaches u in [-1.37, 0.97] only
 MARCH_SET = {"C++": "0", "C+0": "-1/2", "C00": "-2", "C0-": "1/2", "C--": "2",
              "C+": "0", "C0": "1/2", "C-": "1/2", "d": "free", "n": 8}
 
@@ -133,3 +137,57 @@ def hand_written_psi(entry, j):
         return scaled_exp(glog(u), pref * np.polyval(rev, xi))
 
     return psi
+
+
+def march_map(b4, branch, u_range):
+    """xi(u) on u_range by marching u(xi) = s Int B4^(-1/2) outward from
+    xi0 in quad steps of about 1/900 of the range, inverted through a
+    monotone Hermite table; BranchError where the march cannot cover
+    u_range.  Next to a root of B4 its rounding bounds the integrand, and
+    quad reaches 1e-14 to 1e-12 absolute there, hence epsabs 1e-12."""
+    s = float(branch.sign)
+    u_lo, u_hi = min(u_range), max(u_range)
+    du_step = max(u_hi - u_lo, abs(u_lo), abs(u_hi), 1e-6) / 900.0
+
+    def positive(t):
+        value = b4(t)
+        if not value > 0:
+            raise BranchError(f"B4 is not positive at xi={t!r} in floats")
+        return value
+
+    def march(direction):
+        # direction +1 marches xi upward; u moves by s*direction
+        xs, us = [branch.xi0], [0.0]
+        limit = branch.hi if direction > 0 else branch.lo
+        target = u_hi if s * direction > 0 else u_lo
+        while us[-1] * s * direction < abs(target) + 2.0 * du_step:
+            x_cur = xs[-1]
+            x_next = x_cur + direction * du_step * math.sqrt(
+                max(b4(x_cur), 1e-300))
+            if (x_next - limit) * direction >= 0:
+                x_next = x_cur + 0.5 * (limit - x_cur)
+            if abs(x_next - x_cur) < 1e-14 * (1.0 + abs(x_cur)):
+                break
+            # halving toward the branch end stops at its rounding zone
+            if abs(limit - x_next) <= 1e-12 * (1.0 + abs(x_cur) + abs(x_next)):
+                break
+            try:
+                du = quad(lambda t: positive(t) ** -0.5, min(x_cur, x_next),
+                          max(x_cur, x_next), epsabs=1e-12, epsrel=1e-11,
+                          limit=200)[0]
+            except BranchError:   # B4 rounds to zero before the branch end
+                break
+            xs.append(x_next)
+            us.append(us[-1] + s * direction * du)
+            if len(xs) > 20000:
+                break
+        return xs[1:], us[1:]
+
+    (xs_up, us_up), (xs_dn, us_dn) = march(+1), march(-1)
+    xs = np.asarray(xs_dn[::-1] + [branch.xi0] + xs_up)
+    us = np.asarray(us_dn[::-1] + [0.0] + us_up)
+    order = np.argsort(us)
+    us, xs = us[order], xs[order]
+    if us[0] > u_lo + 1e-9 or us[-1] < u_hi - 1e-9:
+        raise BranchError(f"march covers only [{us[0]:.6g}, {us[-1]:.6g}]")
+    return CubicHermiteSpline(us, xs, s * np.sqrt(np.maximum(b4(xs), 0.0)))

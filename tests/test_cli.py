@@ -322,8 +322,8 @@ def test_general_columns_match_per_level_assembly(tmp_path):
     mapping = build_mapping(
         bp, Branch(branch["xi_min"], branch["xi_max"], branch["sign"],
                    branch["xi0"]),
-        identity_shift(0.0), u_range=(-0.5, 0.5))
-    assert mapping.closed_form is None
+        identity_shift(0.0))
+    assert mapping.closed_form == "elliptic"
     x0 = float(x[len(x) // 2])
     levels = solve_algebraic_sector(coeffs.with_free_d()).levels
     assert np.array_equal(table[:, 0], x)
@@ -358,9 +358,8 @@ def test_general_gauge_through_turning_point(tmp_path):
 
 
 def test_general_unreachable_range_is_a_branch_error(tmp_path, capsys):
-    """x = +-5 lies beyond the branch: the march stops at the rounding zone
-    of B4's root, with no warning from numpy or from the quadrature, instead
-    of integrating NaN."""
+    """x = +-5 lies beyond the branch, whose exact reach ends at the simple
+    roots xi = -1 and 1, with no warning from numpy or scipy."""
     alg = tmp_path / "alg.json"
     alg.write_text(json.dumps(MARCH_SET))
     out = tmp_path / "run"
@@ -370,7 +369,30 @@ def test_general_unreachable_range_is_a_branch_error(tmp_path, capsys):
                     "--x-max", "5", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()[-1]
     assert err == ("error: requested u range is unreachable on this branch "
-                   "(covered [-1.37017, 0.972667])")
+                   "(covered [-1.37017, 0.972669])")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("quartic, cubic, covered", [
+    # B4 = xi^4 + 1: two complex pairs, u finite at both infinite ends
+    ("1", "0", "[-1.85407, 1.85407]"),
+    # B4 = xi^3 + 1 on (-1, inf) from xi0 = 0: a root end and an infinite end
+    ("0", "1/2", "[-1.40218, 2.80436]"),
+])
+def test_general_finite_u_branch_reports_its_reach(tmp_path, capsys, quartic,
+                                                   cubic, covered):
+    """A cubic or quartic B4 has finite u at an infinite branch end: the
+    default x range in [-3, 3] overshoots it, and the error names the exact
+    reach."""
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"C++": quartic, "C+0": cubic, "C00": "0",
+                               "C0-": "0", "C--": "1", "C+": "0", "C0": "0",
+                               "C-": "0", "d": "free", "n": 1}))
+    out = tmp_path / "run"
+    assert run(["general", "--algebra", str(alg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == ("error: requested u range is unreachable on this branch "
+                   f"(covered {covered})")
     assert not out.exists()
 
 

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction as Q
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from sl2qes.algebra import AlgebraCoefficients, b_polynomials
+from sl2qes.algebra import AlgebraCoefficients, Polynomial, b_polynomials
 from sl2qes.catalog import FAMILY_NAMES, make_entry
 from sl2qes.errors import BranchError, SingularPointError
 from sl2qes.specfun import scaled_exp
@@ -14,13 +15,12 @@ from sl2qes.mapping import (
     Branch,
     assemble_wavefunction,
     build_gauge,
-    _numeric_maps,
     build_mapping,
     evaluate_potential,
     half_line_sqrt,
 )
 
-from oracles import hand_written_psi, quadrature_gauge
+from oracles import MARCH_SET, hand_written_psi, march_map, quadrature_gauge
 
 
 def bp_of(**kw):
@@ -188,30 +188,118 @@ def test_quadratic_weight_has_closed_form(p, q, r, pick, frac, sign):
     num = (m.xi_of_u(u + h) - m.xi_of_u(u - h)) / (2 * h)
     want = sign * np.sqrt(b4(xi))
     assert np.max(np.abs(num - want)) < 1e-7
-    march = _numeric_maps(b4, branch, (u_lo, u_hi))
+    march = march_map(b4, branch, (u_lo, u_hi))
     assert np.max(np.abs(march(u) - xi)) < 1e-9 * max(1.0, np.max(np.abs(xi)))
 
 
-# ------------------------------------------------------------- numeric mode
+# ------------------------------------------------------------ elliptic maps
 
 def cubic_case():
-    # B4 = (1 - xi^2)(2 + xi) is cubic: no closed shape, the numeric march
+    # B4 = (1 - xi^2)(2 + xi) is cubic: no closed shape, an elliptic map
     return bp_of(c_p0=Q(-1, 2), c_00=-2, c_0m=Q(1, 2), c_mm=2, n=1)
 
 
-def test_cubic_weight_is_marched():
+def test_cubic_weight_is_elliptic():
     bp = cubic_case()
-    m = build_mapping(bp, Branch(-1.0, 1.0, sign=1, xi0=0.0),
-                      u_range=(-1.3, 0.9))
-    assert m.closed_form is None
+    m = build_mapping(bp, Branch(-1.0, 1.0, sign=1, xi0=0.0))
+    assert m.closed_form == "elliptic"
     assert m.root_factors == {}
     u = np.linspace(-1.3, 0.9, 41)
     h = 1e-6
     num = (m.xi_of_u(u + h) - m.xi_of_u(u - h)) / (2 * h)
     assert np.max(np.abs(num - np.sqrt(bp.b4(m.xi_of_u(u))))) < 1e-7
-    with pytest.raises(BranchError, match="unreachable"):
-        build_mapping(bp, Branch(-1.0, 1.0, sign=1, xi0=0.0),
-                      u_range=(-1.0, 1.0))
+    # the exact reach of the branch, from xi0 = 0 to the roots -1 and 1
+    assert list(m.xi_of_u(np.array([-1.3701716332668719, 0.0]))) == [-1, 0]
+    with pytest.raises(BranchError, match=r"unreachable on this branch "
+                       r"\(covered \[-1.37017, 0.972669\]\)"):
+        m.xi_of_u(np.array([0.0, 1.0]))
+    assert np.isnan(m.xi_of_u(np.nan))
+    with pytest.raises(BranchError, match="interior anchor"):
+        build_mapping(bp, Branch(-1.0, 1.0, sign=1, xi0=1.0))
+
+
+def test_elliptic_map_agrees_with_march():
+    """MARCH_SET's branch as general mode picks it, over most of its reach."""
+    bp = b_polynomials(AlgebraCoefficients.from_json_dict(MARCH_SET))
+    branch = Branch(-1.0, 1.0, sign=1, xi0=0.0)
+    u = np.linspace(-1.3, 0.9, 45)
+    march = march_map(bp.b4, branch, (-1.3, 0.9))
+    assert np.max(np.abs(build_mapping(bp, branch).xi_of_u(u) - march(u))) \
+        < 1e-9
+
+
+def _mp_integral(b4, a, b):
+    """Int_a^b B4^(-1/2) at 30 digits, split at the real parts of B4's
+    complex roots, where the integrand peaks."""
+    peaks = [float(r.real) for r in np.roots(b4.float_coeffs()[::-1])]
+    points = sorted({a, b} | {p for p in peaks if min(a, b) < p < max(a, b)})
+    with mpmath.workdps(30):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in b4.coeffs]
+        val = mpmath.quad(lambda t: 1 / mpmath.sqrt(mpmath.polyval(
+            coeffs[::-1], t)), points)
+    return float(val) if b >= a else -float(val)
+
+
+_PAIR = st.tuples(_RATIONAL, st.fractions(Q(1, 4), 2, max_denominator=4))
+_ROOT_SETS = {
+    "3 real": st.tuples(_RATIONAL, _RATIONAL, _RATIONAL),
+    "1 real + pair": st.tuples(_RATIONAL, _PAIR),
+    "4 real": st.tuples(_RATIONAL, _RATIONAL, _RATIONAL, _RATIONAL),
+    "2 real + pair": st.tuples(_RATIONAL, _RATIONAL, _PAIR),
+    "two pairs": st.tuples(_PAIR, _PAIR),
+    "double real": st.tuples(_RATIONAL, _RATIONAL).map(lambda r: (r[0],) + r),
+    "double real + 2 real": st.tuples(_RATIONAL, _RATIONAL, _RATIONAL).map(
+        lambda r: (r[0],) + r),
+    "double real + pair": st.tuples(_RATIONAL, _PAIR).map(
+        lambda r: (r[0],) + r),
+    "double pair": _PAIR.map(lambda p: (p, p)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots=st.one_of(*_ROOT_SETS.values()),
+       lead=st.sampled_from([Q(-2), Q(-1, 3), Q(1, 2), Q(3)]),
+       pick=st.integers(0, 3), frac=st.floats(0.1, 0.9),
+       sign=st.sampled_from([1, -1]),
+       fracs=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=4))
+@example(roots=(Q(-1), Q(1), Q(-2)), lead=Q(-1), pick=1, frac=0.5, sign=1,
+         fracs=[0.02, 0.5, 0.98])
+@example(roots=((Q(0), Q(1)), (Q(0), Q(1))), lead=Q(1), pick=0, frac=0.5,
+         sign=-1, fracs=[0.02, 0.98])
+def test_cubic_and_quartic_weights_are_elliptic(roots, lead, pick, frac, sign,
+                                                fracs):
+    """B4 from rational roots in every configuration: xi(0) = xi0, a
+    central difference of xi(u) is sign * sqrt(B4), and mpmath's
+    Int_xi0^xi(u) B4^(-1/2) is sign * u."""
+    b4 = Polynomial.of(lead)
+    for r in roots:
+        if isinstance(r, tuple):   # the pair p +- i q
+            b4 = b4 * Polynomial.of(r[0] ** 2 + r[1] ** 2, -2 * r[0], 1)
+        else:
+            b4 = b4 * Polynomial.of(-r, 1)
+    real = sorted({float(r) for r in roots if not isinstance(r, tuple)})
+    bounds = [-np.inf] + real + [np.inf]
+    branches = [(lo, hi) for lo, hi in zip(bounds, bounds[1:])
+                if lo < hi and b4(Q(_inside(lo, hi))) > 0]
+    assume(branches)
+    lo, hi = branches[pick % len(branches)]
+    xi0 = _inside(lo, hi, frac)
+    b = [b4.coefficient(k) for k in range(5)]
+    bp = bp_of(c_pp=b[4], c_p0=b[3] / 2, c_00=b[2], c_0m=b[1] / 2, c_mm=b[0],
+               n=0)
+    m = build_mapping(bp, Branch(lo, hi, sign=sign, xi0=xi0))
+    assert m.closed_form == "elliptic"
+    assert m.xi_of_u(0.0) == pytest.approx(xi0, rel=1e-15, abs=1e-15)
+    # u at points of the branch, by mpmath, so every u is reachable
+    u = np.array([sign * _mp_integral(b4, xi0, _inside(lo, hi, f))
+                  for f in fracs])
+    xi = m.xi_of_u(u)
+    h = 1e-6
+    num = (m.xi_of_u(u + h) - m.xi_of_u(u - h)) / (2 * h)
+    want = sign * np.sqrt(np.asarray(b4(xi), float))
+    assert np.all(np.abs(num - want) < 1e-7 * np.maximum(1.0, np.abs(want)))
+    for x, target in zip(xi, u):
+        assert abs(sign * _mp_integral(b4, xi0, float(x)) - target) < 1e-12
 
 
 def test_negative_weight_rejected():
@@ -359,7 +447,7 @@ GAUGE_SHAPES = [
     # 2 + xi - xi^2, the cos shape about 1/2: simple real roots
     (dict(c_00=-1, c_0m=Q(1, 2), c_mm=2), Branch(-1.0, 2.0, sign=1, xi0=0.5),
      (-1.0, 1.0)),
-    # (1 - xi^2)(2 + xi): simple real roots under the numeric march
+    # (1 - xi^2)(2 + xi): simple real roots under the elliptic map
     (dict(c_p0=Q(-1, 2), c_00=-2, c_0m=Q(1, 2), c_mm=2),
      Branch(-1.0, 1.0, sign=1, xi0=0.0), (-0.8, 0.8)),
 ]
@@ -373,7 +461,7 @@ def test_gauge_matches_quadrature_oracle(shape, c_p, c_0, c_m, n):
     same integrand, to 1e-10 relative."""
     quadratic, branch, (lo, hi) = shape
     bp = bp_of(**quadratic, c_p=c_p, c_0=c_0, c_m=c_m, n=n)
-    mapping = build_mapping(bp, branch, u_range=(lo, hi))
+    mapping = build_mapping(bp, branch)
     xs = np.linspace(lo, hi, 13)
     x0 = 0.5 * (lo + hi) + 0.1
     want = quadrature_gauge(bp, mapping, x0)(xs)
