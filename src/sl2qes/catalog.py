@@ -5,28 +5,29 @@ predicates with the text ``list-families`` prints, whether it takes a sign
 branch, and its class.  ``make_entry`` validates against the record and
 builds an ``EsEntry`` (fully solvable, ES) or a ``QesEntry``
 (quasi-solvable, QES): the operator coefficient data, the coordinate
-branch, the closed-form potential / energies / wavefunctions, and the
-defaults used by the numeric cross-check.
+branch, the closed-form energies / wavefunctions, the potential of its own
+B polynomials and map (``mapping.potential_from_operator``, which the
+numeric cross-check solves), and the defaults used by that cross-check.
 
 ES: the level index j selects the representation: level j is produced with
 n = j, the shift d evaluated at that n, and the closed-form energy E_j; the
-resulting potential is the same for every j, which the tests assert.
+resulting potential is the same for every j, which the tests assert.  The
+entry's potential is the one of level n.
 
 QES: n is fixed, d_j comes out of the algebraic-sector solve, and E_j =
 offset + d_j.  All eight families follow one rule in (shape, sigma, dq).
 sigma is the sign of the wavefunction exponent: -1, +1, s, s for periodic
 v1-v4 and +1, -1, s, s for hyperbolic v1-v4, with s the sign branch.
 q = n + dq with dq = 1, 1, 2, 0 (periodic) and 1, 1, 0, 2 (hyperbolic);
-m = (2n + 1 + dq)/2 is the sector coefficient (``sector_count`` is 2m);
-[dq=1] is 1 for dq = 1, else 0.
+the sector holds 2n + 1 + dq states (``sector_count``); [dq=1] is 1 for
+dq = 1, else 0.  The potential is taken at d = 0 and E = offset.
 - periodic, xi = cos beta(x-a): c+ = sigma alpha, c0 = -q beta^2,
-  c- = -sigma alpha + [dq=1] s beta^2; cos beta(x-a) coefficient
-  sigma alpha m; offset ((q^2-1)/4) beta^2 - alpha^2/(8 beta^2)
-  + [dq=1] sigma s alpha/2.
+  c- = -sigma alpha + [dq=1] s beta^2; offset ((q^2-1)/4) beta^2
+  - alpha^2/(8 beta^2) + [dq=1] sigma s alpha/2.
 - hyperbolic, xi = cosh 2gamma(x-a): c+ = 2 sigma gamma^2 eta,
   c0 = 4 q gamma^2, c- = -2 sigma gamma^2 eta + [dq=1] 4 s gamma^2;
-  cosh 2gamma(x-a) coefficient 2 sigma eta gamma^2 m; offset
-  -(q^2 + [dq=1] sigma s eta) gamma^2; normalizable iff sigma eta < 0.
+  offset -(q^2 + [dq=1] sigma s eta) gamma^2; normalizable iff
+  sigma eta < 0.
 - the gauge is not written per family: ``mapping.build_gauge`` derives it
   from B4 and B3.  Its exponent carries sigma, and its prefactor follows
   from B4's roots +-1 and the residues of (2 B3 - B4')/(2 B4) there: each
@@ -59,6 +60,7 @@ from .mapping import (
     build_mapping,
     half_line_sqrt,
     identity_shift,
+    potential_from_operator,
 )
 from .specfun import genlaguerre, hermite, jacobi, scaled_exp
 from .spectral import SpectralResult, compose_energies, solve_algebraic_sector
@@ -195,7 +197,6 @@ class EsEntry(CatalogEntry):
 class QesEntry(CatalogEntry):
     gauge_x0: float                # the gauge is 1 here
     energy_offset: float
-    sector_coefficient: Fraction   # m; sector_count() is 2m
 
     def _solve_sector(self):
         return compose_energies(solve_algebraic_sector(self.algebra),
@@ -222,7 +223,7 @@ class QesEntry(CatalogEntry):
                                      self.mapping)
 
     def sector_count(self) -> int:
-        return int(2 * abs(self.sector_coefficient))
+        return 2 * self.n + 1 + self.family.dq
 
     def operator_potential_data(self, j: int):
         """(bp, d, E, mapping) for the operator-route potential at level j."""
@@ -288,10 +289,18 @@ def _bound_states_below(x: float) -> int:
     return int(math.ceil(x - 1e-12)) - 1 if x > 0 else -1
 
 
-def _entry(cls, fam, p, s, n, alg, branch, transform, **fields):
+def _entry(cls, fam, p, s, n, alg, branch, transform,
+           domain=(-np.inf, np.inf), period=None, **fields):
+    """The entry, its potential from its own B polynomials and map: an ES
+    entry at d and the closed-form energy of level n, a QES entry at d = 0
+    and its offset (E_j - d_j is the offset for every level j)."""
     bp = b_polynomials(alg)
+    mapping = build_mapping(bp, branch, transform)
+    d, e = ((alg.d, fields["_energy_fn"](n)) if cls is EsEntry
+            else (0, fields["energy_offset"]))
     return cls(family=fam, params=p, sign=s, n=n, algebra=alg, bp=bp,
-               mapping=build_mapping(bp, branch, transform), **fields)
+               mapping=mapping, potential=potential_from_operator(
+                   bp, float(d), mapping, float(e), domain, period), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +321,6 @@ def _harmonic(fam, p, s, n):
     return _entry(
         EsEntry, fam, p, None, n, algebra_at(n),
         Branch(-np.inf, np.inf, sign=1, xi0=0.0), identity_shift(0.0),
-        potential=PotentialModel(
-            lambda x: 0.25 * wf ** 2 * np.asarray(x, float) ** 2,
-            domain=(-np.inf, np.inf)),
         fd_defaults={"x_min": -half, "x_max": half, "points": 2001,
                      "bc": "dirichlet", "base_tol": 1e-3},
         plot_range=(-5.0, 5.0),
@@ -346,10 +352,6 @@ def _morse(fam, p, s, n):
     return _entry(
         EsEntry, fam, p, None, n, algebra_at(n),
         Branch(0.0, np.inf, sign=1, xi0=1.0), identity_shift(0.0),
-        potential=PotentialModel(
-            lambda x: Bf ** 2 * np.exp(-2 * alf * np.asarray(x, float))
-            - Bf * (2 * Af + alf) * np.exp(-alf * np.asarray(x, float)),
-            domain=(-np.inf, np.inf)),
         fd_defaults={"x_min": -2.8, "x_max": 22.0, "points": 4001,
                      "bc": "dirichlet", "base_tol": 1e-3},
         plot_range=(-2.5, 8.0),
@@ -374,12 +376,6 @@ def _poschl_teller(fam, p, s, n):
             n=j,
         )
 
-    def v(x):
-        x = np.asarray(x, float)
-        sh = np.sinh(alf * x)
-        ch = np.cosh(alf * x)
-        return Bf * (Bf - alf) / sh ** 2 - Af * (Af + alf) / ch ** 2
-
     def psi(j, x):
         x = np.asarray(x, float)
         sh = np.sinh(alf * x)
@@ -390,7 +386,7 @@ def _poschl_teller(fam, p, s, n):
     return _entry(
         EsEntry, fam, p, None, n, algebra_at(n),
         Branch(1.0, np.inf, sign=1, xi0=1.0), identity_shift(0.0),
-        potential=PotentialModel(v, domain=(0.0, np.inf)),
+        domain=(0.0, np.inf),
         # Dirichlet at eps shifts levels by ~ eps * |psi'(0)|^2 / ||psi||^2
         # when B = alpha (no repulsive wall), so eps must sit well below the
         # 1e-3 energy tolerance.
@@ -419,12 +415,6 @@ def _scarf_ii(fam, p, s, n):
             n=j,
         )
 
-    def v(x):
-        x = np.asarray(x, float)
-        sech = 1.0 / np.cosh(alf * x)
-        return ((Bf ** 2 - Af * (Af + alf)) * sech ** 2
-                + Bf * (2 * Af + alf) * sech * np.tanh(alf * x))
-
     a_par = -1j * Bf / alf - Af / alf - 0.5
     b_par = +1j * Bf / alf - Af / alf - 0.5
 
@@ -445,7 +435,6 @@ def _scarf_ii(fam, p, s, n):
     return _entry(
         EsEntry, fam, p, None, n, algebra_at(n),
         Branch(-np.inf, np.inf, sign=1, xi0=0.0), identity_shift(0.0),
-        potential=PotentialModel(v, domain=(-np.inf, np.inf)),
         fd_defaults={"x_min": -16.0, "x_max": 16.0, "points": 3201,
                      "bc": "dirichlet", "base_tol": 1e-3},
         plot_range=(-8.0, 8.0),
@@ -468,10 +457,6 @@ def _coulomb(fam, p, s, n):
             n=j,
         )
 
-    def v(x):
-        x = np.asarray(x, float)
-        return -e2f / x + l * (l + 1) / x ** 2
-
     def psi(j, x):
         # radial solution: the polynomial index follows the level index
         kappa = e2f / (2.0 * (j + l + 1))
@@ -482,7 +467,7 @@ def _coulomb(fam, p, s, n):
     return _entry(
         EsEntry, fam, p, None, n, algebra_at(n),
         Branch(0.0, np.inf, sign=1, xi0=0.0), half_line_sqrt(),
-        potential=PotentialModel(v, domain=(0.0, np.inf)),
+        domain=(0.0, np.inf),
         fd_defaults={"x_min": 1e-3, "x_max": 200.0, "points": 20001,
                      "bc": "dirichlet", "base_tol": 5e-3},
         plot_range=(0.05, 40.0),
@@ -496,24 +481,18 @@ def _coulomb(fam, p, s, n):
 # family's (sigma, dq) row as in the module docstring
 
 def _qes_row(fam, s, n):
-    """(sigma, dq, q, m) of the family at sign branch s and index n."""
-    return fam.sigma or s, fam.dq, n + fam.dq, Fraction(2 * n + 1 + fam.dq, 2)
+    """(sigma, dq, q) of the family at sign branch s and index n."""
+    return fam.sigma or s, fam.dq, n + fam.dq
 
 
 def _periodic(fam, p, s, n):
-    sigma, dq, q, m = _qes_row(fam, s, n)
+    sigma, dq, q = _qes_row(fam, s, n)
     al, be = p["alpha"], p["beta"]
     alf, bef, af = float(al), float(be), float(p["a"])
     period = 2.0 * math.pi / abs(bef)
-    cc = sigma * alf * float(m)
     offset = ((q * q - 1) / 4.0) * bef ** 2 - alf ** 2 / (8.0 * bef ** 2)
     if dq == 1:
         offset += sigma * s * alf / 2.0
-
-    def v(x):
-        u = np.asarray(x, float) - af
-        return (-(alf ** 2 / (8.0 * bef ** 2)) * np.cos(2.0 * bef * u)
-                + cc * np.cos(bef * u) - bef ** 2 / 4.0)
 
     alg = AlgebraCoefficients(
         c_00=-be * be, c_mm=be * be, c_p=sigma * al, c_0=-q * be * be,
@@ -521,26 +500,19 @@ def _periodic(fam, p, s, n):
     )
     return _entry(
         QesEntry, fam, p, s, n, alg, Branch(-1.0, 1.0, sign=-1, xi0=1.0),
-        identity_shift(af),
-        potential=PotentialModel(v, domain=(-np.inf, np.inf), period=period),
+        identity_shift(af), period=period,
         fd_defaults={"x_min": af, "x_max": af + period, "points": 801,
                      "bc": "bands", "base_tol": 1e-3},
         plot_range=(af, af + period), gauge_x0=af + period / 4.0,
-        energy_offset=offset, sector_coefficient=m,
+        energy_offset=offset,
     )
 
 
 def _hyperbolic(fam, p, s, n):
-    sigma, dq, q, m = _qes_row(fam, s, n)
+    sigma, dq, q = _qes_row(fam, s, n)
     ga, eta = p["gamma"], p["eta"]
     gaf, etf, af = float(ga), float(eta), float(p["a"])
-    hc = sigma * 2.0 * etf * gaf ** 2 * float(m)
     offset = -(q * q + (sigma * s * etf if dq == 1 else 0)) * gaf ** 2
-
-    def v(x):
-        u = np.asarray(x, float) - af
-        return ((gaf ** 2 * etf ** 2 / 8.0) * np.cosh(4.0 * gaf * u)
-                + hc * np.cosh(2.0 * gaf * u) - gaf ** 2 * etf ** 2 / 8.0)
 
     alg = AlgebraCoefficients(
         c_00=4 * ga * ga, c_mm=-4 * ga * ga, c_p=sigma * 2 * ga * ga * eta,
@@ -551,11 +523,10 @@ def _hyperbolic(fam, p, s, n):
     return _entry(
         QesEntry, fam, p, s, n, alg, Branch(1.0, np.inf, sign=1, xi0=1.0),
         identity_shift(af),
-        potential=PotentialModel(v, domain=(-np.inf, np.inf)),
         fd_defaults={"x_min": af - 8.0, "x_max": af + 8.0, "points": 3201,
                      "bc": "dirichlet", "base_tol": 1e-3, "v_cap": 1e8},
         plot_range=(af - 3.0, af + 3.0), gauge_x0=af + 1.0,
-        energy_offset=offset, sector_coefficient=m,
+        energy_offset=offset,
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -81,6 +82,19 @@ def _int_at_least(low: int):
         return int(text)
 
     convert.__name__ = "int"    # argparse's "invalid int value: 'abc'"
+    return convert
+
+
+def _finite_float(positive: bool = False):
+    """argparse type: a finite float, and above 0 if ``positive``."""
+    def convert(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or positive and not value > 0:
+            need = "finite and positive" if positive else "finite"
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    convert.__name__ = "float"  # argparse's "invalid float value: 'abc'"
     return convert
 
 
@@ -281,19 +295,20 @@ def build_parser() -> argparse.ArgumentParser:
                            "finite-difference oracle", _cmd_verify)
     _add_catalog_flags(p_verify)
     p_verify.add_argument("--points", type=int, help="override grid points")
-    p_verify.add_argument("--tolerance", type=float)
+    p_verify.add_argument("--tolerance", type=_finite_float(positive=True))
 
     p_general = _run_parser(sub, "general", "run raw coefficient data "
                             "through the full pipeline", _cmd_general)
     p_general.add_argument("--algebra", help="coefficient JSON path")
     p_general.add_argument("--u-transform", choices=["identity", "two-sqrt"],
                            default="identity")
-    p_general.add_argument("--u-a", type=float, default=0.0)
+    p_general.add_argument("--u-a", type=_finite_float(), default=0.0)
     for name in ("--xi-min", "--xi-max", "--xi0"):
         p_general.add_argument(name, type=float)
-    p_general.add_argument("--e-convention", type=float, default=0.0)
-    p_general.add_argument("--x-min", type=float)
-    p_general.add_argument("--x-max", type=float)
+    p_general.add_argument("--e-convention", type=_finite_float(),
+                           default=0.0)
+    p_general.add_argument("--x-min", type=_finite_float())
+    p_general.add_argument("--x-max", type=_finite_float())
     return parser
 
 

@@ -99,15 +99,23 @@ class Branch:
 
 
 def _polish(poly: Polynomial, z: complex) -> complex:
-    """z after a Newton step on poly with the residual evaluated exactly."""
-    x, y = Fraction(z.real), Fraction(z.imag)
-    vals = []
-    for p in (poly, poly.derivative()):
-        re = im = Fraction(0)
-        for c in reversed(p.coeffs):
-            re, im = re * x - im * y + c, re * y + im * x
-        vals.append(complex(float(re), float(im)))
-    return z - vals[0] / vals[1]
+    """z after Newton steps on poly with the residual evaluated exactly,
+    repeated until they stop moving it: a fixed point or a hop between two
+    floats at the rounding floor (at most 32 steps)."""
+    polys, prev = (poly, poly.derivative()), None
+    for _ in range(32):
+        x, y = Fraction(z.real), Fraction(z.imag)
+        vals = []
+        for p in polys:
+            re = im = Fraction(0)
+            for c in reversed(p.coeffs):
+                re, im = re * x - im * y + c, re * y + im * x
+            vals.append(complex(float(re), float(im)))
+        nxt = z - vals[0] / vals[1]
+        if nxt in (z, prev):
+            return nxt
+        prev, z = z, nxt
+    return z
 
 
 def _roots(poly: Polynomial) -> tuple[list[float], list[complex]]:
@@ -361,45 +369,9 @@ def build_mapping(bp: BPolynomials, branch: Branch,
 
 def evaluate_potential(bp: BPolynomials, d_value: float, mapping: Mapping,
                        e_convention: float, x):
-    """Potential induced by the operator data under the coordinate chain.
-
-    V(x) = E - u'''/(2u') + (3/4)(u''/u')^2
-           - u'^2 * { B2 - (1/4)(2 B3' - B4'')
-                      - (2 B3 - B4')(2 B3 - 3 B4') / (16 B4) }
-
-    with every xi-polynomial evaluated at xi(u(x)) and B2 = B2_base + d.
-    The division by B4 is carried out exactly on the polynomial level, so a
-    zero of B4 only raises SingularPointError when the singularity is real
-    (the polynomial remainder does not cancel it).
-    """
-    x_arr = np.asarray(x, float)
-    t = mapping.transform
-    up = t.du(x_arr)
-    upp = t.d2u(x_arr)
-    uppp = t.d3u(x_arr)
-    xi = mapping.xi_of_x(x_arr)
-
-    b4 = mapping.b4
-    b4p = b4.derivative()
-    b4pp = b4p.derivative()
-    b3 = bp.b3
-    b3p = b3.derivative()
-
-    product = (2 * b3 - b4p) * (2 * b3 - 3 * b4p)
-    quot, rem = divmod(product, b4)
-
-    b2v = bp.b2_base(xi) + float(d_value)
-    bracket = b2v - 0.25 * (2.0 * b3p(xi) - b4pp(xi)) - quot(xi) / 16.0
-    if not rem.is_zero:
-        b4v = b4(xi)
-        if np.any(b4v == 0.0):
-            raise SingularPointError("B4 vanishes at a requested point")
-        bracket = bracket - rem(xi) / (16.0 * b4v)
-    v = (float(e_convention) - uppp / (2.0 * up) + 0.75 * (upp / up) ** 2
-         - up ** 2 * bracket)
-    if np.ndim(x) == 0:
-        return float(v)
-    return v
+    """The potential of ``potential_from_operator`` at x."""
+    return potential_from_operator(bp, d_value, mapping, e_convention,
+                                   (-np.inf, np.inf))(x)
 
 
 @dataclass
@@ -418,11 +390,40 @@ def potential_from_operator(bp: BPolynomials, d_value: float, mapping: Mapping,
                             e_convention: float,
                             domain: tuple[float, float],
                             period: float | None = None) -> PotentialModel:
-    return PotentialModel(
-        fn=lambda x: evaluate_potential(bp, d_value, mapping, e_convention, x),
-        domain=domain,
-        period=period,
-    )
+    """Potential induced by the operator data under the coordinate chain.
+
+    V(x) = E - u'''/(2u') + (3/4)(u''/u')^2
+           - u'^2 * { B2 - (1/4)(2 B3' - B4'')
+                      - (2 B3 - B4')(2 B3 - 3 B4') / (16 B4) }
+
+    with every xi-polynomial evaluated at xi(u(x)) and B2 = B2_base + d.
+    The division by B4 is carried out exactly on the polynomial level, so a
+    zero of B4 only raises SingularPointError when the singularity is real
+    (the polynomial remainder does not cancel it).  The exact polynomial
+    work is done here once; a call evaluates floats only.  Every catalog
+    entry's potential comes from this rule, as does the general mode's.
+    """
+    t, b4, b3 = mapping.transform, mapping.b4, bp.b3
+    b4p = b4.derivative()
+    b4pp, b3p = b4p.derivative(), b3.derivative()
+    quot, rem = divmod((2 * b3 - b4p) * (2 * b3 - 3 * b4p), b4)
+
+    def fn(x):
+        x_arr = np.asarray(x, float)
+        up, upp, uppp = t.du(x_arr), t.d2u(x_arr), t.d3u(x_arr)
+        xi = mapping.xi_of_x(x_arr)
+        b2v = bp.b2_base(xi) + float(d_value)
+        bracket = b2v - 0.25 * (2.0 * b3p(xi) - b4pp(xi)) - quot(xi) / 16.0
+        if not rem.is_zero:
+            b4v = b4(xi)
+            if np.any(b4v == 0.0):
+                raise SingularPointError("B4 vanishes at a requested point")
+            bracket = bracket - rem(xi) / (16.0 * b4v)
+        v = (float(e_convention) - uppp / (2.0 * up) + 0.75 * (upp / up) ** 2
+             - up ** 2 * bracket)
+        return float(v) if np.ndim(x) == 0 else v
+
+    return PotentialModel(fn, domain, period)
 
 
 def _solve_exact(rows, rhs) -> list:
@@ -485,9 +486,9 @@ class GaugeSamples:
 @dataclass
 class GaugeFactor:
     """Multiplicative non-polynomial factor of the wavefunction, normalized
-    to 1 at the reference point x0; a call returns ``GaugeSamples``."""
+    to 1 at the reference point x0 of ``build_gauge``; a call returns
+    ``GaugeSamples``."""
 
-    x0: float
     _fn: object
 
     def __call__(self, x):
@@ -523,20 +524,20 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float) -> GaugeFactor:
     numer, _ = divmod(numer, common)
     denom, _ = divmod(denom, common)
     poly, rat, rat_den, log_num, log_den = _split_integral(numer, denom)
-    roots = np.roots(log_den.float_coeffs()[::-1])
-    residues = log_num(roots) / log_den.derivative()(roots)
+    real, pairs = _roots(log_den)
+    dlog = log_den.derivative()
 
     t0 = mapping.transform
     base_xi = float(np.asarray(mapping.xi_of_x(x0)))
     base_u = float(np.asarray(t0.u(x0)))
     base_du = float(np.asarray(t0.du(x0)))
     poles = _roots(rat_den)[0]
-    logs, factors, turning = [], [], []
-    for r, c in zip(roots, residues):
-        if abs(r.imag) > 1e-9 * (1.0 + abs(r)):
-            logs.append((r, c))
-            continue
-        r, c, power = r.real, c.real, round(c.real)
+    # a conjugate pair adds 2 Re(c log(xi - z)) through its upper member z
+    logs = [(z, 2 * log_num(z) / dlog(z)) for z in pairs]
+    factors, turning = [], []
+    for r in real:
+        c = log_num(r) / dlog(r)
+        power = round(c)
         fn = next((f for root, f in mapping.root_factors.items()
                    if abs(root - r) <= 1e-12 * (1.0 + abs(r))), None)
         if fn is not None and power >= 1 and abs(c - power) <= 1e-9 * power:
@@ -581,7 +582,7 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float) -> GaugeFactor:
             factor = factor * f(u) ** power
         return GaugeSamples(exponent(xi) - base_exp, factor)
 
-    return GaugeFactor(x0=float(x0), _fn=fn)
+    return GaugeFactor(fn)
 
 
 @dataclass

@@ -135,10 +135,8 @@ def write_csv_atomic(path: str, header: list[str], columns: list[np.ndarray]):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def sample_potential(entry: CatalogEntry, samples: int,
-                     x_range: tuple[float, float] | None = None):
-    lo, hi = x_range if x_range is not None else entry.plot_range
-    x = np.linspace(lo, hi, samples)
+def sample_potential(entry: CatalogEntry, samples: int):
+    x = np.linspace(*entry.plot_range, samples)
     return x, np.asarray(entry.potential(x), float)
 
 
@@ -152,8 +150,7 @@ def sample_wavefunctions(entry: CatalogEntry, x: np.ndarray,
     return [np.asarray(psi(x, g), float) for psi in psis]
 
 
-def spectrum_document(entry: CatalogEntry, j_values: list[int],
-                      warnings_list: list[str] | None = None) -> dict:
+def spectrum_document(entry: CatalogEntry, j_values: list[int]) -> dict:
     doc = {**_header(entry), "class": entry.kind}
     if entry.kind == "es":
         levels = [{"j": j, "E": entry.closed_form_energy(j)} for j in j_values]
@@ -161,5 +158,5 @@ def spectrum_document(entry: CatalogEntry, j_values: list[int],
         levels = [{"j": j, **lv.to_json_dict()}
                   for j, lv in enumerate(entry.spectral().levels)]
     doc["levels"] = levels
-    doc["warnings"] = warnings_list or []
+    doc["warnings"] = []
     return doc

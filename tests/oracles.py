@@ -7,7 +7,9 @@ oracles are the two rules that ``mapping.build_gauge`` replaced: adaptive
 quadrature of the gauge integrand, and the exponent and prefactor written
 out by hand for each quasi-solvable shape.  The map oracle is the numeric
 march that the elliptic map replaced: quadrature of u(xi) step by step and
-a monotone Hermite inverse.
+a monotone Hermite inverse.  The potential oracle is the thirteen
+potentials written out by hand, one per catalog family, that the catalog
+now takes from its own B polynomials and map.
 """
 
 from fractions import Fraction
@@ -191,3 +193,60 @@ def march_map(b4, branch, u_range):
     if us[0] > u_lo + 1e-9 or us[-1] < u_hi - 1e-9:
         raise BranchError(f"march covers only [{us[0]:.6g}, {us[-1]:.6g}]")
     return CubicHermiteSpline(us, xs, s * np.sqrt(np.maximum(b4(xs), 0.0)))
+
+
+def hand_written_potential(entry):
+    """V(x) of a catalog entry as written out by hand for its family.  The
+    quasi-solvable potentials carry the coefficient sigma alpha m of
+    cos beta(x-a) resp. 2 sigma eta gamma^2 m of cosh 2gamma(x-a), with
+    m = (2n + 1 + dq)/2."""
+    p = {k: float(v) for k, v in entry.params.items()}
+    name = entry.name
+    if name == "harmonic":
+        wf = p["omega"]
+        return lambda x: 0.25 * wf ** 2 * np.asarray(x, float) ** 2
+    if name == "coulomb":
+        e2f, l = p["e2"], p["l"]
+
+        def v(x):
+            x = np.asarray(x, float)
+            return -e2f / x + l * (l + 1) / x ** 2
+        return v
+    if entry.kind == "es":
+        alf, Af, Bf = p["alpha"], p["A"], p["B"]
+    if name == "morse":
+        return (lambda x: Bf ** 2 * np.exp(-2 * alf * np.asarray(x, float))
+                - Bf * (2 * Af + alf) * np.exp(-alf * np.asarray(x, float)))
+    if name == "poschl-teller":
+        def v(x):
+            x = np.asarray(x, float)
+            sh = np.sinh(alf * x)
+            ch = np.cosh(alf * x)
+            return Bf * (Bf - alf) / sh ** 2 - Af * (Af + alf) / ch ** 2
+        return v
+    if name == "scarf-ii":
+        def v(x):
+            x = np.asarray(x, float)
+            sech = 1.0 / np.cosh(alf * x)
+            return ((Bf ** 2 - Af * (Af + alf)) * sech ** 2
+                    + Bf * (2 * Af + alf) * sech * np.tanh(alf * x))
+        return v
+    sigma, af = entry.family.sigma or entry.sign, p["a"]
+    m = (2 * entry.n + 1 + entry.family.dq) / 2.0
+    if entry.kind == "qes-periodic":
+        alf, bef = p["alpha"], p["beta"]
+        cc = sigma * alf * m
+
+        def v(x):
+            u = np.asarray(x, float) - af
+            return (-(alf ** 2 / (8.0 * bef ** 2)) * np.cos(2.0 * bef * u)
+                    + cc * np.cos(bef * u) - bef ** 2 / 4.0)
+        return v
+    gaf, etf = p["gamma"], p["eta"]
+    hc = sigma * 2.0 * etf * gaf ** 2 * m
+
+    def v(x):
+        u = np.asarray(x, float) - af
+        return ((gaf ** 2 * etf ** 2 / 8.0) * np.cosh(4.0 * gaf * u)
+                + hc * np.cosh(2.0 * gaf * u) - gaf ** 2 * etf ** 2 / 8.0)
+    return v

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sl2qes.algebra import Polynomial, b_polynomials
 from sl2qes.catalog import list_families, make_entry
@@ -14,7 +15,7 @@ from sl2qes.errors import (
 from sl2qes.fdsolve import Grid, count_nodes, residual
 from sl2qes.mapping import assemble_wavefunction
 
-from oracles import quadrature_gauge
+from oracles import hand_written_potential, quadrature_gauge
 
 
 def poly(*coeffs):
@@ -283,6 +284,47 @@ def test_spectral_states_match_assembled_wavefunctions():
             scale = numeric[0] / closed[0]
             assert np.max(np.abs(numeric - scale * closed)) <= \
                 1e-10 * np.max(np.abs(numeric))
+
+
+# ------------------------------------------------------------- potentials
+
+_MAGNITUDE = st.fractions(min_value=Q(1, 4), max_value=4, max_denominator=8)
+_REAL = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+def _oracle_nodes(entry):
+    """The refined FD grid nodes at which the oracle reads V (no Dirichlet
+    wall, one period of a band problem), and the plot range."""
+    fd = entry.fd_defaults
+    nodes = Grid(fd["x_min"], fd["x_max"], fd["points"]).refined().nodes
+    nodes = nodes[:-1] if fd["bc"] == "bands" else nodes[1:-1]
+    return np.concatenate([nodes, np.linspace(*entry.plot_range, 401)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_potential_matches_hand_written_formula(data):
+    family = data.draw(st.sampled_from(list_families()))
+    params = {}
+    for key, doc in family["params"].items():
+        if key == "l":
+            params[key] = data.draw(st.integers(0, 3))
+        elif doc == "real":
+            params[key] = data.draw(_REAL)
+        else:   # a positive, nonzero or sign-restricted parameter
+            params[key] = data.draw(_MAGNITUDE) * data.draw(
+                st.sampled_from([1, -1]))
+    sign = (data.draw(st.sampled_from(["+", "-"]))
+            if family["sign_branches"] else None)
+    try:
+        entry = make_entry(family["name"], params, sign=sign,
+                           n=data.draw(st.integers(0, 6)))
+    except InvalidParameterError:
+        assume(False)
+    xs = _oracle_nodes(entry)
+    got = np.asarray(entry.potential(xs), float)
+    want = np.asarray(hand_written_potential(entry)(xs), float)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
 
 # ----------------------------------------------------------- sector counts

@@ -204,6 +204,36 @@ def test_bad_value_names_its_flag_from_either_source(tmp_path, capsys, flag,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("verify", "tolerance", "inf", "must be finite and positive, got inf"),
+    ("verify", "tolerance", "nan", "must be finite and positive, got nan"),
+    ("verify", "tolerance", "0", "must be finite and positive, got 0"),
+    ("verify", "tolerance", "-1", "must be finite and positive, got -1"),
+    ("verify", "tolerance", "abc", "invalid float value: 'abc'"),
+    ("general", "e-convention", "nan", "must be finite, got nan"),
+    ("general", "u-a", "inf", "must be finite, got inf"),
+    ("general", "x-min", "-inf", "must be finite, got -inf"),
+    ("general", "x-max", "inf", "must be finite, got inf"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_float_is_a_usage_error(tmp_path, capsys, source, command,
+                                           flag, value, message):
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(dict(MARCH_SET, n=1)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag} = {value}\n")
+    base = (["verify", "--family", "harmonic", "--omega", "2"]
+            if command == "verify" else ["general", "--algebra", str(alg)])
+    # "--x-min=-inf": a separate "-inf" would read as a flag
+    extra = [f"--{flag}={value}"] if source == "flag" else ["--config",
+                                                            str(cfg)]
+    out = tmp_path / "run"
+    assert run(base + extra + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"argument --{flag}: {message}")
+    assert not out.exists()
+
+
 def test_config_json_samples_switch(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     base = ["build", "--family", "harmonic", "--omega", "2", "--config",

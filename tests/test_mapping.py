@@ -13,6 +13,7 @@ from sl2qes.errors import BranchError, SingularPointError
 from sl2qes.specfun import scaled_exp
 from sl2qes.mapping import (
     Branch,
+    _roots,
     assemble_wavefunction,
     build_gauge,
     build_mapping,
@@ -300,6 +301,17 @@ def test_cubic_and_quartic_weights_are_elliptic(roots, lead, pick, frac, sign,
     assert np.all(np.abs(num - want) < 1e-7 * np.maximum(1.0, np.abs(want)))
     for x, target in zip(xi, u):
         assert abs(sign * _mp_integral(b4, xi0, float(x)) - target) < 1e-12
+
+
+def test_roots_separate_a_near_double_pair():
+    # np.roots puts the pair 1, 1 + 1e-9 about 3e-9 off; one Newton step
+    # leaves them at 0.9999999967 and 1.0000000043
+    eps = Q(1, 10 ** 9)
+    b4 = (Polynomial.of(-1, 1) * Polynomial.of(-1 - eps, 1)
+          * Polynomial.of(1, 1))
+    real, pairs = _roots(b4)
+    assert sorted(real) == [-1.0, 1.0, float(1 + eps)]
+    assert pairs == []
 
 
 def test_negative_weight_rejected():

@@ -1,9 +1,13 @@
 """End-to-end verification of every catalog family against the numeric
 oracle, exercising the same path the verify subcommand uses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from sl2qes import catalog
+from sl2qes.algebra import Polynomial
 from sl2qes.catalog import make_entry
 from sl2qes.cli import main
 from sl2qes.errors import NoBoundStateError
@@ -45,6 +49,23 @@ def test_quasi_solvable_families_verify(name, params, sign, n):
     report = verification_report(entry)
     assert len(report["levels"]) == n + 1
     assert report["all_pass"], report["levels"]
+
+
+@pytest.mark.parametrize("name,params,sign,n", [ES_CASES[0], QES_CASES[0]])
+def test_verification_checks_the_b_polynomials(monkeypatch, name, params,
+                                               sign, n):
+    # the FD oracle reads the potential the B polynomials give, while the
+    # levels come from the closed forms resp. the generator composition, so
+    # a B2 one unit off shifts every numeric level against its algebraic one
+    real = catalog.b_polynomials
+
+    def shifted(alg):
+        bp = real(alg)
+        return dataclasses.replace(bp, b2_base=bp.b2_base + Polynomial.of(1))
+
+    monkeypatch.setattr(catalog, "b_polynomials", shifted)
+    entry = make_entry(name, params, sign=sign, n=n)
+    assert not verification_report(entry)["all_pass"]
 
 
 def test_report_structure():
