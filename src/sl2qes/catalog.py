@@ -1,18 +1,42 @@
-"""Named potential families: five fully solvable, eight quasi-solvable.
+"""Named potential families: five exactly solvable, eight quasi-solvable.
 
 One ``Family`` record per family holds its parameter names, their validity
 predicates with the text ``list-families`` prints, whether it takes a sign
 branch, and its class.  ``make_entry`` validates against the record and
-builds an ``EsEntry`` (fully solvable, ES) or a ``QesEntry``
-(quasi-solvable, QES): the operator coefficient data, the coordinate
-branch, the closed-form energies / wavefunctions, the potential of its own
-B polynomials and map (``mapping.potential_from_operator``, which the
-numeric cross-check solves), and the defaults used by that cross-check.
+builds an ``EsEntry`` (exactly solvable, ES) or a ``QesEntry``
+(quasi-solvable, QES) from the family's data at n: the sl(2) coefficients
+with d left free, an energy offset, the coordinate branch and the defaults
+of the numeric cross-check.  Both kinds take every level from one chain:
+the algebraic-sector solve of the data with E = offset + d, and psi = the
+gauge of the B polynomials (``mapping.build_gauge``, 1 at ``gauge_x0``)
+times the level's polynomial.  The potential is that of the entry's own B
+polynomials and map (``mapping.potential_from_operator``, which the
+numeric cross-check solves), taken at the data's d (0 when free) and
+E = offset + d.
 
-ES: the level index j selects the representation: level j is produced with
-n = j, the shift d evaluated at that n, and the closed-form energy E_j; the
-resulting potential is the same for every j, which the tests assert.  The
-entry's potential is the one of level n.
+ES: the data has no T+ term, so the sector matrix is upper triangular and
+its eigenvalues are its diagonal entries; the state of diagonal entry j
+has a polynomial of degree j.  The potential is the same at every n,
+which the tests assert.  With d free, the sector at n <= the last bound
+state holds levels 0..n, so an entry takes level j <= n from its own
+sector and any other from the top state of the sector at n = j.  With
+kappa_n = e2 / (2 (n + l + 1)):
+- harmonic, xi = x: c-- = 1, c0 = -omega; offset (n + 1) omega/2.
+- Morse, xi = exp(alpha x): c00 = alpha^2, c0 = alpha (n alpha - 2A),
+  c- = 2 alpha B; offset -(A - n alpha/2)^2.
+- Poschl-Teller, xi = cosh 2 alpha x: c00 = 4 alpha^2, c-- = -4 alpha^2,
+  c0 = 4 alpha (B - A) + 4 n alpha^2, c- = 4 alpha (A + B);
+  offset -(A - B - n alpha)^2.
+- Scarf II, xi = sinh alpha x: c00 = c-- = alpha^2,
+  c0 = n alpha^2 - 2 alpha A, c- = -2 alpha B; offset -(A - n alpha/2)^2.
+- Coulomb, xi = u^2 = 4x under u = 2 sqrt(x): c0- = 2, c0 = -2 kappa_n,
+  c- = 2 (4l + n + 3).  The stretch puts d on the 1/x coupling, not on
+  the energy, so the data fixes d = n kappa_n, the top diagonal entry,
+  and the offset -kappa_n (kappa_n + n) gives E_n = -kappa_n^2.  Its
+  other sector states belong to other couplings, so each level comes
+  from its own sector.
+Where two Frobenius exponents give the same potential, the data picks
+that of the bound states.
 
 QES: n is fixed, d_j comes out of the algebraic-sector solve, and E_j =
 offset + d_j.  All eight families follow one rule in (shape, sigma, dq).
@@ -20,7 +44,7 @@ sigma is the sign of the wavefunction exponent: -1, +1, s, s for periodic
 v1-v4 and +1, -1, s, s for hyperbolic v1-v4, with s the sign branch.
 q = n + dq with dq = 1, 1, 2, 0 (periodic) and 1, 1, 0, 2 (hyperbolic);
 the sector holds 2n + 1 + dq states (``sector_count``); [dq=1] is 1 for
-dq = 1, else 0.  The potential is taken at d = 0 and E = offset.
+dq = 1, else 0.
 - periodic, xi = cos beta(x-a): c+ = sigma alpha, c0 = -q beta^2,
   c- = -sigma alpha + [dq=1] s beta^2; offset ((q^2-1)/4) beta^2
   - alpha^2/(8 beta^2) + [dq=1] sigma s alpha/2.
@@ -42,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,8 +86,12 @@ from .mapping import (
     identity_shift,
     potential_from_operator,
 )
-from .specfun import genlaguerre, hermite, jacobi, scaled_exp
-from .spectral import SpectralResult, compose_energies, solve_algebraic_sector
+from .spectral import (
+    Level,
+    SpectralResult,
+    compose_energies,
+    solve_algebraic_sector,
+)
 
 __all__ = [
     "CatalogEntry",
@@ -118,7 +146,8 @@ class Family:
 
 @dataclass
 class CatalogEntry:
-    """What both kinds share; ``EsEntry`` and ``QesEntry`` add the rest."""
+    """The data at n and what the chain makes of it; ``EsEntry`` and
+    ``QesEntry`` say which sector holds level j."""
 
     family: Family
     params: dict
@@ -130,6 +159,8 @@ class CatalogEntry:
     potential: PotentialModel
     fd_defaults: dict
     plot_range: tuple[float, float]
+    gauge_x0: float                # the gauge is 1 here
+    energy_offset: float           # E = energy_offset + d
     _spectral: SpectralResult | None = field(default=None, init=False,
                                              repr=False)
 
@@ -139,48 +170,63 @@ class CatalogEntry:
     period = property(lambda self: self.potential.period)
 
     def spectral(self) -> SpectralResult:
-        """Algebraic-sector levels with energies composed (QES only)."""
+        """Algebraic-sector levels of the data at n, energies composed."""
         if self._spectral is None:
-            self._spectral = self._solve_sector()
+            self._spectral = compose_energies(
+                solve_algebraic_sector(self.algebra.with_free_d()),
+                self.energy_offset)
         return self._spectral
+
+    @cached_property
+    def gauge(self) -> GaugeFactor:
+        """The gauge factor B4 and B3 determine, 1 at gauge_x0."""
+        return build_gauge(self.bp, self.mapping, self.gauge_x0)
+
+    def level(self, j: int) -> Level:
+        """Level j; raises NoBoundStateError where there is none."""
+        return self._source(_level_index(j))[1]
+
+    def closed_form_energy(self, j: int) -> float:
+        return float(self.level(j).E)
+
+    def closed_form_wavefunction(self, j: int) -> WaveFunction:
+        """Unnormalized psi_j: its sector's gauge times the level's
+        polynomial."""
+        src, lv = self._source(_level_index(j))
+        return assemble_wavefunction(src.gauge, lv.b, src.mapping)
+
+    def operator_potential_data(self, j: int):
+        """(bp, d, E, mapping) for the operator-route potential at level j."""
+        src, lv = self._source(_level_index(j))
+        return (src.bp, lv.d, lv.E, src.mapping)
 
 
 @dataclass(kw_only=True)
 class EsEntry(CatalogEntry):
-    _energy_fn: Callable           # closed-form E(j)
-    _psi_fn: Callable              # closed-form psi(j, x)
-    _algebra_at: Callable          # j -> AlgebraCoefficients
     max_j: int | None = None       # bound-state cap (None: all j)
+    _sectors: dict = field(default_factory=dict, init=False, repr=False)
 
-    def _solve_sector(self):
-        raise NotApplicableError(
-            "fully solvable entries take their spectra from closed forms"
-        )
-
-    def closed_form_energy(self, j: int) -> float:
-        j = _level_index(j)
+    def _source(self, j: int):
+        """(sector, state) of level j: state j of this entry's sector when
+        d is free and j <= n <= max_j, where the sector holds levels
+        0..n, else the top state j of the sector at n = j."""
         if self.max_j is not None and j > self.max_j:
             raise NoBoundStateError(
                 f"{self.name}: no bound state with index {j} "
                 f"(highest is {self.max_j})"
             )
-        return float(self._energy_fn(j))
-
-    def closed_form_wavefunction(self, j: int):
-        """Unnormalized psi_j as a vectorized callable."""
-        self.closed_form_energy(j)  # reuse the bound-state check
-        return partial(self._psi_fn, int(j))
+        own = (self.algebra.d is None and j <= self.n
+               and (self.max_j is None or self.n <= self.max_j))
+        src = self if own or j == self.n else self._sectors.get(j)
+        if src is None:
+            src = self._sectors[j] = self.family.build(
+                self.family, self.params, self.sign, j)
+        return src, src.spectral().levels[j]
 
     def sector_count(self) -> int:
         raise NotApplicableError(
             "the algebraic-sector count applies to quasi-solvable entries"
         )
-
-    def operator_potential_data(self, j: int):
-        """(bp, d, E, mapping) for the operator-route potential at level j."""
-        alg = self._algebra_at(int(j))
-        return (b_polynomials(alg), float(alg.d),
-                self.closed_form_energy(j), self.mapping)
 
     def verification_levels(self, j_max: int | None = None):
         """(index, energy) pairs the numeric oracle should reproduce;
@@ -195,40 +241,16 @@ class EsEntry(CatalogEntry):
 
 @dataclass(kw_only=True)
 class QesEntry(CatalogEntry):
-    gauge_x0: float                # the gauge is 1 here
-    energy_offset: float
 
-    def _solve_sector(self):
-        return compose_energies(solve_algebraic_sector(self.algebra),
-                                self.energy_offset)
-
-    def closed_form_energy(self, j: int) -> float:
-        j = _level_index(j)
+    def _source(self, j: int):
         if j > self.n:
             raise NoBoundStateError(
                 f"algebraic sector holds {self.n + 1} levels; index {j} is out"
             )
-        return float(self.spectral().levels[j].E)
-
-    @cached_property
-    def gauge(self) -> GaugeFactor:
-        """The gauge factor B4 and B3 determine, 1 at gauge_x0."""
-        return build_gauge(self.bp, self.mapping, self.gauge_x0)
-
-    def closed_form_wavefunction(self, j: int) -> WaveFunction:
-        """Unnormalized psi_j: the gauge times the level's polynomial."""
-        self.closed_form_energy(j)
-        return assemble_wavefunction(self.gauge,
-                                     self.spectral().levels[int(j)].b,
-                                     self.mapping)
+        return self, self.spectral().levels[j]
 
     def sector_count(self) -> int:
         return 2 * self.n + 1 + self.family.dq
-
-    def operator_potential_data(self, j: int):
-        """(bp, d, E, mapping) for the operator-route potential at level j."""
-        lv = self.spectral().levels[int(j)]
-        return (self.bp, lv.d, lv.E, self.mapping)
 
     def verification_levels(self, j_max: int | None = None):
         """(index, energy) pairs the numeric oracle should reproduce."""
@@ -289,190 +311,101 @@ def _bound_states_below(x: float) -> int:
     return int(math.ceil(x - 1e-12)) - 1 if x > 0 else -1
 
 
-def _entry(cls, fam, p, s, n, alg, branch, transform,
+def _entry(cls, fam, p, s, n, alg, offset, branch, transform,
            domain=(-np.inf, np.inf), period=None, **fields):
-    """The entry, its potential from its own B polynomials and map: an ES
-    entry at d and the closed-form energy of level n, a QES entry at d = 0
-    and its offset (E_j - d_j is the offset for every level j)."""
+    """The entry of the data alg and its offset; its potential comes from
+    its own B polynomials and map, at the data's d (0 when free) and
+    E = offset + d."""
     bp = b_polynomials(alg)
     mapping = build_mapping(bp, branch, transform)
-    d, e = ((alg.d, fields["_energy_fn"](n)) if cls is EsEntry
-            else (0, fields["energy_offset"]))
+    d = alg.d_or_zero
     return cls(family=fam, params=p, sign=s, n=n, algebra=alg, bp=bp,
                mapping=mapping, potential=potential_from_operator(
-                   bp, float(d), mapping, float(e), domain, period), **fields)
+                   bp, float(d), mapping, float(offset + d), domain, period),
+               energy_offset=float(offset), **fields)
 
 
 # ---------------------------------------------------------------------------
-# fully solvable entries
+# exactly solvable entries: the data at n and the offset of the module
+# docstring
 
 def _harmonic(fam, p, s, n):
     w = p["omega"]
     wf = float(w)
-
-    def algebra_at(j):
-        return AlgebraCoefficients(c_mm=1, c_0=-w, d=Fraction(j) * w / 2, n=j)
-
-    def psi(j, x):
-        x = np.asarray(x, float)
-        return np.exp(-0.25 * wf * x ** 2) * hermite(j, math.sqrt(wf / 2.0) * x)
-
     half = max(10.0, math.sqrt(4.0 * (2 * 3 + 1) / wf + 100.0 / wf))
     return _entry(
-        EsEntry, fam, p, None, n, algebra_at(n),
-        Branch(-np.inf, np.inf, sign=1, xi0=0.0), identity_shift(0.0),
+        EsEntry, fam, p, None, n, AlgebraCoefficients(c_mm=1, c_0=-w, n=n),
+        (n + 1) * w / 2, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
+        identity_shift(0.0),
         fd_defaults={"x_min": -half, "x_max": half, "points": 2001,
                      "bc": "dirichlet", "base_tol": 1e-3},
-        plot_range=(-5.0, 5.0),
-        _energy_fn=lambda j: (j + 0.5) * wf, _psi_fn=psi,
-        _algebra_at=algebra_at,
+        plot_range=(-5.0, 5.0), gauge_x0=0.0,
     )
 
 
 def _morse(fam, p, s, n):
     al, A, B = p["alpha"], p["A"], p["B"]
-    alf, Af, Bf = float(al), float(A), float(B)
-
-    def algebra_at(j):
-        return AlgebraCoefficients(
-            c_00=al * al,
-            c_0=al * (j * al - 2 * A),
-            c_m=2 * B * al,
-            d=A * j * al - Fraction(3 * j * j) * al * al / 4,
-            n=j,
-        )
-
-    def psi(j, x):
-        x = np.asarray(x, float)
-        t = np.exp(-alf * x)
-        expo = (j * alf - Af) * x - (Bf / alf) * t
-        lag = genlaguerre(j, 2 * Af / alf - 2 * j, (2 * Bf / alf) * t)
-        return scaled_exp(expo, lag)
-
     return _entry(
-        EsEntry, fam, p, None, n, algebra_at(n),
-        Branch(0.0, np.inf, sign=1, xi0=1.0), identity_shift(0.0),
+        EsEntry, fam, p, None, n,
+        AlgebraCoefficients(c_00=al * al, c_0=al * (n * al - 2 * A),
+                            c_m=2 * B * al, n=n),
+        -(A - n * al / 2) ** 2, Branch(0.0, np.inf, sign=1, xi0=1.0),
+        identity_shift(0.0),
         fd_defaults={"x_min": -2.8, "x_max": 22.0, "points": 4001,
                      "bc": "dirichlet", "base_tol": 1e-3},
-        plot_range=(-2.5, 8.0),
-        max_j=_bound_states_below(Af / alf),
-        _energy_fn=lambda j: -(Af - j * alf) ** 2, _psi_fn=psi,
-        _algebra_at=algebra_at,
+        plot_range=(-2.5, 8.0), gauge_x0=0.0,
+        max_j=_bound_states_below(float(A / al)),
     )
 
 
 def _poschl_teller(fam, p, s, n):
     al, A, B = p["alpha"], p["A"], p["B"]
-    alf, Af, Bf = float(al), float(A), float(B)
-
-    def algebra_at(j):
-        return AlgebraCoefficients(
-            c_00=4 * al * al,
-            c_mm=-4 * al * al,
-            c_0=4 * al * (A + B + al * (j + 1)),
-            c_m=4 * al * (B - A - al),
-            d=(4 * A * B + al * al * (1 + 3 * j) * (1 - j)
-               + 2 * j * al * (3 * A - B) + 2 * al * (A + B)),
-            n=j,
-        )
-
-    def psi(j, x):
-        x = np.asarray(x, float)
-        sh = np.sinh(alf * x)
-        ch = np.cosh(alf * x)
-        jac = jacobi(j, Bf / alf - 0.5, -Af / alf - 0.5, np.cosh(2 * alf * x))
-        return sh ** (Bf / alf) * ch ** (-Af / alf) * jac
-
     return _entry(
-        EsEntry, fam, p, None, n, algebra_at(n),
-        Branch(1.0, np.inf, sign=1, xi0=1.0), identity_shift(0.0),
-        domain=(0.0, np.inf),
+        EsEntry, fam, p, None, n,
+        AlgebraCoefficients(c_00=4 * al * al, c_mm=-4 * al * al,
+                            c_0=4 * al * (B - A) + 4 * n * al * al,
+                            c_m=4 * al * (A + B), n=n),
+        -(A - B - n * al) ** 2, Branch(1.0, np.inf, sign=1, xi0=1.0),
+        identity_shift(0.0), domain=(0.0, np.inf),
         # Dirichlet at eps shifts levels by ~ eps * |psi'(0)|^2 / ||psi||^2
         # when B = alpha (no repulsive wall), so eps must sit well below the
         # 1e-3 energy tolerance.
         fd_defaults={"x_min": 1e-5, "x_max": 12.0, "points": 2401,
                      "bc": "dirichlet", "base_tol": 1e-3},
-        plot_range=(0.02, 8.0),
+        plot_range=(0.02, 8.0), gauge_x0=1.0,
         # bound states need A - B - 2 j alpha > 0
-        max_j=_bound_states_below((Af - Bf) / (2 * alf)),
-        _energy_fn=lambda j: -(Af - Bf - 2 * j * alf) ** 2, _psi_fn=psi,
-        _algebra_at=algebra_at,
+        max_j=_bound_states_below(float((A - B) / (2 * al))),
     )
 
 
 def _scarf_ii(fam, p, s, n):
     al, A, B = p["alpha"], p["A"], p["B"]
-    alf, Af, Bf = float(al), float(A), float(B)
-
-    def algebra_at(j):
-        return AlgebraCoefficients(
-            c_00=al * al,
-            c_mm=al * al,
-            c_0=al * al * (j + 2) + 2 * A * al,
-            c_m=2 * B * al,
-            d=(al * al + A * al * (3 * j + 2)
-               + Fraction(j) * al * al * (4 - 3 * j) / 4),
-            n=j,
-        )
-
-    a_par = -1j * Bf / alf - Af / alf - 0.5
-    b_par = +1j * Bf / alf - Af / alf - 0.5
-
-    def psi(j, x):
-        x = np.asarray(x, float)
-        sh = np.sinh(alf * x)
-        jac = (1j) ** (-j) * jacobi(j, a_par, b_par, 1j * sh)
-        jac = np.asarray(jac)
-        tol = 1e-10 * (1.0 + np.max(np.abs(jac.real)))
-        if np.max(np.abs(jac.imag)) > tol:
-            raise ArithmeticError(
-                "complex Jacobi composition failed to produce a real value"
-            )
-        real = jac.real
-        return (np.cosh(alf * x) ** (-Af / alf)
-                * np.exp(-(Bf / alf) * np.arctan(sh)) * real)
-
     return _entry(
-        EsEntry, fam, p, None, n, algebra_at(n),
-        Branch(-np.inf, np.inf, sign=1, xi0=0.0), identity_shift(0.0),
+        EsEntry, fam, p, None, n,
+        AlgebraCoefficients(c_00=al * al, c_mm=al * al,
+                            c_0=n * al * al - 2 * al * A, c_m=-2 * al * B,
+                            n=n),
+        -(A - n * al / 2) ** 2, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
+        identity_shift(0.0),
         fd_defaults={"x_min": -16.0, "x_max": 16.0, "points": 3201,
                      "bc": "dirichlet", "base_tol": 1e-3},
-        plot_range=(-8.0, 8.0),
-        max_j=_bound_states_below(Af / alf),
-        _energy_fn=lambda j: -(Af - j * alf) ** 2, _psi_fn=psi,
-        _algebra_at=algebra_at,
+        plot_range=(-8.0, 8.0), gauge_x0=0.0,
+        max_j=_bound_states_below(float(A / al)),
     )
 
 
 def _coulomb(fam, p, s, n):
     e2, l = p["e2"], p["l"]
-    e2f = float(e2)
-
-    def algebra_at(j):
-        return AlgebraCoefficients(
-            c_0m=2,
-            c_0=e2 / (j + l + 1),
-            c_m=2 * (4 * l + j + 3),
-            d=e2 * (3 * j + 4 * l + 4) / (2 * (j + l + 1)),
-            n=j,
-        )
-
-    def psi(j, x):
-        # radial solution: the polynomial index follows the level index
-        kappa = e2f / (2.0 * (j + l + 1))
-        x = np.asarray(x, float)
-        return (x ** (l + 1) * np.exp(-kappa * x)
-                * genlaguerre(j, 2 * l + 1, 2.0 * kappa * x))
-
+    kappa = e2 / (2 * (n + l + 1))
     return _entry(
-        EsEntry, fam, p, None, n, algebra_at(n),
-        Branch(0.0, np.inf, sign=1, xi0=0.0), half_line_sqrt(),
-        domain=(0.0, np.inf),
+        EsEntry, fam, p, None, n,
+        AlgebraCoefficients(c_0m=2, c_0=-2 * kappa, c_m=2 * (4 * l + n + 3),
+                            d=n * kappa, n=n),
+        -kappa * (kappa + n), Branch(0.0, np.inf, sign=1, xi0=0.0),
+        half_line_sqrt(), domain=(0.0, np.inf),
         fd_defaults={"x_min": 1e-3, "x_max": 200.0, "points": 20001,
                      "bc": "dirichlet", "base_tol": 5e-3},
-        plot_range=(0.05, 40.0),
-        _energy_fn=lambda j: -e2f ** 2 / (4.0 * (j + l + 1) ** 2),
-        _psi_fn=psi, _algebra_at=algebra_at,
+        plot_range=(0.05, 40.0), gauge_x0=1.0,
     )
 
 
@@ -499,12 +432,11 @@ def _periodic(fam, p, s, n):
         c_m=-sigma * al + (s * be * be if dq == 1 else 0), d=None, n=n,
     )
     return _entry(
-        QesEntry, fam, p, s, n, alg, Branch(-1.0, 1.0, sign=-1, xi0=1.0),
-        identity_shift(af), period=period,
+        QesEntry, fam, p, s, n, alg, offset,
+        Branch(-1.0, 1.0, sign=-1, xi0=1.0), identity_shift(af), period=period,
         fd_defaults={"x_min": af, "x_max": af + period, "points": 801,
                      "bc": "bands", "base_tol": 1e-3},
         plot_range=(af, af + period), gauge_x0=af + period / 4.0,
-        energy_offset=offset,
     )
 
 
@@ -521,12 +453,11 @@ def _hyperbolic(fam, p, s, n):
         d=None, n=n,
     )
     return _entry(
-        QesEntry, fam, p, s, n, alg, Branch(1.0, np.inf, sign=1, xi0=1.0),
-        identity_shift(af),
+        QesEntry, fam, p, s, n, alg, offset,
+        Branch(1.0, np.inf, sign=1, xi0=1.0), identity_shift(af),
         fd_defaults={"x_min": af - 8.0, "x_max": af + 8.0, "points": 3201,
                      "bc": "dirichlet", "base_tol": 1e-3, "v_cap": 1e8},
         plot_range=(af - 3.0, af + 3.0), gauge_x0=af + 1.0,
-        energy_offset=offset,
     )
 
 

@@ -209,21 +209,28 @@ def _cmd_general(args) -> int:
     with open(args.algebra) as handle:
         coeffs = AlgebraCoefficients.from_json_dict(json.load(handle))
     bp = b_polynomials(coeffs)
-
-    # the default x range follows the transform: the half line for two-sqrt
     two_sqrt = args.u_transform == "two-sqrt"
     transform = half_line_sqrt() if two_sqrt else identity_shift(args.u_a)
-    x_lo = (0.05 if two_sqrt else -3.0) if args.x_min is None else args.x_min
-    x_hi = (10.0 if two_sqrt else 3.0) if args.x_max is None else args.x_max
+    branch = _general_branch(bp, args)
+    mapping = build_mapping(bp, branch, transform)
+
+    # the default x range follows the transform, the half line for
+    # two-sqrt; an end at or beyond the map's u reach moves in to 99% of it
+    x_lo, x_hi = (0.05, 10.0) if two_sqrt else (-3.0, 3.0)
+    u_lo, u_hi = mapping.u_reach
+    if transform.u(x_lo) <= u_lo:
+        x_lo = transform.x_of_u(0.99 * u_lo)
+    if transform.u(x_hi) >= u_hi:
+        x_hi = transform.x_of_u(0.99 * u_hi)
+    x_lo = x_lo if args.x_min is None else args.x_min
+    x_hi = x_hi if args.x_max is None else args.x_max
     if not x_lo < x_hi:
         raise Sl2QesError(f"--x-min must be below --x-max, got {x_lo!r} and "
                           f"{x_hi!r}")
     if two_sqrt and x_lo <= 0:
         raise Sl2QesError("two-sqrt transform needs x > 0")
 
-    branch = _general_branch(bp, args)
     x = np.linspace(x_lo, x_hi, args.samples)
-    mapping = build_mapping(bp, branch, transform)
 
     solved = solve_algebraic_sector(coeffs.with_free_d())
     d_value = float(coeffs.d) if coeffs.d is not None else solved.levels[0].d

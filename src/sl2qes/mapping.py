@@ -23,7 +23,6 @@ from scipy.special import elliprf
 
 from .algebra import BPolynomials, Polynomial, poly_gcd
 from .errors import BranchError, SingularPointError
-from .specfun import scaled_exp
 
 __all__ = [
     "UTransform",
@@ -70,6 +69,10 @@ class UTransform:
             return np.zeros_like(np.asarray(x, float))
         return 0.75 * np.asarray(x, float) ** -2.5
 
+    def x_of_u(self, u):
+        """The inverse of u(x), for u >= 0 under two-sqrt."""
+        return u + self.a if self.kind == "shift" else (u / 2.0) ** 2
+
 
 def identity_shift(a: float = 0.0) -> UTransform:
     return UTransform("shift", float(a))
@@ -98,10 +101,12 @@ class Branch:
             raise BranchError("anchor xi0 lies outside the branch interval")
 
 
-def _polish(poly: Polynomial, z: complex) -> complex:
+def _polish(poly: Polynomial, z: complex, done: list) -> complex:
     """z after Newton steps on poly with the residual evaluated exactly,
     repeated until they stop moving it: a fixed point or a hop between two
-    floats at the rounding floor (at most 32 steps)."""
+    floats at the rounding floor (at most 32 steps).  Each step is deflated
+    by the roots already polished (Maehly), so two starts in a cluster do
+    not converge to the same root."""
     polys, prev = (poly, poly.derivative()), None
     for _ in range(32):
         x, y = Fraction(z.real), Fraction(z.imag)
@@ -111,7 +116,8 @@ def _polish(poly: Polynomial, z: complex) -> complex:
             for c in reversed(p.coeffs):
                 re, im = re * x - im * y + c, re * y + im * x
             vals.append(complex(float(re), float(im)))
-        nxt = z - vals[0] / vals[1]
+        deflate = sum(1 / (z - r) for r in done if r != z)
+        nxt = z - vals[0] / (vals[1] - vals[0] * deflate)
         if nxt in (z, prev):
             return nxt
         prev, z = z, nxt
@@ -132,9 +138,11 @@ def _roots(poly: Polynomial) -> tuple[list[float], list[complex]]:
     roots = []
     for mult, part in enumerate(parts, 1):
         part = divmod(part, parts[mult])[0] if mult < len(parts) else part
-        found = [complex(z) for z in np.roots(part.float_coeffs()[::-1])]
-        roots += [_polish(part, z) if part.degree > 2 else z
-                  for z in found] * mult
+        done = []
+        for z in np.roots(part.float_coeffs()[::-1]):
+            done.append(_polish(part, complex(z), done) if part.degree > 2
+                        else complex(z))
+        roots += done * mult
     scale = 1.0 + max((abs(r) for r in roots), default=0.0)
     return ([r.real for r in roots if abs(r.imag) <= 1e-9 * scale],
             [r for r in roots if r.imag > 1e-9 * scale])
@@ -144,7 +152,9 @@ def _roots(poly: Polynomial) -> tuple[list[float], list[complex]]:
 class Mapping:
     """Evaluator for xi(u(x)) on one branch of (dxi/du)^2 = B4(xi).
 
-    ``closed_form`` is a tag of ``_recognize_shape`` or "elliptic".
+    ``closed_form`` is a tag of ``_recognize_shape`` or "elliptic", and
+    ``u_reach`` the u interval the map covers: all of u for a closed form,
+    the exact reach of an elliptic map.
     ``root_factors`` maps each root r of B4 that a closed-form map reaches
     at a turning point to a function of u proportional to |xi - r|^(1/2),
     signed so that it stays analytic through the turning point.
@@ -156,6 +166,7 @@ class Mapping:
     _xi_fn: object
     closed_form: str
     root_factors: dict = field(default_factory=dict)
+    u_reach: tuple[float, float] = (-math.inf, math.inf)
 
     def xi_of_u(self, u):
         return self._xi_fn(np.asarray(u, float))
@@ -244,8 +255,9 @@ def _closed_form_maps(tag: str, c: float, k: float, h: float, branch: Branch):
 
 
 def _elliptic_maps(b4: Polynomial, branch: Branch):
-    """xi(u) for a cubic or quartic B4: u(xi) = s Int_xi0^xi B4^(-1/2) in
-    closed form, inverted by Newton steps kept inside a bracket.
+    """xi(u) and its u reach for a cubic or quartic B4: u(xi) =
+    s Int_xi0^xi B4^(-1/2) in closed form, inverted by Newton steps kept
+    inside a bracket.
 
     With a real root, Carlson's Int_y^x = 2 R_F(U12^2, U13^2, U14^2) (DLMF
     19.29.4) runs over the square roots of the linear factors of B4 / |lead|,
@@ -331,7 +343,7 @@ def _elliptic_maps(b4: Polynomial, branch: Branch):
         xi[inner] = x
         return xi.reshape(np.shape(u))
 
-    return xi_fn
+    return xi_fn, tuple(reach)
 
 
 def build_mapping(bp: BPolynomials, branch: Branch,
@@ -360,8 +372,9 @@ def build_mapping(bp: BPolynomials, branch: Branch,
         raise BranchError("B4 is not positive on the branch interior")
 
     if b4.degree > 2:
-        return Mapping(b4, branch, transform, _elliptic_maps(b4, branch),
-                       "elliptic")
+        xi_fn, reach = _elliptic_maps(b4, branch)
+        return Mapping(b4, branch, transform, xi_fn, "elliptic",
+                       u_reach=reach)
     tag, c, k, h = _recognize_shape(b4)
     xi_fn, factors = _closed_form_maps(tag, c, k, h, branch)
     return Mapping(b4, branch, transform, xi_fn, tag, factors)
@@ -464,6 +477,28 @@ def _split_integral(numer: Polynomial, denom: Polynomial):
     poly = Polynomial._make([0] + [c / (i + 1)
                                    for i, c in enumerate(quot.coeffs)])
     return poly, Polynomial._make(sol[:m]), d1, Polynomial._make(sol[m:]), d2
+
+
+def scaled_exp(exponent, factor=1.0):
+    """factor * exp(exponent), computed through log magnitude when the
+    exponent is large enough to overflow or underflow double precision.
+    A value beyond the float range comes out as +-inf, one below it as 0."""
+    exponent = np.asarray(exponent, dtype=float)
+    factor = np.asarray(factor, dtype=float)
+    exponent, factor = np.broadcast_arrays(exponent, factor)
+    out = np.zeros(exponent.shape, dtype=float)
+    with np.errstate(over="ignore", under="ignore", divide="ignore",
+                     invalid="ignore"):
+        small = np.abs(exponent) < 600.0
+        out[small] = factor[small] * np.exp(exponent[small])
+        big = ~small
+        if np.any(big):
+            mag = np.where(factor[big] != 0.0, np.log(np.abs(factor[big])),
+                           -np.inf)
+            out[big] = np.sign(factor[big]) * np.exp(exponent[big] + mag)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

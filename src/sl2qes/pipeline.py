@@ -142,21 +142,16 @@ def sample_potential(entry: CatalogEntry, samples: int):
 
 def sample_wavefunctions(entry: CatalogEntry, x: np.ndarray,
                          j_values: list[int]):
-    """psi_j on x for each j; a QES entry samples its gauge once for all."""
+    """psi_j on x for each j; levels that share a gauge sample it once."""
     psis = [entry.closed_form_wavefunction(j) for j in j_values]
-    if entry.kind == "es":
-        return [np.asarray(psi(x), float) for psi in psis]
-    g = entry.gauge(x)
-    return [np.asarray(psi(x, g), float) for psi in psis]
+    gauges = {id(psi.gauge): psi.gauge for psi in psis}
+    samples = {key: gauge(x) for key, gauge in gauges.items()}
+    return [np.asarray(psi(x, samples[id(psi.gauge)]), float)
+            for psi in psis]
 
 
 def spectrum_document(entry: CatalogEntry, j_values: list[int]) -> dict:
-    doc = {**_header(entry), "class": entry.kind}
-    if entry.kind == "es":
-        levels = [{"j": j, "E": entry.closed_form_energy(j)} for j in j_values]
-    else:
-        levels = [{"j": j, **lv.to_json_dict()}
-                  for j, lv in enumerate(entry.spectral().levels)]
-    doc["levels"] = levels
-    doc["warnings"] = []
-    return doc
+    return {**_header(entry), "class": entry.kind,
+            "levels": [{"j": j, **entry.level(j).to_json_dict()}
+                       for j in j_values],
+            "warnings": []}

@@ -9,7 +9,9 @@ out by hand for each quasi-solvable shape.  The map oracle is the numeric
 march that the elliptic map replaced: quadrature of u(xi) step by step and
 a monotone Hermite inverse.  The potential oracle is the thirteen
 potentials written out by hand, one per catalog family, that the catalog
-now takes from its own B polynomials and map.
+now takes from its own B polynomials and map.  The exactly solvable
+oracles are the closed-form energies and the Hermite, Laguerre and Jacobi
+wavefunctions that the catalog now takes from its algebraic sectors.
 """
 
 from fractions import Fraction
@@ -18,12 +20,13 @@ import random
 
 import mpmath
 import numpy as np
+from scipy import special as sp
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
 from sl2qes.algebra import AlgebraCoefficients, poly_gcd
 from sl2qes.errors import BranchError, SingularPointError
-from sl2qes.specfun import scaled_exp
+from sl2qes.mapping import scaled_exp
 
 # general-mode coefficients whose B4 = (1 - xi^2)(2 + xi) is cubic, so the map
 # is elliptic; its branch (-1, 1) reaches u in [-1.37, 0.97] only
@@ -250,3 +253,112 @@ def hand_written_potential(entry):
         return ((gaf ** 2 * etf ** 2 / 8.0) * np.cosh(4.0 * gaf * u)
                 + hc * np.cosh(2.0 * gaf * u) - gaf ** 2 * etf ** 2 / 8.0)
     return v
+
+
+def hermite(j: int, z):
+    """Physicists' Hermite polynomial H_j."""
+    return sp.eval_hermite(j, z)
+
+
+def genlaguerre(j: int, a: float, z):
+    """Generalized Laguerre polynomial L_j^(a)."""
+    return sp.eval_genlaguerre(j, a, z)
+
+
+def jacobi(j: int, a, b, z):
+    """Jacobi polynomial P_j^(a,b)(z) for arbitrary (possibly complex) a, b, z.
+
+    Uses the terminating sum
+
+        P_j = ((a+1)_j / j!) * sum_{k=0}^{j} [(-j)_k (j+a+b+1)_k] /
+              [(a+1)_k k!] * ((1-z)/2)^k,
+
+    exact for integer j; complex parameters cost nothing, which Scarf II's
+    imaginary argument needs and scipy's evaluator does not accept.
+    Vectorized over z.
+    """
+    if j < 0 or int(j) != j:
+        raise ValueError("degree must be a non-negative integer")
+    j = int(j)
+    use_complex = any(np.iscomplexobj(np.asarray(v)) for v in (a, b, z))
+    dtype = complex if use_complex else float
+    w = np.asarray((1.0 - np.asarray(z, dtype=dtype)) / 2.0, dtype=dtype)
+    term = np.ones_like(w)
+    total = term.copy()
+    for k in range(1, j + 1):
+        term = term * ((-j + k - 1) * (j + a + b + k) / ((a + k) * k)) * w
+        total = total + term
+    pref = 1.0
+    for k in range(1, j + 1):
+        pref = pref * (a + k) / k
+    out = pref * total
+    if out.ndim == 0:
+        return out[()]
+    return out
+
+
+def closed_form_energy(name, p, j):
+    """E_j of an exactly solvable family, exact for Fraction parameters."""
+    if name == "harmonic":
+        return (j + Fraction(1, 2)) * p["omega"]
+    if name in ("morse", "scarf-ii"):
+        return -(p["A"] - j * p["alpha"]) ** 2
+    if name == "poschl-teller":
+        return -(p["A"] - p["B"] - 2 * j * p["alpha"]) ** 2
+    if name == "coulomb":
+        return -Fraction(p["e2"]) ** 2 / (4 * (j + p["l"] + 1) ** 2)
+    raise KeyError(name)
+
+
+def closed_form_psi(name, p, j):
+    """Unnormalized psi_j of an exactly solvable family as a vectorized
+    callable: Hermite, Laguerre or Jacobi times its weight."""
+    p = {k: float(v) for k, v in p.items()}
+    if name == "harmonic":
+        wf = p["omega"]
+        return lambda x: (np.exp(-0.25 * wf * np.asarray(x, float) ** 2)
+                          * hermite(j, math.sqrt(wf / 2.0)
+                                    * np.asarray(x, float)))
+    if name == "coulomb":
+        # radial solution: the polynomial index follows the level index
+        kappa = p["e2"] / (2.0 * (j + p["l"] + 1))
+
+        def psi(x):
+            x = np.asarray(x, float)
+            return (x ** (p["l"] + 1) * np.exp(-kappa * x)
+                    * genlaguerre(j, 2 * p["l"] + 1, 2.0 * kappa * x))
+        return psi
+    alf, Af, Bf = p["alpha"], p["A"], p["B"]
+    if name == "morse":
+        def psi(x):
+            x = np.asarray(x, float)
+            t = np.exp(-alf * x)
+            expo = (j * alf - Af) * x - (Bf / alf) * t
+            lag = genlaguerre(j, 2 * Af / alf - 2 * j, (2 * Bf / alf) * t)
+            return scaled_exp(expo, lag)
+        return psi
+    if name == "poschl-teller":
+        def psi(x):
+            x = np.asarray(x, float)
+            jac = jacobi(j, Bf / alf - 0.5, -Af / alf - 0.5,
+                         np.cosh(2 * alf * x))
+            return (np.sinh(alf * x) ** (Bf / alf)
+                    * np.cosh(alf * x) ** (-Af / alf) * jac)
+        return psi
+    if name == "scarf-ii":
+        a_par = -1j * Bf / alf - Af / alf - 0.5
+        b_par = +1j * Bf / alf - Af / alf - 0.5
+
+        def psi(x):
+            x = np.asarray(x, float)
+            sh = np.sinh(alf * x)
+            jac = np.asarray((1j) ** (-j) * jacobi(j, a_par, b_par, 1j * sh))
+            tol = 1e-10 * (1.0 + np.max(np.abs(jac.real)))
+            if np.max(np.abs(jac.imag)) > tol:
+                raise ArithmeticError(
+                    "complex Jacobi composition failed to produce a real "
+                    "value")
+            return (np.cosh(alf * x) ** (-Af / alf)
+                    * np.exp(-(Bf / alf) * np.arctan(sh)) * jac.real)
+        return psi
+    raise KeyError(name)

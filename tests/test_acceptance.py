@@ -22,10 +22,9 @@ from sl2qes.algebra import (
 from sl2qes.catalog import make_entry
 from sl2qes.fdsolve import Grid, band_edges, count_nodes, fd_eigensolve, residual
 from sl2qes.mapping import build_gauge
-from sl2qes.specfun import jacobi
 from sl2qes.spectral import solve_algebraic_sector
 
-from oracles import char_roots, hand_written_potential, random_algebra
+from oracles import char_roots, hand_written_potential, jacobi, random_algebra
 
 
 def report(num, description, passed, detail=""):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sl2qes.algebra import Polynomial, b_polynomials
+from sl2qes.algebra import Polynomial, b_polynomials, hamiltonian_matrix
 from sl2qes.catalog import list_families, make_entry
 from sl2qes.errors import (
     InvalidParameterError,
@@ -15,7 +15,12 @@ from sl2qes.errors import (
 from sl2qes.fdsolve import Grid, count_nodes, residual
 from sl2qes.mapping import assemble_wavefunction
 
-from oracles import hand_written_potential, quadrature_gauge
+from oracles import (
+    closed_form_energy,
+    closed_form_psi,
+    hand_written_potential,
+    quadrature_gauge,
+)
 
 
 def poly(*coeffs):
@@ -27,30 +32,30 @@ def poly(*coeffs):
 # data; the entries must reproduce them exactly in rational arithmetic.
 
 def expected_es(name, p, n):
+    """(B4, B3, B2 at the data's d) of the family's data at n."""
     if name == "harmonic":
         w = p["omega"]
-        return (poly(1), poly(0, -w), poly(n * w))
+        return (poly(1), poly(0, -w), poly(n * w / 2))
     if name == "morse":
         al, A, B = p["alpha"], p["A"], p["B"]
         return (poly(0, 0, al * al),
                 poly(2 * B * al, al * (al - 2 * A)),
-                poly(-n * n * al * al + 2 * A * n * al))
+                poly(n * A * al - n * n * al * al / 4))
     if name == "poschl-teller":
         al, A, B = p["alpha"], p["A"], p["B"]
         return (poly(-4 * al * al, 0, 4 * al * al),
-                poly(4 * al * (B - A - al), 4 * al * (A + B + 2 * al)),
-                poly(al * al * (1 - 4 * n * n)
-                     + 2 * al * (2 * n * (A - B) + A + B) + 4 * A * B))
+                poly(4 * al * (A + B), 4 * al * (al + B - A)),
+                poly(2 * n * al * (A - B) - n * n * al * al))
     if name == "scarf-ii":
         al, A, B = p["alpha"], p["A"], p["B"]
         return (poly(al * al, 0, al * al),
-                poly(2 * B * al, al * (2 * A + 3 * al)),
-                poly(al * (n + 1) * (al * (1 - n) + 2 * A)))
+                poly(-2 * B * al, al * (al - 2 * A)),
+                poly(n * A * al - n * n * al * al / 4))
     if name == "coulomb":
         e2, l = p["e2"], p["l"]
         return (poly(0, 4),
-                poly(8 * (l + 1), e2 / (n + l + 1)),
-                poly(e2 * (n + 2 * l + 2) / (n + l + 1)))
+                poly(8 * (l + 1), -e2 / (n + l + 1)),
+                poly(n * e2 / (n + l + 1)))
     raise KeyError(name)
 
 
@@ -73,7 +78,7 @@ def test_es_operator_data_round_trip(name, params, n):
     bp = b_polynomials(entry.algebra)
     assert bp.b4 == b4
     assert bp.b3 == b3
-    assert bp.b2(entry.algebra.d) == b2
+    assert bp.b2(entry.algebra.d_or_zero) == b2
 
 
 def expected_qes(name, p, s, n):
@@ -136,9 +141,11 @@ def test_qes_operator_data_round_trip(name, params, signs, n):
 
 
 def test_make_entry_harmonic_shift_value():
+    # d is free; level 3's shift is the exact top diagonal entry
     entry = make_entry("harmonic", {"omega": 2}, n=3)
-    assert entry.algebra.d == Q(3)
-    assert b_polynomials(entry.algebra).b2(entry.algebra.d) == poly(6)
+    assert entry.algebra.d is None
+    assert hamiltonian_matrix(entry.algebra)[3][3] == Q(3)
+    assert entry.level(3).d == 3.0
 
 
 def test_make_entry_periodic_v1_example():
@@ -189,7 +196,7 @@ def test_harmonic_wavefunctions():
     assert psi0(0.0) == pytest.approx(1.0)
     psi1 = entry.closed_form_wavefunction(1)
     xs = np.linspace(-2, 2, 7)
-    assert np.allclose(psi1(xs), 2 * xs * np.exp(-xs ** 2 / 2), rtol=1e-12)
+    assert np.allclose(psi1(xs), xs * np.exp(-xs ** 2 / 2), rtol=1e-12)
 
 
 def test_scarf_wavefunction_is_real():
@@ -301,10 +308,9 @@ def _oracle_nodes(entry):
     return np.concatenate([nodes, np.linspace(*entry.plot_range, 401)])
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_potential_matches_hand_written_formula(data):
-    family = data.draw(st.sampled_from(list_families()))
+def _draw_params(data, family, magnitude=_MAGNITUDE) -> dict:
+    """Parameters for one list_families() item; the predicates may still
+    reject them."""
     params = {}
     for key, doc in family["params"].items():
         if key == "l":
@@ -312,8 +318,16 @@ def test_potential_matches_hand_written_formula(data):
         elif doc == "real":
             params[key] = data.draw(_REAL)
         else:   # a positive, nonzero or sign-restricted parameter
-            params[key] = data.draw(_MAGNITUDE) * data.draw(
+            params[key] = data.draw(magnitude) * data.draw(
                 st.sampled_from([1, -1]))
+    return params
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_potential_matches_hand_written_formula(data):
+    family = data.draw(st.sampled_from(list_families()))
+    params = _draw_params(data, family)
     sign = (data.draw(st.sampled_from(["+", "-"]))
             if family["sign_branches"] else None)
     try:
@@ -394,3 +408,89 @@ def test_periodic_potential_periodicity():
     xs = np.linspace(-2, 2, 11)
     assert np.allclose(entry.potential(xs),
                        entry.potential(xs + entry.period), atol=1e-12)
+
+
+# ------------------------------------------- exactly solvable sector chain
+
+def _es_offset(name, p, n):
+    """The exact offset of an ES family's data at n: E = offset + d."""
+    if name == "harmonic":
+        return (n + 1) * p["omega"] / 2
+    if name == "poschl-teller":
+        return -(p["A"] - p["B"] - n * p["alpha"]) ** 2
+    if name == "coulomb":
+        kappa = Q(p["e2"]) / (2 * (n + p["l"] + 1))
+        return -kappa * (kappa + n)
+    return -(p["A"] - n * p["alpha"] / 2) ** 2     # Morse, Scarf II
+
+
+def _node_grid(entry, energy):
+    """8001 points over the classically allowed region {V < E}, found on a
+    wide grid and padded on each side by its own width."""
+    if entry.domain[0] == 0.0:
+        wide = np.geomspace(1e-3, 1e4, 20001)
+    else:
+        wide = np.linspace(-50.0, 50.0, 20001)
+    with np.errstate(over="ignore", invalid="ignore"):
+        allowed = wide[np.asarray(entry.potential(wide)) < energy]
+    lo, hi = allowed.min(), allowed.max()
+    return np.linspace(max(2 * lo - hi, wide[0]), 2 * hi - lo, 8001)
+
+
+_ES_FAMILIES = [f for f in list_families()
+                if f["class"] == "exactly-solvable"]
+# below alpha = 1/2 the monomial sum of psi_6 cancels to about 2e-12 of its
+# column (Morse and Scarf II at alpha = 1/4)
+_ES_MAGNITUDE = st.fractions(min_value=Q(1, 2), max_value=4,
+                             max_denominator=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_es_levels_come_from_their_sectors(data):
+    """Level j <= min(max_j, 6) of every ES family over its predicates, at
+    n = 0 and at n = top: the sector at n = j is upper triangular, its top
+    diagonal entry plus
+    the exact offset is the closed-form E_j (Coulomb: that entry is the
+    data's d; the others: every diagonal entry is a lower level), and
+    psi_j has j nodes and equals the closed form up to one scale factor
+    on the sample grid.  Poschl-Teller's predicate admits B < alpha/2,
+    where the closed forms are not the Dirichlet states (the exponent
+    1 - B/alpha is the regular one), so their states are not compared."""
+    family = data.draw(st.sampled_from(_ES_FAMILIES))
+    name = family["name"]
+    try:
+        entry = make_entry(name, _draw_params(data, family, _ES_MAGNITUDE))
+    except InvalidParameterError:
+        assume(False)
+    top = 6 if entry.max_j is None else min(entry.max_j, 6)
+    assume(top >= 0)
+    p = entry.params
+    # n = top takes every level from the entry's own sector, n = 0 takes
+    # the others from the sectors at n = j
+    entry = make_entry(name, p, n=data.draw(st.sampled_from([0, top])))
+    for j in range(top + 1):
+        sector = make_entry(name, p, n=j)
+        m = hamiltonian_matrix(sector.algebra.with_free_d())
+        assert all(m[i][r] == 0 for r in range(j) for i in range(r + 1, j + 1))
+        offset = _es_offset(name, p, j)
+        assert sector.energy_offset == float(offset)
+        assert m[j][j] + offset == closed_form_energy(name, p, j)
+        if name == "coulomb":
+            assert m[j][j] == sector.algebra.d
+        else:
+            assert all(m[r][r] + offset == closed_form_energy(name, p, r)
+                       for r in range(j))
+        exact = float(closed_form_energy(name, p, j))
+        assert abs(entry.closed_form_energy(j) - exact) <= \
+            1e-12 * max(1.0, abs(exact))
+
+        if name == "poschl-teller" and p["B"] < p["alpha"] / 2:
+            continue
+        psi = entry.closed_form_wavefunction(j)
+        assert count_nodes(psi(_node_grid(entry, exact))) == j
+        x = np.linspace(*entry.plot_range, 401)
+        got, want = psi(x), closed_form_psi(name, p, j)(x)
+        k = int(np.argmax(np.abs(want)))
+        assert np.max(np.abs(got - got[k] / want[k] * want)) <= \
+            1e-12 * np.max(np.abs(got))

@@ -412,18 +412,39 @@ def test_general_unreachable_range_is_a_branch_error(tmp_path, capsys):
 def test_general_finite_u_branch_reports_its_reach(tmp_path, capsys, quartic,
                                                    cubic, covered):
     """A cubic or quartic B4 has finite u at an infinite branch end: the
-    default x range in [-3, 3] overshoots it, and the error names the exact
-    reach."""
+    x range [-3, 3] overshoots it, and the error names the exact reach."""
     alg = tmp_path / "alg.json"
     alg.write_text(json.dumps({"C++": quartic, "C+0": cubic, "C00": "0",
                                "C0-": "0", "C--": "1", "C+": "0", "C0": "0",
                                "C-": "0", "d": "free", "n": 1}))
     out = tmp_path / "run"
-    assert run(["general", "--algebra", str(alg), "--out-dir", str(out)]) == 2
+    assert run(["general", "--algebra", str(alg), "--x-min", "-3",
+                "--x-max", "3", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()[-1]
     assert err == ("error: requested u range is unreachable on this branch "
                    f"(covered {covered})")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("quartic, cubic, reach", [
+    ("1", "0", (-1.85407, 1.85407)),
+    ("0", "1/2", (-1.40218, 2.80436)),
+])
+def test_general_default_range_stays_inside_the_reach(tmp_path, quartic,
+                                                      cubic, reach):
+    """With no --x-min/--x-max, each default end of [-3, 3] beyond the
+    reach moves in to 99% of it, and every sample is finite."""
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"C++": quartic, "C+0": cubic, "C00": "0",
+                               "C0-": "0", "C--": "1", "C+": "0", "C0": "0",
+                               "C-": "0", "d": "free", "n": 1}))
+    out = tmp_path / "run"
+    assert run(["general", "--algebra", str(alg), "--out-dir", str(out)]) == 0
+    _, pot = _read_columns(out / "potential.csv")
+    _, waves = _read_columns(out / "wavefunctions.csv")
+    assert pot[0, 0] == pytest.approx(0.99 * reach[0], abs=1e-5)
+    assert pot[-1, 0] == pytest.approx(0.99 * reach[1], abs=1e-5)
+    assert np.all(np.isfinite(pot)) and np.all(np.isfinite(waves))
 
 
 def test_general_pole_beyond_turning_point_is_an_error(tmp_path, capsys):

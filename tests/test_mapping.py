@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from sl2qes.algebra import AlgebraCoefficients, Polynomial, b_polynomials
 from sl2qes.catalog import FAMILY_NAMES, make_entry
 from sl2qes.errors import BranchError, SingularPointError
-from sl2qes.specfun import scaled_exp
 from sl2qes.mapping import (
     Branch,
     _roots,
@@ -19,6 +18,7 @@ from sl2qes.mapping import (
     build_mapping,
     evaluate_potential,
     half_line_sqrt,
+    scaled_exp,
 )
 
 from oracles import MARCH_SET, hand_written_psi, march_map, quadrature_gauge
@@ -312,6 +312,19 @@ def test_roots_separate_a_near_double_pair():
     real, pairs = _roots(b4)
     assert sorted(real) == [-1.0, 1.0, float(1 + eps)]
     assert pairs == []
+
+
+def test_roots_separate_a_near_triple_cluster():
+    # without deflation two Newton starts reach 1 + 1e-6 and 1 is lost
+    eps = Q(1, 10 ** 6)
+    want = [Q(-2), Q(1), 1 + eps, 1 + 2 * eps]
+    b4 = Polynomial.of(1)
+    for r in want:
+        b4 = b4 * Polynomial.of(-r, 1)
+    real, pairs = _roots(b4)
+    assert pairs == [] and len(real) == 4
+    assert all(abs(got - float(r)) <= 1e-12
+               for got, r in zip(sorted(real), want))
 
 
 def test_negative_weight_rejected():

@@ -62,6 +62,13 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
                                 "--sign", "+", "--n", "3",
                                 "--out-dir", str(tmp_path / "build")]) == 0
         tracer.close_case()
+        # an exactly solvable verify runs through the same sector chain
+        tracer.open_case("es-verify")
+        assert sl2qes.cli.main(["verify", "--family", "morse", "--alpha", "1",
+                                "--A", "3", "--B", "1", "--n", "2",
+                                "--j-max", "2",
+                                "--out-dir", str(tmp_path / "es")]) == 0
+        tracer.close_case()
         # general mode: one gauge pass per run, whatever the level count;
         # the cubic B4 is elliptic, the quadratic 5/2 + xi/2 - xi^2 a cos
         quadratic = dict(MARCH_SET, **{"C+0": "0", "C00": "-1",
@@ -84,6 +91,10 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
     build = [span[3] for span in tracer.spans if span[0] == "build"]
     assert "algebra.hamiltonian_matrix" in build
     assert tracer.counts["build"]["algebra.entries"] == 16
+    es = [span[3] for span in tracer.spans if span[0] == "es-verify"]
+    assert {"catalog.CatalogEntry.spectral",
+            "spectral.solve_algebraic_sector", "mapping.build_gauge",
+            "fdsolve.fd_eigensolve"} <= set(es)
     # build and general share one gauge rule: one gauge pass per grid
     assert build.count("mapping.GaugeFactor.__call__") == 1
     assert build.count("mapping.WaveFunction.__call__") == 4
