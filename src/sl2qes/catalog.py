@@ -73,6 +73,7 @@ import numpy as np
 
 from .algebra import AlgebraCoefficients, BPolynomials, as_fraction, b_polynomials
 from .errors import InvalidParameterError, NoBoundStateError, NotApplicableError
+from .fdsolve import SQRT_STRETCH
 from .mapping import (
     Branch,
     GaugeFactor,
@@ -403,8 +404,10 @@ def _coulomb(fam, p, s, n):
                             d=n * kappa, n=n),
         -kappa * (kappa + n), Branch(0.0, np.inf, sign=1, xi0=0.0),
         half_line_sqrt(), domain=(0.0, np.inf),
-        fd_defaults={"x_min": 1e-3, "x_max": 200.0, "points": 20001,
-                     "bc": "dirichlet", "base_tol": 5e-3},
+        # grid uniform in the map's own u = 2 sqrt(x); points count u nodes
+        fd_defaults={"x_min": 1e-5, "x_max": 200.0, "points": 1601,
+                     "stretch": SQRT_STRETCH, "bc": "dirichlet",
+                     "base_tol": 5e-3},
         plot_range=(0.05, 40.0), gauge_x0=1.0,
     )
 

@@ -301,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = _run_parser(sub, "verify", "build and check against the "
                            "finite-difference oracle", _cmd_verify)
     _add_catalog_flags(p_verify)
-    p_verify.add_argument("--points", type=int, help="override grid points")
+    p_verify.add_argument("--points", type=int,
+                          help="override grid points; on a stretched grid "
+                          "(Coulomb: u = 2 sqrt(x)) they are u nodes")
     p_verify.add_argument("--tolerance", type=_finite_float(positive=True))
 
     p_general = _run_parser(sub, "general", "run raw coefficient data "

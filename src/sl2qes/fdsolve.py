@@ -6,15 +6,30 @@ potential are the merged eigenvalues of the periodic and antiperiodic
 problems over one period.  Nothing in here knows about the algebraic
 construction, so agreement between the two routes is meaningful.
 
-Dirichlet problems are symmetric tridiagonal and go to LAPACK's
-tridiagonal solver.  The periodic and antiperiodic matrices are tridiagonal
-plus two corner entries; they are stored sparse and solved by ARPACK in
-shift-invert mode with a shift below min V, so no dense matrix is formed.
-The Richardson refine pass asks for eigenvalues only.
+Dirichlet problems are solved in Liouville normal form on a grid uniform in
+a coordinate u with x = X(u): psi(x) = X'^{1/2} phi(u) turns the equation
+into
+
+    -phi'' + [X'^2 V(X(u)) + S(u)] phi = E X'^2 phi.
+
+Scaling both sides by X'^{-1} keeps the matrix symmetric tridiagonal,
+diag = (2/h^2 + q)/X'^2 and off = -1/(h^2 X'_i X'_{i+1}) with
+q = X'^2 V + S, so it goes to LAPACK's tridiagonal solver.  A plain grid is
+X(u) = u (X' = 1, S = 0: central differences in x).  The stretch
+u = 2 sqrt(x), X = u^2/4, has X' = u/2 and S = 3/(4 u^2); it puts the nodes
+of a half-line problem where a Coulomb well needs them.  Eigenvectors come
+back as psi on the x nodes.
+
+The periodic and antiperiodic matrices are tridiagonal plus two corner
+entries; they are stored sparse and solved by ARPACK in shift-invert mode
+with a shift below min V, so no dense matrix is formed.  They, like
+``residual``, take plain grids only.  The Richardson refine pass asks for
+eigenvalues only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,33 +47,71 @@ __all__ = [
     "band_edges",
     "count_nodes",
     "residual",
+    "SQRT_STRETCH",
 ]
 
 _BCS = ("dirichlet", "periodic", "antiperiodic")
 
+SQRT_STRETCH = "u = 2 sqrt(x)"
+
 
 @dataclass(frozen=True)
 class Grid:
+    """`points` nodes on [x_min, x_max], uniform in x, or with
+    stretch=SQRT_STRETCH uniform in u = 2 sqrt(x) (x_min >= 0)."""
+
     x_min: float
     x_max: float
     points: int
+    stretch: str | None = None
 
     def __post_init__(self):
         if self.points < 16:
             raise GridError("need at least 16 grid points")
         if not self.x_max > self.x_min:
             raise GridError("empty grid interval")
+        if self.stretch not in (None, SQRT_STRETCH):
+            raise GridError(f"unknown grid stretch {self.stretch!r}")
+        if self.stretch and self.x_min < 0.0:
+            raise GridError(f"the stretch {self.stretch} needs x_min >= 0")
+
+    @property
+    def _u_range(self) -> tuple[float, float]:
+        if self.stretch is None:
+            return self.x_min, self.x_max
+        return 2.0 * math.sqrt(self.x_min), 2.0 * math.sqrt(self.x_max)
+
+    @property
+    def u_nodes(self) -> np.ndarray:
+        """The uniform nodes: x itself, or u = 2 sqrt(x) when stretched."""
+        return np.linspace(*self._u_range, self.points)
 
     @property
     def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.points - 1)
+        """The spacing of u_nodes."""
+        lo, hi = self._u_range
+        return (hi - lo) / (self.points - 1)
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.points)
+        """The x images of u_nodes."""
+        u = self.u_nodes
+        return u if self.stretch is None else u * u / 4.0
+
+    def liouville(self, u: np.ndarray):
+        """(X', S) at u: the Jacobian dx/du and the normal-form term."""
+        if self.stretch is None:
+            return np.ones_like(u), np.zeros_like(u)
+        return u / 2.0, 0.75 / (u * u)
 
     def refined(self) -> "Grid":
-        return Grid(self.x_min, self.x_max, 2 * self.points - 1)
+        return Grid(self.x_min, self.x_max, 2 * self.points - 1, self.stretch)
+
+
+def _require_plain(grid: Grid, what: str):
+    if grid.stretch is not None:
+        raise GridError(f"{what} needs a grid uniform in x, not one "
+                        f"stretched by {grid.stretch}")
 
 
 @dataclass
@@ -89,17 +142,20 @@ def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap,
         x = grid.nodes[1:-1]
         if k > len(x):
             raise GridError(f"k={k} exceeds the {len(x)} interior nodes")
+        jac, extra = grid.liouville(grid.u_nodes[1:-1])
         v = _potential_values(potential, x, v_cap)
-        diag = 2.0 * inv_h2 + v
-        off = -inv_h2 * np.ones(len(x) - 1)
+        diag = (2.0 * inv_h2 + (jac * jac * v + extra)) / (jac * jac)
+        off = -inv_h2 / (jac[:-1] * jac[1:])
         result = sla.eigh_tridiagonal(diag, off, eigvals_only=not vectors,
                                       select="i", select_range=(0, k - 1))
         if not vectors:
             return np.asarray(result, float), None
         w, vecs = result
+        # the solved vector is X' phi; psi = X'^{1/2} phi
         full = np.zeros((grid.points, k))
-        full[1:-1, :] = vecs
+        full[1:-1, :] = vecs / np.sqrt(jac)[:, None]
     else:
+        _require_plain(grid, f"the {bc} solve")
         x = grid.nodes[:-1]  # right endpoint identified with the left
         m = len(x)
         if k >= m:
@@ -142,7 +198,7 @@ def fd_eigensolve(potential, grid: Grid, bc: str = "dirichlet", k: int = 6,
     v_cap, when given, clips the potential from above; use it for steeply
     confining walls whose untruncated height would dominate the matrix norm.
     The periodic and antiperiodic problems need k below the number of cell
-    nodes, points - 1.
+    nodes, points - 1, and a grid uniform in x.
     """
     if bc not in _BCS:
         raise GridError(f"unknown boundary condition {bc!r}")
@@ -197,7 +253,9 @@ def count_nodes(values, rel_tol: float = 1e-10) -> int:
 
 def residual(potential, psi, energy: float, grid: Grid) -> float:
     """max |(-psi'' + (V - E) psi)| / max |psi| over interior nodes, with the
-    second derivative from the five-point central stencil."""
+    second derivative from the five-point central stencil; the grid must be
+    uniform in x."""
+    _require_plain(grid, "residual")
     x = grid.nodes
     h = grid.h
     vals = np.asarray(psi(x), float)

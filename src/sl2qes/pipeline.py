@@ -85,7 +85,8 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
         grid_meta = {"x_min": fd["x_min"], "x_max": fd["x_max"],
                      "points": fd["points"], "bc": "periodic+antiperiodic"}
     else:
-        grid = Grid(fd["x_min"], fd["x_max"], fd["points"])
+        stretch = fd.get("stretch")
+        grid = Grid(fd["x_min"], fd["x_max"], fd["points"], stretch)
         spec = fd_eigensolve(entry.potential, grid, bc="dirichlet", k=k,
                              v_cap=v_cap)
         numeric = spec.eigenvalues
@@ -94,12 +95,14 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
             # half-line problem: confirm insensitivity to halving the inner
             # cutoff (eigenvalues only), folded into the per-level estimate
             eps = fd["x_min"]
-            grid2 = Grid(eps / 2.0, fd["x_max"], fd["points"])
+            grid2 = Grid(eps / 2.0, fd["x_max"], fd["points"], stretch)
             numeric2, _ = _solve_once(entry.potential, grid2, "dirichlet", k,
                                       v_cap, vectors=False)
             estimates = np.maximum(estimates, np.abs(numeric2 - numeric))
         grid_meta = {"x_min": fd["x_min"], "x_max": fd["x_max"],
                      "points": fd["points"], "bc": "dirichlet"}
+        if stretch is not None:
+            grid_meta["stretch"] = stretch
 
     rows, all_pass = _match_levels(levels, numeric, estimates, base_tol,
                                    tolerance)

@@ -85,13 +85,15 @@ def test_criterion_03_morse():
 def test_criterion_04_coulomb():
     entry = make_entry("coulomb", {"e2": 2, "l": 0}, n=2)
     fd = entry.fd_defaults
-    grid = Grid(fd["x_min"], fd["x_max"], fd["points"])
+    # the grid verification_report solves on: uniform in u = 2 sqrt(x)
+    grid = Grid(fd["x_min"], fd["x_max"], fd["points"], fd["stretch"])
     spec = fd_eigensolve(entry.potential, grid, k=3, refine=True)
     exact = np.array([-1.0, -0.25, -1.0 / 9.0])
     errs = np.abs(spec.eigenvalues - exact)
     # inner-cutoff sensitivity folded into the confirmation
     half = fd_eigensolve(entry.potential,
-                         Grid(fd["x_min"] / 2, fd["x_max"], fd["points"]),
+                         Grid(fd["x_min"] / 2, fd["x_max"], fd["points"],
+                              fd["stretch"]),
                          k=3, refine=False)
     estimates = np.maximum(spec.convergence_estimate,
                            np.abs(half.eigenvalues - spec.eigenvalues))

@@ -57,6 +57,16 @@ def test_verify_periodic_v1(tmp_path):
         assert row["abs_diff"] <= row["tolerance"]
 
 
+def test_verify_coulomb_points_count_u_nodes(tmp_path):
+    out = tmp_path / "run"
+    code = run(["verify", "--family", "coulomb", "--e2", "2", "--l", "0",
+                "--n", "1", "--points", "801", "--out-dir", str(out)])
+    assert code == 0
+    grid = json.loads((out / "verification.json").read_text())["grid"]
+    assert grid["points"] == 801
+    assert grid["stretch"] == "u = 2 sqrt(x)"
+
+
 def test_verify_failure_exit_code(tmp_path):
     out = tmp_path / "run"
     code = run(["verify", "--family", "harmonic", "--omega", "2", "--n", "0",

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from sl2qes.catalog import make_entry
 from sl2qes.errors import GridError
-from sl2qes.fdsolve import Grid, band_edges, count_nodes, fd_eigensolve, residual
+from sl2qes.fdsolve import (SQRT_STRETCH, Grid, band_edges, count_nodes,
+                            fd_eigensolve, residual)
 
 
 def flat(x):
@@ -169,6 +170,63 @@ def test_wall_clipping_changes_nothing_physical():
     tighter = fd_eigensolve(entry.potential, Grid(-6, 6, 1201), k=2,
                             refine=False, v_cap=1e8)
     assert np.allclose(capped.eigenvalues, tighter.eigenvalues, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet solves on a grid uniform in u = 2 sqrt(x)
+
+HYDROGEN = make_entry("coulomb", {"e2": 2, "l": 0}, n=3)
+HYDROGEN_E = -1.0 / np.arange(1, 5) ** 2
+
+
+def test_stretched_grid_nodes():
+    grid = Grid(0.0, 4.0, 21, SQRT_STRETCH)
+    u = np.linspace(0.0, 4.0, 21)
+    assert np.array_equal(grid.u_nodes, u)
+    assert grid.h == pytest.approx(0.2)
+    assert np.allclose(grid.nodes, u * u / 4.0)
+    assert grid.refined() == Grid(0.0, 4.0, 41, SQRT_STRETCH)
+    with pytest.raises(GridError, match="x_min >= 0"):
+        Grid(-1.0, 4.0, 21, SQRT_STRETCH)
+    with pytest.raises(GridError, match="unknown grid stretch"):
+        Grid(0.0, 4.0, 21, "log")
+
+
+def test_hydrogen_on_stretched_grid_converges_at_second_order():
+    errors = []
+    for points in (801, 1601):
+        spec = fd_eigensolve(HYDROGEN.potential,
+                             Grid(0.0, 200.0, points, SQRT_STRETCH), k=4,
+                             refine=False)
+        errors.append(np.abs(spec.eigenvalues - HYDROGEN_E))
+    assert np.all(errors[0] / errors[1] > 3.5)
+
+
+def test_stretched_eigenvectors_are_psi_on_the_x_nodes():
+    grid = Grid(0.0, 200.0, 1601, SQRT_STRETCH)
+    spec = fd_eigensolve(HYDROGEN.potential, grid, k=4, refine=False)
+    assert np.allclose(np.max(np.abs(spec.eigenvectors), axis=0), 1.0)
+    for j in range(4):
+        assert count_nodes(spec.eigenvectors[:, j]) == j
+    # psi_0 = x exp(-x), max-norm 1
+    x = grid.nodes
+    psi0 = spec.eigenvectors[:, 0] * np.sign(spec.eigenvectors[1, 0])
+    assert np.max(np.abs(psi0 - x * np.exp(-x) / np.exp(-1.0))) < 1e-4
+
+
+def test_stretched_grid_is_dirichlet_only():
+    grid = Grid(0.0, 4.0, 64, SQRT_STRETCH)
+    for bc in ("periodic", "antiperiodic"):
+        with pytest.raises(GridError, match="grid uniform in x"):
+            fd_eigensolve(flat, grid, bc=bc, k=2, refine=False)
+
+
+def test_residual_needs_a_plain_grid():
+    entry = make_entry("harmonic", {"omega": 2}, n=0)
+    psi = entry.closed_form_wavefunction(0)
+    with pytest.raises(GridError, match="grid uniform in x"):
+        residual(entry.potential, psi, 1.0,
+                 Grid(0.0, 8.0, 401, SQRT_STRETCH))
 
 
 # ---------------------------------------------------------------------------

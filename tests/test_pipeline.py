@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2qes import catalog
 from sl2qes.algebra import Polynomial
@@ -78,6 +80,29 @@ def test_report_structure():
     assert set(row) == {"level", "algebraic_E", "numeric_E", "abs_diff",
                         "tolerance", "pass"}
     assert report["grid"]["bc"] == "periodic+antiperiodic"
+
+
+def test_report_records_the_coulomb_stretch():
+    coulomb = verification_report(make_entry("coulomb", {"e2": 2, "l": 0},
+                                             n=1))
+    assert coulomb["grid"] == {"x_min": 1e-5, "x_max": 200.0,
+                               "points": 1601, "bc": "dirichlet",
+                               "stretch": "u = 2 sqrt(x)"}
+    harmonic = verification_report(make_entry("harmonic", {"omega": 2}))
+    assert "stretch" not in harmonic["grid"]
+
+
+@given(st.floats(1.0, 8.0), st.integers(0, 2), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_coulomb_verifies_across_parameters(e2, l, n):
+    # the fixed tolerance is 5e-3; every diff must sit well below it, not
+    # pass through the 10 x Richardson widening
+    report = verification_report(make_entry("coulomb", {"e2": e2, "l": l},
+                                            n=n), j_max=n)
+    assert report["all_pass"], report["levels"]
+    assert len(report["levels"]) == n + 1
+    for row in report["levels"]:
+        assert row["abs_diff"] <= 1e-3, row
 
 
 def test_wavefunction_norms_are_finite():
