@@ -52,7 +52,6 @@ from .mapping import (
     assemble_wavefunction,
     build_gauge,
     build_mapping,
-    evaluate_potential,
     half_line_sqrt,
     identity_shift,
     potential_from_operator,

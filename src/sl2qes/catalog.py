@@ -5,8 +5,9 @@ predicates with the text ``list-families`` prints, whether it takes a sign
 branch, and its class.  ``make_entry`` validates against the record and
 builds an ``EsEntry`` (exactly solvable, ES) or a ``QesEntry``
 (quasi-solvable, QES) from the family's data at n: the sl(2) coefficients
-with d left free, an energy offset, the coordinate branch and the defaults
-of the numeric cross-check.  Both kinds take every level from one chain:
+with d left free, an energy offset, the coordinate branch and the x
+window and grid size of the numeric cross-check, which derives the rest
+from the entry (``pipeline``).  Both kinds take every level from one chain:
 the algebraic-sector solve of the data with E = offset + d, and psi = the
 gauge of the B polynomials (``mapping.build_gauge``, 1 at ``gauge_x0``)
 times the level's polynomial.  The potential is that of the entry's own B
@@ -73,7 +74,6 @@ import numpy as np
 
 from .algebra import AlgebraCoefficients, BPolynomials, as_fraction, b_polynomials
 from .errors import InvalidParameterError, NoBoundStateError, NotApplicableError
-from .fdsolve import SQRT_STRETCH
 from .mapping import (
     Branch,
     GaugeFactor,
@@ -108,7 +108,7 @@ class Param(NamedTuple):
     """Validity predicate of one parameter, as documented and as checked."""
 
     doc: str
-    holds: Callable | None = None   # (exact value, sigma) -> bool
+    holds: Callable | None = None   # (exact value, sigma, params) -> bool
     message: str = ""
     whole: bool = False             # a non-negative int, not a Fraction
 
@@ -140,7 +140,8 @@ class Family:
         for k, rule in self.params.items():
             out[k] = (_whole(params[k], rule.message) if rule.whole
                       else _rational(k, params[k]))
-            if rule.holds is not None and not rule.holds(out[k], sigma):
+            # params: this value and the ones converted before it
+            if rule.holds is not None and not rule.holds(out[k], sigma, out):
                 raise InvalidParameterError(rule.message)
         return out
 
@@ -158,7 +159,7 @@ class CatalogEntry:
     bp: BPolynomials
     mapping: Mapping
     potential: PotentialModel
-    fd_defaults: dict
+    fd_defaults: dict              # x window, points, v_cap
     plot_range: tuple[float, float]
     gauge_x0: float                # the gauge is 1 here
     energy_offset: float           # E = energy_offset + d
@@ -296,12 +297,13 @@ def _norm_sign(sign) -> int:
 
 
 def _positive(k: str, why: str = "") -> Param:
-    return Param(f"{k} > 0", lambda v, sigma: v > 0,
+    return Param(f"{k} > 0", lambda v, sigma, p: v > 0,
                  f"{k} must be positive{why}")
 
 
 def _nonzero(k: str) -> Param:
-    return Param(f"{k} != 0", lambda v, sigma: v != 0, f"{k} must be nonzero")
+    return Param(f"{k} != 0", lambda v, sigma, p: v != 0,
+                 f"{k} must be nonzero")
 
 
 _REAL = Param("real")
@@ -338,8 +340,7 @@ def _harmonic(fam, p, s, n):
         EsEntry, fam, p, None, n, AlgebraCoefficients(c_mm=1, c_0=-w, n=n),
         (n + 1) * w / 2, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
         identity_shift(0.0),
-        fd_defaults={"x_min": -half, "x_max": half, "points": 2001,
-                     "bc": "dirichlet", "base_tol": 1e-3},
+        fd_defaults={"x_min": -half, "x_max": half, "points": 2001},
         plot_range=(-5.0, 5.0), gauge_x0=0.0,
     )
 
@@ -352,8 +353,7 @@ def _morse(fam, p, s, n):
                             c_m=2 * B * al, n=n),
         -(A - n * al / 2) ** 2, Branch(0.0, np.inf, sign=1, xi0=1.0),
         identity_shift(0.0),
-        fd_defaults={"x_min": -2.8, "x_max": 22.0, "points": 4001,
-                     "bc": "dirichlet", "base_tol": 1e-3},
+        fd_defaults={"x_min": -2.8, "x_max": 22.0, "points": 4001},
         plot_range=(-2.5, 8.0), gauge_x0=0.0,
         max_j=_bound_states_below(float(A / al)),
     )
@@ -371,8 +371,7 @@ def _poschl_teller(fam, p, s, n):
         # Dirichlet at eps shifts levels by ~ eps * |psi'(0)|^2 / ||psi||^2
         # when B = alpha (no repulsive wall), so eps must sit well below the
         # 1e-3 energy tolerance.
-        fd_defaults={"x_min": 1e-5, "x_max": 12.0, "points": 2401,
-                     "bc": "dirichlet", "base_tol": 1e-3},
+        fd_defaults={"x_min": 1e-5, "x_max": 12.0, "points": 2401},
         plot_range=(0.02, 8.0), gauge_x0=1.0,
         # bound states need A - B - 2 j alpha > 0
         max_j=_bound_states_below(float((A - B) / (2 * al))),
@@ -388,8 +387,7 @@ def _scarf_ii(fam, p, s, n):
                             n=n),
         -(A - n * al / 2) ** 2, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
         identity_shift(0.0),
-        fd_defaults={"x_min": -16.0, "x_max": 16.0, "points": 3201,
-                     "bc": "dirichlet", "base_tol": 1e-3},
+        fd_defaults={"x_min": -16.0, "x_max": 16.0, "points": 3201},
         plot_range=(-8.0, 8.0), gauge_x0=0.0,
         max_j=_bound_states_below(float(A / al)),
     )
@@ -404,10 +402,9 @@ def _coulomb(fam, p, s, n):
                             d=n * kappa, n=n),
         -kappa * (kappa + n), Branch(0.0, np.inf, sign=1, xi0=0.0),
         half_line_sqrt(), domain=(0.0, np.inf),
-        # grid uniform in the map's own u = 2 sqrt(x); points count u nodes
-        fd_defaults={"x_min": 1e-5, "x_max": 200.0, "points": 1601,
-                     "stretch": SQRT_STRETCH, "bc": "dirichlet",
-                     "base_tol": 5e-3},
+        # the oracle's grid is uniform in the map's u = 2 sqrt(x); points
+        # count u nodes
+        fd_defaults={"x_min": 1e-5, "x_max": 200.0, "points": 1601},
         plot_range=(0.05, 40.0), gauge_x0=1.0,
     )
 
@@ -437,8 +434,7 @@ def _periodic(fam, p, s, n):
     return _entry(
         QesEntry, fam, p, s, n, alg, offset,
         Branch(-1.0, 1.0, sign=-1, xi0=1.0), identity_shift(af), period=period,
-        fd_defaults={"x_min": af, "x_max": af + period, "points": 801,
-                     "bc": "bands", "base_tol": 1e-3},
+        fd_defaults={"x_min": af, "points": 801},
         plot_range=(af, af + period), gauge_x0=af + period / 4.0,
     )
 
@@ -459,7 +455,7 @@ def _hyperbolic(fam, p, s, n):
         QesEntry, fam, p, s, n, alg, offset,
         Branch(1.0, np.inf, sign=1, xi0=1.0), identity_shift(af),
         fd_defaults={"x_min": af - 8.0, "x_max": af + 8.0, "points": 3201,
-                     "bc": "dirichlet", "base_tol": 1e-3, "v_cap": 1e8},
+                     "v_cap": 1e8},
         plot_range=(af - 3.0, af + 3.0), gauge_x0=af + 1.0,
     )
 
@@ -467,14 +463,13 @@ def _hyperbolic(fam, p, s, n):
 # ---------------------------------------------------------------------------
 # the catalog
 
-_ALPHA_A_B = {"alpha": _positive("alpha"), "A": _REAL, "B": _REAL}
 _PERIODIC = {"alpha": _nonzero("alpha"), "beta": _nonzero("beta"), "a": _REAL}
 _PERIODIC_DOMAIN = "(-inf, inf), period 2 pi / |beta|"
 
 
 def _hyperbolic_params(eta_doc: str) -> dict:
     """gamma, eta, a; every family needs sigma * eta < 0 (eta_doc)."""
-    eta = Param(eta_doc, lambda v, sigma: sigma * v < 0,
+    eta = Param(eta_doc, lambda v, sigma, p: sigma * v < 0,
                 f"{eta_doc} is needed for a normalizable wavefunction")
     return {"gamma": _nonzero("gamma"), "eta": eta, "a": _REAL}
 
@@ -487,9 +482,16 @@ _FAMILIES = {fam.name: fam for fam in (
             "B": _positive("B", " for a normalizable ground state")},
            "(-inf, inf)", _morse,
            energies="E_j = -(A - j alpha)^2 for j < A/alpha"),
-    Family("poschl-teller", "es", _ALPHA_A_B, "(0, inf)", _poschl_teller,
+    Family("poschl-teller", "es",
+           {"alpha": _positive("alpha"), "A": _REAL,
+            "B": Param("B >= alpha/2", lambda v, sigma, p: v >= p["alpha"] / 2,
+                       "B >= alpha/2 is needed: below alpha/2 the potential "
+                       "is the one of alpha - B")},
+           "(0, inf)", _poschl_teller,
            energies="E_j = -(A - B - 2 j alpha)^2 for j < (A-B)/(2 alpha)"),
-    Family("scarf-ii", "es", _ALPHA_A_B, "(-inf, inf)", _scarf_ii,
+    Family("scarf-ii", "es",
+           {"alpha": _positive("alpha"), "A": _REAL, "B": _REAL},
+           "(-inf, inf)", _scarf_ii,
            energies="E_j = -(A - j alpha)^2 for j < A/alpha"),
     Family("coulomb", "es",
            {"e2": _positive("e2"),

@@ -31,7 +31,6 @@ __all__ = [
     "Branch",
     "Mapping",
     "build_mapping",
-    "evaluate_potential",
     "PotentialModel",
     "potential_from_operator",
     "GaugeSamples",
@@ -378,13 +377,6 @@ def build_mapping(bp: BPolynomials, branch: Branch,
     tag, c, k, h = _recognize_shape(b4)
     xi_fn, factors = _closed_form_maps(tag, c, k, h, branch)
     return Mapping(b4, branch, transform, xi_fn, tag, factors)
-
-
-def evaluate_potential(bp: BPolynomials, d_value: float, mapping: Mapping,
-                       e_convention: float, x):
-    """The potential of ``potential_from_operator`` at x."""
-    return potential_from_operator(bp, d_value, mapping, e_convention,
-                                   (-np.inf, np.inf))(x)
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """End-to-end plumbing: verification reports and reproducible artifacts.
 
 The verification report pairs each analytically known level with the nearest
-numeric eigenvalue (Dirichlet spectrum, or band edge for periodic families)
-and applies the tolerance rule max(base, 10 * convergence_estimate); an
-explicitly supplied tolerance is used as-is.  All files are written
-atomically (temp file + rename) with fixed key order and shortest
-round-trip float formatting, so identical configurations produce
+numeric eigenvalue and applies the tolerance rule max(1e-3, 10 *
+convergence_estimate) to every family; an explicitly supplied tolerance is
+used as-is.  The entry's ``fd_defaults`` give the x window and grid size,
+and the entry itself the rest: a periodic entry is checked against band
+edges over one period from x_min, any other against the Dirichlet
+spectrum, on a grid uniform in u where its map is u = 2 sqrt(x).  All
+files are written atomically (temp file + rename) with fixed key order and
+shortest round-trip float formatting, so identical configurations produce
 byte-identical output.
 """
 
@@ -18,7 +21,7 @@ import tempfile
 import numpy as np
 
 from .catalog import CatalogEntry
-from .fdsolve import Grid, _solve_once, band_edges, fd_eigensolve
+from .fdsolve import SQRT_STRETCH, Grid, _solve_once, band_edges, fd_eigensolve
 
 __all__ = [
     "verification_report",
@@ -30,7 +33,10 @@ __all__ = [
 ]
 
 
-def _match_levels(levels, numeric, estimates, base_tol, fixed_tol):
+BASE_TOLERANCE = 1e-3
+
+
+def _match_levels(levels, numeric, estimates, fixed_tol):
     rows = []
     all_pass = True
     for j, energy in levels:
@@ -38,7 +44,7 @@ def _match_levels(levels, numeric, estimates, base_tol, fixed_tol):
         if fixed_tol is not None:
             tol = fixed_tol
         else:
-            tol = max(base_tol, 10.0 * float(estimates[idx]))
+            tol = max(BASE_TOLERANCE, 10.0 * float(estimates[idx]))
         diff = abs(float(numeric[idx]) - energy)
         ok = diff <= tol
         all_pass &= ok
@@ -71,21 +77,22 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
     fd = dict(entry.fd_defaults)
     if points is not None:
         fd["points"] = int(points)
-    base_tol = fd.get("base_tol", 1e-3)
     levels = entry.verification_levels(j_max)
     k = len(levels) + 6
     v_cap = fd.get("v_cap")
 
-    if fd["bc"] == "bands":
+    if entry.period is not None:
         edges = band_edges(entry.potential, entry.period, count=k,
                            points=fd["points"], x_start=fd["x_min"],
                            v_cap=v_cap)
         numeric = np.array([e.energy for e in edges])
         estimates = np.array([e.convergence_estimate for e in edges])
-        grid_meta = {"x_min": fd["x_min"], "x_max": fd["x_max"],
+        grid_meta = {"x_min": fd["x_min"],
+                     "x_max": fd["x_min"] + entry.period,
                      "points": fd["points"], "bc": "periodic+antiperiodic"}
     else:
-        stretch = fd.get("stretch")
+        stretch = (SQRT_STRETCH if entry.mapping.transform.kind == "two-sqrt"
+                   else None)
         grid = Grid(fd["x_min"], fd["x_max"], fd["points"], stretch)
         spec = fd_eigensolve(entry.potential, grid, bc="dirichlet", k=k,
                              v_cap=v_cap)
@@ -104,8 +111,7 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
         if stretch is not None:
             grid_meta["stretch"] = stretch
 
-    rows, all_pass = _match_levels(levels, numeric, estimates, base_tol,
-                                   tolerance)
+    rows, all_pass = _match_levels(levels, numeric, estimates, tolerance)
     return {**_header(entry), "grid": grid_meta, "levels": rows,
             "all_pass": all_pass}
 

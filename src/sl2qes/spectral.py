@@ -37,30 +37,14 @@ class Level:
     E: float | None = None
 
     def to_json_dict(self) -> dict:
-        out = {"d": self.d, "E": self.E, "b": [float(v) for v in self.b],
-               "imag_residual": self.imag_residual}
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Level":
-        return cls(d=float(data["d"]),
-                   b=np.asarray(data["b"], float),
-                   imag_residual=float(data["imag_residual"]),
-                   E=None if data.get("E") is None else float(data["E"]))
+        return {"d": self.d, "E": self.E, "b": [float(v) for v in self.b],
+                "imag_residual": self.imag_residual}
 
 
 @dataclass
 class SpectralResult:
     n: int
     levels: list[Level] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "levels": [lv.to_json_dict() for lv in self.levels]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SpectralResult":
-        return cls(n=int(data["n"]),
-                   levels=[Level.from_json_dict(lv) for lv in data["levels"]])
 
 
 def _normalize_vector(b: np.ndarray) -> np.ndarray:

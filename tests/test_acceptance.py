@@ -20,7 +20,8 @@ from sl2qes.algebra import (
     hamiltonian_matrix_from_b,
 )
 from sl2qes.catalog import make_entry
-from sl2qes.fdsolve import Grid, band_edges, count_nodes, fd_eigensolve, residual
+from sl2qes.fdsolve import (SQRT_STRETCH, Grid, band_edges, count_nodes,
+                            fd_eigensolve, residual)
 from sl2qes.mapping import build_gauge
 from sl2qes.spectral import solve_algebraic_sector
 
@@ -86,14 +87,14 @@ def test_criterion_04_coulomb():
     entry = make_entry("coulomb", {"e2": 2, "l": 0}, n=2)
     fd = entry.fd_defaults
     # the grid verification_report solves on: uniform in u = 2 sqrt(x)
-    grid = Grid(fd["x_min"], fd["x_max"], fd["points"], fd["stretch"])
+    grid = Grid(fd["x_min"], fd["x_max"], fd["points"], SQRT_STRETCH)
     spec = fd_eigensolve(entry.potential, grid, k=3, refine=True)
     exact = np.array([-1.0, -0.25, -1.0 / 9.0])
     errs = np.abs(spec.eigenvalues - exact)
     # inner-cutoff sensitivity folded into the confirmation
     half = fd_eigensolve(entry.potential,
                          Grid(fd["x_min"] / 2, fd["x_max"], fd["points"],
-                              fd["stretch"]),
+                              SQRT_STRETCH),
                          k=3, refine=False)
     estimates = np.maximum(spec.convergence_estimate,
                            np.abs(half.eigenvalues - spec.eigenvalues))

@@ -65,7 +65,7 @@ def expected_es(name, p, n):
     ("morse", {"alpha": Q(1), "A": Q(3), "B": Q(1)}),
     ("morse", {"alpha": Q(2, 3), "A": Q(5, 2), "B": Q(2)}),
     ("poschl-teller", {"alpha": Q(1), "A": Q(3), "B": Q(1)}),
-    ("poschl-teller", {"alpha": Q(3, 2), "A": Q(4), "B": Q(1, 2)}),
+    ("poschl-teller", {"alpha": Q(3, 2), "A": Q(4), "B": Q(3, 4)}),
     ("scarf-ii", {"alpha": Q(1), "A": Q(2), "B": Q(1)}),
     ("scarf-ii", {"alpha": Q(2), "A": Q(7, 2), "B": Q(-1, 3)}),
     ("coulomb", {"e2": Q(2), "l": 0}),
@@ -303,8 +303,10 @@ def _oracle_nodes(entry):
     """The refined FD grid nodes at which the oracle reads V (no Dirichlet
     wall, one period of a band problem), and the plot range."""
     fd = entry.fd_defaults
-    nodes = Grid(fd["x_min"], fd["x_max"], fd["points"]).refined().nodes
-    nodes = nodes[:-1] if fd["bc"] == "bands" else nodes[1:-1]
+    periodic = entry.period is not None
+    x_max = fd["x_min"] + entry.period if periodic else fd["x_max"]
+    nodes = Grid(fd["x_min"], x_max, fd["points"]).refined().nodes
+    nodes = nodes[:-1] if periodic else nodes[1:-1]
     return np.concatenate([nodes, np.linspace(*entry.plot_range, 401)])
 
 
@@ -454,9 +456,7 @@ def test_es_levels_come_from_their_sectors(data):
     the exact offset is the closed-form E_j (Coulomb: that entry is the
     data's d; the others: every diagonal entry is a lower level), and
     psi_j has j nodes and equals the closed form up to one scale factor
-    on the sample grid.  Poschl-Teller's predicate admits B < alpha/2,
-    where the closed forms are not the Dirichlet states (the exponent
-    1 - B/alpha is the regular one), so their states are not compared."""
+    on the sample grid."""
     family = data.draw(st.sampled_from(_ES_FAMILIES))
     name = family["name"]
     try:
@@ -485,8 +485,6 @@ def test_es_levels_come_from_their_sectors(data):
         assert abs(entry.closed_form_energy(j) - exact) <= \
             1e-12 * max(1.0, abs(exact))
 
-        if name == "poschl-teller" and p["B"] < p["alpha"] / 2:
-            continue
         psi = entry.closed_form_wavefunction(j)
         assert count_nodes(psi(_node_grid(entry, exact))) == j
         x = np.linspace(*entry.plot_range, 401)

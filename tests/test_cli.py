@@ -27,6 +27,8 @@ def test_list_families_output(capsys):
     assert run(["list-families"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc) == 13
+    pt = next(item for item in doc if item["name"] == "poschl-teller")
+    assert pt["params"]["B"] == "B >= alpha/2"
 
 
 def test_build_harmonic_spectrum(tmp_path):
@@ -334,6 +336,17 @@ def test_no_bound_state_is_an_error(tmp_path, capsys, command, family,
                 "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()[-1]
     assert err == f"error: {family}: no bound state up to j_max=3"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("b", ["0.25", "-1"])
+def test_poschl_teller_needs_b_at_least_half_alpha(tmp_path, capsys, b):
+    # below alpha/2 the potential is that of alpha - B, whose Dirichlet
+    # levels are not the listed E_j
+    out = tmp_path / "out"
+    assert run(["verify", "--family", "poschl-teller", "--alpha", "1",
+                "--A", "3", "--B", b, "--out-dir", str(out)]) == 2
+    assert "B >= alpha/2" in capsys.readouterr().err.splitlines()[-1]
     assert not out.exists()
 
 

@@ -16,8 +16,8 @@ from sl2qes.mapping import (
     assemble_wavefunction,
     build_gauge,
     build_mapping,
-    evaluate_potential,
     half_line_sqrt,
+    potential_from_operator,
     scaled_exp,
 )
 
@@ -341,12 +341,15 @@ def test_interior_zero_rejected():
 
 # -------------------------------------------------------- induced potential
 
+LINE = (-np.inf, np.inf)
+
+
 def test_harmonic_potential_value_and_level_independence():
     entry = make_entry("harmonic", {"omega": 2}, n=3)
     values = []
     for j in (0, 1, 4):
         bp, d, e, mp = entry.operator_potential_data(j)
-        values.append(evaluate_potential(bp, d, mp, e, 1.0))
+        values.append(potential_from_operator(bp, d, mp, e, LINE)(1.0))
     assert values[0] == pytest.approx(1.0, abs=1e-12)
     assert values[0] == pytest.approx(values[1], abs=1e-12)
     assert values[0] == pytest.approx(values[2], abs=1e-12)
@@ -364,8 +367,7 @@ def test_potential_level_independence_all_solvable(name, params, grid):
     vals = []
     for j in (0, 1):
         bp, d, e, mp = entry.operator_potential_data(j)
-        vals.append(np.array([evaluate_potential(bp, d, mp, e, float(t))
-                              for t in grid]))
+        vals.append(potential_from_operator(bp, d, mp, e, LINE)(grid))
     assert np.max(np.abs(vals[0] - vals[1])) < 1e-10 * max(
         1.0, float(np.max(np.abs(vals[0]))))
 
@@ -377,8 +379,7 @@ def test_qes_level_independence():
     vals = []
     for j in (0, 1):
         bp, d, e, mp = entry.operator_potential_data(j)
-        vals.append(np.array([evaluate_potential(bp, d, mp, e, float(t))
-                              for t in grid]))
+        vals.append(potential_from_operator(bp, d, mp, e, LINE)(grid))
     assert np.max(np.abs(vals[0] - vals[1])) < 1e-10
 
 
@@ -388,15 +389,15 @@ def test_periodic_potential_value_at_origin():
     bp, d, e, mp = entry.operator_potential_data(0)
     assert e == pytest.approx(-5.0 / 8.0, abs=1e-14)
     # the weight vanishes at xi = 1 but the polynomial division cancels it
-    assert evaluate_potential(bp, d, mp, e, 0.0) == pytest.approx(-11.0 / 8.0,
-                                                                  abs=1e-12)
+    potential = potential_from_operator(bp, d, mp, e, LINE)
+    assert potential(0.0) == pytest.approx(-11.0 / 8.0, abs=1e-12)
 
 
 def test_singular_point_error_at_weight_zero():
     entry = make_entry("poschl-teller", {"alpha": 1, "A": 3, "B": 1}, n=1)
     bp, d, e, mp = entry.operator_potential_data(0)
     with pytest.raises(SingularPointError):
-        evaluate_potential(bp, d, mp, e, 0.0)
+        potential_from_operator(bp, d, mp, e, LINE)(0.0)
 
 
 # ------------------------------------------------------------- gauge factor

@@ -13,6 +13,7 @@ from sl2qes.algebra import Polynomial
 from sl2qes.catalog import make_entry
 from sl2qes.cli import main
 from sl2qes.errors import NoBoundStateError
+from sl2qes.fdsolve import SQRT_STRETCH, Grid, fd_eigensolve
 from sl2qes.pipeline import verification_report
 
 ES_CASES = [
@@ -92,11 +93,67 @@ def test_report_records_the_coulomb_stretch():
     assert "stretch" not in harmonic["grid"]
 
 
+_PER = {"alpha": 1, "beta": 1, "a": 0}
+_BANDS = (0.0, 6.283185307179586, 801, "periodic+antiperiodic")
+_HYP = (-8.0, 8.0, 3201, "dirichlet")
+# the 14 default cases and the grid block each writes, value for value
+DEFAULT_GRIDS = [
+    ("harmonic", {"omega": 2}, None, 3, (-10.0, 10.0, 2001, "dirichlet")),
+    ("morse", {"alpha": 1, "A": 3, "B": 1}, None, 2,
+     (-2.8, 22.0, 4001, "dirichlet")),
+    ("poschl-teller", {"alpha": 1, "A": 3, "B": 1}, None, 0,
+     (1e-05, 12.0, 2401, "dirichlet")),
+    ("scarf-ii", {"alpha": 1, "A": 2, "B": 1}, None, 1,
+     (-16.0, 16.0, 3201, "dirichlet")),
+    ("coulomb", {"e2": 2, "l": 0}, None, 2,
+     (1e-05, 200.0, 1601, "dirichlet", "u = 2 sqrt(x)")),
+    ("periodic-v1", _PER, "+", 1, _BANDS),
+    ("periodic-v1", _PER, "-", 1, _BANDS),
+    ("periodic-v2", _PER, "+", 1, _BANDS),
+    ("periodic-v3", _PER, "-", 1, _BANDS),
+    ("periodic-v4", _PER, "+", 1, _BANDS),
+    ("hyperbolic-v1", {"gamma": 1, "eta": -1, "a": 0}, "+", 1, _HYP),
+    ("hyperbolic-v2", {"gamma": 1, "eta": 1, "a": 0}, "-", 1, _HYP),
+    ("hyperbolic-v3", {"gamma": 1, "eta": 2, "a": 0}, "-", 1, _HYP),
+    ("hyperbolic-v4", {"gamma": 1, "eta": -2, "a": 0}, "+", 1, _HYP),
+]
+
+
+@pytest.mark.parametrize("name,params,sign,n,grid", DEFAULT_GRIDS)
+def test_default_grid_blocks(name, params, sign, n, grid):
+    report = verification_report(make_entry(name, params, sign=sign, n=n),
+                                 j_max=n)
+    # the same keys in the same order keep the artifact bytes
+    keys = ("x_min", "x_max", "points", "bc", "stretch")
+    assert list(report["grid"].items()) == list(zip(keys, grid))
+
+
+@pytest.mark.parametrize("e2, l, n", [(2, 0, 2), (3, 1, 1), (7, 2, 3)])
+def test_coulomb_tolerance_is_the_common_rule(e2, l, n):
+    entry = make_entry("coulomb", {"e2": e2, "l": l}, n=n)
+    report = verification_report(entry, j_max=n)
+    grid = report["grid"]
+    k = len(report["levels"]) + 6
+    spec = fd_eigensolve(entry.potential,
+                         Grid(grid["x_min"], grid["x_max"], grid["points"],
+                              SQRT_STRETCH), k=k)
+    half = fd_eigensolve(entry.potential,
+                         Grid(grid["x_min"] / 2, grid["x_max"],
+                              grid["points"], SQRT_STRETCH),
+                         k=k, refine=False)
+    estimates = np.maximum(spec.convergence_estimate,
+                           np.abs(half.eigenvalues - spec.eigenvalues))
+    for row in report["levels"]:
+        idx = int(np.argmin(np.abs(spec.eigenvalues - row["algebraic_E"])))
+        assert row["tolerance"] == pytest.approx(
+            max(1e-3, 10.0 * float(estimates[idx])), rel=1e-9)
+
+
 @given(st.floats(1.0, 8.0), st.integers(0, 2), st.integers(0, 3))
 @settings(max_examples=25, deadline=None)
 def test_coulomb_verifies_across_parameters(e2, l, n):
-    # the fixed tolerance is 5e-3; every diff must sit well below it, not
-    # pass through the 10 x Richardson widening
+    # every diff must sit within the 1e-3 base tolerance itself, not pass
+    # through the 10 x Richardson widening
     report = verification_report(make_entry("coulomb", {"e2": e2, "l": l},
                                             n=n), j_max=n)
     assert report["all_pass"], report["levels"]

@@ -10,7 +10,6 @@ from sl2qes.algebra import AlgebraCoefficients
 from sl2qes.catalog import make_entry
 from sl2qes.spectral import (
     NonRealSpectrumWarning,
-    SpectralResult,
     compose_energies,
     sector_ode_residual,
     solve_algebraic_sector,
@@ -133,13 +132,3 @@ def test_energies_sorted_ascending():
     res = compose_energies(solve_algebraic_sector(periodic_v1_algebra(4)), 2.5)
     energies = [lv.E for lv in res.levels]
     assert energies == sorted(energies)
-
-
-def test_spectral_json_round_trip():
-    res = compose_energies(solve_algebraic_sector(periodic_v1_algebra(2)), 0.5)
-    doc = res.to_json_dict()
-    back = SpectralResult.from_json_dict(doc)
-    assert back.n == res.n
-    for a, b in zip(back.levels, res.levels):
-        assert a.d == b.d and a.E == b.E
-        assert np.allclose(a.b, b.b)
