@@ -33,9 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from .errors import GridError
 
@@ -136,6 +133,12 @@ def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap,
                 vectors: bool = True):
     """Lowest k eigenvalues on the grid, plus their max-norm eigenvectors on
     grid.nodes when `vectors` (else None)."""
+    # scipy is imported here, where the oracle needs it, so runs that never
+    # solve (build, general, list-families) start without it
+    from scipy import linalg as sla
+    from scipy import sparse
+    from scipy.sparse import linalg as spla
+
     h = grid.h
     inv_h2 = 1.0 / h ** 2
     if bc == "dirichlet":

@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-# unused here: kept only because perfbench's tracer wraps mapping.quad
-from scipy.integrate import quad
-from scipy.special import elliprf
 
 from .algebra import BPolynomials, Polynomial, poly_gcd
 from .errors import BranchError, SingularPointError
@@ -39,6 +36,15 @@ __all__ = [
     "WaveFunction",
     "assemble_wavefunction",
 ]
+
+
+def __getattr__(name):
+    # nothing here calls quad; perfbench's tracer still reads mapping.quad,
+    # so it resolves on demand without scipy.integrate at import time
+    if name == "quad":
+        from scipy.integrate import quad
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -266,6 +272,8 @@ def _elliptic_maps(b4: Polynomial, branch: Branch):
     by xi = p1 + q1 tan(theta).  An infinite end is evaluated at +-1e150
     (tail below 1e-75).  A u outside [u(lo), u(hi)] raises BranchError.
     """
+    from scipy.special import elliprf
+
     lo, hi, xi0, s = branch.lo, branch.hi, branch.xi0, float(branch.sign)
     if not lo < xi0 < hi:
         raise BranchError("elliptic mapping needs an interior anchor")

@@ -98,9 +98,9 @@ def test_criterion_04_coulomb():
                          k=3, refine=False)
     estimates = np.maximum(spec.convergence_estimate,
                            np.abs(half.eigenvalues - spec.eigenvalues))
-    report(4, "Coulomb levels {-1,-1/4,-1/9} within 5e-3 with confirming "
+    report(4, "Coulomb levels {-1,-1/4,-1/9} within 1e-3 with confirming "
               "convergence estimates",
-           bool(np.all(errs < 5e-3)) and bool(np.all(estimates < 5e-3)),
+           bool(np.all(errs < 1e-3)) and bool(np.all(estimates < 1e-3)),
            f"max err {errs.max():.2e}, max estimate {estimates.max():.2e}")
 
 

@@ -12,7 +12,7 @@ from sl2qes.errors import (
     NoBoundStateError,
     NotApplicableError,
 )
-from sl2qes.fdsolve import Grid, count_nodes, residual
+from sl2qes.fdsolve import SQRT_STRETCH, Grid, count_nodes, residual
 from sl2qes.mapping import assemble_wavefunction
 
 from oracles import (
@@ -301,11 +301,15 @@ _REAL = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
 def _oracle_nodes(entry):
     """The refined FD grid nodes at which the oracle reads V (no Dirichlet
-    wall, one period of a band problem), and the plot range."""
+    wall, one period of a band problem), and the plot range.  The grid is
+    the one `verification_report` builds: uniform in u = 2 sqrt(x) for a
+    two-sqrt map, else uniform in x."""
     fd = entry.fd_defaults
     periodic = entry.period is not None
     x_max = fd["x_min"] + entry.period if periodic else fd["x_max"]
-    nodes = Grid(fd["x_min"], x_max, fd["points"]).refined().nodes
+    stretch = (SQRT_STRETCH if entry.mapping.transform.kind == "two-sqrt"
+               else None)
+    nodes = Grid(fd["x_min"], x_max, fd["points"], stretch).refined().nodes
     nodes = nodes[:-1] if periodic else nodes[1:-1]
     return np.concatenate([nodes, np.linspace(*entry.plot_range, 401)])
 
