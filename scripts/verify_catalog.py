@@ -3,8 +3,10 @@
 
 Every family is instantiated with a representative parameter set, its
 analytically known levels are compared against the finite-difference
-spectrum (band edges for the periodic families), and one line per family
-reports the worst deviation.  Exits nonzero if anything misses tolerance.
+spectrum (one period class of band edges for the periodic families), and
+one line per family reports the FD window, grid points and eigenvalue
+count the check derived, and the worst deviation.  Exits nonzero if
+anything misses tolerance.
 """
 
 import sys
@@ -33,6 +35,7 @@ CASES = [
 
 def main() -> int:
     print(f"{'family':<16} {'sign':<4} {'n':>2} {'levels':>6} "
+          f"{'x_min':>9} {'x_max':>9} {'points':>6} {'k':>3} "
           f"{'worst diff':>12} {'status':>8}")
     failures = 0
     sweep_start = time.perf_counter()
@@ -41,10 +44,13 @@ def main() -> int:
         entry = make_entry(name, params, sign=sign, n=n)
         report = verification_report(entry, j_max=n)
         worst = max(row["abs_diff"] for row in report["levels"])
+        grid = report["grid"]
         ok = report["all_pass"]
         failures += 0 if ok else 1
         print(f"{name:<16} {sign or '-':<4} {n:>2} "
-              f"{len(report['levels']):>6} {worst:>12.3e} "
+              f"{len(report['levels']):>6} {grid['x_min']:>9.4g} "
+              f"{grid['x_max']:>9.4g} {grid['points']:>6} {grid['k']:>3} "
+              f"{worst:>12.3e} "
               f"{'ok' if ok else 'FAIL':>8}  "
               f"[{(time.perf_counter() - start) * 1e3:.1f} ms]")
     print(f"sweep took {time.perf_counter() - sweep_start:.2f} s")

@@ -5,9 +5,9 @@ predicates with the text ``list-families`` prints, whether it takes a sign
 branch, and its class.  ``make_entry`` validates against the record and
 builds an ``EsEntry`` (exactly solvable, ES) or a ``QesEntry``
 (quasi-solvable, QES) from the family's data at n: the sl(2) coefficients
-with d left free, an energy offset, the coordinate branch and the x
-window and grid size of the numeric cross-check, which derives the rest
-from the entry (``pipeline``).  Both kinds take every level from one chain:
+with d left free, an energy offset, the coordinate branch, the plot range
+and the grid size of the numeric cross-check, which derives the rest from
+the entry (``pipeline``).  Both kinds take every level from one chain:
 the algebraic-sector solve of the data with E = offset + d, and psi = the
 gauge of the B polynomials (``mapping.build_gauge``, 1 at ``gauge_x0``)
 times the level's polynomial.  The potential is that of the entry's own B
@@ -59,7 +59,10 @@ dq = 1, else 0.
   root with residue 1 gives the map's half-angle factor, cos/sin resp.
   cosh/sinh (theta/2) for xi = cos resp. cosh theta.  dq = 1 has one such
   root, picked by the sign; dq = 2 has both, whose product is sin resp.
-  sinh at the full angle; dq = 0 has none.
+  sinh at the full angle; dq = 0 has none.  A periodic family's states are
+  therefore antiperiodic over one period for dq = 1 and periodic for dq =
+  0 and 2; the numeric cross-check solves that class only, for the lowest
+  ``sector_count()`` of its eigenvalues.
 """
 
 from __future__ import annotations
@@ -159,7 +162,7 @@ class CatalogEntry:
     bp: BPolynomials
     mapping: Mapping
     potential: PotentialModel
-    fd_defaults: dict              # x window, points, v_cap
+    fd_defaults: dict              # {"points": FD grid size}
     plot_range: tuple[float, float]
     gauge_x0: float                # the gauge is 1 here
     energy_offset: float           # E = energy_offset + d
@@ -334,13 +337,11 @@ def _entry(cls, fam, p, s, n, alg, offset, branch, transform,
 
 def _harmonic(fam, p, s, n):
     w = p["omega"]
-    wf = float(w)
-    half = max(10.0, math.sqrt(4.0 * (2 * 3 + 1) / wf + 100.0 / wf))
     return _entry(
         EsEntry, fam, p, None, n, AlgebraCoefficients(c_mm=1, c_0=-w, n=n),
         (n + 1) * w / 2, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
         identity_shift(0.0),
-        fd_defaults={"x_min": -half, "x_max": half, "points": 2001},
+        fd_defaults={"points": 2001},
         plot_range=(-5.0, 5.0), gauge_x0=0.0,
     )
 
@@ -353,7 +354,7 @@ def _morse(fam, p, s, n):
                             c_m=2 * B * al, n=n),
         -(A - n * al / 2) ** 2, Branch(0.0, np.inf, sign=1, xi0=1.0),
         identity_shift(0.0),
-        fd_defaults={"x_min": -2.8, "x_max": 22.0, "points": 4001},
+        fd_defaults={"points": 4001},
         plot_range=(-2.5, 8.0), gauge_x0=0.0,
         max_j=_bound_states_below(float(A / al)),
     )
@@ -368,10 +369,7 @@ def _poschl_teller(fam, p, s, n):
                             c_m=4 * al * (A + B), n=n),
         -(A - B - n * al) ** 2, Branch(1.0, np.inf, sign=1, xi0=1.0),
         identity_shift(0.0), domain=(0.0, np.inf),
-        # Dirichlet at eps shifts levels by ~ eps * |psi'(0)|^2 / ||psi||^2
-        # when B = alpha (no repulsive wall), so eps must sit well below the
-        # 1e-3 energy tolerance.
-        fd_defaults={"x_min": 1e-5, "x_max": 12.0, "points": 2401},
+        fd_defaults={"points": 2401},
         plot_range=(0.02, 8.0), gauge_x0=1.0,
         # bound states need A - B - 2 j alpha > 0
         max_j=_bound_states_below(float((A - B) / (2 * al))),
@@ -387,7 +385,7 @@ def _scarf_ii(fam, p, s, n):
                             n=n),
         -(A - n * al / 2) ** 2, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
         identity_shift(0.0),
-        fd_defaults={"x_min": -16.0, "x_max": 16.0, "points": 3201},
+        fd_defaults={"points": 3201},
         plot_range=(-8.0, 8.0), gauge_x0=0.0,
         max_j=_bound_states_below(float(A / al)),
     )
@@ -404,7 +402,7 @@ def _coulomb(fam, p, s, n):
         half_line_sqrt(), domain=(0.0, np.inf),
         # the oracle's grid is uniform in the map's u = 2 sqrt(x); points
         # count u nodes
-        fd_defaults={"x_min": 1e-5, "x_max": 200.0, "points": 1601},
+        fd_defaults={"points": 1601},
         plot_range=(0.05, 40.0), gauge_x0=1.0,
     )
 
@@ -434,7 +432,7 @@ def _periodic(fam, p, s, n):
     return _entry(
         QesEntry, fam, p, s, n, alg, offset,
         Branch(-1.0, 1.0, sign=-1, xi0=1.0), identity_shift(af), period=period,
-        fd_defaults={"x_min": af, "points": 801},
+        fd_defaults={"points": 801},
         plot_range=(af, af + period), gauge_x0=af + period / 4.0,
     )
 
@@ -454,8 +452,7 @@ def _hyperbolic(fam, p, s, n):
     return _entry(
         QesEntry, fam, p, s, n, alg, offset,
         Branch(1.0, np.inf, sign=1, xi0=1.0), identity_shift(af),
-        fd_defaults={"x_min": af - 8.0, "x_max": af + 8.0, "points": 3201,
-                     "v_cap": 1e8},
+        fd_defaults={"points": 3201},
         plot_range=(af - 3.0, af + 3.0), gauge_x0=af + 1.0,
     )
 

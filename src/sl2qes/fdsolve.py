@@ -42,6 +42,7 @@ __all__ = [
     "BandEdge",
     "fd_eigensolve",
     "band_edges",
+    "count_below",
     "count_nodes",
     "residual",
     "SQRT_STRETCH",
@@ -129,6 +130,30 @@ def _potential_values(potential, x, v_cap=None):
     return v
 
 
+def _dirichlet_matrix(potential, grid: Grid, v_cap):
+    """(diag, off, X') of the symmetric tridiagonal Dirichlet matrix on the
+    interior nodes."""
+    inv_h2 = 1.0 / grid.h ** 2
+    jac, extra = grid.liouville(grid.u_nodes[1:-1])
+    v = _potential_values(potential, grid.nodes[1:-1], v_cap)
+    diag = (2.0 * inv_h2 + (jac * jac * v + extra)) / (jac * jac)
+    off = -inv_h2 / (jac[:-1] * jac[1:])
+    return diag, off, jac
+
+
+def count_below(potential, grid: Grid, energy: float) -> int:
+    """Sturm count: how many eigenvalues of the Dirichlet matrix
+    ``fd_eigensolve`` solves lie at or below `energy`."""
+    from scipy import linalg as sla
+
+    diag, off, _ = _dirichlet_matrix(potential, grid, None)
+    # the count comes from Sturm sequences at the interval's ends, exact at
+    # any bisection tolerance; an infinite one skips the bisection
+    return len(sla.eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                    select_range=(-np.inf, energy),
+                                    tol=np.inf))
+
+
 def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap,
                 vectors: bool = True):
     """Lowest k eigenvalues on the grid, plus their max-norm eigenvectors on
@@ -139,16 +164,12 @@ def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap,
     from scipy import sparse
     from scipy.sparse import linalg as spla
 
-    h = grid.h
-    inv_h2 = 1.0 / h ** 2
+    inv_h2 = 1.0 / grid.h ** 2
     if bc == "dirichlet":
-        x = grid.nodes[1:-1]
-        if k > len(x):
-            raise GridError(f"k={k} exceeds the {len(x)} interior nodes")
-        jac, extra = grid.liouville(grid.u_nodes[1:-1])
-        v = _potential_values(potential, x, v_cap)
-        diag = (2.0 * inv_h2 + (jac * jac * v + extra)) / (jac * jac)
-        off = -inv_h2 / (jac[:-1] * jac[1:])
+        if k > grid.points - 2:
+            raise GridError(f"k={k} exceeds the {grid.points - 2} interior "
+                            f"nodes")
+        diag, off, jac = _dirichlet_matrix(potential, grid, v_cap)
         result = sla.eigh_tridiagonal(diag, off, eigvals_only=not vectors,
                                       select="i", select_range=(0, k - 1))
         if not vectors:

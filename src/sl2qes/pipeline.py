@@ -1,15 +1,19 @@
 """End-to-end plumbing: verification reports and reproducible artifacts.
 
-The verification report pairs each analytically known level with the nearest
-numeric eigenvalue and applies the tolerance rule max(1e-3, 10 *
-convergence_estimate) to every family; an explicitly supplied tolerance is
-used as-is.  The entry's ``fd_defaults`` give the x window and grid size,
-and the entry itself the rest: a periodic entry is checked against band
-edges over one period from x_min, any other against the Dirichlet
-spectrum, on a grid uniform in u where its map is u = 2 sqrt(x).  All
-files are written atomically (temp file + rename) with fixed key order and
-shortest round-trip float formatting, so identical configurations produce
-byte-identical output.
+The verification report checks each analytically known level against the
+finite-difference oracle, set up from the entry; ``fd_defaults`` holds
+only the grid size.  A periodic entry is solved over one period from the
+map's shift, in its sector's period class (antiperiodic iff dq = 1), for
+the lowest ``sector_count()`` eigenvalues.  Any other gets Dirichlet walls
+(on a grid uniform in u where its map is u = 2 sqrt(x)): from the minimum
+of V, outward past the outermost turning point of the top level, to where
+the WKB decay integral of sqrt(V - E_top) dx reaches DECAY, or at
+HALF_LINE_CUTOFF; and k from a Sturm count up to half a level spacing
+above E_top.  Levels and eigenvalues are matched one to one in ascending
+order; the tolerance is max(1e-3, 10 * convergence_estimate), or an
+explicitly supplied one.  All files are written atomically (temp file +
+rename) with fixed key order and shortest round-trip float formatting, so
+identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import tempfile
 import numpy as np
 
 from .catalog import CatalogEntry
-from .fdsolve import SQRT_STRETCH, Grid, _solve_once, band_edges, fd_eigensolve
+from .errors import GridError
+from .fdsolve import (SQRT_STRETCH, Grid, _solve_once, count_below,
+                      fd_eigensolve)
 
 __all__ = [
     "verification_report",
@@ -34,13 +40,83 @@ __all__ = [
 
 
 BASE_TOLERANCE = 1e-3
+DECAY = 9.0    # a window end sees the top level's tail at about exp(-DECAY)
+# A wall at eps shifts a level by about eps |psi'(0)|^2 / ||psi||^2 where
+# psi'(0) != 0 (Coulomb at l = 0, Poschl-Teller at B = alpha).
+HALF_LINE_CUTOFF = 1e-7
+
+
+def _outward(potential, x: float, step: float):
+    """Chunks (xs, V(xs)) of 256 steps each going out from x, the step
+    doubling from one chunk to the next."""
+    while np.isfinite(x):
+        xs = x + step * np.arange(1, 257)
+        with np.errstate(all="ignore"):
+            yield xs, np.asarray(potential(xs), float)
+        x, step = float(xs[-1]), 2.0 * step
+    raise GridError("the FD window scan ran out to infinite x")
+
+
+def _decay_end(potential, x: float, step: float, e_top: float):
+    """(x, V(x)) where the integral of sqrt(V - e_top) dx since the last
+    classically allowed point going out from x reaches DECAY."""
+    total = 0.0
+    for xs, v in _outward(potential, x, step):
+        excess = np.where(np.isnan(v), np.inf, v - e_top)
+        gain = np.sqrt(np.maximum(excess, 0.0)) * abs(xs[1] - xs[0])
+        allowed = np.flatnonzero(excess <= 0.0)
+        if allowed.size:
+            total, gain[:allowed[-1]] = 0.0, 0.0
+        reach = total + np.cumsum(gain)
+        done = np.flatnonzero(reach >= DECAY)
+        if done.size:
+            return float(xs[done[0]]), float(v[done[0]])
+        total = reach[-1]
+
+
+def _descend(potential, x: float, step: float):
+    """(x, V(x)) at the first x going out from x past which V no longer
+    falls."""
+    for xs, v in _outward(potential, x, step):
+        stop = np.flatnonzero(~(np.diff(v) < 0.0))
+        if stop.size:
+            return float(xs[stop[0]]), float(v[stop[0]])
+
+
+def _window(entry: CatalogEntry, e_top: float):
+    """(x_min, x_max, V_min, V_end): the Dirichlet window from the minimum
+    of V on the plot range (followed down past the range's end when it
+    sits there) out past the outermost turning point met, the minimum, and
+    the lowest V at a scanned end."""
+    x = np.linspace(*entry.plot_range, 2001)
+    v = np.asarray(entry.potential(x), float)
+    step = x[1] - x[0]
+    low, v_min = int(np.argmin(v)), float(np.min(v))
+    starts = [*x[v < e_top], x[low]]
+    if low == len(x) - 1 or (low == 0 and entry.domain[0] != 0.0):
+        x_low, v_min = _descend(entry.potential, x[low],
+                                step if low else -step)
+        starts.append(x_low)
+    x_max, v_end = _decay_end(entry.potential, max(starts), step, e_top)
+    x_min = HALF_LINE_CUTOFF
+    if entry.domain[0] != 0.0:
+        x_min, v_left = _decay_end(entry.potential, min(starts), -step,
+                                   e_top)
+        v_end = min(v_end, v_left)
+    return x_min, x_max, v_min, v_end
 
 
 def _match_levels(levels, numeric, estimates, fixed_tol):
+    """One row per level, walked in ascending order with the eigenvalues:
+    each level takes the nearest eigenvalue above the previous level's that
+    leaves one for every later level, so none is claimed twice."""
     rows = []
     all_pass = True
-    for j, energy in levels:
-        idx = int(np.argmin(np.abs(numeric - energy)))
+    start, count = 0, len(levels)
+    for i, (j, energy) in enumerate(levels):
+        stop = len(numeric) - (count - 1 - i)
+        idx = start + int(np.argmin(np.abs(numeric[start:stop] - energy)))
+        start = idx + 1
         if fixed_tol is not None:
             tol = fixed_tol
         else:
@@ -52,6 +128,7 @@ def _match_levels(levels, numeric, estimates, fixed_tol):
             "level": j,
             "algebraic_E": float(energy),
             "numeric_E": float(numeric[idx]),
+            "fd_index": idx,
             "abs_diff": diff,
             "tolerance": tol,
             "pass": ok,
@@ -74,44 +151,48 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
                         tolerance: float | None = None) -> dict:
     """Compare every analytically known level against the numeric oracle;
     raises NoBoundStateError when there is no level to compare."""
-    fd = dict(entry.fd_defaults)
-    if points is not None:
-        fd["points"] = int(points)
-    levels = entry.verification_levels(j_max)
-    k = len(levels) + 6
-    v_cap = fd.get("v_cap")
-
+    points = entry.fd_defaults["points"] if points is None else int(points)
+    levels = entry.verification_levels(j_max)     # ascending in energy
+    stretch = (SQRT_STRETCH if entry.mapping.transform.kind == "two-sqrt"
+               else None)
     if entry.period is not None:
-        edges = band_edges(entry.potential, entry.period, count=k,
-                           points=fd["points"], x_start=fd["x_min"],
-                           v_cap=v_cap)
-        numeric = np.array([e.energy for e in edges])
-        estimates = np.array([e.convergence_estimate for e in edges])
-        grid_meta = {"x_min": fd["x_min"],
-                     "x_max": fd["x_min"] + entry.period,
-                     "points": fd["points"], "bc": "periodic+antiperiodic"}
+        # the sector's states are the lowest band edges of one period class:
+        # antiperiodic iff a single half-angle factor (dq = 1) is in the gauge
+        bc = "antiperiodic" if entry.family.dq == 1 else "periodic"
+        x_min = entry.mapping.transform.a
+        grid = Grid(x_min, x_min + entry.period, points)
+        k = entry.sector_count()
     else:
-        stretch = (SQRT_STRETCH if entry.mapping.transform.kind == "two-sqrt"
-                   else None)
-        grid = Grid(fd["x_min"], fd["x_max"], fd["points"], stretch)
-        spec = fd_eigensolve(entry.potential, grid, bc="dirichlet", k=k,
-                             v_cap=v_cap)
-        numeric = spec.eigenvalues
-        estimates = spec.convergence_estimate
-        if entry.domain[0] == 0.0:
-            # half-line problem: confirm insensitivity to halving the inner
-            # cutoff (eigenvalues only), folded into the per-level estimate
-            eps = fd["x_min"]
-            grid2 = Grid(eps / 2.0, fd["x_max"], fd["points"], stretch)
-            numeric2, _ = _solve_once(entry.potential, grid2, "dirichlet", k,
-                                      v_cap, vectors=False)
-            estimates = np.maximum(estimates, np.abs(numeric2 - numeric))
-        grid_meta = {"x_min": fd["x_min"], "x_max": fd["x_max"],
-                     "points": fd["points"], "bc": "dirichlet"}
-        if stretch is not None:
-            grid_meta["stretch"] = stretch
+        bc = "dirichlet"
+        top = levels[-1][1]
+        x_min, x_max, v_min, v_end = _window(entry, top)
+        grid = Grid(x_min, x_max, points, stretch)
+        # half a level spacing above the top level takes in its FD partner;
+        # staying below V at the window's ends keeps a continuum's box
+        # states out
+        below = levels[-2][1] if len(levels) > 1 else v_min
+        margin = min(top - below, v_end - top) / 2.0
+        k = max(len(levels), count_below(entry.potential, grid, top + margin))
+    spec = fd_eigensolve(entry.potential, grid, bc=bc, k=k)
+    numeric = spec.eigenvalues
+    estimates = spec.convergence_estimate
+    shifts = None
+    if entry.domain[0] == 0.0:
+        # half-line problem: confirm insensitivity to halving the inner
+        # cutoff (eigenvalues only), folded into the per-level estimate
+        half = Grid(grid.x_min / 2.0, grid.x_max, points, stretch)
+        numeric2, _ = _solve_once(entry.potential, half, bc, k, None,
+                                  vectors=False)
+        shifts = np.abs(numeric2 - numeric)
+        estimates = np.maximum(estimates, shifts)
 
     rows, all_pass = _match_levels(levels, numeric, estimates, tolerance)
+    if shifts is not None:
+        for row in rows:
+            row["cutoff_shift"] = float(shifts[row["fd_index"]])
+    grid_meta = {"x_min": grid.x_min, "x_max": grid.x_max, "points": points,
+                 "bc": bc, **({"stretch": stretch} if stretch else {}),
+                 "k": k}
     return {**_header(entry), "grid": grid_meta, "levels": rows,
             "all_pass": all_pass}
 

@@ -74,9 +74,7 @@ def test_criterion_02_harmonic_oscillator():
 
 def test_criterion_03_morse():
     entry = make_entry("morse", {"alpha": 1, "A": 3, "B": 1}, n=2)
-    fd = entry.fd_defaults
-    spec = fd_eigensolve(entry.potential,
-                         Grid(fd["x_min"], fd["x_max"], fd["points"]),
+    spec = fd_eigensolve(entry.potential, Grid(-2.8, 22.0, 4001),
                          k=3, refine=False)
     errs = np.abs(spec.eigenvalues - np.array([-9.0, -4.0, -1.0]))
     report(3, "Morse levels {-9,-4,-1} within 1e-3 on the truncated domain",
@@ -85,16 +83,15 @@ def test_criterion_03_morse():
 
 def test_criterion_04_coulomb():
     entry = make_entry("coulomb", {"e2": 2, "l": 0}, n=2)
-    fd = entry.fd_defaults
-    # the grid verification_report solves on: uniform in u = 2 sqrt(x)
-    grid = Grid(fd["x_min"], fd["x_max"], fd["points"], SQRT_STRETCH)
+    # a grid uniform in u = 2 sqrt(x), like the one verification_report
+    # solves on
+    grid = Grid(1e-5, 200.0, 1601, SQRT_STRETCH)
     spec = fd_eigensolve(entry.potential, grid, k=3, refine=True)
     exact = np.array([-1.0, -0.25, -1.0 / 9.0])
     errs = np.abs(spec.eigenvalues - exact)
     # inner-cutoff sensitivity folded into the confirmation
     half = fd_eigensolve(entry.potential,
-                         Grid(fd["x_min"] / 2, fd["x_max"], fd["points"],
-                              SQRT_STRETCH),
+                         Grid(5e-6, 200.0, 1601, SQRT_STRETCH),
                          k=3, refine=False)
     estimates = np.maximum(spec.convergence_estimate,
                            np.abs(half.eigenvalues - spec.eigenvalues))
@@ -106,9 +103,7 @@ def test_criterion_04_coulomb():
 
 def test_criterion_05_poschl_teller():
     entry = make_entry("poschl-teller", {"alpha": 1, "A": 3, "B": 1}, n=0)
-    fd = entry.fd_defaults
-    spec = fd_eigensolve(entry.potential,
-                         Grid(fd["x_min"], fd["x_max"], fd["points"]),
+    spec = fd_eigensolve(entry.potential, Grid(1e-5, 12.0, 2401),
                          k=2, refine=False)
     err = abs(spec.eigenvalues[0] + 4.0)
     lone = spec.eigenvalues[1] > -1e-2   # no second bound state
@@ -119,9 +114,7 @@ def test_criterion_05_poschl_teller():
 
 def test_criterion_06_scarf():
     entry = make_entry("scarf-ii", {"alpha": 1, "A": 2, "B": 1}, n=1)
-    fd = entry.fd_defaults
-    spec = fd_eigensolve(entry.potential,
-                         Grid(fd["x_min"], fd["x_max"], fd["points"]),
+    spec = fd_eigensolve(entry.potential, Grid(-16.0, 16.0, 3201),
                          k=2, refine=False)
     errs = np.abs(spec.eigenvalues - np.array([-4.0, -1.0]))
     # reality of the complex-parameter Jacobi composition

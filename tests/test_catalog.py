@@ -299,18 +299,33 @@ _MAGNITUDE = st.fractions(min_value=Q(1, 4), max_value=4, max_denominator=8)
 _REAL = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
 
+# Fixed sample windows per family: (x_min, x_max, points), relative to the
+# shift a for the quasi-solvable families.
+_FD_WINDOWS = {
+    "morse": (-2.8, 22.0, 4001),
+    "poschl-teller": (1e-5, 12.0, 2401),
+    "scarf-ii": (-16.0, 16.0, 3201),
+    "coulomb": (1e-5, 200.0, 1601),
+}
+
+
 def _oracle_nodes(entry):
-    """The refined FD grid nodes at which the oracle reads V (no Dirichlet
+    """Refined FD grid nodes on a fixed window per family (no Dirichlet
     wall, one period of a band problem), and the plot range.  The grid is
-    the one `verification_report` builds: uniform in u = 2 sqrt(x) for a
-    two-sqrt map, else uniform in x."""
-    fd = entry.fd_defaults
-    periodic = entry.period is not None
-    x_max = fd["x_min"] + entry.period if periodic else fd["x_max"]
+    uniform in u = 2 sqrt(x) for a two-sqrt map, else uniform in x."""
+    if entry.name == "harmonic":
+        half = max(10.0, math.sqrt(128.0 / float(entry.params["omega"])))
+        window = (-half, half, 2001)
+    elif entry.kind == "es":
+        window = _FD_WINDOWS[entry.name]
+    else:
+        a = float(entry.params["a"])
+        window = ((a, a + entry.period, 801) if entry.period is not None
+                  else (a - 8.0, a + 8.0, 3201))
     stretch = (SQRT_STRETCH if entry.mapping.transform.kind == "two-sqrt"
                else None)
-    nodes = Grid(fd["x_min"], x_max, fd["points"], stretch).refined().nodes
-    nodes = nodes[:-1] if periodic else nodes[1:-1]
+    nodes = Grid(*window, stretch).refined().nodes
+    nodes = nodes[:-1] if entry.period is not None else nodes[1:-1]
     return np.concatenate([nodes, np.linspace(*entry.plot_range, 401)])
 
 

@@ -69,6 +69,22 @@ def test_verify_coulomb_points_count_u_nodes(tmp_path):
     assert grid["stretch"] == "u = 2 sqrt(x)"
 
 
+@pytest.mark.parametrize("args, indices", [
+    # the well reaches beyond x in [-2.8, 22]
+    (["--family", "morse", "--alpha", "0.5", "--A", "4", "--B", "2",
+      "--n", "7", "--j-max", "7"], list(range(8))),
+    # the top level is eigenvalue 13, beyond levels + 6
+    (["--family", "hyperbolic-v1", "--gamma", "1", "--eta", "-1", "--a", "0",
+      "--sign", "+", "--n", "6"], [0, 2, 5, 7, 9, 11, 13]),
+])
+def test_verify_derives_window_and_count(tmp_path, args, indices):
+    out = tmp_path / "run"
+    assert run(["verify", *args, "--out-dir", str(out)]) == 0
+    report = json.loads((out / "verification.json").read_text())
+    assert [row["fd_index"] for row in report["levels"]] == indices
+    assert indices[-1] < report["grid"]["k"]
+
+
 def test_verify_failure_exit_code(tmp_path):
     out = tmp_path / "run"
     code = run(["verify", "--family", "harmonic", "--omega", "2", "--n", "0",

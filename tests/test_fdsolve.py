@@ -256,7 +256,7 @@ _PERIODIC_ENTRIES = [
 @pytest.mark.parametrize(
     "potential,x0,period",
     [(flat, 0.0, 2 * math.pi)]
-    + [(e.potential, e.fd_defaults["x_min"], e.period)
+    + [(e.potential, 0.0, e.period)
        for e in _PERIODIC_ENTRIES],
     ids=["flat"] + [f"{e.name}{'+' if e.sign > 0 else '-'}"
                     for e in _PERIODIC_ENTRIES])

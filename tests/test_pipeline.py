@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2qes import catalog
@@ -14,7 +14,7 @@ from sl2qes.catalog import make_entry
 from sl2qes.cli import main
 from sl2qes.errors import NoBoundStateError
 from sl2qes.fdsolve import SQRT_STRETCH, Grid, fd_eigensolve
-from sl2qes.pipeline import verification_report
+from sl2qes.pipeline import _match_levels, verification_report
 
 ES_CASES = [
     ("harmonic", {"omega": 2}, None, 3),
@@ -22,6 +22,9 @@ ES_CASES = [
     ("poschl-teller", {"alpha": 1, "A": 3, "B": 1}, None, 0),
     ("scarf-ii", {"alpha": 1, "A": 2, "B": 1}, None, 1),
     ("coulomb", {"e2": 2, "l": 0}, None, 2),
+    # wells left and right of the plot range (-2.5, 8), near x = -8 and 13
+    ("morse", {"alpha": 0.25, "A": 4, "B": 0.5}, None, 0),
+    ("morse", {"alpha": 0.25, "A": 2, "B": 60}, None, 0),
 ]
 
 QES_CASES = [
@@ -78,44 +81,54 @@ def test_report_structure():
     assert set(report) == {"family", "params", "n", "sign", "grid", "levels",
                            "all_pass"}
     row = report["levels"][0]
-    assert set(row) == {"level", "algebraic_E", "numeric_E", "abs_diff",
-                        "tolerance", "pass"}
-    assert report["grid"]["bc"] == "periodic+antiperiodic"
+    assert list(row) == ["level", "algebraic_E", "numeric_E", "fd_index",
+                         "abs_diff", "tolerance", "pass"]
+    assert report["grid"]["bc"] == "antiperiodic"
+    # a half-line row also records the shift from halving the inner cutoff
+    pt = verification_report(make_entry("poschl-teller",
+                                        {"alpha": 1, "A": 3, "B": 1}))
+    assert list(pt["levels"][0])[-1] == "cutoff_shift"
+    assert 0.0 <= pt["levels"][0]["cutoff_shift"] < 1e-3
 
 
 def test_report_records_the_coulomb_stretch():
     coulomb = verification_report(make_entry("coulomb", {"e2": 2, "l": 0},
                                              n=1))
-    assert coulomb["grid"] == {"x_min": 1e-5, "x_max": 200.0,
-                               "points": 1601, "bc": "dirichlet",
-                               "stretch": "u = 2 sqrt(x)"}
+    grid = coulomb["grid"]
+    assert list(grid) == ["x_min", "x_max", "points", "bc", "stretch", "k"]
+    assert grid["stretch"] == "u = 2 sqrt(x)"
+    assert grid["x_min"] == 1e-7 and grid["x_max"] < 200.0
     harmonic = verification_report(make_entry("harmonic", {"omega": 2}))
     assert "stretch" not in harmonic["grid"]
 
 
 _PER = {"alpha": 1, "beta": 1, "a": 0}
-_BANDS = (0.0, 6.283185307179586, 801, "periodic+antiperiodic")
-_HYP = (-8.0, 8.0, 3201, "dirichlet")
-# the 14 default cases and the grid block each writes, value for value
+_TWO_PI = 6.283185307179586
+# the 14 default cases and the grid block each derives, value for value
 DEFAULT_GRIDS = [
-    ("harmonic", {"omega": 2}, None, 3, (-10.0, 10.0, 2001, "dirichlet")),
+    ("harmonic", {"omega": 2}, None, 3,
+     (-5.605, 5.605, 2001, "dirichlet", 4)),
     ("morse", {"alpha": 1, "A": 3, "B": 1}, None, 2,
-     (-2.8, 22.0, 4001, "dirichlet")),
+     (-3.03025, 11.5805, 4001, "dirichlet", 3)),
     ("poschl-teller", {"alpha": 1, "A": 3, "B": 1}, None, 0,
-     (1e-05, 12.0, 2401, "dirichlet")),
+     (1e-07, 5.99702, 2401, "dirichlet", 1)),
     ("scarf-ii", {"alpha": 1, "A": 2, "B": 1}, None, 1,
-     (-16.0, 16.0, 3201, "dirichlet")),
+     (-12.04, 8.84, 3201, "dirichlet", 2)),
     ("coulomb", {"e2": 2, "l": 0}, None, 2,
-     (1e-05, 200.0, 1601, "dirichlet", "u = 2 sqrt(x)")),
-    ("periodic-v1", _PER, "+", 1, _BANDS),
-    ("periodic-v1", _PER, "-", 1, _BANDS),
-    ("periodic-v2", _PER, "+", 1, _BANDS),
-    ("periodic-v3", _PER, "-", 1, _BANDS),
-    ("periodic-v4", _PER, "+", 1, _BANDS),
-    ("hyperbolic-v1", {"gamma": 1, "eta": -1, "a": 0}, "+", 1, _HYP),
-    ("hyperbolic-v2", {"gamma": 1, "eta": 1, "a": 0}, "-", 1, _HYP),
-    ("hyperbolic-v3", {"gamma": 1, "eta": 2, "a": 0}, "-", 1, _HYP),
-    ("hyperbolic-v4", {"gamma": 1, "eta": -2, "a": 0}, "+", 1, _HYP),
+     (1e-07, 58.41695, 1601, "dirichlet", "u = 2 sqrt(x)", 3)),
+    ("periodic-v1", _PER, "+", 1, (0.0, _TWO_PI, 801, "antiperiodic", 4)),
+    ("periodic-v1", _PER, "-", 1, (0.0, _TWO_PI, 801, "antiperiodic", 4)),
+    ("periodic-v2", _PER, "+", 1, (0.0, _TWO_PI, 801, "antiperiodic", 4)),
+    ("periodic-v3", _PER, "-", 1, (0.0, _TWO_PI, 801, "periodic", 5)),
+    ("periodic-v4", _PER, "+", 1, (0.0, _TWO_PI, 801, "periodic", 3)),
+    ("hyperbolic-v1", {"gamma": 1, "eta": -1, "a": 0}, "+", 1,
+     (-2.442, 2.442, 3201, "dirichlet", 4)),
+    ("hyperbolic-v2", {"gamma": 1, "eta": 1, "a": 0}, "-", 1,
+     (-2.436, 2.436, 3201, "dirichlet", 3)),
+    ("hyperbolic-v3", {"gamma": 1, "eta": 2, "a": 0}, "-", 1,
+     (-2.055, 2.055, 3201, "dirichlet", 3)),
+    ("hyperbolic-v4", {"gamma": 1, "eta": -2, "a": 0}, "+", 1,
+     (-2.136, 2.136, 3201, "dirichlet", 4)),
 ]
 
 
@@ -123,9 +136,15 @@ DEFAULT_GRIDS = [
 def test_default_grid_blocks(name, params, sign, n, grid):
     report = verification_report(make_entry(name, params, sign=sign, n=n),
                                  j_max=n)
-    # the same keys in the same order keep the artifact bytes
-    keys = ("x_min", "x_max", "points", "bc", "stretch")
-    assert list(report["grid"].items()) == list(zip(keys, grid))
+    # the same keys in the same order keep the artifact bytes; the window
+    # ends are sums of scan steps, so they match to rounding
+    keys = ("x_min", "x_max", "points", "bc", "stretch", "k")
+    if len(grid) == 5:
+        keys = keys[:4] + keys[5:]
+    assert list(report["grid"]) == list(keys)
+    assert list(report["grid"].values()) == [
+        pytest.approx(v, rel=1e-12) if isinstance(v, float) else v
+        for v in grid]
 
 
 @pytest.mark.parametrize("e2, l, n", [(2, 0, 2), (3, 1, 1), (7, 2, 3)])
@@ -133,7 +152,7 @@ def test_coulomb_tolerance_is_the_common_rule(e2, l, n):
     entry = make_entry("coulomb", {"e2": e2, "l": l}, n=n)
     report = verification_report(entry, j_max=n)
     grid = report["grid"]
-    k = len(report["levels"]) + 6
+    k = grid["k"]
     spec = fd_eigensolve(entry.potential,
                          Grid(grid["x_min"], grid["x_max"], grid["points"],
                               SQRT_STRETCH), k=k)
@@ -145,8 +164,91 @@ def test_coulomb_tolerance_is_the_common_rule(e2, l, n):
                            np.abs(half.eigenvalues - spec.eigenvalues))
     for row in report["levels"]:
         idx = int(np.argmin(np.abs(spec.eigenvalues - row["algebraic_E"])))
+        assert row["fd_index"] == idx
         assert row["tolerance"] == pytest.approx(
             max(1e-3, 10.0 * float(estimates[idx])), rel=1e-9)
+
+
+def test_matching_claims_each_eigenvalue_once():
+    # nearest-value matching would give both levels eigenvalue 0 and pass
+    # them; walked one to one, level 1 takes eigenvalue 1 and fails
+    rows, ok = _match_levels([(0, 1.0), (1, 1.0005)], np.array([1.0002, 1.4]),
+                             np.zeros(2), None)
+    assert [row["fd_index"] for row in rows] == [0, 1]
+    assert [row["pass"] for row in rows] == [True, False] and not ok
+
+
+def test_periodic_levels_take_their_own_period_class():
+    # the lowest band is 1.3e-5 wide and its antiperiodic edge is the
+    # nearer one to level 0, but the sector (dq = 0) holds periodic states
+    entry = make_entry("periodic-v4", {"alpha": 1.32, "beta": -0.852,
+                                       "a": -0.224}, sign="-", n=3)
+    report = verification_report(entry, j_max=3)
+    assert report["all_pass"], report["levels"]
+    grid = Grid(-0.224, -0.224 + entry.period, 801)
+    k = entry.sector_count()
+    own, other = (fd_eigensolve(entry.potential, grid, bc=bc, k=k,
+                                refine=False).eigenvalues
+                  for bc in ("periodic", "antiperiodic"))
+    level0 = report["levels"][0]
+    assert (abs(other[0] - level0["algebraic_E"])
+            < abs(own[0] - level0["algebraic_E"]))
+    assert level0["numeric_E"] == own[0]
+    assert report["grid"]["bc"] == "periodic" and report["grid"]["k"] == k
+    assert [row["fd_index"] for row in report["levels"]] == [0, 2, 4, 6]
+
+
+def test_count_takes_in_the_fd_partner_above_the_top_level(monkeypatch):
+    # lowered by 1e-4, the top level sits just below its FD eigenvalue
+    # (index 3, above another state at index 2); half a level spacing
+    # above it, the count still takes that eigenvalue in
+    entry = make_entry("hyperbolic-v1", {"gamma": 1, "eta": -1, "a": 0},
+                       sign="+", n=1)
+    levels = [(j, energy - 1e-4) for j, energy in entry.verification_levels()]
+    monkeypatch.setattr(entry, "verification_levels", lambda j_max: levels)
+    report = verification_report(entry)
+    assert report["all_pass"], report["levels"]
+    assert [row["fd_index"] for row in report["levels"]] == [1, 3]
+    assert report["levels"][-1]["numeric_E"] > levels[-1][1]
+
+
+_UNIT = st.floats(0.25, 2.0)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_solvable_families_verify_across_their_predicates(data):
+    # the FD window, count and match follow each draw; level j is the j-th
+    # Dirichlet eigenvalue
+    family = data.draw(st.sampled_from(["harmonic", "morse", "poschl-teller",
+                                        "scarf-ii", "coulomb"]))
+    n = data.draw(st.integers(0, 3))
+    if family == "harmonic":
+        params = {"omega": data.draw(st.floats(0.25, 6.0))}
+    elif family == "coulomb":
+        params = {"e2": data.draw(st.floats(0.5, 8.0)),
+                  "l": data.draw(st.integers(0, 3))}
+    elif family == "poschl-teller":
+        # B >= alpha: no attractive inverse-square wall at x = 0
+        alpha = data.draw(_UNIT)
+        b = alpha * data.draw(st.floats(1.0, 3.0))
+        params = {"alpha": alpha, "A": b + data.draw(st.floats(0.3, 12.0)),
+                  "B": b}
+    else:
+        b = st.floats(0.25, 3.0) if family == "morse" else st.floats(-3.0, 3.0)
+        params = {"alpha": data.draw(_UNIT),
+                  "A": data.draw(st.floats(0.3, 8.0)), "B": data.draw(b)}
+    entry = make_entry(family, params, n=n)
+    try:
+        levels = entry.verification_levels(n)
+    except NoBoundStateError:
+        assume(False)
+    # the top level at least 0.1 below the continuum
+    assume(family == "harmonic" or levels[-1][1] <= -0.1)
+    report = verification_report(entry, j_max=n)
+    assert report["all_pass"], report["levels"]
+    assert ([row["fd_index"] for row in report["levels"]]
+            == list(range(len(levels))))
 
 
 @given(st.floats(1.0, 8.0), st.integers(0, 2), st.integers(0, 3))

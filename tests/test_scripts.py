@@ -24,6 +24,16 @@ def test_verify_catalog_sweep_passes(capsys):
     assert _load("verify_catalog").main() == 0
     out = capsys.readouterr().out
     assert "all families verified" in out and "sweep took" in out
+    lines = out.splitlines()
+    assert lines[0].split() == ["family", "sign", "n", "levels", "x_min",
+                                "x_max", "points", "k", "worst", "diff",
+                                "status"]
+    # each case prints the window, points and k its report derived
+    harmonic = lines[1].split()
+    assert harmonic[:8] == ["harmonic", "-", "3", "4", "-5.605", "5.605",
+                            "2001", "4"]
+    coulomb = next(line.split() for line in lines if line.startswith("coul"))
+    assert coulomb[4:8] == ["1e-07", "58.42", "1601", "3"]
 
 
 def test_band_structure_script_runs(monkeypatch, capsys):
