@@ -252,9 +252,9 @@ def _cmd_general(args) -> int:
         "warnings": [banner],
     }
     gauge = build_gauge(bp, mapping, float(x[len(x) // 2]))
-    g = gauge(x)   # one gauge pass over x for all levels
-    cols = [assemble_wavefunction(gauge, lv.b, mapping)(x, g)
-            for lv in solved.levels]
+    # every level shares the gauge and the map: one block, one gauge pass
+    cols = list(assemble_wavefunction(gauge, [lv.b for lv in solved.levels],
+                                      mapping)(x))
     _write_artifacts(args.out_dir, x, np.asarray(pot(x), float), doc, cols)
     print(f"wrote general-mode artifacts to {args.out_dir}")
     return 0

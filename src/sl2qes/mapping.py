@@ -549,8 +549,8 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float) -> GaugeFactor:
 
     g(x0) = 1, except that a root factor vanishing at x0 is kept as it
     is.  A call returns ``GaugeSamples`` and evaluates every requested
-    point, so sample once per grid and hand the samples to each level's
-    ``WaveFunction.__call__``.
+    point, so evaluate the levels that share a gauge as one
+    ``WaveFunction`` block, which samples it once per grid.
     """
     b4 = mapping.b4
     numer = 2 * bp.b3 - b4.derivative()
@@ -620,35 +620,43 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float) -> GaugeFactor:
     return GaugeFactor(fn)
 
 
-@dataclass
+@dataclass(eq=False)
 class WaveFunction:
     """psi(x) = g(x) * chi(xi(u(x))), chi = sum_r b_r xi^r (unnormalized).
 
-    With ``GaugeSamples`` the product is exp(exponent) * (factor * chi),
-    exponentiated once by ``scaled_exp``.
+    ``coeffs`` holds one level's b_r, or one row per level for a block of
+    levels that share the gauge and the map; a call then returns one row of
+    samples per level.  With ``GaugeSamples`` the product is
+    exp(exponent) * (factor * chi), exponentiated once by ``scaled_exp``.
     """
 
     gauge: object
-    coeffs: tuple[float, ...]
+    coeffs: np.ndarray
     mapping: Mapping
 
-    def __call__(self, x, gauge_samples=None):
-        """psi at x; pass the gauge already sampled on x to skip its pass."""
-        xi = self.mapping.xi_of_x(x)
-        chi = np.polyval(self.coeffs[::-1], xi)
-        g = self.gauge(x) if gauge_samples is None else gauge_samples
+    def __call__(self, x):
+        """psi at x, a row of samples per level for a block."""
+        xi = np.asarray(self.mapping.xi_of_x(x))
+        coeffs = np.asarray(self.coeffs, float)
+        lead = coeffs.shape[:-1]
+        # np.polyval's Horner steps y = y * xi + b_r, highest power first,
+        # for every level at once
+        chi = np.zeros(lead + xi.shape)
+        for b in np.moveaxis(coeffs[..., ::-1], -1, 0):
+            chi *= xi
+            chi += b.reshape(lead + (1,) * xi.ndim)
+        g = self.gauge(x)
         if isinstance(g, GaugeSamples):
             out = scaled_exp(g.exponent, g.factor * chi)
         else:
             out = g * chi
-        if np.ndim(x) == 0:
+        if np.ndim(out) == 0:
             return float(np.asarray(out))
         return out
 
 
 def assemble_wavefunction(gauge, coeffs, mapping: Mapping) -> WaveFunction:
-    """Compose gauge, polynomial coefficients and mapping into an
-    evaluator."""
-    return WaveFunction(gauge=gauge,
-                        coeffs=tuple(np.asarray(coeffs, float).tolist()),
+    """Compose gauge, polynomial coefficients (one level's, or one row per
+    level of a block) and mapping into an evaluator."""
+    return WaveFunction(gauge=gauge, coeffs=np.array(coeffs, float),
                         mapping=mapping)

@@ -28,6 +28,7 @@ from .catalog import CatalogEntry
 from .errors import GridError
 from .fdsolve import (SQRT_STRETCH, Grid, _solve_once, count_below,
                       fd_eigensolve)
+from .mapping import assemble_wavefunction
 
 __all__ = [
     "verification_report",
@@ -59,10 +60,13 @@ def _outward(potential, x: float, step: float):
 
 def _decay_end(potential, x: float, step: float, e_top: float):
     """(x, V(x)) where the integral of sqrt(V - e_top) dx since the last
-    classically allowed point going out from x reaches DECAY."""
+    classically allowed point going out from x reaches DECAY; raises
+    GridError when V stops being finite before that."""
     total = 0.0
     for xs, v in _outward(potential, x, step):
-        excess = np.where(np.isnan(v), np.inf, v - e_top)
+        finite = np.isfinite(v)
+        cut = v.size if finite.all() else int(np.argmin(finite))
+        excess = v[:cut] - e_top
         gain = np.sqrt(np.maximum(excess, 0.0)) * abs(xs[1] - xs[0])
         allowed = np.flatnonzero(excess <= 0.0)
         if allowed.size:
@@ -71,7 +75,13 @@ def _decay_end(potential, x: float, step: float, e_top: float):
         done = np.flatnonzero(reach >= DECAY)
         if done.size:
             return float(xs[done[0]]), float(v[done[0]])
-        total = reach[-1]
+        total = reach[-1] if cut else total
+        if cut < v.size:
+            raise GridError(
+                f"the top level E={e_top:.6g} sits too close to the "
+                f"continuum: V is not finite at x={xs[cut]:.6g}, where the "
+                f"decay integral above it has reached {total:.3g} of "
+                f"{DECAY:g}")
 
 
 def _descend(potential, x: float, step: float):
@@ -219,9 +229,8 @@ def write_json_atomic(path: str, obj):
 
 
 def write_csv_atomic(path: str, header: list[str], columns: list[np.ndarray]):
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
+    rows = np.column_stack(columns).astype(float, copy=False).tolist()
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -232,12 +241,21 @@ def sample_potential(entry: CatalogEntry, samples: int):
 
 def sample_wavefunctions(entry: CatalogEntry, x: np.ndarray,
                          j_values: list[int]):
-    """psi_j on x for each j; levels that share a gauge sample it once."""
+    """psi_j on x for each j; the levels of one sector share its gauge and
+    map and are sampled as one block."""
     psis = [entry.closed_form_wavefunction(j) for j in j_values]
-    gauges = {id(psi.gauge): psi.gauge for psi in psis}
-    samples = {key: gauge(x) for key, gauge in gauges.items()}
-    return [np.asarray(psi(x, samples[id(psi.gauge)]), float)
-            for psi in psis]
+    blocks: dict[int, list[int]] = {}
+    for i, psi in enumerate(psis):
+        blocks.setdefault(id(psi.gauge), []).append(i)
+    cols = [None] * len(psis)
+    for rows in blocks.values():
+        first = psis[rows[0]]
+        block = assemble_wavefunction(first.gauge,
+                                      [psis[i].coeffs for i in rows],
+                                      first.mapping)(x)
+        for i, col in zip(rows, block):
+            cols[i] = col
+    return cols
 
 
 def spectrum_document(entry: CatalogEntry, j_values: list[int]) -> dict:

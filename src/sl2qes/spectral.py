@@ -37,7 +37,7 @@ class Level:
     E: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {"d": self.d, "E": self.E, "b": [float(v) for v in self.b],
+        return {"d": self.d, "E": self.E, "b": self.b.tolist(),
                 "imag_residual": self.imag_residual}
 
 
@@ -47,36 +47,116 @@ class SpectralResult:
     levels: list[Level] = field(default_factory=list)
 
 
-def _normalize_vector(b: np.ndarray) -> np.ndarray:
-    m = np.max(np.abs(b))
-    if m == 0.0:
-        return b
-    b = b / m
-    for v in b:
-        if abs(v) > 1e-12:
-            if v < 0:
-                b = -b
-            break
-    return b
+def _normalize_rows(bs: np.ndarray) -> np.ndarray:
+    """Each row scaled to max-norm 1 with its first significant component
+    positive; a zero row stays zero."""
+    peak = np.max(np.abs(bs), axis=1, keepdims=True)
+    bs = np.divide(bs, peak, out=bs.copy(), where=peak != 0.0)
+    significant = np.abs(bs) > 1e-12
+    first = bs[np.arange(len(bs)), np.argmax(significant, axis=1)]
+    flip = np.any(significant, axis=1) & (first < 0)
+    return np.where(flip[:, None], -bs, bs)
 
 
-def _refine_eigenpair(m: np.ndarray, lam: float, v: np.ndarray):
-    """One inverse-iteration step; keeps whichever vector has the smaller
-    residual."""
-    def res(vec):
-        return float(np.max(np.abs(m @ vec - lam * vec)))
+# Each generator word moves the degree by at most 2, so the sector matrix
+# has at most 2 diagonals below and 2 above the main one.
+_BAND = 2
 
-    a = m - lam * np.eye(m.shape[0])
-    try:
-        w = np.linalg.solve(a, v)
-    except np.linalg.LinAlgError:
-        w, *_ = np.linalg.lstsq(a, v, rcond=None)
-    if not np.all(np.isfinite(w)) or np.max(np.abs(w)) == 0.0:
-        return v, res(v)
-    w = w / np.max(np.abs(w))
-    if res(w) < res(v):
-        return w, res(w)
-    return v, res(v)
+
+def _band_matrix(exact: list, size: int) -> np.ndarray:
+    """Float copy of the exact sector matrix, converting only its band."""
+    m = np.zeros((size, size))
+    for k in range(-_BAND, _BAND + 1):
+        rows = np.arange(max(0, -k), min(size, size - k))
+        m[rows, rows + k] = [float(exact[i][i + k]) for i in rows]
+    return m
+
+
+def _bandwidths(m: np.ndarray) -> tuple[int, int]:
+    """(diagonals below, diagonals above) that hold a nonzero."""
+    def width(sign):
+        return max((k for k in range(1, _BAND + 1)
+                    if np.any(np.diagonal(m, sign * k))), default=0)
+    return width(-1), width(1)
+
+
+def _shifted_solve(m: np.ndarray, kl: int, ku: int, lam: np.ndarray,
+                   rhs: np.ndarray):
+    """w_i with (m - lam_i I) w_i = rhs_i for every i, and which systems
+    met an exactly zero pivot (their w is not a solution).
+
+    LU with partial pivoting on the band, kl diagonals below and ku above
+    (pivoting fills up to kl + ku above), vectorised over i.  Step j holds
+    rows j..j+kl of every system, each as its columns j..j+kl+ku with the
+    right-hand side appended; no (count x size x size) stack is formed.
+    """
+    count, size = rhs.shape
+    width = kl + ku + 1
+    # fresh[i, c]: row i at column i - kl + c, then the right-hand side
+    pad = np.zeros((size + kl + 1, size + 2 * kl + width))
+    pad[:size, kl:kl + size] = m
+    at = np.arange(size + kl + 1)[:, None]
+    fresh = np.zeros((count, size + kl + 1, width + 1))
+    fresh[:, :, :width] = pad[at, at + np.arange(width)]
+    fresh[:, :size, kl] -= lam[:, None]
+    fresh[:, :size, width] = rhs
+    rows = [np.concatenate([fresh[:, i, kl - i:width],
+                            np.zeros((count, kl - i)),
+                            fresh[:, i, width:]], axis=1)
+            for i in range(kl + 1)]
+    upper = np.empty((count, size, width + 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(size):
+            top = rows[0]
+            for r in range(1, kl + 1):
+                # the first row of largest magnitude in column j is the pivot
+                swap = (np.abs(rows[r][:, 0]) > np.abs(top[:, 0]))[:, None]
+                top, rows[r] = (np.where(swap, rows[r], top),
+                                np.where(swap, top, rows[r]))
+            upper[:, j] = top
+            nxt = []
+            for row in rows[1:]:
+                row = row - (row[:, 0] / top[:, 0])[:, None] * top
+                nxt.append(np.concatenate(
+                    [row[:, 1:width], np.zeros((count, 1)), row[:, width:]],
+                    axis=1))
+            rows = nxt + [fresh[:, j + kl + 1]]
+        x = np.zeros((count, size + width))
+        for j in range(size - 1, -1, -1):
+            known = np.einsum("ij,ij->i", upper[:, j, 1:width],
+                              x[:, j + 1:j + width])
+            x[:, j] = (upper[:, j, width] - known) / upper[:, j, 0]
+    return x[:, :size], np.any(upper[:, :, 0] == 0.0, axis=1)
+
+
+def _refine(m: np.ndarray, kl: int, ku: int, lam: np.ndarray,
+            vecs: np.ndarray):
+    """One inverse-iteration step for every pair (lam_i, vecs_i); each keeps
+    whichever vector has the smaller max-norm residual, and returns it with
+    that residual.  A system with an exactly zero pivot (a triangular
+    sector shifted by its own diagonal entry) is solved by least squares,
+    and its residuals are taken level by level as a dense per-level solve
+    takes them, so such sectors keep their bits."""
+    def residual(i, vec):
+        return float(np.max(np.abs(m @ vec - lam[i] * vec)))
+
+    w, zero = _shifted_solve(m, kl, ku, lam, vecs)
+    peak = np.max(np.abs(w), axis=1)
+    ok = ~zero & np.all(np.isfinite(w), axis=1) & (peak != 0.0)
+    w[ok] /= peak[ok, None]
+    res_v = np.max(np.abs(vecs @ m.T - lam[:, None] * vecs), axis=1)
+    res_w = np.full(len(lam), np.inf)
+    res_w[ok] = np.max(np.abs(w[ok] @ m.T - lam[ok, None] * w[ok]), axis=1)
+    for i in np.flatnonzero(zero):
+        a = m - lam[i] * np.eye(m.shape[0])
+        wi, *_ = np.linalg.lstsq(a, vecs[i], rcond=None)
+        res_v[i] = residual(i, vecs[i])
+        if np.all(np.isfinite(wi)) and np.max(np.abs(wi)) != 0.0:
+            w[i], ok[i] = wi / np.max(np.abs(wi)), True
+            res_w[i] = residual(i, w[i])
+    better = ok & (res_w < res_v)
+    return (np.where(better[:, None], w, vecs),
+            np.where(better, res_w, res_v))
 
 
 def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
@@ -85,20 +165,23 @@ def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
     Requires d to be free.  Returns n+1 levels (with multiplicity), energies
     unfilled, each coefficient vector scaled to max-norm 1 with its first
     significant component positive.  Complex eigenvalues are reported with a
-    warning rather than suppressed.
+    warning rather than suppressed.  The eigenvalues are np.linalg.eig's;
+    every eigenvector gets one inverse-iteration step, and a second where
+    its residual stays above 1e-10 of the matrix's inf-norm, all levels at
+    once (``_refine``).
     """
     if coeffs.d is not None:
         raise ValueError("the spectral solve needs d left free (d=None)")
-    m = np.array(
-        [[float(v) for v in row] for row in hamiltonian_matrix(coeffs)],
-        dtype=float,
-    )
+    size = coeffs.n + 1
+    m = _band_matrix(hamiltonian_matrix(coeffs), size)
+    kl, ku = _bandwidths(m)
     scale = max(np.linalg.norm(m, np.inf), 1.0)
     lam, vecs = np.linalg.eig(m)
-    levels = []
-    for i in range(len(lam)):
-        imag = abs(float(lam[i].imag))
-        if imag > 1e-9 * (1.0 + abs(lam[i])):
+    d = lam.real.astype(float)
+    imag = np.abs(lam.imag)
+    bs = np.empty((size, size))
+    for i in range(size):
+        if imag[i] > 1e-9 * (1.0 + abs(lam[i])):
             warnings.warn(
                 NonRealSpectrumWarning(
                     f"complex eigenvalue {lam[i]:.6g} for n={coeffs.n}, "
@@ -110,14 +193,14 @@ def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
         pivot = v[int(np.argmax(np.abs(v)))]
         if abs(pivot) > 0:
             v = v * np.conj(pivot / abs(pivot))
-        b = np.real(v).astype(float)
-        d = float(lam[i].real)
-        b, resid = _refine_eigenpair(m, d, b)
-        if resid > 1e-10 * scale:
-            b, resid = _refine_eigenpair(m, d, b)
-        b = _normalize_vector(b)
-        levels.append(Level(d=d, b=b, imag_residual=imag))
-    levels.sort(key=lambda lv: (lv.d, tuple(lv.b)))
+        bs[i] = np.real(v)
+    bs, resid = _refine(m, kl, ku, d, bs)
+    again = np.flatnonzero(resid > 1e-10 * scale)
+    if again.size:
+        bs[again], _ = _refine(m, kl, ku, d[again], bs[again])
+    levels = [Level(d=float(d[i]), b=b, imag_residual=float(imag[i]))
+              for i, b in enumerate(_normalize_rows(bs))]
+    levels.sort(key=lambda lv: (lv.d, lv.b.tolist()))
     return SpectralResult(n=coeffs.n, levels=levels)
 
 
@@ -125,7 +208,7 @@ def compose_energies(result: SpectralResult, offset: float) -> SpectralResult:
     """Fill E = offset + d for every level, re-sorted ascending by E."""
     new = [replace(lv, E=float(offset) + lv.d, b=lv.b.copy())
            for lv in result.levels]
-    new.sort(key=lambda lv: (lv.E, tuple(lv.b)))
+    new.sort(key=lambda lv: (lv.E, lv.b.tolist()))
     return SpectralResult(n=result.n, levels=new)
 
 

@@ -366,6 +366,23 @@ def test_poschl_teller_needs_b_at_least_half_alpha(tmp_path, capsys, b):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", ["morse", "scarf-ii"])
+def test_level_at_the_continuum_edge_fails_by_name(tmp_path, capsys, family):
+    # A = 3 + 1e-10 keeps j = 3 at E_3 = -(1e-10)^2: its tail never decays
+    # before V stops being finite far out, and the window scan says so
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["verify", "--family", family, "--alpha", "1",
+                    "--A", "3.0000000001", "--B", "1", "--n", "3",
+                    "--j-max", "3", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: the top level E=")
+    assert "sits too close to the continuum: V is not finite at x=" in err
+    assert err.endswith("has reached 0 of 9")
+    assert not out.exists()
+
+
 def _read_columns(path):
     rows = path.read_text().splitlines()
     return rows[0].split(","), np.array(

@@ -514,9 +514,8 @@ def test_qes_gauge_matches_hand_written_rule(name, sign, negative):
     equals the per-shape exponent-and-prefactor rule up to one constant."""
     entry = make_entry(name, _family_params(name, sign, negative), sign, 4)
     x = np.linspace(*entry.plot_range, 401)
-    g = entry.gauge(x)
     for j in range(entry.n + 1):
-        got = entry.closed_form_wavefunction(j)(x, g)
+        got = entry.closed_form_wavefunction(j)(x)
         want = hand_written_psi(entry, j)(x)
         k = int(np.argmax(np.abs(want)))
         scale = got[k] / want[k]
@@ -564,3 +563,43 @@ def test_assemble_hyperbolic_family_three():
     expected = (np.exp(-0.5 * (np.cosh(2 * xs) - math.cosh(2 * entry.gauge_x0)))
                 * (lv.b[0] + lv.b[1] * np.cosh(2 * xs)))
     assert np.allclose(psi(xs), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name, params, sign, n", [
+    ("periodic-v3", {"alpha": 1.3, "beta": 0.7, "a": 0.2}, "+", 20),
+    # |psi| of this entry passes the float range: non-finite samples
+    ("hyperbolic-v1", {"gamma": -1.029, "eta": -1.611, "a": -0.021}, "+",
+     160),
+])
+def test_block_columns_equal_per_level_polyval(name, params, sign, n):
+    """One block call gives, bit for bit, each level's own np.polyval
+    column times the gauge, non-finite samples in the same places."""
+    entry = make_entry(name, params, sign, n)
+    x = np.linspace(*entry.plot_range, 401)
+    levels = entry.spectral().levels
+    g = entry.gauge(x)
+    xi = entry.mapping.xi_of_x(x)
+    with np.errstate(all="ignore"):
+        block = assemble_wavefunction(entry.gauge, [lv.b for lv in levels],
+                                      entry.mapping)(x)
+        assert block.shape == (n + 1, x.size)
+        for lv, col in zip(levels, block):
+            want = scaled_exp(g.exponent,
+                              g.factor * np.polyval(lv.b[::-1], xi))
+            assert col.tobytes() == want.tobytes()
+    if n == 160:
+        assert not np.all(np.isfinite(block))
+
+
+def test_block_of_scalar_and_single_level():
+    """A single level keeps its shape: a float at a scalar x, one row of
+    samples per level in a block."""
+    entry = make_entry("periodic-v1", {"alpha": 1, "beta": 1, "a": 0}, "+",
+                       2)
+    bs = [lv.b for lv in entry.spectral().levels]
+    block = assemble_wavefunction(entry.gauge, bs, entry.mapping)
+    one = assemble_wavefunction(entry.gauge, bs[1], entry.mapping)
+    assert isinstance(one(0.3), float)
+    assert one(0.3) == block(0.3)[1]
+    assert np.array_equal(block(np.array([0.3, 0.4]))[1],
+                          one(np.array([0.3, 0.4])))

@@ -14,7 +14,8 @@ from sl2qes.catalog import make_entry
 from sl2qes.cli import main
 from sl2qes.errors import NoBoundStateError
 from sl2qes.fdsolve import SQRT_STRETCH, Grid, fd_eigensolve
-from sl2qes.pipeline import _match_levels, verification_report
+from sl2qes.pipeline import (_match_levels, sample_wavefunctions,
+                             verification_report, write_csv_atomic)
 
 ES_CASES = [
     ("harmonic", {"omega": 2}, None, 3),
@@ -299,3 +300,29 @@ def test_no_level_to_verify_is_an_error(tmp_path, capsys, name, params,
     if j_max is None:
         assert f"error: {name}: no bound state" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_csv_writes_each_value_as_its_float_repr(tmp_path):
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5,
+                       0.1, 1.0 / 3.0])
+    columns = [values, values[::-1].copy(), np.arange(values.size)]
+    path = tmp_path / "table.csv"
+    write_csv_atomic(str(path), ["a", "b", "k"], columns)
+    want = "a,b,k\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
+    assert path.read_bytes() == want.encode()
+    assert path.read_text().splitlines()[1:5] == [
+        "nan,0.3333333333333333,0.0", "inf,0.1,1.0", "-inf,1e-05,2.0",
+        "-0.0,1e+16,3.0"]
+
+
+def test_sampling_blocks_follow_the_gauges():
+    """An ES entry takes levels above n from other sectors, each with its
+    own gauge: every column still equals its level's own evaluation."""
+    entry = make_entry("morse", {"alpha": 1, "A": 4, "B": 1}, None, 1)
+    x = np.linspace(*entry.plot_range, 101)
+    cols = sample_wavefunctions(entry, x, [0, 1, 2, 3])
+    gauges = {id(entry.closed_form_wavefunction(j).gauge) for j in range(4)}
+    assert len(gauges) == 3
+    for j, col in enumerate(cols):
+        assert np.array_equal(col, entry.closed_form_wavefunction(j)(x))

@@ -105,13 +105,17 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
     assert {"catalog.CatalogEntry.spectral",
             "spectral.solve_algebraic_sector", "mapping.build_gauge",
             "fdsolve.fd_eigensolve"} <= set(es)
-    # build and general share one gauge rule: one gauge pass per grid
+    # build and general share one gauge rule: one gauge pass per grid, and
+    # the levels that share a gauge are sampled as one block
     assert build.count("mapping.GaugeFactor.__call__") == 1
-    assert build.count("mapping.WaveFunction.__call__") == 4
+    assert build.count("mapping.WaveFunction.__call__") == 1
+    # the potential once, each wavefunction sample twice (the tracer counts
+    # both sample_wavefunctions and its WaveFunction call), as before blocks
+    assert tracer.counts["build"]["pipeline.samples"] == 401 + 2 * 4 * 401
     for n in (2, 8):
         names = [span[3] for span in tracer.spans if span[0] == f"general-{n}"]
         assert names.count("mapping.GaugeFactor.__call__") == 1
-        assert names.count("mapping.WaveFunction.__call__") == n + 1
+        assert names.count("mapping.WaveFunction.__call__") == 1
     # every map is exact and the gauge a closed form: no run makes a quad
     # call or a numeric map
     for case in ("general-2", "general-8", "quadratic"):

@@ -5,11 +5,16 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sl2qes.algebra import AlgebraCoefficients
+from sl2qes.algebra import AlgebraCoefficients, hamiltonian_matrix
 from sl2qes.catalog import make_entry
 from sl2qes.spectral import (
     NonRealSpectrumWarning,
+    _band_matrix,
+    _bandwidths,
+    _refine,
+    _shifted_solve,
     compose_energies,
     sector_ode_residual,
     solve_algebraic_sector,
@@ -132,3 +137,81 @@ def test_energies_sorted_ascending():
     res = compose_energies(solve_algebraic_sector(periodic_v1_algebra(4)), 2.5)
     energies = [lv.E for lv in res.levels]
     assert energies == sorted(energies)
+
+
+def test_band_holds_the_whole_sector_matrix():
+    """Every entry off the band of 2 diagonals below and 2 above is exactly
+    zero, so converting the band gives the dense float matrix."""
+    rng = random.Random(7)
+    for _ in range(40):
+        c = random_algebra(rng, n_max=12).with_free_d()
+        exact = hamiltonian_matrix(c)
+        dense = np.array([[float(v) for v in row] for row in exact])
+        assert np.array_equal(_band_matrix(exact, c.n + 1), dense)
+
+
+def _dense_refine(m, lam, v):
+    """The per-level rule: a dense solve, least squares where its LU meets
+    a zero pivot, and the vector with the smaller residual."""
+    def res(vec):
+        return float(np.max(np.abs(m @ vec - lam * vec)))
+
+    a = m - lam * np.eye(m.shape[0])
+    try:
+        w = np.linalg.solve(a, v)
+    except np.linalg.LinAlgError:
+        w, *_ = np.linalg.lstsq(a, v, rcond=None)
+    if not np.all(np.isfinite(w)) or np.max(np.abs(w)) == 0.0:
+        return v, res(v)
+    w = w / np.max(np.abs(w))
+    return (w, res(w)) if res(w) < res(v) else (v, res(v))
+
+
+def _random_band(rng, size, kl, ku):
+    m = np.zeros((size, size))
+    for k in range(-kl, ku + 1):
+        rows = np.arange(max(0, -k), min(size, size - k))
+        m[rows, rows + k] = rng.uniform(-2.0, 2.0, rows.size)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 40), kl=st.integers(0, 2), ku=st.integers(0, 2),
+       count=st.integers(1, 6), on_diagonal=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_banded_shifted_solve_matches_dense_solve(size, kl, ku, count,
+                                                  on_diagonal, seed):
+    """The batched band LU agrees with np.linalg.solve on every system; an
+    upper-triangular matrix shifted by its own diagonal entries meets an
+    exactly zero pivot and takes least squares, as the dense route does."""
+    rng = np.random.default_rng(seed)
+    m = _random_band(rng, size, kl, ku)
+    assert _bandwidths(m) == (min(kl, size - 1), min(ku, size - 1))
+    kl, ku = _bandwidths(m)
+    rhs = rng.standard_normal((count, size))
+    if on_diagonal and kl == 0:
+        lam = m.diagonal()[rng.integers(0, size, count)]
+        w, zero = _shifted_solve(m, kl, ku, lam, rhs)
+        assert zero.all()
+        out, resid = _refine(m, kl, ku, lam, rhs)
+        for i in range(count):
+            want, want_res = _dense_refine(m, lam[i], rhs[i])
+            assert np.array_equal(out[i], want) and resid[i] == want_res
+        return
+    lam = rng.uniform(-3.0, 3.0, count)
+    w, zero = _shifted_solve(m, kl, ku, lam, rhs)
+    assert not zero.any()
+    for i in range(count):
+        a = m - lam[i] * np.eye(size)
+        want = np.linalg.solve(a, rhs[i])
+        bound = 1e-12 * np.linalg.cond(a, np.inf) * np.max(np.abs(want))
+        assert np.max(np.abs(w[i] - want)) <= bound
+
+
+def test_banded_solve_pivots_past_a_zero_diagonal():
+    # without the row swap the first pivot would be 0
+    m = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [0.0, 4.0, 0.0]])
+    rhs = np.array([[1.0, 2.0, 3.0]])
+    w, zero = _shifted_solve(m, 1, 2, np.zeros(1), rhs)
+    assert not zero.any()
+    assert np.allclose(w[0], np.linalg.solve(m, rhs[0]), rtol=1e-14)
