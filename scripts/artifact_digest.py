@@ -13,10 +13,12 @@ process through ``sl2qes.cli.main`` of the package under ``<src>/src``, in a
 fresh temporary directory with relative paths, so no path of the machine
 reaches stdout.  One line per case:
 
-    <workload> <case id> exit=<code> stdout=<sha256> <artifact>=<sha256> ...
+    <workload> <case id> exit=<code> stdout=<sha256> <artifact>=<sha256>:<mode> ...
 
-with the artifacts in name order.  Stderr is left out: numpy's warnings
-name the source file, which differs between checkouts.
+with the artifacts in name order, each with its permission bits in octal
+(644 under umask 022), so a change of mode shows in a diff too.  Stderr is
+left out: numpy's warnings name the source file, which differs between
+checkouts.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -72,8 +75,9 @@ def case_line(workload: str, case) -> str:
                       f"stdout={_sha(stdout.getvalue().encode())}"]
             if os.path.isdir("out"):
                 for name in sorted(os.listdir("out")):
-                    data = Path("out", name).read_bytes()
-                    fields.append(f"{name}={_sha(data)}")
+                    path = Path("out", name)
+                    mode = stat.S_IMODE(path.stat().st_mode)
+                    fields.append(f"{name}={_sha(path.read_bytes())}:{mode:o}")
         finally:
             os.chdir(cwd)
     return " ".join(fields)

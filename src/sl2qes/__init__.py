@@ -39,6 +39,7 @@ from .fdsolve import (
     band_edges,
     count_nodes,
     fd_eigensolve,
+    fd_eigenvalues,
     residual,
 )
 from .mapping import (

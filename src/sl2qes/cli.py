@@ -10,6 +10,7 @@ like the flags they name.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -321,15 +322,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every request in this process, built on first use;
+    it is never changed, so one request cannot leak into the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # the file's values become the subcommand's defaults: argparse
-            # converts and checks them like flags, and flags still win
-            sub = args.subparser
-            sub.set_defaults(**_config_defaults(sub, _read_config(args.config)))
+            # the file's values become the subcommand's defaults on a parser
+            # of this request's own: argparse converts and checks them like
+            # flags, and flags still win
+            config = _read_config(args.config)
+            parser = build_parser()
+            sub = parser.parse_args(argv).subparser
+            sub.set_defaults(**_config_defaults(sub, config))
             args = parser.parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:   # a usage error, already printed by argparse

@@ -24,7 +24,7 @@ The periodic and antiperiodic matrices are tridiagonal plus two corner
 entries; they are stored sparse and solved by ARPACK in shift-invert mode
 with a shift below min V, so no dense matrix is formed.  They, like
 ``residual``, take plain grids only.  The Richardson refine pass asks for
-eigenvalues only.
+eigenvalues only, through ``fd_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "FdSpectrum",
     "BandEdge",
     "fd_eigensolve",
+    "fd_eigenvalues",
     "band_edges",
     "count_below",
     "count_nodes",
@@ -158,6 +159,8 @@ def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap,
                 vectors: bool = True):
     """Lowest k eigenvalues on the grid, plus their max-norm eigenvectors on
     grid.nodes when `vectors` (else None)."""
+    if bc not in _BCS:
+        raise GridError(f"unknown boundary condition {bc!r}")
     # scipy is imported here, where the oracle needs it, so runs that never
     # solve (build, general, list-families) start without it
     from scipy import linalg as sla
@@ -224,16 +227,22 @@ def fd_eigensolve(potential, grid: Grid, bc: str = "dirichlet", k: int = 6,
     The periodic and antiperiodic problems need k below the number of cell
     nodes, points - 1, and a grid uniform in x.
     """
-    if bc not in _BCS:
-        raise GridError(f"unknown boundary condition {bc!r}")
     w, vecs = _solve_once(potential, grid, bc, k, v_cap)
     est = np.zeros(k)
     if refine:
-        w_fine, _ = _solve_once(potential, grid.refined(), bc, k, v_cap,
-                                vectors=False)
+        w_fine = fd_eigenvalues(potential, grid.refined(), bc, k, v_cap)
         est = np.abs(w - w_fine) * (4.0 / 3.0)
     return FdSpectrum(eigenvalues=w, eigenvectors=vecs, bc=bc, grid=grid,
                       convergence_estimate=est)
+
+
+def fd_eigenvalues(potential, grid: Grid, bc: str = "dirichlet", k: int = 6,
+                   v_cap: float | None = None) -> np.ndarray:
+    """The lowest k eigenvalues of the problem ``fd_eigensolve`` solves,
+    without eigenvectors.  A Dirichlet solve gives the same bits as
+    ``fd_eigensolve``'s; ARPACK's periodic and antiperiodic values may
+    differ from its in the last bits."""
+    return _solve_once(potential, grid, bc, k, v_cap, vectors=False)[0]
 
 
 @dataclass(frozen=True)

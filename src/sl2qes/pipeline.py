@@ -12,22 +12,22 @@ HALF_LINE_CUTOFF; and k from a Sturm count up to half a level spacing
 above E_top.  Levels and eigenvalues are matched one to one in ascending
 order; the tolerance is max(1e-3, 10 * convergence_estimate), or an
 explicitly supplied one.  All files are written atomically (temp file +
-rename) with fixed key order and shortest round-trip float formatting, so
-identical configurations produce byte-identical output.
+rename, mode 0o666 less the umask) with fixed key order and shortest
+round-trip float formatting, so identical configurations produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
 from .catalog import CatalogEntry
 from .errors import GridError
-from .fdsolve import (SQRT_STRETCH, Grid, _solve_once, count_below,
-                      fd_eigensolve)
+from .fdsolve import (SQRT_STRETCH, Grid, count_below, fd_eigensolve,
+                      fd_eigenvalues)
 from .mapping import assemble_wavefunction
 
 __all__ = [
@@ -191,8 +191,7 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
         # half-line problem: confirm insensitivity to halving the inner
         # cutoff (eigenvalues only), folded into the per-level estimate
         half = Grid(grid.x_min / 2.0, grid.x_max, points, stretch)
-        numeric2, _ = _solve_once(entry.potential, half, bc, k, None,
-                                  vectors=False)
+        numeric2 = fd_eigenvalues(entry.potential, half, bc, k)
         shifts = np.abs(numeric2 - numeric)
         estimates = np.maximum(estimates, shifts)
 
@@ -213,7 +212,15 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
 def _atomic_write(path: str, data: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # a fresh temp file beside the target, created like mkstemp's but with
+    # mode 0o666, so the umask sets the artifact's mode as open() would
+    while True:
+        tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(data)

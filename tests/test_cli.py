@@ -6,6 +6,7 @@ import pytest
 
 from sl2qes.algebra import AlgebraCoefficients, b_polynomials
 from sl2qes.catalog import make_entry
+from sl2qes import cli
 from sl2qes.cli import main
 from sl2qes.mapping import (
     Branch,
@@ -542,3 +543,89 @@ def test_general_range_flags_are_checked(tmp_path, capsys, source, flags,
                 "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """The number of build_parser calls from here on, starting from a
+    process that has not built its parser yet."""
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    yield calls
+    cli._shared_parser.cache_clear()
+
+
+def test_plain_requests_share_one_parser(tmp_path, parser_builds, capsys):
+    for i in range(3):
+        assert run(["build", "--family", "harmonic", "--omega", "2",
+                    "--out-dir", str(tmp_path / str(i))]) == 0
+    assert run(["list-families"]) == 0
+    assert len(parser_builds) == 1
+
+
+def test_config_values_stay_with_their_request(tmp_path, parser_builds,
+                                               capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega = 1\nsamples = 11\njson-samples = true\n")
+    base = ["build", "--family", "harmonic"]
+    assert run(base + ["--config", str(cfg),
+                       "--out-dir", str(tmp_path / "cfg")]) == 0
+    assert (tmp_path / "cfg" / "potential.json").exists()
+    # the config's omega is gone from the next request, which has none
+    out = tmp_path / "plain"
+    assert run(base + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: missing parameters: omega"
+    assert not out.exists()
+    args = cli._shared_parser().parse_args(base)
+    assert (args.omega, args.samples, args.json_samples) == (None, 401, False)
+
+
+def test_requests_repeat_around_a_config_request(tmp_path, parser_builds,
+                                                 capsys):
+    argv = ["verify", "--family", "morse", "--alpha", "1", "--A", "3",
+            "--B", "1", "--n", "2"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("A = 4\nj-max = 1\nsamples = 21\npoints = 801\n")
+    outs = [tmp_path / name for name in ("first", "config", "second")]
+    assert run(argv + ["--out-dir", str(outs[0])]) == 0
+    assert run(["verify", "--family", "morse", "--alpha", "1", "--B", "1",
+                "--n", "2", "--config", str(cfg),
+                "--out-dir", str(outs[1])]) == 0
+    assert run(argv + ["--out-dir", str(outs[2])]) == 0
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[2].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes()
+    assert (outs[1] / "potential.csv").read_bytes() != \
+        (outs[0] / "potential.csv").read_bytes()
+
+
+HELP_ARGV = [["--help"], ["list-families", "--help"], ["build", "--help"],
+             ["verify", "--help"], ["general", "--help"]]
+
+
+def test_help_text_is_the_built_parsers(tmp_path, parser_builds, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega = 1\n")
+    texts = []
+    for argv in HELP_ARGV * 2:
+        assert run(argv) == 0
+        texts.append(capsys.readouterr().out)
+        # a config request between the rounds changes no help text
+        assert run(["build", "--family", "harmonic", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+    assert texts[:len(HELP_ARGV)] == texts[len(HELP_ARGV):]
+    assert texts[0] == cli.build_parser().format_help()
+    assert "usage: sl2qes build [-h] [--config CONFIG]" in texts[2]

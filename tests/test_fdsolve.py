@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sl2qes.catalog import make_entry
 from sl2qes.errors import GridError
 from sl2qes.fdsolve import (SQRT_STRETCH, Grid, band_edges, count_nodes,
-                            fd_eigensolve, residual)
+                            fd_eigensolve, fd_eigenvalues, residual)
 
 
 def flat(x):
@@ -331,3 +331,37 @@ def test_cyclic_k_limit(bc):
     assert np.all(np.diff(spec.eigenvalues) >= 0)
     with pytest.raises(GridError, match="k=15 must be at most 14"):
         fd_eigensolve(flat, grid, bc=bc, k=15)
+
+
+@pytest.mark.parametrize("potential, grid, k", [
+    (make_entry("harmonic", {"omega": 2}, n=3).potential,
+     Grid(-6.0, 6.0, 1201), 4),
+    (HYDROGEN.potential, Grid(1e-7, 60.0, 801, SQRT_STRETCH), 4),
+], ids=["plain", "stretched"])
+def test_dirichlet_eigenvalues_match_the_full_solve(potential, grid, k):
+    values = fd_eigenvalues(potential, grid, k=k)
+    assert np.array_equal(
+        values, fd_eigensolve(potential, grid, k=k, refine=False).eigenvalues)
+    spec = fd_eigensolve(potential, grid, k=k)
+    fine = fd_eigenvalues(potential, grid.refined(), k=k)
+    assert np.array_equal(spec.convergence_estimate,
+                          np.abs(values - fine) * (4.0 / 3.0))
+
+
+@pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
+def test_cyclic_eigenvalues_match_the_full_solve(bc):
+    entry = _PERIODIC_ENTRIES[0]
+    grid = Grid(0.0, entry.period, 401)
+    spec = fd_eigensolve(entry.potential, grid, bc=bc, k=6)
+    # ARPACK's Ritz values with and without vectors agree to rounding only
+    values = fd_eigenvalues(entry.potential, grid, bc=bc, k=6)
+    assert np.allclose(values, spec.eigenvalues, rtol=1e-12, atol=1e-12)
+    # the refine pass is this solve on the refined grid, bit for bit
+    fine = fd_eigenvalues(entry.potential, grid.refined(), bc=bc, k=6)
+    assert np.array_equal(spec.convergence_estimate,
+                          np.abs(spec.eigenvalues - fine) * (4.0 / 3.0))
+
+
+def test_eigenvalues_only_checks_the_boundary_condition():
+    with pytest.raises(GridError, match="unknown boundary condition"):
+        fd_eigenvalues(flat, Grid(0.0, 1.0, 64), bc="neumann")

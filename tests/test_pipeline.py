@@ -2,6 +2,8 @@
 oracle, exercising the same path the verify subcommand uses."""
 
 import dataclasses
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -314,6 +316,22 @@ def test_csv_writes_each_value_as_its_float_repr(tmp_path):
     assert path.read_text().splitlines()[1:5] == [
         "nan,0.3333333333333333,0.0", "inf,0.1,1.0", "-inf,1e-05,2.0",
         "-0.0,1e+16,3.0"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_honour_the_umask(tmp_path, umask, mode):
+    out = tmp_path / "run"
+    old = os.umask(umask)
+    try:
+        assert main(["verify", "--family", "harmonic", "--omega", "2",
+                     "--n", "1", "--j-max", "1", "--out-dir", str(out)]) == 0
+    finally:
+        os.umask(old)
+    names = sorted(path.name for path in out.iterdir())
+    assert names == ["potential.csv", "spectrum.json", "verification.json",
+                     "wavefunctions.csv"]
+    for name in names:
+        assert stat.S_IMODE((out / name).stat().st_mode) == mode, name
 
 
 def test_sampling_blocks_follow_the_gauges():

@@ -140,11 +140,12 @@ def test_artifact_digest_repeats(monkeypatch, tmp_path):
     second = [digest.case_line(name, case) for name, case in cases]
     assert first == second
     sha = "[0-9a-f]{64}"
+    out = f"{sha}:[0-7]{{3,4}}"     # an artifact's sha256 and its mode
     assert re.fullmatch(
         f"catalog-verify default-00-harmonic exit=0 stdout={sha} "
-        f"potential.csv={sha} spectrum.json={sha} verification.json={sha} "
-        f"wavefunctions.csv={sha}", first[0])
+        f"potential.csv={out} spectrum.json={out} verification.json={out} "
+        f"wavefunctions.csv={out}", first[0])
     assert re.fullmatch(
-        f"general-numeric set\\d-n2 exit=0 stdout={sha} potential.csv={sha} "
-        f"spectrum.json={sha} wavefunctions.csv={sha}", first[1])
+        f"general-numeric set\\d-n2 exit=0 stdout={sha} potential.csv={out} "
+        f"spectrum.json={out} wavefunctions.csv={out}", first[1])
     assert list(tmp_path.iterdir()) == []   # every case ran in its own dir
