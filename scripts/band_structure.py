@@ -15,13 +15,16 @@ import sys
 
 import numpy as np
 
-from sl2qes.catalog import make_entry
+from sl2qes.catalog import list_families, make_entry
+from sl2qes.errors import Sl2QesError
 from sl2qes.fdsolve import band_edges
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--family", default="periodic-v1")
+    parser.add_argument("--family", default="periodic-v1",
+                        choices=[f["name"] for f in list_families()
+                                 if "period" in f])
     parser.add_argument("--alpha", type=float, default=1.0)
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument("--a", type=float, default=0.0)
@@ -29,20 +32,28 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=8)
     parser.add_argument("--points", type=int, default=1201)
     args = parser.parse_args()
+    if args.count < 1:
+        parser.error("--count must be at least 1")
+    if args.points < 16:
+        parser.error("--points must be at least 16")
 
     params = {"alpha": args.alpha, "beta": args.beta, "a": args.a}
     algebraic = {}
-    entry = None
-    for sign in ("+", "-"):
-        entry = make_entry(args.family, params, sign=sign, n=args.n)
-        for lv in entry.spectral().levels:
-            algebraic[lv.E] = sign
-    if entry.period is None:
-        print("not a periodic family", file=sys.stderr)
+    try:
+        for sign in ("+", "-"):
+            entry = make_entry(args.family, params, sign=sign, n=args.n)
+            for lv in entry.spectral().levels:
+                algebraic[lv.E] = sign
+        edges = band_edges(entry.potential, entry.period, count=args.count,
+                           points=args.points)
+    except Sl2QesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a value exceeds the float range ({exc})",
+              file=sys.stderr)
         return 2
 
-    edges = band_edges(entry.potential, entry.period, count=args.count,
-                       points=args.points)
     values = sorted(algebraic)
     print(f"{'edge':>12} {'parity':<14} {'algebraic match':>16} {'branch':>7}")
     for edge in edges:

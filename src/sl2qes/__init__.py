@@ -40,7 +40,6 @@ from .fdsolve import (
     count_nodes,
     fd_eigensolve,
     fd_eigenvalues,
-    residual,
 )
 from .mapping import (
     Branch,

@@ -33,6 +33,7 @@ __all__ = [
     "AlgebraCoefficients",
     "BPolynomials",
     "as_fraction",
+    "finite_fraction",
     "poly_gcd",
     "apply_generator",
     "commutator",
@@ -52,6 +53,19 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def finite_fraction(name: str, value) -> Fraction:
+    """value as an exact Fraction that a float can hold; anything else
+    raises InvalidParameterError naming `name`."""
+    try:
+        q = as_fraction(value)
+        float(q)    # OverflowError beyond the float range
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(
+            f"{name} must be a finite real number within the float range, "
+            f"got {value!r}") from None
+    return q
 
 
 class Generator(Enum):
@@ -299,15 +313,30 @@ class AlgebraCoefficients:
         return out
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "AlgebraCoefficients":
-        kwargs = {}
-        for key, attr in cls._JSON_KEYS:
-            if key in data:
-                kwargs[attr] = as_fraction(data[key])
+    def from_json_dict(cls, data) -> "AlgebraCoefficients":
+        """The coefficients of a wire-format object.  A key outside the
+        format, a coefficient that is not a finite number within the float
+        range, or an n that is not a JSON integer >= 0 raises
+        InvalidParameterError naming the key."""
+        if not isinstance(data, dict):
+            raise InvalidParameterError(
+                f"coefficient data must be a JSON object, got {data!r}")
+        known = [key for key, _ in cls._JSON_KEYS] + ["d", "n"]
+        for key in data:
+            if key not in known:
+                raise InvalidParameterError(
+                    f"unknown coefficient key {key!r}; known: "
+                    f"{', '.join(known)}")
+        n = data.get("n")
+        if type(n) is not int or n < 0:
+            got = f"got {n!r}" if "n" in data else "it is missing"
+            raise InvalidParameterError(f"n must be a JSON integer >= 0; "
+                                        f"{got}")
+        kwargs = {attr: finite_fraction(key, data[key])
+                  for key, attr in cls._JSON_KEYS if key in data}
         d = data.get("d", "free")
-        kwargs["d"] = None if d == "free" else as_fraction(d)
-        kwargs["n"] = int(data["n"])
-        return cls(**kwargs)
+        return cls(**kwargs, d=None if d == "free" else finite_fraction("d", d),
+                   n=n)
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraCoefficients, BPolynomials, as_fraction, b_polynomials
+from .algebra import (AlgebraCoefficients, BPolynomials, b_polynomials,
+                      finite_fraction)
 from .errors import InvalidParameterError, NoBoundStateError, NotApplicableError
 from .mapping import (
     Branch,
@@ -142,7 +143,7 @@ class Family:
         out = {}
         for k, rule in self.params.items():
             out[k] = (_whole(params[k], rule.message) if rule.whole
-                      else _rational(k, params[k]))
+                      else finite_fraction(k, params[k]))
             # params: this value and the ones converted before it
             if rule.holds is not None and not rule.holds(out[k], sigma, out):
                 raise InvalidParameterError(rule.message)
@@ -274,15 +275,6 @@ def _whole(value, message: str) -> int:
     if q is None or q.denominator != 1 or q < 0:
         raise InvalidParameterError(message)
     return int(q)
-
-
-def _rational(name: str, value) -> Fraction:
-    """value as an exact Fraction; non-numeric and non-finite values fail."""
-    try:
-        return as_fraction(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameterError(
-            f"{name} must be a finite real number, got {value!r}") from None
 
 
 def _level_index(j) -> int:

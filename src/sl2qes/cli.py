@@ -279,7 +279,10 @@ def _add_catalog_flags(parser: argparse.ArgumentParser):
         parser.add_argument(f"--{name}", type=None if name == "l" else float)
     parser.add_argument("--n", default=0)
     parser.add_argument("--sign", choices=["+", "-"])
-    parser.add_argument("--j-max", type=_int_at_least(0), default=3)
+    parser.add_argument("--j-max", type=_int_at_least(0), default=3,
+                        help="highest level of an exactly solvable family "
+                        "(default 3); a quasi-solvable entry always takes "
+                        "all n + 1 levels of its sector")
     parser.add_argument("--json-samples", action="store_true",
                         help="also write the samples as JSON arrays")
 
@@ -347,6 +350,10 @@ def main(argv=None) -> int:
         return exc.code
     except (Sl2QesError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a value exceeds the float range ({exc})",
+              file=sys.stderr)
         return 2
 
 

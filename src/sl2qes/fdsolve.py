@@ -22,15 +22,15 @@ back as psi on the x nodes.
 
 The periodic and antiperiodic matrices are tridiagonal plus two corner
 entries; they are stored sparse and solved by ARPACK in shift-invert mode
-with a shift below min V, so no dense matrix is formed.  They, like
-``residual``, take plain grids only.  The Richardson refine pass asks for
+with a shift below min V, so no dense matrix is formed.  They take plain
+grids only.  The Richardson refine pass and the band edges ask for
 eigenvalues only, through ``fd_eigenvalues``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "band_edges",
     "count_below",
     "count_nodes",
-    "residual",
     "SQRT_STRETCH",
 ]
 
@@ -107,36 +106,26 @@ class Grid:
         return Grid(self.x_min, self.x_max, 2 * self.points - 1, self.stretch)
 
 
-def _require_plain(grid: Grid, what: str):
-    if grid.stretch is not None:
-        raise GridError(f"{what} needs a grid uniform in x, not one "
-                        f"stretched by {grid.stretch}")
-
-
 @dataclass
 class FdSpectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray           # columns, on grid.nodes, max-norm 1
-    bc: str
-    grid: Grid
-    convergence_estimate: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    convergence_estimate: np.ndarray   # zeros without the refine pass
 
 
-def _potential_values(potential, x, v_cap=None):
+def _potential_values(potential, x):
     v = np.asarray(potential(x), dtype=float)
     if not np.all(np.isfinite(v)):
         raise GridError("potential is not finite at a grid node")
-    if v_cap is not None:
-        v = np.minimum(v, v_cap)
     return v
 
 
-def _dirichlet_matrix(potential, grid: Grid, v_cap):
+def _dirichlet_matrix(potential, grid: Grid):
     """(diag, off, X') of the symmetric tridiagonal Dirichlet matrix on the
     interior nodes."""
     inv_h2 = 1.0 / grid.h ** 2
     jac, extra = grid.liouville(grid.u_nodes[1:-1])
-    v = _potential_values(potential, grid.nodes[1:-1], v_cap)
+    v = _potential_values(potential, grid.nodes[1:-1])
     diag = (2.0 * inv_h2 + (jac * jac * v + extra)) / (jac * jac)
     off = -inv_h2 / (jac[:-1] * jac[1:])
     return diag, off, jac
@@ -147,7 +136,7 @@ def count_below(potential, grid: Grid, energy: float) -> int:
     ``fd_eigensolve`` solves lie at or below `energy`."""
     from scipy import linalg as sla
 
-    diag, off, _ = _dirichlet_matrix(potential, grid, None)
+    diag, off, _ = _dirichlet_matrix(potential, grid)
     # the count comes from Sturm sequences at the interval's ends, exact at
     # any bisection tolerance; an infinite one skips the bisection
     return len(sla.eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
@@ -155,7 +144,7 @@ def count_below(potential, grid: Grid, energy: float) -> int:
                                     tol=np.inf))
 
 
-def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap,
+def _solve_once(potential, grid: Grid, bc: str, k: int,
                 vectors: bool = True):
     """Lowest k eigenvalues on the grid, plus their max-norm eigenvectors on
     grid.nodes when `vectors` (else None)."""
@@ -172,7 +161,7 @@ def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap,
         if k > grid.points - 2:
             raise GridError(f"k={k} exceeds the {grid.points - 2} interior "
                             f"nodes")
-        diag, off, jac = _dirichlet_matrix(potential, grid, v_cap)
+        diag, off, jac = _dirichlet_matrix(potential, grid)
         result = sla.eigh_tridiagonal(diag, off, eigvals_only=not vectors,
                                       select="i", select_range=(0, k - 1))
         if not vectors:
@@ -182,13 +171,15 @@ def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap,
         full = np.zeros((grid.points, k))
         full[1:-1, :] = vecs / np.sqrt(jac)[:, None]
     else:
-        _require_plain(grid, f"the {bc} solve")
+        if grid.stretch is not None:
+            raise GridError(f"the {bc} solve needs a grid uniform in x, not "
+                            f"one stretched by {grid.stretch}")
         x = grid.nodes[:-1]  # right endpoint identified with the left
         m = len(x)
         if k >= m:
             raise GridError(f"k={k} must be at most {m - 1}, one below the "
                             f"{m} cell nodes")
-        v = _potential_values(potential, x, v_cap)
+        v = _potential_values(potential, x)
         off = np.full(m - 1, -inv_h2)
         corner = [-inv_h2 if bc == "periodic" else inv_h2]
         ham = sparse.diags([corner, off, 2.0 * inv_h2 + v, off, corner],
@@ -216,57 +207,48 @@ def _solve_once(potential, grid: Grid, bc: str, k: int, v_cap,
 
 
 def fd_eigensolve(potential, grid: Grid, bc: str = "dirichlet", k: int = 6,
-                  refine: bool = True, v_cap: float | None = None) -> FdSpectrum:
+                  refine: bool = True) -> FdSpectrum:
     """Lowest k eigenpairs of -d^2/dx^2 + V on the grid.
 
     With refine=True the same problem is re-solved, eigenvalues only, at
     half the spacing and the per-eigenvalue Richardson difference (an error
     estimate for the values reported on the requested grid) is stored.
-    v_cap, when given, clips the potential from above; use it for steeply
-    confining walls whose untruncated height would dominate the matrix norm.
-    The periodic and antiperiodic problems need k below the number of cell
-    nodes, points - 1, and a grid uniform in x.
+    V must be finite at every node the solve reads.  The periodic and
+    antiperiodic problems need k below the number of cell nodes,
+    points - 1, and a grid uniform in x.
     """
-    w, vecs = _solve_once(potential, grid, bc, k, v_cap)
+    w, vecs = _solve_once(potential, grid, bc, k)
     est = np.zeros(k)
     if refine:
-        w_fine = fd_eigenvalues(potential, grid.refined(), bc, k, v_cap)
+        w_fine = fd_eigenvalues(potential, grid.refined(), bc, k)
         est = np.abs(w - w_fine) * (4.0 / 3.0)
-    return FdSpectrum(eigenvalues=w, eigenvectors=vecs, bc=bc, grid=grid,
+    return FdSpectrum(eigenvalues=w, eigenvectors=vecs,
                       convergence_estimate=est)
 
 
-def fd_eigenvalues(potential, grid: Grid, bc: str = "dirichlet", k: int = 6,
-                   v_cap: float | None = None) -> np.ndarray:
+def fd_eigenvalues(potential, grid: Grid, bc: str = "dirichlet",
+                   k: int = 6) -> np.ndarray:
     """The lowest k eigenvalues of the problem ``fd_eigensolve`` solves,
     without eigenvectors.  A Dirichlet solve gives the same bits as
     ``fd_eigensolve``'s; ARPACK's periodic and antiperiodic values may
     differ from its in the last bits."""
-    return _solve_once(potential, grid, bc, k, v_cap, vectors=False)[0]
+    return _solve_once(potential, grid, bc, k, vectors=False)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BandEdge:
     energy: float
     parity: str              # "periodic" | "antiperiodic"
-    convergence_estimate: float = 0.0
 
 
-def band_edges(potential, period: float, count: int, points: int = 801,
-               x_start: float = 0.0, refine: bool = True,
-               v_cap: float | None = None) -> list[BandEdge]:
-    """Band edges over one period: merged ascending list of the lowest
-    `count` periodic and `count` antiperiodic eigenvalues."""
-    grid = Grid(x_start, x_start + period, points)
-    edges: list[BandEdge] = []
-    for bc in ("periodic", "antiperiodic"):
-        spec = fd_eigensolve(potential, grid, bc=bc, k=count, refine=refine,
-                             v_cap=v_cap)
-        for j in range(count):
-            est = spec.convergence_estimate[j] if refine else 0.0
-            edges.append(BandEdge(float(spec.eigenvalues[j]), bc, float(est)))
-    edges.sort(key=lambda e: (e.energy, e.parity))
-    return edges
+def band_edges(potential, period: float, count: int,
+               points: int = 801) -> list[BandEdge]:
+    """Band edges over one period [0, period]: the lowest `count` periodic
+    and `count` antiperiodic eigenvalues, merged in ascending order."""
+    grid = Grid(0.0, period, points)
+    return sorted(BandEdge(float(e), bc)
+                  for bc in ("periodic", "antiperiodic")
+                  for e in fd_eigenvalues(potential, grid, bc, count))
 
 
 def count_nodes(values, rel_tol: float = 1e-10) -> int:
@@ -282,22 +264,3 @@ def count_nodes(values, rel_tol: float = 1e-10) -> int:
         return 0
     signs = np.sign(keep)
     return int(np.sum(signs[1:] * signs[:-1] < 0))
-
-
-def residual(potential, psi, energy: float, grid: Grid) -> float:
-    """max |(-psi'' + (V - E) psi)| / max |psi| over interior nodes, with the
-    second derivative from the five-point central stencil; the grid must be
-    uniform in x."""
-    _require_plain(grid, "residual")
-    x = grid.nodes
-    h = grid.h
-    vals = np.asarray(psi(x), float)
-    v = np.asarray(potential(x), float)
-    d2 = (-vals[:-4] + 16 * vals[1:-3] - 30 * vals[2:-2]
-          + 16 * vals[3:-1] - vals[4:]) / (12.0 * h ** 2)
-    inner = slice(2, -2)
-    res = -d2 + (v[inner] - energy) * vals[inner]
-    peak = np.max(np.abs(vals))
-    if peak == 0.0:
-        raise GridError("wavefunction vanishes on the whole grid")
-    return float(np.max(np.abs(res)) / peak)

@@ -11,7 +11,9 @@ a monotone Hermite inverse.  The potential oracle is the thirteen
 potentials written out by hand, one per catalog family, that the catalog
 now takes from its own B polynomials and map.  The exactly solvable
 oracles are the closed-form energies and the Hermite, Laguerre and Jacobi
-wavefunctions that the catalog now takes from its algebraic sectors.
+wavefunctions that the catalog now takes from its algebraic sectors.  The
+residual oracle checks a closed-form state against the Schroedinger equation
+with a five-point stencil, apart from the FD eigensolver.
 """
 
 from fractions import Fraction
@@ -25,7 +27,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
 from sl2qes.algebra import AlgebraCoefficients, poly_gcd
-from sl2qes.errors import BranchError, SingularPointError
+from sl2qes.errors import BranchError, GridError, SingularPointError
 from sl2qes.mapping import scaled_exp
 
 # general-mode coefficients whose B4 = (1 - xi^2)(2 + xi) is cubic, so the map
@@ -253,6 +255,27 @@ def hand_written_potential(entry):
         return ((gaf ** 2 * etf ** 2 / 8.0) * np.cosh(4.0 * gaf * u)
                 + hc * np.cosh(2.0 * gaf * u) - gaf ** 2 * etf ** 2 / 8.0)
     return v
+
+
+def residual(potential, psi, energy: float, grid) -> float:
+    """max |(-psi'' + (V - E) psi)| / max |psi| over interior nodes, with the
+    second derivative from the five-point central stencil; the grid must be
+    uniform in x."""
+    if grid.stretch is not None:
+        raise GridError(f"residual needs a grid uniform in x, not one "
+                        f"stretched by {grid.stretch}")
+    x = grid.nodes
+    h = grid.h
+    vals = np.asarray(psi(x), float)
+    v = np.asarray(potential(x), float)
+    d2 = (-vals[:-4] + 16 * vals[1:-3] - 30 * vals[2:-2]
+          + 16 * vals[3:-1] - vals[4:]) / (12.0 * h ** 2)
+    inner = slice(2, -2)
+    res = -d2 + (v[inner] - energy) * vals[inner]
+    peak = np.max(np.abs(vals))
+    if peak == 0.0:
+        raise GridError("wavefunction vanishes on the whole grid")
+    return float(np.max(np.abs(res)) / peak)
 
 
 def hermite(j: int, z):

@@ -12,7 +12,7 @@ from sl2qes.errors import (
     NoBoundStateError,
     NotApplicableError,
 )
-from sl2qes.fdsolve import SQRT_STRETCH, Grid, count_nodes, residual
+from sl2qes.fdsolve import SQRT_STRETCH, Grid, count_nodes
 from sl2qes.mapping import assemble_wavefunction
 
 from oracles import (
@@ -20,6 +20,7 @@ from oracles import (
     closed_form_psi,
     hand_written_potential,
     quadrature_gauge,
+    residual,
 )
 
 

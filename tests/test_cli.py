@@ -7,6 +7,7 @@ import pytest
 from sl2qes.algebra import AlgebraCoefficients, b_polynomials
 from sl2qes.catalog import make_entry
 from sl2qes import cli
+from sl2qes.errors import InvalidParameterError
 from sl2qes.cli import main
 from sl2qes.mapping import (
     Branch,
@@ -542,6 +543,68 @@ def test_general_range_flags_are_checked(tmp_path, capsys, source, flags,
     assert run(["general", "--algebra", str(alg), *extra,
                 "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the --algebra file is outside input: each bad value exits 2 by its key
+
+_RANGE = "must be a finite real number within the float range"
+
+
+def _algebra_text(**changes) -> str:
+    """MARCH_SET at n = 2 as JSON text, each changed value written verbatim
+    (so NaN, 1e999 and null stay literal); a change to None drops the key."""
+    fields = {key: json.dumps(value)
+              for key, value in dict(MARCH_SET, n=2).items()}
+    fields.update(changes)
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}"
+                           for key, value in fields.items()
+                           if value is not None) + "}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "coefficient data must be a JSON object, got [1, 2]"),
+    (_algebra_text(n=None), "n must be a JSON integer >= 0; it is missing"),
+    (_algebra_text(n="2.5"), "n must be a JSON integer >= 0; got 2.5"),
+    (_algebra_text(n="true"), "n must be a JSON integer >= 0; got True"),
+    (_algebra_text(n='"2"'), "n must be a JSON integer >= 0; got '2'"),
+    (_algebra_text(C00="null"), f"C00 {_RANGE}, got None"),
+    (_algebra_text(C00="false"), f"C00 {_RANGE}, got False"),
+    (_algebra_text(C00="NaN"), f"C00 {_RANGE}, got nan"),
+    (_algebra_text(C00="-Infinity"), f"C00 {_RANGE}, got -inf"),
+    (_algebra_text(C00="1e999"), f"C00 {_RANGE}, got inf"),
+    (_algebra_text(C00='"1e999"'), f"C00 {_RANGE}, got '1e999'"),
+    (_algebra_text(d="null"), f"d {_RANGE}, got None"),
+    (_algebra_text(**{"C0+": '"1"'}),
+     "unknown coefficient key 'C0+'; known: C++, C+0, C00, C0-, C--, C+, "
+     "C0, C-, d, n"),
+], ids=["array", "n-missing", "n-float", "n-bool", "n-string", "null",
+        "bool", "nan", "infinity", "number-1e999", "string-1e999", "d-null",
+        "typo-key"])
+def test_general_algebra_file_is_validated(tmp_path, capsys, text, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        AlgebraCoefficients.from_json_dict(json.loads(text))
+    assert str(exc.value) == message
+    alg = tmp_path / "alg.json"
+    alg.write_text(text)
+    out = tmp_path / "run"
+    assert run(["general", "--algebra", str(alg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "harmonic", "--omega", "1e200", "--n", "1"],
+    ["build", "--family", "morse", "--alpha", "1e-200", "--A", "1e200",
+     "--B", "1"],
+], ids=["harmonic-verify", "morse-build"])
+def test_float_overflow_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert run(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: a value exceeds the float range (")
     assert not out.exists()
 
 

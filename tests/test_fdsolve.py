@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from sl2qes.catalog import make_entry
 from sl2qes.errors import GridError
 from sl2qes.fdsolve import (SQRT_STRETCH, Grid, band_edges, count_nodes,
-                            fd_eigensolve, fd_eigenvalues, residual)
+                            fd_eigensolve, fd_eigenvalues)
+
+from oracles import residual
 
 
 def flat(x):
@@ -77,7 +79,7 @@ def test_richardson_estimate_tracks_error():
 
 
 def test_free_particle_band_edges():
-    edges = band_edges(flat, 2 * math.pi, count=3, points=801, refine=False)
+    edges = band_edges(flat, 2 * math.pi, count=3, points=801)
     energies = [e.energy for e in edges]
     parities = [e.parity for e in edges]
     assert energies[0] == pytest.approx(0.0, abs=1e-9)
@@ -91,8 +93,7 @@ def test_free_particle_band_edges():
 def test_periodic_v1_lowest_edge():
     entry = make_entry("periodic-v1", {"alpha": 1, "beta": 1, "a": 0},
                        sign="+", n=0)
-    edges = band_edges(entry.potential, entry.period, count=4, points=801,
-                       refine=False)
+    edges = band_edges(entry.potential, entry.period, count=4, points=801)
     best = min(abs(e.energy - (-5.0 / 8.0)) for e in edges)
     assert best < 1e-3
 
@@ -103,8 +104,7 @@ def test_periodic_v1_lowest_edge():
 ])
 def test_band_edge_interlacing(name, sign):
     entry = make_entry(name, {"alpha": 1, "beta": 1, "a": 0}, sign=sign, n=1)
-    edges = band_edges(entry.potential, entry.period, count=4, points=601,
-                       refine=False)
+    edges = band_edges(entry.potential, entry.period, count=4, points=601)
     pattern = "".join("p" if e.parity == "periodic" else "a"
                       for e in edges[:7])
     assert pattern == "paappaa"
@@ -159,17 +159,6 @@ def test_grid_errors():
 
     with pytest.raises(GridError):
         fd_eigensolve(bad, Grid(-1, 1, 64), k=2, refine=False)
-
-
-def test_wall_clipping_changes_nothing_physical():
-    entry = make_entry("hyperbolic-v3", {"gamma": 1, "eta": 2, "a": 0},
-                       sign="-", n=1)
-    grid = Grid(-8, 8, 1601)
-    capped = fd_eigensolve(entry.potential, grid, k=2, refine=False,
-                           v_cap=1e8)
-    tighter = fd_eigensolve(entry.potential, Grid(-6, 6, 1201), k=2,
-                            refine=False, v_cap=1e8)
-    assert np.allclose(capped.eigenvalues, tighter.eigenvalues, atol=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +276,7 @@ def test_free_particle_degenerate_pairs():
     count = 7
     points = 801
     h = 2 * math.pi / (points - 1)
-    edges = band_edges(flat, 2 * math.pi, count=count, points=points,
-                       refine=False)
+    edges = band_edges(flat, 2 * math.pi, count=count, points=points)
     thetas = [(0.0, "periodic")]
     for j in range(1, 4):
         thetas += [(j - 0.5, "antiperiodic")] * 2 + [(j, "periodic")] * 2
@@ -306,6 +294,16 @@ def test_band_edges_are_deterministic():
     fd_eigensolve(flat, Grid(0.0, 3.0, 301), bc="antiperiodic", k=5)
     second = band_edges(entry.potential, entry.period, count=6, points=401)
     assert first == second
+
+
+@pytest.mark.parametrize("entry", _PERIODIC_ENTRIES[:2],
+                         ids=["periodic-v1+", "periodic-v1-"])
+def test_band_edges_are_the_merged_eigenvalues(entry):
+    grid = Grid(0.0, entry.period, 401)
+    merged = sorted((float(e), bc) for bc in ("periodic", "antiperiodic")
+                    for e in fd_eigenvalues(entry.potential, grid, bc, 6))
+    edges = band_edges(entry.potential, entry.period, count=6, points=401)
+    assert [(e.energy, e.parity) for e in edges] == merged
 
 
 def test_free_particle_band_edges_large_grid():

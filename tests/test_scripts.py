@@ -4,6 +4,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import sl2qes.cli
 
 from oracles import MARCH_SET
@@ -40,6 +42,28 @@ def test_band_structure_script_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["band_structure.py"])
     assert _load("band_structure").main() == 0
     assert "algebraic sector" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--family", "harmonic"], "argument --family: invalid choice: "
+                               "'harmonic'"),
+    (["--count", "0"], "error: --count must be at least 1"),
+    (["--points", "15"], "error: --points must be at least 16"),
+    (["--beta", "0"], "error: beta must be nonzero"),
+    (["--count", "30", "--points", "16"], "error: k=30 must be at most 14"),
+    (["--alpha", "1e200"], "error: a value exceeds the float range"),
+], ids=["not-periodic", "count", "points", "package-error", "k-limit",
+        "overflow"])
+def test_band_structure_script_rejects_bad_input(monkeypatch, capsys, args,
+                                                 message):
+    monkeypatch.setattr(sys, "argv", ["band_structure.py", *args])
+    try:
+        code = _load("band_structure").main()
+    except SystemExit as exc:   # a usage error, printed by argparse
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_benchmark_tracer_wraps_and_restores(tmp_path):
