@@ -27,7 +27,6 @@ from .errors import (
     GridError,
     InvalidParameterError,
     NoBoundStateError,
-    NotApplicableError,
     RepresentationError,
     SingularPointError,
     Sl2QesError,
@@ -49,7 +48,6 @@ from .mapping import (
     PotentialModel,
     UTransform,
     WaveFunction,
-    assemble_wavefunction,
     build_gauge,
     build_mapping,
     half_line_sqrt,

@@ -77,14 +77,13 @@ import numpy as np
 
 from .algebra import (AlgebraCoefficients, BPolynomials, b_polynomials,
                       finite_fraction)
-from .errors import InvalidParameterError, NoBoundStateError, NotApplicableError
+from .errors import InvalidParameterError, NoBoundStateError
 from .mapping import (
     Branch,
     GaugeFactor,
     Mapping,
     PotentialModel,
     WaveFunction,
-    assemble_wavefunction,
     build_gauge,
     build_mapping,
     half_line_sqrt,
@@ -199,7 +198,7 @@ class CatalogEntry:
         """Unnormalized psi_j: its sector's gauge times the level's
         polynomial."""
         src, lv = self._source(_level_index(j))
-        return assemble_wavefunction(src.gauge, lv.b, src.mapping)
+        return WaveFunction(src.gauge, lv.b, src.mapping)
 
     def operator_potential_data(self, j: int):
         """(bp, d, E, mapping) for the operator-route potential at level j."""
@@ -228,11 +227,6 @@ class EsEntry(CatalogEntry):
             src = self._sectors[j] = self.family.build(
                 self.family, self.params, self.sign, j)
         return src, src.spectral().levels[j]
-
-    def sector_count(self) -> int:
-        raise NotApplicableError(
-            "the algebraic-sector count applies to quasi-solvable entries"
-        )
 
     def verification_levels(self, j_max: int | None = None):
         """(index, energy) pairs the numeric oracle should reproduce;

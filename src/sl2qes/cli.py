@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: list-families, build, verify, general.  Flags override config
-file entries, which override defaults; the config file is flat key=value
-text whose keys are flag names, and its values are converted and checked
-like the flags they name.  Exit codes: 0 success, 1 verification failure,
-2 usage or parameter error.
+Subcommands: list-families, build, verify, general.  A config file is flat
+key=value text keyed by flag name; its values enter the parser as flags
+ahead of the command line's, so flags win and every value is checked like
+its flag, also where a flag overrides it.  Exit codes: 0 success, 1
+verification failure, 2 usage or parameter error.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .algebra import AlgebraCoefficients, b_polynomials
 from .errors import Sl2QesError
 from .mapping import (
     Branch,
+    WaveFunction,
     _roots,
-    assemble_wavefunction,
     build_gauge,
     build_mapping,
     half_line_sqrt,
@@ -51,36 +51,35 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
-    """The config values that name a flag of ``parser``, as its defaults.
-    argparse runs the flag's ``type`` on them; switches and choices, which
-    argparse does not check on defaults, are checked here."""
-    out = {}
+def _config_flags(parser: argparse.ArgumentParser, config: dict) -> list:
+    """The config values that name a flag of ``parser``, as ``--flag=value``
+    tokens for argparse to convert and check; a switch takes true (the bare
+    flag) or false (nothing)."""
+    out = []
     for action in parser._actions:
-        if action.dest not in config:
+        if action.dest not in config or action.dest in ("help", "config"):
             continue
         value = config[action.dest]
-        flag = "/".join(action.option_strings)
-        if action.nargs == 0:   # a switch: --json-samples
-            if value not in ("true", "false"):
-                parser.error(f"argument {flag}: expected true or false, "
-                             f"got {value!r}")
-            value = value == "true"
-        elif action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            parser.error(f"argument {flag}: invalid choice: {value!r} "
-                         f"(choose from {choices})")
-        out[action.dest] = value
+        flag = action.option_strings[-1]
+        if action.nargs != 0:
+            out.append(f"{flag}={value}")
+        elif value == "true":   # a switch: --json-samples
+            out.append(flag)
+        elif value != "false":
+            parser.error(f"argument {flag}: expected true or false, "
+                         f"got {value!r}")
     return out
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than ``low``."""
+def _int_at_least(low: int, high: float = math.inf):
+    """argparse type: an int no smaller than ``low`` nor above ``high``."""
     def convert(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, "
-                                             f"got {text}")
-        return int(text)
+        value = int(text)
+        if not low <= value <= high:
+            need = (f"at least {low}" if high == math.inf
+                    else f"between {low} and {high}")
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
 
     convert.__name__ = "int"    # argparse's "invalid int value: 'abc'"
     return convert
@@ -254,8 +253,8 @@ def _cmd_general(args) -> int:
     }
     gauge = build_gauge(bp, mapping, float(x[len(x) // 2]))
     # every level shares the gauge and the map: one block, one gauge pass
-    cols = list(assemble_wavefunction(gauge, [lv.b for lv in solved.levels],
-                                      mapping)(x))
+    cols = list(WaveFunction(gauge, [lv.b for lv in solved.levels],
+                             mapping)(x))
     _write_artifacts(args.out_dir, x, np.asarray(pot(x), float), doc, cols)
     print(f"wrote general-mode artifacts to {args.out_dir}")
     return 0
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = _run_parser(sub, "verify", "build and check against the "
                            "finite-difference oracle", _cmd_verify)
     _add_catalog_flags(p_verify)
-    p_verify.add_argument("--points", type=int,
+    p_verify.add_argument("--points", type=_int_at_least(16, 1_000_000),
                           help="override grid points; on a stretched grid "
                           "(Coulomb: u = 2 sqrt(x)) they are u nodes")
     p_verify.add_argument("--tolerance", type=_finite_float(positive=True))
@@ -334,16 +333,16 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # the file's values become the subcommand's defaults on a parser
-            # of this request's own: argparse converts and checks them like
-            # flags, and flags still win
-            config = _read_config(args.config)
-            parser = build_parser()
-            sub = parser.parse_args(argv).subparser
-            sub.set_defaults(**_config_defaults(sub, config))
+            # the file's values go in as flags right after the subcommand
+            # name: argparse converts and checks them like flags, and the
+            # command line's own flags come later, so they win
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_flags(args.subparser,
+                                        _read_config(args.config))
             args = parser.parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:   # a usage error, already printed by argparse

@@ -26,9 +26,5 @@ class NoBoundStateError(Sl2QesError, ValueError):
     """The requested level index lies outside the bound-state range."""
 
 
-class NotApplicableError(Sl2QesError, ValueError):
-    """The requested quantity is not defined for this family."""
-
-
 class GridError(Sl2QesError, ValueError):
     """A discretization grid is unusable (non-finite potential, size mismatch)."""

@@ -34,7 +34,6 @@ __all__ = [
     "GaugeFactor",
     "build_gauge",
     "WaveFunction",
-    "assemble_wavefunction",
 ]
 
 
@@ -653,10 +652,3 @@ class WaveFunction:
         if np.ndim(out) == 0:
             return float(np.asarray(out))
         return out
-
-
-def assemble_wavefunction(gauge, coeffs, mapping: Mapping) -> WaveFunction:
-    """Compose gauge, polynomial coefficients (one level's, or one row per
-    level of a block) and mapping into an evaluator."""
-    return WaveFunction(gauge=gauge, coeffs=np.array(coeffs, float),
-                        mapping=mapping)

@@ -28,7 +28,7 @@ from .catalog import CatalogEntry
 from .errors import GridError
 from .fdsolve import (SQRT_STRETCH, Grid, count_below, fd_eigensolve,
                       fd_eigenvalues)
-from .mapping import assemble_wavefunction
+from .mapping import WaveFunction
 
 __all__ = [
     "verification_report",
@@ -257,9 +257,8 @@ def sample_wavefunctions(entry: CatalogEntry, x: np.ndarray,
     cols = [None] * len(psis)
     for rows in blocks.values():
         first = psis[rows[0]]
-        block = assemble_wavefunction(first.gauge,
-                                      [psis[i].coeffs for i in rows],
-                                      first.mapping)(x)
+        block = WaveFunction(first.gauge, [psis[i].coeffs for i in rows],
+                             first.mapping)(x)
         for i, col in zip(rows, block):
             cols[i] = col
     return cols

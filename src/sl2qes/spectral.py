@@ -43,7 +43,6 @@ class Level:
 
 @dataclass
 class SpectralResult:
-    n: int
     levels: list[Level] = field(default_factory=list)
 
 
@@ -134,12 +133,10 @@ def _refine(m: np.ndarray, kl: int, ku: int, lam: np.ndarray,
     """One inverse-iteration step for every pair (lam_i, vecs_i); each keeps
     whichever vector has the smaller max-norm residual, and returns it with
     that residual.  A system with an exactly zero pivot (a triangular
-    sector shifted by its own diagonal entry) is solved by least squares,
-    and its residuals are taken level by level as a dense per-level solve
-    takes them, so such sectors keep their bits."""
-    def residual(i, vec):
-        return float(np.max(np.abs(m @ vec - lam[i] * vec)))
-
+    sector shifted by its own diagonal entry) keeps its start vector: any
+    least-squares solution lies in the row space of m - lam_i I, orthogonal
+    to the level's own null vector, so it could only win as another
+    level's vector."""
     w, zero = _shifted_solve(m, kl, ku, lam, vecs)
     peak = np.max(np.abs(w), axis=1)
     ok = ~zero & np.all(np.isfinite(w), axis=1) & (peak != 0.0)
@@ -147,13 +144,6 @@ def _refine(m: np.ndarray, kl: int, ku: int, lam: np.ndarray,
     res_v = np.max(np.abs(vecs @ m.T - lam[:, None] * vecs), axis=1)
     res_w = np.full(len(lam), np.inf)
     res_w[ok] = np.max(np.abs(w[ok] @ m.T - lam[ok, None] * w[ok]), axis=1)
-    for i in np.flatnonzero(zero):
-        a = m - lam[i] * np.eye(m.shape[0])
-        wi, *_ = np.linalg.lstsq(a, vecs[i], rcond=None)
-        res_v[i] = residual(i, vecs[i])
-        if np.all(np.isfinite(wi)) and np.max(np.abs(wi)) != 0.0:
-            w[i], ok[i] = wi / np.max(np.abs(wi)), True
-            res_w[i] = residual(i, w[i])
     better = ok & (res_w < res_v)
     return (np.where(better[:, None], w, vecs),
             np.where(better, res_w, res_v))
@@ -168,7 +158,8 @@ def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
     warning rather than suppressed.  The eigenvalues are np.linalg.eig's;
     every eigenvector gets one inverse-iteration step, and a second where
     its residual stays above 1e-10 of the matrix's inf-norm, all levels at
-    once (``_refine``).
+    once (``_refine``).  A level whose shift meets an exactly zero pivot (a
+    triangular exactly solvable sector) keeps np.linalg.eig's vector.
     """
     if coeffs.d is not None:
         raise ValueError("the spectral solve needs d left free (d=None)")
@@ -201,7 +192,7 @@ def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
     levels = [Level(d=float(d[i]), b=b, imag_residual=float(imag[i]))
               for i, b in enumerate(_normalize_rows(bs))]
     levels.sort(key=lambda lv: (lv.d, lv.b.tolist()))
-    return SpectralResult(n=coeffs.n, levels=levels)
+    return SpectralResult(levels)
 
 
 def compose_energies(result: SpectralResult, offset: float) -> SpectralResult:
@@ -209,7 +200,7 @@ def compose_energies(result: SpectralResult, offset: float) -> SpectralResult:
     new = [replace(lv, E=float(offset) + lv.d, b=lv.b.copy())
            for lv in result.levels]
     new.sort(key=lambda lv: (lv.E, lv.b.tolist()))
-    return SpectralResult(n=result.n, levels=new)
+    return SpectralResult(new)
 
 
 def sector_ode_residual(bp: BPolynomials, d: float, b: np.ndarray) -> float:

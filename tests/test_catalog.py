@@ -7,13 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sl2qes.algebra import Polynomial, b_polynomials, hamiltonian_matrix
 from sl2qes.catalog import list_families, make_entry
-from sl2qes.errors import (
-    InvalidParameterError,
-    NoBoundStateError,
-    NotApplicableError,
-)
+from sl2qes.errors import InvalidParameterError, NoBoundStateError
 from sl2qes.fdsolve import SQRT_STRETCH, Grid, count_nodes
-from sl2qes.mapping import assemble_wavefunction
+from sl2qes.mapping import WaveFunction
 
 from oracles import (
     closed_form_energy,
@@ -287,7 +283,7 @@ def test_spectral_states_match_assembled_wavefunctions():
         gauge = quadrature_gauge(entry.bp, entry.mapping, entry.gauge_x0)
         for j in range(entry.n + 1):
             lv = entry.spectral().levels[j]
-            numeric = assemble_wavefunction(gauge, lv.b, entry.mapping)(xs)
+            numeric = WaveFunction(gauge, lv.b, entry.mapping)(xs)
             closed = entry.closed_form_wavefunction(j)(xs)
             scale = numeric[0] / closed[0]
             assert np.max(np.abs(numeric - scale * closed)) <= \
@@ -374,8 +370,6 @@ def test_sector_counts():
                       "-", 0).sector_count() == 1
     assert make_entry("hyperbolic-v4", {"gamma": 1, "eta": 2, "a": 0},
                       "-", 1).sector_count() == 5
-    with pytest.raises(NotApplicableError):
-        make_entry("harmonic", {"omega": 1}, n=2).sector_count()
 
 
 # -------------------------------------------------------------- validation

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sl2qes
 from sl2qes.algebra import AlgebraCoefficients, b_polynomials
 from sl2qes.catalog import make_entry
 from sl2qes import cli
@@ -11,7 +16,7 @@ from sl2qes.errors import InvalidParameterError
 from sl2qes.cli import main
 from sl2qes.mapping import (
     Branch,
-    assemble_wavefunction,
+    WaveFunction,
     build_gauge,
     build_mapping,
     identity_shift,
@@ -190,7 +195,7 @@ def test_json_sample_export(tmp_path):
     assert set(waves["psi"]) == {"0", "1"}
 
 
-def test_config_file_precedence(tmp_path):
+def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family = harmonic\nomega = 1\nn = 0\nj-max = 0\n")
     out1 = tmp_path / "c1"
@@ -203,6 +208,41 @@ def test_config_file_precedence(tmp_path):
                 "--out-dir", str(out2)]) == 0
     doc2 = json.loads((out2 / "spectrum.json").read_text())
     assert doc2["levels"][0]["E"] == 1.0         # flag wins over the config
+
+    # a flag wins, but a bad config value it overrides still fails
+    cfg.write_text("family = harmonic\nomega = abc\n")
+    out3 = tmp_path / "c3"
+    assert run(["build", "--config", str(cfg), "--omega", "2",
+                "--out-dir", str(out3)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "argument --omega: invalid float value: 'abc'")
+    assert not out3.exists()
+
+
+def test_console_script_path_reads_config_and_flags(tmp_path):
+    """``main()`` with no argv reads sys.argv, as the installed sl2qes
+    script calls it; a fresh interpreter runs the module."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = harmonic\nomega = 1\nj-max = 0\n")
+    env = dict(os.environ)
+    src = str(Path(sl2qes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sl2qes.cli", "build", "--config", str(cfg),
+         "--omega", "2", "--out-dir", "run"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "run" / "spectrum.json").read_text())
+    assert doc["params"]["omega"] == 2.0
+    assert doc["levels"][0]["E"] == 1.0
+
+
+def test_points_bounds_are_inclusive():
+    base = ["verify", "--family", "harmonic", "--points"]
+    for value in (16, 1000000):
+        assert cli._shared_parser().parse_args(base + [str(value)]).points \
+            == value
 
 
 def test_config_file_non_integral_l(tmp_path, capsys):
@@ -240,6 +280,12 @@ def test_bad_value_names_its_flag_from_either_source(tmp_path, capsys, flag,
     ("verify", "tolerance", "0", "must be finite and positive, got 0"),
     ("verify", "tolerance", "-1", "must be finite and positive, got -1"),
     ("verify", "tolerance", "abc", "invalid float value: 'abc'"),
+    # refused before any grid is built (the refine pass has 2 points - 1)
+    ("verify", "points", "15", "must be between 16 and 1000000, got 15"),
+    ("verify", "points", "1000001",
+     "must be between 16 and 1000000, got 1000001"),
+    ("verify", "points", "100000000",
+     "must be between 16 and 1000000, got 100000000"),
     ("general", "e-convention", "nan", "must be finite, got nan"),
     ("general", "u-a", "inf", "must be finite, got inf"),
     ("general", "x-min", "-inf", "must be finite, got -inf"),
@@ -416,8 +462,7 @@ def test_general_columns_match_per_level_assembly(tmp_path):
     levels = solve_algebraic_sector(coeffs.with_free_d()).levels
     assert np.array_equal(table[:, 0], x)
     for j, lv in enumerate(levels):
-        psi = assemble_wavefunction(build_gauge(bp, mapping, x0), lv.b,
-                                    mapping)(x)
+        psi = WaveFunction(build_gauge(bp, mapping, x0), lv.b, mapping)(x)
         assert np.array_equal(table[:, j + 1], psi), f"psi_{j}"
 
 
@@ -644,6 +689,7 @@ def test_config_values_stay_with_their_request(tmp_path, parser_builds,
     assert run(base + ["--config", str(cfg),
                        "--out-dir", str(tmp_path / "cfg")]) == 0
     assert (tmp_path / "cfg" / "potential.json").exists()
+    assert len(parser_builds) == 1      # the config request built none
     # the config's omega is gone from the next request, which has none
     out = tmp_path / "plain"
     assert run(base + ["--out-dir", str(out)]) == 2

@@ -12,8 +12,8 @@ from sl2qes.catalog import FAMILY_NAMES, make_entry
 from sl2qes.errors import BranchError, SingularPointError
 from sl2qes.mapping import (
     Branch,
+    WaveFunction,
     _roots,
-    assemble_wavefunction,
     build_gauge,
     build_mapping,
     half_line_sqrt,
@@ -536,8 +536,8 @@ def test_scaled_exp_overflows_to_inf():
 def test_assemble_constant_polynomial():
     bp = bp_of(c_00=-1, c_mm=1, c_p=-1, c_0=-2, c_m=2, n=0)
     m = build_mapping(bp, Branch(-1.0, 1.0, sign=-1, xi0=1.0))
-    psi = assemble_wavefunction(lambda x: np.ones_like(np.asarray(x, float)),
-                                [1.0], m)
+    psi = WaveFunction(lambda x: np.ones_like(np.asarray(x, float)), [1.0],
+                       m)
     assert psi(0.0) == pytest.approx(1.0)
     assert psi(2 * math.pi) == pytest.approx(1.0)
 
@@ -580,8 +580,8 @@ def test_block_columns_equal_per_level_polyval(name, params, sign, n):
     g = entry.gauge(x)
     xi = entry.mapping.xi_of_x(x)
     with np.errstate(all="ignore"):
-        block = assemble_wavefunction(entry.gauge, [lv.b for lv in levels],
-                                      entry.mapping)(x)
+        block = WaveFunction(entry.gauge, [lv.b for lv in levels],
+                             entry.mapping)(x)
         assert block.shape == (n + 1, x.size)
         for lv, col in zip(levels, block):
             want = scaled_exp(g.exponent,
@@ -597,8 +597,8 @@ def test_block_of_scalar_and_single_level():
     entry = make_entry("periodic-v1", {"alpha": 1, "beta": 1, "a": 0}, "+",
                        2)
     bs = [lv.b for lv in entry.spectral().levels]
-    block = assemble_wavefunction(entry.gauge, bs, entry.mapping)
-    one = assemble_wavefunction(entry.gauge, bs[1], entry.mapping)
+    block = WaveFunction(entry.gauge, bs, entry.mapping)
+    one = WaveFunction(entry.gauge, bs[1], entry.mapping)
     assert isinstance(one(0.3), float)
     assert one(0.3) == block(0.3)[1]
     assert np.array_equal(block(np.array([0.3, 0.4]))[1],

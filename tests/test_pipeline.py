@@ -268,14 +268,14 @@ def test_coulomb_verifies_across_parameters(e2, l, n):
 
 
 def test_wavefunction_norms_are_finite():
-    from sl2qes.mapping import assemble_wavefunction, build_gauge
+    from sl2qes.mapping import WaveFunction, build_gauge
 
     entry = make_entry("hyperbolic-v3", {"gamma": 1, "eta": 2, "a": 0},
                        sign="-", n=1)
     lv = entry.spectral().levels[0]
     gauge = build_gauge(entry.bp, entry.mapping, entry.gauge_x0)
     grid = np.linspace(-4.0, 4.0, 2001)
-    psi = assemble_wavefunction(gauge, lv.b, entry.mapping)(grid)
+    psi = WaveFunction(gauge, lv.b, entry.mapping)(grid)
     norm = float(np.sqrt(np.trapezoid(psi ** 2, grid)))
     assert np.isfinite(norm) and norm > 0
 

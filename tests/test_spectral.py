@@ -151,8 +151,8 @@ def test_band_holds_the_whole_sector_matrix():
 
 
 def _dense_refine(m, lam, v):
-    """The per-level rule: a dense solve, least squares where its LU meets
-    a zero pivot, and the vector with the smaller residual."""
+    """The per-level rule: a dense solve, the start vector where its LU
+    meets a zero pivot, and the vector with the smaller residual."""
     def res(vec):
         return float(np.max(np.abs(m @ vec - lam * vec)))
 
@@ -160,11 +160,11 @@ def _dense_refine(m, lam, v):
     try:
         w = np.linalg.solve(a, v)
     except np.linalg.LinAlgError:
-        w, *_ = np.linalg.lstsq(a, v, rcond=None)
+        return v
     if not np.all(np.isfinite(w)) or np.max(np.abs(w)) == 0.0:
-        return v, res(v)
+        return v
     w = w / np.max(np.abs(w))
-    return (w, res(w)) if res(w) < res(v) else (v, res(v))
+    return w if res(w) < res(v) else v
 
 
 def _random_band(rng, size, kl, ku):
@@ -183,7 +183,8 @@ def test_banded_shifted_solve_matches_dense_solve(size, kl, ku, count,
                                                   on_diagonal, seed):
     """The batched band LU agrees with np.linalg.solve on every system; an
     upper-triangular matrix shifted by its own diagonal entries meets an
-    exactly zero pivot and takes least squares, as the dense route does."""
+    exactly zero pivot and keeps its start vector, as the dense route does,
+    with the residual taken for all systems at once."""
     rng = np.random.default_rng(seed)
     m = _random_band(rng, size, kl, ku)
     assert _bandwidths(m) == (min(kl, size - 1), min(ku, size - 1))
@@ -195,8 +196,9 @@ def test_banded_shifted_solve_matches_dense_solve(size, kl, ku, count,
         assert zero.all()
         out, resid = _refine(m, kl, ku, lam, rhs)
         for i in range(count):
-            want, want_res = _dense_refine(m, lam[i], rhs[i])
-            assert np.array_equal(out[i], want) and resid[i] == want_res
+            assert np.array_equal(out[i], _dense_refine(m, lam[i], rhs[i]))
+        assert np.array_equal(
+            resid, np.max(np.abs(rhs @ m.T - lam[:, None] * rhs), axis=1))
         return
     lam = rng.uniform(-3.0, 3.0, count)
     w, zero = _shifted_solve(m, kl, ku, lam, rhs)
@@ -206,6 +208,16 @@ def test_banded_shifted_solve_matches_dense_solve(size, kl, ku, count,
         want = np.linalg.solve(a, rhs[i])
         bound = 1e-12 * np.linalg.cond(a, np.inf) * np.max(np.abs(want))
         assert np.max(np.abs(w[i] - want)) <= bound
+
+
+def test_zero_pivot_keeps_the_levels_own_vector():
+    """Least squares on m - lam I lands in its row space, orthogonal to the
+    level's null vector: here on (0, -1), the vector of the other level,
+    whose residual 1 beats the start vector's 1.3."""
+    start = np.array([[0.33, -1.30]])
+    out, resid = _refine(np.diag([1.0, 2.0]), 0, 0, np.array([1.0]), start)
+    assert np.array_equal(out, start)
+    assert resid.tolist() == [1.3]
 
 
 def test_banded_solve_pivots_past_a_zero_diagonal():
