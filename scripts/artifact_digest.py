@@ -8,10 +8,12 @@ Usage, from the root of a checkout:
     diff old.txt new.txt
 
 The case lists come from this checkout's ``perfbench/workloads.py``, so two
-digests made with the same script run the same cases.  Each case runs in
-process through ``sl2qes.cli.main`` of the package under ``<src>/src``, in a
-fresh temporary directory with relative paths, so no path of the machine
-reaches stdout.  One line per case:
+digests made with the same script run the same cases; ``--workload extra``
+runs instead a fixed list of requests that no benchmark workload makes
+(``EXTRA``), and ``all`` is the three benchmark workloads.  Each case runs
+in process through ``sl2qes.cli.main`` of the package under ``<src>/src``,
+in a fresh temporary directory with relative paths, so no path of the
+machine reaches stdout.  One line per case:
 
     <workload> <case id> exit=<code> stdout=<sha256> <artifact>=<sha256>:<mode> ...
 
@@ -33,11 +35,49 @@ import stat
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("catalog-verify", "sector-build", "general-numeric")
 # BLAS threads can change the last bits of a dense eigensolve
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class Request(NamedTuple):
+    """One fixed command-line request, run like a benchmark case."""
+
+    case_id: str
+    args: tuple
+    algebra: dict | None = None
+
+    def argv(self, out_dir: str, algebra_path: str) -> list[str]:
+        args = list(self.args)
+        if self.algebra is not None:
+            args += ["--algebra", algebra_path]
+        if args[0] != "list-families":
+            args += ["--out-dir", out_dir]
+        return args
+
+
+EXTRA = (
+    Request("list-families", ("list-families",)),
+    Request("build-harmonic-json", ("build", "--family", "harmonic",
+                                    "--omega", "2", "--n", "0", "--j-max",
+                                    "5", "--json-samples")),
+    Request("verify-coulomb", ("verify", "--family", "coulomb", "--e2", "2",
+                               "--l", "2", "--n", "1", "--j-max", "2")),
+    Request("verify-poschl-teller", ("verify", "--family", "poschl-teller",
+                                     "--alpha", "1", "--A", "6", "--B", "1",
+                                     "--n", "2")),
+    Request("general-cubic", ("general",),
+            {"C+0": "1/2", "C--": "1", "n": 1}),
+    Request("general-quartic", ("general", "--x-min=-1.5", "--x-max=1.5"),
+            {"C++": "1", "C00": "2", "C--": "1", "n": 2}),
+    # a sector with a complex pair of levels
+    Request("general-complex-pair", ("general",),
+            {"C++": "-2", "C+0": "-1", "C00": "-3", "C0-": "1", "C--": "1",
+             "C0": "1/3", "C-": "-3", "n": 3}),
+)
 
 
 def _load_workloads():
@@ -88,13 +128,17 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True,
                         help="checkout whose src/sl2qes is digested")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", choices=WORKLOADS + ("all",),
+    parser.add_argument("--workload", choices=WORKLOADS + ("extra", "all"),
                         default="all")
     args = parser.parse_args(argv)
 
     for name in THREAD_VARS:
         os.environ[name] = "1"
     sys.path.insert(0, str(Path(args.src).resolve() / "src"))
+    if args.workload == "extra":
+        for request in EXTRA:
+            print(case_line("extra", request), flush=True)
+        return 0
     workloads = _load_workloads()
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     for name in names:

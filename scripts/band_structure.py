@@ -34,8 +34,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.count < 1:
         parser.error("--count must be at least 1")
-    if args.points < 16:
-        parser.error("--points must be at least 16")
+    if not 16 <= args.points <= 1_000_000:
+        parser.error("--points must be at least 16 and at most 1000000, "
+                     f"got {args.points}")
 
     params = {"alpha": args.alpha, "beta": args.beta, "a": args.a}
     algebraic = {}

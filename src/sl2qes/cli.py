@@ -315,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_general.add_argument("--u-transform", choices=["identity", "two-sqrt"],
                            default="identity")
     p_general.add_argument("--u-a", type=_finite_float(), default=0.0)
-    for name in ("--xi-min", "--xi-max", "--xi0"):
+    for name in ("--xi-min", "--xi-max"):
         p_general.add_argument(name, type=float)
+    p_general.add_argument("--xi0", type=_finite_float())
     p_general.add_argument("--e-convention", type=_finite_float(),
                            default=0.0)
     p_general.add_argument("--x-min", type=_finite_float())

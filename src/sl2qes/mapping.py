@@ -101,6 +101,8 @@ class Branch:
             raise BranchError("branch sign must be +1 or -1")
         if not self.lo < self.hi:
             raise BranchError("branch interval is empty")
+        if not math.isfinite(self.xi0):
+            raise BranchError(f"anchor xi0 must be finite, got {self.xi0}")
         if not (self.lo <= self.xi0 <= self.hi):
             raise BranchError("anchor xi0 lies outside the branch interval")
 
@@ -371,8 +373,6 @@ def build_mapping(bp: BPolynomials, branch: Branch,
         raise BranchError(f"B4 has zeros inside the branch interval: {interior}")
     mid = branch.xi0 if branch.lo < branch.xi0 < branch.hi else \
         0.5 * (max(branch.lo, branch.xi0 - 1.0) + min(branch.hi, branch.xi0 + 1.0))
-    if not np.isfinite(mid):
-        mid = branch.xi0
     probe = float(b4(float(mid))) if branch.lo < mid < branch.hi else None
     if probe is not None and probe <= 0:
         raise BranchError("B4 is not positive on the branch interior")

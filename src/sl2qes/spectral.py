@@ -129,14 +129,13 @@ def _shifted_solve(m: np.ndarray, kl: int, ku: int, lam: np.ndarray,
 
 
 def _refine(m: np.ndarray, kl: int, ku: int, lam: np.ndarray,
-            vecs: np.ndarray):
+            vecs: np.ndarray) -> np.ndarray:
     """One inverse-iteration step for every pair (lam_i, vecs_i); each keeps
-    whichever vector has the smaller max-norm residual, and returns it with
-    that residual.  A system with an exactly zero pivot (a triangular
-    sector shifted by its own diagonal entry) keeps its start vector: any
-    least-squares solution lies in the row space of m - lam_i I, orthogonal
-    to the level's own null vector, so it could only win as another
-    level's vector."""
+    whichever vector has the smaller max-norm residual.  A system with an
+    exactly zero pivot (a triangular sector shifted by its own diagonal
+    entry) keeps its start vector: any least-squares solution lies in the
+    row space of m - lam_i I, orthogonal to the level's own null vector, so
+    it could only win as another level's vector."""
     w, zero = _shifted_solve(m, kl, ku, lam, vecs)
     peak = np.max(np.abs(w), axis=1)
     ok = ~zero & np.all(np.isfinite(w), axis=1) & (peak != 0.0)
@@ -144,9 +143,7 @@ def _refine(m: np.ndarray, kl: int, ku: int, lam: np.ndarray,
     res_v = np.max(np.abs(vecs @ m.T - lam[:, None] * vecs), axis=1)
     res_w = np.full(len(lam), np.inf)
     res_w[ok] = np.max(np.abs(w[ok] @ m.T - lam[ok, None] * w[ok]), axis=1)
-    better = ok & (res_w < res_v)
-    return (np.where(better[:, None], w, vecs),
-            np.where(better, res_w, res_v))
+    return np.where((ok & (res_w < res_v))[:, None], w, vecs)
 
 
 def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
@@ -155,40 +152,27 @@ def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
     Requires d to be free.  Returns n+1 levels (with multiplicity), energies
     unfilled, each coefficient vector scaled to max-norm 1 with its first
     significant component positive.  Complex eigenvalues are reported with a
-    warning rather than suppressed.  The eigenvalues are np.linalg.eig's;
-    every eigenvector gets one inverse-iteration step, and a second where
-    its residual stays above 1e-10 of the matrix's inf-norm, all levels at
-    once (``_refine``).  A level whose shift meets an exactly zero pivot (a
+    warning rather than suppressed; such a level keeps the real part of its
+    phase-rotated vector.  The eigenvalues are np.linalg.eig's; every
+    eigenvector gets one inverse-iteration step, all levels at once
+    (``_refine``).  A level whose shift meets an exactly zero pivot (a
     triangular exactly solvable sector) keeps np.linalg.eig's vector.
     """
     if coeffs.d is not None:
         raise ValueError("the spectral solve needs d left free (d=None)")
     size = coeffs.n + 1
     m = _band_matrix(hamiltonian_matrix(coeffs), size)
-    kl, ku = _bandwidths(m)
-    scale = max(np.linalg.norm(m, np.inf), 1.0)
     lam, vecs = np.linalg.eig(m)
-    d = lam.real.astype(float)
     imag = np.abs(lam.imag)
-    bs = np.empty((size, size))
-    for i in range(size):
-        if imag[i] > 1e-9 * (1.0 + abs(lam[i])):
-            warnings.warn(
-                NonRealSpectrumWarning(
-                    f"complex eigenvalue {lam[i]:.6g} for n={coeffs.n}, "
-                    f"coefficients {coeffs.to_json_dict()}"
-                )
-            )
-        v = vecs[:, i]
-        # rotate away the arbitrary phase before taking the real part
-        pivot = v[int(np.argmax(np.abs(v)))]
-        if abs(pivot) > 0:
-            v = v * np.conj(pivot / abs(pivot))
-        bs[i] = np.real(v)
-    bs, resid = _refine(m, kl, ku, d, bs)
-    again = np.flatnonzero(resid > 1e-10 * scale)
-    if again.size:
-        bs[again], _ = _refine(m, kl, ku, d[again], bs[again])
+    for i in np.flatnonzero(imag > 1e-9 * (1.0 + np.abs(lam))):
+        warnings.warn(NonRealSpectrumWarning(
+            f"complex eigenvalue {lam[i]:.6g} for n={coeffs.n}, "
+            f"coefficients {coeffs.to_json_dict()}"))
+    # rotate away each vector's arbitrary phase before taking the real part
+    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(size)]
+    bs = np.real(vecs * np.conj(pivot / np.abs(pivot))).T.copy()
+    d = lam.real
+    bs = _refine(m, *_bandwidths(m), d, bs)
     levels = [Level(d=float(d[i]), b=b, imag_residual=float(imag[i]))
               for i, b in enumerate(_normalize_rows(bs))]
     levels.sort(key=lambda lv: (lv.d, lv.b.tolist()))
@@ -207,20 +191,12 @@ def sector_ode_residual(bp: BPolynomials, d: float, b: np.ndarray) -> float:
     """Max coefficient magnitude of B4 chi'' + B3 chi' + (B2_base + d) chi
     where chi has coefficient vector b.  Zero (to rounding) for a solved
     level."""
-    b = np.asarray(b, float)
-    db = np.arange(1, len(b)) * b[1:]
-    d2b = np.arange(1, len(db)) * db[1:] if len(db) > 1 else np.zeros(0)
+    from numpy.polynomial import Polynomial
 
-    def conv(poly, vec):
-        p = np.array(poly.float_coeffs())
-        if len(p) == 0 or len(vec) == 0:
-            return np.zeros(1)
-        return np.convolve(p, vec)
+    def lift(poly):
+        return Polynomial(poly.float_coeffs() or [0.0])
 
-    terms = [conv(bp.b4, d2b), conv(bp.b3, db), conv(bp.b2_base, b)]
-    size = max(len(t) for t in terms + [b])
-    acc = np.zeros(size)
-    for t in terms:
-        acc[: len(t)] += t
-    acc[: len(b)] += float(d) * b
-    return float(np.max(np.abs(acc))) if acc.size else 0.0
+    chi = Polynomial(np.asarray(b, float))
+    acc = (lift(bp.b4) * chi.deriv(2) + lift(bp.b3) * chi.deriv()
+           + lift(bp.b2_base) * chi + float(d) * chi)
+    return float(np.max(np.abs(acc.coef)))

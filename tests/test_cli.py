@@ -290,6 +290,7 @@ def test_bad_value_names_its_flag_from_either_source(tmp_path, capsys, flag,
     ("general", "u-a", "inf", "must be finite, got inf"),
     ("general", "x-min", "-inf", "must be finite, got -inf"),
     ("general", "x-max", "inf", "must be finite, got inf"),
+    ("general", "xi0", "inf", "must be finite, got inf"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_non_finite_float_is_a_usage_error(tmp_path, capsys, source, command,
@@ -308,6 +309,18 @@ def test_non_finite_float_is_a_usage_error(tmp_path, capsys, source, command,
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         f"argument --{flag}: {message}")
     assert not out.exists()
+
+
+def test_infinite_branch_ends_are_accepted(tmp_path):
+    """Only the anchor must be finite: a branch may run to +-inf."""
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"C--": "1", "C0": "-2", "d": "free", "n": 2}))
+    out = tmp_path / "run"
+    assert run(["general", "--algebra", str(alg), "--xi-min=-inf",
+                "--xi-max=inf", "--out-dir", str(out)]) == 0
+    branch = json.loads((out / "spectrum.json").read_text())["branch"]
+    assert (branch["xi_min"], branch["xi_max"]) == (-np.inf, np.inf)
+    assert np.isfinite(branch["xi0"])
 
 
 def test_config_json_samples_switch(tmp_path, capsys):

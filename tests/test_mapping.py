@@ -7,13 +7,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from sl2qes.algebra import AlgebraCoefficients, Polynomial, b_polynomials
+from sl2qes.algebra import (
+    AlgebraCoefficients,
+    Polynomial,
+    b_polynomials,
+    poly_gcd,
+)
 from sl2qes.catalog import FAMILY_NAMES, make_entry
 from sl2qes.errors import BranchError, SingularPointError
 from sl2qes.mapping import (
     Branch,
     WaveFunction,
     _roots,
+    _split_integral,
     build_gauge,
     build_mapping,
     half_line_sqrt,
@@ -333,6 +339,12 @@ def test_negative_weight_rejected():
         build_mapping(bp, Branch(-1.0, 1.0, sign=1, xi0=0.0))
 
 
+@pytest.mark.parametrize("xi0", [np.inf, -np.inf, np.nan])
+def test_non_finite_anchor_rejected(xi0):
+    with pytest.raises(BranchError, match="anchor xi0 must be finite"):
+        Branch(-np.inf, np.inf, sign=1, xi0=xi0)
+
+
 def test_interior_zero_rejected():
     bp = bp_of(c_00=-1, c_mm=1, c_p=1, n=1)  # B4 = 1 - xi^2, zeros at +-1
     with pytest.raises(BranchError):
@@ -521,6 +533,31 @@ def test_qes_gauge_matches_hand_written_rule(name, sign, negative):
         scale = got[k] / want[k]
         assert np.max(np.abs(got - scale * want)) <= \
             1e-12 * np.max(np.abs(got)), f"psi_{j}"
+
+
+_XM1, _XP2, _X = Polynomial.of(-1, 1), Polynomial.of(2, 1), Polynomial.of(0, 1)
+_X2P1 = Polynomial.of(1, 0, 1)
+
+
+@pytest.mark.parametrize("denom", [
+    _XM1 * _XM1 * _XP2,
+    _X2P1 * _X2P1,
+    _X * _X * _X * _XM1 * _XM1,
+], ids=["double-root", "double-complex-pair", "triple-and-double-root"])
+def test_split_integral_solves_a_coupled_system(denom):
+    """Denominators whose Horowitz-Ostrogradsky system couples, so the
+    exact solve eliminates below and above its pivots: the split is
+    exact, C/D2 has only simple poles, and both numerators are proper."""
+    numer = Polynomial.of(Q(3), Q(-2), Q(5, 2), Q(1), Q(-1, 3), Q(2), Q(1))
+    poly, a, d1, c, d2 = _split_integral(numer, denom)
+    assert d1 * d2 == denom
+    assert poly.coefficient(0) == 0
+    # (P + A/D1)' + C/D2 = numer/denom, over the common denominator D1^2 D2
+    lhs = (poly.derivative() * d1 * d1 * d2
+           + (a.derivative() * d1 - a * d1.derivative()) * d2 + c * d1 * d1)
+    assert lhs * denom == numer * d1 * d1 * d2
+    assert poly_gcd(d2, d2.derivative()).degree == 0
+    assert a.degree < d1.degree and c.degree < d2.degree
 
 
 # ------------------------------------------------------------ wavefunctions

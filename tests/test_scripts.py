@@ -49,11 +49,13 @@ def test_band_structure_script_runs(monkeypatch, capsys):
                                "'harmonic'"),
     (["--count", "0"], "error: --count must be at least 1"),
     (["--points", "15"], "error: --points must be at least 16"),
+    (["--points", "1000001"], "error: --points must be at least 16 and at "
+                              "most 1000000, got 1000001"),
     (["--beta", "0"], "error: beta must be nonzero"),
     (["--count", "30", "--points", "16"], "error: k=30 must be at most 14"),
     (["--alpha", "1e200"], "error: a value exceeds the float range"),
-], ids=["not-periodic", "count", "points", "package-error", "k-limit",
-        "overflow"])
+], ids=["not-periodic", "count", "points", "points-above", "package-error",
+        "k-limit", "overflow"])
 def test_band_structure_script_rejects_bad_input(monkeypatch, capsys, args,
                                                  message):
     monkeypatch.setattr(sys, "argv", ["band_structure.py", *args])
@@ -159,7 +161,8 @@ def test_artifact_digest_repeats(monkeypatch, tmp_path):
     digest = _load("artifact_digest")
     workloads = digest._load_workloads()
     cases = [("catalog-verify", workloads.catalog_verify(1)[0]),
-             ("general-numeric", workloads.general_numeric(1)[0])]
+             ("general-numeric", workloads.general_numeric(1)[0]),
+             ("extra", digest.EXTRA[0])]
     first = [digest.case_line(name, case) for name, case in cases]
     second = [digest.case_line(name, case) for name, case in cases]
     assert first == second
@@ -172,4 +175,6 @@ def test_artifact_digest_repeats(monkeypatch, tmp_path):
     assert re.fullmatch(
         f"general-numeric set\\d-n2 exit=0 stdout={sha} potential.csv={out} "
         f"spectrum.json={out} wavefunctions.csv={out}", first[1])
+    # list-families writes no artifacts, only stdout
+    assert re.fullmatch(f"extra list-families exit=0 stdout={sha}", first[2])
     assert list(tmp_path.iterdir()) == []   # every case ran in its own dir

@@ -79,11 +79,24 @@ def test_against_exact_characteristic_polynomial():
         checked += 1
 
 
+QES_FAMILIES = (
+    [(f"periodic-v{v}", {"alpha": 1.5, "beta": -0.75, "a": 0.25})
+     for v in range(1, 5)]
+    + [(f"hyperbolic-v{v}", {"gamma": 0.8, "eta": eta, "a": -0.5})
+       for v, eta in ((1, -1.25), (2, 1.25), (3, -1.25), (4, -1.25))])
+
+
 def test_level_count_and_eigen_residual():
+    """One inverse-iteration step brings every real level's residual
+    within 1e-10 of the matrix's inf-norm: random data up to n = 40 and
+    the eight QES families up to n = 160."""
     rng = random.Random(99)
-    for _ in range(15):
-        c = random_algebra(rng, n_max=5).with_free_d()
-        from sl2qes.algebra import hamiltonian_matrix
+    sectors = [random_algebra(rng, n_max=5).with_free_d() for _ in range(15)]
+    sectors += [random_algebra(rng, n_max=40).with_free_d()
+                for _ in range(60)]
+    sectors += [make_entry(name, params, "+", n).algebra
+                for name, params in QES_FAMILIES for n in (20, 80, 160)]
+    for c in sectors:
         m = np.array([[float(v) for v in row] for row in hamiltonian_matrix(c)])
         scale = max(np.linalg.norm(m, np.inf), 1.0)
         with warnings.catch_warnings():
@@ -183,8 +196,7 @@ def test_banded_shifted_solve_matches_dense_solve(size, kl, ku, count,
                                                   on_diagonal, seed):
     """The batched band LU agrees with np.linalg.solve on every system; an
     upper-triangular matrix shifted by its own diagonal entries meets an
-    exactly zero pivot and keeps its start vector, as the dense route does,
-    with the residual taken for all systems at once."""
+    exactly zero pivot and keeps its start vector, as the dense route does."""
     rng = np.random.default_rng(seed)
     m = _random_band(rng, size, kl, ku)
     assert _bandwidths(m) == (min(kl, size - 1), min(ku, size - 1))
@@ -194,11 +206,9 @@ def test_banded_shifted_solve_matches_dense_solve(size, kl, ku, count,
         lam = m.diagonal()[rng.integers(0, size, count)]
         w, zero = _shifted_solve(m, kl, ku, lam, rhs)
         assert zero.all()
-        out, resid = _refine(m, kl, ku, lam, rhs)
+        out = _refine(m, kl, ku, lam, rhs)
         for i in range(count):
             assert np.array_equal(out[i], _dense_refine(m, lam[i], rhs[i]))
-        assert np.array_equal(
-            resid, np.max(np.abs(rhs @ m.T - lam[:, None] * rhs), axis=1))
         return
     lam = rng.uniform(-3.0, 3.0, count)
     w, zero = _shifted_solve(m, kl, ku, lam, rhs)
@@ -215,9 +225,8 @@ def test_zero_pivot_keeps_the_levels_own_vector():
     level's null vector: here on (0, -1), the vector of the other level,
     whose residual 1 beats the start vector's 1.3."""
     start = np.array([[0.33, -1.30]])
-    out, resid = _refine(np.diag([1.0, 2.0]), 0, 0, np.array([1.0]), start)
+    out = _refine(np.diag([1.0, 2.0]), 0, 0, np.array([1.0]), start)
     assert np.array_equal(out, start)
-    assert resid.tolist() == [1.3]
 
 
 def test_banded_solve_pivots_past_a_zero_diagonal():
