@@ -80,6 +80,12 @@ EXTRA = (
     # an anchor so large that the map overflows: V is not finite
     Request("general-huge-anchor", ("general", "--xi0", "1e308"),
             {"C--": "1", "C0": "-2", "d": "free", "n": 2}),
+    # 1000 rows of 22 columns and 1000-long JSON arrays: many block edges
+    Request("build-json-samples-1000", ("build", "--family", "periodic-v1",
+                                        "--alpha", "1", "--beta", "1", "--a",
+                                        "0", "--sign", "+", "--n", "20",
+                                        "--samples", "1000",
+                                        "--json-samples")),
 )
 
 

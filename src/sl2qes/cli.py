@@ -143,7 +143,7 @@ def _cmd_list_families(args) -> int:
     if args.json_out:
         pipeline.write_json_atomic(args.json_out, doc)
     else:
-        print(json.dumps(doc, indent=2))
+        print(*pipeline.json_pieces(doc), sep="")
     return 0
 
 

@@ -14,14 +14,15 @@ only; a half-line entry makes one more at half the inner cutoff.  Levels
 and eigenvalues are matched one to one in ascending order; the tolerance
 is max(1e-3, 10 * convergence_estimate), or an explicitly supplied one.
 A sampled potential that is not finite raises GridError, naming the first
-such x, before any artifact is written.  All files are written atomically
-(temp file + rename, mode 0o666 less the umask) with fixed key order and
-shortest round-trip float formatting, so identical configurations produce
-byte-identical output.
+such x, before any artifact is written.  Every file streams (a table
+CSV_BLOCK rows at a time) into a temp file renamed into place (mode 0o666
+less the umask), with fixed key order and shortest round-trip floats, so
+identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -36,6 +37,7 @@ __all__ = [
     "verification_report",
     "write_json_atomic",
     "write_csv_atomic",
+    "json_pieces",
     "finite_potential",
     "sample_potential",
     "sample_wavefunctions",
@@ -48,6 +50,7 @@ DECAY = 9.0    # a window end sees the top level's tail at about exp(-DECAY)
 # A wall at eps shifts a level by about eps |psi'(0)|^2 / ||psi||^2 where
 # psi'(0) != 0 (Coulomb at l = 0, Poschl-Teller at B = alpha).
 HALF_LINE_CUTOFF = 1e-7
+CSV_BLOCK = 64  # rows of a table held as text at a time
 
 
 def _outward(potential, x: float, step: float):
@@ -102,7 +105,7 @@ def _window(entry: CatalogEntry, e_top: float):
     sits there) out past the outermost turning point met, the minimum, and
     the lowest V at a scanned end."""
     x = np.linspace(*entry.plot_range, 2001)
-    v = np.asarray(entry.potential(x), float)
+    v = finite_potential(entry.potential, x)
     step = x[1] - x[0]
     low, v_min = int(np.argmin(v)), float(np.min(v))
     starts = [*x[v < e_top], x[low]]
@@ -212,7 +215,7 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
 # ---------------------------------------------------------------------------
 # artifacts
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, pieces):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     # a fresh temp file beside the target, created like mkstemp's but with
@@ -226,7 +229,7 @@ def _atomic_write(path: str, data: str):
             continue
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(data)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -234,14 +237,41 @@ def _atomic_write(path: str, data: str):
         raise
 
 
+def json_pieces(obj, indent: str = ""):
+    """The text of ``json.dumps(obj, indent=2)`` in pieces: a C-encoder
+    call per run of items that are no dict, list or tuple; the others
+    recurse, each with its key as json coerces it in '{"<key>": null}'."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        yield json.dumps(obj)
+        return
+    is_dict, newline = isinstance(obj, dict), "\n" + indent + "  "
+    sep, items = ("{", obj.items()) if is_dict else ("[", enumerate(obj))
+    for nested, run in itertools.groupby(
+            items, lambda item: isinstance(item[1], (dict, list, tuple))):
+        if nested:
+            for key, value in run:
+                head = json.dumps({key: None})[1:-5] if is_dict else ""
+                yield sep + newline + head
+                yield from json_pieces(value, indent + "  ")
+                sep = ","
+        else:
+            run = dict(run) if is_dict else [value for _, value in run]
+            text = json.dumps(run, separators=("," + newline, ": "))
+            yield sep + newline + text[1:-1]
+            sep = ","
+    yield "\n" + indent + ("}" if is_dict else "]")
+
+
 def write_json_atomic(path: str, obj):
-    _atomic_write(path, json.dumps(obj, indent=2) + "\n")
+    _atomic_write(path, itertools.chain(json_pieces(obj), "\n"))
 
 
 def write_csv_atomic(path: str, header: list[str], columns: list[np.ndarray]):
-    rows = np.column_stack(columns).astype(float, copy=False).tolist()
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    blocks = (np.array([col[i:i + CSV_BLOCK] for col in columns], float).T
+              for i in range(0, max(map(len, columns)), CSV_BLOCK))
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], (
+        "\n".join([",".join(map(repr, row)) for row in block.tolist()]) + "\n"
+        for block in blocks)))
 
 
 def finite_potential(potential, x: np.ndarray) -> np.ndarray:

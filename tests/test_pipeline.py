@@ -2,6 +2,7 @@
 oracle, exercising the same path the verify subcommand uses."""
 
 import dataclasses
+import json
 import os
 import stat
 
@@ -16,8 +17,9 @@ from sl2qes.catalog import make_entry
 from sl2qes.cli import main
 from sl2qes.errors import NoBoundStateError
 from sl2qes.fdsolve import SQRT_STRETCH, Grid, fd_eigensolve
-from sl2qes.pipeline import (_match_levels, sample_wavefunctions,
-                             verification_report, write_csv_atomic)
+from sl2qes.pipeline import (CSV_BLOCK, _match_levels, json_pieces,
+                             sample_wavefunctions, verification_report,
+                             write_csv_atomic, write_json_atomic)
 
 ES_CASES = [
     ("harmonic", {"omega": 2}, None, 3),
@@ -304,18 +306,68 @@ def test_no_level_to_verify_is_an_error(tmp_path, capsys, name, params,
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_csv_writes_each_value_as_its_float_repr(tmp_path):
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 401])
+def test_csv_writes_each_value_as_its_float_repr(tmp_path, rows):
     values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5,
                        0.1, 1.0 / 3.0])
-    columns = [values, values[::-1].copy(), np.arange(values.size)]
+    # the values repeated to fill the rows, which cross CSV_BLOCK edges
+    columns = [np.resize(values, rows), np.resize(values[::-1], rows),
+               np.arange(rows)]
     path = tmp_path / "table.csv"
     write_csv_atomic(str(path), ["a", "b", "k"], columns)
     want = "a,b,k\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
     assert path.read_bytes() == want.encode()
-    assert path.read_text().splitlines()[1:5] == [
+    lines = path.read_text().splitlines()
+    assert len(lines) == rows + 1
+    assert lines[1:5] == [
         "nan,0.3333333333333333,0.0", "inf,0.1,1.0", "-inf,1e-05,2.0",
-        "-0.0,1e+16,3.0"]
+        "-0.0,1e+16,3.0"][:rows]
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([10 ** 40, -2 ** 100]),
+    st.floats(), st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324]),
+    st.text())
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(),
+                       st.none())
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(_JSON_KEYS, inner)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_json_pieces_join_to_json_dumps_indent_2(doc):
+    assert "".join(json_pieces(doc)) == json.dumps(doc, indent=2)
+
+
+def _object_column(rows: int, bad_row: int) -> np.ndarray:
+    column = np.empty(rows, dtype=object)
+    column[:] = 1.5
+    column[bad_row] = "not a float"
+    return column
+
+
+@pytest.mark.parametrize("write, error", [
+    # the set is the last leaf: the pieces before it are already written
+    (lambda path: write_json_atomic(path, {
+        "levels": [{"j": j, "b": [0.5] * 200} for j in range(50)],
+        "warnings": ["done", {"a set"}]}), TypeError),
+    # the bad value sits in the second block of rows
+    (lambda path: write_csv_atomic(path, ["x", "v"], [
+        np.arange(200.0), _object_column(200, CSV_BLOCK + 6)]), ValueError),
+], ids=["json", "csv"])
+def test_a_failure_mid_stream_leaves_nothing_behind(tmp_path, write, error):
+    target = tmp_path / "artifact"
+    target.write_bytes(b"an earlier run\n")
+    with pytest.raises(error):
+        write(str(target))
+    assert target.read_bytes() == b"an earlier run\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["artifact"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
