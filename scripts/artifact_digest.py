@@ -86,6 +86,20 @@ EXTRA = (
                                         "0", "--sign", "+", "--n", "20",
                                         "--samples", "1000",
                                         "--json-samples")),
+    # the hard verifies: two attractive inverse-square walls (s = B/alpha
+    # below 1), a deep double well at n = 6, and a wall exponent near 1
+    Request("verify-poschl-teller-attractive-1", (
+        "verify", "--family", "poschl-teller", "--alpha", "1.432",
+        "--A", "10.112", "--B", "0.731", "--n", "3")),
+    Request("verify-poschl-teller-attractive-2", (
+        "verify", "--family", "poschl-teller", "--alpha", "1", "--A", "8",
+        "--B", "0.6", "--n", "2")),
+    Request("verify-hyperbolic-v1-n6", (
+        "verify", "--family", "hyperbolic-v1", "--gamma", "1", "--eta", "-1",
+        "--a", "0", "--sign", "+", "--n", "6")),
+    Request("verify-poschl-teller-near-s1", (
+        "verify", "--family", "poschl-teller", "--alpha", "1.481",
+        "--A", "12.222", "--B", "1.536", "--n", "3")),
 )
 
 

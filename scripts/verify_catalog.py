@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Run the full catalog through the numeric cross-check and print a table.
 
-Every family is instantiated with a representative parameter set, its
-analytically known levels are compared against the finite-difference
-spectrum (one period class of band edges for the periodic families), and
-one line per family reports the FD window, grid points and eigenvalue
-count the check derived, and the worst deviation.  Exits nonzero if
-anything misses tolerance.
+Every family is instantiated with a representative parameter set, and its
+analytically known levels are compared with the Richardson-extrapolated
+energies of the finite-difference spectrum (one period class of band edges
+for the periodic families) at 1e-3, with no widening.  One line per family
+reports the FD window, the points of the h grid (derived from the window
+and the top level's depth; the check also solves at 2h and h/2) and the
+eigenvalue count the check derived, and the worst deviation.  Exits
+nonzero if any level fails.
 """
 
 import sys

@@ -6,8 +6,10 @@ branch, and its class.  ``make_entry`` validates against the record and
 builds an ``EsEntry`` (exactly solvable, ES) or a ``QesEntry``
 (quasi-solvable, QES) from the family's data at n: the sl(2) coefficients
 with d left free, an energy offset, the coordinate branch, the plot range
-and the grid size of the numeric cross-check, which derives the rest from
-the entry (``pipeline``).  Both kinds take every level from one chain:
+and, on a half line, the exponent s of psi ~ x^s at the wall, from which
+the numeric cross-check (``pipeline``) expects its order of convergence;
+it derives everything else from the entry.  Both kinds take every level
+from one chain:
 the algebraic-sector solve of the data with E = offset + d, and psi = the
 gauge of the B polynomials (``mapping.build_gauge``, 1 at ``gauge_x0``)
 times the level's polynomial.  The potential is that of the entry's own B
@@ -162,10 +164,11 @@ class CatalogEntry:
     bp: BPolynomials
     mapping: Mapping
     potential: PotentialModel
-    fd_defaults: dict              # {"points": FD grid size}
     plot_range: tuple[float, float]
     gauge_x0: float                # the gauge is 1 here
     energy_offset: float           # E = energy_offset + d
+    # s of psi ~ x^s at a half line's wall x = 0 (None: no wall)
+    wall_exponent: float | None = None
     _spectral: SpectralResult | None = field(default=None, init=False,
                                              repr=False)
 
@@ -327,7 +330,6 @@ def _harmonic(fam, p, s, n):
         EsEntry, fam, p, None, n, AlgebraCoefficients(c_mm=1, c_0=-w, n=n),
         (n + 1) * w / 2, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
         identity_shift(0.0),
-        fd_defaults={"points": 2001},
         plot_range=(-5.0, 5.0), gauge_x0=0.0,
     )
 
@@ -340,7 +342,6 @@ def _morse(fam, p, s, n):
                             c_m=2 * B * al, n=n),
         -(A - n * al / 2) ** 2, Branch(0.0, np.inf, sign=1, xi0=1.0),
         identity_shift(0.0),
-        fd_defaults={"points": 4001},
         plot_range=(-2.5, 8.0), gauge_x0=0.0,
         max_j=_bound_states_below(float(A / al)),
     )
@@ -355,8 +356,7 @@ def _poschl_teller(fam, p, s, n):
                             c_m=4 * al * (A + B), n=n),
         -(A - B - n * al) ** 2, Branch(1.0, np.inf, sign=1, xi0=1.0),
         identity_shift(0.0), domain=(0.0, np.inf),
-        fd_defaults={"points": 2401},
-        plot_range=(0.02, 8.0), gauge_x0=1.0,
+        plot_range=(0.02, 8.0), gauge_x0=1.0, wall_exponent=float(B / al),
         # bound states need A - B - 2 j alpha > 0
         max_j=_bound_states_below(float((A - B) / (2 * al))),
     )
@@ -371,7 +371,6 @@ def _scarf_ii(fam, p, s, n):
                             n=n),
         -(A - n * al / 2) ** 2, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
         identity_shift(0.0),
-        fd_defaults={"points": 3201},
         plot_range=(-8.0, 8.0), gauge_x0=0.0,
         max_j=_bound_states_below(float(A / al)),
     )
@@ -386,10 +385,7 @@ def _coulomb(fam, p, s, n):
                             d=n * kappa, n=n),
         -kappa * (kappa + n), Branch(0.0, np.inf, sign=1, xi0=0.0),
         half_line_sqrt(), domain=(0.0, np.inf),
-        # the oracle's grid is uniform in the map's u = 2 sqrt(x); points
-        # count u nodes
-        fd_defaults={"points": 1601},
-        plot_range=(0.05, 40.0), gauge_x0=1.0,
+        plot_range=(0.05, 40.0), gauge_x0=1.0, wall_exponent=float(l + 1),
     )
 
 
@@ -418,7 +414,6 @@ def _periodic(fam, p, s, n):
     return _entry(
         QesEntry, fam, p, s, n, alg, offset,
         Branch(-1.0, 1.0, sign=-1, xi0=1.0), identity_shift(af), period=period,
-        fd_defaults={"points": 801},
         plot_range=(af, af + period), gauge_x0=af + period / 4.0,
     )
 
@@ -438,7 +433,6 @@ def _hyperbolic(fam, p, s, n):
     return _entry(
         QesEntry, fam, p, s, n, alg, offset,
         Branch(1.0, np.inf, sign=1, xi0=1.0), identity_shift(af),
-        fd_defaults={"points": 3201},
         plot_range=(af - 3.0, af + 3.0), gauge_x0=af + 1.0,
     )
 

@@ -72,13 +72,15 @@ def _config_flags(parser: argparse.ArgumentParser, config: dict) -> list:
     return out
 
 
-def _int_at_least(low: int, high: float = math.inf):
-    """argparse type: an int no smaller than ``low`` nor above ``high``."""
+def _int_at_least(low: int, high: float = math.inf, odd: bool = False):
+    """argparse type: an int no smaller than ``low`` nor above ``high``,
+    and odd if ``odd``."""
     def convert(text: str) -> int:
         value = int(text)
-        if not low <= value <= high:
+        if not low <= value <= high or (odd and value % 2 == 0):
             need = (f"at least {low}" if high == math.inf
                     else f"between {low} and {high}")
+            need += " and odd" if odd else ""
             raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
         return value
 
@@ -163,7 +165,7 @@ def _cmd_verify(args) -> int:
     pipeline.write_json_atomic(
         os.path.join(args.out_dir, "verification.json"), report)
     for row in report["levels"]:
-        status = "ok" if row["pass"] else "FAIL"
+        status = "ok" if row["pass"] else f"FAIL: {row['cause']}"
         print(f"level {row['level']}: algebraic {row['algebraic_E']:.9g} "
               f"numeric {row['numeric_E']:.9g} diff {row['abs_diff']:.3g} "
               f"tol {row['tolerance']:.3g} [{status}]")
@@ -307,8 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = _run_parser(sub, "verify", "build and check against the "
                            "finite-difference oracle", _cmd_verify)
     _add_catalog_flags(p_verify)
-    p_verify.add_argument("--points", type=_int_at_least(16, 1_000_000),
-                          help="override grid points; on a stretched grid "
+    p_verify.add_argument("--points",
+                          type=_int_at_least(31, pipeline.MAX_POINTS,
+                                             odd=True),
+                          help="fix the h grid's points (odd, so the 2h grid "
+                          "takes every other node); on a stretched grid "
                           "(Coulomb: u = 2 sqrt(x)) they are u nodes")
     p_verify.add_argument("--tolerance", type=_finite_float(positive=True))
 

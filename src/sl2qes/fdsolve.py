@@ -190,7 +190,9 @@ def fd_eigensolve(potential, grid: Grid, bc: str = "dirichlet", k: int = 6,
 
     With refine=True the same problem is re-solved at half the spacing and
     the per-eigenvalue Richardson difference (an error estimate for the
-    values reported on the requested grid) is stored.  V must be finite at
+    values reported on the requested grid) is stored.  The verification
+    report calls it with refine=False at 2h, h and h/2 and extrapolates
+    itself.  V must be finite at
     every node the solve reads.  Periodic and antiperiodic problems need k
     below the points - 1 cell nodes and a grid uniform in x.
     """

@@ -481,17 +481,21 @@ def _split_integral(numer: Polynomial, denom: Polynomial):
 def scaled_exp(exponent, factor=1.0):
     """factor * exp(exponent), computed through log magnitude when the
     exponent is large enough to overflow or underflow double precision.
-    A value beyond the float range comes out as +-inf, one below it as 0."""
+    A value beyond the float range comes out as +-inf, one below it as 0.
+    When every |exponent| < 600 it is the plain product, with no masked
+    copies of the broadcast operands."""
     exponent = np.asarray(exponent, dtype=float)
     factor = np.asarray(factor, dtype=float)
-    exponent, factor = np.broadcast_arrays(exponent, factor)
-    out = np.zeros(exponent.shape, dtype=float)
     with np.errstate(over="ignore", under="ignore", divide="ignore",
                      invalid="ignore"):
-        small = np.abs(exponent) < 600.0
-        out[small] = factor[small] * np.exp(exponent[small])
-        big = ~small
-        if np.any(big):
+        if np.all(np.abs(exponent) < 600.0):
+            out = factor * np.exp(exponent)
+        else:
+            exponent, factor = np.broadcast_arrays(exponent, factor)
+            out = np.zeros(exponent.shape, dtype=float)
+            small = np.abs(exponent) < 600.0
+            out[small] = factor[small] * np.exp(exponent[small])
+            big = ~small
             mag = np.where(factor[big] != 0.0, np.log(np.abs(factor[big])),
                            -np.inf)
             out[big] = np.sign(factor[big]) * np.exp(exponent[big] + mag)
@@ -646,7 +650,8 @@ class WaveFunction:
             chi += b.reshape(lead + (1,) * xi.ndim)
         g = self.gauge(x)
         if isinstance(g, GaugeSamples):
-            out = scaled_exp(g.exponent, g.factor * chi)
+            chi *= g.factor
+            out = scaled_exp(g.exponent, chi)
         else:
             out = g * chi
         if np.ndim(out) == 0:

@@ -1,18 +1,30 @@
 """End-to-end plumbing: verification reports and reproducible artifacts.
 
 The verification report checks each analytically known level against the
-finite-difference oracle, set up from the entry; ``fd_defaults`` holds
-only the grid size.  A periodic entry is solved over one period from the
-map's shift, in its sector's period class (antiperiodic iff dq = 1), for
-the lowest ``sector_count()`` eigenvalues.  Any other gets Dirichlet walls
-(on a grid uniform in u where its map is u = 2 sqrt(x)): from the minimum
-of V, outward past the outermost turning point of the top level, to where
-the WKB decay integral of sqrt(V - E_top) dx reaches DECAY, or at
-HALF_LINE_CUTOFF; and k from a Sturm count up to half a level spacing
-above E_top.  Each FD solve is one ``fd_eigensolve`` call for eigenvalues
-only; a half-line entry makes one more at half the inner cutoff.  Levels
-and eigenvalues are matched one to one in ascending order; the tolerance
-is max(1e-3, 10 * convergence_estimate), or an explicitly supplied one.
+finite-difference oracle, set up from the entry.  A periodic entry is
+solved over one period from the map's shift, in its sector's period class
+(antiperiodic iff dq = 1), for the lowest ``sector_count()`` eigenvalues.
+Any other gets Dirichlet walls (on a grid uniform in u where its map is
+u = 2 sqrt(x)): from the minimum of V, outward past the outermost turning
+point of the top level, to where the WKB decay integral of
+sqrt(V - E_top) dx reaches DECAY, or at HALF_LINE_CUTOFF; and k from a
+Sturm count up to half a level spacing above E_top.
+
+Each round makes three eigenvalues-only ``fd_eigensolve`` calls, at 2h, h
+and h/2.  Per eigenvalue they give the observed order p and the
+Richardson value E_R = w_h/2 + (w_h/2 - w_h) / (2^p - 1), which is the
+value matched (one to one, in ascending order) and compared with the
+algebraic energy at BASE_TOLERANCE, or an explicitly supplied tolerance,
+with no widening.  The pilot h puts NODES nodes in a half wavelength of
+the top level where it is deepest; when the Richardson estimate of a
+level exceeds ROUND_TWO_AIM of the tolerance, one more round follows at a
+spacing chosen from that estimate.  A given ``points`` fixes h and makes
+the pilot the only round.  A level fails with a named cause when its
+observed order is below the band its wall exponent expects, when its
+estimate exceeds the tolerance, when halving a half line's inner cutoff
+moves it by more than the tolerance (one more solve, at h), or when E_R
+misses the algebraic energy.
+
 A sampled potential that is not finite raises GridError, naming the first
 such x, before any artifact is written.  Every file streams (a table
 CSV_BLOCK rows at a time) into a temp file renamed into place (mode 0o666
@@ -24,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -51,7 +64,28 @@ DECAY = 9.0    # a window end sees the top level's tail at about exp(-DECAY)
 # psi'(0) != 0 (Coulomb at l = 0, Poschl-Teller at B = alpha).
 HALF_LINE_CUTOFF = 1e-7
 CSV_BLOCK = 64  # rows of a table held as text at a time
-
+PROBE_POINTS = 1025   # samples of V that size the pilot grid
+# The pilot h grid: NODES nodes per half wavelength pi / sqrt(E_top - V_min)
+# of the top level, and at least k + COARSE_SPARE nodes on its 2h grid.
+NODES = 12
+COARSE_SPARE = 16
+MAX_POINTS = 999_999  # of an h grid; its h/2 grid has twice as many
+# The order gate, from a sweep over the ES predicates (1434 levels on the
+# derived grids): off an attractive wall the observed order came within
+# 0.14 below the expected one and never below 1.15; at an attractive wall
+# (Poschl-Teller s < 1) it stayed below 0.85.  A level's order must reach
+# max(ORDER_MIN, expected - ORDER_SLACK): below 1 a Richardson step adds
+# more than the step difference it extrapolates.  Where |w_h - w_2h| is
+# below ORDER_DE_FLOOR, rounding and the cutoff scatter p, and the order is
+# not gated.
+ORDER_MIN = 1.0
+ORDER_SLACK = 0.3
+ORDER_DE_FLOOR = 3e-6
+EXPECTED_FLOOR = 0.05
+# The second round aims at this share of the tolerance, refining h by at
+# most ROUND_TWO_MAX_FACTOR.
+ROUND_TWO_AIM = 0.25
+ROUND_TWO_MAX_FACTOR = 16.0
 
 def _outward(potential, x: float, step: float):
     """Chunks (xs, V(xs)) of 256 steps each going out from x, the step
@@ -122,34 +156,19 @@ def _window(entry: CatalogEntry, e_top: float):
     return x_min, x_max, v_min, v_end
 
 
-def _match_levels(levels, numeric, estimates, fixed_tol):
-    """One row per level, walked in ascending order with the eigenvalues:
-    each level takes the nearest eigenvalue above the previous level's that
-    leaves one for every later level, so none is claimed twice."""
-    rows = []
-    all_pass = True
+def _match_levels(levels, numeric):
+    """The FD index of each level, walked in ascending order with the
+    eigenvalues: each level takes the nearest eigenvalue above the previous
+    level's that leaves one for every later level, so none is claimed
+    twice."""
+    indices = []
     start, count = 0, len(levels)
-    for i, (j, energy) in enumerate(levels):
+    for i, (_, energy) in enumerate(levels):
         stop = len(numeric) - (count - 1 - i)
         idx = start + int(np.argmin(np.abs(numeric[start:stop] - energy)))
+        indices.append(idx)
         start = idx + 1
-        if fixed_tol is not None:
-            tol = fixed_tol
-        else:
-            tol = max(BASE_TOLERANCE, 10.0 * float(estimates[idx]))
-        diff = abs(float(numeric[idx]) - energy)
-        ok = diff <= tol
-        all_pass &= ok
-        rows.append({
-            "level": j,
-            "algebraic_E": float(energy),
-            "numeric_E": float(numeric[idx]),
-            "fd_index": idx,
-            "abs_diff": diff,
-            "tolerance": tol,
-            "pass": ok,
-        })
-    return rows, all_pass
+    return indices
 
 
 def _header(entry: CatalogEntry) -> dict:
@@ -162,13 +181,100 @@ def _header(entry: CatalogEntry) -> dict:
     }
 
 
+def _expected_order(entry: CatalogEntry, stretch) -> float:
+    """The order of the FD error: 2, or 2 s - 1 at a wall where psi ~ x^s
+    with s not an integer and s < 3/2 (on the plain grid; the stretched
+    grid sees the wall's exponent 2 s - 1/2 >= 3/2 in u).  Toward s = 1/2,
+    where the two exponents meet and nothing converges, it is floored at
+    EXPECTED_FLOOR, so that E_R at the expected order stays finite; the
+    order gate fails such a level anyway."""
+    s = entry.wall_exponent
+    if s is None or stretch or float(s).is_integer():
+        return 2.0
+    return max(EXPECTED_FLOOR, min(2.0, 2.0 * s - 1.0))
+
+
+def _pilot_points(potential, x_min, x_max, stretch, e_top, v_min, k):
+    """The odd point count of the pilot h grid: NODES nodes in a half
+    wavelength of the top level where it is deepest, and k + COARSE_SPARE
+    nodes on its 2h grid.  On a stretched grid the depth is that of the
+    normal form, max X'^2 (E_top - V), on a probe of the window."""
+    probe = Grid(x_min, x_max, PROBE_POINTS, stretch)
+    u = probe.u_nodes
+    length = float(u[-1] - u[0])
+    depth = e_top - v_min
+    if stretch is not None:
+        jac, _ = probe.liouville(u)
+        with np.errstate(all="ignore"):
+            depth = float(np.nanmax(jac * jac
+                                    * (e_top - potential(probe.nodes))))
+    depth = max(depth, (math.pi / length) ** 2)
+    h = math.pi / (NODES * math.sqrt(depth))
+    coarse = max(math.ceil(length / (2.0 * h)) + 1, k + COARSE_SPARE)
+    return min(2 * coarse - 1, MAX_POINTS)
+
+
+def _round(entry, levels, grid: Grid, bc: str, k: int, expected: float):
+    """One round: the lowest k eigenvalues w at 2h, h and h/2 (one row per
+    grid), (E_R, order, estimate, gated) per eigenvalue, and each level's
+    FD index, matched on E_R."""
+    coarse = Grid(grid.x_min, grid.x_max, (grid.points + 1) // 2,
+                  grid.stretch)
+    w = np.array([fd_eigensolve(entry.potential, g, bc, k,
+                                refine=False).eigenvalues
+                  for g in (coarse, grid, grid.refined())])
+    e_r, order, estimate, gated = _richardson(w, expected)
+    return (w, e_r, order, estimate, gated, _match_levels(levels, e_r))
+
+
+def _richardson(w: np.ndarray, expected: float):
+    """(E_R, observed order, estimate, gated) per eigenvalue from the rows
+    w = (w_2h, w_h, w_h/2).  E_R = w_h/2 + (w_h/2 - w_h) / (2^p - 1) with
+    the observed order p = log2((w_h - w_2h) / (w_h/2 - w_h)) where that
+    is positive and the step is above ORDER_DE_FLOOR (gated), else with
+    the expected order.  The estimate is |E_R - E_R(expected)|; a gated
+    eigenvalue with no positive order gets |w_h - w_2h|, and one below the
+    floor |w_h/2 - w_h|."""
+    d1, d2 = w[1] - w[0], w[2] - w[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        order = np.log2(d1 / d2)
+    gated = np.abs(d1) > ORDER_DE_FLOOR
+    observed = gated & (order > 0.0)
+    e_r = w[2] + d2 / (2.0 ** np.where(observed, order, expected) - 1.0)
+    e_expected = w[2] + d2 / (2.0 ** expected - 1.0)
+    estimate = np.where(observed, np.abs(e_r - e_expected),
+                        np.where(gated, np.abs(d1), np.abs(d2)))
+    return e_r, order, estimate, gated
+
+
+def _cause(order, estimate, gated, shift, low, tol, diff):
+    """Why a level fails, or None: the oracle cannot vouch for its
+    eigenvalue, or E_R misses the algebraic energy."""
+    if gated and not order >= low:
+        return (f"the FD oracle does not converge at the expected order: "
+                f"observed {order:.3g}, expected at least {low:.3g}")
+    if estimate > tol:
+        return f"the Richardson estimate {estimate:.3g} exceeds the tolerance"
+    if shift is not None and shift > tol:
+        return (f"halving the inner cutoff moves the level by {shift:.3g}, "
+                f"above the tolerance")
+    if diff > tol:
+        return "the FD energy differs from the algebraic one"
+    return None
+
+
 def verification_report(entry: CatalogEntry, j_max: int | None = None,
                         points: int | None = None,
                         tolerance: float | None = None) -> dict:
     """Compare every analytically known level against the numeric oracle;
-    raises NoBoundStateError when there is no level to compare."""
-    points = entry.fd_defaults["points"] if points is None else int(points)
+    raises NoBoundStateError when there is no level to compare, GridError
+    when the 2h grid of a given point count cannot hold k eigenvalues."""
     levels = entry.verification_levels(j_max)     # ascending in energy
+    if points is not None and points % 2 == 0:
+        raise GridError(f"points must be odd, so that the 2h grid takes "
+                        f"every other node; got {points}")
+    tol = BASE_TOLERANCE if tolerance is None else tolerance
+    top = levels[-1][1]
     stretch = (SQRT_STRETCH if entry.mapping.transform.kind == "two-sqrt"
                else None)
     if entry.period is not None:
@@ -176,40 +282,79 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
         # antiperiodic iff a single half-angle factor (dq = 1) is in the gauge
         bc = "antiperiodic" if entry.family.dq == 1 else "periodic"
         x_min = entry.mapping.transform.a
-        grid = Grid(x_min, x_min + entry.period, points)
+        x_max = x_min + entry.period
         k = entry.sector_count()
+        v_min = float(np.min(finite_potential(
+            entry.potential, np.linspace(x_min, x_max, PROBE_POINTS))))
     else:
         bc = "dirichlet"
-        top = levels[-1][1]
         x_min, x_max, v_min, v_end = _window(entry, top)
-        grid = Grid(x_min, x_max, points, stretch)
+        k = len(levels)
+    derived = points is None
+    if derived:
+        points = _pilot_points(entry.potential, x_min, x_max, stretch, top,
+                               v_min, k)
+    grid = Grid(x_min, x_max, points, stretch)
+    if bc == "dirichlet":
         # half a level spacing above the top level takes in its FD partner;
         # staying below V at the window's ends keeps a continuum's box
         # states out
         below = levels[-2][1] if len(levels) > 1 else v_min
         margin = min(top - below, v_end - top) / 2.0
-        k = max(len(levels), count_below(entry.potential, grid, top + margin))
-    spec = fd_eigensolve(entry.potential, grid, bc=bc, k=k)
-    numeric = spec.eigenvalues
-    estimates = spec.convergence_estimate
+        k = max(k, count_below(entry.potential, grid, top + margin))
+        if derived and (points + 1) // 2 < k + COARSE_SPARE:
+            grid = Grid(x_min, x_max, 2 * (k + COARSE_SPARE) - 1, stretch)
+    if (grid.points + 1) // 2 < k + 2:
+        raise GridError(f"k={k} eigenvalues need at least {2 * k + 3} "
+                        f"points, so that the 2h grid holds k + 2 nodes; "
+                        f"got {grid.points}")
+    expected = _expected_order(entry, stretch)
+    low = max(ORDER_MIN, expected - ORDER_SLACK)
+    w, e_r, order, estimate, gated, index = _round(entry, levels, grid, bc,
+                                                   k, expected)
+    worst = max(float(estimate[i]) for i in index)
+    slow = any(gated[i] and not order[i] >= low for i in index)
+    if derived and not slow and worst > ROUND_TWO_AIM * tol:
+        # one more round, its spacing from the pilot's estimate, taken to
+        # fall as h^expected; a level already below the order band fails
+        factor = (worst / (ROUND_TWO_AIM * tol)) ** (1.0 / expected)
+        factor = min(max(factor, 2.0), ROUND_TWO_MAX_FACTOR)
+        steps = 2 * math.ceil((grid.points - 1) * factor / 2.0)
+        grid = Grid(x_min, x_max, min(steps + 1, MAX_POINTS), stretch)
+        w, e_r, order, estimate, gated, index = _round(entry, levels, grid,
+                                                       bc, k, expected)
     shifts = None
     if entry.domain[0] == 0.0:
-        # half-line problem: confirm insensitivity to halving the inner
-        # cutoff, folded into the per-level estimate
-        half = Grid(grid.x_min / 2.0, grid.x_max, points, stretch)
+        # half-line problem: the move of each eigenvalue when the inner
+        # cutoff is halved, on the h grid
+        half = Grid(grid.x_min / 2.0, grid.x_max, grid.points, stretch)
         shifts = np.abs(fd_eigensolve(entry.potential, half, bc, k,
-                                      refine=False).eigenvalues - numeric)
-        estimates = np.maximum(estimates, shifts)
-
-    rows, all_pass = _match_levels(levels, numeric, estimates, tolerance)
-    if shifts is not None:
-        for row in rows:
-            row["cutoff_shift"] = float(shifts[row["fd_index"]])
-    grid_meta = {"x_min": grid.x_min, "x_max": grid.x_max, "points": points,
-                 "bc": bc, **({"stretch": stretch} if stretch else {}),
-                 "k": k}
+                                      refine=False).eigenvalues - w[1])
+    rows = []
+    for (j, energy), i in zip(levels, index):
+        diff = abs(float(e_r[i]) - energy)
+        shift = None if shifts is None else float(shifts[i])
+        cause = _cause(order[i], estimate[i], gated[i], shift, low, tol,
+                       diff)
+        rows.append({
+            "level": j,
+            "algebraic_E": float(energy),
+            "numeric_E": float(e_r[i]),
+            "fd_E": float(w[1][i]),
+            "order": float(order[i]) if np.isfinite(order[i]) else None,
+            "richardson_estimate": float(estimate[i]),
+            "fd_index": i,
+            "abs_diff": diff,
+            "tolerance": tol,
+            "pass": cause is None,
+            "cause": cause,
+            **({} if shift is None else {"cutoff_shift": shift}),
+        })
+    grid_meta = {"x_min": grid.x_min, "x_max": grid.x_max,
+                 "points": grid.points, "bc": bc,
+                 **({"stretch": stretch} if stretch else {}), "k": k}
     return {**_header(entry), "grid": grid_meta, "levels": rows,
-            "all_pass": all_pass}
+            "all_pass": all(row["pass"] for row in rows)}
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from sl2qes.algebra import (
     hamiltonian_matrix_from_b,
 )
 from sl2qes.catalog import make_entry
-from sl2qes.fdsolve import (SQRT_STRETCH, Grid, band_edges, count_nodes,
-                            fd_eigensolve)
+from sl2qes.fdsolve import Grid, band_edges, count_nodes, fd_eigensolve
 from sl2qes.mapping import build_gauge
 from sl2qes.pipeline import verification_report
 from sl2qes.spectral import solve_algebraic_sector
@@ -86,21 +85,19 @@ def test_criterion_03_morse():
 
 def test_criterion_04_coulomb():
     entry = make_entry("coulomb", {"e2": 2, "l": 0}, n=2)
-    # a grid uniform in u = 2 sqrt(x), like the one verification_report
-    # solves on
-    grid = Grid(1e-5, 200.0, 1601, SQRT_STRETCH)
-    spec = fd_eigensolve(entry.potential, grid, k=3, refine=True)
+    # the verification report's rule: E_R from solves at 2h, h and h/2 on a
+    # grid uniform in u = 2 sqrt(x), compared at 1e-3 with no widening; its
+    # Richardson estimates and the move under a halved inner cutoff confirm
+    rows = verification_report(entry, j_max=2)["levels"]
     exact = np.array([-1.0, -0.25, -1.0 / 9.0])
-    errs = np.abs(spec.eigenvalues - exact)
-    # inner-cutoff sensitivity folded into the confirmation
-    half = fd_eigensolve(entry.potential,
-                         Grid(5e-6, 200.0, 1601, SQRT_STRETCH),
-                         k=3, refine=False)
-    estimates = np.maximum(spec.convergence_estimate,
-                           np.abs(half.eigenvalues - spec.eigenvalues))
+    errs = np.abs(np.array([row["numeric_E"] for row in rows]) - exact)
+    estimates = np.array([max(row["richardson_estimate"],
+                              row["cutoff_shift"]) for row in rows])
+    tolerances = {row["tolerance"] for row in rows}
     report(4, "Coulomb levels {-1,-1/4,-1/9} within 1e-3 with confirming "
-              "convergence estimates",
-           bool(np.all(errs < 1e-3)) and bool(np.all(estimates < 1e-3)),
+              "convergence estimates, tolerance 1e-3 unwidened",
+           bool(np.all(errs < 1e-3)) and bool(np.all(estimates < 1e-3))
+           and tolerances == {1e-3} and all(row["pass"] for row in rows),
            f"max err {errs.max():.2e}, max estimate {estimates.max():.2e}")
 
 

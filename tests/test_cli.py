@@ -83,8 +83,11 @@ def test_verify_coulomb_points_count_u_nodes(tmp_path):
     (["--family", "morse", "--alpha", "0.5", "--A", "4", "--B", "2",
       "--n", "7", "--j-max", "7"], list(range(8))),
     # the top level is eigenvalue 13, beyond levels + 6
+    # the top level is eigenvalue 13, beyond levels + 6; levels 0 and 1
+    # sit in tunnelling doublets whose E_R agree to 12 digits, and nearest
+    # E_R picks members 0 and 3 (their node counts say 1 and 3)
     (["--family", "hyperbolic-v1", "--gamma", "1", "--eta", "-1", "--a", "0",
-      "--sign", "+", "--n", "6"], [0, 2, 5, 7, 9, 11, 13]),
+      "--sign", "+", "--n", "6"], [0, 3, 5, 7, 9, 11, 13]),
 ])
 def test_verify_derives_window_and_count(tmp_path, args, indices):
     out = tmp_path / "run"
@@ -242,7 +245,7 @@ def test_console_script_path_reads_config_and_flags(tmp_path):
 
 def test_points_bounds_are_inclusive():
     base = ["verify", "--family", "harmonic", "--points"]
-    for value in (16, 1000000):
+    for value in (31, 33, 999999):
         assert cli._shared_parser().parse_args(base + [str(value)]).points \
             == value
 
@@ -322,12 +325,18 @@ def test_bad_value_names_its_flag_from_either_source(tmp_path, capsys, flag,
     ("verify", "tolerance", "0", "must be finite and positive, got 0"),
     ("verify", "tolerance", "-1", "must be finite and positive, got -1"),
     ("verify", "tolerance", "abc", "invalid float value: 'abc'"),
-    # refused before any grid is built (the refine pass has 2 points - 1)
-    ("verify", "points", "15", "must be between 16 and 1000000, got 15"),
+    # refused before any grid is built: the 2h grid takes every other node
+    # of the h grid, and the h/2 grid has 2 points - 1
+    ("verify", "points", "15", "must be between 31 and 999999 and odd, "
+                               "got 15"),
+    ("verify", "points", "29", "must be between 31 and 999999 and odd, "
+                               "got 29"),
+    ("verify", "points", "32", "must be between 31 and 999999 and odd, "
+                               "got 32"),
     ("verify", "points", "1000001",
-     "must be between 16 and 1000000, got 1000001"),
+     "must be between 31 and 999999 and odd, got 1000001"),
     ("verify", "points", "100000000",
-     "must be between 16 and 1000000, got 100000000"),
+     "must be between 31 and 999999 and odd, got 100000000"),
     ("general", "e-convention", "nan", "must be finite, got nan"),
     ("general", "u-a", "inf", "must be finite, got inf"),
     ("general", "x-min", "-inf", "must be finite, got -inf"),

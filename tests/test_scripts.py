@@ -30,12 +30,13 @@ def test_verify_catalog_sweep_passes(capsys):
     assert lines[0].split() == ["family", "sign", "n", "levels", "x_min",
                                 "x_max", "points", "k", "worst", "diff",
                                 "status"]
-    # each case prints the window, points and k its report derived
+    # each case prints the window, points and k its report derived; the
+    # points are the pilot h grid's, from the window and E_top - V_min
     harmonic = lines[1].split()
     assert harmonic[:8] == ["harmonic", "-", "3", "4", "-5.605", "5.605",
-                            "2001", "4"]
+                            "115", "4"]
     coulomb = next(line.split() for line in lines if line.startswith("coul"))
-    assert coulomb[4:8] == ["1e-07", "58.42", "1601", "3"]
+    assert coulomb[4:8] == ["1e-07", "58.42", "85", "3"]
 
 
 def test_band_structure_script_runs(monkeypatch, capsys):
@@ -105,8 +106,8 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
                                 "--j-max", "2",
                                 "--out-dir", str(tmp_path / "es")]) == 0
         tracer.close_case()
-        # a half-line verify: the base solve, its refine pass and the solve
-        # at half the inner cutoff all go through fd_eigensolve
+        # a half-line verify: the solves at 2h, h and h/2 and the one at
+        # half the inner cutoff all go through fd_eigensolve
         tracer.open_case("coulomb")
         assert sl2qes.cli.main(["verify", "--family", "coulomb", "--e2", "2",
                                 "--l", "0", "--n", "2", "--j-max", "2",
@@ -139,9 +140,9 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
             "spectral.solve_algebraic_sector", "mapping.build_gauge",
             "fdsolve.fd_eigensolve"} <= set(es)
     coulomb = tracer.counts["coulomb"]
-    assert coulomb["fdsolve.solves"] == 3
-    assert coulomb["fdsolve.grid_points"] == 1601 + 3201 + 1601
-    assert coulomb["fdsolve.eigs"] == 9
+    assert coulomb["fdsolve.solves"] == 4
+    assert coulomb["fdsolve.grid_points"] == 43 + 85 + 169 + 85
+    assert coulomb["fdsolve.eigs"] == 4 * 3
     # build and general share one gauge rule: one gauge pass per grid, and
     # the levels that share a gauge are sampled as one block
     assert build.count("mapping.GaugeFactor.__call__") == 1
