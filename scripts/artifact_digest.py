@@ -100,6 +100,10 @@ EXTRA = (
     Request("verify-poschl-teller-near-s1", (
         "verify", "--family", "poschl-teller", "--alpha", "1.481",
         "--A", "12.222", "--B", "1.536", "--n", "3")),
+    # periodic rings above fdsolve.BANDED_MAX: the ARPACK path
+    Request("verify-periodic-v3-arpack", (
+        "verify", "--family", "periodic-v3", "--alpha", "1", "--beta", "1",
+        "--a", "0", "--sign", "-", "--n", "1", "--points", "1201")),
 )
 
 

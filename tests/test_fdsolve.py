@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sl2qes.catalog import make_entry
 from sl2qes.errors import GridError
-from sl2qes.fdsolve import (SQRT_STRETCH, Grid, band_edges, count_nodes,
-                            fd_eigensolve)
+from sl2qes.fdsolve import (BANDED_MAX, SQRT_STRETCH, Grid, _folded_ring,
+                            band_edges, count_nodes, fd_eigensolve)
 
 from oracles import fd_vectors, residual
 
@@ -245,17 +245,25 @@ _PERIODIC_ENTRIES = [
 ]
 
 
+_CYCLIC_POTENTIALS = [("flat", flat, 2 * math.pi)] + [
+    (f"{e.name}{'+' if e.sign > 0 else '-'}", e.potential, e.period)
+    for e in _PERIODIC_ENTRIES]
+# cell nodes of the solved grid; its refine grid has twice as many.  200 and
+# 256 solve both banded (256 refines to BANDED_MAX), BANDED_MAX solves banded
+# and refines by ARPACK, BANDED_MAX + 1 solves both by ARPACK
+_RING_SIZES = (200, BANDED_MAX // 2, BANDED_MAX, BANDED_MAX + 1)
+
+
 @pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
 @pytest.mark.parametrize(
-    "potential,x0,period",
-    [(flat, 0.0, 2 * math.pi)]
-    + [(e.potential, 0.0, e.period)
-       for e in _PERIODIC_ENTRIES],
-    ids=["flat"] + [f"{e.name}{'+' if e.sign > 0 else '-'}"
-                    for e in _PERIODIC_ENTRIES])
-def test_cyclic_solve_matches_dense_reference(potential, x0, period, bc):
+    "potential,x0,period,m",
+    [(potential, 0.0, period, m)
+     for m in _RING_SIZES for _, potential, period in _CYCLIC_POTENTIALS],
+    ids=[name if m == 200 else f"{name}-m{m}"
+         for m in _RING_SIZES for name, _, _ in _CYCLIC_POTENTIALS])
+def test_cyclic_solve_matches_dense_reference(potential, x0, period, m, bc):
     k = 8
-    grid = Grid(x0, x0 + period, 201)   # refine grid: 400 cell nodes
+    grid = Grid(x0, x0 + period, m + 1)
     spec = fd_eigensolve(potential, grid, bc=bc, k=k)
     w = np.linalg.eigvalsh(_dense_cyclic(potential, grid, bc))[:k]
     w_fine = np.linalg.eigvalsh(_dense_cyclic(potential, grid.refined(),
@@ -285,10 +293,32 @@ def test_free_particle_degenerate_pairs():
 
 def test_band_edges_are_deterministic():
     entry = _PERIODIC_ENTRIES[0]
-    first = band_edges(entry.potential, entry.period, count=6, points=401)
-    fd_eigensolve(flat, Grid(0.0, 3.0, 301), bc="antiperiodic", k=5)
-    second = band_edges(entry.potential, entry.period, count=6, points=401)
-    assert first == second
+    # one ring solved banded, one by ARPACK
+    for points in (401, 2 * BANDED_MAX + 1):
+        first = band_edges(entry.potential, entry.period, count=6,
+                           points=points)
+        fd_eigensolve(flat, Grid(0.0, 3.0, 301), bc="antiperiodic", k=5)
+        second = band_edges(entry.potential, entry.period, count=6,
+                            points=points)
+        assert first == second
+
+
+@pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
+@pytest.mark.parametrize("m", [15, 16, 17, 40])
+def test_folded_ring_is_the_renumbered_ring(m, bc):
+    # undo the numbering 0, m-1, 1, m-2, ... independently of the band
+    potential = _PERIODIC_ENTRIES[2].potential
+    grid = Grid(0.0, 2.0, m + 1)
+    inv_h2 = 1.0 / grid.h ** 2
+    band = _folded_ring(2.0 * inv_h2 + potential(grid.nodes[:-1]), -inv_h2,
+                        -inv_h2 if bc == "periodic" else inv_h2)
+    order = [j // 2 if j % 2 == 0 else m - 1 - j // 2 for j in range(m)]
+    ham = np.zeros((m, m))
+    for d in range(3):
+        for j in range(m - d):
+            a, b = order[j], order[j + d]
+            ham[a, b] = ham[b, a] = band[d, j]
+    assert np.array_equal(ham, _dense_cyclic(potential, grid, bc))
 
 
 @pytest.mark.parametrize("entry", _PERIODIC_ENTRIES[:2],

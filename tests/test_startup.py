@@ -66,9 +66,30 @@ def test_verify_loads_the_fd_solvers(tmp_path):
     got = _run(["verify", "--family", "harmonic", "--omega", "1",
                 "--out-dir", str(tmp_path / "run")], tmp_path)
     assert got["code"] == 0
-    assert {"scipy.linalg", "scipy.sparse.linalg"} <= set(got["scipy"])
+    assert "scipy.linalg" in got["scipy"]
+    assert not [m for m in got["scipy"] if m.startswith("scipy.sparse")]
     report = json.loads((tmp_path / "run" / "verification.json").read_text())
     assert report["all_pass"]
+
+
+@pytest.mark.parametrize("points, arpack", [(None, False), (1201, True)],
+                         ids=["derived", "points-1201"])
+def test_periodic_verify_loads_arpack_only_above_banded_max(tmp_path, points,
+                                                           arpack):
+    # the derived rings have at most a few hundred cell nodes; at 1201
+    # points the h grid has 1200 and the 2h grid 600, above BANDED_MAX
+    args = ["verify", "--family", "periodic-v3", "--alpha", "1", "--beta",
+            "1", "--a", "0", "--sign", "-", "--n", "1",
+            "--out-dir", str(tmp_path / "run")]
+    got = _run(args + (["--points", str(points)] if points else []),
+               tmp_path)
+    assert got["code"] == 0
+    assert ("scipy.sparse.linalg" in got["scipy"]) == arpack
+    assert "scipy.linalg" in got["scipy"]
+    report = json.loads((tmp_path / "run" / "verification.json").read_text())
+    assert report["all_pass"]
+    if points:
+        assert report["grid"]["points"] == points
 
 
 def test_cubic_general_loads_the_elliptic_integral(tmp_path):
