@@ -100,6 +100,13 @@ EXTRA = (
     Request("verify-poschl-teller-near-s1", (
         "verify", "--family", "poschl-teller", "--alpha", "1.481",
         "--A", "12.222", "--B", "1.536", "--n", "3")),
+    # 2000 rows of 82 columns, above pipeline.FORK_MIN_FLOATS: a forked
+    # child formats the table's last rows
+    Request("build-periodic-v1-n80-forked", ("build", "--family",
+                                             "periodic-v1", "--alpha", "1",
+                                             "--beta", "1", "--a", "0",
+                                             "--sign", "+", "--n", "80",
+                                             "--samples", "2000")),
     # periodic rings above fdsolve.BANDED_MAX: the ARPACK path
     Request("verify-periodic-v3-arpack", (
         "verify", "--family", "periodic-v3", "--alpha", "1", "--beta", "1",

@@ -101,25 +101,6 @@ def _finite_float(positive: bool = False):
     return convert
 
 
-def _write_artifacts(out_dir: str, x, v, doc: dict, psi_cols: list,
-                     json_samples: bool = False):
-    """potential.csv, spectrum.json and wavefunctions.csv (psi_j in column
-    j), and with ``json_samples`` the samples as JSON arrays too."""
-    labels = [f"psi_{j}" for j in range(len(psi_cols))]
-    pipeline.write_csv_atomic(os.path.join(out_dir, "potential.csv"),
-                              ["x", "V"], [x, v])
-    pipeline.write_json_atomic(os.path.join(out_dir, "spectrum.json"), doc)
-    pipeline.write_csv_atomic(os.path.join(out_dir, "wavefunctions.csv"),
-                              ["x"] + labels, [x] + psi_cols)
-    if json_samples:
-        pipeline.write_json_atomic(os.path.join(out_dir, "potential.json"),
-                                   {"x": x.tolist(), "V": v.tolist()})
-        pipeline.write_json_atomic(
-            os.path.join(out_dir, "wavefunctions.json"),
-            {"x": x.tolist(),
-             "psi": {str(j): col.tolist() for j, col in enumerate(psi_cols)}})
-
-
 def _entry(args) -> catalog.CatalogEntry:
     """The catalog entry the flags name."""
     if not args.family:
@@ -134,10 +115,10 @@ def _build(args, entry: catalog.CatalogEntry):
     an entry with no bound state up to --j-max writes nothing."""
     j_vals = [j for j, _ in entry.verification_levels(args.j_max)]
     x, v = pipeline.sample_potential(entry, args.samples)
-    _write_artifacts(args.out_dir, x, v,
-                     pipeline.spectrum_document(entry, j_vals),
-                     pipeline.sample_wavefunctions(entry, x, j_vals),
-                     args.json_samples)
+    pipeline.write_artifacts(args.out_dir, x, v,
+                             pipeline.spectrum_document(entry, j_vals),
+                             pipeline.sample_wavefunctions(entry, x, j_vals),
+                             args.json_samples)
 
 
 def _cmd_list_families(args) -> int:
@@ -259,7 +240,7 @@ def _cmd_general(args) -> int:
     # every level shares the gauge and the map: one block, one gauge pass
     cols = list(WaveFunction(gauge, [lv.b for lv in solved.levels],
                              mapping)(x))
-    _write_artifacts(args.out_dir, x, v, doc, cols)
+    pipeline.write_artifacts(args.out_dir, x, v, doc, cols)
     print(f"wrote general-mode artifacts to {args.out_dir}")
     return 0
 

@@ -1,11 +1,16 @@
 """End-to-end verification of every catalog family against the numeric
 oracle, exercising the same path the verify subcommand uses."""
 
+import builtins
 import dataclasses
+import errno
 import json
 import os
+import signal
 import stat
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sl2qes import catalog
+from sl2qes import catalog, pipeline
 from sl2qes.algebra import Polynomial
 from sl2qes.catalog import make_entry
 from sl2qes.cli import main
@@ -21,7 +26,8 @@ from sl2qes.errors import GridError, NoBoundStateError
 from sl2qes.fdsolve import SQRT_STRETCH, Grid, fd_eigensolve
 from sl2qes.pipeline import (CSV_BLOCK, _match_levels, json_pieces,
                              sample_wavefunctions, verification_report,
-                             write_csv_atomic, write_json_atomic)
+                             write_artifacts, write_csv_atomic,
+                             write_json_atomic)
 
 ES_CASES = [
     ("harmonic", {"omega": 2}, None, 3),
@@ -508,22 +514,249 @@ def _object_column(rows: int, bad_row: int) -> np.ndarray:
     return column
 
 
-@pytest.mark.parametrize("write, error", [
+def _can_fork_a_writer() -> bool:
+    return (hasattr(os, "O_TMPFILE") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+forking = pytest.mark.skipif(not _can_fork_a_writer(),
+                             reason="the forked writer needs two CPUs and "
+                             "unnamed temp files")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _write(monkeypatch, threshold, directory, x, doc, cols):
+    """write_artifacts with FORK_MIN_FLOATS at threshold; the number of
+    forks it made."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(pipeline, "FORK_MIN_FLOATS", threshold)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    try:
+        write_artifacts(str(directory), x, x * x, doc, cols)
+    finally:
+        monkeypatch.setattr(os, "fork", fork)
+    return len(forks)
+
+
+def _forked_build(directory, monkeypatch, doc=None, threshold=0):
+    """_write on a 401-row table of 81 columns, forced onto the forked
+    path unless threshold is raised."""
+    x = np.linspace(-1.0, 1.0, 401)
+    return _write(monkeypatch, threshold, directory, x,
+                  {"levels": []} if doc is None else doc,
+                  [np.cos(k * x) for k in range(80)])
+
+
+_write_rows = pipeline._write_rows
+
+
+def _child_stops_after_a_block(fd, columns, start):
+    _write_rows(fd, [col[:start + CSV_BLOCK] for col in columns], start)
+    return errno.ENOSPC
+
+
+@pytest.mark.parametrize("target, write, error, left", [
     # the set is the last leaf: the pieces before it are already written
-    (lambda path: write_json_atomic(path, {
+    ("artifact", lambda path, mp: write_json_atomic(path, {
         "levels": [{"j": j, "b": [0.5] * 200} for j in range(50)],
-        "warnings": ["done", {"a set"}]}), TypeError),
+        "warnings": ["done", {"a set"}]}), TypeError, []),
     # the bad value sits in the second block of rows
-    (lambda path: write_csv_atomic(path, ["x", "v"], [
-        np.arange(200.0), _object_column(200, CSV_BLOCK + 6)]), ValueError),
-], ids=["json", "csv"])
-def test_a_failure_mid_stream_leaves_nothing_behind(tmp_path, write, error):
-    target = tmp_path / "artifact"
-    target.write_bytes(b"an earlier run\n")
+    ("artifact", lambda path, mp: write_csv_atomic(path, ["x", "v"], [
+        np.arange(200.0), _object_column(200, CSV_BLOCK + 6)]), ValueError,
+     []),
+    # the parent fails in spectrum.json while the child formats its rows
+    pytest.param("spectrum.json", lambda path, mp: _forked_build(
+        os.path.dirname(path), mp, {
+            "levels": [{"j": j, "b": [0.5] * 200} for j in range(50)],
+            "warnings": ["done", {"a set"}]}), TypeError, ["potential.csv"],
+        marks=forking),
+    # the child fails after its first block of rows
+    pytest.param("wavefunctions.csv", lambda path, mp: (
+        mp.setattr(pipeline, "_write_rows", _child_stops_after_a_block),
+        _forked_build(os.path.dirname(path), mp)), OSError,
+        ["potential.csv", "spectrum.json"], marks=forking),
+], ids=["json", "csv", "forked-parent", "forked-child"])
+def test_a_failure_mid_stream_leaves_nothing_behind(tmp_path, monkeypatch,
+                                                    target, write, error,
+                                                    left):
+    path = tmp_path / target
+    path.write_bytes(b"an earlier run\n")
     with pytest.raises(error):
-        write(str(target))
-    assert target.read_bytes() == b"an earlier run\n"
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["artifact"]
+        write(str(path), monkeypatch)
+    assert path.read_bytes() == b"an earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [target, *left])
+    _no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 401, 20_000])
+def test_a_forked_tail_writes_the_same_bytes(tmp_path, rows):
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5,
+                       0.1, 1.0 / 3.0])
+    columns = [np.arange(rows) / 7.0, np.resize(values, rows),
+               np.resize(values[::-1], rows)]
+    single = tmp_path / "single.csv"
+    write_csv_atomic(str(single), ["x", "a", "b"], columns)
+    third = rows // 3
+    # splits off and on block edges, the whole table and its last row
+    for start in sorted({0, third, third - third % CSV_BLOCK, rows - 1}):
+        path = tmp_path / f"forked-{start}.csv"
+        with pipeline._Tail(str(path), columns, start) as tail:
+            write_csv_atomic(str(path), ["x", "a", "b"], columns, tail)
+        assert path.read_bytes() == single.read_bytes(), start
+        _no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 401, 20_000])
+def test_forked_artifacts_match_the_single_process_writer(tmp_path,
+                                                          monkeypatch, rows):
+    x = np.linspace(-2.0, 2.0, rows)
+    cols = [np.exp(-k * x * x) for k in range(3)]
+    doc = {"levels": [{"j": j, "b": [0.1 * j] * 5} for j in range(3)]}
+    assert _write(monkeypatch, 10**12, tmp_path / "single", x, doc, cols) == 0
+    assert _write(monkeypatch, 0, tmp_path / "forked", x, doc, cols) == 1
+    _no_child_left()
+    for name in ("potential.csv", "spectrum.json", "wavefunctions.csv"):
+        assert ((tmp_path / "forked" / name).read_bytes()
+                == (tmp_path / "single" / name).read_bytes()), name
+    assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == [
+        "potential.csv", "spectrum.json", "wavefunctions.csv"]
+
+
+@pytest.mark.parametrize("rows, width, other", [
+    (401, 162, 26_000), (401, 82, 7_000), (401, 22, 1_300), (1, 3, 10),
+    (20_000, 162, 66_000), (129, 3, 0), (64, 2, 10**6)])
+def test_the_child_takes_about_half_the_floats_in_whole_blocks(rows, width,
+                                                              other):
+    start = pipeline._split(rows, width, other)
+    assert start % CSV_BLOCK == 0 and 0 <= start < rows
+    child = (rows - start) * width
+    # a CSV_BLOCK of rows from half, unless the whole table or its last
+    # block is the child's
+    half = (other + rows * width) / 2
+    assert (abs(child - half) <= CSV_BLOCK * width / 2 or start == 0
+            or start == (rows - 1) // CSV_BLOCK * CSV_BLOCK)
+
+
+@forking
+def test_unequal_columns_fail_as_in_one_process(tmp_path, monkeypatch):
+    x = np.linspace(0.0, 1.0, 200)
+    with pytest.raises(ValueError) as single:
+        write_csv_atomic(str(tmp_path / "t.csv"), ["x", "a"], [x, x[:150]])
+    monkeypatch.setattr(pipeline, "FORK_MIN_FLOATS", 0)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    with pytest.raises(ValueError) as forked:
+        write_artifacts(str(tmp_path / "run"), x, x, {}, [x[:150]])
+    assert str(forked.value) == str(single.value)
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "potential.csv", "spectrum.json"]
+
+
+def _child_killed(fd, columns, start):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _child_raises(fd, columns, start):
+    raise RuntimeError("a bug in the child")
+
+
+def _refuse_imports():
+    def refuse(*args, **kwargs):
+        raise ImportError("the child imported")
+    builtins.__import__ = refuse
+
+
+def _child_refuses_imports(fd, columns, start):
+    _refuse_imports()
+    return _write_rows(fd, columns, start)
+
+
+def _child_imports(fd, columns, start):
+    _refuse_imports()
+    import fractions    # noqa: F401  (loaded already: only the hook runs)
+    return 0
+
+
+@forking
+@pytest.mark.parametrize("child, message", [
+    (_child_killed, "was killed by signal 9"),
+    (_child_raises, "failed$"),
+    (_child_stops_after_a_block, "failed: No space left on device"),
+])
+def test_a_failed_child_is_a_named_os_error(tmp_path, monkeypatch, child,
+                                            message):
+    monkeypatch.setattr(pipeline, "_write_rows", child)
+    with pytest.raises(OSError, match="the child process formatting rows "
+                       r"from \d+ of .*wavefunctions.csv " + message):
+        _forked_build(tmp_path, monkeypatch)
+    _no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "potential.csv", "spectrum.json"]
+
+
+@forking
+def test_the_child_imports_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_write_rows", _child_refuses_imports)
+    assert _forked_build(tmp_path / "forked", monkeypatch) == 1
+    assert _forked_build(tmp_path / "single", monkeypatch,
+                         threshold=10**12) == 0
+    for name in ("potential.csv", "spectrum.json", "wavefunctions.csv"):
+        assert ((tmp_path / "forked" / name).read_bytes()
+                == (tmp_path / "single" / name).read_bytes()), name
+    # the refusing hook does fail a child that imports
+    monkeypatch.setattr(pipeline, "_write_rows", _child_imports)
+    with pytest.raises(OSError, match="failed$"):
+        _forked_build(tmp_path / "importing", monkeypatch)
+
+
+@forking
+def test_an_interrupt_kills_and_reaps_the_child(tmp_path, monkeypatch):
+    def interrupted(path, obj):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "_write_rows",
+                        lambda *args: time.sleep(120))
+    monkeypatch.setattr(pipeline, "write_json_atomic", interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _forked_build(tmp_path, monkeypatch)
+    assert time.perf_counter() - start < 30.0
+    _no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["potential.csv"]
+
+
+@forking
+def test_the_child_never_flushes_inherited_stdout(tmp_path):
+    # stdout is a pipe, so the marker sits in its buffer at the fork
+    code = (
+        "import os, sys\n"
+        "from sl2qes import cli, pipeline\n"
+        "pipeline.FORK_MIN_FLOATS = 0\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "print('MARKER')\n"
+        "code = cli.main(['build', '--family', 'periodic-v1', '--alpha',"
+        " '1', '--beta', '1', '--a', '0', '--sign', '+', '--n', '20',"
+        " '--out-dir', sys.argv[1]])\n"
+        "print(f'forks {len(forks)}', file=sys.stderr)\n"
+        "sys.exit(code)\n")
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr.decode().splitlines()[-1] == "forks 1"
+    assert proc.stdout.decode().count("MARKER") == 1
+    assert (tmp_path / "wavefunctions.csv").exists()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

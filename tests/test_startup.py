@@ -29,13 +29,17 @@ QUADRATIC = {"C--": "1", "C0": "-2", "d": "free", "n": 2}
 CUBIC = {"C+0": "1/2", "C--": "1", "d": "free", "n": 1}
 
 
-def _run(args, tmp_path):
+def _python(tmp_path, *argv):
+    """A fresh interpreter run with the package on its path."""
     env = dict(os.environ)
     old = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(args)],
-                          env=env, cwd=tmp_path, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _run(args, tmp_path):
+    proc = _python(tmp_path, "-c", CHILD, json.dumps(args))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -97,3 +101,13 @@ def test_cubic_general_loads_the_elliptic_integral(tmp_path):
     assert got["code"] == 0
     assert "scipy.special" in got["scipy"]
     assert (tmp_path / "run" / "wavefunctions.csv").exists()
+
+
+def test_import_loads_no_process_pool(tmp_path):
+    # the artifact writer forks with os.fork itself: no pool module loads
+    proc = _python(tmp_path, "-c", "import json, sys\n"
+                   "import sl2qes, sl2qes.cli\n"
+                   "print(json.dumps(sorted(m for m in sys.modules if "
+                   "m.split('.')[0] in ('multiprocessing', 'concurrent'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
