@@ -77,6 +77,22 @@ EXTRA = (
     Request("general-complex-pair", ("general",),
             {"C++": "-2", "C+0": "-1", "C00": "-3", "C0-": "1", "C--": "1",
              "C0": "1/3", "C-": "-3", "n": 3}),
+    # each early exit's fallback: B4 = (xi - 1)^2 (a double root, the exp
+    # shape) and B4 = (xi - 1)^2 (xi + 2) keep the squarefree split; B4 =
+    # 1 + xi (the sqrt shape) skips it; an upper-triangular sector whose
+    # diagonal repeats entries skips the refine step
+    Request("general-double-root-exp", ("general",),
+            {"C00": "1", "C0-": "-1", "C--": "1", "C0": "1/2", "C-": "1/3",
+             "n": 2}),
+    Request("general-linear-sqrt", ("general", "--x-min=-1", "--x-max=1"),
+            {"C0-": "1/2", "C--": "1", "C0": "-1", "C-": "1/2", "n": 2}),
+    Request("general-cubic-double-root", ("general",),
+            {"C+0": "1/2", "C0-": "-3/2", "C--": "2", "C0": "1/2",
+             "C-": "1/4", "n": 2}),
+    Request("general-repeated-diagonal", ("general", "--x-min=-1",
+                                          "--x-max=1"),
+            {"C00": "-1", "C0-": "1/4", "C--": "3/2", "C0": "0", "C-": "1/3",
+             "n": 4}),
     # an anchor so large that the map overflows: V is not finite
     Request("general-huge-anchor", ("general", "--xi0", "1e308"),
             {"C--": "1", "C0": "-2", "d": "free", "n": 2}),

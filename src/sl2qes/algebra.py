@@ -61,7 +61,7 @@ def finite_fraction(name: str, value) -> Fraction:
     try:
         q = as_fraction(value)
         float(q)    # OverflowError beyond the float range
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InvalidParameterError(
             f"{name} must be a finite real number within the float range, "
             f"got {value!r}") from None
@@ -93,7 +93,8 @@ class Polynomial:
         trimmed = list(coeffs)
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
-        return cls(tuple(Fraction(c) for c in trimmed))
+        return cls(tuple(c if type(c) is Fraction else Fraction(c)
+                         for c in trimmed))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -204,7 +205,18 @@ class Polynomial:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over the rationals (Euclid)."""
+    """Monic greatest common divisor over the rationals (Euclid).
+
+    When either argument is a nonzero polynomial of degree <= 1, one exact
+    evaluation decides it: a constant has gcd 1 with anything, and a linear
+    p divides the other exactly when the other vanishes at p's root.
+    """
+    one = Polynomial((Fraction(1),))
+    for p, q in ((a, b), (b, a)):
+        if p.degree == 0:
+            return one
+        if p.degree == 1:
+            return p.monic() if q(-p.coeffs[0] / p.coeffs[1]) == 0 else one
     x, y = a, b
     while not y.is_zero:
         _, r = divmod(x, y)

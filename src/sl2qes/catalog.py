@@ -267,7 +267,7 @@ def _whole(value, message: str) -> int:
     """value as a non-negative int; bools and non-integral values fail."""
     try:
         q = None if isinstance(value, bool) else Fraction(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         q = None
     if q is None or q.denominator != 1 or q < 0:
         raise InvalidParameterError(message)

@@ -130,14 +130,31 @@ def _polish(poly: Polynomial, z: complex, done: list) -> complex:
     return z
 
 
+def _plainly_squarefree(poly: Polynomial) -> bool:
+    """Whether poly's degree alone (<= 1) or, for a quadratic, its nonzero
+    exact discriminant c1^2 - 4 c0 c2 proves it squarefree.  Then
+    gcd(poly, poly') is 1, so the squarefree split would return poly whole."""
+    if poly.degree != 2:
+        return poly.degree < 2
+    c0, c1, c2 = poly.coeffs
+    return c1 * c1 != 4 * c0 * c2
+
+
 def _roots(poly: Polynomial) -> tuple[list[float], list[complex]]:
     """(real roots, upper members of the complex pairs), repeated by
     multiplicity.  An exact squarefree split keeps a repeated root one
     float (np.roots splits a double root about 1e-8 apart), and the roots of
     a factor of degree > 2 are polished, as np.roots loses digits on
-    clustered roots (1e-13 seen)."""
+    clustered roots (1e-13 seen).  The split stops at a factor that is
+    ``_plainly_squarefree``: a linear, or a quadratic with a nonzero
+    discriminant, is its own last part, the part the gcd loop would give,
+    so np.roots sees the same coefficients.  A double-root quadratic still
+    takes the split."""
     parts = []   # parts[k] holds each root of multiplicity > k once
     while poly.degree > 0:
+        if _plainly_squarefree(poly):
+            parts.append(poly)
+            break
         common = poly_gcd(poly, poly.derivative())
         parts.append(divmod(poly, common)[0])
         poly = common
@@ -458,9 +475,16 @@ def _split_integral(numer: Polynomial, denom: Polynomial):
 
     P integrates the quotient, with P(0) = 0; the Horowitz-Ostrogradsky
     ansatz with D1 = gcd(D, D') and D2 = D/D1 takes the rational part A/D1
-    off the proper fraction, so C/D2 has only simple poles.
+    off the proper fraction, so C/D2 has only simple poles.  A denominator
+    that is ``_plainly_squarefree`` has D1 = 1, so the ansatz is the
+    identity system: A = 0, C = the remainder and D2 = D, returned as they
+    are without solving it.
     """
     quot, rem = divmod(numer, denom)
+    poly = Polynomial._make([0] + [c / (i + 1)
+                                   for i, c in enumerate(quot.coeffs)])
+    if _plainly_squarefree(denom):
+        return poly, Polynomial.zero(), Polynomial.of(1), rem, denom
     d1 = poly_gcd(denom, denom.derivative())
     d2, _ = divmod(denom, d1)
     # rem = A' D2 - A H + C D1 with H = D2 D1' / D1, for deg A < deg D1
@@ -473,8 +497,6 @@ def _split_integral(numer: Polynomial, denom: Polynomial):
     sol = _solve_exact([[col.coefficient(r) for col in cols]
                         for r in range(size)],
                        [rem.coefficient(r) for r in range(size)])
-    poly = Polynomial._make([0] + [c / (i + 1)
-                                   for i, c in enumerate(quot.coeffs)])
     return poly, Polynomial._make(sol[:m]), d1, Polynomial._make(sol[m:]), d2
 
 
@@ -559,8 +581,9 @@ def build_gauge(bp: BPolynomials, mapping: Mapping, x0: float) -> GaugeFactor:
     numer = 2 * bp.b3 - b4.derivative()
     denom = 2 * b4
     common = poly_gcd(numer, denom)
-    numer, _ = divmod(numer, common)
-    denom, _ = divmod(denom, common)
+    if common.degree > 0:
+        numer, _ = divmod(numer, common)
+        denom, _ = divmod(denom, common)
     poly, rat, rat_den, log_num, log_den = _split_integral(numer, denom)
     real, pairs = _roots(log_den)
     dlog = log_den.derivative()

@@ -146,6 +146,16 @@ def _refine(m: np.ndarray, kl: int, ku: int, lam: np.ndarray,
     return np.where((ok & (res_w < res_v))[:, None], w, vecs)
 
 
+def _every_pivot_zero(m: np.ndarray, kl: int, lam: np.ndarray) -> bool:
+    """Whether every shifted system of ``_shifted_solve`` meets an exactly
+    zero pivot, decided without solving: with no subdiagonal (kl == 0) the
+    elimination never pivots, so the pivots are the diagonal entries minus
+    lam_i, and one of them is 0 when lam_i equals a diagonal entry bit for
+    bit.  Then ``_refine`` returns its start vectors unchanged."""
+    return kl == 0 and bool(np.all(np.any(lam[:, None] == np.diagonal(m),
+                                          axis=1)))
+
+
 def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
     """All admissible d values and polynomial coefficient vectors.
 
@@ -157,6 +167,12 @@ def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
     eigenvector gets one inverse-iteration step, all levels at once
     (``_refine``).  A level whose shift meets an exactly zero pivot (a
     triangular exactly solvable sector) keeps np.linalg.eig's vector.
+    When every shift is sure to meet one (``_every_pivot_zero``: no
+    subdiagonal, and each eigenvalue bit for bit a diagonal entry),
+    ``_refine`` would return its input and is not called.  An exactly
+    solvable sector has no raising term, so it is upper triangular, and
+    where np.linalg.eig returns its diagonal entries as the eigenvalues the
+    step is skipped; otherwise it runs as for any sector.
     """
     if coeffs.d is not None:
         raise ValueError("the spectral solve needs d left free (d=None)")
@@ -172,7 +188,9 @@ def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
     pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(size)]
     bs = np.real(vecs * np.conj(pivot / np.abs(pivot))).T.copy()
     d = lam.real
-    bs = _refine(m, *_bandwidths(m), d, bs)
+    kl, ku = _bandwidths(m)
+    if not _every_pivot_zero(m, kl, d):
+        bs = _refine(m, kl, ku, d, bs)
     levels = [Level(d=float(d[i]), b=b, imag_residual=float(imag[i]))
               for i, b in enumerate(_normalize_rows(bs))]
     levels.sort(key=lambda lv: (lv.d, lv.b.tolist()))

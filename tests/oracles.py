@@ -29,7 +29,7 @@ from scipy import special as sp
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
-from sl2qes.algebra import AlgebraCoefficients, poly_gcd
+from sl2qes.algebra import AlgebraCoefficients
 from sl2qes.errors import BranchError, GridError, SingularPointError
 from sl2qes.fdsolve import _dirichlet_matrix
 from sl2qes.mapping import scaled_exp
@@ -88,6 +88,13 @@ def random_algebra(rng: random.Random, n_max: int = 8) -> AlgebraCoefficients:
     return AlgebraCoefficients(**vals, d=q(), n=rng.randint(0, n_max))
 
 
+def euclid_gcd(a, b):
+    """poly_gcd's Euclid loop, with no early exit."""
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
+
+
 def quadrature_gauge(bp, mapping, x0, epsrel=1e-13):
     """g(x) = (u')^(-1/2) exp[(1/2) Int (2 B3 - B4')/(2 B4) dxi], 1 at x0,
     by adaptive quadrature of the gcd-reduced integrand from xi(x0) across
@@ -95,7 +102,7 @@ def quadrature_gauge(bp, mapping, x0, epsrel=1e-13):
     b4 = mapping.b4
     numer = 2 * bp.b3 - b4.derivative()
     denom = 2 * b4
-    common = poly_gcd(numer, denom)
+    common = euclid_gcd(numer, denom)
     numer, _ = divmod(numer, common)
     denom, _ = divmod(denom, common)
     t0 = mapping.transform

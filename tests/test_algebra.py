@@ -22,7 +22,7 @@ from sl2qes.algebra import (
 from sl2qes.catalog import make_entry
 from sl2qes.errors import InvalidParameterError, RepresentationError
 
-from oracles import random_algebra
+from oracles import euclid_gcd, random_algebra
 
 P = Generator.PLUS
 M = Generator.MINUS
@@ -286,3 +286,18 @@ def test_polynomial_division_and_gcd():
     g = poly_gcd(a, Polynomial.of(2, 2))
     assert g == Polynomial.of(1, 1)
     assert poly_gcd(a, Polynomial.of(5)).degree == 0
+
+
+_polys = st.lists(rationals, max_size=5).map(lambda cs: Polynomial.of(*cs))
+
+
+@given(st.lists(rationals, max_size=2), _polys, _polys, st.booleans())
+@settings(max_examples=300)
+def test_gcd_with_a_linear_or_constant_is_euclids(small, other, factor,
+                                                  swap):
+    """A nonzero argument of degree <= 1 decides poly_gcd by one exact
+    evaluation; it agrees with Euclid, also where it divides the other."""
+    small = Polynomial.of(*small)
+    for big in (other, other * small, small * factor):
+        a, b = (big, small) if swap else (small, big)
+        assert poly_gcd(a, b) == euclid_gcd(a, b)

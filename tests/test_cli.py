@@ -724,6 +724,41 @@ def test_float_overflow_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route, argv, config, algebra, message", [
+    ("flag", ["build", "--family", "harmonic", "--omega", "1", "--n", "1/0"],
+     None, None, "n must be a non-negative integer"),
+    ("flag", ["build", "--family", "coulomb", "--e2", "2", "--l", "1/0"],
+     None, None, "l must be a non-negative integer"),
+    ("config", ["build", "--family", "harmonic", "--omega", "1"],
+     "n = 1/0\n", None, "n must be a non-negative integer"),
+    ("json", ["general"], None, _algebra_text(**{"C--": '"1/0"'}),
+     f"C-- {_RANGE}, got '1/0'"),
+    ("json", ["general"], None, _algebra_text(d='"1/0"'),
+     f"d {_RANGE}, got '1/0'"),
+], ids=["flag-n", "flag-l", "config-n", "json-C--", "json-d"])
+def test_zero_denominator_is_a_usage_error(tmp_path, route, argv, config,
+                                           algebra, message):
+    """A rational string with denominator 0 exits 2 with the value's
+    message, from a fresh interpreter, not with a traceback."""
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = argv + ["--config", "run.cfg"]
+    if algebra is not None:
+        (tmp_path / "alg.json").write_text(algebra)
+        argv = argv + ["--algebra", "alg.json"]
+    env = dict(os.environ)
+    src = str(Path(sl2qes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sl2qes.cli", *argv, "--out-dir", "run"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"error: {message}"
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 

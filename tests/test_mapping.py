@@ -1,5 +1,8 @@
+import contextlib
 import math
 from fractions import Fraction as Q
+from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -14,10 +17,12 @@ from sl2qes.algebra import (
     poly_gcd,
 )
 from sl2qes.catalog import FAMILY_NAMES, make_entry
+from sl2qes.cli import _general_branch
 from sl2qes.errors import BranchError, SingularPointError
 from sl2qes.mapping import (
     Branch,
     WaveFunction,
+    _plainly_squarefree,
     _roots,
     _split_integral,
     build_gauge,
@@ -27,7 +32,8 @@ from sl2qes.mapping import (
     scaled_exp,
 )
 
-from oracles import MARCH_SET, hand_written_psi, march_map, quadrature_gauge
+from oracles import (MARCH_SET, euclid_gcd, hand_written_psi, march_map,
+                     quadrature_gauge)
 
 
 def bp_of(**kw):
@@ -558,6 +564,95 @@ def test_split_integral_solves_a_coupled_system(denom):
     assert lhs * denom == numer * d1 * d1 * d2
     assert poly_gcd(d2, d2.derivative()).degree == 0
     assert a.degree < d1.degree and c.degree < d2.degree
+
+
+# ------------------------------------------------------------ exact early exits
+
+@contextlib.contextmanager
+def _long_path():
+    """The mapping module with no squarefree test passing and poly_gcd on
+    plain Euclid: the paths that the early exits skip."""
+    with mock.patch("sl2qes.mapping._plainly_squarefree", lambda p: False), \
+            mock.patch("sl2qes.mapping.poly_gcd", euclid_gcd):
+        yield
+
+
+_NONZERO = _RATIONAL.filter(lambda q: q != 0)
+
+
+@st.composite
+def _low_degree(draw):
+    """lead * (a linear, a quadratic, a square (xi - r)^2, or a cubic
+    (xi - r)^2 (xi - s)) with rational coefficients."""
+    lead, r, s = draw(_NONZERO), draw(_RATIONAL), draw(_RATIONAL)
+    kind = draw(st.sampled_from(["linear", "quadratic", "square", "cubic"]))
+    if kind == "linear":
+        return Polynomial.of(r, lead)
+    if kind == "quadratic":
+        return Polynomial.of(r, s, lead)
+    square = Polynomial.of(r * r, -2 * r, 1) * lead
+    return square if kind == "square" else square * Polynomial.of(-s, 1)
+
+
+def _discriminant(poly):
+    c0, c1, c2 = (poly.coefficient(k) for k in range(3))
+    return c1 * c1 - 4 * c0 * c2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_low_degree())
+def test_roots_early_exit_matches_the_split(poly):
+    """A linear, or a quadratic with a nonzero discriminant, skips the
+    squarefree split and gets the split's roots bit for bit; a double root
+    still takes the split and comes out as one float twice."""
+    with _long_path():
+        want = _roots(poly)
+    assert _roots(poly) == want
+    if poly.degree == 2:
+        assert _plainly_squarefree(poly) == (_discriminant(poly) != 0)
+        if _discriminant(poly) == 0:
+            assert want == ([want[0][0]] * 2, [])
+    else:
+        assert _plainly_squarefree(poly) == (poly.degree < 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_low_degree(), st.lists(_RATIONAL, max_size=6))
+def test_split_integral_early_exit_matches_the_ansatz(denom, numer):
+    """A plainly squarefree denominator returns, without the exact solve,
+    what the Horowitz-Ostrogradsky solve returns: A = 0, D1 = 1, C = the
+    remainder, D2 = D."""
+    numer = Polynomial.of(*numer)
+    with _long_path():
+        want = _split_integral(numer, denom)
+    got = _split_integral(numer, denom)
+    assert got == want
+    if _plainly_squarefree(denom):
+        assert got[1:] == (Polynomial.zero(), Polynomial.of(1),
+                           divmod(numer, denom)[1], denom)
+
+
+@pytest.mark.parametrize("data", [
+    MARCH_SET,
+    {"C00": "-1", "C0-": "1/3", "C--": "5/2", "C0": "1/2", "C-": "1/4"},
+    # B4 = (xi - 1)^2: the split runs
+    {"C00": "1", "C0-": "-1", "C--": "1", "C0": "1", "C-": "1"},
+], ids=["march-set", "general-numeric", "double-root"])
+def test_gauge_early_exits_keep_every_bit(data):
+    """build_gauge gives the same samples with and without the exits."""
+    bp = b_polynomials(AlgebraCoefficients.from_json_dict(dict(data, n=2)))
+    branch = _general_branch(bp, SimpleNamespace(xi_min=None, xi_max=None,
+                                                 xi0=None))
+    mapping = build_mapping(bp, branch)
+    x = np.linspace(-0.2, 0.2, 9)
+
+    def samples():
+        g = build_gauge(bp, mapping, 0.0)(x)
+        return g.exponent.tobytes(), g.factor.tobytes()
+
+    with _long_path():
+        want = samples()
+    assert samples() == want
 
 
 # ------------------------------------------------------------ wavefunctions

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from sl2qes.algebra import AlgebraCoefficients, hamiltonian_matrix
 from sl2qes.catalog import make_entry
+from sl2qes import spectral
 from sl2qes.spectral import (
     NonRealSpectrumWarning,
     _band_matrix,
     _bandwidths,
+    _every_pivot_zero,
     _refine,
     _shifted_solve,
     compose_energies,
@@ -236,3 +238,64 @@ def test_banded_solve_pivots_past_a_zero_diagonal():
     w, zero = _shifted_solve(m, 1, 2, np.zeros(1), rhs)
     assert not zero.any()
     assert np.allclose(w[0], np.linalg.solve(m, rhs[0]), rtol=1e-14)
+
+
+# ------------------------------------------------------------ the refine skip
+
+_ES_DEFAULTS = (
+    ("harmonic", {"omega": 2}),
+    ("morse", {"alpha": 1, "A": 3, "B": 1}),
+    ("poschl-teller", {"alpha": 1, "A": 3, "B": 1}),
+    ("scarf-ii", {"alpha": 1, "A": 2, "B": 1}),
+    ("coulomb", {"e2": 2, "l": 0}),
+)
+
+
+def _levels_bits(result):
+    return [(lv.d, lv.b.tobytes(), lv.imag_residual) for lv in result.levels]
+
+
+def _triangular_sectors():
+    for family, params in _ES_DEFAULTS:
+        for n in (0, 2, 5):
+            yield pytest.param(make_entry(family, params, n=n).algebra,
+                               id=f"{family}-n{n}")
+    # the general-numeric benchmark's shapes: no raising term
+    for n in (2, 4, 8):
+        for c0m, cmm in (("1/4", "3/2"), ("-1/3", "5/2")):
+            yield pytest.param(AlgebraCoefficients.from_json_dict(
+                {"C00": "-1", "C0-": c0m, "C--": cmm, "C0": "-1/2",
+                 "C-": "1/4", "n": n}), id=f"general-n{n}-{c0m}-{cmm}")
+
+
+@pytest.mark.parametrize("coeffs", list(_triangular_sectors()))
+def test_refine_skip_keeps_every_bit(monkeypatch, coeffs):
+    """Exactly solvable and general-numeric sectors skip _refine, and
+    running it anyway changes no bit of the result."""
+    coeffs = coeffs.with_free_d()
+    m = _band_matrix(hamiltonian_matrix(coeffs), coeffs.n + 1)
+    kl, _ = _bandwidths(m)
+    assert _every_pivot_zero(m, kl, np.linalg.eig(m)[0].real)
+    got = _levels_bits(solve_algebraic_sector(coeffs))
+    monkeypatch.setattr(spectral, "_every_pivot_zero", lambda *args: False)
+    assert _levels_bits(solve_algebraic_sector(coeffs)) == got
+
+
+@pytest.mark.parametrize("coeffs", [
+    # tridiagonal: T+ raises by one, T- lowers by one
+    AlgebraCoefficients(c_00=-1, c_p=1, c_0=Q(1, 2), c_m=-2, n=6),
+    # lower triangular: raising terms only
+    AlgebraCoefficients(c_pp=1, c_p0=Q(1, 3), c_00=-1, c_p=2, c_0=1, n=6),
+    periodic_v1_algebra(5),
+], ids=["tridiagonal", "lower-triangular", "periodic-v1"])
+def test_sectors_with_a_subdiagonal_still_refine(monkeypatch, coeffs):
+    calls = []
+    refine = spectral._refine
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return refine(*args)
+
+    monkeypatch.setattr(spectral, "_refine", counted)
+    solve_algebraic_sector(coeffs)
+    assert len(calls) == 1 and calls[0][0] > 0
