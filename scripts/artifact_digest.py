@@ -123,8 +123,9 @@ EXTRA = (
                                              "--beta", "1", "--a", "0",
                                              "--sign", "+", "--n", "80",
                                              "--samples", "2000")),
-    # periodic rings above fdsolve.BANDED_MAX: the ARPACK path
-    Request("verify-periodic-v3-arpack", (
+    # periodic rings of 600 to 2400 cell nodes, the list's only rings
+    # above 512
+    Request("verify-periodic-v3-large-ring", (
         "verify", "--family", "periodic-v3", "--alpha", "1", "--beta", "1",
         "--a", "0", "--sign", "-", "--n", "1", "--points", "1201")),
 )

@@ -45,8 +45,9 @@ def main() -> int:
             entry = make_entry(args.family, params, sign=sign, n=args.n)
             for lv in entry.spectral().levels:
                 algebraic[lv.E] = sign
-        edges = band_edges(entry.potential, entry.period, count=args.count,
-                           points=args.points)
+        # the ring starts at x = a, the point V is even about
+        edges = band_edges(lambda x: entry.potential(x + args.a),
+                           entry.period, count=args.count, points=args.points)
     except Sl2QesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

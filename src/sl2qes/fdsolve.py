@@ -20,14 +20,17 @@ u = 2 sqrt(x), X = u^2/4, has X' = u/2 and S = 3/(4 u^2); it puts the nodes
 of a half-line problem where a Coulomb well needs them.
 
 The periodic and antiperiodic matrices are tridiagonal plus two corner
-entries, on plain grids only.  A ring of at most BANDED_MAX cell nodes is
-renumbered 0, m-1, 1, m-2, 2, ..., which puts every ring neighbour at most
-two places away, and the pentadiagonal result goes to LAPACK's banded
-solver in one call.  Its reduction costs O(m^2), so a larger ring is stored
-sparse and solved by ARPACK in shift-invert mode with a shift below min V;
-scipy.sparse is imported only then.  Every solve, the Richardson refine
-pass and the band edges included, computes eigenvalues only: the chain
-checks energies.
+entries, on plain grids only.  Their potential must be even about the
+ring's first node, as every catalog periodic potential is about x = a: the
+solve checks that on its own samples and raises GridError otherwise.  Node
+i then mirrors node m - i, and the ring matrix is block-diagonal in
+reflection-even and reflection-odd vectors (for an even periodic potential
+the periodic and antiperiodic eigenfunctions are even or odd: Magnus &
+Winkler, Hill's Equation, 1966).  Each block is symmetric tridiagonal on
+half the ring; the two are joined by one zero off-diagonal, which LAPACK's
+bisection splits at, so every boundary condition ends in the same
+tridiagonal call.  Every solve, the Richardson refine pass and the band
+edges included, computes eigenvalues only: the chain checks energies.
 """
 
 from __future__ import annotations
@@ -53,11 +56,6 @@ __all__ = [
 _BCS = ("dirichlet", "periodic", "antiperiodic")
 
 SQRT_STRETCH = "u = 2 sqrt(x)"
-
-# the largest ring solved banded.  On one BLAS thread the banded call is
-# 1.3-2 x faster than ARPACK at 512 cell nodes for k = 4-14 and slower from
-# about 770-1000 nodes on; the margin keeps it clear of that crossover
-BANDED_MAX = 512
 
 
 @dataclass(frozen=True)
@@ -150,72 +148,65 @@ def count_below(potential, grid: Grid, energy: float) -> int:
                                     tol=np.inf))
 
 
-def _folded_ring(diag: np.ndarray, off: float, corner: float) -> np.ndarray:
-    """Lower band (3 x m) of the ring matrix with diagonal `diag`, neighbour
-    entries `off` and the entry `corner` joining nodes 0 and m - 1, with
-    the nodes taken in the order 0, m-1, 1, m-2, 2, ..."""
-    m = len(diag)
-    order = np.empty(m, dtype=np.intp)
-    order[0::2] = np.arange((m + 1) // 2)
-    order[1::2] = np.arange(m - 1, (m - 1) // 2, -1)
-    band = np.zeros((3, m))
-    band[0] = diag[order]
-    # two places apart: each half's next node; one place apart: the corner
-    # pair (0, m - 1) first, and the two halves' meeting pair last
-    band[2, :-2] = off
-    band[1, 0] = corner
-    band[1, m - 2] = off
-    return band
+def _ring_matrix(potential, grid: Grid, bc: str):
+    """(diag, off) of the ring matrix, its reflection-even block first and
+    its reflection-odd block after one zero off-diagonal."""
+    if grid.stretch is not None:
+        raise GridError(f"the {bc} solve needs a grid uniform in x, not "
+                        f"one stretched by {grid.stretch}")
+    x = grid.nodes[:-1]  # right endpoint identified with the left
+    m = len(x)
+    v = _potential_values(potential, x)
+    mirror = np.roll(v[::-1], 1)     # V at node m - i, node 0 fixed
+    gap = np.abs(v - mirror)
+    worst = int(np.argmax(gap))
+    if gap[worst] > 1e-12 * np.max(np.abs(v)):
+        raise GridError(f"the {bc} solve needs V even about the ring's "
+                        f"first node x={x[0]:.6g}, but V(x={x[worst]:.6g}) "
+                        f"differs from its mirror image by {gap[worst]:.3g}")
+    v = 0.5 * (v + mirror)
+    inv_h2 = 1.0 / grid.h ** 2
+    half = m // 2
+    blocks = []
+    for parity in (1, -1):
+        # q: the sign linking node m - i to node i in this block
+        q = parity if bc == "periodic" else -parity
+        lo = 0 if parity == 1 else 1
+        hi = half if m % 2 or q == 1 else half - 1
+        diag = 2.0 * inv_h2 + v[lo:hi + 1]
+        off = np.full(hi - lo, -inv_h2)
+        if lo == 0:                      # node 0 is its own mirror
+            off[0] *= math.sqrt(2.0)
+        if m % 2:                        # node hi + 1 mirrors node hi
+            diag[-1] -= q * inv_h2
+        elif q == 1:                     # node m / 2 is its own mirror
+            off[-1] *= math.sqrt(2.0)
+        blocks.append((diag, off))
+    (even, even_off), (odd, odd_off) = blocks
+    return (np.concatenate([even, odd]),
+            np.concatenate([even_off, [0.0], odd_off]))
 
 
 def _solve(potential, grid: Grid, bc: str, k: int) -> np.ndarray:
     """The lowest k eigenvalues on the grid, ascending."""
     if bc not in _BCS:
         raise GridError(f"unknown boundary condition {bc!r}")
+    if k < 1:
+        raise GridError(f"k={k} must be at least 1")
+    # points - 2 interior nodes, or one below a ring's points - 1 cell nodes
+    if k > grid.points - 2:
+        raise GridError(f"k={k} must be at most {grid.points - 2} on "
+                        f"{grid.points} grid points")
     # scipy is imported here, where the oracle needs it, so runs that never
     # solve (build, general, list-families) start without it
     from scipy import linalg as sla
 
     if bc == "dirichlet":
-        if k > grid.points - 2:
-            raise GridError(f"k={k} exceeds the {grid.points - 2} interior "
-                            f"nodes")
         diag, off = _dirichlet_matrix(potential, grid)
-        return sla.eigh_tridiagonal(diag, off, eigvals_only=True,
-                                    select="i", select_range=(0, k - 1))
-    if grid.stretch is not None:
-        raise GridError(f"the {bc} solve needs a grid uniform in x, not "
-                        f"one stretched by {grid.stretch}")
-    x = grid.nodes[:-1]  # right endpoint identified with the left
-    m = len(x)
-    if k >= m:
-        raise GridError(f"k={k} must be at most {m - 1}, one below the "
-                        f"{m} cell nodes")
-    inv_h2 = 1.0 / grid.h ** 2
-    v = _potential_values(potential, x)
-    diag = 2.0 * inv_h2 + v
-    corner = -inv_h2 if bc == "periodic" else inv_h2
-    if m <= BANDED_MAX:
-        return sla.eigvals_banded(_folded_ring(diag, -inv_h2, corner),
-                                  lower=True, overwrite_a_band=True,
-                                  select="i", select_range=(0, k - 1),
-                                  check_finite=False)
-    from scipy import sparse
-    from scipy.sparse import linalg as spla
-
-    off = np.full(m - 1, -inv_h2)
-    ham = sparse.diags([[corner], off, diag, off, [corner]],
-                       [1 - m, -1, 0, 1, m - 1], format="csc")
-    # H - min(V) is positive semidefinite, so the k eigenvalues nearest a
-    # shift below min(V) are the lowest k.  The start vector is fixed, so
-    # reruns are bit-identical, and generic: a constant vector is the
-    # free-particle ground state and even under reflection, so odd states
-    # of a symmetric potential would enter its Krylov space only through
-    # rounding.
-    v0 = np.random.default_rng(0).standard_normal(m)
-    return np.sort(spla.eigsh(ham, k, sigma=float(np.min(v)) - 1.0,
-                              which="LM", v0=v0, tol=0,
-                              return_eigenvectors=False))
+    else:
+        diag, off = _ring_matrix(potential, grid, bc)
+    return sla.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, k - 1))
 
 
 def fd_eigensolve(potential, grid: Grid, bc: str = "dirichlet", k: int = 6,
@@ -228,7 +219,8 @@ def fd_eigensolve(potential, grid: Grid, bc: str = "dirichlet", k: int = 6,
     report calls it with refine=False at 2h, h and h/2 and extrapolates
     itself.  V must be finite at
     every node the solve reads.  Periodic and antiperiodic problems need k
-    below the points - 1 cell nodes and a grid uniform in x.
+    below the points - 1 cell nodes, a grid uniform in x and V even about
+    the grid's first node.
     """
     w = _solve(potential, grid, bc, k)
     est = (np.abs(w - _solve(potential, grid.refined(), bc, k)) * (4.0 / 3.0)

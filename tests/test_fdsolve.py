@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from sl2qes.catalog import make_entry
 from sl2qes.errors import GridError
-from sl2qes.fdsolve import (BANDED_MAX, SQRT_STRETCH, Grid, _folded_ring,
-                            band_edges, count_nodes, fd_eigensolve)
+from sl2qes.fdsolve import (SQRT_STRETCH, Grid, _ring_matrix, band_edges,
+                            count_nodes, fd_eigensolve)
+from sl2qes.pipeline import verification_report
 
 from oracles import fd_vectors, residual
 
@@ -248,10 +249,10 @@ _PERIODIC_ENTRIES = [
 _CYCLIC_POTENTIALS = [("flat", flat, 2 * math.pi)] + [
     (f"{e.name}{'+' if e.sign > 0 else '-'}", e.potential, e.period)
     for e in _PERIODIC_ENTRIES]
-# cell nodes of the solved grid; its refine grid has twice as many.  200 and
-# 256 solve both banded (256 refines to BANDED_MAX), BANDED_MAX solves banded
-# and refines by ARPACK, BANDED_MAX + 1 solves both by ARPACK
-_RING_SIZES = (200, BANDED_MAX // 2, BANDED_MAX, BANDED_MAX + 1)
+# cell nodes of the solved grid: both parities (an odd ring's middle mirror
+# pair sits between nodes, an even ring's on node m / 2) and one ring above
+# 512; its refine grid has twice as many
+_RING_SIZES = (200, 256, 512, 513)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
@@ -293,8 +294,8 @@ def test_free_particle_degenerate_pairs():
 
 def test_band_edges_are_deterministic():
     entry = _PERIODIC_ENTRIES[0]
-    # one ring solved banded, one by ARPACK
-    for points in (401, 2 * BANDED_MAX + 1):
+    # a ring of 400 cell nodes and one of 1024
+    for points in (401, 1025):
         first = band_edges(entry.potential, entry.period, count=6,
                            points=points)
         fd_eigensolve(flat, Grid(0.0, 3.0, 301), bc="antiperiodic", k=5)
@@ -305,20 +306,50 @@ def test_band_edges_are_deterministic():
 
 @pytest.mark.parametrize("bc", ["periodic", "antiperiodic"])
 @pytest.mark.parametrize("m", [15, 16, 17, 40])
-def test_folded_ring_is_the_renumbered_ring(m, bc):
-    # undo the numbering 0, m-1, 1, m-2, ... independently of the band
-    potential = _PERIODIC_ENTRIES[2].potential
-    grid = Grid(0.0, 2.0, m + 1)
-    inv_h2 = 1.0 / grid.h ** 2
-    band = _folded_ring(2.0 * inv_h2 + potential(grid.nodes[:-1]), -inv_h2,
-                        -inv_h2 if bc == "periodic" else inv_h2)
-    order = [j // 2 if j % 2 == 0 else m - 1 - j // 2 for j in range(m)]
-    ham = np.zeros((m, m))
-    for d in range(3):
-        for j in range(m - d):
-            a, b = order[j], order[j + d]
-            ham[a, b] = ham[b, a] = band[d, j]
-    assert np.array_equal(ham, _dense_cyclic(potential, grid, bc))
+def test_ring_blocks_are_the_ring(m, bc):
+    # the reflection-even and reflection-odd blocks, joined by the one zero
+    # off-diagonal, hold the m eigenvalues of the ring matrix between them
+    entry = _PERIODIC_ENTRIES[2]
+    grid = Grid(0.0, entry.period, m + 1)
+    diag, off = _ring_matrix(entry.potential, grid, bc)
+    (join,) = np.flatnonzero(off == 0.0)
+    blocks = [(diag[:join + 1], off[:join]), (diag[join + 1:], off[join + 1:])]
+    assert sum(len(d) for d, _ in blocks) == m
+    values = np.sort(np.concatenate([
+        np.linalg.eigvalsh(np.diag(d) + np.diag(o, 1) + np.diag(o, -1))
+        for d, o in blocks]))
+    dense = np.linalg.eigvalsh(_dense_cyclic(entry.potential, grid, bc))
+    assert np.max(np.abs(values - dense)) <= 1e-9
+
+
+def test_ring_needs_a_potential_even_about_its_first_node():
+    # sin x on [0, 2 pi] is odd about x = 0: its worst node is x = pi / 2
+    grid = Grid(0.0, 2 * math.pi, 201)
+    for bc in ("periodic", "antiperiodic"):
+        with pytest.raises(GridError, match=r"even about the ring's first "
+                                            r"node x=0, but V\(x=1.5708\)"):
+            fd_eigensolve(np.sin, grid, bc=bc, k=3)
+    with pytest.raises(GridError, match="even about the ring's first node"):
+        band_edges(np.sin, 2 * math.pi, count=3)
+
+
+def test_ring_from_a_shifted_anchor_verifies():
+    # periodic-v2 at a = 0.3 is even about x = a, where its ring starts
+    entry = make_entry("periodic-v2", {"alpha": 1, "beta": 1, "a": 0.3},
+                       sign="+", n=1)
+    report = verification_report(entry)
+    assert report["grid"]["x_min"] == 0.3 and report["all_pass"]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("call", ["dirichlet", "periodic", "antiperiodic",
+                                  "band-edges"])
+def test_k_below_one_is_named(call, k):
+    with pytest.raises(GridError, match=f"k={k} must be at least 1"):
+        if call == "band-edges":
+            band_edges(flat, 1.0, count=k)
+        else:
+            fd_eigensolve(flat, Grid(0.0, 1.0, 64), bc=call, k=k)
 
 
 @pytest.mark.parametrize("entry", _PERIODIC_ENTRIES[:2],
@@ -379,8 +410,7 @@ def test_cyclic_eigenvalues_match_the_full_solve(bc):
     entry = _PERIODIC_ENTRIES[0]
     grid = Grid(0.0, entry.period, 401)
     spec = fd_eigensolve(entry.potential, grid, bc=bc, k=6)
-    # one eigenvalues-only solve with a fixed start vector: the refine pass
-    # leaves the values as they are, bit for bit
+    # the refine pass leaves the values as they are, bit for bit
     values = fd_eigensolve(entry.potential, grid, bc=bc, k=6,
                            refine=False).eigenvalues
     assert np.array_equal(values, spec.eigenvalues)
