@@ -123,6 +123,16 @@ EXTRA = (
                                              "--beta", "1", "--a", "0",
                                              "--sign", "+", "--n", "80",
                                              "--samples", "2000")),
+    # forked general requests: 4000 rows of 10 columns, whose child samples
+    # its own rows; and 4000 rows of 6, where the gauge's pole at xi = 3/2
+    # is named before the fork and nothing is written
+    Request("general-cos-n8-forked", ("general", "--x-min=-1", "--x-max=1",
+                                      "--samples", "4000"),
+            {"C00": "-1", "C0-": "1/4", "C--": "3/2", "C0": "0", "C-": "1/3",
+             "n": 8}),
+    Request("general-cos-pole-forked", ("general", "--samples", "4000"),
+            {"C00": "-1", "C0-": "1/4", "C--": "3/2", "C0": "0", "C-": "1/3",
+             "n": 4}),
     # periodic rings of 600 to 2400 cell nodes, the list's only rings
     # above 512
     Request("verify-periodic-v3-large-ring", (

@@ -227,17 +227,19 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def _monomial_image(g: Generator, r: int, n: int):
-    """T^g xi^r as (power, factor), or None when it vanishes: the only place
-    where the three rules of the degree-n representation are written."""
+    """T^g xi^r as (power, twice), T^g xi^r = (twice / 2) xi^power with an
+    int twice, or None when it vanishes: the only place where the three
+    rules of the degree-n representation are written."""
     if g is Generator.PLUS:
-        power, factor = r + 1, r - n   # (r - n) kills xi^n: P_n is invariant
+        # (r - n) kills xi^n: P_n is invariant
+        power, twice = r + 1, 2 * (r - n)
     elif g is Generator.ZERO:
-        power, factor = r, Fraction(2 * r - n, 2)
+        power, twice = r, 2 * r - n
     elif g is Generator.MINUS:
-        power, factor = r - 1, r
+        power, twice = r - 1, 2 * r
     else:
         raise TypeError(f"unknown generator {g!r}")
-    return None if factor == 0 else (power, factor)
+    return None if twice == 0 else (power, twice)
 
 
 def apply_generator(g: Generator, p: Polynomial, n: int) -> Polynomial:
@@ -252,7 +254,7 @@ def apply_generator(g: Generator, p: Polynomial, n: int) -> Polynomial:
     for r, coeff in enumerate(p.coeffs):
         image = _monomial_image(g, r, n)
         if image is not None:
-            out[image[0]] += image[1] * coeff
+            out[image[0]] += coeff * image[1] / 2
     return Polynomial._make(out)
 
 
@@ -407,14 +409,15 @@ _TERMS = (
 
 
 def _word_image(word, r: int, n: int):
-    """The word of generators applied to xi^r, as (power, factor) or None."""
-    power, factor = r, 1
+    """The word of generators applied to xi^r, as (power, scaled) with
+    T^word xi^r = scaled / 2^len(word) xi^power, or None."""
+    power, scaled = r, 1
     for g in reversed(word):
         image = _monomial_image(g, power, n)
         if image is None:
             return None
-        power, factor = image[0], factor * image[1]
-    return power, factor
+        power, scaled = image[0], scaled * image[1]
+    return power, scaled
 
 
 def hamiltonian_matrix(c: AlgebraCoefficients) -> list[list[Fraction]]:
@@ -422,23 +425,36 @@ def hamiltonian_matrix(c: AlgebraCoefficients) -> list[list[Fraction]]:
 
     Built by composing generator applications; column r holds the image of
     xi^r, basis ordered by ascending power.  Each word sends a monomial to
-    one monomial, so a column has at most 5 nonzeros and the assembly costs
-    O(n) Fraction operations.  A free d is treated as zero.
+    one monomial, so a column has at most 5 nonzeros.  The entries are
+    summed as integer numerators over one common denominator, and each
+    nonzero one becomes a Fraction once: the assembly costs O(n) integer
+    operations.  A free d is treated as zero.
     """
-    n = c.n
+    n, d = c.n, c.d_or_zero
     terms = [(word, getattr(c, attr)) for word, attr in _TERMS
              if getattr(c, attr) != 0]
-    mat = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    # a word of k generators divides its scaled image by 2^k
+    den = math.lcm(d.denominator, *(coeff.denominator << len(word)
+                                    for word, coeff in terms))
+    terms = [(word, coeff.numerator
+              * (den // (coeff.denominator << len(word))))
+             for word, coeff in terms]
+    sums = {}   # (row, column): numerator over den
     for r in range(n + 1):
-        mat[r][r] -= c.d_or_zero
-        for word, coeff in terms:
+        sums[r, r] = -d.numerator * (den // d.denominator)
+        for word, scale in terms:
             image = _word_image(word, r, n)
             if image is None:
                 continue
-            power, factor = image
+            power, scaled = image
             if power > n:
                 raise RepresentationError("generator composition left P_n")
-            mat[power][r] -= coeff * factor
+            sums[power, r] = sums.get((power, r), 0) - scale * scaled
+    zero = Fraction(0)
+    mat = [[zero] * (n + 1) for _ in range(n + 1)]
+    for (i, r), value in sums.items():
+        if value:
+            mat[i][r] = Fraction(value, den)
     return mat
 
 

@@ -117,7 +117,7 @@ def _build(args, entry: catalog.CatalogEntry):
     x, v = pipeline.sample_potential(entry, args.samples)
     pipeline.write_artifacts(args.out_dir, x, v,
                              pipeline.spectrum_document(entry, j_vals),
-                             pipeline.sample_wavefunctions(entry, x, j_vals),
+                             pipeline.wavefunction_rows(entry, x, j_vals),
                              args.json_samples)
 
 
@@ -238,9 +238,9 @@ def _cmd_general(args) -> int:
     }
     gauge = build_gauge(bp, mapping, float(x[len(x) // 2]))
     # every level shares the gauge and the map: one block, one gauge pass
-    cols = list(WaveFunction(gauge, [lv.b for lv in solved.levels],
-                             mapping)(x))
-    pipeline.write_artifacts(args.out_dir, x, v, doc, cols)
+    block = WaveFunction(gauge, [lv.b for lv in solved.levels], mapping)
+    psi = pipeline.RowSampler([(block.on(x), range(len(solved.levels)))])
+    pipeline.write_artifacts(args.out_dir, x, v, doc, psi)
     print(f"wrote general-mode artifacts to {args.out_dir}")
     return 0
 

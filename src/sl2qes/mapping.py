@@ -34,6 +34,7 @@ __all__ = [
     "GaugeFactor",
     "build_gauge",
     "WaveFunction",
+    "WaveRows",
 ]
 
 
@@ -662,21 +663,58 @@ class WaveFunction:
 
     def __call__(self, x):
         """psi at x, a row of samples per level for a block."""
-        xi = np.asarray(self.mapping.xi_of_x(x))
-        coeffs = np.asarray(self.coeffs, float)
-        lead = coeffs.shape[:-1]
-        # np.polyval's Horner steps y = y * xi + b_r, highest power first,
-        # for every level at once
-        chi = np.zeros(lead + xi.shape)
-        for b in np.moveaxis(coeffs[..., ::-1], -1, 0):
-            chi *= xi
-            chi += b.reshape(lead + (1,) * xi.ndim)
-        g = self.gauge(x)
-        if isinstance(g, GaugeSamples):
-            chi *= g.factor
-            out = scaled_exp(g.exponent, chi)
-        else:
-            out = g * chi
+        out = self.on(x)(...)
         if np.ndim(out) == 0:
             return float(np.asarray(out))
         return out
+
+    def on(self, x) -> WaveRows:
+        """The map and the gauge sampled on all of x, so that every error
+        of theirs is raised here; the WaveRows combines them with the
+        polynomial on any rows of x."""
+        xi = np.asarray(self.mapping.xi_of_x(x))
+        g = self.gauge(x)
+        if isinstance(g, GaugeSamples):
+            g = GaugeSamples(_on_rows(g.exponent, xi), _on_rows(g.factor, xi))
+        else:
+            g = _on_rows(g, xi)
+        return WaveRows(xi, g, np.asarray(self.coeffs, float))
+
+
+def _on_rows(samples, xi: np.ndarray) -> np.ndarray:
+    """samples as an array of xi's shape, broadcast if they are not."""
+    samples = np.asarray(samples)
+    if samples.shape == xi.shape:
+        return samples
+    return np.broadcast_to(samples, xi.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class WaveRows:
+    """A block's xi and gauge samples on x (``WaveFunction.on``).  A call
+    with an index of x (a slice of rows, or ... for all) runs only the
+    Horner step of every level and the gauge product on those samples.
+    Both are elementwise, so the rows of a slice are bitwise the same rows
+    of the whole."""
+
+    xi: np.ndarray
+    gauge: object   # GaugeSamples, or the samples of a plain gauge
+    coeffs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.xi)
+
+    def __call__(self, rows):
+        xi = self.xi[rows]
+        lead = self.coeffs.shape[:-1]
+        # np.polyval's Horner steps y = y * xi + b_r, highest power first,
+        # for every level at once
+        chi = np.zeros(lead + xi.shape)
+        for b in np.moveaxis(self.coeffs[..., ::-1], -1, 0):
+            chi *= xi
+            chi += b.reshape(lead + (1,) * xi.ndim)
+        g = self.gauge
+        if isinstance(g, GaugeSamples):
+            chi *= g.factor[rows]
+            return scaled_exp(g.exponent[rows], chi)
+        return g[rows] * chi

@@ -10,16 +10,18 @@ point of the top level, to where the WKB decay integral of
 sqrt(V - E_top) dx reaches DECAY, or at HALF_LINE_CUTOFF; and k from a
 Sturm count up to half a level spacing above E_top.
 
-Each round makes three eigenvalues-only ``fd_eigensolve`` calls, at 2h, h
-and h/2.  Per eigenvalue they give the observed order p and the
-Richardson value E_R = w_h/2 + (w_h/2 - w_h) / (2^p - 1), which is the
-value matched (one to one, in ascending order) and compared with the
-algebraic energy at BASE_TOLERANCE, or an explicitly supplied tolerance,
-with no widening.  The pilot h puts NODES nodes in a half wavelength of
-the top level where it is deepest; when the Richardson estimate of a
-level exceeds ROUND_TWO_AIM of the tolerance, one more round follows at a
-spacing chosen from that estimate.  A given ``points`` fixes h and makes
-the pilot the only round.  A level fails with a named cause when its
+Each round takes the eigenvalues of ``fd_eigensolve`` at 2h, h and h/2,
+solving each grid once per report: a second round at twice the pilot's
+points takes the pilot's h and h/2 as its 2h and h.  Per eigenvalue they
+give the observed order p and the Richardson value
+E_R = w_h/2 + (w_h/2 - w_h) / (2^p - 1), which is the value matched (one
+to one, in ascending order) and compared with the algebraic energy at
+BASE_TOLERANCE, or an explicitly supplied tolerance, with no widening.
+The pilot h puts NODES nodes in a half wavelength of the top level where
+it is deepest; when the Richardson estimate of a level exceeds
+ROUND_TWO_AIM of the tolerance, one more round follows at a spacing
+chosen from that estimate.  A given ``points`` fixes h and makes the
+pilot the only round.  A level fails with a named cause when its
 observed order is below the band its wall exponent expects, when its
 estimate exceeds the tolerance, when halving a half line's inner cutoff
 moves it by more than the tolerance (one more solve, at h), or when E_R
@@ -32,16 +34,21 @@ less the umask), with fixed key order and shortest round-trip floats, so
 identical configurations produce byte-identical output.
 
 ``write_artifacts`` writes a request's potential.csv, spectrum.json and
-wavefunctions.csv.  Float repr holds the GIL, so a large request is
-written on two cores: when the wavefunction table holds FORK_MIN_FLOATS
-floats or more, the process has one thread and may run on two CPUs, one
-child is forked before the first file.  It formats the table's last
-CSV_BLOCKs, about half of the floats of the three files, into an unnamed
-temp file beside the table, and leaves with os._exit.  The parent writes
-the rest, reaps the child and appends its rows with a kernel copy before
-the rename.  The bytes, modes and cleanup are the one-process writer's; a
-failed child raises OSError, and a parent that fails first kills the child
-and reaps it.
+wavefunctions.csv.  It takes the wavefunctions as a RowSampler: their map
+and gauge are already sampled on all of x, so every named error is raised
+before any file is written, and what is left per row is each level's
+Horner step and ``scaled_exp``.  Float repr holds the GIL, so a large
+request is written on two cores: when the wavefunction table holds
+FORK_MIN_FLOATS floats or more, the process has one thread and may run on
+two CPUs, one child is forked before the first file.  It samples the
+table's last CSV_BLOCKs, about half of the floats of the three files,
+formats them into an unnamed temp file beside the table, and leaves with
+os._exit.  The parent samples and writes the rest, reaps the child and
+appends its rows with a kernel copy before the rename.  Without the fork
+the parent samples every row, as it does before the fork when the samples
+are also written as JSON.  The bytes, modes and cleanup are the
+one-process writer's; a failed child raises OSError, and a parent that
+fails first kills the child and reaps it.
 """
 
 from __future__ import annotations
@@ -71,6 +78,8 @@ __all__ = [
     "finite_potential",
     "sample_potential",
     "sample_wavefunctions",
+    "wavefunction_rows",
+    "RowSampler",
     "spectrum_document",
 ]
 
@@ -236,15 +245,21 @@ def _pilot_points(potential, x_min, x_max, stretch, e_top, v_min, k):
     return min(2 * coarse - 1, MAX_POINTS)
 
 
-def _round(entry, levels, grid: Grid, bc: str, k: int, expected: float):
+def _round(entry, levels, grid: Grid, bc: str, k: int, expected: float,
+           solved: dict):
     """One round: the lowest k eigenvalues w at 2h, h and h/2 (one row per
     grid), (E_R, order, estimate, gated) per eigenvalue, and each level's
-    FD index, matched on E_R."""
+    FD index, matched on E_R.  ``solved`` holds the eigenvalues of every
+    grid solved so far in the report; a grid found there is not solved
+    again."""
     coarse = Grid(grid.x_min, grid.x_max, (grid.points + 1) // 2,
                   grid.stretch)
-    w = np.array([fd_eigensolve(entry.potential, g, bc, k,
-                                refine=False).eigenvalues
-                  for g in (coarse, grid, grid.refined())])
+    grids = (coarse, grid, grid.refined())
+    for g in grids:
+        if g not in solved:
+            solved[g] = fd_eigensolve(entry.potential, g, bc, k,
+                                      refine=False).eigenvalues
+    w = np.array([solved[g] for g in grids])
     e_r, order, estimate, gated = _richardson(w, expected)
     return (w, e_r, order, estimate, gated, _match_levels(levels, e_r))
 
@@ -332,8 +347,9 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
                         f"got {grid.points}")
     expected = _expected_order(entry, stretch)
     low = max(ORDER_MIN, expected - ORDER_SLACK)
+    solved = {}     # Grid: its eigenvalues; both rounds keep bc and k
     w, e_r, order, estimate, gated, index = _round(entry, levels, grid, bc,
-                                                   k, expected)
+                                                   k, expected, solved)
     worst = max(float(estimate[i]) for i in index)
     slow = any(gated[i] and not order[i] >= low for i in index)
     if derived and not slow and worst > ROUND_TWO_AIM * tol:
@@ -343,8 +359,8 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
         factor = min(max(factor, 2.0), ROUND_TWO_MAX_FACTOR)
         steps = 2 * math.ceil((grid.points - 1) * factor / 2.0)
         grid = Grid(x_min, x_max, min(steps + 1, MAX_POINTS), stretch)
-        w, e_r, order, estimate, gated, index = _round(entry, levels, grid,
-                                                       bc, k, expected)
+        w, e_r, order, estimate, gated, index = _round(
+            entry, levels, grid, bc, k, expected, solved)
     shifts = None
     if entry.domain[0] == 0.0:
         # half-line problem: the move of each eigenvalue when the inner
@@ -409,14 +425,22 @@ def _atomic_write(path: str, pieces, finish=None):
         raise
 
 
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def json_pieces(obj, indent: str = ""):
-    """The text of ``json.dumps(obj, indent=2)`` in pieces: a C-encoder
-    call per run of items that are no dict, list or tuple; the others
-    recurse, each with its key as json coerces it in '{"<key>": null}'."""
+    """The text of ``json.dumps(obj, indent=2)`` in pieces: one C-encoder
+    call for a container of plain values (_PLAIN, by exact type), else one
+    per run of items that are no dict, list or tuple; the others recurse,
+    each with its key as json coerces it in '{"<key>": null}'."""
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         yield json.dumps(obj)
         return
     is_dict, newline = isinstance(obj, dict), "\n" + indent + "  "
+    if set(map(type, obj.values() if is_dict else obj)) <= _PLAIN:
+        text = json.dumps(obj, separators=("," + newline, ": "))
+        yield text[0] + newline + text[1:-1] + "\n" + indent + text[-1]
+        return
     sep, items = ("{", obj.items()) if is_dict else ("[", enumerate(obj))
     for nested, run in itertools.groupby(
             items, lambda item: isinstance(item[1], (dict, list, tuple))):
@@ -457,12 +481,13 @@ def write_csv_atomic(path: str, header: list[str], columns: list[np.ndarray],
                   None if tail is None else tail.append_to)
 
 
-def _write_rows(fd: int, columns, start: int) -> int:
-    """The forked child's work: rows [start:] of the table into fd.  It
-    imports nothing and calls no BLAS routine.  0, or the errno of the
-    write that failed."""
+def _write_rows(fd: int, table, start: int) -> int:
+    """The forked child's work: rows [start:] of the table, sampled by
+    ``table(start)``, into fd.  It imports nothing and calls no BLAS
+    routine.  0, or the errno of the write that failed."""
     try:
-        for text in _csv_blocks(columns, start, len(columns[0])):
+        columns = table(start)
+        for text in _csv_blocks(columns, 0, len(columns[0])):
             data = text.encode()
             while data:
                 data = data[os.write(fd, data):]
@@ -472,12 +497,13 @@ def _write_rows(fd: int, columns, start: int) -> int:
 
 
 class _Tail:
-    """The last rows of a table, formatted by a forked child into an unnamed
-    temp file in the table's directory while this process writes the rest.
-    Leaving the ``with`` block before ``append_to`` has reaped the child
-    kills it (SIGKILL) and reaps it."""
+    """The last rows of a table, sampled and formatted by a forked child
+    into an unnamed temp file in the table's directory while this process
+    writes the rest.  ``table(start, stop=None)`` gives the table's columns
+    on rows [start:stop].  Leaving the ``with`` block before ``append_to``
+    has reaped the child kills it (SIGKILL) and reaps it."""
 
-    def __init__(self, path: str, columns, start: int):
+    def __init__(self, path: str, table, start: int):
         self.path, self.start = path, start
         self.side = os.open(os.path.dirname(os.path.abspath(path)),
                             os.O_TMPFILE | os.O_RDWR, 0o600)
@@ -486,7 +512,7 @@ class _Tail:
             self.pid = os.fork()
             if self.pid == 0:
                 gc.disable()    # no finalizer of the parent's runs here
-                code = _write_rows(self.side, columns, start)
+                code = _write_rows(self.side, table, start)
         finally:
             if self.pid == 0:
                 os._exit(code)  # no atexit handler, no stdio flush
@@ -532,25 +558,24 @@ def _split(rows: int, width: int, other: int) -> int:
     return min(max(block, 0), (rows - 1) // CSV_BLOCK) * CSV_BLOCK
 
 
-def _forked_tail(path: str, columns, doc) -> _Tail | None:
+def _forked_tail(path: str, table, lengths: list[int], doc) -> _Tail | None:
     """A _Tail for the table when it holds FORK_MIN_FLOATS floats or more,
-    its columns are of one length and float, this process has one thread
-    and may run on two CPUs, and the platform has unnamed temp files;
-    else None.  While the child runs, this process also writes doc and a
-    two-column table as long as this one."""
-    rows = len(columns[0])
-    if (not rows or len(columns) * rows < FORK_MIN_FLOATS
-            or any(len(col) != rows for col in columns)
+    its columns (``lengths`` rows each) are of one length, this process has
+    one thread and may run on two CPUs, and the platform has unnamed temp
+    files; else None.  While the child runs, this process also writes doc
+    and a two-column table as long as this one."""
+    rows = lengths[0]
+    if (not rows or len(lengths) * rows < FORK_MIN_FLOATS
+            or any(length != rows for length in lengths)
             or not hasattr(os, "O_TMPFILE")
             or not hasattr(os, "sched_getaffinity")
             or len(os.sched_getaffinity(0)) < 2
             or threading.active_count() != 1):
         return None
-    columns = [np.asarray(col, float) for col in columns]
-    start = _split(rows, len(columns), 2 * rows + _scalars(doc))
+    start = _split(rows, len(lengths), 2 * rows + _scalars(doc))
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     try:
-        return _Tail(path, columns, start)
+        return _Tail(path, table, start)
     except OSError:     # no unnamed temp file here, or no process to fork
         return None
 
@@ -566,28 +591,56 @@ def _scalars(obj) -> int:
     return 1
 
 
-def write_artifacts(out_dir: str, x, v, doc: dict, psi_cols: list,
+class RowSampler:
+    """Wavefunction columns sampled a range of rows at a time.  ``blocks``
+    pairs each WaveRows, whose map and gauge are already sampled on all of
+    x, with the places of its levels' columns in the table."""
+
+    def __init__(self, blocks):
+        self.blocks = [(rows, list(places)) for rows, places in blocks]
+        self.width = sum(len(places) for _, places in self.blocks)
+        self.lengths = [len(rows) for rows, places in self.blocks
+                        for _ in places]
+
+    def __call__(self, start: int = 0, stop: int | None = None) -> list:
+        """Every column on rows [start:stop]."""
+        cols = [None] * self.width
+        for rows, places in self.blocks:
+            for i, col in zip(places, rows(slice(start, stop))):
+                cols[i] = col
+        return cols
+
+
+def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
                     json_samples: bool = False):
     """potential.csv, spectrum.json and wavefunctions.csv (psi_j in column
-    j), and with ``json_samples`` the samples as JSON arrays too.  A large
-    wavefunction table's last rows are formatted by a forked child
+    j of ``psi``), and with ``json_samples`` the samples as JSON arrays
+    too, for which every row is sampled first.  A large wavefunction
+    table's last rows are sampled and formatted by a forked child
     (_forked_tail), forked before the first file is written."""
-    table = [x, *psi_cols]
+    cols = psi() if json_samples else None
+
+    def table(start, stop=None):
+        rows = (psi(start, stop) if cols is None
+                else [col[start:stop] for col in cols])
+        return [x[start:stop], *rows]
+
     target = os.path.join(out_dir, "wavefunctions.csv")
-    tail = _forked_tail(target, table, doc)
+    tail = _forked_tail(target, table, [len(x), *psi.lengths], doc)
     with tail or contextlib.nullcontext():
         write_csv_atomic(os.path.join(out_dir, "potential.csv"), ["x", "V"],
                          [x, v])
         write_json_atomic(os.path.join(out_dir, "spectrum.json"), doc)
         write_csv_atomic(target, ["x"] + [f"psi_{j}" for j in
-                                          range(len(psi_cols))], table, tail)
+                                          range(psi.width)],
+                         table(0, None if tail is None else tail.start), tail)
     if json_samples:
         write_json_atomic(os.path.join(out_dir, "potential.json"),
                           {"x": x.tolist(), "V": v.tolist()})
         write_json_atomic(
             os.path.join(out_dir, "wavefunctions.json"),
             {"x": x.tolist(),
-             "psi": {str(j): col.tolist() for j, col in enumerate(psi_cols)}})
+             "psi": {str(j): col.tolist() for j, col in enumerate(cols)}})
 
 
 def finite_potential(potential, x: np.ndarray) -> np.ndarray:
@@ -605,22 +658,26 @@ def sample_potential(entry: CatalogEntry, samples: int):
     return x, finite_potential(entry.potential, x)
 
 
-def sample_wavefunctions(entry: CatalogEntry, x: np.ndarray,
-                         j_values: list[int]):
-    """psi_j on x for each j; the levels of one sector share its gauge and
-    map and are sampled as one block."""
+def wavefunction_rows(entry: CatalogEntry, x: np.ndarray,
+                      j_values: list[int]) -> RowSampler:
+    """psi_j on x for each j, as a RowSampler; the levels of one sector
+    share its gauge and map, which are sampled here on all of x, once for
+    the block."""
     psis = [entry.closed_form_wavefunction(j) for j in j_values]
     blocks: dict[int, list[int]] = {}
     for i, psi in enumerate(psis):
         blocks.setdefault(id(psi.gauge), []).append(i)
-    cols = [None] * len(psis)
-    for rows in blocks.values():
-        first = psis[rows[0]]
-        block = WaveFunction(first.gauge, [psis[i].coeffs for i in rows],
-                             first.mapping)(x)
-        for i, col in zip(rows, block):
-            cols[i] = col
-    return cols
+    return RowSampler(
+        (WaveFunction(psis[places[0]].gauge,
+                      [psis[i].coeffs for i in places],
+                      psis[places[0]].mapping).on(x), places)
+        for places in blocks.values())
+
+
+def sample_wavefunctions(entry: CatalogEntry, x: np.ndarray,
+                         j_values: list[int]):
+    """psi_j on x for each j: ``wavefunction_rows`` on every row."""
+    return wavefunction_rows(entry, x, j_values)()
 
 
 def spectrum_document(entry: CatalogEntry, j_values: list[int]) -> dict:

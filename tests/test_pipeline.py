@@ -24,8 +24,9 @@ from sl2qes.catalog import make_entry
 from sl2qes.cli import main
 from sl2qes.errors import GridError, NoBoundStateError
 from sl2qes.fdsolve import SQRT_STRETCH, Grid, fd_eigensolve
-from sl2qes.pipeline import (CSV_BLOCK, _match_levels, json_pieces,
-                             sample_wavefunctions, verification_report,
+from sl2qes.pipeline import (CSV_BLOCK, RowSampler, _match_levels,
+                             json_pieces, sample_wavefunctions,
+                             verification_report, wavefunction_rows,
                              write_artifacts, write_csv_atomic,
                              write_json_atomic)
 
@@ -507,6 +508,19 @@ def test_json_pieces_join_to_json_dumps_indent_2(doc):
     assert "".join(json_pieces(doc)) == json.dumps(doc, indent=2)
 
 
+@pytest.mark.parametrize("doc", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, ()],
+    (1, 2.5, "x"), {"t": (None, True, -0.0)}, ((1, 2), (3,)),
+    {1: "int", 2.5: "float", True: "bool", None: "null", "s": [1, 2]},
+    {1: [1, 2], 0.5: {"a": 1}, False: 3.0},
+    [1, [2, 3], "a", {"b": [4, {}]}, 5.5, 6, (7,), None],
+    {"a": 1, "b": [1, 2], "c": 3, "d": {"e": ()}, "f": "g"},
+    [float("nan"), float("inf"), -float("inf"), 1e-320, 10 ** 40],
+], ids=lambda doc: json.dumps(doc)[:40])
+def test_json_pieces_cases(doc):
+    assert "".join(json_pieces(doc)) == json.dumps(doc, indent=2)
+
+
 def _object_column(rows: int, bad_row: int) -> np.ndarray:
     column = np.empty(rows, dtype=object)
     column[:] = 1.5
@@ -529,18 +543,47 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _write(monkeypatch, threshold, directory, x, doc, cols):
-    """write_artifacts with FORK_MIN_FLOATS at threshold; the number of
-    forks it made."""
+class _Columns:
+    """A RowSampler block of fixed columns."""
+
+    def __init__(self, cols):
+        self.cols = cols
+
+    def __len__(self):
+        return len(self.cols[0])
+
+    def __call__(self, rows):
+        return [col[rows] for col in self.cols]
+
+
+def _sampler(cols) -> RowSampler:
+    return RowSampler([(_Columns(cols), range(len(cols)))])
+
+
+def _table(columns):
+    """A _Tail's table of fixed columns."""
+    return lambda start, stop=None: [col[start:stop] for col in columns]
+
+
+def _counting_forks(monkeypatch, threshold, write):
+    """write() with FORK_MIN_FLOATS at threshold; the number of forks it
+    made."""
     forks = []
     fork = os.fork
     monkeypatch.setattr(pipeline, "FORK_MIN_FLOATS", threshold)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     try:
-        write_artifacts(str(directory), x, x * x, doc, cols)
+        write()
     finally:
         monkeypatch.setattr(os, "fork", fork)
     return len(forks)
+
+
+def _write(monkeypatch, threshold, directory, x, doc, cols):
+    """write_artifacts with FORK_MIN_FLOATS at threshold; the number of
+    forks it made."""
+    return _counting_forks(monkeypatch, threshold, lambda: write_artifacts(
+        str(directory), x, x * x, doc, _sampler(cols)))
 
 
 def _forked_build(directory, monkeypatch, doc=None, threshold=0):
@@ -555,8 +598,8 @@ def _forked_build(directory, monkeypatch, doc=None, threshold=0):
 _write_rows = pipeline._write_rows
 
 
-def _child_stops_after_a_block(fd, columns, start):
-    _write_rows(fd, [col[:start + CSV_BLOCK] for col in columns], start)
+def _child_stops_after_a_block(fd, table, start):
+    _write_rows(fd, lambda first: table(first, start + CSV_BLOCK), start)
     return errno.ENOSPC
 
 
@@ -607,7 +650,7 @@ def test_a_forked_tail_writes_the_same_bytes(tmp_path, rows):
     # splits off and on block edges, the whole table and its last row
     for start in sorted({0, third, third - third % CSV_BLOCK, rows - 1}):
         path = tmp_path / f"forked-{start}.csv"
-        with pipeline._Tail(str(path), columns, start) as tail:
+        with pipeline._Tail(str(path), _table(columns), start) as tail:
             write_csv_atomic(str(path), ["x", "a", "b"], columns, tail)
         assert path.read_bytes() == single.read_bytes(), start
         _no_child_left()
@@ -653,17 +696,17 @@ def test_unequal_columns_fail_as_in_one_process(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "FORK_MIN_FLOATS", 0)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     with pytest.raises(ValueError) as forked:
-        write_artifacts(str(tmp_path / "run"), x, x, {}, [x[:150]])
+        write_artifacts(str(tmp_path / "run"), x, x, {}, _sampler([x[:150]]))
     assert str(forked.value) == str(single.value)
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
         "potential.csv", "spectrum.json"]
 
 
-def _child_killed(fd, columns, start):
+def _child_killed(fd, table, start):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _child_raises(fd, columns, start):
+def _child_raises(fd, table, start):
     raise RuntimeError("a bug in the child")
 
 
@@ -673,12 +716,12 @@ def _refuse_imports():
     builtins.__import__ = refuse
 
 
-def _child_refuses_imports(fd, columns, start):
+def _child_refuses_imports(fd, table, start):
     _refuse_imports()
-    return _write_rows(fd, columns, start)
+    return _write_rows(fd, table, start)
 
 
-def _child_imports(fd, columns, start):
+def _child_imports(fd, table, start):
     _refuse_imports()
     import fractions    # noqa: F401  (loaded already: only the hook runs)
     return 0
@@ -710,10 +753,133 @@ def test_the_child_imports_nothing(tmp_path, monkeypatch):
     for name in ("potential.csv", "spectrum.json", "wavefunctions.csv"):
         assert ((tmp_path / "forked" / name).read_bytes()
                 == (tmp_path / "single" / name).read_bytes()), name
+    # the child that samples its own rows: a sector whose xi^n overflows,
+    # one whose gauge exponent reaches 2500 (scaled_exp's masked path),
+    # and a general request
+    for case, argv in _SAMPLING_REQUESTS.items():
+        argv = [*argv, "--samples", "1000"]
+        assert _cli(monkeypatch, 0, argv, tmp_path / "forked" / case) == 1
+        assert _cli(monkeypatch, 10**12, argv,
+                    tmp_path / "single" / case) == 0
+        for name in ("potential.csv", "spectrum.json", "wavefunctions.csv"):
+            assert ((tmp_path / "forked" / case / name).read_bytes()
+                    == (tmp_path / "single" / case / name).read_bytes()), name
+    _no_child_left()
     # the refusing hook does fail a child that imports
     monkeypatch.setattr(pipeline, "_write_rows", _child_imports)
     with pytest.raises(OSError, match="failed$"):
         _forked_build(tmp_path / "importing", monkeypatch)
+
+
+_COS_B4 = {"C00": "-1", "C0-": "1/4", "C--": "3/2", "C0": "0", "C-": "1/3"}
+_SAMPLING_REQUESTS = {
+    "hyperbolic-overflow": ["build", "--family", "hyperbolic-v1", "--gamma",
+                            "0.95", "--eta", "-1", "--a", "0", "--sign", "+",
+                            "--n", "160"],
+    "hyperbolic-deep-gauge": ["build", "--family", "hyperbolic-v1", "--gamma",
+                              "1.5", "--eta", "-2.5", "--a", "0", "--sign",
+                              "+", "--n", "20"],
+    "general": ["general", "--x-min=-1", "--x-max=1",
+                f"--algebra={json.dumps(dict(_COS_B4, n=8))}"],
+}
+
+
+def _cli(monkeypatch, threshold, argv, out) -> int:
+    """cli.main on argv, writing to out, with FORK_MIN_FLOATS at threshold
+    (a general request's --algebra=<json> goes through a file); the number
+    of forks it made."""
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if arg.startswith("--algebra="):
+            out.mkdir(parents=True)
+            (out / "algebra.json").write_text(arg.split("=", 1)[1])
+            argv[i] = f"--algebra={out / 'algebra.json'}"
+    codes = []
+    forks = _counting_forks(monkeypatch, threshold, lambda: codes.append(
+        main([*argv, "--out-dir", str(out)])))
+    assert codes == [0]
+    if (out / "algebra.json").exists():
+        (out / "algebra.json").unlink()
+    return forks
+
+
+def _qes_cases():
+    """Each quasi-solvable family and sign at n = 20 and 160, eta of the
+    sign each needs.  Two families take |gamma| = 1.5 and |eta| = 2.5 at
+    n = 20, where the gauge exponent reaches 2500 (scaled_exp's masked
+    path), and |gamma| = 1.1 at n = 160, above 0.87, where xi^n
+    overflows."""
+    for n in (20, 160):
+        for family in [name for name, fam in catalog._FAMILIES.items()
+                       if fam.kind != "es"]:
+            for sign in "+-":
+                if family.startswith("periodic"):
+                    params = {"alpha": -1.2, "beta": 0.9, "a": 0.3}
+                else:
+                    low = family == "hyperbolic-v1" or (
+                        family in ("hyperbolic-v3", "hyperbolic-v4")
+                        and sign == "+")
+                    if family not in ("hyperbolic-v1", "hyperbolic-v2"):
+                        gamma, eta = 0.7, 1.3
+                    elif n == 20:
+                        gamma, eta = 1.5, 2.5
+                    else:
+                        gamma, eta = -1.1, 1.3
+                    params = {"gamma": gamma, "eta": -eta if low else eta,
+                              "a": -0.4}
+                yield pytest.param(family, params, sign, n,
+                                   id=f"{family}{sign}-n{n}")
+
+
+@pytest.mark.parametrize("family, params, sign, n", _qes_cases())
+def test_rows_sampled_in_pieces_are_the_whole_table(family, params, sign, n):
+    entry = make_entry(family, params, sign=sign, n=n)
+    x, _ = pipeline.sample_potential(entry, 401)
+    rows = wavefunction_rows(entry, x, list(range(n + 1)))
+    whole = rows()
+    assert rows.width == n + 1 and rows.lengths == [401] * (n + 1)
+    assert all(col.shape == (401,) for col in whole)
+    # on and off CSV_BLOCK edges, and the last row alone
+    for start in (1, CSV_BLOCK, 100, 3 * CSV_BLOCK, 5 * CSV_BLOCK, 400):
+        head, tail = rows(0, start), rows(start)
+        for j, col in enumerate(whole):
+            assert (np.concatenate([head[j], tail[j]]).tobytes()
+                    == col.tobytes()), (start, j)
+
+
+@forking
+def test_a_pole_in_a_forked_general_request_is_named_before_the_fork(
+        tmp_path, monkeypatch, capsys):
+    # 4000 rows of 6 columns: above FORK_MIN_FLOATS; the default x range
+    # runs past the pole of the cos-shaped gauge at xi = 3/2
+    (tmp_path / "cos.json").write_text(json.dumps(dict(_COS_B4, n=4)))
+    assert 4000 * 6 >= pipeline.FORK_MIN_FLOATS
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    out = tmp_path / "run"
+    assert main(["general", "--algebra", str(tmp_path / "cos.json"),
+                 "--samples", "4000", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == ("error: gauge integration path crosses "
+                                    "a pole at xi=1.5")
+    assert not out.exists()
+    _no_child_left()
+
+
+@forking
+def test_a_forked_json_samples_build_keeps_its_bytes(tmp_path, monkeypatch):
+    argv = ["build", "--family", "periodic-v1", "--alpha", "1.2", "--beta",
+            "0.9", "--a", "0.1", "--sign", "-", "--n", "40", "--samples",
+            "700", "--json-samples"]
+    assert _cli(monkeypatch, 0, argv, tmp_path / "forked") == 1
+    assert _cli(monkeypatch, 10**12, argv, tmp_path / "single") == 0
+    names = sorted(p.name for p in (tmp_path / "single").iterdir())
+    assert names == ["potential.csv", "potential.json", "spectrum.json",
+                     "wavefunctions.csv", "wavefunctions.json"]
+    assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == names
+    for name in names:
+        assert ((tmp_path / "forked" / name).read_bytes()
+                == (tmp_path / "single" / name).read_bytes()), name
+    _no_child_left()
 
 
 @forking

@@ -143,17 +143,17 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
     assert coulomb["fdsolve.solves"] == 4
     assert coulomb["fdsolve.grid_points"] == 43 + 85 + 169 + 85
     assert coulomb["fdsolve.eigs"] == 4 * 3
-    # build and general share one gauge rule: one gauge pass per grid, and
-    # the levels that share a gauge are sampled as one block
+    # build and general share one gauge rule: one gauge pass per grid, as
+    # the levels that share a gauge are sampled as one block; the writer
+    # takes their rows from WaveFunction.on, not from a traced call
     assert build.count("mapping.GaugeFactor.__call__") == 1
-    assert build.count("mapping.WaveFunction.__call__") == 1
-    # the potential once, each wavefunction sample twice (the tracer counts
-    # both sample_wavefunctions and its WaveFunction call), as before blocks
-    assert tracer.counts["build"]["pipeline.samples"] == 401 + 2 * 4 * 401
+    assert build.count("mapping.WaveFunction.__call__") == 0
+    # so the potential's samples are the only ones counted
+    assert tracer.counts["build"]["pipeline.samples"] == 401
     for n in (2, 8):
         names = [span[3] for span in tracer.spans if span[0] == f"general-{n}"]
         assert names.count("mapping.GaugeFactor.__call__") == 1
-        assert names.count("mapping.WaveFunction.__call__") == 1
+        assert names.count("mapping.WaveFunction.__call__") == 0
     # every map is exact and the gauge a closed form: no run makes a quad
     # call or a numeric map
     for case in ("general-2", "general-8", "quadratic"):
