@@ -133,6 +133,22 @@ EXTRA = (
     Request("general-cos-pole-forked", ("general", "--samples", "4000"),
             {"C00": "-1", "C0-": "1/4", "C--": "3/2", "C0": "0", "C-": "1/3",
              "n": 4}),
+    # 186 and 187 rows of 22 columns: 4092 and 4114 table floats, one on
+    # each side of floattext.CHUNK, where tables leave repr for floattext
+    Request("build-periodic-v1-n20-below-chunk", (
+        "build", "--family", "periodic-v1", "--alpha", "1.2", "--beta",
+        "0.9", "--a", "0.1", "--sign", "+", "--n", "20", "--samples",
+        "186")),
+    Request("build-periodic-v1-n20-above-chunk", (
+        "build", "--family", "periodic-v1", "--alpha", "1.2", "--beta",
+        "0.9", "--a", "0.1", "--sign", "+", "--n", "20", "--samples",
+        "187")),
+    # a forked build whose JSON samples (401 x 82 floats) go through
+    # floattext after the child is reaped
+    Request("build-periodic-v1-n80-json-samples", (
+        "build", "--family", "periodic-v1", "--alpha", "1.2", "--beta",
+        "0.9", "--a", "0.1", "--sign", "+", "--n", "80",
+        "--json-samples")),
     # periodic rings of 600 to 2400 cell nodes, the list's only rings
     # above 512
     Request("verify-periodic-v3-large-ring", (

@@ -369,7 +369,26 @@ def _elliptic_maps(b4: Polynomial, branch: Branch):
         xi[inner] = x
         return xi.reshape(np.shape(u))
 
-    return xi_fn, tuple(reach)
+    return _last_array_memo(xi_fn), tuple(reach)
+
+
+def _last_array_memo(fn):
+    """fn on arrays, with a memo of its last call on an array found again
+    by value: the potential, the gauge and the wavefunctions of a request,
+    each sampled on the same x, then share one elliptic inversion.  A call
+    on a scalar neither reads nor replaces the memo."""
+    last = None
+
+    def call(u):
+        nonlocal last
+        if u.ndim == 0:
+            return fn(u)
+        if (last is None or last[0].shape != u.shape
+                or not np.array_equal(last[0], u)):
+            last = (u.copy(), fn(u))
+        return last[1].copy()
+
+    return call
 
 
 def build_mapping(bp: BPolynomials, branch: Branch,

@@ -67,6 +67,7 @@ import numpy as np
 from .catalog import CatalogEntry
 from .errors import GridError
 from .fdsolve import SQRT_STRETCH, Grid, count_below, fd_eigensolve
+from .floattext import CHUNK, format_floats, tables
 from .mapping import WaveFunction
 
 __all__ = [
@@ -428,15 +429,22 @@ def _atomic_write(path: str, pieces, finish=None):
 _PLAIN = frozenset((str, int, float, bool, type(None)))
 
 
-def json_pieces(obj, indent: str = ""):
+def json_pieces(obj, indent: str = "", floats=None):
     """The text of ``json.dumps(obj, indent=2)`` in pieces: one C-encoder
     call for a container of plain values (_PLAIN, by exact type), else one
     per run of items that are no dict, list or tuple; the others recurse,
-    each with its key as json coerces it in '{"<key>": null}'."""
+    each with its key as json coerces it in '{"<key>": null}'.  ``floats``
+    is _float_lists' (ids, texts): a list of those ids takes the next text
+    as its values."""
+    newline = "\n" + indent + "  "
+    if floats is not None and id(obj) in floats[0]:
+        yield ("[" + newline + next(floats[1]).replace(",", "," + newline)
+               + "\n" + indent + "]")
+        return
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         yield json.dumps(obj)
         return
-    is_dict, newline = isinstance(obj, dict), "\n" + indent + "  "
+    is_dict = isinstance(obj, dict)
     if set(map(type, obj.values() if is_dict else obj)) <= _PLAIN:
         text = json.dumps(obj, separators=("," + newline, ": "))
         yield text[0] + newline + text[1:-1] + "\n" + indent + text[-1]
@@ -448,7 +456,7 @@ def json_pieces(obj, indent: str = ""):
             for key, value in run:
                 head = json.dumps({key: None})[1:-5] if is_dict else ""
                 yield sep + newline + head
-                yield from json_pieces(value, indent + "  ")
+                yield from json_pieces(value, indent + "  ", floats)
                 sep = ","
         else:
             run = dict(run) if is_dict else [value for _, value in run]
@@ -458,17 +466,79 @@ def json_pieces(obj, indent: str = ""):
     yield "\n" + indent + ("}" if is_dict else "]")
 
 
+def _exact_float_lists(obj, found: list) -> list:
+    """found, with every nonempty list of exact floats in the document
+    appended in the order json_pieces meets it."""
+    if isinstance(obj, dict):
+        for value in obj.values():
+            _exact_float_lists(value, found)
+    elif isinstance(obj, (list, tuple)):
+        if type(obj) is list and obj and set(map(type, obj)) == {float}:
+            found.append(obj)
+        else:
+            for item in obj:
+                if isinstance(item, (dict, list, tuple)):
+                    _exact_float_lists(item, found)
+    return found
+
+
+def _float_lists(obj):
+    """(ids, texts) for the document's lists of finite exact floats when
+    they hold CHUNK floats or more, else None: the ids of those lists, and
+    the values of each in json_pieces' order, "," separated, formatted
+    CHUNK floats per floattext call (so that only one chunk's text is held
+    beyond the list being written)."""
+    found = _exact_float_lists(obj, [])
+    lengths = np.fromiter(map(len, found), np.intp, len(found))
+    if lengths.sum() < CHUNK:
+        return None
+    values = np.fromiter(itertools.chain.from_iterable(found), float,
+                         lengths.sum())
+    finite = np.logical_and.reduceat(np.isfinite(values),
+                                     np.cumsum(lengths) - lengths)
+    if lengths[finite].sum() < CHUNK:
+        return None
+    values, lengths = values[np.repeat(finite, lengths)], lengths[finite]
+    seps = np.full(len(values), ord(","), np.uint8)
+    seps[np.cumsum(lengths) - 1] = ord("\n")
+
+    def texts():
+        head = []
+        for start in range(0, len(values), CHUNK):
+            *done, rest = format_floats(values[start:start + CHUNK],
+                                        seps[start:start + CHUNK]).split("\n")
+            if done:
+                yield "".join(head) + done[0]
+                yield from done[1:]
+                head = []
+            head.append(rest)
+
+    return {id(v) for v, ok in zip(found, finite) if ok}, texts()
+
+
 def write_json_atomic(path: str, obj):
-    _atomic_write(path, itertools.chain(json_pieces(obj), "\n"))
+    _atomic_write(path, itertools.chain(
+        json_pieces(obj, floats=_float_lists(obj)), "\n"))
 
 
 def _csv_blocks(columns, start: int, stop: int):
-    """Rows [start, stop) of the table as text, CSV_BLOCK rows a piece."""
-    for i in range(start, stop, CSV_BLOCK):
-        end = min(i + CSV_BLOCK, stop)
+    """Rows [start, stop) of the table as text: CSV_BLOCK rows a piece, or,
+    from CHUNK floats on, about CHUNK floats a piece through floattext."""
+    width = len(columns)
+    if (stop - start) * width < CHUNK:
+        for i in range(start, stop, CSV_BLOCK):
+            end = min(i + CSV_BLOCK, stop)
+            block = np.array([col[i:end] for col in columns], float).T
+            yield "\n".join([",".join(map(repr, row))
+                             for row in block.tolist()]) + "\n"
+        return
+    step = max(CHUNK // width, 1)
+    seps = np.full((step, width), ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    for i in range(start, stop, step):
+        end = min(i + step, stop)
         block = np.array([col[i:end] for col in columns], float).T
-        yield "\n".join([",".join(map(repr, row))
-                         for row in block.tolist()]) + "\n"
+        yield format_floats(block, seps[:end - i])
 
 
 def write_csv_atomic(path: str, header: list[str], columns: list[np.ndarray],
@@ -574,6 +644,7 @@ def _forked_tail(path: str, table, lengths: list[int], doc) -> _Tail | None:
         return None
     start = _split(rows, len(lengths), 2 * rows + _scalars(doc))
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tables()    # floattext's, built once here rather than in the child
     try:
         return _Tail(path, table, start)
     except OSError:     # no unnamed temp file here, or no process to fork

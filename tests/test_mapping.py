@@ -1,4 +1,6 @@
 import contextlib
+import io
+import json
 import math
 from fractions import Fraction as Q
 from types import SimpleNamespace
@@ -17,7 +19,9 @@ from sl2qes.algebra import (
     poly_gcd,
 )
 from sl2qes.catalog import FAMILY_NAMES, make_entry
+from sl2qes import mapping as mapping_module
 from sl2qes.cli import _general_branch
+from sl2qes.cli import main as cli_main
 from sl2qes.errors import BranchError, SingularPointError
 from sl2qes.mapping import (
     Branch,
@@ -229,6 +233,62 @@ def test_cubic_weight_is_elliptic():
     assert np.isnan(m.xi_of_u(np.nan))
     with pytest.raises(BranchError, match="interior anchor"):
         build_mapping(bp, Branch(-1.0, 1.0, sign=1, xi0=1.0))
+
+
+@pytest.mark.parametrize("data, extra", [
+    ({"C+0": "1/2", "C--": "1", "n": 1}, []),
+    ({"C++": "1", "C00": "2", "C--": "1", "n": 2},
+     ["--x-min=-1.5", "--x-max=1.5"]),
+], ids=["cubic", "quartic"])
+def test_a_general_request_inverts_its_elliptic_map_once(tmp_path, data,
+                                                        extra):
+    """The potential, the gauge and the wavefunctions share one Newton
+    solve on x, and sample bitwise what three solves sample."""
+    memo = mapping_module._last_array_memo
+    solves = []
+
+    def counted(fn):
+        def call(u):
+            solves.append(u.size) if u.ndim else None
+            return fn(u)
+        return call
+
+    (tmp_path / "alg.json").write_text(json.dumps(data))
+    runs = {}
+    for name, wrap in (("memo", lambda fn: memo(counted(fn))),
+                       ("plain", counted)):
+        solves.clear()
+        out = tmp_path / name
+        with mock.patch.object(mapping_module, "_last_array_memo", wrap), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli_main(["general", "--algebra", str(tmp_path / "alg.json"),
+                             *extra, "--out-dir", str(out)]) == 0
+        runs[name] = (list(solves), {p.name: p.read_bytes()
+                                     for p in sorted(out.iterdir())})
+    assert runs["memo"][0] == [401]
+    assert runs["plain"][0] == [401] * 3
+    assert runs["memo"][1] == runs["plain"][1]
+
+
+def test_the_last_array_memo_compares_by_value():
+    calls = []
+    fn = mapping_module._last_array_memo(
+        lambda u: calls.append(u.copy()) or 2.0 * u)
+    u = np.linspace(0.0, 1.0, 5)
+    first = fn(u)
+    assert np.array_equal(fn(u.copy()), first) and len(calls) == 1
+    # a scalar call neither reads nor evicts the memo
+    assert fn(np.asarray(0.5)) == 1.0 and len(calls) == 2
+    fn(u)
+    assert len(calls) == 2
+    # the returned arrays are the caller's to change
+    first[:] = -1.0
+    assert np.array_equal(fn(u), 2.0 * u)
+    v = u.copy()
+    v[2] = np.nextafter(v[2], 1.0)
+    fn(v)
+    assert len(calls) == 3
 
 
 def test_elliptic_map_agrees_with_march():

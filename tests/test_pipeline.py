@@ -5,6 +5,7 @@ import builtins
 import dataclasses
 import errno
 import json
+import math
 import os
 import signal
 import stat
@@ -18,12 +19,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sl2qes import catalog, pipeline
+from sl2qes import catalog, floattext, pipeline
 from sl2qes.algebra import Polynomial
 from sl2qes.catalog import make_entry
 from sl2qes.cli import main
 from sl2qes.errors import GridError, NoBoundStateError
 from sl2qes.fdsolve import SQRT_STRETCH, Grid, fd_eigensolve
+from sl2qes.floattext import CHUNK
 from sl2qes.pipeline import (CSV_BLOCK, RowSampler, _match_levels,
                              json_pieces, sample_wavefunctions,
                              verification_report, wavefunction_rows,
@@ -673,6 +675,124 @@ def test_forked_artifacts_match_the_single_process_writer(tmp_path,
         "potential.csv", "spectrum.json", "wavefunctions.csv"]
 
 
+def _repr_table(header, columns) -> bytes:
+    """A table's bytes as repr writes them, row by row."""
+    rows = np.array(columns, float).T.tolist()
+    return "".join([",".join(header) + "\n"] + [
+        ",".join(map(repr, row)) + "\n" for row in rows]).encode()
+
+
+def _counting_kernel(monkeypatch) -> list:
+    """The sizes of pipeline's format_floats calls, from now on."""
+    sizes = []
+    kernel = pipeline.format_floats
+
+    def counted(values, seps):
+        sizes.append(np.size(values))
+        return kernel(values, seps)
+
+    monkeypatch.setattr(pipeline, "format_floats", counted)
+    return sizes
+
+
+# (rows, width): 4095, 4096 and 4097 table floats around floattext.CHUNK
+_GATE_TABLES = [(819, 5), (1024, 4), (241, 17)]
+
+
+@pytest.mark.parametrize("rows, width", _GATE_TABLES)
+def test_tables_at_the_chunk_gate_are_repr_bytes(tmp_path, monkeypatch,
+                                                 rows, width):
+    rng = np.random.default_rng(rows)
+    x = np.linspace(-3.0, 3.0, rows)
+    cols = [x] + [rng.standard_normal(rows) * 10.0 ** k
+                  for k in range(-4, width - 5)]
+    header = ["x"] + [f"c{k}" for k in range(width - 1)]
+    sizes = _counting_kernel(monkeypatch)
+    write_csv_atomic(str(tmp_path / "t.csv"), header, cols)
+    assert (tmp_path / "t.csv").read_bytes() == _repr_table(header, cols)
+    assert sum(sizes) == (rows * width if rows * width >= floattext.CHUNK
+                          else 0)
+
+
+@pytest.mark.parametrize("rows, width", _GATE_TABLES)
+def test_artifacts_at_the_chunk_gate_are_repr_bytes(tmp_path, monkeypatch,
+                                                    rows, width):
+    x = np.linspace(-2.0, 2.0, rows)
+    cols = [np.exp(-k * x * x) * np.cos(k * x) for k in range(width - 1)]
+    doc = {"levels": [{"j": j, "E": 0.5 * j} for j in range(width - 1)]}
+    assert _write(monkeypatch, 10**12, tmp_path, x, doc, cols) == 0
+    assert (tmp_path / "wavefunctions.csv").read_bytes() == _repr_table(
+        ["x"] + [f"psi_{j}" for j in range(width - 1)], [x, *cols])
+    assert (tmp_path / "potential.csv").read_bytes() == _repr_table(
+        ["x", "V"], [x, x * x])
+    assert (tmp_path / "spectrum.json").read_text() == json.dumps(
+        doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("forked", [False, pytest.param(True, marks=forking)])
+def test_overflow_rows_through_the_kernel_are_repr_bytes(tmp_path,
+                                                         monkeypatch, forked):
+    # rows like an n = 160 build's overflowing columns: inf, -inf and nan
+    # beside -0.0, subnormals and zeros, and 5000 floats per column
+    x = np.linspace(-3.0, 3.0, 5000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wild = np.exp(300.0 * x * x) * np.sign(x) * np.cos(x)
+    wild[::7] = -0.0
+    wild[3::11] = 5e-324 * np.arange(len(wild[3::11]))
+    cols = [wild, np.where(np.abs(x) > 2.5, np.nan, x ** 3), -wild]
+    assert not np.isfinite(cols[0]).all() and np.isnan(cols[1]).any()
+    sizes = _counting_kernel(monkeypatch)
+    threshold = 0 if forked else 10**12
+    assert _write(monkeypatch, threshold, tmp_path, x, {}, cols) == forked
+    assert sizes
+    assert (tmp_path / "wavefunctions.csv").read_bytes() == _repr_table(
+        ["x", "psi_0", "psi_1", "psi_2"], [x, *cols])
+    _no_child_left()
+
+
+def _gate_document(floats: int, extra) -> dict:
+    """A document with float lists of ``floats`` values in all, among
+    ints, bools, None, strings and nested dicts, plus ``extra``."""
+    values = (np.arange(floats) / 7.0 - 100.0).tolist()
+    return {
+        "mode": "test", "n": 3, "ok": True, "none": None,
+        "levels": [{"j": j, "E": -0.5 * j, "b": values[j::4],
+                    "nested": {"flag": False, "pair": [j, 1.5],
+                               "deep": [values[j:j + 3], {"v": [2.0]}]}}
+                   for j in range(4)],
+        "extra": extra,
+        "empty": [], "tail": values[:1],
+    }
+
+
+@pytest.mark.parametrize("floats", [CHUNK - 18, CHUNK - 17, CHUNK + 10,
+                                    3 * CHUNK + 5])
+def test_json_documents_at_the_chunk_gate(tmp_path, monkeypatch, floats):
+    # b lists hold ``floats`` values; deep and v lists add 4 * 3 + 4 = 16,
+    # pair (with an int), tail 1 more, and the nan and numpy lists none
+    extra = [[0.5, math.nan, 1.0], [0.25, np.float64(0.75)], (1.0, 2.0)]
+    doc = _gate_document(floats, extra)
+    total = floats + 4 * 3 + 4 + 1
+    sizes = _counting_kernel(monkeypatch)
+    write_json_atomic(str(tmp_path / "d.json"), doc)
+    assert (tmp_path / "d.json").read_text() == json.dumps(doc, indent=2) + "\n"
+    assert sum(sizes) == (total if total >= CHUNK else 0)
+    found = pipeline._float_lists(doc)
+    assert (found is None) == (total < CHUNK)
+    if found is not None:
+        ids, _ = found
+        assert not {id(v) for v in extra} & ids
+        assert id(doc["levels"][0]["b"]) in ids
+
+
+def test_json_float_lists_split_across_kernel_calls(tmp_path):
+    # lists longer than a chunk, one float lists and a list met twice
+    long = (np.arange(2 * CHUNK + 3) * 1e-3).tolist()
+    doc = {"a": long, "b": [[1.0], long, [2.5, -0.0]], "c": [long[:5]] * 3}
+    write_json_atomic(str(tmp_path / "d.json"), doc)
+    assert (tmp_path / "d.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("rows, width, other", [
     (401, 162, 26_000), (401, 82, 7_000), (401, 22, 1_300), (1, 3, 10),
     (20_000, 162, 66_000), (129, 3, 0), (64, 2, 10**6)])
@@ -718,7 +838,13 @@ def _refuse_imports():
 
 def _child_refuses_imports(fd, table, start):
     _refuse_imports()
-    return _write_rows(fd, table, start)
+    built = floattext.tables.cache_info()
+    code = _write_rows(fd, table, start)
+    now = floattext.tables.cache_info()
+    # the child formats through floattext, on tables built before the fork
+    if now.misses > built.misses or now.hits == built.hits:
+        return 255
+    return code
 
 
 def _child_imports(fd, table, start):
@@ -747,6 +873,7 @@ def test_a_failed_child_is_a_named_os_error(tmp_path, monkeypatch, child,
 @forking
 def test_the_child_imports_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "_write_rows", _child_refuses_imports)
+    floattext.tables.cache_clear()
     assert _forked_build(tmp_path / "forked", monkeypatch) == 1
     assert _forked_build(tmp_path / "single", monkeypatch,
                          threshold=10**12) == 0
@@ -758,6 +885,7 @@ def test_the_child_imports_nothing(tmp_path, monkeypatch):
     # and a general request
     for case, argv in _SAMPLING_REQUESTS.items():
         argv = [*argv, "--samples", "1000"]
+        floattext.tables.cache_clear()
         assert _cli(monkeypatch, 0, argv, tmp_path / "forked" / case) == 1
         assert _cli(monkeypatch, 10**12, argv,
                     tmp_path / "single" / case) == 0
