@@ -32,7 +32,7 @@ __all__ = ["CHUNK", "format_floats", "tables"]
 CHUNK = 4096    # values per numpy pass; larger temporaries ran slower
 
 _K_MIN, _K_MAX = -324, 292      # decimal exponents of the normal doubles
-_WIDTH = 25     # the longest text: "-d.dddddddddddddddde-308" and a sep
+_WIDTH = 25     # the longest text: "-d." 16 digits "e-308", and a sep
 _CLASSES = 24   # point positions -3..16, then exponent sign x digit count
 # byte places in a value's row: digits 0..19, exponent 20..23, then these;
 # a text shorter than _WIDTH is padded with the row's NUL bytes
@@ -224,8 +224,6 @@ def format_floats(values, seps) -> str:
     a float64 array and one nonzero separator byte (uint8) per value."""
     values = np.asarray(values, np.float64)
     seps = np.broadcast_to(np.asarray(seps, np.uint8), values.shape).ravel()
-    if not seps.all():
-        raise ValueError("a separator byte is NUL")
     values = values.ravel()
     return b"".join(_chunk(values[i:i + CHUNK], seps[i:i + CHUNK])
                     for i in range(0, len(values), CHUNK)).decode("ascii")

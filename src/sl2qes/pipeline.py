@@ -522,23 +522,22 @@ def write_json_atomic(path: str, obj):
 
 
 def _csv_blocks(columns, start: int, stop: int):
-    """Rows [start, stop) of the table as text: CSV_BLOCK rows a piece, or,
-    from CHUNK floats on, about CHUNK floats a piece through floattext."""
+    """Rows [start, stop) of the table as text: from CHUNK floats on, about
+    CHUNK floats a piece through floattext, else CSV_BLOCK rows a piece
+    through repr."""
     width = len(columns)
-    if (stop - start) * width < CHUNK:
-        for i in range(start, stop, CSV_BLOCK):
-            end = min(i + CSV_BLOCK, stop)
-            block = np.array([col[i:end] for col in columns], float).T
-            yield "\n".join([",".join(map(repr, row))
-                             for row in block.tolist()]) + "\n"
-        return
-    step = max(CHUNK // width, 1)
+    kernel = (stop - start) * width >= CHUNK
+    step = max(CHUNK // width, 1) if kernel else CSV_BLOCK
     seps = np.full((step, width), ord(","), np.uint8)
-    seps[:, -1] = ord("\n")
+    seps[:, -1:] = ord("\n")
     for i in range(start, stop, step):
         end = min(i + step, stop)
         block = np.array([col[i:end] for col in columns], float).T
-        yield format_floats(block, seps[:end - i])
+        if kernel:
+            yield format_floats(block, seps[:end - i])
+        else:
+            yield "\n".join([",".join(map(repr, row))
+                             for row in block.tolist()]) + "\n"
 
 
 def write_csv_atomic(path: str, header: list[str], columns: list[np.ndarray],
