@@ -204,6 +204,8 @@ def _chunk(values: np.ndarray, seps: np.ndarray) -> bytes:
     rows.view("<u4")[:, :6] = tb.quads[groups].T
     rows[:, _SEP] = seps
     rows[:, _MINUS:] = tb.constants
+    # in place: one more index array this large is page-faulted in again
+    # on every pass
     places = tb.layout[key]
     places += _ROW * np.arange(len(values))[:, None]
     text = rows.reshape(-1)[places]

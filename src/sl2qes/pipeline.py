@@ -28,27 +28,34 @@ moves it by more than the tolerance (one more solve, at h), or when E_R
 misses the algebraic energy.
 
 A sampled potential that is not finite raises GridError, naming the first
-such x, before any artifact is written.  Every file streams (a table
-CSV_BLOCK rows at a time) into a temp file renamed into place (mode 0o666
-less the umask), with fixed key order and shortest round-trip floats, so
-identical configurations produce byte-identical output.
+such x, before any artifact is written.  Every file streams into a temp
+file renamed into place (mode 0o666 less the umask), with fixed key order
+and repr's shortest round-trip floats, so identical configurations produce
+byte-identical output.  A table of CHUNK floats or more, and a JSON
+document whose lists of finite exact floats hold CHUNK or more, are
+formatted by floattext, a numpy kernel that writes repr's bytes at about
+half of repr's cost per float; a table streams CHUNK floats a piece, and
+those lists CHUNK floats a kernel call.  Smaller ones, where one kernel
+call's fixed cost would outweigh the saving, keep repr (CSV_BLOCK rows a
+piece) and json.dumps.
 
 ``write_artifacts`` writes a request's potential.csv, spectrum.json and
 wavefunctions.csv.  It takes the wavefunctions as a RowSampler: their map
 and gauge are already sampled on all of x, so every named error is raised
 before any file is written, and what is left per row is each level's
-Horner step and ``scaled_exp``.  Float repr holds the GIL, so a large
-request is written on two cores: when the wavefunction table holds
+Horner step and ``scaled_exp``.  Float formatting holds the GIL, so a
+large request is written on two cores: when the wavefunction table holds
 FORK_MIN_FLOATS floats or more, the process has one thread and may run on
-two CPUs, one child is forked before the first file.  It samples the
-table's last CSV_BLOCKs, about half of the floats of the three files,
-formats them into an unnamed temp file beside the table, and leaves with
-os._exit.  The parent samples and writes the rest, reaps the child and
-appends its rows with a kernel copy before the rename.  Without the fork
-the parent samples every row, as it does before the fork when the samples
-are also written as JSON.  The bytes, modes and cleanup are the
-one-process writer's; a failed child raises OSError, and a parent that
-fails first kills the child and reaps it.
+two CPUs, one child is forked before the first file, after floattext's
+tables are built.  It samples the table's last CSV_BLOCKs, about half of
+the floats of the three files, formats them into an unnamed temp file
+beside the table, and leaves with os._exit.  The parent samples and
+writes the rest, reaps the child and appends its rows with a kernel copy
+before the rename.  Without the fork the parent samples every row, as it
+does before the fork when the samples are also written as JSON.  The
+bytes, modes and cleanup are the one-process writer's; a failed child
+raises OSError, and a parent that fails first kills the child and reaps
+it.
 """
 
 from __future__ import annotations
@@ -489,11 +496,11 @@ def _float_lists(obj):
     CHUNK floats per floattext call (so that only one chunk's text is held
     beyond the list being written)."""
     found = _exact_float_lists(obj, [])
-    lengths = np.fromiter(map(len, found), np.intp, len(found))
-    if lengths.sum() < CHUNK:
+    total = sum(map(len, found))
+    if total < CHUNK:
         return None
-    values = np.fromiter(itertools.chain.from_iterable(found), float,
-                         lengths.sum())
+    lengths = np.fromiter(map(len, found), np.intp, len(found))
+    values = np.fromiter(itertools.chain.from_iterable(found), float, total)
     finite = np.logical_and.reduceat(np.isfinite(values),
                                      np.cumsum(lengths) - lengths)
     if lengths[finite].sum() < CHUNK:
