@@ -154,6 +154,18 @@ EXTRA = (
     Request("verify-periodic-v3-large-ring", (
         "verify", "--family", "periodic-v3", "--alpha", "1", "--beta", "1",
         "--a", "0", "--sign", "-", "--n", "1", "--points", "1201")),
+    # half-line walls at u = 0: a repulsive wall with s = 1.379, Coulomb on
+    # a fine grid, and an attractive wall (s = 0.892) decided before any
+    # solve
+    Request("verify-poschl-teller-s1379", (
+        "verify", "--family", "poschl-teller", "--alpha", "1.8848",
+        "--A", "13.2569", "--B", "2.5995", "--n", "0", "--j-max", "0")),
+    Request("verify-coulomb-points-16001", (
+        "verify", "--family", "coulomb", "--e2", "2", "--l", "0", "--n",
+        "3", "--points", "16001")),
+    Request("verify-poschl-teller-attractive-s0892", (
+        "verify", "--family", "poschl-teller", "--alpha", "0.9922",
+        "--A", "12.5805", "--B", "0.8849", "--n", "3")),
 )
 
 

@@ -167,7 +167,8 @@ class CatalogEntry:
     plot_range: tuple[float, float]
     gauge_x0: float                # the gauge is 1 here
     energy_offset: float           # E = energy_offset + d
-    # s of psi ~ x^s at a half line's wall x = 0 (None: no wall)
+    # s of psi ~ x^s at a half line's wall x = 0 (None: no wall); the FD
+    # oracle's stretched grid sees 2 s - 1/2 in u and checks only s >= 1
     wall_exponent: float | None = None
     _spectral: SpectralResult | None = field(default=None, init=False,
                                              repr=False)

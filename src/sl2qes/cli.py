@@ -147,9 +147,12 @@ def _cmd_verify(args) -> int:
         os.path.join(args.out_dir, "verification.json"), report)
     for row in report["levels"]:
         status = "ok" if row["pass"] else f"FAIL: {row['cause']}"
+        # a level decided before any solve has no numeric value
+        numeric = ("numeric - diff -" if row["numeric_E"] is None else
+                   f"numeric {row['numeric_E']:.9g} diff "
+                   f"{row['abs_diff']:.3g}")
         print(f"level {row['level']}: algebraic {row['algebraic_E']:.9g} "
-              f"numeric {row['numeric_E']:.9g} diff {row['abs_diff']:.3g} "
-              f"tol {row['tolerance']:.3g} [{status}]")
+              f"{numeric} tol {row['tolerance']:.3g} [{status}]")
     if not report["all_pass"]:
         print("verification FAILED", file=sys.stderr)
         return 1
@@ -294,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
                           type=_int_at_least(31, pipeline.MAX_POINTS,
                                              odd=True),
                           help="fix the h grid's points (odd, so the 2h grid "
-                          "takes every other node); on a stretched grid "
-                          "(Coulomb: u = 2 sqrt(x)) they are u nodes")
+                          "takes every other node); on a half line the grid "
+                          "is stretched (u = 2 sqrt(x)) and they are u nodes")
     p_verify.add_argument("--tolerance", type=_finite_float(positive=True))
 
     p_general = _run_parser(sub, "general", "run raw coefficient data "

@@ -17,7 +17,10 @@ diag = (2/h^2 + q)/X'^2 and off = -1/(h^2 X'_i X'_{i+1}) with
 q = X'^2 V + S, so it goes to LAPACK's tridiagonal solver.  A plain grid is
 X(u) = u (X' = 1, S = 0: central differences in x).  The stretch
 u = 2 sqrt(x), X = u^2/4, has X' = u/2 and S = 3/(4 u^2); it puts the nodes
-of a half-line problem where a Coulomb well needs them.
+of a half-line problem where a wall at x = 0 needs them, and the wall itself
+at u = 0, where the solve reads no sample.  Its diagonal grows as 1/u^4 next
+to the wall, so the bisection stops relative to each eigenvalue, not at
+eps ||T|| (Barlow & Demmel, SIAM J. Numer. Anal. 27, 762 (1990)).
 
 The periodic and antiperiodic matrices are tridiagonal plus two corner
 entries, on plain grids only.  Their potential must be even about the
@@ -202,11 +205,14 @@ def _solve(potential, grid: Grid, bc: str, k: int) -> np.ndarray:
     from scipy import linalg as sla
 
     if bc == "dirichlet":
+        # a tiny positive abstol makes stebz stop at 2 ulp of each eigenvalue
         diag, off = _dirichlet_matrix(potential, grid)
+        tol = 1e-300
     else:
         diag, off = _ring_matrix(potential, grid, bc)
+        tol = 0.0
     return sla.eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                select_range=(0, k - 1))
+                                select_range=(0, k - 1), tol=tol)
 
 
 def fd_eigensolve(potential, grid: Grid, bc: str = "dirichlet", k: int = 6,

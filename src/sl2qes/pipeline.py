@@ -4,11 +4,14 @@ The verification report checks each analytically known level against the
 finite-difference oracle, set up from the entry.  A periodic entry is
 solved over one period from the map's shift, in its sector's period class
 (antiperiodic iff dq = 1), for the lowest ``sector_count()`` eigenvalues.
-Any other gets Dirichlet walls (on a grid uniform in u where its map is
-u = 2 sqrt(x)): from the minimum of V, outward past the outermost turning
-point of the top level, to where the WKB decay integral of
-sqrt(V - E_top) dx reaches DECAY, or at HALF_LINE_CUTOFF; and k from a
-Sturm count up to half a level spacing above E_top.
+Any other gets Dirichlet walls: from the minimum of V, outward past the
+outermost turning point of the top level, to where the WKB decay integral
+of sqrt(V - E_top) dx reaches DECAY, or at x = 0 on a half line; and k from
+a Sturm count up to half a level spacing above E_top.  A half line is
+solved on a grid uniform in u = 2 sqrt(x), with its wall at u = 0.  There
+a wall psi ~ x^s has the exponent 2 s - 1/2 in u, which keeps the FD error
+O(h^2) for s >= 1; an attractive wall, s < 1, fails every level by the
+order cause before any solve, with no FD value and no grid.
 
 Each round takes the eigenvalues of ``fd_eigensolve`` at 2h, h and h/2,
 solving each grid once per report: a second round at twice the pilot's
@@ -21,11 +24,10 @@ The pilot h puts NODES nodes in a half wavelength of the top level where
 it is deepest; when the Richardson estimate of a level exceeds
 ROUND_TWO_AIM of the tolerance, one more round follows at a spacing
 chosen from that estimate.  A given ``points`` fixes h and makes the
-pilot the only round.  A level fails with a named cause when its
-observed order is below the band its wall exponent expects, when its
-estimate exceeds the tolerance, when halving a half line's inner cutoff
-moves it by more than the tolerance (one more solve, at h), or when E_R
-misses the algebraic energy.
+pilot the only round.  Every solved level is expected to converge at
+order 2.  A level fails with a named cause when its observed order is below
+that band, when its estimate exceeds the tolerance, or when E_R misses the
+algebraic energy.
 
 A sampled potential that is not finite raises GridError, naming the first
 such x, before any artifact is written.  Every file streams into a temp
@@ -94,9 +96,6 @@ __all__ = [
 
 BASE_TOLERANCE = 1e-3
 DECAY = 9.0    # a window end sees the top level's tail at about exp(-DECAY)
-# A wall at eps shifts a level by about eps |psi'(0)|^2 / ||psi||^2 where
-# psi'(0) != 0 (Coulomb at l = 0, Poschl-Teller at B = alpha).
-HALF_LINE_CUTOFF = 1e-7
 CSV_BLOCK = 64  # rows of a table held as text at a time
 # From this many floats a table's tail is formatted in a forked child.  In
 # a warmed 89 MB process on two cores, whole build requests with the fork
@@ -109,18 +108,13 @@ PROBE_POINTS = 1025   # samples of V that size the pilot grid
 NODES = 12
 COARSE_SPARE = 16
 MAX_POINTS = 999_999  # of an h grid; its h/2 grid has twice as many
-# The order gate, from a sweep over the ES predicates (1434 levels on the
-# derived grids): off an attractive wall the observed order came within
-# 0.14 below the expected one and never below 1.15; at an attractive wall
-# (Poschl-Teller s < 1) it stayed below 0.85.  A level's order must reach
-# max(ORDER_MIN, expected - ORDER_SLACK): below 1 a Richardson step adds
-# more than the step difference it extrapolates.  Where |w_h - w_2h| is
-# below ORDER_DE_FLOOR, rounding and the cutoff scatter p, and the order is
-# not gated.
-ORDER_MIN = 1.0
+# The order gate: a level's observed order must reach EXPECTED_ORDER -
+# ORDER_SLACK.  Where |w_h - w_2h| is below ORDER_DE_FLOOR, rounding
+# scatters p, and the order is not gated.
+EXPECTED_ORDER = 2.0
 ORDER_SLACK = 0.3
 ORDER_DE_FLOOR = 3e-6
-EXPECTED_FLOOR = 0.05
+_LOW = EXPECTED_ORDER - ORDER_SLACK
 # The second round aims at this share of the tolerance, refining h by at
 # most ROUND_TWO_MAX_FACTOR.
 ROUND_TWO_AIM = 0.25
@@ -187,7 +181,7 @@ def _window(entry: CatalogEntry, e_top: float):
                                 step if low else -step)
         starts.append(x_low)
     x_max, v_end = _decay_end(entry.potential, max(starts), step, e_top)
-    x_min = HALF_LINE_CUTOFF
+    x_min = 0.0
     if entry.domain[0] != 0.0:
         x_min, v_left = _decay_end(entry.potential, min(starts), -step,
                                    e_top)
@@ -220,41 +214,28 @@ def _header(entry: CatalogEntry) -> dict:
     }
 
 
-def _expected_order(entry: CatalogEntry, stretch) -> float:
-    """The order of the FD error: 2, or 2 s - 1 at a wall where psi ~ x^s
-    with s not an integer and s < 3/2 (on the plain grid; the stretched
-    grid sees the wall's exponent 2 s - 1/2 >= 3/2 in u).  Toward s = 1/2,
-    where the two exponents meet and nothing converges, it is floored at
-    EXPECTED_FLOOR, so that E_R at the expected order stays finite; the
-    order gate fails such a level anyway."""
-    s = entry.wall_exponent
-    if s is None or stretch or float(s).is_integer():
-        return 2.0
-    return max(EXPECTED_FLOOR, min(2.0, 2.0 * s - 1.0))
-
-
 def _pilot_points(potential, x_min, x_max, stretch, e_top, v_min, k):
     """The odd point count of the pilot h grid: NODES nodes in a half
     wavelength of the top level where it is deepest, and k + COARSE_SPARE
     nodes on its 2h grid.  On a stretched grid the depth is that of the
-    normal form, max X'^2 (E_top - V), on a probe of the window."""
+    normal form, max X'^2 (E_top - V), on the inner nodes of a probe of the
+    window (V may be singular at the wall)."""
     probe = Grid(x_min, x_max, PROBE_POINTS, stretch)
     u = probe.u_nodes
     length = float(u[-1] - u[0])
     depth = e_top - v_min
     if stretch is not None:
-        jac, _ = probe.liouville(u)
+        jac, _ = probe.liouville(u[1:-1])
         with np.errstate(all="ignore"):
-            depth = float(np.nanmax(jac * jac
-                                    * (e_top - potential(probe.nodes))))
+            v = potential(probe.nodes[1:-1])
+            depth = float(np.nanmax(jac * jac * (e_top - v)))
     depth = max(depth, (math.pi / length) ** 2)
     h = math.pi / (NODES * math.sqrt(depth))
     coarse = max(math.ceil(length / (2.0 * h)) + 1, k + COARSE_SPARE)
     return min(2 * coarse - 1, MAX_POINTS)
 
 
-def _round(entry, levels, grid: Grid, bc: str, k: int, expected: float,
-           solved: dict):
+def _round(entry, levels, grid: Grid, bc: str, k: int, solved: dict):
     """One round: the lowest k eigenvalues w at 2h, h and h/2 (one row per
     grid), (E_R, order, estimate, gated) per eigenvalue, and each level's
     FD index, matched on E_R.  ``solved`` holds the eigenvalues of every
@@ -268,16 +249,16 @@ def _round(entry, levels, grid: Grid, bc: str, k: int, expected: float,
             solved[g] = fd_eigensolve(entry.potential, g, bc, k,
                                       refine=False).eigenvalues
     w = np.array([solved[g] for g in grids])
-    e_r, order, estimate, gated = _richardson(w, expected)
+    e_r, order, estimate, gated = _richardson(w)
     return (w, e_r, order, estimate, gated, _match_levels(levels, e_r))
 
 
-def _richardson(w: np.ndarray, expected: float):
+def _richardson(w: np.ndarray):
     """(E_R, observed order, estimate, gated) per eigenvalue from the rows
     w = (w_2h, w_h, w_h/2).  E_R = w_h/2 + (w_h/2 - w_h) / (2^p - 1) with
     the observed order p = log2((w_h - w_2h) / (w_h/2 - w_h)) where that
     is positive and the step is above ORDER_DE_FLOOR (gated), else with
-    the expected order.  The estimate is |E_R - E_R(expected)|; a gated
+    EXPECTED_ORDER.  The estimate is |E_R - E_R(EXPECTED_ORDER)|; a gated
     eigenvalue with no positive order gets |w_h - w_2h|, and one below the
     floor |w_h/2 - w_h|."""
     d1, d2 = w[1] - w[0], w[2] - w[1]
@@ -285,24 +266,23 @@ def _richardson(w: np.ndarray, expected: float):
         order = np.log2(d1 / d2)
     gated = np.abs(d1) > ORDER_DE_FLOOR
     observed = gated & (order > 0.0)
-    e_r = w[2] + d2 / (2.0 ** np.where(observed, order, expected) - 1.0)
-    e_expected = w[2] + d2 / (2.0 ** expected - 1.0)
+    e_r = w[2] + d2 / (2.0 ** np.where(observed, order, EXPECTED_ORDER) - 1.0)
+    e_expected = w[2] + d2 / (2.0 ** EXPECTED_ORDER - 1.0)
     estimate = np.where(observed, np.abs(e_r - e_expected),
                         np.where(gated, np.abs(d1), np.abs(d2)))
     return e_r, order, estimate, gated
 
 
-def _cause(order, estimate, gated, shift, low, tol, diff):
+_SLOW = "the FD oracle does not converge at the expected order"
+
+
+def _cause(order, estimate, gated, tol, diff):
     """Why a level fails, or None: the oracle cannot vouch for its
     eigenvalue, or E_R misses the algebraic energy."""
-    if gated and not order >= low:
-        return (f"the FD oracle does not converge at the expected order: "
-                f"observed {order:.3g}, expected at least {low:.3g}")
+    if gated and not order >= _LOW:
+        return f"{_SLOW}: observed {order:.3g}, expected at least {_LOW:.3g}"
     if estimate > tol:
         return f"the Richardson estimate {estimate:.3g} exceeds the tolerance"
-    if shift is not None and shift > tol:
-        return (f"halving the inner cutoff moves the level by {shift:.3g}, "
-                f"above the tolerance")
     if diff > tol:
         return "the FD energy differs from the algebraic one"
     return None
@@ -319,9 +299,20 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
         raise GridError(f"points must be odd, so that the 2h grid takes "
                         f"every other node; got {points}")
     tol = BASE_TOLERANCE if tolerance is None else tolerance
+    s = entry.wall_exponent
+    if s is not None and s < 1.0:
+        cause = (f"{_SLOW}: the wall exponent s = {s:.4g} is below 1, where "
+                 f"the FD error is not O(h^2)")
+        rows = [{"level": j, "algebraic_E": float(energy),
+                 **dict.fromkeys(("numeric_E", "fd_E", "order",
+                                  "richardson_estimate", "fd_index",
+                                  "abs_diff")),
+                 "tolerance": tol, "pass": False, "cause": cause}
+                for j, energy in levels]
+        return {**_header(entry), "grid": None, "levels": rows,
+                "all_pass": False}
     top = levels[-1][1]
-    stretch = (SQRT_STRETCH if entry.mapping.transform.kind == "two-sqrt"
-               else None)
+    stretch = SQRT_STRETCH if entry.domain[0] == 0.0 else None
     if entry.period is not None:
         # the sector's states are the lowest band edges of one period class:
         # antiperiodic iff a single half-angle factor (dq = 1) is in the gauge
@@ -353,35 +344,24 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
         raise GridError(f"k={k} eigenvalues need at least {2 * k + 3} "
                         f"points, so that the 2h grid holds k + 2 nodes; "
                         f"got {grid.points}")
-    expected = _expected_order(entry, stretch)
-    low = max(ORDER_MIN, expected - ORDER_SLACK)
     solved = {}     # Grid: its eigenvalues; both rounds keep bc and k
     w, e_r, order, estimate, gated, index = _round(entry, levels, grid, bc,
-                                                   k, expected, solved)
+                                                   k, solved)
     worst = max(float(estimate[i]) for i in index)
-    slow = any(gated[i] and not order[i] >= low for i in index)
+    slow = any(gated[i] and not order[i] >= _LOW for i in index)
     if derived and not slow and worst > ROUND_TWO_AIM * tol:
         # one more round, its spacing from the pilot's estimate, taken to
-        # fall as h^expected; a level already below the order band fails
-        factor = (worst / (ROUND_TWO_AIM * tol)) ** (1.0 / expected)
+        # fall as h^2; a level already below the order band fails
+        factor = (worst / (ROUND_TWO_AIM * tol)) ** (1.0 / EXPECTED_ORDER)
         factor = min(max(factor, 2.0), ROUND_TWO_MAX_FACTOR)
         steps = 2 * math.ceil((grid.points - 1) * factor / 2.0)
         grid = Grid(x_min, x_max, min(steps + 1, MAX_POINTS), stretch)
         w, e_r, order, estimate, gated, index = _round(
-            entry, levels, grid, bc, k, expected, solved)
-    shifts = None
-    if entry.domain[0] == 0.0:
-        # half-line problem: the move of each eigenvalue when the inner
-        # cutoff is halved, on the h grid
-        half = Grid(grid.x_min / 2.0, grid.x_max, grid.points, stretch)
-        shifts = np.abs(fd_eigensolve(entry.potential, half, bc, k,
-                                      refine=False).eigenvalues - w[1])
+            entry, levels, grid, bc, k, solved)
     rows = []
     for (j, energy), i in zip(levels, index):
         diff = abs(float(e_r[i]) - energy)
-        shift = None if shifts is None else float(shifts[i])
-        cause = _cause(order[i], estimate[i], gated[i], shift, low, tol,
-                       diff)
+        cause = _cause(order[i], estimate[i], gated[i], tol, diff)
         rows.append({
             "level": j,
             "algebraic_E": float(energy),
@@ -394,7 +374,6 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
             "tolerance": tol,
             "pass": cause is None,
             "cause": cause,
-            **({} if shift is None else {"cutoff_shift": shift}),
         })
     grid_meta = {"x_min": grid.x_min, "x_max": grid.x_max,
                  "points": grid.points, "bc": bc,

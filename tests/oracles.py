@@ -295,8 +295,9 @@ def fd_vectors(potential, grid, k):
     grid.nodes with max-norm 1: the tridiagonal solve returns X' phi, and
     psi = X'^{1/2} phi vanishes at both ends."""
     diag, off = _dirichlet_matrix(potential, grid)
+    # the eigenvalues stop at fdsolve's tolerance, relative to each one
     w, vecs = sla.eigh_tridiagonal(diag, off, select="i",
-                                   select_range=(0, k - 1))
+                                   select_range=(0, k - 1), tol=1e-300)
     jac, _ = grid.liouville(grid.u_nodes[1:-1])
     psi = np.zeros((grid.points, k))
     psi[1:-1] = vecs / np.sqrt(jac)[:, None]

@@ -86,13 +86,12 @@ def test_criterion_03_morse():
 def test_criterion_04_coulomb():
     entry = make_entry("coulomb", {"e2": 2, "l": 0}, n=2)
     # the verification report's rule: E_R from solves at 2h, h and h/2 on a
-    # grid uniform in u = 2 sqrt(x), compared at 1e-3 with no widening; its
-    # Richardson estimates and the move under a halved inner cutoff confirm
+    # grid uniform in u = 2 sqrt(x) from the wall at u = 0, compared at 1e-3
+    # with no widening; its Richardson estimates confirm
     rows = verification_report(entry, j_max=2)["levels"]
     exact = np.array([-1.0, -0.25, -1.0 / 9.0])
     errs = np.abs(np.array([row["numeric_E"] for row in rows]) - exact)
-    estimates = np.array([max(row["richardson_estimate"],
-                              row["cutoff_shift"]) for row in rows])
+    estimates = np.array([row["richardson_estimate"] for row in rows])
     tolerances = {row["tolerance"] for row in rows}
     report(4, "Coulomb levels {-1,-1/4,-1/9} within 1e-3 with confirming "
               "convergence estimates, tolerance 1e-3 unwidened",

@@ -82,12 +82,12 @@ def test_verify_coulomb_points_count_u_nodes(tmp_path):
     # the well reaches beyond x in [-2.8, 22]
     (["--family", "morse", "--alpha", "0.5", "--A", "4", "--B", "2",
       "--n", "7", "--j-max", "7"], list(range(8))),
-    # the top level is eigenvalue 13, beyond levels + 6
     # the top level is eigenvalue 13, beyond levels + 6; levels 0 and 1
     # sit in tunnelling doublets whose E_R agree to 12 digits, and nearest
-    # E_R picks members 0 and 3 (their node counts say 1 and 3)
+    # E_R picks members 1 and 3, the states their node counts name, though
+    # only the last bits decide it
     (["--family", "hyperbolic-v1", "--gamma", "1", "--eta", "-1", "--a", "0",
-      "--sign", "+", "--n", "6"], [0, 3, 5, 7, 9, 11, 13]),
+      "--sign", "+", "--n", "6"], [1, 3, 5, 7, 9, 11, 13]),
 ])
 def test_verify_derives_window_and_count(tmp_path, args, indices):
     out = tmp_path / "run"

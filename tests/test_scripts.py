@@ -35,8 +35,9 @@ def test_verify_catalog_sweep_passes(capsys):
     harmonic = lines[1].split()
     assert harmonic[:8] == ["harmonic", "-", "3", "4", "-5.605", "5.605",
                             "115", "4"]
+    # a half line's wall sits at x = 0
     coulomb = next(line.split() for line in lines if line.startswith("coul"))
-    assert coulomb[4:8] == ["1e-07", "58.42", "85", "3"]
+    assert coulomb[4:8] == ["0", "58.42", "85", "3"]
 
 
 def test_band_structure_script_runs(monkeypatch, capsys):
@@ -106,8 +107,8 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
                                 "--j-max", "2",
                                 "--out-dir", str(tmp_path / "es")]) == 0
         tracer.close_case()
-        # a half-line verify: the solves at 2h, h and h/2 and the one at
-        # half the inner cutoff all go through fd_eigensolve
+        # a half-line verify: the solves at 2h, h and h/2 all go through
+        # fd_eigensolve, with no cutoff to halve
         tracer.open_case("coulomb")
         assert sl2qes.cli.main(["verify", "--family", "coulomb", "--e2", "2",
                                 "--l", "0", "--n", "2", "--j-max", "2",
@@ -140,9 +141,9 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
             "spectral.solve_algebraic_sector", "mapping.build_gauge",
             "fdsolve.fd_eigensolve"} <= set(es)
     coulomb = tracer.counts["coulomb"]
-    assert coulomb["fdsolve.solves"] == 4
-    assert coulomb["fdsolve.grid_points"] == 43 + 85 + 169 + 85
-    assert coulomb["fdsolve.eigs"] == 4 * 3
+    assert coulomb["fdsolve.solves"] == 3
+    assert coulomb["fdsolve.grid_points"] == 43 + 85 + 169
+    assert coulomb["fdsolve.eigs"] == 3 * 3
     # build and general share one gauge rule: one gauge pass per grid, as
     # the levels that share a gauge are sampled as one block; the writer
     # takes their rows from WaveFunction.on, not from a traced call
