@@ -124,17 +124,23 @@ EXTRA = (
                                              "--sign", "+", "--n", "80",
                                              "--samples", "2000")),
     # forked general requests: 4000 rows of 10 columns, whose child samples
-    # its own rows; and 4000 rows of 6, where the gauge's pole at xi = 3/2
-    # is named before the fork and nothing is written
+    # its own rows; and 4000 rows of 6 on [-3, 3], where the gauge's pole
+    # at xi = 3/2 is named before the fork and nothing is written
     Request("general-cos-n8-forked", ("general", "--x-min=-1", "--x-max=1",
                                       "--samples", "4000"),
             {"C00": "-1", "C0-": "1/4", "C--": "3/2", "C0": "0", "C-": "1/3",
              "n": 8}),
-    Request("general-cos-pole-forked", ("general", "--samples", "4000"),
+    Request("general-cos-pole-forked", ("general", "--x-min=-3", "--x-max=3",
+                                        "--samples", "4000"),
+            {"C00": "-1", "C0-": "1/4", "C--": "3/2", "C0": "0", "C-": "1/3",
+             "n": 4}),
+    # the default x range of the cos shape, which stops short of both
+    # branch ends (u = -+pi/2)
+    Request("general-cos-default-range", ("general",),
             {"C00": "-1", "C0-": "1/4", "C--": "3/2", "C0": "0", "C-": "1/3",
              "n": 4}),
     # 186 and 187 rows of 22 columns: 4092 and 4114 table floats, one on
-    # each side of floattext.CHUNK, where tables leave repr for floattext
+    # each side of floattext.CHUNK, the size of a kernel pass
     Request("build-periodic-v1-n20-below-chunk", (
         "build", "--family", "periodic-v1", "--alpha", "1.2", "--beta",
         "0.9", "--a", "0.1", "--sign", "+", "--n", "20", "--samples",
@@ -143,6 +149,16 @@ EXTRA = (
         "build", "--family", "periodic-v1", "--alpha", "1.2", "--beta",
         "0.9", "--a", "0.1", "--sign", "+", "--n", "20", "--samples",
         "187")),
+    # tiny requests: tables of 1 and 16 rows
+    Request("build-samples-1", ("build", "--family", "harmonic", "--omega",
+                                "1", "--samples", "1")),
+    Request("build-samples-16", ("build", "--family", "morse", "--alpha",
+                                 "1", "--A", "4", "--B", "2", "--n", "1",
+                                 "--samples", "16")),
+    Request("general-samples-16", ("general", "--x-min=-1", "--x-max=1",
+                                   "--samples", "16"),
+            {"C00": "-1", "C0-": "1/4", "C--": "3/2", "C0": "0", "C-": "1/3",
+             "n": 4}),
     # a forked build whose JSON samples (401 x 82 floats) go through
     # floattext after the child is reaped
     Request("build-periodic-v1-n80-json-samples", (

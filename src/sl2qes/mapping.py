@@ -177,8 +177,10 @@ class Mapping:
     """Evaluator for xi(u(x)) on one branch of (dxi/du)^2 = B4(xi).
 
     ``closed_form`` is a tag of ``_recognize_shape`` or "elliptic", and
-    ``u_reach`` the u interval the map covers: all of u for a closed form,
-    the exact reach of an elliptic map.
+    ``u_reach`` the u interval between the branch ends around xi0, each
+    end infinite where the map takes all of u to reach it.  A closed form
+    anchored at a turning point is even in u and reaches the far end on
+    both sides.
     ``root_factors`` maps each root r of B4 that a closed-form map reaches
     at a turning point to a function of u proportional to |xi - r|^(1/2),
     signed so that it stays analytic through the turning point.
@@ -227,13 +229,19 @@ def _recognize_shape(b4: Polynomial):
     raise BranchError("B4 is not positive anywhere")
 
 
+def _reach(p0: float, dp: float, lo: float, hi: float):
+    """The u interval on which p0 + dp u stays in [lo, hi]."""
+    return tuple(sorted(((lo - p0) / dp, (hi - p0) / dp)))
+
+
 def _closed_form_maps(tag: str, c: float, k: float, h: float, branch: Branch):
-    """xi(u) and the root factors (see ``Mapping``) for a recognized shape,
-    pinned at xi(0) = xi0.  The shape's map is solved for eta = xi - h, and
-    h is added back once."""
+    """xi(u), the root factors and the u reach (see ``Mapping``) for a
+    recognized shape, pinned at xi(0) = xi0.  The shape's map is solved
+    for eta = xi - h, and h is added back once."""
     s = float(branch.sign)
     rc = math.sqrt(abs(c))
     e0 = branch.xi0 - h
+    reach = (-math.inf, math.inf)
 
     if tag == "affine":
         eta, factors = (lambda u: e0 + s * rc * u), {}
@@ -243,6 +251,8 @@ def _closed_form_maps(tag: str, c: float, k: float, h: float, branch: Branch):
         r0 = math.sqrt(max(sg * e0, 0.0))
         root = (lambda u: r0 + sg * s * rc * u / 2.0)
         eta, factors = (lambda u: sg * root(u) ** 2), {0.0: root}
+        reach = _reach(r0, sg * s * rc / 2.0, 0.0 if r0 else -math.inf,
+                       math.inf)
     elif tag == "exp":
         if e0 == 0:
             raise BranchError("exp branch needs xi0 off the double root")
@@ -264,6 +274,7 @@ def _closed_form_maps(tag: str, c: float, k: float, h: float, branch: Branch):
         eta = (lambda u: sg * k * np.cosh(t0 + dth * u))
         factors = {sg * k: lambda u: np.sinh((t0 + dth * u) / 2.0),
                    -sg * k: lambda u: np.cosh((t0 + dth * u) / 2.0)}
+        reach = _reach(t0, dth, 0.0 if t0 else -math.inf, math.inf)
     else:  # cos
         if abs(e0) > k:
             raise BranchError("cos branch needs |xi0 - h| <= k")
@@ -275,7 +286,9 @@ def _closed_form_maps(tag: str, c: float, k: float, h: float, branch: Branch):
         eta = (lambda u: sg * k * np.cos(t0 + dth * u))
         factors = {sg * k: lambda u: np.sin((t0 + dth * u) / 2.0),
                    -sg * k: lambda u: np.cos((t0 + dth * u) / 2.0)}
-    return (lambda u: h + eta(u)), {h + r: f for r, f in factors.items()}
+        reach = _reach(t0, dth, 0.0 if t0 else -math.pi, math.pi)
+    return ((lambda u: h + eta(u)), {h + r: f for r, f in factors.items()},
+            reach)
 
 
 def _elliptic_maps(b4: Polynomial, branch: Branch):
@@ -419,8 +432,8 @@ def build_mapping(bp: BPolynomials, branch: Branch,
         return Mapping(b4, branch, transform, xi_fn, "elliptic",
                        u_reach=reach)
     tag, c, k, h = _recognize_shape(b4)
-    xi_fn, factors = _closed_form_maps(tag, c, k, h, branch)
-    return Mapping(b4, branch, transform, xi_fn, tag, factors)
+    xi_fn, factors, reach = _closed_form_maps(tag, c, k, h, branch)
+    return Mapping(b4, branch, transform, xi_fn, tag, factors, reach)
 
 
 @dataclass

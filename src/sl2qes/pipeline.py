@@ -33,31 +33,31 @@ A sampled potential that is not finite raises GridError, naming the first
 such x, before any artifact is written.  Every file streams into a temp
 file renamed into place (mode 0o666 less the umask), with fixed key order
 and repr's shortest round-trip floats, so identical configurations produce
-byte-identical output.  A table of CHUNK floats or more, and a JSON
-document whose lists of finite exact floats hold CHUNK or more, are
-formatted by floattext, a numpy kernel that writes repr's bytes at about
-half of repr's cost per float; a table streams CHUNK floats a piece, and
-those lists CHUNK floats a kernel call.  Smaller ones, where one kernel
-call's fixed cost would outweigh the saving, keep repr (CSV_BLOCK rows a
-piece) and json.dumps.
+byte-identical output.  Every table, and a JSON document whose lists of
+finite exact floats hold CHUNK floats or more, is formatted by floattext,
+a numpy kernel that writes repr's bytes at about half of repr's cost per
+float, at most CHUNK floats a kernel call.  A smaller document keeps
+json.dumps, where one kernel call's fixed cost would outweigh the saving.
 
 ``write_artifacts`` writes a request's potential.csv, spectrum.json and
-wavefunctions.csv.  It takes the wavefunctions as a RowSampler: their map
-and gauge are already sampled on all of x, so every named error is raised
-before any file is written, and what is left per row is each level's
-Horner step and ``scaled_exp``.  Float formatting holds the GIL, so a
-large request is written on two cores: when the wavefunction table holds
-FORK_MIN_FLOATS floats or more, the process has one thread and may run on
-two CPUs, one child is forked before the first file, after floattext's
-tables are built.  It samples the table's last CSV_BLOCKs, about half of
-the floats of the three files, formats them into an unnamed temp file
-beside the table, and leaves with os._exit.  The parent samples and
-writes the rest, reaps the child and appends its rows with a kernel copy
-before the rename.  Without the fork the parent samples every row, as it
-does before the fork when the samples are also written as JSON.  The
-bytes, modes and cleanup are the one-process writer's; a failed child
-raises OSError, and a parent that fails first kills the child and reaps
-it.
+wavefunctions.csv.  Its tables are one stream of floats: potential.csv's
+rows, then this process's rows of wavefunctions.csv, in passes of whole
+rows that cross the edge between them, so a request below CHUNK table
+floats makes one kernel call.  It takes the wavefunctions as a
+RowSampler: their map and gauge are already sampled on all of x, so every
+named error is raised before any file is written, and what is left per
+row is each level's Horner step and ``scaled_exp``.  Float formatting
+holds the GIL, so a large request is written on two cores: when the
+wavefunction table holds FORK_MIN_FLOATS floats or more, the process has
+one thread and may run on two CPUs, one child is forked before the first
+file, after floattext's tables are built.  It samples the table's last
+CSV_BLOCKs, about half of the floats of the three files, formats them
+into an unnamed temp file beside the table, and leaves with os._exit.
+The parent samples the other rows, writes the three files, reaps the
+child and appends its rows with a kernel copy before the rename.  Without
+the fork the parent samples every row.  The bytes, modes and cleanup are
+the one-process writer's; a failed child raises OSError, and a parent
+that fails first kills the child and reaps it.
 """
 
 from __future__ import annotations
@@ -507,32 +507,69 @@ def write_json_atomic(path: str, obj):
         json_pieces(obj, floats=_float_lists(obj)), "\n"))
 
 
-def _csv_blocks(columns, start: int, stop: int):
-    """Rows [start, stop) of the table as text: from CHUNK floats on, about
-    CHUNK floats a piece through floattext, else CSV_BLOCK rows a piece
-    through repr."""
-    width = len(columns)
-    kernel = (stop - start) * width >= CHUNK
-    step = max(CHUNK // width, 1) if kernel else CSV_BLOCK
-    seps = np.full((step, width), ord(","), np.uint8)
-    seps[:, -1:] = ord("\n")
-    for i in range(start, stop, step):
-        end = min(i + step, stop)
-        block = np.array([col[i:end] for col in columns], float).T
-        if kernel:
-            yield format_floats(block, seps[:end - i])
-        else:
-            yield "\n".join([",".join(map(repr, row))
-                             for row in block.tolist()]) + "\n"
+def _csv_texts(tables):
+    """(k, text) pieces of the rows of table k, for each list of columns in
+    ``tables``: one stream of floats, one floattext call per pass of at
+    most CHUNK floats (or one row), and a pass takes whole rows from as
+    many tables as fit.  Each table gives at least one piece."""
+    parts, room = [], CHUNK     # the pass's (k, block) pairs; floats left
+    for k, columns in enumerate(tables):
+        width, rows, start = len(columns), max(map(len, columns)), 0
+        while True:
+            if parts and room < width:
+                yield from _format_pass(parts)
+                parts, room = [], CHUNK
+            stop = min(start + max(room // width, 1), rows)
+            parts.append((k, np.array([col[start:stop] for col in columns],
+                                      float).T))
+            room -= (stop - start) * width
+            start = stop
+            if start >= rows:
+                break
+    if parts:
+        yield from _format_pass(parts)
 
 
-def write_csv_atomic(path: str, header: list[str], columns: list[np.ndarray],
+_EDGE = "|"     # a block's last separator in a pass, where its text ends
+
+
+def _format_pass(parts):
+    """(k, text) for each (k, block) in parts, from one floattext call."""
+    seps = []
+    for _, block in parts:
+        sep = np.full(block.shape, ord(","), np.uint8)
+        sep[:, -1:] = ord("\n")
+        sep.reshape(-1)[-1:] = ord(_EDGE)
+        seps.append(sep.reshape(-1))
+    values = np.concatenate([block.reshape(-1) for _, block in parts])
+    texts = iter(format_floats(values, np.concatenate(seps)).split(_EDGE))
+    for k, block in parts:
+        yield k, next(texts) + "\n" if block.size else ""
+
+
+def _csv_tables(tables: list):
+    """One iterator of text pieces per table of ``_csv_texts(tables)``, in
+    order, each read to its end before the next starts.  Nothing is
+    formatted before the first is read."""
+    groups = itertools.groupby(_csv_texts(tables), lambda piece: piece[0])
+
+    def texts():
+        for _, text in next(groups)[1]:
+            yield text
+
+    return [texts() for _ in tables]
+
+
+def write_csv_atomic(path: str, header: list[str], columns,
                      tail: _Tail | None = None):
-    """The table under its header; with ``tail``, the rows from
-    ``tail.start`` on are the forked child's."""
-    stop = max(map(len, columns)) if tail is None else tail.start
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"],
-                                        _csv_blocks(columns, 0, stop)),
+    """The table under its header: ``columns`` is a list of its columns,
+    or an iterator of its rows' text, as ``_csv_tables`` gives.  With
+    ``tail``, the rows from ``tail.start`` on are the forked child's."""
+    if not hasattr(columns, "__next__"):
+        if tail is not None:
+            columns = [col[:tail.start] for col in columns]
+        [columns] = _csv_tables([columns])
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], columns),
                   None if tail is None else tail.append_to)
 
 
@@ -541,8 +578,8 @@ def _write_rows(fd: int, table, start: int) -> int:
     ``table(start)``, into fd.  It imports nothing and calls no BLAS
     routine.  0, or the errno of the write that failed."""
     try:
-        columns = table(start)
-        for text in _csv_blocks(columns, 0, len(columns[0])):
+        [rows] = _csv_tables([table(start)])
+        for text in rows:
             data = text.encode()
             while data:
                 data = data[os.write(fd, data):]
@@ -684,12 +721,13 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
     target = os.path.join(out_dir, "wavefunctions.csv")
     tail = _forked_tail(target, table, [len(x), *psi.lengths], doc)
     with tail or contextlib.nullcontext():
+        potential, waves = _csv_tables(
+            [[x, v], table(0, None if tail is None else tail.start)])
         write_csv_atomic(os.path.join(out_dir, "potential.csv"), ["x", "V"],
-                         [x, v])
+                         potential)
         write_json_atomic(os.path.join(out_dir, "spectrum.json"), doc)
         write_csv_atomic(target, ["x"] + [f"psi_{j}" for j in
-                                          range(psi.width)],
-                         table(0, None if tail is None else tail.start), tail)
+                                          range(psi.width)], waves, tail)
     if json_samples:
         write_json_atomic(os.path.join(out_dir, "potential.json"),
                           {"x": x.tolist(), "V": v.tolist()})

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -619,6 +620,43 @@ def test_general_default_range_stays_inside_the_reach(tmp_path, quartic,
     assert pot[0, 0] == pytest.approx(0.99 * reach[0], abs=1e-5)
     assert pot[-1, 0] == pytest.approx(0.99 * reach[1], abs=1e-5)
     assert np.all(np.isfinite(pot)) and np.all(np.isfinite(waves))
+
+
+@pytest.mark.parametrize("coeffs, branch, reach", [
+    # B4 = 3/2 + xi/2 - xi^2, the cos shape on (-1, 3/2) from its middle:
+    # u = -+pi/2 at the ends, both gauge poles
+    ({"C00": "-1", "C0-": "1/4", "C--": "3/2", "C0": "0", "C-": "1/3",
+      "n": 4}, Branch(-1.0, 1.5, sign=1, xi0=0.25),
+     (-math.pi / 2, math.pi / 2)),
+    # B4 = 1 + xi, the sqrt shape on (-1, inf) from xi0 = 0: u = -2 at the
+    # root, and all of u > 0 toward the infinite end
+    ({"C0-": "1/2", "C--": "1", "C0": "-1", "C-": "1/2", "n": 2},
+     Branch(-1.0, math.inf, sign=1, xi0=0.0), (-2.0, math.inf)),
+], ids=["cos", "sqrt"])
+def test_general_default_range_stops_at_a_closed_form_branch_end(
+        tmp_path, coeffs, branch, reach):
+    """A closed-form map reaches a finite branch end at a finite u: a
+    default end of [-3, 3] beyond it moves in to 99% of it, and every
+    sample is finite; an explicit range is taken as given."""
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(coeffs))
+    bp = b_polynomials(AlgebraCoefficients.from_json_dict(coeffs))
+    # the branch that general picks by default
+    assert build_mapping(bp, branch).u_reach == pytest.approx(reach,
+                                                              rel=1e-15)
+    lo, hi = reach
+    out = tmp_path / "run"
+    assert run(["general", "--algebra", str(alg), "--out-dir", str(out)]) == 0
+    _, pot = _read_columns(out / "potential.csv")
+    _, waves = _read_columns(out / "wavefunctions.csv")
+    assert pot[0, 0] == 0.99 * lo
+    assert pot[-1, 0] == (0.99 * hi if hi < 3 else 3.0)
+    assert np.all(np.isfinite(pot)) and np.all(np.isfinite(waves))
+    explicit = tmp_path / "explicit"
+    assert run(["general", "--algebra", str(alg), "--x-min", "-1.5",
+                "--x-max", "1.5", "--out-dir", str(explicit)]) == 0
+    assert _read_columns(explicit / "potential.csv")[1][[0, -1], 0].tolist() \
+        == [-1.5, 1.5]
 
 
 def test_general_pole_beyond_turning_point_is_an_error(tmp_path, capsys):

@@ -130,6 +130,46 @@ def test_shifted_weight_matches_exact_solution():
     assert np.max(np.abs(m.xi_of_u(u) - (0.5 + 1.5 * np.sin(u)))) < 1e-14
 
 
+@pytest.mark.parametrize("kw, branch, reach", [
+    # B4 = 1 - xi^2: u(xi) = s (asin(xi) - asin(xi0)) up to each end, and
+    # from an end, pi to the other end on either side of u = 0
+    ({"c_00": -1, "c_mm": 1}, Branch(-1.0, 1.0, sign=1, xi0=0.3),
+     (-math.pi + math.acos(0.3), math.acos(0.3))),
+    ({"c_00": -1, "c_mm": 1}, Branch(-1.0, 1.0, sign=-1, xi0=0.3),
+     (-math.acos(0.3), math.pi - math.acos(0.3))),
+    ({"c_00": -1, "c_mm": 1}, Branch(-1.0, 1.0, sign=-1, xi0=1.0),
+     (-math.pi, math.pi)),
+    # B4 = 4 (xi^2 - 1): acosh(2) / 2 down to the root; all of u to infinity
+    ({"c_00": 4, "c_mm": -4}, Branch(1.0, np.inf, sign=1, xi0=2.0),
+     (-math.acosh(2.0) / 2, math.inf)),
+    ({"c_00": 4, "c_mm": -4}, Branch(1.0, np.inf, sign=1, xi0=1.0),
+     (-math.inf, math.inf)),
+    # B4 = 3 - 2 xi reaches its root at u = 1 from xi0 = 1, and B4 = 4 xi
+    # at u = -1
+    ({"c_0m": -1, "c_mm": 3}, Branch(-np.inf, 1.5, sign=1, xi0=1.0),
+     (-math.inf, 1.0)),
+    ({"c_0m": -1, "c_mm": 3}, Branch(-np.inf, 1.5, sign=-1, xi0=1.0),
+     (-1.0, math.inf)),
+    ({"c_0m": 2}, Branch(0.0, np.inf, sign=1, xi0=1.0), (-1.0, math.inf)),
+    # no finite end reached at a finite u: affine, exp and sinh
+    ({"c_mm": 1}, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
+     (-math.inf, math.inf)),
+    ({"c_00": 1}, Branch(0.0, np.inf, sign=1, xi0=1.0),
+     (-math.inf, math.inf)),
+    ({"c_00": 1, "c_mm": 1}, Branch(-np.inf, np.inf, sign=1, xi0=0.0),
+     (-math.inf, math.inf)),
+], ids=["cos", "cos-sign", "cos-at-end", "cosh", "cosh-at-root", "sqrt",
+        "sqrt-sign", "sqrt-rising", "affine", "exp", "sinh"])
+def test_closed_form_reach_ends_at_the_branch_ends(kw, branch, reach):
+    m = build_mapping(bp_of(n=0, **kw), branch)
+    assert m.u_reach == pytest.approx(reach, rel=1e-14)
+    # the map meets a branch end at each finite end of its reach
+    for u in m.u_reach:
+        if math.isfinite(u):
+            assert min(abs(m.xi_of_u(u) - branch.lo),
+                       abs(m.xi_of_u(u) - branch.hi)) <= 1e-12
+
+
 def test_negative_slope_linear_weight():
     bp = bp_of(c_0m=-1, c_mm=3, n=0)   # B4 = 3 - 2 xi, positive for xi < 3/2
     m = build_mapping(bp, Branch(-np.inf, 1.5, sign=1, xi0=1.0))

@@ -724,6 +724,14 @@ def _counting_kernel(monkeypatch) -> list:
     return sizes
 
 
+def _assert_passes(sizes, floats: int):
+    """Every float went through the kernel, at most CHUNK a call, in as
+    few calls as CHUNK floats a call would take."""
+    assert sum(sizes) == floats
+    assert max(sizes) <= CHUNK
+    assert len(sizes) == -(-floats // CHUNK)
+
+
 # (rows, width): 4095, 4096 and 4097 table floats around floattext.CHUNK
 _GATE_TABLES = [(819, 5), (1024, 4), (241, 17)]
 
@@ -739,8 +747,7 @@ def test_tables_at_the_chunk_gate_are_repr_bytes(tmp_path, monkeypatch,
     sizes = _counting_kernel(monkeypatch)
     write_csv_atomic(str(tmp_path / "t.csv"), header, cols)
     assert (tmp_path / "t.csv").read_bytes() == _repr_table(header, cols)
-    assert sum(sizes) == (rows * width if rows * width >= floattext.CHUNK
-                          else 0)
+    _assert_passes(sizes, rows * width)
 
 
 @pytest.mark.parametrize("rows, width", _GATE_TABLES)
@@ -749,7 +756,10 @@ def test_artifacts_at_the_chunk_gate_are_repr_bytes(tmp_path, monkeypatch,
     x = np.linspace(-2.0, 2.0, rows)
     cols = [np.exp(-k * x * x) * np.cos(k * x) for k in range(width - 1)]
     doc = {"levels": [{"j": j, "E": 0.5 * j} for j in range(width - 1)]}
+    sizes = _counting_kernel(monkeypatch)
     assert _write(monkeypatch, 10**12, tmp_path, x, doc, cols) == 0
+    # both tables are one stream, whose passes cross the edge between them
+    _assert_passes(sizes, rows * 2 + rows * width)
     assert (tmp_path / "wavefunctions.csv").read_bytes() == _repr_table(
         ["x"] + [f"psi_{j}" for j in range(width - 1)], [x, *cols])
     assert (tmp_path / "potential.csv").read_bytes() == _repr_table(
@@ -847,8 +857,9 @@ def test_unequal_columns_fail_as_in_one_process(tmp_path, monkeypatch):
     with pytest.raises(ValueError) as forked:
         write_artifacts(str(tmp_path / "run"), x, x, {}, _sampler([x[:150]]))
     assert str(forked.value) == str(single.value)
-    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
-        "potential.csv", "spectrum.json"]
+    # potential.csv's last pass takes the first wavefunction rows, so the
+    # error comes before any file is written
+    assert list((tmp_path / "run").iterdir()) == []
 
 
 def _child_killed(fd, table, start):
@@ -960,6 +971,85 @@ def _cli(monkeypatch, threshold, argv, out) -> int:
     return forks
 
 
+def _assert_repr_rows(path):
+    """Every row of the CSV file under its header is its values' repr,
+    comma separated, each value read back from the file."""
+    lines = path.read_text().split("\n")
+    assert lines[-1] == "" and lines[1:-1]
+    for line in lines[1:-1]:
+        assert ",".join(repr(float(v)) for v in line.split(",")) == line
+
+
+@pytest.mark.parametrize("argv, floats", [
+    # 401 rows of x, V and of x and psi_0..psi_3, then of x and psi_0..psi_4
+    (["verify", "--family", "harmonic", "--omega", "1"], 401 * (2 + 5)),
+    (["general", "--x-min=-1", "--x-max=1",
+      f"--algebra={json.dumps(dict(_COS_B4, n=4))}"], 401 * (2 + 6)),
+], ids=["verify", "general"])
+def test_a_request_formats_its_tables_in_one_kernel_call(tmp_path,
+                                                         monkeypatch, argv,
+                                                         floats):
+    sizes = _counting_kernel(monkeypatch)
+    assert _cli(monkeypatch, 10**12, argv, tmp_path / "run") == 0
+    assert sizes == [floats]
+    for name in ("potential.csv", "wavefunctions.csv"):
+        _assert_repr_rows(tmp_path / "run" / name)
+
+
+@pytest.mark.parametrize("samples", ["1", "2"])
+def test_requests_of_one_and_two_samples_are_repr_bytes(tmp_path,
+                                                        monkeypatch, samples):
+    sizes = _counting_kernel(monkeypatch)
+    argv = ["build", "--family", "morse", "--alpha", "1", "--A", "4", "--B",
+            "2", "--samples", samples]
+    assert _cli(monkeypatch, 10**12, argv, tmp_path / "run") == 0
+    rows = int(samples)
+    assert sizes == [rows * (2 + 5)]
+    for name in ("potential.csv", "wavefunctions.csv"):
+        path = tmp_path / "run" / name
+        assert len(path.read_text().splitlines()) == rows + 1
+        _assert_repr_rows(path)
+
+
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e-310,
+                     2.2250738585072014e-308, 1e16, 1e-5, 0.1, 1.0 / 3.0])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 2049, 20_000])
+def test_the_request_stream_is_repr_bytes(tmp_path, monkeypatch, rows):
+    # at 2049 rows potential.csv's last row and the first wavefunction rows
+    # share the second pass; at 20,000 they share the tenth
+    x = np.linspace(-2.0, 2.0, rows)
+    v = np.resize(_SPECIAL[::-1], rows)
+    cols = [np.resize(_SPECIAL, rows), np.exp(-x * x),
+            np.resize(_SPECIAL[3:], rows) * -3.0]
+    sizes = _counting_kernel(monkeypatch)
+    assert _counting_forks(monkeypatch, 10**12, lambda: write_artifacts(
+        str(tmp_path), x, v, {}, _sampler(cols))) == 0
+    _assert_passes(sizes, rows * 2 + rows * 4)
+    assert (tmp_path / "potential.csv").read_bytes() == _repr_table(
+        ["x", "V"], [x, v])
+    assert (tmp_path / "wavefunctions.csv").read_bytes() == _repr_table(
+        ["x", "psi_0", "psi_1", "psi_2"], [x, *cols])
+
+
+@forking
+@pytest.mark.parametrize("rows", [401, 2049])
+def test_the_parents_share_of_a_forked_request_is_one_stream(tmp_path,
+                                                            monkeypatch,
+                                                            rows):
+    x = np.linspace(-2.0, 2.0, rows)
+    cols = [np.exp(-k * x * x) for k in range(40)]
+    sizes = _counting_kernel(monkeypatch)
+    assert _write(monkeypatch, 0, tmp_path, x, {}, cols) == 1
+    _no_child_left()
+    # the sizes of the parent's calls: potential.csv and its rows
+    start = pipeline._split(rows, 41, 2 * rows + pipeline._scalars({}))
+    _assert_passes(sizes, rows * 2 + start * 41)
+    assert (tmp_path / "wavefunctions.csv").read_bytes() == _repr_table(
+        ["x"] + [f"psi_{j}" for j in range(40)], [x, *cols])
+
+
 def _qes_cases():
     """Each quasi-solvable family and sign at n = 20 and 160, eta of the
     sign each needs.  Two families take |gamma| = 1.5 and |eta| = 2.5 at
@@ -1007,14 +1097,15 @@ def test_rows_sampled_in_pieces_are_the_whole_table(family, params, sign, n):
 @forking
 def test_a_pole_in_a_forked_general_request_is_named_before_the_fork(
         tmp_path, monkeypatch, capsys):
-    # 4000 rows of 6 columns: above FORK_MIN_FLOATS; the default x range
-    # runs past the pole of the cos-shaped gauge at xi = 3/2
+    # 4000 rows of 6 columns: above FORK_MIN_FLOATS; the x range runs past
+    # the pole of the cos-shaped gauge at xi = 3/2
     (tmp_path / "cos.json").write_text(json.dumps(dict(_COS_B4, n=4)))
     assert 4000 * 6 >= pipeline.FORK_MIN_FLOATS
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     out = tmp_path / "run"
     assert main(["general", "--algebra", str(tmp_path / "cos.json"),
-                 "--samples", "4000", "--out-dir", str(out)]) == 2
+                 "--x-min=-3", "--x-max=3", "--samples", "4000",
+                 "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == ("error: gauge integration path crosses "
                                     "a pole at xi=1.5")
