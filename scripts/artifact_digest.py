@@ -159,6 +159,15 @@ EXTRA = (
                                    "--samples", "16"),
             {"C00": "-1", "C0-": "1/4", "C--": "3/2", "C0": "0", "C-": "1/3",
              "n": 4}),
+    # integers and an exact 0.0 in one kernel pass: x = -5..5 with V =
+    # 25.0, 16.0, ...; and integer x with psi_1 = 0.0 at x = 0.0
+    Request("build-harmonic-integer-grid", ("build", "--family", "harmonic",
+                                            "--omega", "2", "--samples",
+                                            "11")),
+    Request("build-scarf-ii-odd-zero", ("build", "--family", "scarf-ii",
+                                        "--alpha", "1", "--A", "2", "--B",
+                                        "0", "--samples", "17", "--j-max",
+                                        "1")),
     # a forked build whose JSON samples (401 x 82 floats) go through
     # floattext after the child is reaped
     Request("build-periodic-v1-n80-json-samples", (

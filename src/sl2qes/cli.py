@@ -101,6 +101,17 @@ def _finite_float(positive: bool = False):
     return convert
 
 
+def _bound(text: str) -> float:
+    """argparse type: a branch bound, a float or +-inf but not nan."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"must not be nan, got {text}")
+    return value
+
+
+_bound.__name__ = "float"
+
+
 def _entry(args) -> catalog.CatalogEntry:
     """The catalog entry the flags name."""
     if not args.family:
@@ -308,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default="identity")
     p_general.add_argument("--u-a", type=_finite_float(), default=0.0)
     for name in ("--xi-min", "--xi-max"):
-        p_general.add_argument(name, type=float)
+        p_general.add_argument(name, type=_bound)
     p_general.add_argument("--xi0", type=_finite_float())
     p_general.add_argument("--e-convention", type=_finite_float(),
                            default=0.0)

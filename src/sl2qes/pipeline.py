@@ -35,9 +35,10 @@ file renamed into place (mode 0o666 less the umask), with fixed key order
 and repr's shortest round-trip floats, so identical configurations produce
 byte-identical output.  Every table, and a JSON document whose lists of
 finite exact floats hold CHUNK floats or more, is formatted by floattext,
-a numpy kernel that writes repr's bytes at about half of repr's cost per
-float, at most CHUNK floats a kernel call.  A smaller document keeps
-json.dumps, where one kernel call's fixed cost would outweigh the saving.
+a numpy kernel that writes repr's bytes at about a third of repr's cost
+per float at CHUNK floats a call, at most CHUNK floats a kernel call.  A
+smaller document keeps json.dumps, where one kernel call's fixed cost
+would outweigh the saving.
 
 ``write_artifacts`` writes a request's potential.csv, spectrum.json and
 wavefunctions.csv.  Its tables are one stream of floats: potential.csv's

@@ -343,6 +343,10 @@ def test_bad_value_names_its_flag_from_either_source(tmp_path, capsys, flag,
     ("general", "x-min", "-inf", "must be finite, got -inf"),
     ("general", "x-max", "inf", "must be finite, got inf"),
     ("general", "xi0", "inf", "must be finite, got inf"),
+    # a branch may run to +-inf, but a nan bound is named, not reported as
+    # an empty branch
+    ("general", "xi-min", "nan", "must not be nan, got nan"),
+    ("general", "xi-max", "nan", "must not be nan, got nan"),
     # refused before any sample is taken
     ("verify", "samples", "0", "must be between 1 and 1000000, got 0"),
     ("verify", "samples", "1000001",

@@ -93,6 +93,61 @@ def test_chunk_edges(size):
     assert format_floats(values, seps) == _reference(values, seps)
 
 
+def test_integers_below_2_to_the_53_take_repr_text():
+    # the digits of an integer's own value, through the Schubfach steps
+    rng = np.random.default_rng(53)
+    values = np.concatenate([np.arange(2**17 + 1),
+                             rng.integers(0, 2**53, 100_000)]).astype(float)
+    assert _mismatches(values) == []
+    assert _mismatches(-values) == []
+
+
+@pytest.mark.parametrize("size", [1, 2, CHUNK, CHUNK + 2, 2 * CHUNK])
+def test_zeros_at_the_edges_of_a_pass(size):
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size)
+    for start in range(0, size, CHUNK):
+        stop = min(start + CHUNK, size)
+        values[start], values[stop - 1] = -0.0, 0.0
+    seps = rng.choice(np.frombuffer(b",\n", np.uint8), size)
+    assert format_floats(values, seps) == _reference(values, seps)
+    assert format_floats(-values, seps) == _reference(-values, seps)
+
+
+@pytest.mark.parametrize("size", [1, 17, CHUNK, CHUNK + 1])
+def test_a_pass_of_zeros_only(size):
+    values = np.zeros(size)
+    values[1::2] = -0.0
+    assert format_floats(values, ord(",")) == _reference(
+        values, [ord(",")] * size)
+
+
+def test_zeros_beside_subnormals_inf_and_nan():
+    tiny = 2.2250738585072014e-308
+    values = np.array([0.0, 5e-324, -0.0, math.inf, 0.0, -math.inf, math.nan,
+                       -0.0, -5e-324, math.nextafter(tiny, 0.0), 0.0, 1.5,
+                       -0.0, 1e-310, -math.nan, 0.0] * 3)
+    seps = np.frombuffer(b",\n;" * 16, np.uint8)
+    assert format_floats(values, seps) == _reference(values, seps)
+
+
+def test_digits_that_carry_to_17_places():
+    # below a power of ten the rounded-up candidate s + 1, or the shorter
+    # candidate's upper neighbour, can carry from 16 nines to 10^16 (the
+    # digits stay below 2^53 10, so never reach 10^17)
+    centres = [float(f"1e{k}") for k in range(-307, 309)] + [
+        9.999999999999999e16, 9999999999999998.0, 99999999999999984.0]
+    values = []
+    for centre in centres:
+        lo = hi = centre
+        values.append(centre)
+        for _ in range(8):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+            values += [lo, hi]
+    assert _mismatches(values) == []
+    assert _mismatches(-np.array(values)) == []
+
+
 @given(st.lists(st.floats(), min_size=1, max_size=40),
        st.sampled_from([ord(","), ord("\n")]))
 @settings(max_examples=400, deadline=None)
