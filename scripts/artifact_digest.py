@@ -96,7 +96,8 @@ EXTRA = (
     # an anchor so large that the map overflows: V is not finite
     Request("general-huge-anchor", ("general", "--xi0", "1e308"),
             {"C--": "1", "C0": "-2", "d": "free", "n": 2}),
-    # 1000 rows of 22 columns and 1000-long JSON arrays: many block edges
+    # 1000 rows of 22 columns and 1000-long JSON arrays: many kernel pass
+    # edges
     Request("build-json-samples-1000", ("build", "--family", "periodic-v1",
                                         "--alpha", "1", "--beta", "1", "--a",
                                         "0", "--sign", "+", "--n", "20",
@@ -168,11 +169,15 @@ EXTRA = (
                                         "--alpha", "1", "--A", "2", "--B",
                                         "0", "--samples", "17", "--j-max",
                                         "1")),
-    # a forked build whose JSON samples (401 x 82 floats) go through
-    # floattext after the child is reaped
+    # forked builds whose JSON samples (401 x 82 and 401 x 162 floats) go
+    # through floattext while the child runs
     Request("build-periodic-v1-n80-json-samples", (
         "build", "--family", "periodic-v1", "--alpha", "1.2", "--beta",
         "0.9", "--a", "0.1", "--sign", "+", "--n", "80",
+        "--json-samples")),
+    Request("build-periodic-v1-n160-json-samples", (
+        "build", "--family", "periodic-v1", "--alpha", "1.2", "--beta",
+        "0.9", "--a", "0.1", "--sign", "+", "--n", "160",
         "--json-samples")),
     # periodic rings of 600 to 2400 cell nodes, the list's only rings
     # above 512

@@ -685,11 +685,11 @@ class WaveFunction:
 
     ``coeffs`` holds one level's b_r, or one row per level for a block of
     levels that share the gauge and the map; a call then returns one row of
-    samples per level.  With ``GaugeSamples`` the product is
-    exp(exponent) * (factor * chi), exponentiated once by ``scaled_exp``.
+    samples per level.  The product is exp(exponent) * (factor * chi) of
+    the gauge's ``GaugeSamples``, exponentiated once by ``scaled_exp``.
     """
 
-    gauge: object
+    gauge: GaugeFactor
     coeffs: np.ndarray
     mapping: Mapping
 
@@ -704,21 +704,8 @@ class WaveFunction:
         """The map and the gauge sampled on all of x, so that every error
         of theirs is raised here; the WaveRows combines them with the
         polynomial on any rows of x."""
-        xi = np.asarray(self.mapping.xi_of_x(x))
-        g = self.gauge(x)
-        if isinstance(g, GaugeSamples):
-            g = GaugeSamples(_on_rows(g.exponent, xi), _on_rows(g.factor, xi))
-        else:
-            g = _on_rows(g, xi)
-        return WaveRows(xi, g, np.asarray(self.coeffs, float))
-
-
-def _on_rows(samples, xi: np.ndarray) -> np.ndarray:
-    """samples as an array of xi's shape, broadcast if they are not."""
-    samples = np.asarray(samples)
-    if samples.shape == xi.shape:
-        return samples
-    return np.broadcast_to(samples, xi.shape)
+        return WaveRows(np.asarray(self.mapping.xi_of_x(x)), self.gauge(x),
+                        np.asarray(self.coeffs, float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -730,11 +717,8 @@ class WaveRows:
     of the whole."""
 
     xi: np.ndarray
-    gauge: object   # GaugeSamples, or the samples of a plain gauge
+    gauge: GaugeSamples
     coeffs: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.xi)
 
     def __call__(self, rows):
         xi = self.xi[rows]
@@ -745,8 +729,5 @@ class WaveRows:
         for b in np.moveaxis(self.coeffs[..., ::-1], -1, 0):
             chi *= xi
             chi += b.reshape(lead + (1,) * xi.ndim)
-        g = self.gauge
-        if isinstance(g, GaugeSamples):
-            chi *= g.factor[rows]
-            return scaled_exp(g.exponent[rows], chi)
-        return g[rows] * chi
+        chi *= self.gauge.factor[rows]
+        return scaled_exp(self.gauge.exponent[rows], chi)

@@ -40,7 +40,8 @@ per float at CHUNK floats a call, at most CHUNK floats a kernel call.  A
 smaller document keeps json.dumps, where one kernel call's fixed cost
 would outweigh the saving.
 
-``write_artifacts`` writes a request's potential.csv, spectrum.json and
+``write_artifacts`` writes a request's potential.csv, spectrum.json, the
+JSON samples (potential.json and wavefunctions.json) when asked for, and
 wavefunctions.csv.  Its tables are one stream of floats: potential.csv's
 rows, then this process's rows of wavefunctions.csv, in passes of whole
 rows that cross the edge between them, so a request below CHUNK table
@@ -51,14 +52,15 @@ row is each level's Horner step and ``scaled_exp``.  Float formatting
 holds the GIL, so a large request is written on two cores: when the
 wavefunction table holds FORK_MIN_FLOATS floats or more, the process has
 one thread and may run on two CPUs, one child is forked before the first
-file, after floattext's tables are built.  It samples the table's last
-CSV_BLOCKs, about half of the floats of the three files, formats them
-into an unnamed temp file beside the table, and leaves with os._exit.
-The parent samples the other rows, writes the three files, reaps the
-child and appends its rows with a kernel copy before the rename.  Without
-the fork the parent samples every row.  The bytes, modes and cleanup are
-the one-process writer's; a failed child raises OSError, and a parent
-that fails first kills the child and reaps it.
+file, after floattext's tables are built.  It samples the table's rows
+from the one that gives it about half of the floats the request writes
+while it runs, formats them into an unnamed temp file beside the table,
+and leaves with os._exit.  The parent samples the other rows, writes the
+other files and the table's first rows, reaps the child and appends its
+rows with a kernel copy before the rename.  Without the fork the parent
+samples every row.  The bytes, modes and cleanup are the one-process
+writer's; a failed child raises OSError, and a parent that fails first
+kills the child and reaps it.
 """
 
 from __future__ import annotations
@@ -97,7 +99,6 @@ __all__ = [
 
 BASE_TOLERANCE = 1e-3
 DECAY = 9.0    # a window end sees the top level's tail at about exp(-DECAY)
-CSV_BLOCK = 64  # rows of a table held as text at a time
 # From this many floats a table's tail is formatted in a forked child.  In
 # a warmed 89 MB process on two cores, whole build requests with the fork
 # lost 6 ms at 8.8k table floats and won 3 ms at 12.8k (28 of 40 runs) and
@@ -413,16 +414,12 @@ def _atomic_write(path: str, pieces, finish=None):
         raise
 
 
-_PLAIN = frozenset((str, int, float, bool, type(None)))
-
-
 def json_pieces(obj, indent: str = "", floats=None):
     """The text of ``json.dumps(obj, indent=2)`` in pieces: one C-encoder
-    call for a container of plain values (_PLAIN, by exact type), else one
-    per run of items that are no dict, list or tuple; the others recurse,
-    each with its key as json coerces it in '{"<key>": null}'.  ``floats``
-    is _float_lists' (ids, texts): a list of those ids takes the next text
-    as its values."""
+    call per run of items that are no dict, list or tuple; the others
+    recurse, each with its key as json coerces it in '{"<key>": null}'.
+    ``floats`` is _float_lists' (ids, texts): a list of those ids takes the
+    next text as its values."""
     newline = "\n" + indent + "  "
     if floats is not None and id(obj) in floats[0]:
         yield ("[" + newline + next(floats[1]).replace(",", "," + newline)
@@ -432,10 +429,6 @@ def json_pieces(obj, indent: str = "", floats=None):
         yield json.dumps(obj)
         return
     is_dict = isinstance(obj, dict)
-    if set(map(type, obj.values() if is_dict else obj)) <= _PLAIN:
-        text = json.dumps(obj, separators=("," + newline, ": "))
-        yield text[0] + newline + text[1:-1] + "\n" + indent + text[-1]
-        return
     sep, items = ("{", obj.items()) if is_dict else ("[", enumerate(obj))
     for nested, run in itertools.groupby(
             items, lambda item: isinstance(item[1], (dict, list, tuple))):
@@ -561,16 +554,12 @@ def _csv_tables(tables: list):
     return [texts() for _ in tables]
 
 
-def write_csv_atomic(path: str, header: list[str], columns,
+def write_csv_atomic(path: str, header: list[str], rows,
                      tail: _Tail | None = None):
-    """The table under its header: ``columns`` is a list of its columns,
-    or an iterator of its rows' text, as ``_csv_tables`` gives.  With
-    ``tail``, the rows from ``tail.start`` on are the forked child's."""
-    if not hasattr(columns, "__next__"):
-        if tail is not None:
-            columns = [col[:tail.start] for col in columns]
-        [columns] = _csv_tables([columns])
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"], columns),
+    """The table under its header: ``rows`` is an iterator of its rows'
+    text, as ``_csv_tables`` gives.  With ``tail``, the forked child's rows
+    follow them."""
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], rows),
                   None if tail is None else tail.append_to)
 
 
@@ -643,29 +632,28 @@ class _Tail:
 
 
 def _split(rows: int, width: int, other: int) -> int:
-    """The child's first row: a CSV_BLOCK edge that gives it about half of
-    the floats written while it runs, ``other`` of them outside the table,
-    and at least its last block."""
+    """The child's first row: the one that gives it about half of the
+    floats written while it runs, ``other`` of them outside the table, and
+    at least the last row."""
     child = (other + rows * width) / (2 * width)
-    block = round((rows - child) / CSV_BLOCK)
-    return min(max(block, 0), (rows - 1) // CSV_BLOCK) * CSV_BLOCK
+    return min(max(round(rows - child), 0), rows - 1)
 
 
-def _forked_tail(path: str, table, lengths: list[int], doc) -> _Tail | None:
-    """A _Tail for the table when it holds FORK_MIN_FLOATS floats or more,
-    its columns (``lengths`` rows each) are of one length, this process has
-    one thread and may run on two CPUs, and the platform has unnamed temp
-    files; else None.  While the child runs, this process also writes doc
-    and a two-column table as long as this one."""
-    rows = lengths[0]
-    if (not rows or len(lengths) * rows < FORK_MIN_FLOATS
-            or any(length != rows for length in lengths)
+def _forked_tail(path: str, table, shape: tuple[int, int],
+                 docs: list) -> _Tail | None:
+    """A _Tail for the table of ``shape`` (rows, columns) when it holds
+    FORK_MIN_FLOATS floats or more, this process has one thread and may
+    run on two CPUs, and the platform has unnamed temp files; else None.
+    While the child runs, this process also writes the JSON documents
+    ``docs`` and a two-column table as long as this one."""
+    rows, width = shape
+    if (rows * width < FORK_MIN_FLOATS
             or not hasattr(os, "O_TMPFILE")
             or not hasattr(os, "sched_getaffinity")
             or len(os.sched_getaffinity(0)) < 2
             or threading.active_count() != 1):
         return None
-    start = _split(rows, len(lengths), 2 * rows + _scalars(doc))
+    start = _split(rows, width, 2 * rows + _scalars(docs))
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tables()    # floattext's, built once here rather than in the child
     try:
@@ -693,8 +681,6 @@ class RowSampler:
     def __init__(self, blocks):
         self.blocks = [(rows, list(places)) for rows, places in blocks]
         self.width = sum(len(places) for _, places in self.blocks)
-        self.lengths = [len(rows) for rows, places in self.blocks
-                        for _ in places]
 
     def __call__(self, start: int = 0, stop: int | None = None) -> list:
         """Every column on rows [start:stop]."""
@@ -709,9 +695,10 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
                     json_samples: bool = False):
     """potential.csv, spectrum.json and wavefunctions.csv (psi_j in column
     j of ``psi``), and with ``json_samples`` the samples as JSON arrays
-    too, for which every row is sampled first.  A large wavefunction
-    table's last rows are sampled and formatted by a forked child
-    (_forked_tail), forked before the first file is written."""
+    too, for which every row is sampled first, written before
+    wavefunctions.csv.  A large wavefunction table's last rows are sampled
+    and formatted by a forked child (_forked_tail), forked before the
+    first file is written."""
     cols = psi() if json_samples else None
 
     def table(start, stop=None):
@@ -719,23 +706,23 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
                 else [col[start:stop] for col in cols])
         return [x[start:stop], *rows]
 
+    samples = {} if cols is None else {
+        "potential.json": {"x": x.tolist(), "V": v.tolist()},
+        "wavefunctions.json": {"x": x.tolist(), "psi": {
+            str(j): col.tolist() for j, col in enumerate(cols)}}}
     target = os.path.join(out_dir, "wavefunctions.csv")
-    tail = _forked_tail(target, table, [len(x), *psi.lengths], doc)
+    tail = _forked_tail(target, table, (len(x), psi.width + 1),
+                        [doc, *samples.values()])
     with tail or contextlib.nullcontext():
         potential, waves = _csv_tables(
             [[x, v], table(0, None if tail is None else tail.start)])
         write_csv_atomic(os.path.join(out_dir, "potential.csv"), ["x", "V"],
                          potential)
         write_json_atomic(os.path.join(out_dir, "spectrum.json"), doc)
+        for name, sample in samples.items():
+            write_json_atomic(os.path.join(out_dir, name), sample)
         write_csv_atomic(target, ["x"] + [f"psi_{j}" for j in
                                           range(psi.width)], waves, tail)
-    if json_samples:
-        write_json_atomic(os.path.join(out_dir, "potential.json"),
-                          {"x": x.tolist(), "V": v.tolist()})
-        write_json_atomic(
-            os.path.join(out_dir, "wavefunctions.json"),
-            {"x": x.tolist(),
-             "psi": {str(j): col.tolist() for j, col in enumerate(cols)}})
 
 
 def finite_potential(potential, x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from sl2qes.algebra import Polynomial, b_polynomials, hamiltonian_matrix
 from sl2qes.catalog import list_families, make_entry
 from sl2qes.errors import InvalidParameterError, NoBoundStateError
 from sl2qes.fdsolve import SQRT_STRETCH, Grid, count_nodes
-from sl2qes.mapping import WaveFunction
+from sl2qes.mapping import GaugeFactor, GaugeSamples, WaveFunction
 
 from oracles import (
     closed_form_energy,
@@ -279,8 +279,11 @@ def test_spectral_states_match_assembled_wavefunctions():
             xs = np.linspace(0.4, math.pi - 0.4, 25)
         else:
             xs = np.linspace(0.3, 1.8, 25)
-        # the gauge by quadrature, independent of build_gauge
-        gauge = quadrature_gauge(entry.bp, entry.mapping, entry.gauge_x0)
+        # the gauge by quadrature, independent of build_gauge, as the
+        # factor of exp(0)
+        quad_g = quadrature_gauge(entry.bp, entry.mapping, entry.gauge_x0)
+        gauge = GaugeFactor(lambda x: GaugeSamples(np.zeros(len(x)),
+                                                   quad_g(x)))
         for j in range(entry.n + 1):
             lv = entry.spectral().levels[j]
             numeric = WaveFunction(gauge, lv.b, entry.mapping)(xs)

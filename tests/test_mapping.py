@@ -25,6 +25,8 @@ from sl2qes.cli import main as cli_main
 from sl2qes.errors import BranchError, SingularPointError
 from sl2qes.mapping import (
     Branch,
+    GaugeFactor,
+    GaugeSamples,
     WaveFunction,
     _plainly_squarefree,
     _roots,
@@ -769,8 +771,10 @@ def test_scaled_exp_overflows_to_inf():
 def test_assemble_constant_polynomial():
     bp = bp_of(c_00=-1, c_mm=1, c_p=-1, c_0=-2, c_m=2, n=0)
     m = build_mapping(bp, Branch(-1.0, 1.0, sign=-1, xi0=1.0))
-    psi = WaveFunction(lambda x: np.ones_like(np.asarray(x, float)), [1.0],
-                       m)
+    # g = exp(0) * 1
+    one = GaugeFactor(lambda x: GaugeSamples(np.zeros(np.shape(x)),
+                                             np.ones(np.shape(x))))
+    psi = WaveFunction(one, [1.0], m)
     assert psi(0.0) == pytest.approx(1.0)
     assert psi(2 * math.pi) == pytest.approx(1.0)
 

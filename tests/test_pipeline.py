@@ -26,11 +26,10 @@ from sl2qes.cli import main
 from sl2qes.errors import GridError, NoBoundStateError
 from sl2qes.fdsolve import SQRT_STRETCH, Grid, fd_eigensolve
 from sl2qes.floattext import CHUNK
-from sl2qes.pipeline import (CSV_BLOCK, RowSampler, _match_levels,
-                             json_pieces, sample_wavefunctions,
-                             verification_report, wavefunction_rows,
-                             write_artifacts, write_csv_atomic,
-                             write_json_atomic)
+from sl2qes.pipeline import (RowSampler, _match_levels, json_pieces,
+                             sample_wavefunctions, verification_report,
+                             wavefunction_rows, write_artifacts,
+                             write_csv_atomic, write_json_atomic)
 
 ES_CASES = [
     ("harmonic", {"omega": 2}, None, 3),
@@ -262,6 +261,25 @@ def test_count_takes_in_the_fd_partner_above_the_top_level(monkeypatch):
     assert report["levels"][-1]["numeric_E"] > levels[-1][1]
 
 
+def test_a_count_above_the_pilot_regrids_from_it(monkeypatch):
+    # the Sturm count claims as many eigenvalues as the pilot's 2h grid has
+    # nodes: the derived grid grows to hold them and COARSE_SPARE more
+    entry = make_entry("harmonic", {"omega": 2}, n=3)
+    pilots = []
+
+    def count(potential, grid, energy):
+        pilots.append(grid.points)
+        return (grid.points + 1) // 2
+
+    monkeypatch.setattr(pipeline, "count_below", count)
+    report = verification_report(entry)
+    [pilot] = pilots
+    k = (pilot + 1) // 2
+    assert report["grid"]["k"] == k
+    assert report["grid"]["points"] == 2 * (k + pipeline.COARSE_SPARE) - 1
+    assert report["grid"]["points"] > pilot
+
+
 _UNIT = st.floats(0.25, 2.0)
 
 
@@ -345,6 +363,21 @@ def test_attractive_wall_fails_by_its_order(tmp_path, capsys, params, n):
     out = capsys.readouterr().out
     assert "FAIL: the FD oracle does not converge" in out
     assert out.count("numeric - diff -") == n + 1
+
+
+def test_a_coarse_grid_fails_by_the_observed_order(tmp_path, capsys):
+    # 41 points are too few for Morse's ground state to converge at order 2
+    out = tmp_path / "run"
+    assert main(["verify", "--family", "morse", "--alpha", "1", "--A", "3",
+                 "--B", "1", "--n", "2", "--j-max", "2", "--points", "41",
+                 "--out-dir", str(out)]) == 1
+    cause = ("the FD oracle does not converge at the expected order: "
+             "observed 0.772, expected at least 1.7")
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("level 0: ") and first.endswith(f"[FAIL: {cause}]")
+    report = json.loads((out / "verification.json").read_text())
+    ground = report["levels"][0]
+    assert not ground["pass"] and ground["cause"] == cause
 
 
 def test_hyperbolic_v1_n6_passes_unwidened():
@@ -500,15 +533,22 @@ def test_no_level_to_verify_is_an_error(tmp_path, capsys, name, params,
     assert not out.exists() or not any(out.iterdir())
 
 
+def _rows(columns):
+    """The text of a table's rows, as write_artifacts gives it to
+    write_csv_atomic."""
+    [rows] = pipeline._csv_tables([columns])
+    return rows
+
+
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 401])
 def test_csv_writes_each_value_as_its_float_repr(tmp_path, rows):
     values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5,
                        0.1, 1.0 / 3.0])
-    # the values repeated to fill the rows, which cross CSV_BLOCK edges
+    # the values repeated to fill the rows
     columns = [np.resize(values, rows), np.resize(values[::-1], rows),
                np.arange(rows)]
     path = tmp_path / "table.csv"
-    write_csv_atomic(str(path), ["a", "b", "k"], columns)
+    write_csv_atomic(str(path), ["a", "b", "k"], _rows(columns))
     want = "a,b,k\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
     assert path.read_bytes() == want.encode()
@@ -580,9 +620,6 @@ class _Columns:
     def __init__(self, cols):
         self.cols = cols
 
-    def __len__(self):
-        return len(self.cols[0])
-
     def __call__(self, rows):
         return [col[rows] for col in self.cols]
 
@@ -630,7 +667,7 @@ _write_rows = pipeline._write_rows
 
 
 def _child_stops_after_a_block(fd, table, start):
-    _write_rows(fd, lambda first: table(first, start + CSV_BLOCK), start)
+    _write_rows(fd, lambda first: table(first, start + 64), start)
     return errno.ENOSPC
 
 
@@ -639,10 +676,10 @@ def _child_stops_after_a_block(fd, table, start):
     ("artifact", lambda path, mp: write_json_atomic(path, {
         "levels": [{"j": j, "b": [0.5] * 200} for j in range(50)],
         "warnings": ["done", {"a set"}]}), TypeError, []),
-    # the bad value sits in the second block of rows
-    ("artifact", lambda path, mp: write_csv_atomic(path, ["x", "v"], [
-        np.arange(200.0), _object_column(200, CSV_BLOCK + 6)]), ValueError,
-     []),
+    # the bad value sits in the second kernel pass of rows
+    ("artifact", lambda path, mp: write_csv_atomic(path, ["x", "v"], _rows([
+        np.arange(3000.0), _object_column(3000, CHUNK // 2 + 6)])),
+     ValueError, []),
     # the parent fails in spectrum.json while the child formats its rows
     pytest.param("spectrum.json", lambda path, mp: _forked_build(
         os.path.dirname(path), mp, {
@@ -676,13 +713,15 @@ def test_a_forked_tail_writes_the_same_bytes(tmp_path, rows):
     columns = [np.arange(rows) / 7.0, np.resize(values, rows),
                np.resize(values[::-1], rows)]
     single = tmp_path / "single.csv"
-    write_csv_atomic(str(single), ["x", "a", "b"], columns)
+    write_csv_atomic(str(single), ["x", "a", "b"], _rows(columns))
     third = rows // 3
-    # splits off and on block edges, the whole table and its last row
-    for start in sorted({0, third, third - third % CSV_BLOCK, rows - 1}):
+    # splits after the first row and a third, the whole table and its last
+    # row
+    for start in sorted({0, 1, third, rows - 1}):
         path = tmp_path / f"forked-{start}.csv"
         with pipeline._Tail(str(path), _table(columns), start) as tail:
-            write_csv_atomic(str(path), ["x", "a", "b"], columns, tail)
+            write_csv_atomic(str(path), ["x", "a", "b"],
+                             _rows(_table(columns)(0, start)), tail)
         assert path.read_bytes() == single.read_bytes(), start
         _no_child_left()
 
@@ -745,7 +784,7 @@ def test_tables_at_the_chunk_gate_are_repr_bytes(tmp_path, monkeypatch,
                   for k in range(-4, width - 5)]
     header = ["x"] + [f"c{k}" for k in range(width - 1)]
     sizes = _counting_kernel(monkeypatch)
-    write_csv_atomic(str(tmp_path / "t.csv"), header, cols)
+    write_csv_atomic(str(tmp_path / "t.csv"), header, _rows(cols))
     assert (tmp_path / "t.csv").read_bytes() == _repr_table(header, cols)
     _assert_passes(sizes, rows * width)
 
@@ -838,28 +877,13 @@ def test_json_float_lists_split_across_kernel_calls(tmp_path):
 def test_the_child_takes_about_half_the_floats_in_whole_blocks(rows, width,
                                                               other):
     start = pipeline._split(rows, width, other)
-    assert start % CSV_BLOCK == 0 and 0 <= start < rows
+    assert 0 <= start < rows
     child = (rows - start) * width
-    # a CSV_BLOCK of rows from half, unless the whole table or its last
-    # block is the child's
+    # half a row from half, unless the whole table or its last row is the
+    # child's
     half = (other + rows * width) / 2
-    assert (abs(child - half) <= CSV_BLOCK * width / 2 or start == 0
-            or start == (rows - 1) // CSV_BLOCK * CSV_BLOCK)
-
-
-@forking
-def test_unequal_columns_fail_as_in_one_process(tmp_path, monkeypatch):
-    x = np.linspace(0.0, 1.0, 200)
-    with pytest.raises(ValueError) as single:
-        write_csv_atomic(str(tmp_path / "t.csv"), ["x", "a"], [x, x[:150]])
-    monkeypatch.setattr(pipeline, "FORK_MIN_FLOATS", 0)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    with pytest.raises(ValueError) as forked:
-        write_artifacts(str(tmp_path / "run"), x, x, {}, _sampler([x[:150]]))
-    assert str(forked.value) == str(single.value)
-    # potential.csv's last pass takes the first wavefunction rows, so the
-    # error comes before any file is written
-    assert list((tmp_path / "run").iterdir()) == []
+    assert (abs(child - half) <= width / 2 or start == 0
+            or start == rows - 1)
 
 
 def _child_killed(fd, table, start):
@@ -908,6 +932,22 @@ def test_a_failed_child_is_a_named_os_error(tmp_path, monkeypatch, child,
     _no_child_left()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "potential.csv", "spectrum.json"]
+
+
+@forking
+def test_a_failed_child_leaves_the_json_samples(tmp_path, monkeypatch):
+    # they are written while the child runs, before wavefunctions.csv
+    monkeypatch.setattr(pipeline, "_write_rows", _child_stops_after_a_block)
+    x = np.linspace(-1.0, 1.0, 401)
+    sampler = _sampler([np.cos(k * x) for k in range(80)])
+    with pytest.raises(OSError, match="No space left on device"):
+        _counting_forks(monkeypatch, 0, lambda: write_artifacts(
+            str(tmp_path), x, x * x, {"levels": []}, sampler,
+            json_samples=True))
+    _no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "potential.csv", "potential.json", "spectrum.json",
+        "wavefunctions.json"]
 
 
 @forking
@@ -1084,10 +1124,10 @@ def test_rows_sampled_in_pieces_are_the_whole_table(family, params, sign, n):
     x, _ = pipeline.sample_potential(entry, 401)
     rows = wavefunction_rows(entry, x, list(range(n + 1)))
     whole = rows()
-    assert rows.width == n + 1 and rows.lengths == [401] * (n + 1)
+    assert rows.width == n + 1
     assert all(col.shape == (401,) for col in whole)
-    # on and off CSV_BLOCK edges, and the last row alone
-    for start in (1, CSV_BLOCK, 100, 3 * CSV_BLOCK, 5 * CSV_BLOCK, 400):
+    # from the first row alone to the last row alone
+    for start in (1, 64, 100, 192, 320, 400):
         head, tail = rows(0, start), rows(start)
         for j, col in enumerate(whole):
             assert (np.concatenate([head[j], tail[j]]).tobytes()
