@@ -179,6 +179,12 @@ EXTRA = (
         "build", "--family", "periodic-v1", "--alpha", "1.2", "--beta",
         "0.9", "--a", "0.1", "--sign", "+", "--n", "160",
         "--json-samples")),
+    # a forked build whose wavefunctions.json holds 566 Infinity values:
+    # non-finite arrays beside finite ones above CHUNK floats, and array
+    # leaves in the documents the parent writes while the child runs
+    Request("build-hyperbolic-v1-n160-json-samples", (
+        "build", "--family", "hyperbolic-v1", "--gamma", "1", "--eta", "-1",
+        "--a", "0", "--sign", "+", "--n", "160", "--json-samples")),
     # periodic rings of 600 to 2400 cell nodes, the list's only rings
     # above 512
     Request("verify-periodic-v3-large-ring", (

@@ -12,9 +12,10 @@ below work one monomial at a time and the Hamiltonian matrix is banded.
 A Hamiltonian is a quadratic combination of the generators with constant
 coefficients plus a constant shift d.  On P_n it acts as the differential
 operator -(B4 D^2 + B3 D + B2) whose polynomial coefficients are assembled
-by :func:`b_polynomials`.  Everything here is `fractions.Fraction`-valued;
-identities are tested with zero tolerance, so this module must not
-introduce floating point.
+by :func:`b_polynomials`.  Everything here is exact: `fractions.Fraction`
+values, or the int numerators over one denominator that
+:func:`hamiltonian_matrix` returns.  Identities are tested with zero
+tolerance, so this module must not introduce floating point.
 """
 
 from __future__ import annotations
@@ -420,14 +421,16 @@ def _word_image(word, r: int, n: int):
     return power, scaled
 
 
-def hamiltonian_matrix(c: AlgebraCoefficients) -> list[list[Fraction]]:
-    """(n+1) x (n+1) matrix of the Hamiltonian on the monomial basis.
+def hamiltonian_matrix(c: AlgebraCoefficients) -> tuple[list[list[int]], int]:
+    """(n+1) x (n+1) matrix of the Hamiltonian on the monomial basis, as
+    (numerators, den): entry [i][r] is exactly numerators[i][r] / den, with
+    int numerators over one positive int denominator.
 
     Built by composing generator applications; column r holds the image of
     xi^r, basis ordered by ascending power.  Each word sends a monomial to
     one monomial, so a column has at most 5 nonzeros.  The entries are
-    summed as integer numerators over one common denominator, and each
-    nonzero one becomes a Fraction once: the assembly costs O(n) integer
+    summed as integer numerators over the one common denominator, and no
+    Fraction is made per entry: the assembly costs O(n) integer
     operations.  A free d is treated as zero.
     """
     n, d = c.n, c.d_or_zero
@@ -439,9 +442,10 @@ def hamiltonian_matrix(c: AlgebraCoefficients) -> list[list[Fraction]]:
     terms = [(word, coeff.numerator
               * (den // (coeff.denominator << len(word))))
              for word, coeff in terms]
-    sums = {}   # (row, column): numerator over den
+    shift = -d.numerator * (den // d.denominator)
+    mat = [[0] * (n + 1) for _ in range(n + 1)]
     for r in range(n + 1):
-        sums[r, r] = -d.numerator * (den // d.denominator)
+        mat[r][r] = shift
         for word, scale in terms:
             image = _word_image(word, r, n)
             if image is None:
@@ -449,13 +453,8 @@ def hamiltonian_matrix(c: AlgebraCoefficients) -> list[list[Fraction]]:
             power, scaled = image
             if power > n:
                 raise RepresentationError("generator composition left P_n")
-            sums[power, r] = sums.get((power, r), 0) - scale * scaled
-    zero = Fraction(0)
-    mat = [[zero] * (n + 1) for _ in range(n + 1)]
-    for (i, r), value in sums.items():
-        if value:
-            mat[i][r] = Fraction(value, den)
-    return mat
+            mat[power][r] -= scale * scaled
+    return mat, den
 
 
 def hamiltonian_matrix_from_b(bp: BPolynomials, d, n: int) -> list[list[Fraction]]:

@@ -33,12 +33,16 @@ A sampled potential that is not finite raises GridError, naming the first
 such x, before any artifact is written.  Every file streams into a temp
 file renamed into place (mode 0o666 less the umask), with fixed key order
 and repr's shortest round-trip floats, so identical configurations produce
-byte-identical output.  Every table, and a JSON document whose lists of
-finite exact floats hold CHUNK floats or more, is formatted by floattext,
-a numpy kernel that writes repr's bytes at about a third of repr's cost
-per float at CHUNK floats a call, at most CHUNK floats a kernel call.  A
-smaller document keeps json.dumps, where one kernel call's fixed cost
-would outweigh the saving.
+byte-identical output.  Every table is formatted by floattext, a numpy
+kernel that writes repr's bytes at about a third of repr's cost per float
+at CHUNK floats a call, at most CHUNK floats a kernel call.  A JSON
+document holds its float data as float64 arrays (a level's b, the JSON
+samples), each written as json.dumps(..., indent=2) writes its list.  One
+walk writes every other value by json's rules and collects the arrays;
+when those with finite values only hold CHUNK floats or more in all, their
+floats are one floattext stream for the document.  Every other array, and
+every array of a smaller document, takes json's text per float, where one
+kernel call's fixed cost would outweigh the saving.
 
 ``write_artifacts`` writes a request's potential.csv, spectrum.json, the
 JSON samples (potential.json and wavefunctions.json) when asked for, and
@@ -414,91 +418,108 @@ def _atomic_write(path: str, pieces, finish=None):
         raise
 
 
-def json_pieces(obj, indent: str = "", floats=None):
-    """The text of ``json.dumps(obj, indent=2)`` in pieces: one C-encoder
-    call per run of items that are no dict, list or tuple; the others
-    recurse, each with its key as json coerces it in '{"<key>": null}'.
-    ``floats`` is _float_lists' (ids, texts): a list of those ids takes the
-    next text as its values."""
-    newline = "\n" + indent + "  "
-    if floats is not None and id(obj) in floats[0]:
-        yield ("[" + newline + next(floats[1]).replace(",", "," + newline)
-               + "\n" + indent + "]")
-        return
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        yield json.dumps(obj)
-        return
+def json_pieces(obj):
+    """The text of ``json.dumps(obj, indent=2)`` in pieces, where a float64
+    array of one dimension is written as its ``tolist()``.  One walk
+    (``_walk``) writes every other value by json's rules and collects the
+    arrays in order; ``_array_texts`` then gives their text, put in their
+    places."""
+    pieces, arrays = [], []
+    _walk(obj, "", pieces, arrays)
+    texts = _array_texts(arrays)
+    return (next(texts) if piece is None else piece for piece in pieces)
+
+
+def _walk(obj, indent: str, pieces: list, arrays: list):
+    """Append the text of obj at ``indent`` to pieces, with None in place
+    of each float64 array of one dimension, which goes to arrays with its
+    indent.  Any other array is walked as its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64:
+            pieces.append(None)
+            arrays.append((obj, indent))
+            return
+        obj = obj.tolist()
     is_dict = isinstance(obj, dict)
-    sep, items = ("{", obj.items()) if is_dict else ("[", enumerate(obj))
-    for nested, run in itertools.groupby(
-            items, lambda item: isinstance(item[1], (dict, list, tuple))):
-        if nested:
-            for key, value in run:
-                head = json.dumps({key: None})[1:-5] if is_dict else ""
-                yield sep + newline + head
-                yield from json_pieces(value, indent + "  ", floats)
-                sep = ","
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        pieces.append(_plain(obj))
+        return
+    inner = indent + "  "
+    sep = ("{" if is_dict else "[") + "\n" + inner
+    for item in obj.items() if is_dict else obj:
+        if is_dict:     # the key as json coerces it in '{"<key>": null}'
+            key, item = item
+            sep += (_string(key) + ": " if type(key) is str
+                    else json.dumps({key: None})[1:-5])
+        pieces.append(sep)
+        _walk(item, inner, pieces, arrays)
+        sep = ",\n" + inner
+    pieces.append("\n" + indent + ("}" if is_dict else "]"))
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _plain(obj) -> str:
+    """``json.dumps(obj)`` for an empty container or a value that is no
+    container, without the encoder for a str, an int or a finite float."""
+    kind = type(obj)
+    if kind is str:
+        return _string(obj)
+    if kind is int or kind is float and math.isfinite(obj):
+        return repr(obj)
+    return json.dumps(obj)
+
+
+def _array_texts(arrays):
+    """The text of each (array, indent) of ``arrays``, as json.dumps(...,
+    indent=2) writes the array's list at that indent.  When the arrays
+    with finite values only hold CHUNK floats or more in all, their floats
+    are one floattext stream, CHUNK floats a call across array ends (so
+    only one call's text is held beyond the array being written); every
+    other array takes json's text per float (NaN, Infinity)."""
+    sizes = np.array([a.size for a, _ in arrays], np.intp)
+    streamed = np.zeros(len(arrays), bool)
+    if sizes.sum() >= CHUNK:
+        values = np.concatenate([a for a, _ in arrays])
+        ends = np.cumsum(sizes)
+        bad = np.concatenate(([0], np.cumsum(~np.isfinite(values))))
+        finite = (bad[ends] == bad[ends - sizes]) & (sizes > 0)
+        if sizes[finite].sum() >= CHUNK:
+            streamed = finite
+            values = values[np.repeat(streamed, sizes)]
+            seps = np.full(len(values), ord(","), np.uint8)
+            seps[np.cumsum(sizes[streamed]) - 1] = ord("\n")
+            bodies = _stream(values, seps)
+    for (array, indent), fast in zip(arrays, streamed):
+        if fast:
+            body = next(bodies)
+        elif array.size:
+            body = json.dumps(array.tolist(), separators=(",", ":"))[1:-1]
         else:
-            run = dict(run) if is_dict else [value for _, value in run]
-            text = json.dumps(run, separators=("," + newline, ": "))
-            yield sep + newline + text[1:-1]
-            sep = ","
-    yield "\n" + indent + ("}" if is_dict else "]")
+            yield "[]"
+            continue
+        newline = "\n" + indent + "  "
+        yield ("[" + newline + body.replace(",", "," + newline) + "\n"
+               + indent + "]")
 
 
-def _exact_float_lists(obj, found: list) -> list:
-    """found, with every nonempty list of exact floats in the document
-    appended in the order json_pieces meets it."""
-    if isinstance(obj, dict):
-        for value in obj.values():
-            _exact_float_lists(value, found)
-    elif isinstance(obj, (list, tuple)):
-        if type(obj) is list and obj and set(map(type, obj)) == {float}:
-            found.append(obj)
-        else:
-            for item in obj:
-                if isinstance(item, (dict, list, tuple)):
-                    _exact_float_lists(item, found)
-    return found
-
-
-def _float_lists(obj):
-    """(ids, texts) for the document's lists of finite exact floats when
-    they hold CHUNK floats or more, else None: the ids of those lists, and
-    the values of each in json_pieces' order, "," separated, formatted
-    CHUNK floats per floattext call (so that only one chunk's text is held
-    beyond the list being written)."""
-    found = _exact_float_lists(obj, [])
-    total = sum(map(len, found))
-    if total < CHUNK:
-        return None
-    lengths = np.fromiter(map(len, found), np.intp, len(found))
-    values = np.fromiter(itertools.chain.from_iterable(found), float, total)
-    finite = np.logical_and.reduceat(np.isfinite(values),
-                                     np.cumsum(lengths) - lengths)
-    if lengths[finite].sum() < CHUNK:
-        return None
-    values, lengths = values[np.repeat(finite, lengths)], lengths[finite]
-    seps = np.full(len(values), ord(","), np.uint8)
-    seps[np.cumsum(lengths) - 1] = ord("\n")
-
-    def texts():
-        head = []
-        for start in range(0, len(values), CHUNK):
-            *done, rest = format_floats(values[start:start + CHUNK],
-                                        seps[start:start + CHUNK]).split("\n")
-            if done:
-                yield "".join(head) + done[0]
-                yield from done[1:]
-                head = []
-            head.append(rest)
-
-    return {id(v) for v, ok in zip(found, finite) if ok}, texts()
+def _stream(values: np.ndarray, seps: np.ndarray):
+    """The comma-separated text of each run of values that ends at a
+    newline of ``seps``, formatted CHUNK floats per floattext call."""
+    head = []
+    for start in range(0, len(values), CHUNK):
+        *done, rest = format_floats(values[start:start + CHUNK],
+                                    seps[start:start + CHUNK]).split("\n")
+        if done:
+            yield "".join(head) + done[0]
+            yield from done[1:]
+            head = []
+        head.append(rest)
 
 
 def write_json_atomic(path: str, obj):
-    _atomic_write(path, itertools.chain(
-        json_pieces(obj, floats=_float_lists(obj)), "\n"))
+    _atomic_write(path, itertools.chain(json_pieces(obj), "\n"))
 
 
 def _csv_texts(tables):
@@ -663,13 +684,12 @@ def _forked_tail(path: str, table, shape: tuple[int, int],
 
 
 def _scalars(obj) -> int:
-    """The values in a JSON document, a list of plain values by its length."""
-    if isinstance(obj, dict):
-        return sum(map(_scalars, obj.values()))
-    if isinstance(obj, (list, tuple)):
-        if obj and not isinstance(obj[0], (dict, list, tuple)):
-            return len(obj)
-        return sum(map(_scalars, obj))
+    """The values in a JSON document, an array by its size."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if isinstance(obj, (dict, list, tuple)):
+        return sum(map(_scalars, obj.values() if isinstance(obj, dict)
+                       else obj))
     return 1
 
 
@@ -707,9 +727,9 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
         return [x[start:stop], *rows]
 
     samples = {} if cols is None else {
-        "potential.json": {"x": x.tolist(), "V": v.tolist()},
-        "wavefunctions.json": {"x": x.tolist(), "psi": {
-            str(j): col.tolist() for j, col in enumerate(cols)}}}
+        "potential.json": {"x": x, "V": v},
+        "wavefunctions.json": {"x": x, "psi": {
+            str(j): col for j, col in enumerate(cols)}}}
     target = os.path.join(out_dir, "wavefunctions.csv")
     tail = _forked_tail(target, table, (len(x), psi.width + 1),
                         [doc, *samples.values()])

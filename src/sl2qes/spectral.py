@@ -8,8 +8,9 @@ are the family offset plus d.
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +38,9 @@ class Level:
     E: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {"d": self.d, "E": self.E, "b": self.b.tolist(),
+        """The level's JSON fields; ``b`` stays an array, which the
+        pipeline's JSON writer writes as its list."""
+        return {"d": self.d, "E": self.E, "b": self.b,
                 "imag_residual": self.imag_residual}
 
 
@@ -62,12 +65,17 @@ def _normalize_rows(bs: np.ndarray) -> np.ndarray:
 _BAND = 2
 
 
-def _band_matrix(exact: list, size: int) -> np.ndarray:
-    """Float copy of the exact sector matrix, converting only its band."""
+def _band_matrix(num: list, den: int) -> np.ndarray:
+    """Float copy of the exact sector matrix num / den, as
+    ``hamiltonian_matrix`` gives it, converting only its band.  Each entry
+    is the int division num / den, which Python rounds correctly: bit for
+    bit float(Fraction(num, den))."""
+    size = len(num)
     m = np.zeros((size, size))
     for k in range(-_BAND, _BAND + 1):
-        rows = np.arange(max(0, -k), min(size, size - k))
-        m[rows, rows + k] = [float(exact[i][i + k]) for i in rows]
+        lo, hi = max(0, -k), min(size, size - k)
+        rows = np.arange(lo, hi)
+        m[rows, rows + k] = [num[i][i + k] / den for i in range(lo, hi)]
     return m
 
 
@@ -173,11 +181,16 @@ def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
     solvable sector has no raising term, so it is upper triangular, and
     where np.linalg.eig returns its diagonal entries as the eigenvalues the
     step is skipped; otherwise it runs as for any sector.
+
+    The levels come in ascending (d, b.tolist()) order: a stable argsort on
+    d, with b compared only where two d are equal (``_order``).  Their b
+    are rows of one read-only array, shared, not copied: writing into one
+    raises ValueError.
     """
     if coeffs.d is not None:
         raise ValueError("the spectral solve needs d left free (d=None)")
     size = coeffs.n + 1
-    m = _band_matrix(hamiltonian_matrix(coeffs), size)
+    m = _band_matrix(*hamiltonian_matrix(coeffs))
     lam, vecs = np.linalg.eig(m)
     imag = np.abs(lam.imag)
     for i in np.flatnonzero(imag > 1e-9 * (1.0 + np.abs(lam))):
@@ -191,18 +204,37 @@ def solve_algebraic_sector(coeffs: AlgebraCoefficients) -> SpectralResult:
     kl, ku = _bandwidths(m)
     if not _every_pivot_zero(m, kl, d):
         bs = _refine(m, kl, ku, d, bs)
-    levels = [Level(d=float(d[i]), b=b, imag_residual=float(imag[i]))
-              for i, b in enumerate(_normalize_rows(bs))]
-    levels.sort(key=lambda lv: (lv.d, lv.b.tolist()))
-    return SpectralResult(levels)
+    bs = _normalize_rows(bs)
+    bs.flags.writeable = False
+    return SpectralResult([Level(d=float(d[i]), b=bs[i],
+                                 imag_residual=float(imag[i]))
+                           for i in _order(d, bs)])
+
+
+def _order(keys: np.ndarray, rows) -> list[int]:
+    """The indices that sort (keys[i], rows[i].tolist()) ascending, stably,
+    for keys with no nan: a stable argsort on the keys, with the rows
+    compared only among equal keys."""
+    order = np.argsort(keys, kind="stable").tolist()
+    start = 0
+    for _, run in itertools.groupby(keys[order].tolist()):
+        stop = start + sum(1 for _ in run)
+        if stop - start > 1:
+            order[start:stop] = sorted(order[start:stop],
+                                       key=lambda i: rows[i].tolist())
+        start = stop
+    return order
 
 
 def compose_energies(result: SpectralResult, offset: float) -> SpectralResult:
-    """Fill E = offset + d for every level, re-sorted ascending by E."""
-    new = [replace(lv, E=float(offset) + lv.d, b=lv.b.copy())
-           for lv in result.levels]
-    new.sort(key=lambda lv: (lv.E, lv.b.tolist()))
-    return SpectralResult(new)
+    """Fill E = offset + d for every level, re-sorted ascending by
+    (E, b.tolist()); each level shares its b with ``result``'s."""
+    levels = result.levels
+    energies = float(offset) + np.array([lv.d for lv in levels], float)
+    return SpectralResult([
+        Level(d=levels[i].d, b=levels[i].b,
+              imag_residual=levels[i].imag_residual, E=float(energies[i]))
+        for i in _order(energies, [lv.b for lv in levels])])
 
 
 def sector_ode_residual(bp: BPolynomials, d: float, b: np.ndarray) -> float:

@@ -65,6 +65,28 @@ def char_poly_exact(matrix):
     return coeffs
 
 
+def fraction_matrix(assembled) -> list:
+    """``hamiltonian_matrix``'s (numerators, den) as the matrix of
+    Fractions numerators[i][r] / den; it asserts int numerators over a
+    positive int den."""
+    num, den = assembled
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for row in num for v in row)
+    return [[Fraction(v, den) for v in row] for row in num]
+
+
+def matches_fractions(assembled, matrix) -> bool:
+    """Whether ``hamiltonian_matrix``'s (numerators, den) is the Fraction
+    matrix, exactly: the same shape, int numerators over a positive int
+    den, and numerators[i][r] == matrix[i][r] * den for every entry."""
+    num, den = assembled
+    return (type(den) is int and den > 0 and len(num) == len(matrix)
+            and all(len(row) == len(want)
+                    and all(type(v) is int and v == (q * den if q else 0)
+                            for v, q in zip(row, want))
+                    for row, want in zip(num, matrix)))
+
+
 def char_roots(matrix, dps: int = 50):
     """Roots of the exact characteristic polynomial, via mpmath."""
     coeffs = char_poly_exact(matrix)

@@ -25,7 +25,8 @@ from sl2qes.mapping import build_gauge
 from sl2qes.pipeline import verification_report
 from sl2qes.spectral import solve_algebraic_sector
 
-from oracles import (char_roots, fd_vectors, hand_written_potential, jacobi,
+from oracles import (char_roots, fd_vectors, fraction_matrix,
+                     hand_written_potential, jacobi, matches_fractions,
                      random_algebra, residual)
 
 
@@ -47,7 +48,7 @@ def test_criterion_01_exact_algebra_suite():
         c = random_algebra(rng, n_max=8)
         m1 = hamiltonian_matrix(c)
         m2 = hamiltonian_matrix_from_b(b_polynomials(c), c.d, c.n)
-        worst &= (m1 == m2)
+        worst &= matches_fractions(m1, m2)
         n = c.n
         for r in range(n + 1):
             p = Polynomial.monomial(r)
@@ -266,7 +267,7 @@ def test_criterion_11_spectral_oracle():
     checked = 0
     while checked < 25:
         c = random_algebra(rng, n_max=4).with_free_d()
-        roots = char_roots(hamiltonian_matrix(c))
+        roots = char_roots(fraction_matrix(hamiltonian_matrix(c)))
         if max(abs(r.imag) for r in roots) > 1e-20:
             continue
         res = solve_algebraic_sector(c)

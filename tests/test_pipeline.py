@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sl2qes import catalog, floattext, pipeline
 from sl2qes.algebra import Polynomial
@@ -566,8 +567,38 @@ _JSON_SCALARS = st.one_of(
     st.text())
 _JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(),
                        st.none())
+def _lists(doc):
+    """doc with every array replaced by its tolist()."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: _lists(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(_lists, doc))
+    return doc
+
+
+_SPECIAL_FLOATS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16])
+
+
+def _float_array(size: int, seed: int, special: bool) -> np.ndarray:
+    """size floats of wide range, with specials among them if asked."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+    if special and size:
+        at = rng.integers(0, size, 3)
+        values[at] = rng.choice(_SPECIAL_FLOATS, 3)
+    return values
+
+
+# float64 arrays: small ones of any floats, and large ones that take the
+# documents above CHUNK floats
+_JSON_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, st.integers(0, 6)),
+    st.builds(_float_array, st.integers(0, 2 * CHUNK),
+              st.integers(0, 2**32 - 1), st.booleans()))
 _JSON_DOCS = st.recursive(
-    _JSON_SCALARS,
+    st.one_of(_JSON_SCALARS, _JSON_ARRAYS),
     lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
                             st.dictionaries(_JSON_KEYS, inner)),
     max_leaves=30)
@@ -576,7 +607,7 @@ _JSON_DOCS = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_JSON_DOCS)
 def test_json_pieces_join_to_json_dumps_indent_2(doc):
-    assert "".join(json_pieces(doc)) == json.dumps(doc, indent=2)
+    assert "".join(json_pieces(doc)) == json.dumps(_lists(doc), indent=2)
 
 
 @pytest.mark.parametrize("doc", [
@@ -587,9 +618,12 @@ def test_json_pieces_join_to_json_dumps_indent_2(doc):
     [1, [2, 3], "a", {"b": [4, {}]}, 5.5, 6, (7,), None],
     {"a": 1, "b": [1, 2], "c": 3, "d": {"e": ()}, "f": "g"},
     [float("nan"), float("inf"), -float("inf"), 1e-320, 10 ** 40],
-], ids=lambda doc: json.dumps(doc)[:40])
+    # arrays that are no float64 vector are written as their lists
+    {"i": np.arange(3), "m": np.eye(2), "f": np.float32([0.1]),
+     "s": np.float64(2.5)},
+], ids=lambda doc: json.dumps(_lists(doc))[:40])
 def test_json_pieces_cases(doc):
-    assert "".join(json_pieces(doc)) == json.dumps(doc, indent=2)
+    assert "".join(json_pieces(doc)) == json.dumps(_lists(doc), indent=2)
 
 
 def _object_column(rows: int, bad_row: int) -> np.ndarray:
@@ -829,46 +863,60 @@ def test_overflow_rows_through_the_kernel_are_repr_bytes(tmp_path,
 
 
 def _gate_document(floats: int, extra) -> dict:
-    """A document with float lists of ``floats`` values in all, among
-    ints, bools, None, strings and nested dicts, plus ``extra``."""
-    values = (np.arange(floats) / 7.0 - 100.0).tolist()
+    """A document with float64 arrays of ``floats`` values in all (ragged,
+    -0.0 and 5e-324 among them), among ints, bools, None, strings, float
+    lists and nested dicts, plus ``extra``."""
+    values = np.arange(floats) / 7.0 - 100.0
+    values[:2] = -0.0, 5e-324
     return {
         "mode": "test", "n": 3, "ok": True, "none": None,
         "levels": [{"j": j, "E": -0.5 * j, "b": values[j::4],
                     "nested": {"flag": False, "pair": [j, 1.5],
-                               "deep": [values[j:j + 3], {"v": [2.0]}]}}
+                               "deep": [values[j:j + 3],
+                                        {"v": np.array([2.0])}]}}
                    for j in range(4)],
         "extra": extra,
-        "empty": [], "tail": values[:1],
+        "empty": np.array([]), "tail": values[:1],
     }
 
 
 @pytest.mark.parametrize("floats", [CHUNK - 18, CHUNK - 17, CHUNK + 10,
                                     3 * CHUNK + 5])
 def test_json_documents_at_the_chunk_gate(tmp_path, monkeypatch, floats):
-    # b lists hold ``floats`` values; deep and v lists add 4 * 3 + 4 = 16,
-    # pair (with an int), tail 1 more, and the nan and numpy lists none
-    extra = [[0.5, math.nan, 1.0], [0.25, np.float64(0.75)], (1.0, 2.0)]
+    # b arrays hold ``floats`` values; deep and v arrays add 4 * 3 + 4 = 16,
+    # tail 1 more; the arrays with inf or nan, the empty ones, the float
+    # list and the tuple none
+    extra = [np.array([0.5, math.nan, 1.0]), np.array([-0.0, np.inf]),
+             np.array([]), [0.25, 0.75], (1.0, 2.0)]
     doc = _gate_document(floats, extra)
     total = floats + 4 * 3 + 4 + 1
     sizes = _counting_kernel(monkeypatch)
     write_json_atomic(str(tmp_path / "d.json"), doc)
-    assert (tmp_path / "d.json").read_text() == json.dumps(doc, indent=2) + "\n"
-    assert sum(sizes) == (total if total >= CHUNK else 0)
-    found = pipeline._float_lists(doc)
-    assert (found is None) == (total < CHUNK)
-    if found is not None:
-        ids, _ = found
-        assert not {id(v) for v in extra} & ids
-        assert id(doc["levels"][0]["b"]) in ids
+    assert (tmp_path / "d.json").read_text() == json.dumps(
+        _lists(doc), indent=2) + "\n"
+    if total >= CHUNK:
+        _assert_passes(sizes, total)
+    else:
+        assert sizes == []
 
 
-def test_json_float_lists_split_across_kernel_calls(tmp_path):
-    # lists longer than a chunk, one float lists and a list met twice
-    long = (np.arange(2 * CHUNK + 3) * 1e-3).tolist()
-    doc = {"a": long, "b": [[1.0], long, [2.5, -0.0]], "c": [long[:5]] * 3}
+def test_json_float_lists_split_across_kernel_calls(tmp_path, monkeypatch):
+    # arrays longer than a chunk, one-float and empty arrays, and an array
+    # met three times
+    long = np.arange(2 * CHUNK + 3) * 1e-3
+    doc = {"a": long, "b": [np.array([1.0]), long, np.array([2.5, -0.0])],
+           "c": [long[:5]] * 3, "d": np.array([]), "e": [long[7:9], []]}
+    sizes = _counting_kernel(monkeypatch)
     write_json_atomic(str(tmp_path / "d.json"), doc)
-    assert (tmp_path / "d.json").read_text() == json.dumps(doc, indent=2) + "\n"
+    assert (tmp_path / "d.json").read_text() == json.dumps(
+        _lists(doc), indent=2) + "\n"
+    _assert_passes(sizes, 2 * long.size + 1 + 2 + 3 * 5 + 2)
+
+
+def test_an_array_counts_by_its_size_in_the_split():
+    doc = {"b": np.zeros(26), "c": [1.0, 2.0], "d": {"e": [np.ones(3)]},
+           "f": np.array([])}
+    assert pipeline._scalars(doc) == 26 + 2 + 3 + 0
 
 
 @pytest.mark.parametrize("rows, width, other", [

@@ -22,7 +22,7 @@ from sl2qes.spectral import (
     solve_algebraic_sector,
 )
 
-from oracles import char_roots, random_algebra
+from oracles import char_roots, fraction_matrix, random_algebra
 
 
 def periodic_v1_algebra(n, alpha=Q(1), beta=Q(1), sign=1):
@@ -65,7 +65,7 @@ def test_against_exact_characteristic_polynomial():
     checked = 0
     while checked < 30:
         c = random_algebra(rng, n_max=4).with_free_d()
-        roots = char_roots(hamiltonian_matrix(c))
+        roots = char_roots(fraction_matrix(hamiltonian_matrix(c)))
         if max(abs(r.imag) for r in roots) > 1e-20:
             # complex pair: the solver must warn, not hide it
             with warnings.catch_warnings(record=True) as log:
@@ -99,7 +99,8 @@ def test_level_count_and_eigen_residual():
     sectors += [make_entry(name, params, "+", n).algebra
                 for name, params in QES_FAMILIES for n in (20, 80, 160)]
     for c in sectors:
-        m = np.array([[float(v) for v in row] for row in hamiltonian_matrix(c)])
+        m = np.array([[float(v) for v in row]
+                      for row in fraction_matrix(hamiltonian_matrix(c))])
         scale = max(np.linalg.norm(m, np.inf), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonRealSpectrumWarning)
@@ -154,15 +155,20 @@ def test_energies_sorted_ascending():
     assert energies == sorted(energies)
 
 
+def _bits(m):
+    return np.asarray(m, np.float64).view(np.uint64)
+
+
 def test_band_holds_the_whole_sector_matrix():
     """Every entry off the band of 2 diagonals below and 2 above is exactly
-    zero, so converting the band gives the dense float matrix."""
+    zero, so converting the band gives the dense float matrix, bit for
+    bit."""
     rng = random.Random(7)
     for _ in range(40):
         c = random_algebra(rng, n_max=12).with_free_d()
-        exact = hamiltonian_matrix(c)
-        dense = np.array([[float(v) for v in row] for row in exact])
-        assert np.array_equal(_band_matrix(exact, c.n + 1), dense)
+        assembled = hamiltonian_matrix(c)
+        dense = [[float(v) for v in row] for row in fraction_matrix(assembled)]
+        assert np.array_equal(_bits(_band_matrix(*assembled)), _bits(dense))
 
 
 def _dense_refine(m, lam, v):
@@ -273,7 +279,7 @@ def test_refine_skip_keeps_every_bit(monkeypatch, coeffs):
     """Exactly solvable and general-numeric sectors skip _refine, and
     running it anyway changes no bit of the result."""
     coeffs = coeffs.with_free_d()
-    m = _band_matrix(hamiltonian_matrix(coeffs), coeffs.n + 1)
+    m = _band_matrix(*hamiltonian_matrix(coeffs))
     kl, _ = _bandwidths(m)
     assert _every_pivot_zero(m, kl, np.linalg.eig(m)[0].real)
     got = _levels_bits(solve_algebraic_sector(coeffs))
@@ -299,3 +305,93 @@ def test_sectors_with_a_subdiagonal_still_refine(monkeypatch, coeffs):
     monkeypatch.setattr(spectral, "_refine", counted)
     solve_algebraic_sector(coeffs)
     assert len(calls) == 1 and calls[0][0] > 0
+
+
+# ------------------------------------------------ the band and level order
+
+def _coefficient_sets():
+    """This module's coefficient sets: random data, the eight QES families
+    at n = 20, 80 and 160, the triangular sectors and the refined ones."""
+    rng = random.Random(99)
+    sets = [random_algebra(rng, n_max=40).with_free_d() for _ in range(30)]
+    sets += [make_entry(name, params, "+", n).algebra
+             for name, params in QES_FAMILIES for n in (20, 80, 160)]
+    sets += [p.values[0].with_free_d() for p in _triangular_sectors()]
+    sets += [AlgebraCoefficients(c_00=-1, c_p=1, c_0=Q(1, 2), c_m=-2, n=6),
+             AlgebraCoefficients(c_pp=1, c_p0=Q(1, 3), c_00=-1, c_p=2, c_0=1,
+                                 n=6),
+             periodic_v1_algebra(5, Q(-2), Q(1, 3), -1)]
+    # a third beside binary floats: numerators past 2^53 over a den that
+    # is no power of two, where float(num) / float(den) rounds twice
+    sets += [make_entry(name, params, "+", 160).algebra for name, params in (
+        ("periodic-v1", {"alpha": "1/3", "beta": 0.9, "a": 0.1}),
+        ("hyperbolic-v3", {"gamma": 0.8, "eta": "-1/3", "a": 0.0}))]
+    return sets
+
+
+def test_band_is_the_float_of_each_exact_fraction():
+    """Each band entry num / den is float(Fraction(num, den)) bit for bit,
+    signed zeros included; every other entry is +0.0."""
+    for c in _coefficient_sets():
+        num, den = hamiltonian_matrix(c)
+        size = len(num)
+        want = np.zeros((size, size))
+        for i in range(size):
+            for r in range(max(0, i - 2), min(size, i + 3)):
+                want[i, r] = float(Q(num[i][r], den))
+        assert np.array_equal(_bits(_band_matrix(num, den)), _bits(want))
+
+
+_KEYS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_KEYS, st.lists(_KEYS, min_size=3, max_size=3)),
+                max_size=12))
+def test_order_is_the_tuple_sort(draws):
+    """Ties in the key, -0.0 against 0.0 and rows equal in full keep the
+    order of a stable sort on (key, row.tolist())."""
+    keys = np.array([k for k, _ in draws], float)
+    rows = np.array([row for _, row in draws], float).reshape(len(draws), 3)
+    want = sorted(range(len(draws)),
+                  key=lambda i: (keys[i], rows[i].tolist()))
+    assert spectral._order(keys, rows) == want
+
+
+def test_tied_shifts_keep_the_tuple_order():
+    # the diagonal sector -(r - 2)^2 has d = -4 and d = -1 twice each, on
+    # the unit vectors: b orders the tied pairs against their index order
+    res = solve_algebraic_sector(AlgebraCoefficients(c_00=1, n=4))
+    assert [lv.d for lv in res.levels] == [-4.0, -4.0, -1.0, -1.0, 0.0]
+    assert [int(np.argmax(lv.b)) for lv in res.levels] == [4, 0, 3, 1, 2]
+    keys = [(lv.d, lv.b.tolist()) for lv in res.levels]
+    assert keys == sorted(keys)
+
+
+def test_energies_tied_by_the_offset_keep_the_tuple_order():
+    # d = 0 and 1e-17 differ, but 1 + d does not: b orders that pair
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    raw = spectral.SpectralResult([
+        spectral.Level(d=d, b=b, imag_residual=0.0)
+        for d, b in zip((0.0, 1e-17, 2.0), rows)])
+    composed = compose_energies(raw, 1.0)
+    assert [lv.E for lv in composed.levels] == [1.0, 1.0, 3.0]
+    assert [lv.d for lv in composed.levels] == [1e-17, 0.0, 2.0]
+    assert [lv.b.tolist() for lv in composed.levels] == [[0.0, 1.0],
+                                                         [1.0, 0.0],
+                                                         [1.0, 1.0]]
+    # the levels share their b with the raw result's
+    assert all(lv.b is raw.levels[i].b
+               for lv, i in zip(composed.levels, (1, 0, 2)))
+
+
+def test_level_vectors_are_shared_and_read_only():
+    entry = make_entry("periodic-v1", {"alpha": 1.5, "beta": -0.75, "a": 0.25},
+                       "+", 20)
+    raw = solve_algebraic_sector(entry.algebra)
+    composed = compose_energies(raw, entry.energy_offset)
+    for lv in raw.levels + composed.levels + entry.spectral().levels:
+        with pytest.raises(ValueError, match="read-only"):
+            lv.b[0] = 2.0
+    assert {id(lv.b.base) for lv in raw.levels + composed.levels} == {
+        id(raw.levels[0].b.base)}
