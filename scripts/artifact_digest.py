@@ -185,6 +185,12 @@ EXTRA = (
     Request("build-hyperbolic-v1-n160-json-samples", (
         "build", "--family", "hyperbolic-v1", "--gamma", "1", "--eta", "-1",
         "--a", "0", "--sign", "+", "--n", "160", "--json-samples")),
+    # a small document holding non-finite arrays: wavefunctions.json has
+    # 46 Infinity values among its 805 floats, fewer than one kernel pass
+    Request("build-hyperbolic-v1-n160-json-samples-5", (
+        "build", "--family", "hyperbolic-v1", "--gamma", "1", "--eta", "-1",
+        "--a", "0", "--sign", "+", "--n", "160", "--samples", "5",
+        "--json-samples")),
     # periodic rings of 600 to 2400 cell nodes, the list's only rings
     # above 512
     Request("verify-periodic-v3-large-ring", (

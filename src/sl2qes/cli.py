@@ -135,7 +135,7 @@ def _build(args, entry: catalog.CatalogEntry):
 def _cmd_list_families(args) -> int:
     doc = catalog.list_families()
     if args.json_out:
-        pipeline.write_json_atomic(args.json_out, doc)
+        pipeline.write_json_atomic(args.json_out, pipeline.json_pieces(doc))
     else:
         print(*pipeline.json_pieces(doc), sep="")
     return 0
@@ -155,7 +155,8 @@ def _cmd_verify(args) -> int:
         entry, j_max=args.j_max, points=args.points, tolerance=args.tolerance)
     _build(args, entry)
     pipeline.write_json_atomic(
-        os.path.join(args.out_dir, "verification.json"), report)
+        os.path.join(args.out_dir, "verification.json"),
+        pipeline.json_pieces(report))
     for row in report["levels"]:
         status = "ok" if row["pass"] else f"FAIL: {row['cause']}"
         # a level decided before any solve has no numeric value
@@ -253,7 +254,7 @@ def _cmd_general(args) -> int:
     gauge = build_gauge(bp, mapping, float(x[len(x) // 2]))
     # every level shares the gauge and the map: one block, one gauge pass
     block = WaveFunction(gauge, [lv.b for lv in solved.levels], mapping)
-    psi = pipeline.RowSampler([(block.on(x), range(len(solved.levels)))])
+    psi = pipeline.RowSampler([block.on(x)])
     pipeline.write_artifacts(args.out_dir, x, v, doc, psi)
     print(f"wrote general-mode artifacts to {args.out_dir}")
     return 0

@@ -33,38 +33,37 @@ A sampled potential that is not finite raises GridError, naming the first
 such x, before any artifact is written.  Every file streams into a temp
 file renamed into place (mode 0o666 less the umask), with fixed key order
 and repr's shortest round-trip floats, so identical configurations produce
-byte-identical output.  Every table is formatted by floattext, a numpy
-kernel that writes repr's bytes at about a third of repr's cost per float
-at CHUNK floats a call, at most CHUNK floats a kernel call.  A JSON
-document holds its float data as float64 arrays (a level's b, the JSON
-samples), each written as json.dumps(..., indent=2) writes its list.  One
-walk writes every other value by json's rules and collects the arrays;
-when those with finite values only hold CHUNK floats or more in all, their
-floats are one floattext stream for the document.  Every other array, and
-every array of a smaller document, takes json's text per float, where one
-kernel call's fixed cost would outweigh the saving.
+byte-identical output.  A JSON document holds its float data as float64
+arrays (a level's b, the JSON samples), each written as json.dumps(...,
+indent=2) writes its list; one walk writes every other value by json's
+rules and collects the arrays.
+
+Every float that a request writes is one stream, in write order:
+potential.csv's rows, the documents' arrays, then this process's rows of
+wavefunctions.csv.  It is formatted by floattext, a numpy kernel that
+writes repr's bytes at about a third of repr's cost per float, CHUNK
+floats a call across the ends of its runs (a table, or one array); a
+pass gathers only the rows its floats touch, and its text is split back
+at each run's end.  An array's inf and nan become json's Infinity and NaN.
 
 ``write_artifacts`` writes a request's potential.csv, spectrum.json, the
 JSON samples (potential.json and wavefunctions.json) when asked for, and
-wavefunctions.csv.  Its tables are one stream of floats: potential.csv's
-rows, then this process's rows of wavefunctions.csv, in passes of whole
-rows that cross the edge between them, so a request below CHUNK table
-floats makes one kernel call.  It takes the wavefunctions as a
+wavefunctions.csv.  It walks every document before the first file, so one
+that cannot be encoded leaves none.  It takes the wavefunctions as a
 RowSampler: their map and gauge are already sampled on all of x, so every
-named error is raised before any file is written, and what is left per
-row is each level's Horner step and ``scaled_exp``.  Float formatting
-holds the GIL, so a large request is written on two cores: when the
-wavefunction table holds FORK_MIN_FLOATS floats or more, the process has
-one thread and may run on two CPUs, one child is forked before the first
-file, after floattext's tables are built.  It samples the table's rows
-from the one that gives it about half of the floats the request writes
-while it runs, formats them into an unnamed temp file beside the table,
-and leaves with os._exit.  The parent samples the other rows, writes the
-other files and the table's first rows, reaps the child and appends its
-rows with a kernel copy before the rename.  Without the fork the parent
-samples every row.  The bytes, modes and cleanup are the one-process
-writer's; a failed child raises OSError, and a parent that fails first
-kills the child and reaps it.
+named error is raised before any file is written, and what is left per row
+is each level's Horner step and ``scaled_exp``.  Float formatting holds the
+GIL, so a large request is written on two cores: when the wavefunction
+table holds FORK_MIN_FLOATS floats or more, the process has one thread and
+may run on two CPUs, one child is forked before the first file, after
+floattext's tables are built.  It samples the table's rows from the one
+that gives it about half of the floats the request writes while it runs,
+formats them into an unnamed temp file beside the table, and leaves with
+os._exit.  The parent samples the other rows, writes the other files and
+the table's first rows, reaps the child and appends its rows with a kernel
+copy before the rename.  Without the fork the parent samples every row.
+The bytes, modes and cleanup are the one-process writer's; a failed child
+raises OSError, and a parent that fails first kills the child and reaps it.
 """
 
 from __future__ import annotations
@@ -420,30 +419,25 @@ def _atomic_write(path: str, pieces, finish=None):
 
 def json_pieces(obj):
     """The text of ``json.dumps(obj, indent=2)`` in pieces, where a float64
-    array of one dimension is written as its ``tolist()``.  One walk
-    (``_walk``) writes every other value by json's rules and collects the
-    arrays in order; ``_array_texts`` then gives their text, put in their
-    places."""
-    pieces, arrays = [], []
-    _walk(obj, "", pieces, arrays)
-    texts = _array_texts(arrays)
-    return (next(texts) if piece is None else piece for piece in pieces)
+    array of one dimension is written as its ``tolist()``.  Its arrays are
+    their own floattext stream; a document with none makes no stream."""
+    pieces = _walk(obj, [])
+    return _document(pieces, _runs(_arrays(pieces)))
 
 
-def _walk(obj, indent: str, pieces: list, arrays: list):
-    """Append the text of obj at ``indent`` to pieces, with None in place
-    of each float64 array of one dimension, which goes to arrays with its
-    indent.  Any other array is walked as its ``tolist()``."""
+def _walk(obj, pieces: list, indent: str = "") -> list:
+    """pieces, with the text of obj at ``indent`` appended, and (array,
+    indent) in place of each non-empty float64 array of one dimension.
+    Any other array is walked as its ``tolist()``."""
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype == np.float64:
-            pieces.append(None)
-            arrays.append((obj, indent))
-            return
+        if obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
+            pieces.append((obj, indent))
+            return pieces
         obj = obj.tolist()
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
         pieces.append(_plain(obj))
-        return
+        return pieces
     inner = indent + "  "
     sep = ("{" if is_dict else "[") + "\n" + inner
     for item in obj.items() if is_dict else obj:
@@ -452,9 +446,10 @@ def _walk(obj, indent: str, pieces: list, arrays: list):
             sep += (_string(key) + ": " if type(key) is str
                     else json.dumps({key: None})[1:-5])
         pieces.append(sep)
-        _walk(item, inner, pieces, arrays)
+        _walk(item, pieces, inner)
         sep = ",\n" + inner
     pieces.append("\n" + indent + ("}" if is_dict else "]"))
+    return pieces
 
 
 _string = json.encoder.encode_basestring_ascii
@@ -471,114 +466,110 @@ def _plain(obj) -> str:
     return json.dumps(obj)
 
 
-def _array_texts(arrays):
-    """The text of each (array, indent) of ``arrays``, as json.dumps(...,
-    indent=2) writes the array's list at that indent.  When the arrays
-    with finite values only hold CHUNK floats or more in all, their floats
-    are one floattext stream, CHUNK floats a call across array ends (so
-    only one call's text is held beyond the array being written); every
-    other array takes json's text per float (NaN, Infinity)."""
-    sizes = np.array([a.size for a, _ in arrays], np.intp)
-    streamed = np.zeros(len(arrays), bool)
-    if sizes.sum() >= CHUNK:
-        values = np.concatenate([a for a, _ in arrays])
-        ends = np.cumsum(sizes)
-        bad = np.concatenate(([0], np.cumsum(~np.isfinite(values))))
-        finite = (bad[ends] == bad[ends - sizes]) & (sizes > 0)
-        if sizes[finite].sum() >= CHUNK:
-            streamed = finite
-            values = values[np.repeat(streamed, sizes)]
-            seps = np.full(len(values), ord(","), np.uint8)
-            seps[np.cumsum(sizes[streamed]) - 1] = ord("\n")
-            bodies = _stream(values, seps)
-    for (array, indent), fast in zip(arrays, streamed):
-        if fast:
-            body = next(bodies)
-        elif array.size:
-            body = json.dumps(array.tolist(), separators=(",", ":"))[1:-1]
-        else:
-            yield "[]"
+def _document(pieces, run):
+    """The text pieces of a walked document, each array's as json.dumps(...,
+    indent=2) writes its list at its indent, from the next ``run()``;
+    repr's inf and nan become json's Infinity and NaN."""
+    for piece in pieces:
+        if type(piece) is str:
+            yield piece
             continue
+        body, indent = "".join(run()), piece[1]
+        if "n" in body:     # no finite float's text has an n
+            body = body.replace("inf", "Infinity").replace("nan", "NaN")
         newline = "\n" + indent + "  "
         yield ("[" + newline + body.replace(",", "," + newline) + "\n"
                + indent + "]")
 
 
-def _stream(values: np.ndarray, seps: np.ndarray):
-    """The comma-separated text of each run of values that ends at a
-    newline of ``seps``, formatted CHUNK floats per floattext call."""
-    head = []
-    for start in range(0, len(values), CHUNK):
-        *done, rest = format_floats(values[start:start + CHUNK],
-                                    seps[start:start + CHUNK]).split("\n")
-        if done:
-            yield "".join(head) + done[0]
-            yield from done[1:]
-            head = []
-        head.append(rest)
+def write_json_atomic(path: str, pieces):
+    """The JSON document of the text ``pieces`` (``json_pieces``), with a
+    final newline."""
+    _atomic_write(path, itertools.chain(pieces, "\n"))
 
 
-def write_json_atomic(path: str, obj):
-    _atomic_write(path, itertools.chain(json_pieces(obj), "\n"))
+_EDGE = "|"     # a run's last separator, where its text is split back
 
 
-def _csv_texts(tables):
-    """(k, text) pieces of the rows of table k, for each list of columns in
-    ``tables``: one stream of floats, one floattext call per pass of at
-    most CHUNK floats (or one row), and a pass takes whole rows from as
-    many tables as fit.  Each table gives at least one piece."""
-    parts, room = [], CHUNK     # the pass's (k, block) pairs; floats left
-    for k, columns in enumerate(tables):
-        width, rows, start = len(columns), max(map(len, columns)), 0
-        while True:
-            if parts and room < width:
-                yield from _format_pass(parts)
-                parts, room = [], CHUNK
-            stop = min(start + max(room // width, 1), rows)
-            parts.append((k, np.array([col[start:stop] for col in columns],
-                                      float).T))
-            room -= (stop - start) * width
-            start = stop
-            if start >= rows:
-                break
-    if parts:
-        yield from _format_pass(parts)
+def _arrays(pieces) -> list:
+    """The stream source of the arrays among walked ``pieces``, each one
+    run: one concatenation and one separator vector, a comma after each
+    float and _EDGE after an array's last.  No source, and no numpy call,
+    when there is no array."""
+    arrays = [piece[0] for piece in pieces if type(piece) is not str]
+    if not arrays:
+        return []
+    values = np.concatenate(arrays)
+    seps = np.full(values.size, ord(","), np.uint8)
+    seps[np.cumsum([array.size for array in arrays]) - 1] = ord(_EDGE)
+    return [(values.size, lambda a, b: (values[a:b], seps[a:b]))]
 
 
-_EDGE = "|"     # a block's last separator in a pass, where its text ends
+def _table(columns: list):
+    """The stream source of the table of ``columns`` as one run, row by
+    row.  ``take(a, b)`` gives its floats [a:b] and their separators (a
+    comma, a newline after a row, _EDGE after the last float), gathered
+    from only the rows they touch."""
+    width = len(columns)
+    size = len(columns[0]) * width
+
+    def take(a: int, b: int):
+        first, stop = a // width, -(-b // width)
+        block = np.array([col[first:stop] for col in columns],
+                         float).T.reshape(-1)
+        seps = np.full(b - a, ord(","), np.uint8)
+        seps[(width - 1 - a) % width::width] = ord("\n")
+        if b == size:
+            seps[-1] = ord(_EDGE)
+        return block[a % width:][:b - a], seps
+
+    return size, take
 
 
-def _format_pass(parts):
-    """(k, text) for each (k, block) in parts, from one floattext call."""
-    seps = []
-    for _, block in parts:
-        sep = np.full(block.shape, ord(","), np.uint8)
-        sep[:, -1:] = ord("\n")
-        sep.reshape(-1)[-1:] = ord(_EDGE)
-        seps.append(sep.reshape(-1))
-    values = np.concatenate([block.reshape(-1) for _, block in parts])
-    texts = iter(format_floats(values, np.concatenate(seps)).split(_EDGE))
-    for k, block in parts:
-        yield k, next(texts) + "\n" if block.size else ""
+def _runs(sources):
+    """A function ``run()`` whose calls give the text pieces of each run of
+    ``sources``, (size, take) pairs that hold one run or more, in order:
+    each run is read to its end before the next is asked for.  The floats
+    are one stream, formatted in passes of CHUNK floats across run ends,
+    one floattext call each, and each pass's text is split back at
+    _EDGE."""
+    ats = [0, *itertools.accumulate(size for size, _ in sources)]
 
+    def passes():
+        for first in range(0, ats[-1], CHUNK):
+            last = first + CHUNK
+            values, seps = zip(*(
+                take(max(first - at, 0), min(last - at, size))
+                for at, (size, take) in zip(ats, sources)
+                if max(first, at) < min(last, at + size)))
+            *done, rest = format_floats(np.concatenate(values),
+                                        np.concatenate(seps)).split(_EDGE)
+            for text in done:
+                yield text, True
+            if rest:
+                yield rest, False
 
-def _csv_tables(tables: list):
-    """One iterator of text pieces per table of ``_csv_texts(tables)``, in
-    order, each read to its end before the next starts.  Nothing is
-    formatted before the first is read."""
-    groups = itertools.groupby(_csv_texts(tables), lambda piece: piece[0])
+    pieces = passes()
 
-    def texts():
-        for _, text in next(groups)[1]:
+    def run():
+        for text, end in pieces:
             yield text
+            if end:
+                return
 
-    return [texts() for _ in tables]
+    return run
+
+
+def _csv(run, rows: int):
+    """The text of a table's rows: the next ``run()`` and the newline its
+    _EDGE took, or nothing for a table of no rows."""
+    return itertools.chain(run(), "\n") if rows else iter(())
 
 
 def write_csv_atomic(path: str, header: list[str], rows,
                      tail: _Tail | None = None):
     """The table under its header: ``rows`` is an iterator of its rows'
-    text, as ``_csv_tables`` gives.  With ``tail``, the forked child's rows
+    text, as ``_csv`` gives.  With ``tail``, the forked child's rows
     follow them."""
     _atomic_write(path, itertools.chain([",".join(header) + "\n"], rows),
                   None if tail is None else tail.append_to)
@@ -589,8 +580,8 @@ def _write_rows(fd: int, table, start: int) -> int:
     ``table(start)``, into fd.  It imports nothing and calls no BLAS
     routine.  0, or the errno of the write that failed."""
     try:
-        [rows] = _csv_tables([table(start)])
-        for text in rows:
+        columns = table(start)
+        for text in _csv(_runs([_table(columns)]), len(columns[0])):
             data = text.encode()
             while data:
                 data = data[os.write(fd, data):]
@@ -694,21 +685,18 @@ def _scalars(obj) -> int:
 
 
 class RowSampler:
-    """Wavefunction columns sampled a range of rows at a time.  ``blocks``
-    pairs each WaveRows, whose map and gauge are already sampled on all of
-    x, with the places of its levels' columns in the table."""
+    """Wavefunction columns sampled a range of rows at a time, from WaveRows
+    blocks in column order, whose map and gauge are already sampled on all
+    of x."""
 
     def __init__(self, blocks):
-        self.blocks = [(rows, list(places)) for rows, places in blocks]
-        self.width = sum(len(places) for _, places in self.blocks)
+        self.blocks = list(blocks)
+        self.width = sum(len(block.coeffs) for block in self.blocks)
 
     def __call__(self, start: int = 0, stop: int | None = None) -> list:
         """Every column on rows [start:stop]."""
-        cols = [None] * self.width
-        for rows, places in self.blocks:
-            for i, col in zip(places, rows(slice(start, stop))):
-                cols[i] = col
-        return cols
+        return [col for block in self.blocks
+                for col in block(slice(start, stop))]
 
 
 def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
@@ -716,9 +704,10 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
     """potential.csv, spectrum.json and wavefunctions.csv (psi_j in column
     j of ``psi``), and with ``json_samples`` the samples as JSON arrays
     too, for which every row is sampled first, written before
-    wavefunctions.csv.  A large wavefunction table's last rows are sampled
-    and formatted by a forked child (_forked_tail), forked before the
-    first file is written."""
+    wavefunctions.csv.  Every document is walked before the first file, so
+    one that cannot be encoded leaves none.  A large wavefunction table's
+    last rows are sampled and formatted by a forked child (_forked_tail),
+    forked before the first file is written."""
     cols = psi() if json_samples else None
 
     def table(start, stop=None):
@@ -726,23 +715,27 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
                 else [col[start:stop] for col in cols])
         return [x[start:stop], *rows]
 
-    samples = {} if cols is None else {
+    docs = {"spectrum.json": doc, **({} if cols is None else {
         "potential.json": {"x": x, "V": v},
         "wavefunctions.json": {"x": x, "psi": {
-            str(j): col for j, col in enumerate(cols)}}}
+            str(j): col for j, col in enumerate(cols)}}})}
     target = os.path.join(out_dir, "wavefunctions.csv")
     tail = _forked_tail(target, table, (len(x), psi.width + 1),
-                        [doc, *samples.values()])
+                        list(docs.values()))
     with tail or contextlib.nullcontext():
-        potential, waves = _csv_tables(
-            [[x, v], table(0, None if tail is None else tail.start)])
+        walked = {name: _walk(obj, []) for name, obj in docs.items()}
+        waves = table(0, None if tail is None else tail.start)
+        run = _runs([_table([x, v]),
+                     *_arrays(itertools.chain(*walked.values())),
+                     _table(waves)])
         write_csv_atomic(os.path.join(out_dir, "potential.csv"), ["x", "V"],
-                         potential)
-        write_json_atomic(os.path.join(out_dir, "spectrum.json"), doc)
-        for name, sample in samples.items():
-            write_json_atomic(os.path.join(out_dir, name), sample)
+                         _csv(run, len(x)))
+        for name, pieces in walked.items():
+            write_json_atomic(os.path.join(out_dir, name),
+                              _document(pieces, run))
         write_csv_atomic(target, ["x"] + [f"psi_{j}" for j in
-                                          range(psi.width)], waves, tail)
+                                          range(psi.width)],
+                         _csv(run, len(waves[0])), tail)
 
 
 def finite_potential(potential, x: np.ndarray) -> np.ndarray:
@@ -762,18 +755,15 @@ def sample_potential(entry: CatalogEntry, samples: int):
 
 def wavefunction_rows(entry: CatalogEntry, x: np.ndarray,
                       j_values: list[int]) -> RowSampler:
-    """psi_j on x for each j, as a RowSampler; the levels of one sector
-    share its gauge and map, which are sampled here on all of x, once for
-    the block."""
+    """psi_j on x for each j, as a RowSampler; consecutive levels of one
+    sector share its gauge and map, which are sampled here on all of x,
+    once for the block.  Ascending j keeps a sector's levels together."""
     psis = [entry.closed_form_wavefunction(j) for j in j_values]
-    blocks: dict[int, list[int]] = {}
-    for i, psi in enumerate(psis):
-        blocks.setdefault(id(psi.gauge), []).append(i)
+    blocks = [list(group) for _, group in
+              itertools.groupby(psis, lambda psi: id(psi.gauge))]
     return RowSampler(
-        (WaveFunction(psis[places[0]].gauge,
-                      [psis[i].coeffs for i in places],
-                      psis[places[0]].mapping).on(x), places)
-        for places in blocks.values())
+        WaveFunction(block[0].gauge, [psi.coeffs for psi in block],
+                     block[0].mapping).on(x) for block in blocks)
 
 
 def sample_wavefunctions(entry: CatalogEntry, x: np.ndarray,

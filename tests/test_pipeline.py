@@ -536,9 +536,9 @@ def test_no_level_to_verify_is_an_error(tmp_path, capsys, name, params,
 
 def _rows(columns):
     """The text of a table's rows, as write_artifacts gives it to
-    write_csv_atomic."""
-    [rows] = pipeline._csv_tables([columns])
-    return rows
+    write_csv_atomic: the table as the one run of its own stream."""
+    return pipeline._csv(pipeline._runs([pipeline._table(columns)]),
+                         len(columns[0]))
 
 
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 401])
@@ -649,17 +649,17 @@ def _no_child_left():
 
 
 class _Columns:
-    """A RowSampler block of fixed columns."""
+    """A RowSampler block of fixed columns, one per level."""
 
     def __init__(self, cols):
-        self.cols = cols
+        self.cols = self.coeffs = cols
 
     def __call__(self, rows):
         return [col[rows] for col in self.cols]
 
 
 def _sampler(cols) -> RowSampler:
-    return RowSampler([(_Columns(cols), range(len(cols)))])
+    return RowSampler([_Columns(cols)])
 
 
 def _table(columns):
@@ -706,19 +706,23 @@ def _child_stops_after_a_block(fd, table, start):
 
 
 @pytest.mark.parametrize("target, write, error, left", [
-    # the set is the last leaf: the pieces before it are already written
-    ("artifact", lambda path, mp: write_json_atomic(path, {
-        "levels": [{"j": j, "b": [0.5] * 200} for j in range(50)],
-        "warnings": ["done", {"a set"}]}), TypeError, []),
+    # the set is in a second document, walked once the first one's pieces
+    # are written
+    ("artifact", lambda path, mp: write_json_atomic(path, (
+        piece for doc in ({"levels": [{"j": j, "b": np.full(200, 0.5)}
+                                      for j in range(50)]},
+                          {"warnings": ["done", {"a set"}]})
+        for piece in json_pieces(doc))), TypeError, []),
     # the bad value sits in the second kernel pass of rows
     ("artifact", lambda path, mp: write_csv_atomic(path, ["x", "v"], _rows([
         np.arange(3000.0), _object_column(3000, CHUNK // 2 + 6)])),
      ValueError, []),
-    # the parent fails in spectrum.json while the child formats its rows
+    # spectrum.json cannot be encoded: its walk fails before any file,
+    # while the child formats its rows
     pytest.param("spectrum.json", lambda path, mp: _forked_build(
         os.path.dirname(path), mp, {
             "levels": [{"j": j, "b": [0.5] * 200} for j in range(50)],
-            "warnings": ["done", {"a set"}]}), TypeError, ["potential.csv"],
+            "warnings": ["done", {"a set"}]}), TypeError, [],
         marks=forking),
     # the child fails after its first block of rows
     pytest.param("wavefunctions.csv", lambda path, mp: (
@@ -884,20 +888,17 @@ def _gate_document(floats: int, extra) -> dict:
                                     3 * CHUNK + 5])
 def test_json_documents_at_the_chunk_gate(tmp_path, monkeypatch, floats):
     # b arrays hold ``floats`` values; deep and v arrays add 4 * 3 + 4 = 16,
-    # tail 1 more; the arrays with inf or nan, the empty ones, the float
-    # list and the tuple none
+    # tail 1 more, and the arrays with inf or nan 3 + 2; the empty ones,
+    # the float list and the tuple none
     extra = [np.array([0.5, math.nan, 1.0]), np.array([-0.0, np.inf]),
              np.array([]), [0.25, 0.75], (1.0, 2.0)]
     doc = _gate_document(floats, extra)
-    total = floats + 4 * 3 + 4 + 1
+    total = floats + 4 * 3 + 4 + 1 + 3 + 2
     sizes = _counting_kernel(monkeypatch)
-    write_json_atomic(str(tmp_path / "d.json"), doc)
+    write_json_atomic(str(tmp_path / "d.json"), json_pieces(doc))
     assert (tmp_path / "d.json").read_text() == json.dumps(
         _lists(doc), indent=2) + "\n"
-    if total >= CHUNK:
-        _assert_passes(sizes, total)
-    else:
-        assert sizes == []
+    _assert_passes(sizes, total)
 
 
 def test_json_float_lists_split_across_kernel_calls(tmp_path, monkeypatch):
@@ -907,7 +908,7 @@ def test_json_float_lists_split_across_kernel_calls(tmp_path, monkeypatch):
     doc = {"a": long, "b": [np.array([1.0]), long, np.array([2.5, -0.0])],
            "c": [long[:5]] * 3, "d": np.array([]), "e": [long[7:9], []]}
     sizes = _counting_kernel(monkeypatch)
-    write_json_atomic(str(tmp_path / "d.json"), doc)
+    write_json_atomic(str(tmp_path / "d.json"), json_pieces(doc))
     assert (tmp_path / "d.json").read_text() == json.dumps(
         _lists(doc), indent=2) + "\n"
     _assert_passes(sizes, 2 * long.size + 1 + 2 + 3 * 5 + 2)
@@ -1069,10 +1070,13 @@ def _assert_repr_rows(path):
 
 
 @pytest.mark.parametrize("argv, floats", [
-    # 401 rows of x, V and of x and psi_0..psi_3, then of x and psi_0..psi_4
-    (["verify", "--family", "harmonic", "--omega", "1"], 401 * (2 + 5)),
+    # 401 rows of x, V and of x and psi_0..psi_3, and b of 1 + 2 + 3 + 4
+    # floats (levels 1..3 each from the sector at n = j); then 401 rows of
+    # x, V and of x and psi_0..psi_4, and five b of 5 floats
+    (["verify", "--family", "harmonic", "--omega", "1"],
+     401 * (2 + 5) + 10),
     (["general", "--x-min=-1", "--x-max=1",
-      f"--algebra={json.dumps(dict(_COS_B4, n=4))}"], 401 * (2 + 6)),
+      f"--algebra={json.dumps(dict(_COS_B4, n=4))}"], 401 * (2 + 6) + 25),
 ], ids=["verify", "general"])
 def test_a_request_formats_its_tables_in_one_kernel_call(tmp_path,
                                                          monkeypatch, argv,
@@ -1092,7 +1096,8 @@ def test_requests_of_one_and_two_samples_are_repr_bytes(tmp_path,
             "2", "--samples", samples]
     assert _cli(monkeypatch, 10**12, argv, tmp_path / "run") == 0
     rows = int(samples)
-    assert sizes == [rows * (2 + 5)]
+    # the tables and spectrum.json's b of 1 + 2 + 3 + 4 floats
+    assert sizes == [rows * (2 + 5) + 10]
     for name in ("potential.csv", "wavefunctions.csv"):
         path = tmp_path / "run" / name
         assert len(path.read_text().splitlines()) == rows + 1
@@ -1136,6 +1141,55 @@ def test_the_parents_share_of_a_forked_request_is_one_stream(tmp_path,
     _assert_passes(sizes, rows * 2 + start * 41)
     assert (tmp_path / "wavefunctions.csv").read_bytes() == _repr_table(
         ["x"] + [f"psi_{j}" for j in range(40)], [x, *cols])
+
+
+@pytest.mark.parametrize("rows", [5, 700])
+def test_csv_and_json_samples_spell_inf_and_nan_their_own_way(tmp_path,
+                                                              monkeypatch,
+                                                              rows):
+    x = np.linspace(-2.0, 2.0, rows)
+    cols = [np.resize(_SPECIAL, rows), np.exp(-x * x),
+            np.resize(_SPECIAL[::-1], rows)]
+    doc = {"levels": [{"j": 0, "b": np.array([1.0, -0.5])}]}
+    sizes = _counting_kernel(monkeypatch)
+    assert _counting_forks(monkeypatch, 10**12, lambda: write_artifacts(
+        str(tmp_path), x, x * x, doc, _sampler(cols), json_samples=True)) == 0
+    # one stream: the tables, spectrum.json's b and the samples' arrays
+    _assert_passes(sizes, rows * 2 + 2 + rows * 2 + rows * 4 + rows * 4)
+    csv = (tmp_path / "wavefunctions.csv").read_bytes()
+    assert csv == _repr_table(["x", "psi_0", "psi_1", "psi_2"], [x, *cols])
+    assert b"inf" in csv and b"nan" in csv and b"Infinity" not in csv
+    text = (tmp_path / "wavefunctions.json").read_text()
+    assert text == json.dumps({"x": x.tolist(), "psi": {
+        str(j): col.tolist() for j, col in enumerate(cols)}}, indent=2) + "\n"
+    assert all(word in text for word in ("Infinity", "-Infinity", "NaN"))
+    assert "inf," not in text and "nan" not in text
+    assert (tmp_path / "spectrum.json").read_text() == json.dumps(
+        _lists(doc), indent=2) + "\n"
+
+
+@forking
+@pytest.mark.parametrize("rows", [401, 2049])
+def test_a_forked_parent_streams_its_tables_and_spectrum_arrays(
+        tmp_path, monkeypatch, rows):
+    x = np.linspace(-2.0, 2.0, rows)
+    cols = [np.exp(-k * x * x) for k in range(40)]
+    doc = {"levels": [{"j": j, "E": 0.5 * j,
+                       "b": np.linspace(-1.0, 1.0, 41)[:j + 2]}
+                      for j in range(40)]}
+    b_floats = sum(j + 2 for j in range(40))
+    sizes = _counting_kernel(monkeypatch)
+    assert _write(monkeypatch, 0, tmp_path / "forked", x, doc, cols) == 1
+    _no_child_left()
+    # potential.csv, the b arrays and the parent's rows, in one stream
+    start = pipeline._split(rows, 41, 2 * rows + pipeline._scalars([doc]))
+    _assert_passes(sizes, rows * 2 + b_floats + start * 41)
+    assert _write(monkeypatch, 10**12, tmp_path / "single", x, doc, cols) == 0
+    for name in ("potential.csv", "spectrum.json", "wavefunctions.csv"):
+        assert ((tmp_path / "forked" / name).read_bytes()
+                == (tmp_path / "single" / name).read_bytes()), name
+    assert (tmp_path / "single" / "spectrum.json").read_text() == json.dumps(
+        _lists(doc), indent=2) + "\n"
 
 
 def _qes_cases():

@@ -136,6 +136,13 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
     build = [span[3] for span in tracer.spans if span[0] == "build"]
     assert "algebra.hamiltonian_matrix" in build
     assert tracer.counts["build"]["algebra.entries"] == 16
+    # every artifact goes through a traced writer: write_ms and
+    # bytes_written see all three files
+    assert build.count("pipeline.write_json_atomic") == 1
+    assert build.count("pipeline.write_csv_atomic") == 2
+    assert tracer.counts["build"]["pipeline.bytes_written"] == sum(
+        (tmp_path / "build" / name).stat().st_size for name in
+        ("potential.csv", "spectrum.json", "wavefunctions.csv"))
     es = [span[3] for span in tracer.spans if span[0] == "es-verify"]
     assert {"catalog.CatalogEntry.spectral",
             "spectral.solve_algebraic_sector", "mapping.build_gauge",
