@@ -124,6 +124,11 @@ EXTRA = (
                                              "--beta", "1", "--a", "0",
                                              "--sign", "+", "--n", "80",
                                              "--samples", "2000")),
+    # 3000 rows of 162 columns: a forked build whose parent and child each
+    # sample their rows in several row blocks (mapping.ROW_FLOATS)
+    Request("build-periodic-v1-n160-forked-row-blocks", (
+        "build", "--family", "periodic-v1", "--alpha", "1", "--beta", "1",
+        "--a", "0", "--sign", "+", "--n", "160", "--samples", "3000")),
     # forked general requests: 4000 rows of 10 columns, whose child samples
     # its own rows; and 4000 rows of 6 on [-3, 3], where the gauge's pole
     # at xi = 3/2 is named before the fork and nothing is written

@@ -254,7 +254,7 @@ def _cmd_general(args) -> int:
     gauge = build_gauge(bp, mapping, float(x[len(x) // 2]))
     # every level shares the gauge and the map: one block, one gauge pass
     block = WaveFunction(gauge, [lv.b for lv in solved.levels], mapping)
-    psi = pipeline.RowSampler([block.on(x)])
+    psi = pipeline.RowSampler(x, [block.on(x)])
     pipeline.write_artifacts(args.out_dir, x, v, doc, psi)
     print(f"wrote general-mode artifacts to {args.out_dir}")
     return 0

@@ -37,6 +37,13 @@ __all__ = [
     "WaveRows",
 ]
 
+# A WaveRows call evaluates its rows in blocks of at most this many floats
+# per array, so that chi and the tiled xi stay in L2: a 20,000 x 161 table
+# took 447-494 ms at 65,536, 500-567 ms at 16,384 and 32,768, 499-574 ms
+# at 131,072 and 1087-1307 ms unblocked (best of 5 calls, three runs, on a
+# 2-core x86-64 host).
+ROW_FLOATS = 65_536
+
 
 def __getattr__(name):
     # nothing here calls quad; perfbench's tracer still reads mapping.quad,
@@ -694,11 +701,12 @@ class WaveFunction:
     mapping: Mapping
 
     def __call__(self, x):
-        """psi at x, a row of samples per level for a block."""
+        """psi at x, a row of samples per level for a block (a transposed
+        view of ``WaveRows``' columns)."""
         out = self.on(x)(...)
         if np.ndim(out) == 0:
-            return float(np.asarray(out))
-        return out
+            return float(out)
+        return np.moveaxis(out, -1, 0) if np.ndim(self.coeffs) > 1 else out
 
     def on(self, x) -> WaveRows:
         """The map and the gauge sampled on all of x, so that every error
@@ -711,23 +719,40 @@ class WaveFunction:
 @dataclass(frozen=True, eq=False)
 class WaveRows:
     """A block's xi and gauge samples on x (``WaveFunction.on``).  A call
-    with an index of x (a slice of rows, or ... for all) runs only the
-    Horner step of every level and the gauge product on those samples.
-    Both are elementwise, so the rows of a slice are bitwise the same rows
-    of the whole."""
+    with an index of x (a slice of rows, or ... for all) gives psi on those
+    samples, one column per level: (samples, levels) for a block, the
+    samples' shape for one level.  It runs np.polyval's Horner steps
+    chi = chi * xi + b_r, highest power first, on a (samples, levels) chi
+    against xi tiled to that shape, with b_r a contiguous row, then the
+    gauge product and ``scaled_exp``, in row blocks of at most ROW_FLOATS
+    floats.  Every step is elementwise, so each column is bitwise its
+    level's own np.polyval times the gauge, and the rows of a slice are
+    bitwise the same rows of the whole."""
 
     xi: np.ndarray
     gauge: GaugeSamples
     coeffs: np.ndarray
 
-    def __call__(self, rows):
+    def __call__(self, rows, out=None):
+        """psi on x[rows], written into ``out`` when given: a (samples,
+        levels) view, such as columns of a wider table."""
         xi = self.xi[rows]
         lead = self.coeffs.shape[:-1]
-        # np.polyval's Horner steps y = y * xi + b_r, highest power first,
-        # for every level at once
-        chi = np.zeros(lead + xi.shape)
-        for b in np.moveaxis(self.coeffs[..., ::-1], -1, 0):
-            chi *= xi
-            chi += b.reshape(lead + (1,) * xi.ndim)
-        chi *= self.gauge.factor[rows]
-        return scaled_exp(self.gauge.exponent[rows], chi)
+        if out is None:
+            out = np.empty(np.shape(xi) + lead)
+        levels = math.prod(lead)
+        flat = out.reshape(-1, levels)
+        xi, factor, exponent = (np.reshape(a, -1) for a in (
+            xi, self.gauge.factor[rows], self.gauge.exponent[rows]))
+        steps = self.coeffs.reshape(levels, -1).T[::-1].copy()
+        size = max(ROW_FLOATS // levels, 1)
+        for a in range(0, len(xi), size):
+            b = a + size
+            tile = np.repeat(xi[a:b, None], levels, axis=1)
+            chi = np.zeros(tile.shape)
+            for step in steps:
+                chi *= tile
+                chi += step
+            chi *= factor[a:b, None]
+            flat[a:b] = scaled_exp(exponent[a:b, None], chi)
+        return out

@@ -42,9 +42,10 @@ Every float that a request writes is one stream, in write order:
 potential.csv's rows, the documents' arrays, then this process's rows of
 wavefunctions.csv.  It is formatted by floattext, a numpy kernel that
 writes repr's bytes at about a third of repr's cost per float, CHUNK
-floats a call across the ends of its runs (a table, or one array); a
-pass gathers only the rows its floats touch, and its text is split back
-at each run's end.  An array's inf and nan become json's Infinity and NaN.
+floats a call across the ends of its runs (a table, or one array), and
+its text is split back at each run's end.  A table is one row-major
+array, so a pass's floats are a slice of it.  An array's inf and nan
+become json's Infinity and NaN.
 
 ``write_artifacts`` writes a request's potential.csv, spectrum.json, the
 JSON samples (potential.json and wavefunctions.json) when asked for, and
@@ -52,8 +53,9 @@ wavefunctions.csv.  It walks every document before the first file, so one
 that cannot be encoded leaves none.  It takes the wavefunctions as a
 RowSampler: their map and gauge are already sampled on all of x, so every
 named error is raised before any file is written, and what is left per row
-is each level's Horner step and ``scaled_exp``.  Float formatting holds the
-GIL, so a large request is written on two cores: when the wavefunction
+is each level's Horner step and ``scaled_exp``, run on rows straight into
+the row-major table.  Float formatting holds the GIL, so a large request
+is written on two cores: when the wavefunction
 table holds FORK_MIN_FLOATS floats or more, the process has one thread and
 may run on two CPUs, one child is forked before the first file, after
 floattext's tables are built.  It samples the table's rows from the one
@@ -505,25 +507,22 @@ def _arrays(pieces) -> list:
     return [(values.size, lambda a, b: (values[a:b], seps[a:b]))]
 
 
-def _table(columns: list):
-    """The stream source of the table of ``columns`` as one run, row by
-    row.  ``take(a, b)`` gives its floats [a:b] and their separators (a
-    comma, a newline after a row, _EDGE after the last float), gathered
-    from only the rows they touch."""
-    width = len(columns)
-    size = len(columns[0]) * width
+def _table(table: np.ndarray):
+    """The stream source of a row-major (rows, columns) ``table`` as one
+    run.  ``take(a, b)`` gives its floats [a:b], a slice of the table, and
+    their separators (a comma, a newline after a row, _EDGE after the last
+    float)."""
+    width = table.shape[1]
+    values = table.reshape(-1)
 
     def take(a: int, b: int):
-        first, stop = a // width, -(-b // width)
-        block = np.array([col[first:stop] for col in columns],
-                         float).T.reshape(-1)
         seps = np.full(b - a, ord(","), np.uint8)
         seps[(width - 1 - a) % width::width] = ord("\n")
-        if b == size:
+        if b == values.size:
             seps[-1] = ord(_EDGE)
-        return block[a % width:][:b - a], seps
+        return values[a:b], seps
 
-    return size, take
+    return values.size, take
 
 
 def _runs(sources):
@@ -580,8 +579,8 @@ def _write_rows(fd: int, table, start: int) -> int:
     ``table(start)``, into fd.  It imports nothing and calls no BLAS
     routine.  0, or the errno of the write that failed."""
     try:
-        columns = table(start)
-        for text in _csv(_runs([_table(columns)]), len(columns[0])):
+        rows = table(start)
+        for text in _csv(_runs([_table(rows)]), len(rows)):
             data = text.encode()
             while data:
                 data = data[os.write(fd, data):]
@@ -593,9 +592,10 @@ def _write_rows(fd: int, table, start: int) -> int:
 class _Tail:
     """The last rows of a table, sampled and formatted by a forked child
     into an unnamed temp file in the table's directory while this process
-    writes the rest.  ``table(start, stop=None)`` gives the table's columns
-    on rows [start:stop].  Leaving the ``with`` block before ``append_to``
-    has reaped the child kills it (SIGKILL) and reaps it."""
+    writes the rest.  ``table(start, stop=None)`` gives the table's rows
+    [start:stop] as one row-major array.  Leaving the ``with`` block
+    before ``append_to`` has reaped the child kills it (SIGKILL) and reaps
+    it."""
 
     def __init__(self, path: str, table, start: int):
         self.path, self.start = path, start
@@ -685,47 +685,54 @@ def _scalars(obj) -> int:
 
 
 class RowSampler:
-    """Wavefunction columns sampled a range of rows at a time, from WaveRows
-    blocks in column order, whose map and gauge are already sampled on all
-    of x."""
+    """The wavefunction table on x sampled a range of rows at a time: x,
+    then the levels of WaveRows blocks in column order, whose map and gauge
+    are already sampled on all of x."""
 
-    def __init__(self, blocks):
+    def __init__(self, x: np.ndarray, blocks):
+        self.x = x
         self.blocks = list(blocks)
         self.width = sum(len(block.coeffs) for block in self.blocks)
 
-    def __call__(self, start: int = 0, stop: int | None = None) -> list:
-        """Every column on rows [start:stop]."""
-        return [col for block in self.blocks
-                for col in block(slice(start, stop))]
+    def __call__(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows [start:stop] as one row-major (rows, 1 + width) array, x in
+        column 0; each block writes its levels' columns in place."""
+        x = self.x[start:stop]
+        table = np.empty((len(x), 1 + self.width))
+        table[:, 0] = x
+        at = 1
+        for block in self.blocks:
+            block(slice(start, stop), table[:, at:at + len(block.coeffs)])
+            at += len(block.coeffs)
+        return table
 
 
 def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
                     json_samples: bool = False):
-    """potential.csv, spectrum.json and wavefunctions.csv (psi_j in column
-    j of ``psi``), and with ``json_samples`` the samples as JSON arrays
-    too, for which every row is sampled first, written before
+    """potential.csv, spectrum.json and wavefunctions.csv (the table of
+    ``psi``: x, then psi_j in column j + 1), and with ``json_samples`` the
+    samples as JSON arrays too, the table's columns, for which every row
+    is sampled first, written before
     wavefunctions.csv.  Every document is walked before the first file, so
     one that cannot be encoded leaves none.  A large wavefunction table's
     last rows are sampled and formatted by a forked child (_forked_tail),
     forked before the first file is written."""
-    cols = psi() if json_samples else None
+    whole = psi() if json_samples else None
 
     def table(start, stop=None):
-        rows = (psi(start, stop) if cols is None
-                else [col[start:stop] for col in cols])
-        return [x[start:stop], *rows]
+        return psi(start, stop) if whole is None else whole[start:stop]
 
-    docs = {"spectrum.json": doc, **({} if cols is None else {
+    docs = {"spectrum.json": doc, **({} if whole is None else {
         "potential.json": {"x": x, "V": v},
         "wavefunctions.json": {"x": x, "psi": {
-            str(j): col for j, col in enumerate(cols)}}})}
+            str(j): whole[:, 1 + j] for j in range(psi.width)}}})}
     target = os.path.join(out_dir, "wavefunctions.csv")
     tail = _forked_tail(target, table, (len(x), psi.width + 1),
                         list(docs.values()))
     with tail or contextlib.nullcontext():
         walked = {name: _walk(obj, []) for name, obj in docs.items()}
         waves = table(0, None if tail is None else tail.start)
-        run = _runs([_table([x, v]),
+        run = _runs([_table(np.column_stack((x, v))),
                      *_arrays(itertools.chain(*walked.values())),
                      _table(waves)])
         write_csv_atomic(os.path.join(out_dir, "potential.csv"), ["x", "V"],
@@ -735,7 +742,7 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
                               _document(pieces, run))
         write_csv_atomic(target, ["x"] + [f"psi_{j}" for j in
                                           range(psi.width)],
-                         _csv(run, len(waves[0])), tail)
+                         _csv(run, len(waves)), tail)
 
 
 def finite_potential(potential, x: np.ndarray) -> np.ndarray:
@@ -761,15 +768,16 @@ def wavefunction_rows(entry: CatalogEntry, x: np.ndarray,
     psis = [entry.closed_form_wavefunction(j) for j in j_values]
     blocks = [list(group) for _, group in
               itertools.groupby(psis, lambda psi: id(psi.gauge))]
-    return RowSampler(
+    return RowSampler(x, (
         WaveFunction(block[0].gauge, [psi.coeffs for psi in block],
-                     block[0].mapping).on(x) for block in blocks)
+                     block[0].mapping).on(x) for block in blocks))
 
 
 def sample_wavefunctions(entry: CatalogEntry, x: np.ndarray,
                          j_values: list[int]):
-    """psi_j on x for each j: ``wavefunction_rows`` on every row."""
-    return wavefunction_rows(entry, x, j_values)()
+    """psi_j on x for each j, one row per level: a transposed view of
+    ``wavefunction_rows`` on every row."""
+    return wavefunction_rows(entry, x, j_values)()[:, 1:].T
 
 
 def spectrum_document(entry: CatalogEntry, j_values: list[int]) -> dict:

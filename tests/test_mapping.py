@@ -802,30 +802,51 @@ def test_assemble_hyperbolic_family_three():
     assert np.allclose(psi(xs), expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("name, params, sign, n", [
-    ("periodic-v3", {"alpha": 1.3, "beta": 0.7, "a": 0.2}, "+", 20),
+_OVERFLOW = {"gamma": -1.029, "eta": -1.611, "a": -0.021}
+
+
+@pytest.mark.parametrize("name, params, sign, n, samples, start, picks", [
+    pytest.param("periodic-v3", {"alpha": 1.3, "beta": 0.7, "a": 0.2}, "+",
+                 20, 401, 0, None, id="periodic-v3-params0-+-20"),
     # |psi| of this entry passes the float range: non-finite samples
-    ("hyperbolic-v1", {"gamma": -1.029, "eta": -1.611, "a": -0.021}, "+",
-     160),
+    pytest.param("hyperbolic-v1", _OVERFLOW, "+", 160, 401, 0, None,
+                 id="hyperbolic-v1-params1-+-160"),
+    # a forked child's share: rows from a mid-table start on, in two row
+    # blocks
+    pytest.param("periodic-v1", {"alpha": 1, "beta": 1, "a": 0}, "+", 80,
+                 2000, 1129, None, id="mid-table-start"),
+    # 1000 rows of 161 levels: several row blocks, non-finite samples
+    pytest.param("hyperbolic-v1", _OVERFLOW, "+", 160, 1000, 0, None,
+                 id="several-row-blocks"),
+    pytest.param("periodic-v3", {"alpha": 1.3, "beta": 0.7, "a": 0.2}, "+",
+                 20, 401, 0, [7], id="one-level-block"),
 ])
-def test_block_columns_equal_per_level_polyval(name, params, sign, n):
+def test_block_columns_equal_per_level_polyval(name, params, sign, n,
+                                               samples, start, picks):
     """One block call gives, bit for bit, each level's own np.polyval
     column times the gauge, non-finite samples in the same places."""
     entry = make_entry(name, params, sign, n)
-    x = np.linspace(*entry.plot_range, 401)
+    x = np.linspace(*entry.plot_range, samples)
     levels = entry.spectral().levels
+    if picks is not None:
+        levels = [levels[k] for k in picks]
+    rows = slice(start, None)
     g = entry.gauge(x)
-    xi = entry.mapping.xi_of_x(x)
+    xi = entry.mapping.xi_of_x(x)[rows]
+    per_block = mapping_module.ROW_FLOATS // len(levels)
     with np.errstate(all="ignore"):
-        block = WaveFunction(entry.gauge, [lv.b for lv in levels],
-                             entry.mapping)(x)
-        assert block.shape == (n + 1, x.size)
+        wave = WaveFunction(entry.gauge, [lv.b for lv in levels],
+                            entry.mapping)
+        block = wave(x) if start == 0 else wave.on(x)(rows).T
+        assert block.shape == (len(levels), samples - start)
         for lv, col in zip(levels, block):
-            want = scaled_exp(g.exponent,
-                              g.factor * np.polyval(lv.b[::-1], xi))
+            want = scaled_exp(g.exponent[rows],
+                              g.factor[rows] * np.polyval(lv.b[::-1], xi))
             assert col.tobytes() == want.tobytes()
     if n == 160:
         assert not np.all(np.isfinite(block))
+    if samples > 401:
+        assert samples - start > per_block
 
 
 def test_block_of_scalar_and_single_level():

@@ -536,9 +536,10 @@ def test_no_level_to_verify_is_an_error(tmp_path, capsys, name, params,
 
 def _rows(columns):
     """The text of a table's rows, as write_artifacts gives it to
-    write_csv_atomic: the table as the one run of its own stream."""
-    return pipeline._csv(pipeline._runs([pipeline._table(columns)]),
-                         len(columns[0]))
+    write_csv_atomic: the row-major table of ``columns`` as the one run of
+    its own stream."""
+    return pipeline._csv(pipeline._runs([pipeline._table(
+        np.column_stack(columns))]), len(columns[0]))
 
 
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 401])
@@ -654,17 +655,19 @@ class _Columns:
     def __init__(self, cols):
         self.cols = self.coeffs = cols
 
-    def __call__(self, rows):
-        return [col[rows] for col in self.cols]
+    def __call__(self, rows, out):
+        out[...] = np.column_stack([col[rows] for col in self.cols])
+        return out
 
 
-def _sampler(cols) -> RowSampler:
-    return RowSampler([_Columns(cols)])
+def _sampler(x, cols) -> RowSampler:
+    return RowSampler(x, [_Columns(cols)])
 
 
 def _table(columns):
-    """A _Tail's table of fixed columns."""
-    return lambda start, stop=None: [col[start:stop] for col in columns]
+    """A _Tail's table of fixed columns, row-major."""
+    table = np.column_stack(columns)
+    return lambda start, stop=None: table[start:stop]
 
 
 def _counting_forks(monkeypatch, threshold, write):
@@ -685,7 +688,7 @@ def _write(monkeypatch, threshold, directory, x, doc, cols):
     """write_artifacts with FORK_MIN_FLOATS at threshold; the number of
     forks it made."""
     return _counting_forks(monkeypatch, threshold, lambda: write_artifacts(
-        str(directory), x, x * x, doc, _sampler(cols)))
+        str(directory), x, x * x, doc, _sampler(x, cols)))
 
 
 def _forked_build(directory, monkeypatch, doc=None, threshold=0):
@@ -759,7 +762,7 @@ def test_a_forked_tail_writes_the_same_bytes(tmp_path, rows):
         path = tmp_path / f"forked-{start}.csv"
         with pipeline._Tail(str(path), _table(columns), start) as tail:
             write_csv_atomic(str(path), ["x", "a", "b"],
-                             _rows(_table(columns)(0, start)), tail)
+                             _rows([col[:start] for col in columns]), tail)
         assert path.read_bytes() == single.read_bytes(), start
         _no_child_left()
 
@@ -988,7 +991,7 @@ def test_a_failed_child_leaves_the_json_samples(tmp_path, monkeypatch):
     # they are written while the child runs, before wavefunctions.csv
     monkeypatch.setattr(pipeline, "_write_rows", _child_stops_after_a_block)
     x = np.linspace(-1.0, 1.0, 401)
-    sampler = _sampler([np.cos(k * x) for k in range(80)])
+    sampler = _sampler(x, [np.cos(k * x) for k in range(80)])
     with pytest.raises(OSError, match="No space left on device"):
         _counting_forks(monkeypatch, 0, lambda: write_artifacts(
             str(tmp_path), x, x * x, {"levels": []}, sampler,
@@ -1118,7 +1121,7 @@ def test_the_request_stream_is_repr_bytes(tmp_path, monkeypatch, rows):
             np.resize(_SPECIAL[3:], rows) * -3.0]
     sizes = _counting_kernel(monkeypatch)
     assert _counting_forks(monkeypatch, 10**12, lambda: write_artifacts(
-        str(tmp_path), x, v, {}, _sampler(cols))) == 0
+        str(tmp_path), x, v, {}, _sampler(x, cols))) == 0
     _assert_passes(sizes, rows * 2 + rows * 4)
     assert (tmp_path / "potential.csv").read_bytes() == _repr_table(
         ["x", "V"], [x, v])
@@ -1153,7 +1156,8 @@ def test_csv_and_json_samples_spell_inf_and_nan_their_own_way(tmp_path,
     doc = {"levels": [{"j": 0, "b": np.array([1.0, -0.5])}]}
     sizes = _counting_kernel(monkeypatch)
     assert _counting_forks(monkeypatch, 10**12, lambda: write_artifacts(
-        str(tmp_path), x, x * x, doc, _sampler(cols), json_samples=True)) == 0
+        str(tmp_path), x, x * x, doc, _sampler(x, cols),
+        json_samples=True)) == 0
     # one stream: the tables, spectrum.json's b and the samples' arrays
     _assert_passes(sizes, rows * 2 + 2 + rows * 2 + rows * 4 + rows * 4)
     csv = (tmp_path / "wavefunctions.csv").read_bytes()
@@ -1227,12 +1231,13 @@ def test_rows_sampled_in_pieces_are_the_whole_table(family, params, sign, n):
     rows = wavefunction_rows(entry, x, list(range(n + 1)))
     whole = rows()
     assert rows.width == n + 1
-    assert all(col.shape == (401,) for col in whole)
+    assert whole.shape == (401, n + 2)
+    assert whole[:, 0].tobytes() == x.tobytes()
     # from the first row alone to the last row alone
     for start in (1, 64, 100, 192, 320, 400):
         head, tail = rows(0, start), rows(start)
-        for j, col in enumerate(whole):
-            assert (np.concatenate([head[j], tail[j]]).tobytes()
+        for j, col in enumerate(whole.T):
+            assert (np.concatenate([head[:, j], tail[:, j]]).tobytes()
                     == col.tobytes()), (start, j)
 
 
