@@ -21,7 +21,8 @@ E_R = w_h/2 + (w_h/2 - w_h) / (2^p - 1), which is the value matched (one
 to one, in ascending order) and compared with the algebraic energy at
 BASE_TOLERANCE, or an explicitly supplied tolerance, with no widening.
 The pilot h puts NODES nodes in a half wavelength of the top level where
-it is deepest; when the Richardson estimate of a level exceeds
+it is deepest, and WELL_NODES across the region where it is classically
+allowed; when the Richardson estimate of a level exceeds
 ROUND_TWO_AIM of the tolerance, one more round follows at a spacing
 chosen from that estimate.  A given ``points`` fixes h and makes the
 pilot the only round.  Every solved level is expected to converge at
@@ -111,8 +112,10 @@ DECAY = 9.0    # a window end sees the top level's tail at about exp(-DECAY)
 FORK_MIN_FLOATS = 16_000
 PROBE_POINTS = 1025   # samples of V that size the pilot grid
 # The pilot h grid: NODES nodes per half wavelength pi / sqrt(E_top - V_min)
-# of the top level, and at least k + COARSE_SPARE nodes on its 2h grid.
+# of the top level, WELL_NODES nodes across the region where V < E_top, and
+# at least k + COARSE_SPARE nodes on its 2h grid.
 NODES = 12
+WELL_NODES = 9
 COARSE_SPARE = 16
 MAX_POINTS = 999_999  # of an h grid; its h/2 grid has twice as many
 # The order gate: a level's observed order must reach EXPECTED_ORDER -
@@ -223,21 +226,26 @@ def _header(entry: CatalogEntry) -> dict:
 
 def _pilot_points(potential, x_min, x_max, stretch, e_top, v_min, k):
     """The odd point count of the pilot h grid: NODES nodes in a half
-    wavelength of the top level where it is deepest, and k + COARSE_SPARE
-    nodes on its 2h grid.  On a stretched grid the depth is that of the
-    normal form, max X'^2 (E_top - V), on the inner nodes of a probe of the
-    window (V may be singular at the wall)."""
+    wavelength of the top level where it is deepest, WELL_NODES nodes
+    across the inner nodes of a probe of the window where the top level is
+    classically allowed, and k + COARSE_SPARE nodes on its 2h grid.  A
+    shallow level in a narrow well has a half wavelength longer than its
+    well, and V changes across the well, not across the wavelength.  On a
+    stretched grid the depth is that of the normal form, max X'^2 (E_top -
+    V), on the probe's inner nodes (V may be singular at the wall)."""
     probe = Grid(x_min, x_max, PROBE_POINTS, stretch)
     u = probe.u_nodes
     length = float(u[-1] - u[0])
-    depth = e_top - v_min
-    if stretch is not None:
-        jac, _ = probe.liouville(u[1:-1])
-        with np.errstate(all="ignore"):
-            v = potential(probe.nodes[1:-1])
-            depth = float(np.nanmax(jac * jac * (e_top - v)))
+    jac, _ = probe.liouville(u[1:-1])
+    with np.errstate(all="ignore"):
+        v = potential(probe.nodes[1:-1])
+        excess = jac * jac * (e_top - v)
+    depth = e_top - v_min if stretch is None else float(np.nanmax(excess))
     depth = max(depth, (math.pi / length) ** 2)
     h = math.pi / (NODES * math.sqrt(depth))
+    allowed = int(np.count_nonzero(excess > 0.0))
+    if allowed:
+        h = min(h, allowed * probe.h / WELL_NODES)
     coarse = max(math.ceil(length / (2.0 * h)) + 1, k + COARSE_SPARE)
     return min(2 * coarse - 1, MAX_POINTS)
 

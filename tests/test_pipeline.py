@@ -41,6 +41,12 @@ ES_CASES = [
     # wells left and right of the plot range (-2.5, 8), near x = -8 and 13
     ("morse", {"alpha": 0.25, "A": 4, "B": 0.5}, None, 0),
     ("morse", {"alpha": 0.25, "A": 2, "B": 60}, None, 0),
+    # shallow levels in narrow wells, whose half wavelength is longer than
+    # the well: found by the hypothesis test below
+    ("scarf-ii", {"alpha": 2, "A": 0.5, "B": 0}, None, 0),
+    ("scarf-ii", {"alpha": 1.290, "A": 0.376, "B": 0.235}, None, 0),
+    ("scarf-ii", {"alpha": 2, "A": 0.35, "B": 0.25}, None, 0),
+    ("scarf-ii", {"alpha": 1.681, "A": 0.375, "B": -0.541}, None, 3),
 ]
 
 QES_CASES = [
