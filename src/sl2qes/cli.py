@@ -4,7 +4,7 @@ Subcommands: list-families, build, verify, general.  A config file is flat
 key=value text keyed by flag name; its values enter the parser as flags
 ahead of the command line's, so flags win and every value is checked like
 its flag, also where a flag overrides it.  Exit codes: 0 success, 1
-verification failure, 2 usage or parameter error.
+verification failure, 2 usage or parameter error or an OSError.
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:   # a usage error, already printed by argparse
         return exc.code
-    except (Sl2QesError, FileNotFoundError, ValueError) as exc:
+    except (Sl2QesError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

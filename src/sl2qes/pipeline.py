@@ -35,9 +35,9 @@ such x, before any artifact is written.  Every file streams into a temp
 file renamed into place (mode 0o666 less the umask), with fixed key order
 and repr's shortest round-trip floats, so identical configurations produce
 byte-identical output.  A JSON document holds its float data as float64
-arrays (a level's b, the JSON samples), each written as json.dumps(...,
-indent=2) writes its list; one walk writes every other value by json's
-rules and collects the arrays.
+arrays (a level's b, the JSON samples).  One json.dumps(..., indent=2)
+call writes its text with a stand-in string for each array and collects
+the arrays; the stream fills in each array's text as json writes a list.
 
 Every float that a request writes is one stream, in write order:
 potential.csv's rows, the documents' arrays, then this process's rows of
@@ -50,8 +50,8 @@ become json's Infinity and NaN.
 
 ``write_artifacts`` writes a request's potential.csv, spectrum.json, the
 JSON samples (potential.json and wavefunctions.json) when asked for, and
-wavefunctions.csv.  It walks every document before the first file, so one
-that cannot be encoded leaves none.  It takes the wavefunctions as a
+wavefunctions.csv.  It encodes every document before the first file, so
+one that cannot be encoded leaves none.  It takes the wavefunctions as a
 RowSampler: their map and gauge are already sampled on all of x, so every
 named error is raised before any file is written, and what is left per row
 is each level's Horner step and ``scaled_exp``, run on rows straight into
@@ -431,65 +431,58 @@ def json_pieces(obj):
     """The text of ``json.dumps(obj, indent=2)`` in pieces, where a float64
     array of one dimension is written as its ``tolist()``.  Its arrays are
     their own floattext stream; a document with none makes no stream."""
-    pieces = _walk(obj, [])
-    return _document(pieces, _runs(_arrays(pieces)))
+    arrays = []
+    parts = _encode(obj, arrays)
+    return _document(parts, _runs(_arrays(arrays)))
 
 
-def _walk(obj, pieces: list, indent: str = "") -> list:
-    """pieces, with the text of obj at ``indent`` appended, and (array,
-    indent) in place of each non-empty float64 array of one dimension.
-    Any other array is walked as its ``tolist()``."""
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
-            pieces.append((obj, indent))
-            return pieces
-        obj = obj.tolist()
-    is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
-        pieces.append(_plain(obj))
-        return pieces
-    inner = indent + "  "
-    sep = ("{" if is_dict else "[") + "\n" + inner
-    for item in obj.items() if is_dict else obj:
-        if is_dict:     # the key as json coerces it in '{"<key>": null}'
-            key, item = item
-            sep += (_string(key) + ": " if type(key) is str
-                    else json.dumps({key: None})[1:-5])
-        pieces.append(sep)
-        _walk(item, pieces, inner)
-        sep = ",\n" + inner
-    pieces.append("\n" + indent + ("}" if is_dict else "]"))
-    return pieces
+_HOLE = "\0array\0"     # an array's stand-in in json.dumps's text
+_QUOTED = json.dumps(_HOLE)
 
 
-_string = json.encoder.encode_basestring_ascii
+def _encode(obj, arrays: list) -> list:
+    """The text of ``json.dumps(obj, indent=2)``, split where each non-empty
+    float64 array of one dimension goes; the arrays are appended to
+    ``arrays`` in order.  Any other array is encoded as its ``tolist()``.
+    ValueError when a string of obj spells the split."""
+    found = []
+
+    def default(value):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"Object of type {type(value).__name__} is not "
+                            f"JSON serializable")
+        if value.ndim == 1 and value.dtype == np.float64 and value.size:
+            found.append(value)
+            return _HOLE
+        return value.tolist()
+
+    parts = json.dumps(obj, indent=2, default=default).split(_QUOTED)
+    if len(parts) != len(found) + 1:
+        raise ValueError(f"a string in the document spells {_QUOTED}, which "
+                         f"stands in for a float array")
+    arrays += found
+    # json's encoder is a reference cycle that keeps ``default`` until the
+    # gc collects it: left holding the arrays, it would keep them too
+    found.clear()
+    return parts
 
 
-def _plain(obj) -> str:
-    """``json.dumps(obj)`` for an empty container or a value that is no
-    container, without the encoder for a str, an int or a finite float."""
-    kind = type(obj)
-    if kind is str:
-        return _string(obj)
-    if kind is int or kind is float and math.isfinite(obj):
-        return repr(obj)
-    return json.dumps(obj)
-
-
-def _document(pieces, run):
-    """The text pieces of a walked document, each array's as json.dumps(...,
-    indent=2) writes its list at its indent, from the next ``run()``;
+def _document(parts: list, run):
+    """The text pieces of an encoded document: its parts, and between them
+    each array's text as json.dumps(..., indent=2) writes its list at the
+    indent of the line its stand-in was on, from the next ``run()``;
     repr's inf and nan become json's Infinity and NaN."""
-    for piece in pieces:
-        if type(piece) is str:
-            yield piece
-            continue
-        body, indent = "".join(run()), piece[1]
+    yield parts[0]
+    for before, after in zip(parts, parts[1:]):
+        line = before[before.rfind("\n") + 1:]
+        indent = line[:len(line) - len(line.lstrip(" "))]
+        body = "".join(run())
         if "n" in body:     # no finite float's text has an n
             body = body.replace("inf", "Infinity").replace("nan", "NaN")
         newline = "\n" + indent + "  "
         yield ("[" + newline + body.replace(",", "," + newline) + "\n"
                + indent + "]")
+        yield after
 
 
 def write_json_atomic(path: str, pieces):
@@ -501,12 +494,10 @@ def write_json_atomic(path: str, pieces):
 _EDGE = "|"     # a run's last separator, where its text is split back
 
 
-def _arrays(pieces) -> list:
-    """The stream source of the arrays among walked ``pieces``, each one
-    run: one concatenation and one separator vector, a comma after each
-    float and _EDGE after an array's last.  No source, and no numpy call,
-    when there is no array."""
-    arrays = [piece[0] for piece in pieces if type(piece) is not str]
+def _arrays(arrays: list) -> list:
+    """The stream source of ``arrays``, each one run: one concatenation and
+    one separator vector, a comma after each float and _EDGE after an
+    array's last.  No source, and no numpy call, when there is no array."""
     if not arrays:
         return []
     values = np.concatenate(arrays)
@@ -721,7 +712,7 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
     ``psi``: x, then psi_j in column j + 1), and with ``json_samples`` the
     samples as JSON arrays too, the table's columns, for which every row
     is sampled first, written before
-    wavefunctions.csv.  Every document is walked before the first file, so
+    wavefunctions.csv.  Every document is encoded before the first file, so
     one that cannot be encoded leaves none.  A large wavefunction table's
     last rows are sampled and formatted by a forked child (_forked_tail),
     forked before the first file is written."""
@@ -738,16 +729,16 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
     tail = _forked_tail(target, table, (len(x), psi.width + 1),
                         list(docs.values()))
     with tail or contextlib.nullcontext():
-        walked = {name: _walk(obj, []) for name, obj in docs.items()}
+        arrays = []
+        encoded = {name: _encode(obj, arrays) for name, obj in docs.items()}
         waves = table(0, None if tail is None else tail.start)
-        run = _runs([_table(np.column_stack((x, v))),
-                     *_arrays(itertools.chain(*walked.values())),
+        run = _runs([_table(np.column_stack((x, v))), *_arrays(arrays),
                      _table(waves)])
         write_csv_atomic(os.path.join(out_dir, "potential.csv"), ["x", "V"],
                          _csv(run, len(x)))
-        for name, pieces in walked.items():
+        for name, parts in encoded.items():
             write_json_atomic(os.path.join(out_dir, name),
-                              _document(pieces, run))
+                              _document(parts, run))
         write_csv_atomic(target, ["x"] + [f"psi_{j}" for j in
                                           range(psi.width)],
                          _csv(run, len(waves)), tail)

@@ -12,7 +12,7 @@ import pytest
 import sl2qes
 from sl2qes.algebra import AlgebraCoefficients, b_polynomials
 from sl2qes.catalog import make_entry
-from sl2qes import cli
+from sl2qes import cli, pipeline
 from sl2qes.errors import InvalidParameterError
 from sl2qes.cli import main
 from sl2qes.mapping import (
@@ -25,6 +25,7 @@ from sl2qes.mapping import (
 from sl2qes.spectral import solve_algebraic_sector
 
 from oracles import MARCH_SET
+from test_pipeline import _child_stops_after_a_block, forking
 
 
 def run(args):
@@ -119,6 +120,43 @@ def test_bad_parameters_exit_code(tmp_path):
     assert run(["verify", "--family", "morse", "--alpha", "1", "--A", "-1",
                 "--B", "1", "--out-dir", str(tmp_path / "m")]) == 2
     assert not (tmp_path / "m" / "verification.json").exists()
+
+
+def _one_error_line(capsys, message):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--family", "harmonic", "--omega", "1",
+      "--out-dir", "FILE/out"], "Not a directory"),
+    (["list-families", "--json-out", "FILE/x.json"], "File exists"),
+    (["general", "--algebra", "DIR", "--out-dir", "DIR/run"],
+     "Is a directory"),
+], ids=["build-out-dir", "list-families-json-out", "general-algebra"])
+def test_os_errors_exit_2_by_name(tmp_path, capsys, argv, message):
+    regular = tmp_path / "regular"
+    regular.write_text("a file\n")
+    argv = [arg.replace("FILE", str(regular)).replace("DIR", str(tmp_path))
+            for arg in argv]
+    assert run(argv) == 2
+    _one_error_line(capsys, message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["regular"]
+
+
+@forking
+def test_a_failed_forked_child_exits_2_by_name(tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr(pipeline, "FORK_MIN_FLOATS", 0)
+    monkeypatch.setattr(pipeline, "_write_rows", _child_stops_after_a_block)
+    out = tmp_path / "run"
+    assert run(["build", "--family", "harmonic", "--omega", "1",
+                "--out-dir", str(out)]) == 2
+    _one_error_line(capsys, "No space left on device")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "potential.csv", "spectrum.json"]
 
 
 def test_general_mode(tmp_path):

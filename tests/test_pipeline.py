@@ -4,6 +4,7 @@ oracle, exercising the same path the verify subcommand uses."""
 import builtins
 import dataclasses
 import errno
+import gc
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import stat
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -633,6 +635,19 @@ def test_json_pieces_cases(doc):
     assert "".join(json_pieces(doc)) == json.dumps(_lists(doc), indent=2)
 
 
+def test_an_encoded_document_keeps_no_array_alive():
+    # json.dumps's encoder is a reference cycle that only the gc frees
+    doc = {"levels": [{"b": np.full(3, 0.5)}], "x": np.arange(2.0)}
+    refs = [weakref.ref(doc["levels"][0]["b"]), weakref.ref(doc["x"])]
+    gc.disable()
+    try:
+        "".join(json_pieces(doc))
+        del doc
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def _object_column(rows: int, bad_row: int) -> np.ndarray:
     column = np.empty(rows, dtype=object)
     column[:] = 1.5
@@ -715,18 +730,30 @@ def _child_stops_after_a_block(fd, table, start):
 
 
 @pytest.mark.parametrize("target, write, error, left", [
-    # the set is in a second document, walked once the first one's pieces
+    # the set is in a second document, encoded once the first one's pieces
     # are written
     ("artifact", lambda path, mp: write_json_atomic(path, (
         piece for doc in ({"levels": [{"j": j, "b": np.full(200, 0.5)}
                                       for j in range(50)]},
                           {"warnings": ["done", {"a set"}]})
         for piece in json_pieces(doc))), TypeError, []),
+    # a string that spells an array's stand-in, in the second document
+    ("artifact", lambda path, mp: write_json_atomic(path, (
+        piece for doc in ({"levels": [{"j": j, "b": np.full(200, 0.5)}
+                                      for j in range(50)]},
+                          {"b": np.full(3, 0.5), "s": pipeline._HOLE})
+        for piece in json_pieces(doc))), ValueError, []),
+    # spectrum.json holds a stand-in string among its arrays: it fails
+    # before any file
+    ("spectrum.json", lambda path, mp: _forked_build(
+        os.path.dirname(path), mp, {
+            "levels": [{"j": j, "b": np.full(200, 0.5)} for j in range(50)],
+            "warnings": [pipeline._HOLE]}, threshold=10**9), ValueError, []),
     # the bad value sits in the second kernel pass of rows
     ("artifact", lambda path, mp: write_csv_atomic(path, ["x", "v"], _rows([
         np.arange(3000.0), _object_column(3000, CHUNK // 2 + 6)])),
      ValueError, []),
-    # spectrum.json cannot be encoded: its walk fails before any file,
+    # spectrum.json cannot be encoded: json.dumps fails before any file,
     # while the child formats its rows
     pytest.param("spectrum.json", lambda path, mp: _forked_build(
         os.path.dirname(path), mp, {
@@ -738,7 +765,8 @@ def _child_stops_after_a_block(fd, table, start):
         mp.setattr(pipeline, "_write_rows", _child_stops_after_a_block),
         _forked_build(os.path.dirname(path), mp)), OSError,
         ["potential.csv", "spectrum.json"], marks=forking),
-], ids=["json", "csv", "forked-parent", "forked-child"])
+], ids=["json", "json-stand-in", "stand-in", "csv", "forked-parent",
+        "forked-child"])
 def test_a_failure_mid_stream_leaves_nothing_behind(tmp_path, monkeypatch,
                                                     target, write, error,
                                                     left):
