@@ -56,21 +56,30 @@ RowSampler: their map and gauge are already sampled on all of x, so every
 named error is raised before any file is written, and what is left per row
 is each level's Horner step and ``scaled_exp``, run on rows straight into
 the row-major table.  Float formatting holds the GIL, so a large request
-is written on two cores: when the wavefunction
-table holds FORK_MIN_FLOATS floats or more, the process has one thread and
-may run on two CPUs, one child is forked before the first file, after
-floattext's tables are built.  It samples the table's rows from the one
-that gives it about half of the floats the request writes while it runs,
-formats them into an unnamed temp file beside the table, and leaves with
-os._exit.  The parent samples the other rows, writes the other files and
-the table's first rows, reaps the child and appends its rows with a kernel
-copy before the rename.  Without the fork the parent samples every row.
-The bytes, modes and cleanup are the one-process writer's; a failed child
-raises OSError, and a parent that fails first kills the child and reaps it.
+is written on two cores, by this process and its table writer: one worker
+process, forked once and kept.  When the wavefunction table holds
+FORK_MIN_FLOATS floats or more, the process has one thread and may run on
+two CPUs, the first such request forks the worker, after floattext's
+tables are built.  Each such request sends it, over a socket pair, the
+row that gives it about half of the floats the request writes while it
+runs, the pickled RowSampler and an unnamed temp file beside the table.
+The worker samples and formats those rows into the file and replies with
+one status byte.  This process samples the other rows, writes the other
+files and the table's first rows, reads the status and appends the
+worker's rows with a kernel copy before the rename.  Without the worker
+it samples every row.  The bytes, modes and cleanup are the one-process
+writer's.  A write error in the worker raises OSError with its errno, and
+a worker that dies raises OSError and is replaced at the next request; a
+request that fails before it reads the status kills the worker and reaps
+it.  The worker is a snapshot of this process at its fork: it holds none
+of its files, runs no finalizer of its objects and ignores SIGINT.  It
+leaves at its socket's end of file, which an atexit handler makes before
+it reaps the worker.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import errno
 import gc
@@ -105,10 +114,11 @@ __all__ = [
 
 BASE_TOLERANCE = 1e-3
 DECAY = 9.0    # a window end sees the top level's tail at about exp(-DECAY)
-# From this many floats a table's tail is formatted in a forked child.  In
-# a warmed 89 MB process on two cores, whole build requests with the fork
-# lost 6 ms at 8.8k table floats and won 3 ms at 12.8k (28 of 40 runs) and
-# 9 ms at 16.8k (38 of 40).
+# From this many floats a table's tail goes to the table writer.  Warm,
+# the worker wins from 2.8k floats, but its first request forks it: at
+# 8,000 sector-build rose 2.5% (9 of 10 pairs) while a one-shot n = 20
+# build took 17 ms longer (16 of 20).  The other workloads' tables stay
+# below 4.1k floats.
 FORK_MIN_FLOATS = 16_000
 PROBE_POINTS = 1025   # samples of V that size the pilot grid
 # The pilot h grid: NODES nodes per half wavelength pi / sqrt(E_top - V_min)
@@ -567,16 +577,16 @@ def _csv(run, rows: int):
 def write_csv_atomic(path: str, header: list[str], rows,
                      tail: _Tail | None = None):
     """The table under its header: ``rows`` is an iterator of its rows'
-    text, as ``_csv`` gives.  With ``tail``, the forked child's rows
-    follow them."""
+    text, as ``_csv`` gives.  With ``tail``, the worker's rows follow
+    them."""
     _atomic_write(path, itertools.chain([",".join(header) + "\n"], rows),
                   None if tail is None else tail.append_to)
 
 
 def _write_rows(fd: int, table, start: int) -> int:
-    """The forked child's work: rows [start:] of the table, sampled by
-    ``table(start)``, into fd.  It imports nothing and calls no BLAS
-    routine.  0, or the errno of the write that failed."""
+    """The worker's work for one request: rows [start:] of the table,
+    sampled by ``table(start)``, into fd.  It imports nothing and calls no
+    BLAS routine.  0, or the errno of the write that failed."""
     try:
         rows = table(start)
         for text in _csv(_runs([_table(rows)]), len(rows)):
@@ -588,52 +598,179 @@ def _write_rows(fd: int, table, start: int) -> int:
     return 0
 
 
+# (pid, socket, pid of the process that forked it) of this process's table
+# writer, or None
+_worker = None
+
+
+def _worker_socket():
+    """The socket of this process's table writer, forked first when there is
+    none.  The worker is a snapshot of this process, and it holds none of
+    its files: it closes every descriptor but stdio and its socket, this
+    process's end among them, so that its socket ends when this process
+    closes that end."""
+    global _worker
+    if _worker is not None and _worker[2] == os.getpid():
+        return _worker[1]
+    _forget_worker()
+    import signal
+    import socket
+    ours, theirs = socket.socketpair()
+    try:
+        pid = os.fork()
+    except OSError:
+        ours.close()
+        theirs.close()
+        raise
+    if pid == 0:
+        try:
+            # an interrupt is this process's to handle; the worker leaves
+            # with its socket
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            gc.freeze()     # no finalizer of this process's objects runs there
+            fd = theirs.fileno()
+            os.closerange(3, fd)
+            os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
+            _serve(theirs)
+        finally:
+            os._exit(0)     # no atexit handler, no stdio flush
+    theirs.close()
+    _worker = (pid, ours, os.getpid())
+    return ours
+
+
+def _serve(sock) -> None:
+    """The worker's loop, one request at a time until its socket's end of
+    file, each answered with _write_rows's status byte, or 255 when the
+    request failed any other way."""
+    while (code := _take(sock)) is not None:
+        sock.sendall(bytes([code]))
+
+
+def _take(sock) -> int | None:
+    """One request in the worker, as ``_Tail`` sends it: the length of the
+    pickled (start, table) with the descriptor of the file to write, then
+    those bytes.  Its status, or None at the end of the stream.  Nothing
+    of the request outlives the call."""
+    import pickle
+    import socket
+    head, fds, _, _ = socket.recv_fds(sock, 8, 1)
+    if len(head) != 8 or len(fds) != 1:
+        return None
+    try:
+        data = _receive(sock, int.from_bytes(head, "little"))
+        try:
+            start, table = pickle.loads(data)
+            return _write_rows(fds[0], table, start)
+        except Exception:
+            return 255
+    except EOFError:
+        return None
+    finally:
+        os.close(fds[0])
+
+
+def _receive(sock, size: int) -> bytearray:
+    """The next size bytes of the socket; EOFError at its end."""
+    data = bytearray(size)
+    view, done = memoryview(data), 0
+    while done < size:
+        got = sock.recv_into(view[done:])
+        if not got:
+            raise EOFError
+        done += got
+    return data
+
+
+def _end_worker(kill: bool = False) -> int | None:
+    """Close this process's worker's socket, so that it leaves, kill it
+    first (SIGKILL) when asked, reap it and forget it; its exit code,
+    negative for a signal, or None when there is none.  The interpreter's
+    exit ends it without the kill."""
+    global _worker
+    if _worker is None or _worker[2] != os.getpid():
+        return None
+    pid, sock, _ = _worker
+    _worker = None
+    sock.close()
+    if kill:
+        os.kill(pid, 9)     # SIGKILL
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _forget_worker():
+    """Forget a worker this process did not fork (it was forked from the
+    worker's parent): close the inherited socket, so that the worker still
+    leaves with its parent."""
+    global _worker
+    if _worker is not None:
+        _worker[1].close()
+        _worker = None
+
+
+atexit.register(_end_worker)
+os.register_at_fork(after_in_child=_forget_worker)
+
+
 class _Tail:
-    """The last rows of a table, sampled and formatted by a forked child
-    into an unnamed temp file in the table's directory while this process
-    writes the rest.  ``table(start, stop=None)`` gives the table's rows
-    [start:stop] as one row-major array.  Leaving the ``with`` block
-    before ``append_to`` has reaped the child kills it (SIGKILL) and reaps
-    it."""
+    """The last rows of a table, sampled and formatted by this process's
+    worker into an unnamed temp file in the table's directory while this
+    process writes the rest.  ``table(start, stop=None)`` gives the table's
+    rows [start:stop] as one row-major array, and the worker gets a pickled
+    copy of it.  Leaving the ``with`` block before ``append_to`` has read
+    the worker's status discards the worker (SIGKILL, then reap), so no
+    status reaches a later request."""
 
     def __init__(self, path: str, table, start: int):
-        self.path, self.start = path, start
+        import pickle
+        import socket
+        data = pickle.dumps((start, table), pickle.HIGHEST_PROTOCOL)
+        self.path, self.start, self.sock = path, start, None
         self.side = os.open(os.path.dirname(os.path.abspath(path)),
                             os.O_TMPFILE | os.O_RDWR, 0o600)
-        self.pid, code = -1, 255
         try:
-            self.pid = os.fork()
-            if self.pid == 0:
-                gc.disable()    # no finalizer of the parent's runs here
-                code = _write_rows(self.side, table, start)
+            self.sock = _worker_socket()
         finally:
-            if self.pid == 0:
-                os._exit(code)  # no atexit handler, no stdio flush
-            if self.pid < 0:
+            if self.sock is None:
                 os.close(self.side)
+        quiet = socket.MSG_NOSIGNAL     # a gone worker is an OSError
+        try:
+            socket.send_fds(self.sock, [len(data).to_bytes(8, "little")],
+                            [self.side], quiet)
+            self.sock.sendall(data, quiet)
+        except OSError:     # the worker is gone: append_to names it
+            pass
+        except BaseException:
+            self.__exit__()
+            raise
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        if self.pid is not None:
-            os.kill(self.pid, 9)    # SIGKILL
-            os.waitpid(self.pid, 0)
+        if self.sock is not None:
+            _end_worker(kill=True)
         os.close(self.side)
 
     def append_to(self, fd: int):
-        """Reap the child and copy its rows to the end of fd in the kernel;
-        OSError when the child failed."""
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        what = (f"the child process formatting rows from {self.start} of "
+        """Wait for the worker's status and copy its rows to the end of fd
+        in the kernel; OSError when the worker failed, or is gone."""
+        try:
+            status = self.sock.recv(1)
+        except ConnectionResetError:    # it left before reading it all
+            status = b""
+        self.sock = None
+        what = (f"the writer process formatting rows from {self.start} of "
                 f"{self.path}")
+        if not status:
+            code = _end_worker(kill=True)
+            raise OSError(errno.EIO, f"{what} " + (
+                f"was killed by signal {-code}" if code < 0 else
+                f"exited with status {code}"))
+        code = status[0]
         if code:
-            cause = (f"was killed by signal {-code}" if code < 0 else
-                     f"failed: {os.strerror(code)}" if code < 255 else
-                     "failed")
-            raise OSError(code if 0 < code < 255 else errno.EIO,
-                          f"{what} {cause}")
+            raise OSError(code if code < 255 else errno.EIO, f"{what} " + (
+                f"failed: {os.strerror(code)}" if code < 255 else "failed"))
         size, done = os.fstat(self.side).st_size, 0
         while done < size:
             copied = os.sendfile(fd, self.side, done, size - done)
@@ -643,11 +780,11 @@ class _Tail:
 
 
 def _split(rows: int, width: int, other: int) -> int:
-    """The child's first row: the one that gives it about half of the
+    """The worker's first row: the one that gives it about half of the
     floats written while it runs, ``other`` of them outside the table, and
     at least the last row."""
-    child = (other + rows * width) / (2 * width)
-    return min(max(round(rows - child), 0), rows - 1)
+    worker = (other + rows * width) / (2 * width)
+    return min(max(round(rows - worker), 0), rows - 1)
 
 
 def _forked_tail(path: str, table, shape: tuple[int, int],
@@ -655,7 +792,7 @@ def _forked_tail(path: str, table, shape: tuple[int, int],
     """A _Tail for the table of ``shape`` (rows, columns) when it holds
     FORK_MIN_FLOATS floats or more, this process has one thread and may
     run on two CPUs, and the platform has unnamed temp files; else None.
-    While the child runs, this process also writes the JSON documents
+    While the worker writes, this process also writes the JSON documents
     ``docs`` and a two-column table as long as this one."""
     rows, width = shape
     if (rows * width < FORK_MIN_FLOATS
@@ -666,10 +803,10 @@ def _forked_tail(path: str, table, shape: tuple[int, int],
         return None
     start = _split(rows, width, 2 * rows + _scalars(docs))
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tables()    # floattext's, built once here rather than in the child
+    tables()    # floattext's, built here before the worker's fork
     try:
         return _Tail(path, table, start)
-    except OSError:     # no unnamed temp file here, or no process to fork
+    except OSError:     # no unnamed temp file here, or no worker to fork
         return None
 
 
@@ -714,24 +851,21 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
     is sampled first, written before
     wavefunctions.csv.  Every document is encoded before the first file, so
     one that cannot be encoded leaves none.  A large wavefunction table's
-    last rows are sampled and formatted by a forked child (_forked_tail),
-    forked before the first file is written."""
+    last rows are sampled and formatted by this process's worker
+    (_forked_tail), sent them before the first file is written."""
     whole = psi() if json_samples else None
-
-    def table(start, stop=None):
-        return psi(start, stop) if whole is None else whole[start:stop]
-
     docs = {"spectrum.json": doc, **({} if whole is None else {
         "potential.json": {"x": x, "V": v},
         "wavefunctions.json": {"x": x, "psi": {
             str(j): whole[:, 1 + j] for j in range(psi.width)}}})}
     target = os.path.join(out_dir, "wavefunctions.csv")
-    tail = _forked_tail(target, table, (len(x), psi.width + 1),
+    tail = _forked_tail(target, psi, (len(x), psi.width + 1),
                         list(docs.values()))
     with tail or contextlib.nullcontext():
         arrays = []
         encoded = {name: _encode(obj, arrays) for name, obj in docs.items()}
-        waves = table(0, None if tail is None else tail.start)
+        stop = None if tail is None else tail.start
+        waves = psi(0, stop) if whole is None else whole[:stop]
         run = _runs([_table(np.column_stack((x, v))), *_arrays(arrays),
                      _table(waves)])
         write_csv_atomic(os.path.join(out_dir, "potential.csv"), ["x", "V"],

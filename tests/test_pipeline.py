@@ -2,6 +2,7 @@
 oracle, exercising the same path the verify subcommand uses."""
 
 import builtins
+import contextlib
 import dataclasses
 import errno
 import gc
@@ -661,11 +662,21 @@ def _can_fork_a_writer() -> bool:
 
 
 forking = pytest.mark.skipif(not _can_fork_a_writer(),
-                             reason="the forked writer needs two CPUs and "
+                             reason="the table writer needs two CPUs and "
                              "unnamed temp files")
 
 
 def _no_child_left():
+    """No process is left once the table writer leaves, as it does at the
+    interpreter's exit: at its socket's end of file, within 30 s."""
+    if pipeline._worker is not None:
+        pid, sock, _ = pipeline._worker
+        pipeline._worker = None
+        sock.close()
+        deadline = time.monotonic() + 30.0
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            assert time.monotonic() < deadline, "the worker did not leave"
+            time.sleep(0.001)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -686,35 +697,40 @@ def _sampler(x, cols) -> RowSampler:
 
 
 def _table(columns):
-    """A _Tail's table of fixed columns, row-major."""
-    table = np.column_stack(columns)
-    return lambda start, stop=None: table[start:stop]
+    """A _Tail's table of fixed columns, the first one as x."""
+    return _sampler(columns[0], columns[1:])
 
 
-def _counting_forks(monkeypatch, threshold, write):
-    """write() with FORK_MIN_FLOATS at threshold; the number of forks it
-    made."""
-    forks = []
-    fork = os.fork
+def _counting_tails(monkeypatch, threshold, write):
+    """write() with FORK_MIN_FLOATS at threshold; the number of tables
+    whose tail it sent to the table writer."""
+    tails = []
+    tail = pipeline._Tail
+
+    class Counted(tail):
+        def __init__(self, *args):
+            tails.append(1)
+            super().__init__(*args)
+
     monkeypatch.setattr(pipeline, "FORK_MIN_FLOATS", threshold)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(pipeline, "_Tail", Counted)
     try:
         write()
     finally:
-        monkeypatch.setattr(os, "fork", fork)
-    return len(forks)
+        monkeypatch.setattr(pipeline, "_Tail", tail)
+    return len(tails)
 
 
 def _write(monkeypatch, threshold, directory, x, doc, cols):
     """write_artifacts with FORK_MIN_FLOATS at threshold; the number of
-    forks it made."""
-    return _counting_forks(monkeypatch, threshold, lambda: write_artifacts(
+    tables whose tail went to the table writer."""
+    return _counting_tails(monkeypatch, threshold, lambda: write_artifacts(
         str(directory), x, x * x, doc, _sampler(x, cols)))
 
 
 def _forked_build(directory, monkeypatch, doc=None, threshold=0):
-    """_write on a 401-row table of 81 columns, forced onto the forked
-    path unless threshold is raised."""
+    """_write on a 401-row table of 81 columns, forced onto the table
+    writer unless threshold is raised."""
     x = np.linspace(-1.0, 1.0, 401)
     return _write(monkeypatch, threshold, directory, x,
                   {"levels": []} if doc is None else doc,
@@ -980,16 +996,23 @@ def _child_raises(fd, table, start):
     raise RuntimeError("a bug in the child")
 
 
-def _refuse_imports():
+@contextlib.contextmanager
+def _imports_refused():
     def refuse(*args, **kwargs):
         raise ImportError("the child imported")
+
+    hook = builtins.__import__
     builtins.__import__ = refuse
+    try:
+        yield
+    finally:
+        builtins.__import__ = hook
 
 
 def _child_refuses_imports(fd, table, start):
-    _refuse_imports()
     built = floattext.tables.cache_info()
-    code = _write_rows(fd, table, start)
+    with _imports_refused():
+        code = _write_rows(fd, table, start)
     now = floattext.tables.cache_info()
     # the child formats through floattext, on tables built before the fork
     if now.misses > built.misses or now.hits == built.hits:
@@ -998,8 +1021,8 @@ def _child_refuses_imports(fd, table, start):
 
 
 def _child_imports(fd, table, start):
-    _refuse_imports()
-    import fractions    # noqa: F401  (loaded already: only the hook runs)
+    with _imports_refused():
+        import fractions    # noqa: F401  (loaded already: only the hook runs)
     return 0
 
 
@@ -1012,7 +1035,7 @@ def _child_imports(fd, table, start):
 def test_a_failed_child_is_a_named_os_error(tmp_path, monkeypatch, child,
                                             message):
     monkeypatch.setattr(pipeline, "_write_rows", child)
-    with pytest.raises(OSError, match="the child process formatting rows "
+    with pytest.raises(OSError, match="the writer process formatting rows "
                        r"from \d+ of .*wavefunctions.csv " + message):
         _forked_build(tmp_path, monkeypatch)
     _no_child_left()
@@ -1027,7 +1050,7 @@ def test_a_failed_child_leaves_the_json_samples(tmp_path, monkeypatch):
     x = np.linspace(-1.0, 1.0, 401)
     sampler = _sampler(x, [np.cos(k * x) for k in range(80)])
     with pytest.raises(OSError, match="No space left on device"):
-        _counting_forks(monkeypatch, 0, lambda: write_artifacts(
+        _counting_tails(monkeypatch, 0, lambda: write_artifacts(
             str(tmp_path), x, x * x, {"levels": []}, sampler,
             json_samples=True))
     _no_child_left()
@@ -1059,7 +1082,8 @@ def test_the_child_imports_nothing(tmp_path, monkeypatch):
             assert ((tmp_path / "forked" / case / name).read_bytes()
                     == (tmp_path / "single" / case / name).read_bytes()), name
     _no_child_left()
-    # the refusing hook does fail a child that imports
+    # the refusing hook does fail a child that imports (a new worker, forked
+    # after the patch)
     monkeypatch.setattr(pipeline, "_write_rows", _child_imports)
     with pytest.raises(OSError, match="failed$"):
         _forked_build(tmp_path / "importing", monkeypatch)
@@ -1081,7 +1105,7 @@ _SAMPLING_REQUESTS = {
 def _cli(monkeypatch, threshold, argv, out) -> int:
     """cli.main on argv, writing to out, with FORK_MIN_FLOATS at threshold
     (a general request's --algebra=<json> goes through a file); the number
-    of forks it made."""
+    of tables whose tail went to the table writer."""
     argv = list(argv)
     for i, arg in enumerate(argv):
         if arg.startswith("--algebra="):
@@ -1089,12 +1113,12 @@ def _cli(monkeypatch, threshold, argv, out) -> int:
             (out / "algebra.json").write_text(arg.split("=", 1)[1])
             argv[i] = f"--algebra={out / 'algebra.json'}"
     codes = []
-    forks = _counting_forks(monkeypatch, threshold, lambda: codes.append(
+    tails = _counting_tails(monkeypatch, threshold, lambda: codes.append(
         main([*argv, "--out-dir", str(out)])))
     assert codes == [0]
     if (out / "algebra.json").exists():
         (out / "algebra.json").unlink()
-    return forks
+    return tails
 
 
 def _assert_repr_rows(path):
@@ -1154,7 +1178,7 @@ def test_the_request_stream_is_repr_bytes(tmp_path, monkeypatch, rows):
     cols = [np.resize(_SPECIAL, rows), np.exp(-x * x),
             np.resize(_SPECIAL[3:], rows) * -3.0]
     sizes = _counting_kernel(monkeypatch)
-    assert _counting_forks(monkeypatch, 10**12, lambda: write_artifacts(
+    assert _counting_tails(monkeypatch, 10**12, lambda: write_artifacts(
         str(tmp_path), x, v, {}, _sampler(x, cols))) == 0
     _assert_passes(sizes, rows * 2 + rows * 4)
     assert (tmp_path / "potential.csv").read_bytes() == _repr_table(
@@ -1189,7 +1213,7 @@ def test_csv_and_json_samples_spell_inf_and_nan_their_own_way(tmp_path,
             np.resize(_SPECIAL[::-1], rows)]
     doc = {"levels": [{"j": 0, "b": np.array([1.0, -0.5])}]}
     sizes = _counting_kernel(monkeypatch)
-    assert _counting_forks(monkeypatch, 10**12, lambda: write_artifacts(
+    assert _counting_tails(monkeypatch, 10**12, lambda: write_artifacts(
         str(tmp_path), x, x * x, doc, _sampler(x, cols),
         json_samples=True)) == 0
     # one stream: the tables, spectrum.json's b and the samples' arrays
@@ -1342,16 +1366,216 @@ def test_the_child_never_flushes_inherited_stdout(tmp_path):
         " '--out-dir', sys.argv[1]])\n"
         "print(f'forks {len(forks)}', file=sys.stderr)\n"
         "sys.exit(code)\n")
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)
-    src = str(Path(pipeline.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          env=env, capture_output=True, timeout=120)
+    proc = _python(code, tmp_path)
     assert proc.returncode == 0
     assert proc.stderr.decode().splitlines()[-1] == "forks 1"
     assert proc.stdout.decode().count("MARKER") == 1
     assert (tmp_path / "wavefunctions.csv").exists()
+
+
+def _python(code: str, *args):
+    """A fresh interpreter running code, with the package on its path and
+    stdout a buffered pipe."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, timeout=120)
+
+
+@forking
+def test_one_worker_serves_a_process_and_leaves_with_it(tmp_path):
+    # an atexit handler registered before the package's runs after it
+    code = (
+        "import atexit, os, sys\n"
+        "def gone():\n"
+        "    try:\n"
+        "        os.kill(pid, 0)\n"
+        "    except ProcessLookupError:\n"
+        "        print('worker gone', file=sys.stderr)\n"
+        "atexit.register(gone)\n"
+        "from sl2qes import cli, pipeline\n"
+        "pipeline.FORK_MIN_FLOATS = 0\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "for n in ('20', '40'):\n"
+        "    assert cli.main(['build', '--family', 'periodic-v1', '--alpha',"
+        " '1', '--beta', '1', '--a', '0', '--sign', '+', '--n', n,"
+        " '--out-dir', os.path.join(sys.argv[1], n)]) == 0\n"
+        "pid = pipeline._worker[0]\n"
+        "print(f'forks {len(forks)} worker {pid}', file=sys.stderr)\n")
+    proc = _python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    *_, forks, gone = proc.stderr.decode().splitlines()
+    assert forks.startswith("forks 1 worker ") and gone == "worker gone"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(forks.split()[-1]), 0)
+    for n in ("20", "40"):
+        assert (tmp_path / n / "wavefunctions.csv").exists()
+
+
+def _same_files(*directories):
+    for name in ("potential.csv", "spectrum.json", "wavefunctions.csv"):
+        first, *rest = [(d / name).read_bytes() for d in directories]
+        assert all(data == first for data in rest), name
+
+
+@forking
+def test_a_worker_killed_between_requests_is_named_then_replaced(
+        tmp_path, monkeypatch):
+    assert _forked_build(tmp_path / "single", monkeypatch,
+                         threshold=10**12) == 0
+    assert _forked_build(tmp_path / "first", monkeypatch) == 1
+    pid = pipeline._worker[0]
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(OSError, match=r"the writer process formatting rows "
+                       r"from \d+ of .*wavefunctions.csv was killed by "
+                       r"signal 9$"):
+        _forked_build(tmp_path / "second", monkeypatch)
+    assert pipeline._worker is None
+    assert sorted(p.name for p in (tmp_path / "second").iterdir()) == [
+        "potential.csv", "spectrum.json"]
+    assert _forked_build(tmp_path / "third", monkeypatch) == 1
+    assert pipeline._worker[0] != pid
+    _same_files(tmp_path / "single", tmp_path / "first", tmp_path / "third")
+    _no_child_left()
+
+
+@forking
+def test_a_worker_killed_with_a_request_unread_is_named(tmp_path,
+                                                        monkeypatch):
+    # the request waits unread in the socket of a stopped worker, which is
+    # then killed: the socket is reset, not at end of file
+    x = np.linspace(-1.0, 1.0, 64)
+    cols = [np.cos(k * x) for k in range(3)]
+    assert _write(monkeypatch, 0, tmp_path / "first", x, {}, cols) == 1
+    pid = pipeline._worker[0]
+    os.kill(pid, signal.SIGSTOP)
+    write_json = pipeline.write_json_atomic
+
+    def killing(path, pieces):
+        os.kill(pid, signal.SIGKILL)
+        write_json(path, pieces)
+
+    monkeypatch.setattr(pipeline, "write_json_atomic", killing)
+    with pytest.raises(OSError, match="was killed by signal 9$"):
+        _write(monkeypatch, 0, tmp_path / "second", x, {}, cols)
+    assert pipeline._worker is None
+    _no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("bad, error", [({"a set"}, TypeError),
+                                        (pipeline._HOLE, ValueError)],
+                         ids=["json", "json-stand-in"])
+def test_a_parent_that_fails_mid_request_leaves_the_next_one_whole(
+        tmp_path, monkeypatch, bad, error):
+    # the failed request's worker is discarded with its status unread, so
+    # the next request's status and rows are its own
+    def slow(fd, table, start):
+        time.sleep(0.2)
+        return _write_rows(fd, table, start)
+
+    monkeypatch.setattr(pipeline, "_write_rows", slow)
+    assert _forked_build(tmp_path / "single", monkeypatch,
+                         threshold=10**12) == 0
+    assert _forked_build(tmp_path / "first", monkeypatch) == 1
+    pid = pipeline._worker[0]
+    with pytest.raises(error):
+        _forked_build(tmp_path / "failed", monkeypatch,
+                      {"levels": [], "warnings": [bad]})
+    assert pipeline._worker is None
+    assert not list((tmp_path / "failed").iterdir())
+    assert _forked_build(tmp_path / "next", monkeypatch) == 1
+    assert pipeline._worker[0] != pid
+    _same_files(tmp_path / "single", tmp_path / "first", tmp_path / "next")
+    _no_child_left()
+
+
+@forking
+def test_a_forked_process_starts_a_worker_of_its_own(tmp_path, monkeypatch):
+    assert _forked_build(tmp_path / "parent", monkeypatch) == 1
+    worker = pipeline._worker
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            # the parent's worker is forgotten at the fork; one left behind
+            # anyway (a fork that runs no Python hook) is not this process's
+            forgotten = pipeline._worker is None
+            pipeline._worker = worker
+            _forked_build(tmp_path / "child", monkeypatch)
+            own = pipeline._worker
+            pipeline._end_worker()
+            code = 0 if forgotten and own[0] != worker[0] else 3
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert _forked_build(tmp_path / "again", monkeypatch) == 1
+    assert pipeline._worker is worker
+    _same_files(tmp_path / "parent", tmp_path / "child", tmp_path / "again")
+    _no_child_left()
+
+
+class _Noted:
+    """A reference cycle that appends its note to a file when finalized."""
+
+    def __init__(self, path, note: str):
+        self.path, self.note, self.cycle = path, note, self
+
+    def __del__(self):
+        with open(self.path, "a") as handle:
+            handle.write(self.note)
+
+
+@forking
+def test_the_worker_runs_no_finalizer_of_this_process(tmp_path, monkeypatch):
+    notes = tmp_path / "notes"
+
+    def collecting(fd, table, start):
+        _Noted(notes, "worker ")     # the worker's own garbage
+        gc.collect()
+        return _write_rows(fd, table, start)
+
+    monkeypatch.setattr(pipeline, "_write_rows", collecting)
+    gc.disable()
+    try:
+        _Noted(notes, "parent ")     # garbage at the worker's fork
+        for run in ("a", "b"):
+            assert _forked_build(tmp_path / run, monkeypatch) == 1
+        _no_child_left()
+        assert notes.read_text() == "worker worker "
+    finally:
+        gc.enable()
+        gc.collect()
+    assert notes.read_text() == "worker worker parent "
+
+
+@forking
+def test_the_worker_holds_no_descriptor_of_this_process(tmp_path,
+                                                       monkeypatch):
+    read, write = os.pipe()
+    try:
+        assert _forked_build(tmp_path, monkeypatch) == 1
+        os.close(write)
+        os.set_blocking(read, False)
+        assert os.read(read, 1) == b""      # no writer is left
+    finally:
+        os.close(read)
+    _no_child_left()
+
+
+@forking
+def test_an_interrupt_between_requests_leaves_the_worker(tmp_path,
+                                                         monkeypatch):
+    assert _forked_build(tmp_path / "first", monkeypatch) == 1
+    worker = pipeline._worker
+    os.kill(worker[0], signal.SIGINT)
+    assert _forked_build(tmp_path / "second", monkeypatch) == 1
+    assert pipeline._worker is worker
+    _same_files(tmp_path / "first", tmp_path / "second")
+    _no_child_left()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

@@ -104,10 +104,12 @@ def test_cubic_general_loads_the_elliptic_integral(tmp_path):
 
 
 def test_import_loads_no_process_pool(tmp_path):
-    # the artifact writer forks with os.fork itself: no pool module loads
+    # the artifact writer forks with os.fork itself: no pool module loads,
+    # and its worker's socket module loads with the first worker
     proc = _python(tmp_path, "-c", "import json, sys\n"
                    "import sl2qes, sl2qes.cli\n"
                    "print(json.dumps(sorted(m for m in sys.modules if "
-                   "m.split('.')[0] in ('multiprocessing', 'concurrent'))))")
+                   "m.split('.')[0] in ('multiprocessing', 'concurrent', "
+                   "'socket'))))")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
