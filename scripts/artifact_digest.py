@@ -13,7 +13,9 @@ runs instead a fixed list of requests that no benchmark workload makes
 (``EXTRA``), and ``all`` is the three benchmark workloads.  Each case runs
 in process through ``sl2qes.cli.main`` of the package under ``<src>/src``,
 in a fresh temporary directory with relative paths, so no path of the
-machine reaches stdout.  One line per case:
+machine reaches stdout.  A request with ``before`` runs that request first
+into the same out dir; only the case's own stdout is digested.  One line
+per case:
 
     <workload> <case id> exit=<code> stdout=<sha256> <artifact>=<sha256>:<mode> ...
 
@@ -49,6 +51,7 @@ class Request(NamedTuple):
     case_id: str
     args: tuple
     algebra: dict | None = None
+    before: tuple | None = None     # a request run first into the out dir
 
     def argv(self, out_dir: str, algebra_path: str) -> list[str]:
         args = list(self.args)
@@ -213,6 +216,22 @@ EXTRA = (
     Request("verify-poschl-teller-attractive-s0892", (
         "verify", "--family", "poschl-teller", "--alpha", "0.9922",
         "--A", "12.5805", "--B", "0.8849", "--n", "3")),
+    # verifies after this process's first, whose artifacts the table writer
+    # formats while the report runs: with the JSON samples; at n = 40, a
+    # table above pipeline.FORK_MIN_FLOATS that the job does not split; and
+    # a report that raises (a level at the continuum edge) over an earlier
+    # run's artifacts, which stay as they were
+    Request("verify-morse-json-samples", (
+        "verify", "--family", "morse", "--alpha", "1", "--A", "3", "--B",
+        "1", "--n", "2", "--json-samples")),
+    Request("verify-periodic-v1-n40", (
+        "verify", "--family", "periodic-v1", "--alpha", "1", "--beta", "1",
+        "--a", "0", "--sign", "+", "--n", "40")),
+    Request("verify-morse-continuum-edge-over-earlier", (
+        "verify", "--family", "morse", "--alpha", "1", "--A",
+        "3.0000000001", "--B", "1", "--n", "3", "--j-max", "3"),
+        before=("verify", "--family", "morse", "--alpha", "1", "--A", "3",
+                "--B", "1", "--n", "2")),
 )
 
 
@@ -243,6 +262,10 @@ def case_line(workload: str, case) -> str:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(io.StringIO()):
+                if getattr(case, "before", None):
+                    sl2qes.cli.main([*case.before, "--out-dir", "out"])
+                    stdout.truncate(0)
+                    stdout.seek(0)
                 try:
                     code = sl2qes.cli.main(case.argv("out", "algebra.json"))
                 except Exception as exc:   # a case that raises is a result

@@ -5,12 +5,24 @@ key=value text keyed by flag name; its values enter the parser as flags
 ahead of the command line's, so flags win and every value is checked like
 its flag, also where a flag overrides it.  Exit codes: 0 success, 1
 verification failure, 2 usage or parameter error or an OSError.
+
+verify sets up its artifacts (x, V, the spectrum document and the
+wavefunction rows) first, and hands them to the process's table writer,
+which formats them while the FD report runs (pipeline.artifact_job).  The
+report still decides what is written: the files are put in place only
+after it, its error wins, then one of the set-up, and either leaves the
+file system as it was.  A process's first verify starts no table writer,
+so a one-shot run never forks; a later one starts one, or uses the one the
+process has.  Where no writer may run, the report comes first and the
+artifacts are then written in this process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -121,15 +133,14 @@ def _entry(args) -> catalog.CatalogEntry:
     return catalog.make_entry(args.family, params, sign=args.sign, n=args.n)
 
 
-def _build(args, entry: catalog.CatalogEntry):
-    """Write the entry's potential, spectrum and wavefunction artifacts;
-    an entry with no bound state up to --j-max writes nothing."""
+def _artifacts(args, entry: catalog.CatalogEntry):
+    """(x, V, the spectrum document, the wavefunction RowSampler) of the
+    entry's artifacts; NoBoundStateError when it has no bound state up to
+    --j-max."""
     j_vals = [j for j, _ in entry.verification_levels(args.j_max)]
     x, v = pipeline.sample_potential(entry, args.samples)
-    pipeline.write_artifacts(args.out_dir, x, v,
-                             pipeline.spectrum_document(entry, j_vals),
-                             pipeline.wavefunction_rows(entry, x, j_vals),
-                             args.json_samples)
+    return (x, v, pipeline.spectrum_document(entry, j_vals),
+            pipeline.wavefunction_rows(entry, x, j_vals))
 
 
 def _cmd_list_families(args) -> int:
@@ -142,18 +153,38 @@ def _cmd_list_families(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    _build(args, _entry(args))
+    pipeline.write_artifacts(args.out_dir, *_artifacts(args, _entry(args)),
+                             args.json_samples)
     print("wrote potential.csv, spectrum.json, wavefunctions.csv to "
           f"{args.out_dir}")
     return 0
 
 
+# verify requests this process has made: the first starts no table writer
+_VERIFIES = itertools.count()
+
+
 def _cmd_verify(args) -> int:
+    start = next(_VERIFIES) > 0
     entry = _entry(args)
-    # the report comes first: a run with no level to check writes nothing
-    report = pipeline.verification_report(
-        entry, j_max=args.j_max, points=args.points, tolerance=args.tolerance)
-    _build(args, entry)
+    # the set-up's error waits for the report's (see the module docstring)
+    try:
+        artifacts, held = _artifacts(args, entry), None
+    except Exception as exc:
+        artifacts, held = None, exc
+    job = held is None and pipeline.artifact_job(
+        args.out_dir, *artifacts, args.json_samples, start=start)
+    with job or contextlib.nullcontext():
+        report = pipeline.verification_report(
+            entry, j_max=args.j_max, points=args.points,
+            tolerance=args.tolerance)
+        if held is not None:
+            raise held
+        if job:
+            job.commit()
+        else:
+            pipeline.write_artifacts(args.out_dir, *artifacts,
+                                     args.json_samples)
     pipeline.write_json_atomic(
         os.path.join(args.out_dir, "verification.json"),
         pipeline.json_pieces(report))

@@ -55,26 +55,38 @@ one that cannot be encoded leaves none.  It takes the wavefunctions as a
 RowSampler: their map and gauge are already sampled on all of x, so every
 named error is raised before any file is written, and what is left per row
 is each level's Horner step and ``scaled_exp``, run on rows straight into
-the row-major table.  Float formatting holds the GIL, so a large request
-is written on two cores, by this process and its table writer: one worker
-process, forked once and kept.  When the wavefunction table holds
-FORK_MIN_FLOATS floats or more, the process has one thread and may run on
-two CPUs, the first such request forks the worker, after floattext's
-tables are built.  Each such request sends it, over a socket pair, the
-row that gives it about half of the floats the request writes while it
-runs, the pickled RowSampler and an unnamed temp file beside the table.
-The worker samples and formats those rows into the file and replies with
-one status byte.  This process samples the other rows, writes the other
-files and the table's first rows, reads the status and appends the
-worker's rows with a kernel copy before the rename.  Without the worker
-it samples every row.  The bytes, modes and cleanup are the one-process
-writer's.  A write error in the worker raises OSError with its errno, and
-a worker that dies raises OSError and is replaced at the next request; a
-request that fails before it reads the status kills the worker and reaps
-it.  The worker is a snapshot of this process at its fork: it holds none
-of its files, runs no finalizer of its objects and ignores SIGINT.  It
-leaves at its socket's end of file, which an atexit handler makes before
-it reaps the worker.
+the row-major table.
+
+Float formatting holds the GIL, so a request can be written on two cores,
+by this process and its table writer: one worker process, forked once and
+kept, after floattext's tables are built.  It runs only where this process
+has one thread and may run on two CPUs, and the platform has unnamed temp
+files.  Every request to it is a _Job: over a socket pair, a pickled job
+and the unnamed temp files that this process opened for it; the worker
+writes one body into each file and replies with one status byte.  A job is
+one of two:
+  - the tail of a large table.  When the wavefunction table holds
+    FORK_MIN_FLOATS floats or more, the worker gets the RowSampler and the
+    row that gives it about half of the floats the request writes; the
+    first such request forks it.  It samples and formats those rows while
+    this process samples the other rows, writes the other files and the
+    table's first rows, reads the status and appends the worker's rows
+    with a kernel copy before the rename.
+  - every file of a verify request (``artifact_job``), formatted by the
+    worker in its one process while this process runs the report.
+    ``commit`` reads the status and copies each file into place through
+    the one-process writer's rename.  Such a job forks the worker only
+    when its caller asks: the CLI does at every verify but a process's
+    first, so that a one-shot verify never forks.
+Without the worker this process samples and writes everything itself.
+The bytes, modes and cleanup are the one-process writer's.  A write error
+in the worker raises OSError with its errno, and a worker that dies raises
+OSError and is replaced at the next request.  A request that leaves before
+it has read the status reads it then; only an interrupt kills the worker
+and reaps it.  The worker is a snapshot of this process at its fork: it
+holds none of its files, runs no finalizer of its objects, ignores SIGINT
+and prints its own numpy warnings.  It leaves at its socket's end of file,
+which an atexit handler makes before it reaps the worker.
 """
 
 from __future__ import annotations
@@ -102,6 +114,7 @@ __all__ = [
     "write_json_atomic",
     "write_csv_atomic",
     "write_artifacts",
+    "artifact_job",
     "json_pieces",
     "finite_potential",
     "sample_potential",
@@ -495,10 +508,18 @@ def _document(parts: list, run):
         yield after
 
 
+def _file(header: list[str] | None, text):
+    """A file's text pieces: a CSV table's ``text`` under its ``header``,
+    or, with no header, a JSON document's with a final newline."""
+    if header is None:
+        return itertools.chain(text, "\n")
+    return itertools.chain([",".join(header) + "\n"], text)
+
+
 def write_json_atomic(path: str, pieces):
     """The JSON document of the text ``pieces`` (``json_pieces``), with a
     final newline."""
-    _atomic_write(path, itertools.chain(pieces, "\n"))
+    _atomic_write(path, _file(None, pieces))
 
 
 _EDGE = "|"     # a run's last separator, where its text is split back
@@ -579,28 +600,55 @@ def write_csv_atomic(path: str, header: list[str], rows,
     """The table under its header: ``rows`` is an iterator of its rows'
     text, as ``_csv`` gives.  With ``tail``, the worker's rows follow
     them."""
-    _atomic_write(path, itertools.chain([",".join(header) + "\n"], rows),
+    _atomic_write(path, _file(header, rows),
                   None if tail is None else tail.append_to)
 
 
-def _write_rows(fd: int, table, start: int) -> int:
-    """The worker's work for one request: rows [start:] of the table,
-    sampled by ``table(start)``, into fd.  It imports nothing and calls no
-    BLAS routine.  0, or the errno of the write that failed."""
+def _write_texts(fds, texts) -> int:
+    """The worker's writes for one request: each text's pieces into its
+    descriptor, in order.  It imports nothing and calls no BLAS routine.
+    0, or the errno of the write that failed."""
     try:
-        rows = table(start)
-        for text in _csv(_runs([_table(rows)]), len(rows)):
-            data = text.encode()
-            while data:
-                data = data[os.write(fd, data):]
+        for fd, pieces in zip(fds, texts):
+            for text in pieces:
+                data = text.encode()
+                while data:
+                    data = data[os.write(fd, data):]
     except OSError as exc:
         return exc.errno if exc.errno and exc.errno < 255 else 255
     return 0
 
 
+def _write_rows(fd: int, table, start: int) -> int:
+    """A _Tail's work in the worker: rows [start:] of the table, sampled
+    by ``table(start)``, into fd; _write_texts's status."""
+    rows = table(start)
+    return _write_texts([fd], [_csv(_runs([_table(rows)]), len(rows))])
+
+
+def _tail_rows(fds, table, start: int) -> int:
+    """A _Tail's job: _write_rows, looked up in the worker, into its one
+    file."""
+    return _write_rows(fds[0], table, start)
+
+
+def _artifact_texts(fds, x, v, doc, psi, json_samples: bool) -> int:
+    """A verify job's work in the worker: every file of ``write_artifacts``
+    into its descriptor, all of the table's rows in this one process;
+    _write_texts's status."""
+    whole = psi() if json_samples else None
+    texts = _texts(x, v, _documents(x, v, doc, whole),
+                   psi() if whole is None else whole)
+    return _write_texts(fds, (_file(header, text) for header, text in texts))
+
+
 # (pid, socket, pid of the process that forked it) of this process's table
 # writer, or None
 _worker = None
+
+
+def _has_worker() -> bool:
+    return _worker is not None and _worker[2] == os.getpid()
 
 
 def _worker_socket():
@@ -610,7 +658,7 @@ def _worker_socket():
     process's end among them, so that its socket ends when this process
     closes that end."""
     global _worker
-    if _worker is not None and _worker[2] == os.getpid():
+    if _has_worker():
         return _worker[1]
     _forget_worker()
     import signal
@@ -641,33 +689,35 @@ def _worker_socket():
 
 def _serve(sock) -> None:
     """The worker's loop, one request at a time until its socket's end of
-    file, each answered with _write_rows's status byte, or 255 when the
+    file, each answered with its job's status byte, or 255 when the
     request failed any other way."""
     while (code := _take(sock)) is not None:
         sock.sendall(bytes([code]))
 
 
 def _take(sock) -> int | None:
-    """One request in the worker, as ``_Tail`` sends it: the length of the
-    pickled (start, table) with the descriptor of the file to write, then
-    those bytes.  Its status, or None at the end of the stream.  Nothing
-    of the request outlives the call."""
+    """One request in the worker, as ``_Job`` sends it: the length of the
+    pickled (function, args) with the descriptors of the files to write,
+    then those bytes; ``function(fds, *args)`` writes them.  Its status,
+    or None at the end of the stream.  Nothing of the request outlives the
+    call."""
     import pickle
     import socket
-    head, fds, _, _ = socket.recv_fds(sock, 8, 1)
-    if len(head) != 8 or len(fds) != 1:
-        return None
+    head, fds, _, _ = socket.recv_fds(sock, 8, len(_names(True)))
     try:
+        if len(head) != 8 or not fds:
+            return None
         data = _receive(sock, int.from_bytes(head, "little"))
         try:
-            start, table = pickle.loads(data)
-            return _write_rows(fds[0], table, start)
+            function, args = pickle.loads(data)
+            return function(fds, *args)
         except Exception:
             return 255
     except EOFError:
         return None
     finally:
-        os.close(fds[0])
+        for fd in fds:
+            os.close(fd)
 
 
 def _receive(sock, size: int) -> bytearray:
@@ -688,7 +738,7 @@ def _end_worker(kill: bool = False) -> int | None:
     negative for a signal, or None when there is none.  The interpreter's
     exit ends it without the kill."""
     global _worker
-    if _worker is None or _worker[2] != os.getpid():
+    if not _has_worker():
         return None
     pid, sock, _ = _worker
     _worker = None
@@ -712,71 +762,125 @@ atexit.register(_end_worker)
 os.register_at_fork(after_in_child=_forget_worker)
 
 
-class _Tail:
-    """The last rows of a table, sampled and formatted by this process's
-    worker into an unnamed temp file in the table's directory while this
-    process writes the rest.  ``table(start, stop=None)`` gives the table's
-    rows [start:stop] as one row-major array, and the worker gets a pickled
-    copy of it.  Leaving the ``with`` block before ``append_to`` has read
-    the worker's status discards the worker (SIGKILL, then reap), so no
-    status reaches a later request."""
+def _writer_may_run() -> bool:
+    """Whether this process may use a table writer: the platform has
+    unnamed temp files, and this process has one thread and may run on two
+    CPUs."""
+    return (hasattr(os, "O_TMPFILE") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
 
-    def __init__(self, path: str, table, start: int):
+
+class _Job:
+    """One request to this process's worker: ``function(fds, *args)`` runs
+    there on a pickled copy of ``args``, writes one body into each of the
+    unnamed temp files that this process opened for ``paths`` (in the
+    first path's directory, or its nearest ancestor that exists) and
+    returns 0 or an errno, while this process goes on.  ``wait`` reads the
+    worker's status, and ``commit`` puts each file in place.  Leaving the
+    ``with`` block before the status is read reads it then, so that the
+    worker is kept, unless an interrupt, or any BaseException that is not
+    an Exception, left the block: that discards the worker (SIGKILL, then
+    reap), so no status reaches a later request."""
+
+    def __init__(self, what: str, paths: list[str], function, *args):
         import pickle
         import socket
-        data = pickle.dumps((start, table), pickle.HIGHEST_PROTOCOL)
-        self.path, self.start, self.sock = path, start, None
-        self.side = os.open(os.path.dirname(os.path.abspath(path)),
-                            os.O_TMPFILE | os.O_RDWR, 0o600)
+        data = pickle.dumps((function, args), pickle.HIGHEST_PROTOCOL)
+        self.what, self.paths, self.sock, self.files = what, paths, None, []
+        directory = os.path.dirname(os.path.abspath(paths[0]))
+        while not os.path.isdir(directory):
+            directory = os.path.dirname(directory)
         try:
+            for _ in paths:
+                self.files.append(os.open(directory,
+                                          os.O_TMPFILE | os.O_RDWR, 0o600))
             self.sock = _worker_socket()
         finally:
             if self.sock is None:
-                os.close(self.side)
+                self._close()
         quiet = socket.MSG_NOSIGNAL     # a gone worker is an OSError
         try:
             socket.send_fds(self.sock, [len(data).to_bytes(8, "little")],
-                            [self.side], quiet)
+                            self.files, quiet)
             self.sock.sendall(data, quiet)
-        except OSError:     # the worker is gone: append_to names it
+        except OSError:     # the worker is gone: wait names it
             pass
         except BaseException:
-            self.__exit__()
+            self.__exit__(BaseException)
             raise
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        if self.sock is not None:
-            _end_worker(kill=True)
-        os.close(self.side)
+    def __exit__(self, kind=None, *exc):
+        try:
+            if self.sock is not None and (kind is None
+                                          or issubclass(kind, Exception)):
+                with contextlib.suppress(OSError):  # the block's error wins
+                    self.wait()
+        finally:
+            if self.sock is not None:
+                self.sock = None
+                _end_worker(kill=True)
+            self._close()
 
-    def append_to(self, fd: int):
-        """Wait for the worker's status and copy its rows to the end of fd
-        in the kernel; OSError when the worker failed, or is gone."""
+    def _close(self):
+        for fd in self.files:
+            os.close(fd)
+        self.files = []
+
+    def wait(self):
+        """Wait for the worker's status; OSError when it failed, or is
+        gone."""
         try:
             status = self.sock.recv(1)
         except ConnectionResetError:    # it left before reading it all
             status = b""
         self.sock = None
-        what = (f"the writer process formatting rows from {self.start} of "
-                f"{self.path}")
         if not status:
             code = _end_worker(kill=True)
-            raise OSError(errno.EIO, f"{what} " + (
+            raise OSError(errno.EIO, f"{self.what} " + (
                 f"was killed by signal {-code}" if code < 0 else
                 f"exited with status {code}"))
         code = status[0]
         if code:
-            raise OSError(code if code < 255 else errno.EIO, f"{what} " + (
-                f"failed: {os.strerror(code)}" if code < 255 else "failed"))
-        size, done = os.fstat(self.side).st_size, 0
+            raise OSError(code if code < 255 else errno.EIO,
+                          f"{self.what} " + (f"failed: {os.strerror(code)}"
+                                             if code < 255 else "failed"))
+
+    def copy(self, i: int, fd: int):
+        """Copy file i to the end of fd in the kernel."""
+        size, done = os.fstat(self.files[i]).st_size, 0
         while done < size:
-            copied = os.sendfile(fd, self.side, done, size - done)
+            copied = os.sendfile(fd, self.files[i], done, size - done)
             if not copied:
-                raise OSError(errno.EIO, f"{what}: its file ended early")
+                raise OSError(errno.EIO, f"{self.what}: its file ended early")
             done += copied
+
+    def commit(self):
+        """Wait for the worker's status, then put each file in place at its
+        path, with _atomic_write's rename and mode."""
+        self.wait()
+        for i, path in enumerate(self.paths):
+            _atomic_write(path, (), lambda fd, i=i: self.copy(i, fd))
+
+
+class _Tail(_Job):
+    """The last rows of a table, from ``start``, sampled and formatted by
+    the worker into one file while this process writes the rest.  ``table(start, stop=None)`` gives the table's rows
+    [start:stop] as one row-major array."""
+
+    def __init__(self, path: str, table, start: int):
+        super().__init__(f"the writer process formatting rows from {start} "
+                         f"of {path}", [path], _tail_rows, table, start)
+        self.start = start
+
+    def append_to(self, fd: int):
+        """Wait for the worker's status and copy its rows to the end of
+        fd; OSError when the worker failed, or is gone."""
+        self.wait()
+        self.copy(0, fd)
 
 
 def _split(rows: int, width: int, other: int) -> int:
@@ -790,19 +894,14 @@ def _split(rows: int, width: int, other: int) -> int:
 def _forked_tail(path: str, table, shape: tuple[int, int],
                  docs: list) -> _Tail | None:
     """A _Tail for the table of ``shape`` (rows, columns) when it holds
-    FORK_MIN_FLOATS floats or more, this process has one thread and may
-    run on two CPUs, and the platform has unnamed temp files; else None.
-    While the worker writes, this process also writes the JSON documents
-    ``docs`` and a two-column table as long as this one."""
+    FORK_MIN_FLOATS floats or more and the worker may run
+    (_writer_may_run); else None.  While the worker writes, this process
+    also writes the JSON documents ``docs`` and a two-column table as long
+    as this one."""
     rows, width = shape
-    if (rows * width < FORK_MIN_FLOATS
-            or not hasattr(os, "O_TMPFILE")
-            or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2
-            or threading.active_count() != 1):
+    if rows * width < FORK_MIN_FLOATS or not _writer_may_run():
         return None
     start = _split(rows, width, 2 * rows + _scalars(docs))
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tables()    # floattext's, built here before the worker's fork
     try:
         return _Tail(path, table, start)
@@ -843,6 +942,39 @@ class RowSampler:
         return table
 
 
+def _names(json_samples: bool) -> list[str]:
+    """A request's artifacts, in write order."""
+    return ["potential.csv", "spectrum.json",
+            *(("potential.json", "wavefunctions.json") if json_samples
+              else ()), "wavefunctions.csv"]
+
+
+def _documents(x, v, doc: dict, whole) -> list:
+    """spectrum.json's document, and with the ``whole`` table the samples
+    as JSON arrays, the table's columns: potential.json's and
+    wavefunctions.json's."""
+    if whole is None:
+        return [doc]
+    return [doc, {"x": x, "V": v}, {"x": x, "psi": {
+        str(j): whole[:, 1 + j] for j in range(whole.shape[1] - 1)}}]
+
+
+def _texts(x, v, docs: list, waves: np.ndarray) -> list:
+    """(CSV header, or None for a JSON document, text pieces) of each
+    artifact of ``_names``: potential.csv, the documents ``docs`` and
+    wavefunctions.csv, the table's rows ``waves``.  Their floats are one
+    stream, so the texts are read in this order.  Every document is
+    encoded before this returns."""
+    arrays = []
+    encoded = [_encode(obj, arrays) for obj in docs]
+    run = _runs([_table(np.column_stack((x, v))), *_arrays(arrays),
+                 _table(waves)])
+    return [(["x", "V"], _csv(run, len(x))),
+            *((None, _document(parts, run)) for parts in encoded),
+            (["x"] + [f"psi_{j}" for j in range(waves.shape[1] - 1)],
+             _csv(run, len(waves)))]
+
+
 def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
                     json_samples: bool = False):
     """potential.csv, spectrum.json and wavefunctions.csv (the table of
@@ -854,28 +986,38 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
     last rows are sampled and formatted by this process's worker
     (_forked_tail), sent them before the first file is written."""
     whole = psi() if json_samples else None
-    docs = {"spectrum.json": doc, **({} if whole is None else {
-        "potential.json": {"x": x, "V": v},
-        "wavefunctions.json": {"x": x, "psi": {
-            str(j): whole[:, 1 + j] for j in range(psi.width)}}})}
-    target = os.path.join(out_dir, "wavefunctions.csv")
-    tail = _forked_tail(target, psi, (len(x), psi.width + 1),
-                        list(docs.values()))
+    docs = _documents(x, v, doc, whole)
+    paths = [os.path.join(out_dir, name) for name in _names(json_samples)]
+    tail = _forked_tail(paths[-1], psi, (len(x), psi.width + 1), docs)
     with tail or contextlib.nullcontext():
-        arrays = []
-        encoded = {name: _encode(obj, arrays) for name, obj in docs.items()}
         stop = None if tail is None else tail.start
-        waves = psi(0, stop) if whole is None else whole[:stop]
-        run = _runs([_table(np.column_stack((x, v))), *_arrays(arrays),
-                     _table(waves)])
-        write_csv_atomic(os.path.join(out_dir, "potential.csv"), ["x", "V"],
-                         _csv(run, len(x)))
-        for name, parts in encoded.items():
-            write_json_atomic(os.path.join(out_dir, name),
-                              _document(parts, run))
-        write_csv_atomic(target, ["x"] + [f"psi_{j}" for j in
-                                          range(psi.width)],
-                         _csv(run, len(waves)), tail)
+        texts = _texts(x, v, docs, psi(0, stop) if whole is None
+                       else whole[:stop])
+        for path, (header, text) in zip(paths, texts):
+            if header is None:
+                write_json_atomic(path, text)
+            else:
+                write_csv_atomic(path, header, text,
+                                 tail if path == paths[-1] else None)
+
+
+def artifact_job(out_dir: str, x, v, doc: dict, psi: RowSampler,
+                 json_samples: bool = False, start: bool = True):
+    """The files of ``write_artifacts`` as a _Job: this process's worker
+    formats them, all in its one process, while this process goes on, and
+    ``commit()`` puts them in place.  None, with nothing sent, when the
+    worker may not run (_writer_may_run), when this process has none and
+    ``start`` is false, or when the unnamed files cannot be made."""
+    if not _writer_may_run() or not (start or _has_worker()):
+        return None
+    tables()    # floattext's, built here before the worker's fork
+    try:
+        return _Job(f"the writer process formatting the artifacts of "
+                    f"{out_dir}", [os.path.join(out_dir, name) for name in
+                                   _names(json_samples)],
+                    _artifact_texts, x, v, doc, psi, json_samples)
+    except OSError:     # no unnamed temp file here, or no worker to fork
+        return None
 
 
 def finite_potential(potential, x: np.ndarray) -> np.ndarray:

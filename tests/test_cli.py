@@ -551,6 +551,40 @@ def _read_columns(path):
         [[float(v) for v in row.split(",")] for row in rows[1:]])
 
 
+def _worst_residual(out) -> float:
+    """The worst level's three-point residual of its equation, ||-D2 psi +
+    (V - E) psi|| / (||D2 psi|| + ||(V - E) psi||) in the max norm over the
+    inner samples, from potential.csv, wavefunctions.csv and spectrum.json
+    alone."""
+    _, pot = _read_columns(out / "potential.csv")
+    _, waves = _read_columns(out / "wavefunctions.csv")
+    levels = json.loads((out / "spectrum.json").read_text())["levels"]
+    v, h = pot[1:-1, 1], pot[1, 0] - pot[0, 0]
+    worst = 0.0
+    for j, level in enumerate(levels):
+        psi = waves[:, 1 + j]
+        d2 = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (h * h)
+        rest = (v - level["E"]) * psi[1:-1]
+        scale = np.max(np.abs(d2)) + np.max(np.abs(rest))
+        worst = max(worst, float(np.max(np.abs(rest - d2)) / scale))
+    return worst
+
+
+@pytest.mark.parametrize("n", [20, pytest.param(80, marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 4: at n = 80, 43 of 81 written "
+    "levels miss their equation; their monomial sums cancel, which is part "
+    "of the cause"))])
+def test_written_wavefunctions_solve_their_equation(tmp_path, n):
+    # ROADMAP item 4: a sector that stays accurate at large n.  At 401
+    # samples every level at n = 20 reads below 4.7e-3, and at n = 80 the
+    # worst reads 1.0
+    out = tmp_path / "run"
+    assert run(["build", "--family", "periodic-v1", "--alpha", "1.2",
+                "--beta", "0.9", "--a", "0.1", "--sign", "+", "--n", str(n),
+                "--out-dir", str(out)]) == 0
+    assert _worst_residual(out) < 0.1
+
+
 def test_general_columns_match_per_level_assembly(tmp_path):
     """Every column written from the one gauge pass equals the level's own
     gauge-times-polynomial evaluation, bit for bit."""

@@ -6,14 +6,17 @@ import contextlib
 import dataclasses
 import errno
 import gc
+import itertools
 import json
 import math
 import os
+import runpy
 import signal
 import stat
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sl2qes import catalog, floattext, pipeline
+from sl2qes import catalog, cli, floattext, pipeline
 from sl2qes.algebra import Polynomial
 from sl2qes.catalog import make_entry
 from sl2qes.cli import main
@@ -1142,6 +1145,8 @@ def _assert_repr_rows(path):
 def test_a_request_formats_its_tables_in_one_kernel_call(tmp_path,
                                                          monkeypatch, argv,
                                                          floats):
+    # a verify's artifacts are formatted in this process
+    monkeypatch.setattr(pipeline, "_writer_may_run", lambda: False)
     sizes = _counting_kernel(monkeypatch)
     assert _cli(monkeypatch, 10**12, argv, tmp_path / "run") == 0
     assert sizes == [floats]
@@ -1471,8 +1476,8 @@ def test_a_worker_killed_with_a_request_unread_is_named(tmp_path,
                          ids=["json", "json-stand-in"])
 def test_a_parent_that_fails_mid_request_leaves_the_next_one_whole(
         tmp_path, monkeypatch, bad, error):
-    # the failed request's worker is discarded with its status unread, so
-    # the next request's status and rows are its own
+    # the failed request reads its worker's status as it leaves, so the
+    # worker is kept and the next request's status and rows are its own
     def slow(fd, table, start):
         time.sleep(0.2)
         return _write_rows(fd, table, start)
@@ -1485,10 +1490,10 @@ def test_a_parent_that_fails_mid_request_leaves_the_next_one_whole(
     with pytest.raises(error):
         _forked_build(tmp_path / "failed", monkeypatch,
                       {"levels": [], "warnings": [bad]})
-    assert pipeline._worker is None
-    assert not list((tmp_path / "failed").iterdir())
+    assert pipeline._worker[0] == pid
+    assert not (tmp_path / "failed").exists()
     assert _forked_build(tmp_path / "next", monkeypatch) == 1
-    assert pipeline._worker[0] != pid
+    assert pipeline._worker[0] == pid
     _same_files(tmp_path / "single", tmp_path / "first", tmp_path / "next")
     _no_child_left()
 
@@ -1575,6 +1580,188 @@ def test_an_interrupt_between_requests_leaves_the_worker(tmp_path,
     assert _forked_build(tmp_path / "second", monkeypatch) == 1
     assert pipeline._worker is worker
     _same_files(tmp_path / "first", tmp_path / "second")
+    _no_child_left()
+
+
+# verify's hand-off: its artifacts go to the table writer as one job while
+# the report runs
+
+_CATALOG = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts"
+                              / "verify_catalog.py"))["CASES"]
+
+
+def _verify_argv(family, params, sign, n) -> list[str]:
+    """A verify request of the catalog entry, every level up to n."""
+    args = ["verify", "--family", family]
+    for key, value in params.items():
+        args += [f"--{key}", str(value)]
+    return args + (["--sign", sign] if sign else []) + ["--n", str(n),
+                                                        "--j-max", str(n)]
+
+
+_EDGE = ["verify", "--family", "morse", "--alpha", "1", "--A",
+         "3.0000000001", "--B", "1", "--n", "3", "--j-max", "3"]
+
+
+def _verify(monkeypatch, argv, out, worker: bool = True):
+    """(exit code, jobs sent to the table writer) of cli.main on the verify
+    request argv, writing to out: as a process's later verify, which may
+    start the writer, or with ``worker`` false in this process alone."""
+    jobs = []
+    init = pipeline._Job.__init__
+
+    def counted(self, *args):
+        jobs.append(args[0])
+        init(self, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(pipeline._Job, "__init__", counted)
+        mp.setattr(cli, "_VERIFIES", itertools.count(1))
+        if not worker:
+            mp.setattr(pipeline, "_writer_may_run", lambda: False)
+        code = main([*argv, "--out-dir", str(out)])
+    return code, len(jobs)
+
+
+@forking
+@pytest.mark.parametrize("family, params, sign, n", _CATALOG)
+def test_a_verify_job_writes_the_one_process_bytes(tmp_path, monkeypatch,
+                                                   family, params, sign, n):
+    argv = _verify_argv(family, params, sign, n)
+    assert _verify(monkeypatch, argv, tmp_path / "single", False) == (0, 0)
+    assert _verify(monkeypatch, argv, tmp_path / "job") == (0, 1)
+    names = ["potential.csv", "spectrum.json", "verification.json",
+             "wavefunctions.csv"]
+    assert sorted(p.name for p in (tmp_path / "job").iterdir()) == names
+    for name in names:
+        single, job = tmp_path / "single" / name, tmp_path / "job" / name
+        assert job.read_bytes() == single.read_bytes(), name
+        assert job.stat().st_mode == single.stat().st_mode, name
+    _no_child_left()
+
+
+_artifact_texts = pipeline._artifact_texts
+
+
+def _job_refuses_imports(fds, *args):
+    built = floattext.tables.cache_info()
+    with _imports_refused():
+        code = _artifact_texts(fds, *args)
+    now = floattext.tables.cache_info()
+    if now.misses > built.misses or now.hits == built.hits:
+        return 255
+    return code
+
+
+@forking
+def test_a_json_samples_verify_job_at_n40_runs_in_one_process(
+        tmp_path, monkeypatch):
+    # 401 rows of 42 columns, above FORK_MIN_FLOATS: the job's table is
+    # not split again, and the worker forks nothing; it imports nothing
+    # and formats through floattext's tables, built before its fork
+    argv = _verify_argv("periodic-v1", {"alpha": 1, "beta": 1, "a": 0}, "+",
+                        40) + ["--json-samples"]
+    assert 401 * 42 >= pipeline.FORK_MIN_FLOATS
+    forks, fork = tmp_path / "forks", os.fork
+    monkeypatch.setattr(os, "fork", lambda: (
+        forks.open("a").write("fork\n"), fork())[1])
+    monkeypatch.setattr(pipeline, "_artifact_texts", _job_refuses_imports)
+    floattext.tables.cache_clear()
+    assert _verify(monkeypatch, argv, tmp_path / "job") == (0, 1)
+    assert _verify(monkeypatch, argv, tmp_path / "single", False) == (0, 0)
+    assert forks.read_text() == "fork\n"
+    names = sorted(p.name for p in (tmp_path / "single").iterdir())
+    assert len(names) == 6
+    assert sorted(p.name for p in (tmp_path / "job").iterdir()) == names
+    for name in names:
+        assert ((tmp_path / "job" / name).read_bytes()
+                == (tmp_path / "single" / name).read_bytes()), name
+    _no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "earlier"])
+def test_a_report_that_raises_after_the_hand_off_leaves_the_files(
+        tmp_path, monkeypatch, capsys, earlier):
+    # the report's error comes after the job was sent: the job's status is
+    # read, so the worker is kept, and none of its files is put in place
+    ok = _verify_argv("morse", {"alpha": 1, "A": 3, "B": 1}, None, 2)
+    assert _verify(monkeypatch, ok, tmp_path / "first") == (0, 1)
+    worker = pipeline._worker
+    out = tmp_path / "out"
+    if earlier:
+        assert _verify(monkeypatch, ok, out) == (0, 1)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _verify(monkeypatch, _EDGE, out) == (2, 1)
+    assert "sits too close to the continuum" in (
+        capsys.readouterr().err.splitlines()[-1])
+    assert pipeline._worker is worker
+    if earlier:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    else:
+        assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["first"] + (["out"] if earlier else []))
+    assert _verify(monkeypatch, ok, tmp_path / "next") == (0, 1)
+    assert pipeline._worker is worker
+    _same_files(tmp_path / "first", tmp_path / "next")
+    _no_child_left()
+
+
+@forking
+def test_a_worker_killed_during_a_verify_job_is_named(tmp_path, monkeypatch,
+                                                      capsys):
+    ok = _verify_argv("morse", {"alpha": 1, "A": 3, "B": 1}, None, 2)
+    assert _verify(monkeypatch, ok, tmp_path / "first") == (0, 1)
+    pid = pipeline._worker[0]
+    report = pipeline.verification_report
+
+    def killing(*args, **kwargs):
+        os.kill(pid, signal.SIGKILL)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verification_report", killing)
+    capsys.readouterr()
+    assert _verify(monkeypatch, ok, tmp_path / "killed") == (2, 1)
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: [Errno 5] the writer process formatting the artifacts of "
+        f"{tmp_path / 'killed'} was killed by signal 9")
+    assert pipeline._worker is None
+    assert not (tmp_path / "killed").exists()
+    monkeypatch.setattr(pipeline, "verification_report", report)
+    assert _verify(monkeypatch, ok, tmp_path / "next") == (0, 1)
+    assert pipeline._worker[0] != pid
+    _same_files(tmp_path / "first", tmp_path / "next")
+    _no_child_left()
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["job", "single"])
+def test_a_set_up_error_waits_for_the_report(tmp_path, monkeypatch, capsys,
+                                             worker):
+    # the report runs and passes; then the held error of the artifacts'
+    # set-up is the request's, and nothing is written
+    calls = []
+    report = pipeline.verification_report
+
+    def noted(*args, **kwargs):
+        calls.append("report")
+        return report(*args, **kwargs)
+
+    def broken(*args):
+        calls.append("set-up")
+        raise GridError("no samples")
+
+    monkeypatch.setattr(pipeline, "verification_report", noted)
+    monkeypatch.setattr(pipeline, "wavefunction_rows", broken)
+    out = tmp_path / "out"
+    argv = _verify_argv("harmonic", {"omega": 2}, None, 1)
+    assert _verify(monkeypatch, argv, out, worker) == (2, 0)
+    assert capsys.readouterr().err.splitlines()[-1] == "error: no samples"
+    assert calls == ["set-up", "report"]
+    assert not out.exists()
     _no_child_left()
 
 

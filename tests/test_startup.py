@@ -113,3 +113,29 @@ def test_import_loads_no_process_pool(tmp_path):
                    "'socket'))))")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_a_one_shot_verify_starts_no_worker(tmp_path):
+    # a process's first verify formats its artifacts itself: it forks no
+    # table writer and opens no socket pair; its second hands them to one.
+    # (scipy's import chain loads the socket module in any verify.)
+    code = (
+        "import json, os, socket, sys\n"
+        "import sl2qes.cli, sl2qes.pipeline\n"
+        "made, fork, pair = [], os.fork, socket.socketpair\n"
+        "os.fork = lambda: made.append('fork') or fork()\n"
+        "socket.socketpair = lambda: made.append('pair') or pair()\n"
+        "seen = []\n"
+        "for run in ('first', 'second'):\n"
+        "    code = sl2qes.cli.main(json.loads(sys.argv[1]) + [run])\n"
+        "    seen.append([code, *made])\n"
+        "print(json.dumps({'seen': seen,\n"
+        "                  'may': sl2qes.pipeline._writer_may_run()}))\n")
+    args = ["verify", "--family", "harmonic", "--omega", "1", "--out-dir"]
+    proc = _python(tmp_path, "-c", code, json.dumps(args))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["seen"][0] == [0]
+    assert got["seen"][1] == ([0, "pair", "fork"] if got["may"] else [0])
+    for run in ("first", "second"):
+        assert (tmp_path / run / "verification.json").exists()
