@@ -232,6 +232,22 @@ EXTRA = (
         "3.0000000001", "--B", "1", "--n", "3", "--j-max", "3"),
         before=("verify", "--family", "morse", "--alpha", "1", "--A", "3",
                 "--B", "1", "--n", "2")),
+    # verifies whose table writer sets up the artifacts from the request:
+    # over the files of a build at n = 160, whose table the writer formats
+    # too; one whose set-up raises in the writer (V of the overflowing
+    # cosh is nan) after the report has raised the same error; and one
+    # with the JSON samples of a QES double well
+    Request("verify-morse-after-build-n160", (
+        "verify", "--family", "morse", "--alpha", "1", "--A", "3", "--B",
+        "1", "--n", "2"),
+        before=("build", "--family", "periodic-v1", "--alpha", "1",
+                "--beta", "1", "--a", "0", "--sign", "+", "--n", "160")),
+    Request("verify-overflowing-cosh", (
+        "verify", "--family", "hyperbolic-v1", "--gamma", "200", "--eta",
+        "-1", "--a", "0", "--sign", "+", "--n", "0")),
+    Request("verify-hyperbolic-v1-n6-json-samples", (
+        "verify", "--family", "hyperbolic-v1", "--gamma", "1", "--eta", "-1",
+        "--a", "0", "--sign", "+", "--n", "6", "--json-samples")),
 )
 
 

@@ -6,15 +6,17 @@ ahead of the command line's, so flags win and every value is checked like
 its flag, also where a flag overrides it.  Exit codes: 0 success, 1
 verification failure, 2 usage or parameter error or an OSError.
 
-verify sets up its artifacts (x, V, the spectrum document and the
-wavefunction rows) first, and hands them to the process's table writer,
-which formats them while the FD report runs (pipeline.artifact_job).  The
-report still decides what is written: the files are put in place only
-after it, its error wins, then one of the set-up, and either leaves the
-file system as it was.  A process's first verify starts no table writer,
-so a one-shot run never forks; a later one starts one, or uses the one the
-process has.  Where no writer may run, the report comes first and the
-artifacts are then written in this process.
+verify sends its request (the flags that name the entry and its samples)
+to the process's table writer, which sets up the artifacts (x, V, the
+spectrum document and the wavefunction rows) and formats them while this
+process builds the entry and runs the FD report (pipeline.artifact_job).
+The report decides what is written: the files are linked into place only
+after it, and its error wins.  When the writer's set-up raised, it wrote
+nothing, and this process sets up after the report, which raises the same
+error, as it does where no writer may run: there the report comes first,
+then the set-up and the writes.  A process's first verify starts no table
+writer, so a one-shot run never forks; a later one starts one, or uses
+the one the process has.
 """
 
 from __future__ import annotations
@@ -143,6 +145,17 @@ def _artifacts(args, entry: catalog.CatalogEntry):
             pipeline.wavefunction_rows(entry, x, j_vals))
 
 
+# the flags that _entry and _artifacts read: a verify job's request
+_REQUEST = ("family", *_PARAMS, "sign", "n", "samples", "j_max",
+            "json_samples")
+
+
+def _set_up(request):
+    """The artifacts of the request's entry; the table writer runs it for
+    a verify job."""
+    return _artifacts(request, _entry(request))
+
+
 def _cmd_list_families(args) -> int:
     doc = catalog.list_families()
     if args.json_out:
@@ -165,25 +178,20 @@ _VERIFIES = itertools.count()
 
 
 def _cmd_verify(args) -> int:
-    start = next(_VERIFIES) > 0
-    entry = _entry(args)
-    # the set-up's error waits for the report's (see the module docstring)
-    try:
-        artifacts, held = _artifacts(args, entry), None
-    except Exception as exc:
-        artifacts, held = None, exc
-    job = held is None and pipeline.artifact_job(
-        args.out_dir, *artifacts, args.json_samples, start=start)
+    request = argparse.Namespace(**{name: getattr(args, name)
+                                    for name in _REQUEST})
+    job = pipeline.artifact_job(args.out_dir, _set_up, request,
+                                args.json_samples,
+                                start=next(_VERIFIES) > 0)
     with job or contextlib.nullcontext():
+        entry = _entry(args)
         report = pipeline.verification_report(
             entry, j_max=args.j_max, points=args.points,
             tolerance=args.tolerance)
-        if held is not None:
-            raise held
-        if job:
-            job.commit()
-        else:
-            pipeline.write_artifacts(args.out_dir, *artifacts,
+        # without a worker, or when its set-up raised, the set-up runs
+        # here, after the report, and raises the same error
+        if not (job and job.commit()):
+            pipeline.write_artifacts(args.out_dir, *_artifacts(args, entry),
                                      args.json_samples)
     pipeline.write_json_atomic(
         os.path.join(args.out_dir, "verification.json"),

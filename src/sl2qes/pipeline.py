@@ -61,10 +61,10 @@ Float formatting holds the GIL, so a request can be written on two cores,
 by this process and its table writer: one worker process, forked once and
 kept, after floattext's tables are built.  It runs only where this process
 has one thread and may run on two CPUs, and the platform has unnamed temp
-files.  Every request to it is a _Job: over a socket pair, a pickled job
-and the unnamed temp files that this process opened for it; the worker
-writes one body into each file and replies with one status byte.  A job is
-one of two:
+files that /proc/self/fd names.  Every request to it is a _Job: over a
+socket pair, a pickled job and the unnamed temp files that this process
+opened for it; the worker writes one body into each file and replies with
+one status byte.  A job is one of two:
   - the tail of a large table.  When the wavefunction table holds
     FORK_MIN_FLOATS floats or more, the worker gets the RowSampler and the
     row that gives it about half of the floats the request writes; the
@@ -72,12 +72,17 @@ one of two:
     this process samples the other rows, writes the other files and the
     table's first rows, reads the status and appends the worker's rows
     with a kernel copy before the rename.
-  - every file of a verify request (``artifact_job``), formatted by the
-    worker in its one process while this process runs the report.
-    ``commit`` reads the status and copies each file into place through
-    the one-process writer's rename.  Such a job forks the worker only
-    when its caller asks: the CLI does at every verify but a process's
-    first, so that a one-shot verify never forks.
+  - every file of a verify request (``artifact_job``).  The job carries
+    the request, not its samples: the worker sets up x, V, the spectrum
+    document and the rows from it, under this process's warning filters
+    and numpy error state, and formats every file in its one process,
+    while this process runs the report.  A set-up that raises writes
+    nothing, and the status says so: the caller then sets up itself,
+    which raises the same error.  ``commit`` reads the status and links
+    each file to a fresh temp name beside its path, renamed into place,
+    with no copy.  Such a job forks the worker only when its caller
+    asks: the CLI does at every verify but a process's first, so that a
+    one-shot verify never forks.
 Without the worker this process samples and writes everything itself.
 The bytes, modes and cleanup are the one-process writer's.  A write error
 in the worker raises OSError with its errno, and a worker that dies raises
@@ -100,6 +105,7 @@ import json
 import math
 import os
 import threading
+import warnings
 
 import numpy as np
 
@@ -423,15 +429,27 @@ def verification_report(entry: CatalogEntry, j_max: int | None = None,
 # ---------------------------------------------------------------------------
 # artifacts
 
+def _directory(path: str) -> str:
+    """The directory of ``path``, made first if it is missing."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    if not os.path.isdir(directory):
+        os.makedirs(directory, exist_ok=True)
+    return directory
+
+
+def _temp_name() -> str:
+    """A fresh temp file's name, to be made beside its target."""
+    return f"tmp{os.urandom(6).hex()}.tmp"
+
+
 def _atomic_write(path: str, pieces, finish=None):
     """Write the text pieces, then ``finish(fd)`` if given, into a temp file
     renamed into place."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
+    directory = _directory(path)
     # a fresh temp file beside the target, created like mkstemp's but with
     # mode 0o666, so the umask sets the artifact's mode as open() would
     while True:
-        tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+        tmp = os.path.join(directory, _temp_name())
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break
@@ -604,10 +622,16 @@ def write_csv_atomic(path: str, header: list[str], rows,
                   None if tail is None else tail.append_to)
 
 
+# a worker's status byte: 0, an errno below _NOT_SET_UP, or one of these
+_NOT_SET_UP = 254   # the job raised before its first write: nothing written
+_FAILED = 255       # the job failed any other way
+
+
 def _write_texts(fds, texts) -> int:
     """The worker's writes for one request: each text's pieces into its
-    descriptor, in order.  It imports nothing and calls no BLAS routine.
-    0, or the errno of the write that failed."""
+    descriptor, in order.  It imports nothing and calls no BLAS routine
+    (a verify job's set-up before it does).  0, or the errno of the write
+    that failed."""
     try:
         for fd, pieces in zip(fds, texts):
             for text in pieces:
@@ -615,7 +639,7 @@ def _write_texts(fds, texts) -> int:
                 while data:
                     data = data[os.write(fd, data):]
     except OSError as exc:
-        return exc.errno if exc.errno and exc.errno < 255 else 255
+        return exc.errno if exc.errno and exc.errno < _NOT_SET_UP else _FAILED
     return 0
 
 
@@ -633,13 +657,32 @@ def _tail_rows(fds, table, start: int) -> int:
 
 
 def _artifact_texts(fds, x, v, doc, psi, json_samples: bool) -> int:
-    """A verify job's work in the worker: every file of ``write_artifacts``
-    into its descriptor, all of the table's rows in this one process;
-    _write_texts's status."""
-    whole = psi() if json_samples else None
-    texts = _texts(x, v, _documents(x, v, doc, whole),
-                   psi() if whole is None else whole)
+    """Every file of ``write_artifacts`` into its descriptor, all of the
+    table's rows in this one process: _write_texts's status, or
+    _NOT_SET_UP when sampling the rows or encoding a document raised, before
+    any write."""
+    try:
+        whole = psi() if json_samples else None
+        texts = _texts(x, v, _documents(x, v, doc, whole),
+                       psi() if whole is None else whole)
+    except Exception:
+        return _NOT_SET_UP
     return _write_texts(fds, (_file(header, text) for header, text in texts))
+
+
+def _request_texts(fds, set_up, request, json_samples: bool, filters,
+                   errors: dict) -> int:
+    """A verify job's work in the worker: ``set_up(request)`` gives (x, V,
+    the spectrum document, the RowSampler), and _artifact_texts writes
+    them, both under the caller's warning ``filters`` and numpy ``errors``
+    state.  _NOT_SET_UP, with nothing written, when the set-up raised."""
+    with warnings.catch_warnings(), np.errstate(**errors):
+        warnings.filters[:] = filters
+        try:
+            artifacts = set_up(request)
+        except Exception:
+            return _NOT_SET_UP
+        return _artifact_texts(fds, *artifacts, json_samples)
 
 
 # (pid, socket, pid of the process that forked it) of this process's table
@@ -689,8 +732,7 @@ def _worker_socket():
 
 def _serve(sock) -> None:
     """The worker's loop, one request at a time until its socket's end of
-    file, each answered with its job's status byte, or 255 when the
-    request failed any other way."""
+    file, each answered with its job's status byte."""
     while (code := _take(sock)) is not None:
         sock.sendall(bytes([code]))
 
@@ -698,9 +740,9 @@ def _serve(sock) -> None:
 def _take(sock) -> int | None:
     """One request in the worker, as ``_Job`` sends it: the length of the
     pickled (function, args) with the descriptors of the files to write,
-    then those bytes; ``function(fds, *args)`` writes them.  Its status,
-    or None at the end of the stream.  Nothing of the request outlives the
-    call."""
+    then those bytes; ``function(fds, *args)`` writes them.  Its status
+    (_FAILED when it raised), or None at the end of the stream.  Nothing of
+    the request outlives the call."""
     import pickle
     import socket
     head, fds, _, _ = socket.recv_fds(sock, 8, len(_names(True)))
@@ -712,7 +754,7 @@ def _take(sock) -> int | None:
             function, args = pickle.loads(data)
             return function(fds, *args)
         except Exception:
-            return 255
+            return _FAILED
     except EOFError:
         return None
     finally:
@@ -764,24 +806,26 @@ os.register_at_fork(after_in_child=_forget_worker)
 
 def _writer_may_run() -> bool:
     """Whether this process may use a table writer: the platform has
-    unnamed temp files, and this process has one thread and may run on two
-    CPUs."""
+    unnamed temp files that /proc/self/fd can name, and this process has
+    one thread and may run on two CPUs."""
     return (hasattr(os, "O_TMPFILE") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1)
+            and threading.active_count() == 1
+            and os.path.isdir("/proc/self/fd"))
 
 
 class _Job:
     """One request to this process's worker: ``function(fds, *args)`` runs
     there on a pickled copy of ``args``, writes one body into each of the
-    unnamed temp files that this process opened for ``paths`` (in the
-    first path's directory, or its nearest ancestor that exists) and
-    returns 0 or an errno, while this process goes on.  ``wait`` reads the
-    worker's status, and ``commit`` puts each file in place.  Leaving the
-    ``with`` block before the status is read reads it then, so that the
-    worker is kept, unless an interrupt, or any BaseException that is not
-    an Exception, left the block: that discards the worker (SIGKILL, then
-    reap), so no status reaches a later request."""
+    unnamed temp files that this process opened for ``paths``, which share
+    one directory (they are made in it, or in its nearest ancestor that
+    exists, with mode 0o666 less the umask), and returns a status byte,
+    while this process goes on.  ``wait`` reads the worker's status, and
+    ``commit`` links each file into place.  Leaving the ``with`` block
+    before the status is read reads it then, so that the worker is kept,
+    unless an interrupt, or any BaseException that is not an Exception,
+    left the block: that discards the worker (SIGKILL, then reap), so no
+    status reaches a later request."""
 
     def __init__(self, what: str, paths: list[str], function, *args):
         import pickle
@@ -794,7 +838,7 @@ class _Job:
         try:
             for _ in paths:
                 self.files.append(os.open(directory,
-                                          os.O_TMPFILE | os.O_RDWR, 0o600))
+                                          os.O_TMPFILE | os.O_RDWR, 0o666))
             self.sock = _worker_socket()
         finally:
             if self.sock is None:
@@ -830,9 +874,10 @@ class _Job:
             os.close(fd)
         self.files = []
 
-    def wait(self):
-        """Wait for the worker's status; OSError when it failed, or is
-        gone."""
+    def wait(self) -> bool:
+        """Wait for the worker's status: True when the job is done, False
+        when it wrote nothing because its set-up raised (_NOT_SET_UP);
+        OSError when it failed, or is gone."""
         try:
             status = self.sock.recv(1)
         except ConnectionResetError:    # it left before reading it all
@@ -844,26 +889,46 @@ class _Job:
                 f"was killed by signal {-code}" if code < 0 else
                 f"exited with status {code}"))
         code = status[0]
-        if code:
-            raise OSError(code if code < 255 else errno.EIO,
+        if code and code != _NOT_SET_UP:
+            raise OSError(code if code < _FAILED else errno.EIO,
                           f"{self.what} " + (f"failed: {os.strerror(code)}"
-                                             if code < 255 else "failed"))
+                                             if code < _FAILED else "failed"))
+        return code == 0
 
-    def copy(self, i: int, fd: int):
-        """Copy file i to the end of fd in the kernel."""
-        size, done = os.fstat(self.files[i]).st_size, 0
-        while done < size:
-            copied = os.sendfile(fd, self.files[i], done, size - done)
-            if not copied:
-                raise OSError(errno.EIO, f"{self.what}: its file ended early")
-            done += copied
+    def commit(self) -> bool:
+        """Wait for the worker's status, then give each file its path: a
+        link to a fresh temp name beside it, renamed into place.  False,
+        with nothing in place, when the job's set-up raised."""
+        if not self.wait():
+            return False
+        dir_fd = os.open(_directory(self.paths[0]),
+                         os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            for fd, path in zip(self.files, self.paths):
+                _link(fd, os.path.basename(path), dir_fd)
+        finally:
+            os.close(dir_fd)
+        return True
 
-    def commit(self):
-        """Wait for the worker's status, then put each file in place at its
-        path, with _atomic_write's rename and mode."""
-        self.wait()
-        for i, path in enumerate(self.paths):
-            _atomic_write(path, (), lambda fd, i=i: self.copy(i, fd))
+
+def _link(fd: int, name: str, dir_fd: int):
+    """Name the unnamed file fd ``name`` in the directory dir_fd: linked
+    to a fresh temp name, then renamed over ``name``.  The dir fd makes
+    os.link call linkat with AT_SYMLINK_FOLLOW, which follows /proc's
+    link to the file (link(2) would fail with EXDEV)."""
+    while True:
+        tmp = _temp_name()
+        try:
+            os.link(f"/proc/self/fd/{fd}", tmp, dst_dir_fd=dir_fd,
+                    follow_symlinks=True)
+            break
+        except FileExistsError:
+            continue
+    try:
+        os.replace(tmp, name, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
+    except BaseException:
+        os.unlink(tmp, dir_fd=dir_fd)
+        raise
 
 
 class _Tail(_Job):
@@ -878,9 +943,14 @@ class _Tail(_Job):
 
     def append_to(self, fd: int):
         """Wait for the worker's status and copy its rows to the end of
-        fd; OSError when the worker failed, or is gone."""
+        fd in the kernel; OSError when the worker failed, or is gone."""
         self.wait()
-        self.copy(0, fd)
+        size, done = os.fstat(self.files[0]).st_size, 0
+        while done < size:
+            copied = os.sendfile(fd, self.files[0], done, size - done)
+            if not copied:
+                raise OSError(errno.EIO, f"{self.what}: its file ended early")
+            done += copied
 
 
 def _split(rows: int, width: int, other: int) -> int:
@@ -1001,22 +1071,32 @@ def write_artifacts(out_dir: str, x, v, doc: dict, psi: RowSampler,
                                  tail if path == paths[-1] else None)
 
 
-def artifact_job(out_dir: str, x, v, doc: dict, psi: RowSampler,
-                 json_samples: bool = False, start: bool = True):
-    """The files of ``write_artifacts`` as a _Job: this process's worker
-    formats them, all in its one process, while this process goes on, and
-    ``commit()`` puts them in place.  None, with nothing sent, when the
-    worker may not run (_writer_may_run), when this process has none and
-    ``start`` is false, or when the unnamed files cannot be made."""
+def artifact_job(out_dir: str, set_up, request, json_samples: bool = False,
+                 start: bool = True):
+    """The files of ``write_artifacts`` as a _Job, sent the request, not
+    its samples: this process's worker runs ``set_up(request)``, which
+    gives (x, V, the spectrum document, the RowSampler), under this
+    process's warning filters and numpy error state, and formats every
+    file in its one process, while this process goes on.  ``commit()``
+    links them into place, or returns False when the set-up raised: the
+    caller then sets up and writes them itself, which raises the same
+    error.  None, with nothing sent, when the worker may not run
+    (_writer_may_run), when this process has none and ``start`` is
+    false, or when the unnamed files cannot be made or the filters
+    cannot be pickled."""
     if not _writer_may_run() or not (start or _has_worker()):
         return None
     tables()    # floattext's, built here before the worker's fork
+    import pickle
     try:
         return _Job(f"the writer process formatting the artifacts of "
                     f"{out_dir}", [os.path.join(out_dir, name) for name in
                                    _names(json_samples)],
-                    _artifact_texts, x, v, doc, psi, json_samples)
-    except OSError:     # no unnamed temp file here, or no worker to fork
+                    _request_texts, set_up, request, json_samples,
+                    warnings.filters, np.geterr())
+    # no unnamed temp file here, no worker to fork, or a filter whose
+    # category is a local class
+    except (OSError, AttributeError, pickle.PicklingError):
         return None
 
 

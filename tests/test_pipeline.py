@@ -1648,7 +1648,10 @@ def _job_refuses_imports(fds, *args):
     with _imports_refused():
         code = _artifact_texts(fds, *args)
     now = floattext.tables.cache_info()
-    if now.misses > built.misses or now.hits == built.hits:
+    # an import refused while the rows are sampled would hand the files
+    # back to this process: it fails the job too
+    if (now.misses > built.misses or now.hits == built.hits
+            or code == pipeline._NOT_SET_UP):
         return 255
     return code
 
@@ -1741,8 +1744,9 @@ def test_a_worker_killed_during_a_verify_job_is_named(tmp_path, monkeypatch,
 @pytest.mark.parametrize("worker", [True, False], ids=["job", "single"])
 def test_a_set_up_error_waits_for_the_report(tmp_path, monkeypatch, capsys,
                                              worker):
-    # the report runs and passes; then the held error of the artifacts'
-    # set-up is the request's, and nothing is written
+    # the report runs and passes; then this process sets up (the worker's
+    # set-up raised too, and wrote nothing), its error is the request's,
+    # and nothing is written
     calls = []
     report = pipeline.verification_report
 
@@ -1758,10 +1762,223 @@ def test_a_set_up_error_waits_for_the_report(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(pipeline, "wavefunction_rows", broken)
     out = tmp_path / "out"
     argv = _verify_argv("harmonic", {"omega": 2}, None, 1)
-    assert _verify(monkeypatch, argv, out, worker) == (2, 0)
+    assert _verify(monkeypatch, argv, out, worker) == (2, int(worker))
     assert capsys.readouterr().err.splitlines()[-1] == "error: no samples"
-    assert calls == ["set-up", "report"]
+    assert calls == ["report", "set-up"]
     assert not out.exists()
+    _no_child_left()
+
+
+_MORSE = _verify_argv("morse", {"alpha": 1, "A": 3, "B": 1}, None, 2)
+
+
+def _noting(path, function):
+    """function, which appends the pid of the process that called it and
+    the name of what it raised, or "ok", to the file at path."""
+    def noted(*args, **kwargs):
+        outcome = "ok"
+        try:
+            return function(*args, **kwargs)
+        except Exception as exc:
+            outcome = type(exc).__name__
+            raise
+        finally:
+            with open(path, "a") as handle:
+                handle.write(f"{os.getpid()} {outcome}\n")
+
+    return noted
+
+
+def _notes(path) -> tuple[list, list]:
+    """The outcomes noted at path by the worker and by this process, each
+    in its order; the notes are cleared."""
+    notes = [line.split() for line in path.read_text().splitlines()]
+    path.unlink()
+    return tuple([outcome for pid, outcome in notes
+                  if (int(pid) == os.getpid()) == here]
+                 for here in (False, True))
+
+
+class _Unsampled(RowSampler):
+    """A RowSampler whose rows cannot be sampled."""
+
+    def __call__(self, start=0, stop=None):
+        raise GridError("no rows")
+
+
+@forking
+@pytest.mark.parametrize("where", ["set-up", "rows"])
+def test_a_set_up_error_in_the_worker_keeps_the_worker(tmp_path, monkeypatch,
+                                                       capsys, where):
+    # the worker's set-up, or the sampling of its rows, raises and it
+    # writes nothing; this process runs the report, then the set-up, whose
+    # error is the request's
+    notes, rows = tmp_path / "notes", pipeline.wavefunction_rows
+
+    def broken(entry, x, j_values):
+        if entry.name != "harmonic":
+            return rows(entry, x, j_values)
+        if where == "set-up":
+            raise GridError("no samples")
+        return _Unsampled(x, [])
+
+    monkeypatch.setattr(pipeline, "wavefunction_rows",
+                        _noting(notes, broken))
+    monkeypatch.setattr(pipeline, "verification_report", _noting(
+        notes, pipeline.verification_report))
+    assert _verify(monkeypatch, _MORSE, tmp_path / "first") == (0, 1)
+    assert _notes(notes) == (["ok"], ["ok"])
+    worker = pipeline._worker
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = _verify_argv("harmonic", {"omega": 2}, None, 1)
+    assert _verify(monkeypatch, argv, out) == (2, 1)
+    error = "no samples" if where == "set-up" else "no rows"
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {error}"
+    assert not out.exists()
+    outcome = "GridError" if where == "set-up" else "ok"
+    assert _notes(notes) == ([outcome], ["ok", outcome])
+    assert pipeline._worker is worker
+    assert _verify(monkeypatch, _MORSE, tmp_path / "next") == (0, 1)
+    _same_files(tmp_path / "first", tmp_path / "next")
+    _no_child_left()
+
+
+_COSH = ["verify", "--family", "hyperbolic-v1", "--gamma", "200", "--eta",
+         "-1", "--a", "0", "--sign", "+", "--n", "0"]
+
+
+@forking
+def test_the_callers_warning_filters_reach_the_worker(tmp_path, monkeypatch):
+    # the filters and numpy's error state at each request, not at the
+    # worker's fork, rule its set-up: V of the overflowing cosh is nan
+    # (GridError), or its overflow raises
+    notes = tmp_path / "notes"
+    monkeypatch.setattr(pipeline, "sample_potential",
+                        _noting(notes, pipeline.sample_potential))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _verify(monkeypatch, _MORSE, tmp_path / "first") == (0, 1)
+    _notes(notes)
+    worker = pipeline._worker
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _verify(monkeypatch, _COSH, tmp_path / "ignore") == (2, 1)
+        assert _notes(notes) == (["GridError"], [])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _verify(monkeypatch, _COSH, tmp_path / "raise")
+        assert _notes(notes) == (["FloatingPointError"], [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            _verify(monkeypatch, _COSH, tmp_path / "error")
+        assert _notes(notes) == (["RuntimeWarning"], [])
+    assert pipeline._worker is worker
+    assert not any((tmp_path / name).exists()
+                   for name in ("ignore", "raise", "error"))
+    _no_child_left()
+
+
+@forking
+def test_a_worker_forked_by_a_build_serves_the_first_verify(tmp_path,
+                                                            monkeypatch):
+    build = ["build", "--family", "periodic-v1", "--alpha", "1", "--beta",
+             "1", "--a", "0", "--sign", "+", "--n", "160"]
+    assert _verify(monkeypatch, _MORSE, tmp_path / "single", False) == (0, 0)
+    assert main([*build, "--out-dir", str(tmp_path / "build")]) == 0
+    worker = pipeline._worker
+    assert worker is not None
+    # the process's first verify starts no worker, but uses this one
+    monkeypatch.setattr(cli, "_VERIFIES", itertools.count())
+    jobs = []
+    init = pipeline._Job.__init__
+    monkeypatch.setattr(pipeline._Job, "__init__", lambda self, *args: (
+        jobs.append(args[0]), init(self, *args))[1])
+    assert main([*_MORSE, "--out-dir", str(tmp_path / "job")]) == 0
+    assert len(jobs) == 1 and pipeline._worker is worker
+    names = ["potential.csv", "spectrum.json", "verification.json",
+             "wavefunctions.csv"]
+    assert sorted(p.name for p in (tmp_path / "job").iterdir()) == names
+    for name in names:
+        assert ((tmp_path / "job" / name).read_bytes()
+                == (tmp_path / "single" / name).read_bytes()), name
+    _no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("flags, message", [
+    (["--family", "nope"], "error: unknown family 'nope'; known: harmonic, "),
+    (["--family", "morse", "--alpha", "1", "--A", "3", "--B", "1", "--n",
+      "-1"], "error: n must be a non-negative integer"),
+], ids=["family", "n"])
+def test_an_invalid_request_leaves_the_worker(tmp_path, monkeypatch, capsys,
+                                              flags, message):
+    assert _verify(monkeypatch, _MORSE, tmp_path / "first") == (0, 1)
+    worker = pipeline._worker
+    capsys.readouterr()
+    assert _verify(monkeypatch, ["verify", *flags], tmp_path / "bad") == (2, 1)
+    assert capsys.readouterr().err.splitlines()[-1].startswith(message)
+    assert not (tmp_path / "bad").exists()
+    assert pipeline._worker is worker
+    assert _verify(monkeypatch, _MORSE, tmp_path / "next") == (0, 1)
+    _same_files(tmp_path / "first", tmp_path / "next")
+    _no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_linked_artifacts_honour_the_umask(tmp_path, monkeypatch, umask,
+                                           mode):
+    old = os.umask(umask)
+    try:
+        assert _verify(monkeypatch, _MORSE, tmp_path / "run") == (0, 1)
+    finally:
+        os.umask(old)
+    names = sorted(path.name for path in (tmp_path / "run").iterdir())
+    assert names == ["potential.csv", "spectrum.json", "verification.json",
+                     "wavefunctions.csv"]
+    for name in names:
+        assert stat.S_IMODE((tmp_path / "run" / name).stat().st_mode) == \
+            mode, name
+    _no_child_left()
+
+
+@forking
+@pytest.mark.parametrize("call", ["link", "replace"])
+def test_a_failed_link_leaves_no_temp_name(tmp_path, monkeypatch, capsys,
+                                           call):
+    assert _verify(monkeypatch, _MORSE, tmp_path / "first") == (0, 1)
+    real = getattr(os, call)
+
+    def failing(*args, **kwargs):    # only the commit's calls name a dir fd
+        if kwargs.get("dst_dir_fd") is None:
+            return real(*args, **kwargs)
+        raise PermissionError(errno.EACCES, "refused")
+
+    capsys.readouterr()
+    with monkeypatch.context() as mp:
+        mp.setattr(os, call, failing)
+        assert _verify(monkeypatch, _MORSE, tmp_path / "out") == (2, 1)
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: [Errno 13] refused")
+    assert list((tmp_path / "out").iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first", "out"]
+    _no_child_left()
+
+
+@forking
+def test_a_filter_that_cannot_be_pickled_writes_in_this_process(
+        tmp_path, monkeypatch):
+    class Local(Warning):
+        pass
+
+    assert _verify(monkeypatch, _MORSE, tmp_path / "single", False) == (0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", Local)
+        # the job is made, but fails to pickle before it forks the worker
+        assert _verify(monkeypatch, _MORSE, tmp_path / "run") == (0, 1)
+    assert pipeline._worker is None
+    _same_files(tmp_path / "single", tmp_path / "run")
     _no_child_left()
 
 

@@ -70,9 +70,12 @@ def test_band_structure_script_rejects_bad_input(monkeypatch, capsys, args,
     assert message in err and "Traceback" not in err
 
 
-def test_benchmark_tracer_wraps_and_restores(tmp_path):
+def test_benchmark_tracer_wraps_and_restores(tmp_path, monkeypatch):
     """perfbench/tracing.py wraps package functions by name; a rename must
-    fail here rather than silently break a traced benchmark run."""
+    fail here rather than silently break a traced benchmark run.  Every
+    request runs in this process, where the tracer sees it: a verify after
+    the process's first would set up its artifacts in the table writer."""
+    monkeypatch.setattr(sl2qes.pipeline, "_writer_may_run", lambda: False)
     tracing = _load("tracing", ROOT / "perfbench")
     functions = {(mod, attr): getattr(sys.modules[f"sl2qes.{mod}"], attr)
                  for mod, attr, _ in tracing.FUNCTIONS}
